@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-gate examples fuzz simtest soak fmt
+.PHONY: build test check bench bench-gate bench-compare examples fuzz simtest soak fmt
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,20 @@ GATE_PCT ?= 10
 bench-gate:
 	$(GO) test -run '^$$' -bench . -benchmem . | \
 		$(GO) run ./cmd/benchjson -o /tmp/bench_gate.json -gate BENCH_results.json -gate-pct $(GATE_PCT)
+
+# Before/after of the repository benchmark (see benchmark/README.md):
+# check BASE out into a temporary directory, run `go run ./benchmark -out`
+# there and here at the same seed, and print the paired comparison — exit
+# status 1 when a digest or count differs or a metric regressed past its
+# bound. `make bench-compare BASE=HEAD~1`; ~2 min per side.
+BENCH_SEED ?= 1
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [BENCH_SEED=n]"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+		(cd "$$tmp/base" && $(GO) run ./benchmark -seed $(BENCH_SEED) -out "$$tmp/base.json" >/dev/null) && \
+		$(GO) run ./benchmark -seed $(BENCH_SEED) -out "$$tmp/change.json" >/dev/null && \
+		$(GO) run ./benchmark -compare "$$tmp/base.json" "$$tmp/change.json"
 
 # Deep simulation-testing sweep: SIMTEST_N randomized scenarios under the
 # full invariant oracle (see internal/simtest and DESIGN.md "Correctness

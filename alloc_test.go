@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"mpcc"
+	"mpcc/internal/exp"
+	"mpcc/internal/sim"
 )
 
 func TestEmulatorSteadyStateAllocs(t *testing.T) {
@@ -89,5 +91,32 @@ func TestProbedSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 8 {
 		t.Fatalf("probed steady-state allocates %.1f times per %v chunk, want ≤ 8", avg, step)
+	}
+}
+
+// TestChurnSteadyStateAllocs guards the same property under connection
+// churn: pooled objects belong to the engine, not to a connection, so a
+// session opened late in a run is built from what closed sessions released.
+// The canonical overload spec (1.3x the farm's capacity, ~280 sessions per
+// virtual second) is run to two horizons, both past its first several hundred
+// sessions; the longer run replays the shorter and then continues, so the
+// difference in allocations over the difference in accepted sessions is the
+// warm cost of one more session — its Connection, Subflows, controllers,
+// paths and name, and nothing per packet (~32 now; ~300 before the arena).
+func TestChurnSteadyStateAllocs(t *testing.T) {
+	run := func(dur sim.Time) (allocs float64, accepted int) {
+		spec := exp.ChurnSpecAt(exp.Config{Seed: 7, Duration: dur, Warmup: sim.Second}, 1.3)
+		allocs = testing.AllocsPerRun(1, func() { accepted = exp.Run(spec).Churn.Accepted })
+		return allocs, accepted
+	}
+	a1, n1 := run(4 * sim.Second)
+	a2, n2 := run(8 * sim.Second)
+	if n1 < 500 || n2-n1 < 500 {
+		t.Fatalf("churn spec too light to measure: %d then %d accepted sessions", n1, n2)
+	}
+	perSession := (a2 - a1) / float64(n2-n1)
+	t.Logf("%.0f allocations for %d more sessions: %.1f per session", a2-a1, n2-n1, perSession)
+	if perSession > 60 {
+		t.Fatalf("a warm churn session allocates %.1f objects, want ≤ 60", perSession)
 	}
 }

@@ -201,29 +201,29 @@ func (c *OLIA) alpha() float64 {
 			maxW = s.CwndPkts
 		}
 	}
-	var collected, maxPaths []*cc.SubflowState
+	// Count the collected (best but not max-window) and max-window sets and
+	// note which of them this subflow is in.
+	var nCollected, nMax int
+	var inCollected, inMax bool
 	for _, s := range states {
 		isBest := s.CwndPkts > 0 && ell(s)*ell(s)/s.CwndPkts >= bestVal*(1-1e-9)
 		isMax := s.CwndPkts >= maxW*(1-1e-9)
 		if isBest && !isMax {
-			collected = append(collected, s)
+			nCollected++
+			inCollected = inCollected || s == c.state
 		}
 		if isMax {
-			maxPaths = append(maxPaths, s)
+			nMax++
+			inMax = inMax || s == c.state
 		}
 	}
-	if len(collected) == 0 {
+	switch {
+	case nCollected == 0:
 		return 0
-	}
-	for _, s := range collected {
-		if s == c.state {
-			return 1 / (d * float64(len(collected)))
-		}
-	}
-	for _, s := range maxPaths {
-		if s == c.state {
-			return -1 / (d * float64(len(maxPaths)))
-		}
+	case inCollected:
+		return 1 / (d * float64(nCollected))
+	case inMax:
+		return -1 / (d * float64(nMax))
 	}
 	return 0
 }

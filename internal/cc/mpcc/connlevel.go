@@ -30,6 +30,7 @@ type ConnLevel struct {
 	sent, lost []float64
 	gradSum    []float64 // RTT-gradient · bytes, for a weighted average
 	sampled    []bool
+	scratch    []float64 // closeTrial's per-subflow rate/loss/gradient vectors
 
 	phase      int // 0 = starting, 1 = probing
 	probeSub   int // coordinate under probe
@@ -56,6 +57,7 @@ func NewConnLevel(cfg Config, d int) *ConnLevel {
 		lost:    make([]float64, d),
 		gradSum: make([]float64, d),
 		sampled: make([]bool, d),
+		scratch: make([]float64, 3*d),
 	}
 	for i := range cl.rates {
 		cl.rates[i] = cfg.InitialRateBps
@@ -144,11 +146,11 @@ func (cl *ConnLevel) newTrial(now sim.Time) {
 
 func (cl *ConnLevel) closeTrial(now sim.Time) {
 	// Evaluate Eq. 1 on the trial's aggregates.
-	ratesMbps := make([]float64, cl.d)
-	loss := make([]float64, cl.d)
-	grad := make([]float64, cl.d)
-	for i := 0; i < cl.d; i++ {
+	d := cl.d
+	ratesMbps, loss, grad := cl.scratch[:d:d], cl.scratch[d:2*d:2*d], cl.scratch[2*d:]
+	for i := 0; i < d; i++ {
 		ratesMbps[i] = cl.rateFor(i) / 1e6
+		loss[i], grad[i] = 0, 0
 		if cl.sent[i] > 0 {
 			loss[i] = cl.lost[i] / cl.sent[i]
 			grad[i] = cl.gradSum[i] / cl.sent[i]

@@ -151,8 +151,12 @@ type Controller struct {
 
 	// planned mirrors, in order, the MIs the transport has started; the
 	// n-th OnMIComplete corresponds to planned[n] (completions arrive in
-	// MI order).
-	planned []plannedMI
+	// MI order). It is a FIFO consumed through plannedHead and compacted in
+	// place, so the handful of MIs in flight reuse one small backing array
+	// instead of reallocating on every NextRate.
+	planned     []plannedMI
+	plannedHead int
+	plannedBuf  [16]plannedMI // planned's initial storage
 
 	// others is the snapshot C of sibling published rates (bps), frozen for
 	// the duration of a gradient-estimation cycle (§5.2 remark).
@@ -206,6 +210,7 @@ func New(cfg Config, grp *Group, rng *rand.Rand) *Controller {
 		rate:  cfg.InitialRateBps,
 		amp:   1,
 	}
+	c.planned = c.plannedBuf[:0]
 	grp.Publish(c.id, c.rate)
 	return c
 }
@@ -310,11 +315,15 @@ func (c *Controller) nextProbeMI() plannedMI {
 // OnMIComplete implements cc.RateController. Statistics arrive in MI order;
 // the controller matches them to its planned roles FIFO.
 func (c *Controller) OnMIComplete(st cc.MIStats) {
-	if len(c.planned) == 0 {
+	if c.plannedHead == len(c.planned) {
 		return // completion for an MI planned before a reset; ignore
 	}
-	p := c.planned[0]
-	c.planned = c.planned[1:]
+	p := c.planned[c.plannedHead]
+	c.plannedHead++
+	if c.plannedHead >= 8 && c.plannedHead*2 >= len(c.planned) {
+		n := copy(c.planned, c.planned[c.plannedHead:])
+		c.planned, c.plannedHead = c.planned[:n], 0
+	}
 	if p.role == roleFiller {
 		return
 	}
@@ -526,7 +535,7 @@ func (c *Controller) OnSubflowUp() {
 	c.rate = c.cfg.InitialRateBps
 	// The transport discards the failed subflow's open MIs, so completions
 	// for pre-failure plans can never arrive: forget them.
-	c.planned = nil
+	c.planned, c.plannedHead = c.planned[:0], 0
 	c.others = 0
 	c.prevRate, c.prevUtility, c.prevTol = 0, 0, 0
 	c.haveBase = false

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
+	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
@@ -110,7 +112,6 @@ type ChurnStats struct {
 type churnDriver struct {
 	eng     *sim.Engine
 	spec    *ChurnSpec
-	net     *topo.Net
 	bus     *obs.Bus
 	proto   Protocol
 	horizon sim.Time
@@ -118,12 +119,43 @@ type churnDriver struct {
 	rng     *rand.Rand // server choice + backoff jitter
 	arr     workload.Arrivals
 	backoff workload.Backoff
-	servers []*transport.Server
+	servers []churnServer
+	free    []*churnSession // session records between sessions
+	nameBuf []byte          // scratch for rendering session names
 
 	nextID int
 	active int
 	fct    *obs.Histogram
 	stats  ChurnStats
+}
+
+// churnServer is one accept point with everything a session needs resolved
+// once: its spec, a template path per subflow (links looked up and name
+// rendered), and the connection options every session shares.
+type churnServer struct {
+	*transport.Server
+	spec     *ServerSpec
+	paths    []*netem.Path
+	connOpts []transport.ConnOption
+}
+
+// churnSession is one session's record from arrival to its post-close drain
+// audit. It is the argument of the driver's pooled timers (retry, drain
+// check) and is itself recycled through churnDriver.free, together with the
+// two callbacks bound to it, so an arrival allocates nothing here in steady
+// state.
+type churnSession struct {
+	d       *churnDriver
+	name    string
+	sv      *churnServer
+	size    int64
+	attempt int // rejected attempts so far
+	start   sim.Time
+	conn    *transport.Connection
+	paths   []*netem.Path // scratch handed to Attach
+
+	onComplete func(sim.Time)
+	onClose    func(transport.CloseReason, sim.Time)
 }
 
 // startChurn validates the spec, builds the servers and generators, and
@@ -137,7 +169,7 @@ func startChurn(eng *sim.Engine, s *Spec, net *topo.Net, bus *obs.Bus) *churnDri
 		panic("exp: ChurnSpec needs RatePerSec > 0 or MMPP States")
 	}
 	d := &churnDriver{
-		eng: eng, spec: cs, net: net, bus: bus, proto: cs.Proto,
+		eng: eng, spec: cs, bus: bus, proto: cs.Proto,
 		horizon: s.Duration,
 		rng:     rand.New(rand.NewSource(s.Seed ^ 0x636875726e)), // "churn"
 		backoff: workload.Backoff{Base: cs.RetryBase, Cap: cs.RetryCap},
@@ -148,8 +180,24 @@ func startChurn(eng *sim.Engine, s *Spec, net *topo.Net, bus *obs.Bus) *churnDri
 	} else {
 		d.arr = workload.NewPoisson(s.Seed+1, cs.RatePerSec, cs.Shape)
 	}
-	for _, sv := range cs.Servers {
-		d.servers = append(d.servers, transport.NewServer(sv.Name, sv.MaxConns, sv.BudgetBytes))
+	for k := range cs.Servers {
+		sv := &cs.Servers[k]
+		// Two spare slots: Attach appends its scheduler and probe options in
+		// place instead of copying the slice for every session.
+		opts := make([]transport.ConnOption, 0, 5)
+		opts = append(opts, transport.WithRcvBuf(sv.PerConnRcvBuf))
+		if cs.HandshakeTimeout > 0 {
+			opts = append(opts, transport.WithHandshakeTimeout(cs.HandshakeTimeout))
+		}
+		if cs.IdleTimeout > 0 {
+			opts = append(opts, transport.WithIdleTimeout(cs.IdleTimeout))
+		}
+		d.servers = append(d.servers, churnServer{
+			Server:   transport.NewServer(sv.Name, sv.MaxConns, sv.BudgetBytes),
+			spec:     sv,
+			paths:    buildPaths(net, sv.Paths),
+			connOpts: opts,
+		})
 	}
 	d.chain(cs.StartAt)
 	return d
@@ -161,43 +209,76 @@ func (d *churnDriver) chain(now sim.Time) {
 	if next >= d.horizon {
 		return
 	}
-	d.eng.At(next, d.arrive)
+	d.eng.Schedule(next, churnArriveEvent, d)
 }
+
+func churnArriveEvent(a any) { a.(*churnDriver).arrive() }
 
 func (d *churnDriver) arrive() {
 	now := d.eng.Now()
 	d.stats.Arrivals++
-	id := d.nextID
+	s := d.newSession()
+	d.nameBuf = strconv.AppendInt(append(d.nameBuf[:0], "sess"...), int64(d.nextID), 10)
+	s.name = string(d.nameBuf)
 	d.nextID++
-	k := d.rng.Intn(len(d.servers))
-	size := int64(d.spec.Sizes.Sample(d.rng))
-	d.attempt(fmt.Sprintf("sess%d", id), k, size, 0)
+	s.sv = &d.servers[d.rng.Intn(len(d.servers))]
+	s.size = int64(d.spec.Sizes.Sample(d.rng))
+	s.attempt = 0
+	d.attempt(s)
 	d.chain(now)
 }
 
-// attempt is one admission try (attempt 0 is the arrival itself).
-func (d *churnDriver) attempt(name string, k int, size int64, attempt int) {
+func (d *churnDriver) newSession() *churnSession {
+	if n := len(d.free); n > 0 {
+		s := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return s
+	}
+	s := &churnSession{d: d}
+	s.onComplete = s.complete
+	s.onClose = s.closed
+	return s
+}
+
+// recycle returns a finished session's record for the next arrival.
+func (d *churnDriver) recycle(s *churnSession) {
+	s.name, s.sv, s.conn = "", nil, nil
+	d.free = append(d.free, s)
+}
+
+func (d *churnDriver) abandon(s *churnSession) {
+	d.stats.Abandoned++
+	d.recycle(s)
+}
+
+func churnRetryEvent(a any) {
+	s := a.(*churnSession)
+	s.d.attempt(s)
+}
+
+// attempt is one admission try (the arrival itself has s.attempt == 0).
+func (d *churnDriver) attempt(s *churnSession) {
 	now := d.eng.Now()
-	sv := d.servers[k]
-	spec := &d.spec.Servers[k]
-	if res := sv.Admit(spec.PerConnRcvBuf); res != transport.AdmitOK {
+	sv := s.sv
+	if res := sv.Admit(sv.spec.PerConnRcvBuf); res != transport.AdmitOK {
 		d.stats.Rejected++
-		d.bus.SessionReject(now, name, sv.Name, res.String(), attempt+1)
-		if attempt >= d.spec.MaxRetries {
-			d.stats.Abandoned++
+		d.bus.SessionReject(now, s.name, sv.Name, res.String(), s.attempt+1)
+		if s.attempt >= d.spec.MaxRetries {
+			d.abandon(s)
 			return
 		}
-		delay := d.backoff.Delay(d.rng, attempt)
+		delay := d.backoff.Delay(d.rng, s.attempt)
 		if now+delay >= d.horizon {
 			// The retry would never fire; count the session as given up so
 			// the ledger still balances at the horizon.
-			d.stats.Abandoned++
+			d.abandon(s)
 			return
 		}
 		d.stats.Retried++
-		d.bus.SessionRetry(now, name, delay, attempt+1)
-		next := attempt + 1
-		d.eng.At(now+delay, func() { d.attempt(name, k, size, next) })
+		s.attempt++
+		d.bus.SessionRetry(now, s.name, delay, s.attempt)
+		d.eng.Schedule(now+delay, churnRetryEvent, s)
 		return
 	}
 	d.stats.Accepted++
@@ -205,52 +286,53 @@ func (d *churnDriver) attempt(name string, k int, size int64, attempt int) {
 	if d.active > d.stats.PeakActive {
 		d.stats.PeakActive = d.active
 	}
-	d.bus.SessionOpen(now, name, sv.Name, size, d.active)
+	d.bus.SessionOpen(now, s.name, sv.Name, s.size, d.active)
 
-	ps := buildPaths(d.net, spec.Paths)
-	if d.bus != nil {
-		for _, p := range ps {
-			p.SetProbes(d.bus)
-		}
+	s.paths = s.paths[:0]
+	for _, t := range sv.paths {
+		p := netem.NewPath(t.Engine(), t.Name, t.Links()...)
+		p.SetProbes(d.bus)
+		s.paths = append(s.paths, p)
 	}
-	connOpts := []transport.ConnOption{transport.WithRcvBuf(spec.PerConnRcvBuf)}
-	if d.spec.HandshakeTimeout > 0 {
-		connOpts = append(connOpts, transport.WithHandshakeTimeout(d.spec.HandshakeTimeout))
-	}
-	if d.spec.IdleTimeout > 0 {
-		connOpts = append(connOpts, transport.WithIdleTimeout(d.spec.IdleTimeout))
-	}
-	conn := Attach(d.eng, name, d.proto, ps, AttachOptions{ConnOptions: connOpts, Probes: d.bus})
-	start := now
-	conn.SetApp(transport.NewFile(size), func(sim.Time) { conn.Close() })
-	conn.SetOnClose(func(r transport.CloseReason, at sim.Time) {
-		d.closed(conn, sv, spec, name, r, at, start, size)
-	})
-	conn.Start(now)
+	s.conn = Attach(d.eng, s.name, d.proto, s.paths, AttachOptions{ConnOptions: sv.connOpts, Probes: d.bus})
+	s.start = now
+	s.conn.SetApp(transport.NewFile(s.size), s.onComplete)
+	s.conn.SetOnClose(s.onClose)
+	s.conn.Start(now)
 }
 
-func (d *churnDriver) closed(conn *transport.Connection, sv *transport.Server,
-	spec *ServerSpec, name string, r transport.CloseReason, at, start sim.Time, size int64) {
+func (s *churnSession) complete(sim.Time) { s.conn.Close() }
+
+func (s *churnSession) closed(r transport.CloseReason, at sim.Time) {
+	d, sv := s.d, s.sv
 	d.active--
-	sv.Release(spec.PerConnRcvBuf)
+	sv.Release(sv.spec.PerConnRcvBuf)
 	fct := sim.Time(-1)
 	if r == transport.CloseDone {
 		d.stats.Completed++
-		d.stats.CompletedBytes += size
-		fct = at - start
+		d.stats.CompletedBytes += s.size
+		fct = at - s.start
 		d.fct.Observe(fct.Seconds())
 	} else {
 		d.stats.Aborted++
 	}
-	d.bus.SessionClose(at, name, sv.Name, r.String(), fct, conn.AckedBytes(), d.active)
+	d.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
 	if after := d.spec.DrainCheckAfter; after > 0 && at+after < d.horizon {
 		d.stats.LeakChecks++
-		d.eng.At(at+after, func() {
-			if recs, segs := conn.PoolInUse(); recs != 0 || segs != 0 {
-				d.stats.Leaks++
-			}
-		})
+		d.eng.Schedule(at+after, churnDrainEvent, s)
+		return
 	}
+	d.recycle(s)
+}
+
+// churnDrainEvent audits a closed session's pool gauges after its drain
+// window, then retires the record.
+func churnDrainEvent(a any) {
+	s := a.(*churnSession)
+	if recs, segs := s.conn.PoolInUse(); recs != 0 || segs != 0 {
+		s.d.stats.Leaks++
+	}
+	s.d.recycle(s)
 }
 
 // snapshot finalizes the run's ChurnStats.
@@ -258,7 +340,8 @@ func (d *churnDriver) snapshot() *ChurnStats {
 	st := d.stats
 	st.Active = d.active
 	st.FCT = d.fct.Stats()
-	for i, sv := range d.servers {
+	for i := range d.servers {
+		sv := &d.servers[i]
 		st.Servers = append(st.Servers, ServerChurnStats{
 			Name:        sv.Name,
 			Accepted:    sv.Accepted(),

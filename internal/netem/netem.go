@@ -25,7 +25,7 @@ import (
 // per-packet state (segment identity, send timestamp) opaquely through the
 // network.
 //
-// Packets are pooled per Path (hence per engine): the path recycles a
+// Packets are pooled per engine (see arena in path.go): the arena recycles a
 // packet as soon as it reaches its terminal event — delivery to the sink or
 // a drop — so sinks and drop callbacks must not retain the *Packet past
 // their own return (retaining Meta is fine; the pool never touches the
@@ -39,7 +39,7 @@ type Packet struct {
 	hop      int
 	sink     Sink
 	onDrop   func(*Packet, DropReason)
-	owner    *Path    // pool to return to at the terminal event
+	owner    *arena   // pool to return to at the terminal event
 	arriveAt sim.Time // propagation arrival at the current link's far end
 	dup      bool     // link-created duplicate; never duplicated again
 }
@@ -417,7 +417,7 @@ func (l *Link) enqueue(pkt *Packet) {
 		// (deferred so the original claims queue space first). The clone
 		// shares Meta — the transport must dedup — but carries no onDrop:
 		// losing a copy the sender never sent is not a loss signal.
-		clone := pkt.owner.acquire()
+		clone := acquire(pkt.owner)
 		clone.Size = pkt.Size
 		clone.SentAt = pkt.SentAt
 		clone.Meta = pkt.Meta
@@ -574,7 +574,7 @@ func (l *Link) drop(pkt *Packet, reason DropReason) {
 	if r, ok := pkt.Meta.(metaReleaser); ok {
 		r.ReleaseMeta()
 	}
-	pkt.owner.release(pkt)
+	pkt.release()
 }
 
 // QueueingDelay returns the time a newly arriving packet would wait before

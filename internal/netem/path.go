@@ -34,39 +34,44 @@ type Path struct {
 
 	probes *obs.Bus // nil when observability is disabled
 
-	// free recycles Packets: a path belongs to exactly one (single-threaded)
-	// engine, so a plain slice needs no locking — unlike a sync.Pool, which
-	// would cost an atomic per get/put and leak packets across engines.
-	free []*Packet
+	// arena is the engine's packet pool, looked up once at NewPath.
+	arena *arena
 }
 
-// acquire returns a zeroed packet owned by this path. Packets are allocated
-// in slabs so a cold start provisions a batch per allocation and steady state
-// allocates nothing.
-func (p *Path) acquire() *Packet {
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return pkt
-	}
-	slab := make([]Packet, 32)
-	for i := range slab {
-		slab[i].owner = p
-		if i > 0 {
-			p.free = append(p.free, &slab[i])
-		}
-	}
-	return &slab[0]
+// arena is netem's share of the engine-scoped object arena (sim.Engine.Local):
+// the pool of every Packet on one engine. Because it outlives any path, a
+// session opened late in a run sends on packets that sessions long closed
+// have released.
+type arena = sim.Pool[Packet]
+
+type arenaKey struct{}
+
+const packetSlab = 32
+
+func arenaOf(eng *sim.Engine) *arena {
+	return eng.Local(arenaKey{}, func() any { return &arena{Slab: packetSlab} }).(*arena)
+}
+
+// PacketsInUse returns how many pooled packets of eng's arena are currently
+// inside the network (acquired and not yet released). It is zero on an idle
+// engine: every packet is released at its terminal event.
+func PacketsInUse(eng *sim.Engine) int { return arenaOf(eng).InUse() }
+
+// acquire returns a zeroed packet that goes back to a at its terminal event.
+func acquire(a *arena) *Packet {
+	pkt := a.Get()
+	pkt.owner = a
+	return pkt
 }
 
 // release recycles pkt after its terminal event (delivery or drop).
-func (p *Path) release(pkt *Packet) {
-	if p == nil {
-		return // packet built outside a path pool (tests)
+func (pkt *Packet) release() {
+	a := pkt.owner
+	if a == nil {
+		return // packet built outside an arena (tests)
 	}
-	*pkt = Packet{owner: p}
-	p.free = append(p.free, pkt)
+	*pkt = Packet{}
+	a.Put(pkt)
 }
 
 // NewPath builds a path over links on engine eng. Every link must live on
@@ -79,7 +84,7 @@ func NewPath(eng *sim.Engine, name string, links ...*Link) *Path {
 			panic("netem: link " + l.Name + " lives on a different engine than path " + name)
 		}
 	}
-	return &Path{Name: name, eng: eng, links: links}
+	return &Path{Name: name, eng: eng, links: links, arena: arenaOf(eng)}
 }
 
 // Engine returns the engine the path schedules on.
@@ -168,10 +173,10 @@ func (p *Path) BottleneckRate() float64 {
 // Send injects a packet of size bytes carrying meta onto the path. sink
 // receives it if it survives every link; onDrop (optional) is invoked if any
 // link drops it. The path-private extra delay is applied before the first
-// link. The packet is owned by the path and recycled at its terminal event,
-// so neither sink nor onDrop may retain it past their return.
+// link. The packet is owned by the engine's arena and recycled at its
+// terminal event, so neither sink nor onDrop may retain it past their return.
 func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReason)) {
-	pkt := p.acquire()
+	pkt := acquire(p.arena)
 	pkt.Size = size
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
@@ -190,7 +195,7 @@ func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReas
 // package comment). Like Send, the delivered *Packet is recycled as soon as
 // the sink returns.
 func (p *Path) SendFeedback(meta any, sink Sink) {
-	pkt := p.acquire()
+	pkt := acquire(p.arena)
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
 	pkt.sink = sink
@@ -213,7 +218,7 @@ func (p *Path) SendFeedback(meta any, sink Sink) {
 func feedbackDeliverEvent(a any) {
 	pkt := a.(*Packet)
 	pkt.sink.Deliver(pkt)
-	pkt.owner.release(pkt)
+	pkt.release()
 }
 
 // onDrop is stored on the packet so transports learn about their own losses
@@ -223,7 +228,7 @@ func (pkt *Packet) forward() {
 		if pkt.sink != nil {
 			pkt.sink.Deliver(pkt)
 		}
-		pkt.owner.release(pkt)
+		pkt.release()
 		return
 	}
 	link := pkt.hops[pkt.hop]

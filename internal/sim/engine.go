@@ -179,6 +179,7 @@ type Engine struct {
 	frontier   int64
 
 	free     []*Timer // recycled Schedule/ScheduleRef timers
+	locals   []engineLocal
 	rng      *rand.Rand
 	stopped  bool
 	maxQueue int
@@ -194,6 +195,27 @@ func NewEngine(seed int64) *Engine {
 		wheel: make([]*Timer, wheelSlots),
 		occ:   make([]uint64, wheelSlots/64),
 	}
+}
+
+// engineLocal is one package's engine-scoped state (see Local).
+type engineLocal struct{ key, val any }
+
+// Local returns the engine-scoped value registered under key, building it
+// with mk on first use. It is the one place layers above sim hang state
+// that must live exactly as long as the engine and never be shared between
+// engines — the object arenas of netem and transport, which outlive any one
+// connection the way the timer free list does. Keys follow the context.Value
+// convention (an unexported type per package). The lookup is a short linear
+// scan, meant for constructors (NewPath, NewConnection), not per-packet code.
+func (e *Engine) Local(key any, mk func() any) any {
+	for _, l := range e.locals {
+		if l.key == key {
+			return l.val
+		}
+	}
+	v := mk()
+	e.locals = append(e.locals, engineLocal{key, v})
+	return v
 }
 
 // Now returns the current virtual time.

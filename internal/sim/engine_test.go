@@ -261,3 +261,23 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.At(0, tick)
 	e.Run(0)
 }
+
+// TestEngineLocal: engine-scoped state is built once per (engine, key) and
+// never shared between engines.
+func TestEngineLocal(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	built := 0
+	mk := func() any { built++; return new(int) }
+	e1, e2 := NewEngine(1), NewEngine(1)
+	a := e1.Local(keyA{}, mk)
+	if e1.Local(keyA{}, mk) != a || built != 1 {
+		t.Fatalf("second lookup rebuilt the value (%d builds)", built)
+	}
+	if e1.Local(keyB{}, mk) == a {
+		t.Fatal("distinct keys share a value")
+	}
+	if e2.Local(keyA{}, mk) == a {
+		t.Fatal("distinct engines share a value")
+	}
+}

@@ -6,9 +6,15 @@ import "mpcc/internal/sim"
 // values added at virtual times are summed into fixed-width buckets, from
 // which per-bucket rates can be derived. The zero value is not usable; build
 // one with NewSeries.
+//
+// Only the buckets from the first one written are stored (buckets[0] is
+// bucket number base), so a series first written late in a run costs one
+// allocation, not one per elapsed bucket; the leading empty buckets are still
+// reported, as zeros.
 type Series struct {
 	bucket  sim.Time
 	start   sim.Time
+	base    int
 	buckets []float64
 }
 
@@ -28,17 +34,33 @@ func (s *Series) Add(at sim.Time, v float64) {
 		return
 	}
 	idx := int((at - s.start) / s.bucket)
-	for len(s.buckets) <= idx {
+	switch {
+	case len(s.buckets) == 0:
+		// First write: room for a short-lived owner's whole life (a churn
+		// session at 100 ms buckets) in the one allocation.
+		s.base = idx
+		s.buckets = make([]float64, 0, 16)
+	case idx < s.base:
+		// Out-of-order first writes: re-base on the earlier bucket.
+		s.buckets = append(make([]float64, s.base-idx), s.buckets...)
+		s.base = idx
+	}
+	for len(s.buckets) <= idx-s.base {
 		s.buckets = append(s.buckets, 0)
 	}
-	s.buckets[idx] += v
+	s.buckets[idx-s.base] += v
 }
 
 // BucketWidth returns the bucket width.
 func (s *Series) BucketWidth() sim.Time { return s.bucket }
 
 // Len returns the number of buckets touched so far.
-func (s *Series) Len() int { return len(s.buckets) }
+func (s *Series) Len() int {
+	if len(s.buckets) == 0 {
+		return 0
+	}
+	return s.base + len(s.buckets)
+}
 
 // Sum returns the total accumulated value.
 func (s *Series) Sum() float64 {
@@ -53,7 +75,7 @@ func (s *Series) Sum() float64 {
 func (s *Series) SumSince(from sim.Time) float64 {
 	t := 0.0
 	for i, v := range s.buckets {
-		if s.start+sim.Time(i)*s.bucket >= from {
+		if s.start+sim.Time(s.base+i)*s.bucket >= from {
 			t += v
 		}
 	}
@@ -62,10 +84,10 @@ func (s *Series) SumSince(from sim.Time) float64 {
 
 // Rates returns per-bucket rates (value per second), one entry per bucket.
 func (s *Series) Rates() []float64 {
-	out := make([]float64, len(s.buckets))
+	out := make([]float64, s.Len())
 	secs := s.bucket.Seconds()
 	for i, v := range s.buckets {
-		out[i] = v / secs
+		out[s.base+i] = v / secs
 	}
 	return out
 }
@@ -74,8 +96,12 @@ func (s *Series) Rates() []float64 {
 func (s *Series) RatesSince(from sim.Time) []float64 {
 	var out []float64
 	secs := s.bucket.Seconds()
-	for i, v := range s.buckets {
+	for i, n := 0, s.Len(); i < n; i++ {
 		if s.start+sim.Time(i)*s.bucket >= from {
+			v := 0.0
+			if i >= s.base {
+				v = s.buckets[i-s.base]
+			}
 			out = append(out, v/secs)
 		}
 	}

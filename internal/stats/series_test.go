@@ -63,6 +63,95 @@ func TestSeriesSumSinceAndRatesSince(t *testing.T) {
 	}
 }
 
+// TestSeriesLateStart: a series first written late in a run stores only the
+// buckets from there on, yet reports exactly what a series grown one zero
+// bucket at a time from bucket 0 would (the dense slices below).
+func TestSeriesLateStart(t *testing.T) {
+	type add struct {
+		at sim.Time
+		v  float64
+	}
+	const w = 100 * sim.Millisecond
+	cases := []struct {
+		name  string
+		start sim.Time
+		adds  []add
+	}{
+		{"empty", 0, nil},
+		{"first write at bucket 150", 0, []add{{15 * sim.Second, 3}, {15*sim.Second + 50*sim.Millisecond, 4}, {15*sim.Second + 250*sim.Millisecond, 5}}},
+		{"sparse after a late start", 0, []add{{15 * sim.Second, 1}, {17 * sim.Second, 2}}},
+		{"earlier write after a later one re-bases", 0, []add{{15 * sim.Second, 1}, {10 * sim.Second, 2}, {15 * sim.Second, 4}}},
+		{"nonzero start", 2 * sim.Second, []add{{1 * sim.Second, 99}, {17 * sim.Second, 6}}},
+	}
+	for _, tc := range cases {
+		s := NewSeries(tc.start, w)
+		var dense []float64
+		for _, a := range tc.adds {
+			s.Add(a.at, a.v)
+			if a.at < tc.start {
+				continue
+			}
+			idx := int((a.at - tc.start) / w)
+			for len(dense) <= idx {
+				dense = append(dense, 0)
+			}
+			dense[idx] += a.v
+		}
+		if s.Len() != len(dense) {
+			t.Fatalf("%s: Len = %d, want %d", tc.name, s.Len(), len(dense))
+		}
+		rates := s.Rates()
+		for i, v := range dense {
+			if rates[i] != v/w.Seconds() {
+				t.Fatalf("%s: Rates[%d] = %v, want %v", tc.name, i, rates[i], v/w.Seconds())
+			}
+		}
+		for _, from := range []sim.Time{0, 5 * sim.Second, 15 * sim.Second, 15*sim.Second + 1, 16 * sim.Second, 30 * sim.Second} {
+			var sum float64
+			var since []float64
+			for i, v := range dense {
+				if tc.start+sim.Time(i)*w >= from {
+					sum += v
+					since = append(since, v/w.Seconds())
+				}
+			}
+			if got := s.SumSince(from); got != sum {
+				t.Fatalf("%s: SumSince(%v) = %v, want %v", tc.name, from, got, sum)
+			}
+			got := s.RatesSince(from)
+			if len(got) != len(since) {
+				t.Fatalf("%s: RatesSince(%v) has %d buckets, want %d", tc.name, from, len(got), len(since))
+			}
+			for i := range since {
+				if got[i] != since[i] {
+					t.Fatalf("%s: RatesSince(%v)[%d] = %v, want %v", tc.name, from, i, got[i], since[i])
+				}
+			}
+			end := 20 * sim.Second
+			lo := from
+			if lo < tc.start {
+				lo = tc.start
+			}
+			want := 0.0
+			if end > lo {
+				want = s.SumSince(lo) / (end - lo).Seconds()
+			}
+			if got := s.MeanRateSince(from, end); got != want {
+				t.Fatalf("%s: MeanRateSince(%v) = %v, want %v", tc.name, from, got, want)
+			}
+		}
+	}
+	// The point of the base offset: the late first write is one allocation
+	// however many buckets precede it.
+	if n := testing.AllocsPerRun(20, func() {
+		s := NewSeries(0, w)
+		s.Add(15*sim.Second, 1)
+		s.Add(15*sim.Second+900*sim.Millisecond, 1)
+	}); n > 1 {
+		t.Fatalf("late-start series cost %.0f allocations, want 1", n)
+	}
+}
+
 func TestSeriesPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {

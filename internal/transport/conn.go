@@ -35,6 +35,7 @@ type Connection struct {
 
 	eng        *sim.Engine
 	subflows   []*Subflow
+	subflowBuf [2]*Subflow // inline storage for the common 1–2 subflow case
 	sched      Scheduler
 	app        App
 	mss        int
@@ -50,9 +51,9 @@ type Connection struct {
 	probeInterval sim.Time // revival-probe period for failed subflows
 	orphans       segQueue // segments stranded while every subflow was dead
 
-	// object pools (see pool.go for the reference-counting rules)
-	recFree []*pktRec
-	segFree []*segment
+	// arena is the engine's object arena (see pool.go for the ownership and
+	// reference-counting rules), looked up once at NewConnection.
+	arena *arena
 
 	probes *obs.Bus // nil when observability is disabled
 
@@ -70,7 +71,7 @@ type Connection struct {
 	handshakeTimeout sim.Time
 	watchdog         sim.TimerRef
 
-	// pool gauges: pooled objects currently outside the free lists (the
+	// pool gauges: arena objects this connection currently holds (the
 	// churn leak check asserts these return to zero after teardown drains)
 	recLive int
 	segLive int
@@ -81,7 +82,7 @@ type Connection struct {
 	maxDeliveryGap  sim.Time
 
 	// metrics
-	goodput    *stats.Series
+	goodput    stats.Series
 	ackedBytes int64
 	fileSize   int64
 	fct        sim.Time // -1 until the file completes
@@ -89,8 +90,8 @@ type Connection struct {
 
 	latSum, latSumSq float64
 	latCount         int64
-	latSeries        *stats.Series // RTT·duration accumulator for averages
-	latCountSeries   *stats.Series
+	latSeries        stats.Series // RTT·duration accumulator for averages
+	latCountSeries   stats.Series
 }
 
 // ConnOption configures a Connection.
@@ -154,9 +155,12 @@ func WithScheduler(s Scheduler) ConnOption { return func(c *Connection) { c.sche
 // NewConnection creates an idle connection; add subflows, set an app, then
 // Start it.
 func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection {
+	a := arenaOf(eng)
 	c := &Connection{
 		Name:          name,
 		eng:           eng,
+		arena:         a,
+		orphans:       segQueue{arena: a},
 		mss:           DefaultMSS,
 		sndBufPkts:    DefaultSndBufPkts,
 		minRTO:        DefaultMinRTO,
@@ -170,9 +174,12 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 	for _, o := range opts {
 		o(c)
 	}
-	c.goodput = stats.NewSeries(0, metricBucket)
-	c.latSeries = stats.NewSeries(0, metricBucket)
-	c.latCountSeries = stats.NewSeries(0, metricBucket)
+	c.rcv.intervals = popSlice(&a.spans)
+	// Held by value: NewSeries inlines, so the copies cost no allocation.
+	c.goodput = *stats.NewSeries(0, metricBucket)
+	c.latSeries = *stats.NewSeries(0, metricBucket)
+	c.latCountSeries = *stats.NewSeries(0, metricBucket)
+	c.subflows = c.subflowBuf[:0]
 	return c
 }
 
@@ -181,13 +188,13 @@ func (c *Connection) newSubflow(path *netem.Path) *Subflow {
 		conn:    c,
 		id:      len(c.subflows),
 		path:    path,
-		goodput: stats.NewSeries(0, metricBucket),
+		goodput: *stats.NewSeries(0, metricBucket),
+
+		pending:     segQueue{arena: c.arena},
+		retx:        segQueue{arena: c.arena},
+		outstanding: popSlice(&c.arena.recSlices),
 	}
-	// Build the per-endpoint sinks once: converting a method value to a
-	// netem.Sink allocates, and the send path would otherwise do it per
-	// packet.
-	s.rxSink = netem.SinkFunc(s.receiverDeliver)
-	s.ackSink = netem.SinkFunc(s.senderAck)
+	s.rxSink, s.ackSink = (*rxSink)(s), (*ackSink)(s)
 	c.subflows = append(c.subflows, s)
 	return s
 }
@@ -199,6 +206,7 @@ func (c *Connection) AddRateSubflow(path *netem.Path, rc cc.RateController) *Sub
 	}
 	s := c.newSubflow(path)
 	s.rc = rc
+	s.openMIs = popSlice(&c.arena.miSlices)
 	return s
 }
 
@@ -234,20 +242,23 @@ func (c *Connection) Start(at sim.Time) {
 		c.app = Bulk{}
 	}
 	c.startAt = at
-	c.eng.At(at, func() {
-		if c.closed {
-			return // shut down before it ever started
-		}
-		for _, s := range c.subflows {
-			s.init()
-		}
-		c.started = true
-		c.armWatchdog()
-		c.pump()
-		for _, s := range c.subflows {
-			s.begin()
-		}
-	})
+	c.eng.Schedule(at, startEvent, c)
+}
+
+func startEvent(a any) {
+	c := a.(*Connection)
+	if c.closed {
+		return // shut down before it ever started
+	}
+	for _, s := range c.subflows {
+		s.init()
+	}
+	c.started = true
+	c.armWatchdog()
+	c.pump()
+	for _, s := range c.subflows {
+		s.begin()
+	}
 }
 
 // pump assigns new application data to subflows according to the scheduler,
@@ -365,7 +376,7 @@ func (c *Connection) LastDeliveredAt() sim.Time { return c.lastDeliveredAt }
 func (c *Connection) MSS() int { return c.mss }
 
 // Goodput returns the connection's first-delivery byte series.
-func (c *Connection) Goodput() *stats.Series { return c.goodput }
+func (c *Connection) Goodput() *stats.Series { return &c.goodput }
 
 // AckedBytes returns total first-delivery bytes.
 func (c *Connection) AckedBytes() int64 { return c.ackedBytes }

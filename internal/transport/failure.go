@@ -97,10 +97,7 @@ func (s *Subflow) fail() {
 	s.rackTimer = sim.TimerRef{}
 	s.pacerIdle = true
 	s.capBlocked = false
-	// Dropping the open MIs orphans the pending miEndEvent timer (its
-	// identity check fails) so no stale OnMIComplete reaches the controller.
-	s.openMIs = s.openMIs[:0]
-	s.miHead = 0
+	s.dropOpenMIs()
 	for i := s.outHead; i < len(s.outstanding); i++ {
 		rec := s.outstanding[i]
 		if rec == nil || rec.acked || rec.lost {

@@ -6,7 +6,8 @@ import "mpcc/internal/sim"
 // (explicit) or a watchdog timeout (idle/handshake) shuts it down. Teardown
 // is synchronous for everything the connection owns: pending/retx/orphan
 // segments, outstanding-slot and RTO-timer packet references, receiver-side
-// delayed-ACK batches, and every per-subflow timer. References held by
+// delayed-ACK batches, every per-subflow timer, and the backing arrays its
+// queues grew (handed back to the engine arena). References held by
 // packets still inside netem links cannot be reclaimed synchronously; the
 // closed guards on the delivery/feedback sinks release each one as it
 // drains, so the per-connection pool gauges (PoolInUse) return to zero once
@@ -95,6 +96,8 @@ func (c *Connection) shutdown(reason CloseReason) {
 	for c.orphans.len() > 0 {
 		c.releaseSeg(c.orphans.pop())
 	}
+	c.orphans.handBack()
+	c.rcv.handBack(&c.arena.spans)
 	if c.onClose != nil {
 		c.onClose(reason, c.closedAt)
 	}
@@ -122,10 +125,10 @@ func (s *Subflow) teardown() {
 		s.rxPending = nil
 		s.recycleBatch(b) // releases each record's network reference
 	}
-	// Dropping the open MIs orphans any pending miEndEvent timer (its
-	// identity check fails on an empty queue).
-	s.openMIs = s.openMIs[:0]
-	s.miHead = 0
+	a := s.conn.arena
+	s.dropOpenMIs()
+	pushSlice(&a.miSlices, s.openMIs)
+	s.openMIs = nil
 	for i := s.outHead; i < len(s.outstanding); i++ {
 		rec := s.outstanding[i]
 		if rec == nil {
@@ -138,15 +141,17 @@ func (s *Subflow) teardown() {
 		s.outstanding[i] = nil
 		s.conn.releaseRec(rec) // the outstanding slot's reference
 	}
-	s.outstanding = s.outstanding[:0]
-	s.outHead = 0
+	pushSlice(&a.recSlices, s.outstanding)
+	s.outstanding, s.outHead = nil, 0
 	s.inflightBytes, s.inflightPkts = 0, 0
 	for s.pending.len() > 0 {
 		s.conn.releaseSeg(s.pending.pop())
 	}
+	s.pending.handBack()
 	for s.retx.len() > 0 {
 		s.conn.releaseSeg(s.retx.pop())
 	}
+	s.retx.handBack()
 }
 
 // ---- idle / handshake watchdog ----
@@ -197,6 +202,6 @@ func watchdogEvent(a any) {
 }
 
 // PoolInUse returns how many pooled packet records and segments the
-// connection currently holds outside its free lists. Both return to zero
+// connection currently holds out of the engine arena. Both return to zero
 // once a closed connection's in-flight packets drain (the leak gauge).
 func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive }

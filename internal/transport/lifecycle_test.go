@@ -5,6 +5,7 @@ import (
 
 	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/cc/reno"
+	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 )
 
@@ -31,6 +32,32 @@ func TestCloseMidTransferReleasesPools(t *testing.T) {
 	drained(t, c, "after in-flight packets drained")
 	if p := tn.eng.Pending(); p != 0 {
 		t.Fatalf("%d timers still pending after close drained", p)
+	}
+}
+
+// TestCloseKeepsReceivedBytes: teardown hands the reassembly islands'
+// storage back to the arena, but the byte ledger read after close is the one
+// that held at close — out-of-order data above a hole still counts.
+func TestCloseKeepsReceivedBytes(t *testing.T) {
+	tn := newTestNet(76, 1)
+	tn.links[0].SetLoss(0.05)
+	c := NewConnection(tn.eng, "holes")
+	c.AddWindowSubflow(tn.path(0), reno.New())
+	c.SetApp(Bulk{}, nil)
+	c.Start(0)
+	var before, islands int64
+	for at := sim.Second; !c.Closed(); at += 10 * sim.Millisecond {
+		tn.eng.Run(at)
+		if islands = c.rcv.buffered(); islands > 0 {
+			before = c.ReceivedBytes()
+			c.Abort()
+		}
+	}
+	if got := c.ReceivedBytes(); got != before {
+		t.Fatalf("ReceivedBytes = %d after close, %d before (%d bytes in islands)", got, before, islands)
+	}
+	if a, r := c.AckedBytes(), c.ReceivedBytes(); a > r {
+		t.Fatalf("acked %d > received %d after close", a, r)
 	}
 }
 
@@ -116,12 +143,15 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // TestChurnLeak10kSessions is the satellite leak check: 10k sessions —
-// completions, mid-flight aborts, delayed ACKs, lossy paths — after which
-// every per-connection pool gauge must be back at zero and the engine must
-// hold no stray timers.
+// completions, mid-flight aborts, delayed ACKs, lossy and duplicating paths —
+// after which every per-connection pool gauge must be back at zero, the
+// engine must hold no stray timers, and the engine arena must have every
+// object home (arena out == Σ PoolInUse == 0) while having grown with peak
+// concurrency, not with the session count.
 func TestChurnLeak10kSessions(t *testing.T) {
 	tn := newTestNet(75, 2)
-	tn.links[1].SetLoss(0.01) // losses exercise retx/RTO teardown paths
+	tn.links[1].SetLoss(0.01)      // losses exercise retx/RTO teardown paths
+	tn.links[0].SetDuplicate(0.01) // clones exercise RetainMeta after close
 	grp := ccmpcc.NewGroup()
 	cfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
 	const sessions = 10000
@@ -163,4 +193,58 @@ func TestChurnLeak10kSessions(t *testing.T) {
 	if p := tn.eng.Pending(); p != 0 {
 		t.Fatalf("%d timers still pending after all sessions closed", p)
 	}
+	a := arenaOf(tn.eng)
+	if recs, segs, batches, mis := a.recs.InUse(), a.segs.InUse(), a.batches.InUse(), a.mis.InUse(); recs|segs|batches|mis != 0 {
+		t.Fatalf("arena not drained at engine idle: %d recs, %d segs, %d ack batches, %d MIs out",
+			recs, segs, batches, mis)
+	}
+	if n := netem.PacketsInUse(tn.eng); n != 0 {
+		t.Fatalf("%d packets still out of the engine arena at idle", n)
+	}
+	// ~40k records and segments went through; a handful of slabs served them.
+	if lim := 8 * poolSlab; a.recs.Made() > lim || a.segs.Made() > lim || a.mis.Made() > lim {
+		t.Fatalf("arena grew with session count: %d records, %d segments, %d MIs provisioned",
+			a.recs.Made(), a.segs.Made(), a.mis.Made())
+	}
+}
+
+// TestArenaIsPerEngine: two engines never share pooled objects — shard
+// workers and RunParallel jobs run engines concurrently without locks.
+func TestArenaIsPerEngine(t *testing.T) {
+	e1, e2 := sim.NewEngine(1), sim.NewEngine(1)
+	a1, again, a2 := arenaOf(e1), arenaOf(e1), arenaOf(e2)
+	if a1 != again {
+		t.Fatal("one engine must resolve to one arena")
+	}
+	if a1 == a2 {
+		t.Fatal("distinct engines share an arena")
+	}
+}
+
+// TestArenaDoubleReleasePanics: moving the pools from the connection to the
+// engine kept the over-release tripwires on every refcounted object.
+func TestArenaDoubleReleasePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("double release of a %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	c := NewConnection(sim.NewEngine(1), "x")
+	seg := c.acquireSeg(0, 1500)
+	c.releaseSeg(seg)
+	mustPanic("segment", func() { c.releaseSeg(seg) })
+
+	rec := c.acquireRec()
+	rec.refs = 1
+	c.releaseRec(rec)
+	mustPanic("pktRec", func() { c.releaseRec(rec) })
+
+	mi := c.arena.mis.Get()
+	mi.refs = 1
+	c.arena.releaseMI(mi)
+	mustPanic("monitorInterval", func() { c.arena.releaseMI(mi) })
 }

@@ -10,6 +10,7 @@ import (
 // subflow. An MI is "closed" when its time window ends (no more packets are
 // charged to it) and "resolved" when every packet sent in it has been acked
 // or declared lost; only then can its utility inputs be computed (§5.2).
+// Intervals are pooled per engine and reference-counted (see pool.go).
 type monitorInterval struct {
 	sf         *Subflow // owner, for the closure-free end-of-MI timer
 	seq        int
@@ -26,6 +27,7 @@ type monitorInterval struct {
 	rttTimes []float64 // seconds since MI start, at send time
 	rttVals  []float64 // RTT sample in seconds
 	minRTT   sim.Time
+	refs     int32
 }
 
 func (mi *monitorInterval) onSend(bytes int) {

@@ -1,9 +1,20 @@
 package transport
 
-// Per-connection object pools. A connection belongs to exactly one
-// (single-threaded) engine, so plain slices need no locking. Objects are
-// allocated in slabs: a cold start provisions a batch per allocation and
-// steady state allocates nothing (guarded by the alloc regression test).
+import "mpcc/internal/sim"
+
+// arena is transport's share of the engine-scoped object arena
+// (sim.Engine.Local): the slabs and free lists for every pooled object of
+// every connection on one engine, looked up once at NewConnection. An
+// engine is single-threaded, so plain slices need no locking, and distinct
+// engines (shard workers, RunParallel jobs) never share one. Because the
+// arena outlives any connection, a session opened late in a run draws the
+// objects and backing arrays that sessions long closed have released, and
+// steady state allocates nothing under churn as for one long-lived
+// connection (guarded by the alloc regression tests).
+//
+// Every object is zeroed on release and every recycled backing array holds
+// only nil slots at length 0, so which connection used an object before
+// cannot influence the next one.
 //
 // Reference-counting rules:
 //
@@ -14,32 +25,84 @@ package transport
 // the receiver's ACK pipeline, which releases it after senderAck processed
 // the record), and the pending RTO timer (released when the timer fires or
 // is successfully stopped). A record may therefore outlive its loss
-// declaration — exactly what Eifel-style spurious-retransmit repair needs.
+// declaration — exactly what Eifel-style spurious-retransmit repair needs —
+// and its connection's Close: a record still inside a link then belongs to
+// the network alone and goes home when that packet delivers or drops.
 //
 // segment — one reference per queue membership (pending/retx/orphans) plus
 // one per pktRec pointing at it. Queue pops transfer the reference to the
 // caller (usually straight into a new pktRec); lazily filtered delivered
 // segments (nextSegment, migrateFrom, adoptOrphans) release theirs.
+//
+// monitorInterval — one reference for its openMIs slot (released when
+// finalizeMIs consumes it or dropOpenMIs abandons it), one for the pending
+// miEndEvent timer (released when it fires: the timer's identity guard
+// compares pointers, so the struct must not start a second life before
+// then), and one per pktRec charged to it (a late spurious ACK may still
+// correct an interval that has already reported).
+//
+// The per-connection recLive/segLive gauges (PoolInUse) count what one
+// connection holds out of the arena; the arena's own InUse counts are their
+// sum over every connection the engine ever carried.
+type arena struct {
+	recs    sim.Pool[pktRec]
+	segs    sim.Pool[segment]
+	batches sim.Pool[ackBatch]
+	mis     sim.Pool[monitorInterval]
+
+	// Backing arrays handed back at teardown (and MI rtt-sample buffers,
+	// which also cycle between finalized and freshly opened intervals).
+	flts      [][]float64
+	recSlices [][]*pktRec          // Subflow.outstanding
+	miSlices  [][]*monitorInterval // Subflow.openMIs
+	segSlices [][]*segment         // segQueue storage
+	spans     [][]interval         // rangeSet islands
+}
+
+type arenaKey struct{}
 
 const poolSlab = 64
 
+func arenaOf(eng *sim.Engine) *arena {
+	return eng.Local(arenaKey{}, func() any {
+		return &arena{
+			recs:    sim.Pool[pktRec]{Slab: poolSlab},
+			segs:    sim.Pool[segment]{Slab: poolSlab},
+			batches: sim.Pool[ackBatch]{Slab: poolSlab},
+			mis:     sim.Pool[monitorInterval]{Slab: poolSlab},
+		}
+	}).(*arena)
+}
+
+// popSlice returns a recycled backing array (length 0) from free, or nil —
+// the caller's first append then grows its own, which joins the pool when
+// handed back.
+func popSlice[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	s := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return s
+}
+
+// pushSlice hands s's backing array back. The caller has already cleared
+// every slot that held a pointer.
+func pushSlice[T any](free *[][]T, s []T) {
+	if cap(s) > 0 {
+		*free = append(*free, s[:0])
+	}
+}
+
 func (c *Connection) acquireRec() *pktRec {
 	c.recLive++
-	if n := len(c.recFree); n > 0 {
-		rec := c.recFree[n-1]
-		c.recFree[n-1] = nil
-		c.recFree = c.recFree[:n-1]
-		return rec
-	}
-	slab := make([]pktRec, poolSlab)
-	for i := 1; i < len(slab); i++ {
-		c.recFree = append(c.recFree, &slab[i])
-	}
-	return &slab[0]
+	return c.arena.recs.Get()
 }
 
 // releaseRec drops one reference; the last one recycles the record and
-// releases its segment reference.
+// releases its segment and monitor-interval references.
 func (c *Connection) releaseRec(rec *pktRec) {
 	rec.refs--
 	if rec.refs > 0 {
@@ -48,11 +111,14 @@ func (c *Connection) releaseRec(rec *pktRec) {
 	if rec.refs < 0 {
 		panic("transport: pktRec over-released")
 	}
-	seg := rec.seg
+	seg, mi := rec.seg, rec.mi
 	*rec = pktRec{}
 	c.recLive--
-	c.recFree = append(c.recFree, rec)
+	c.arena.recs.Put(rec)
 	c.releaseSeg(seg)
+	if mi != nil {
+		c.arena.releaseMI(mi)
+	}
 }
 
 // RetainMeta and ReleaseMeta let netem adjust the reference count for
@@ -63,18 +129,7 @@ func (rec *pktRec) RetainMeta() { rec.refs++ }
 func (rec *pktRec) ReleaseMeta() { rec.sf.conn.releaseRec(rec) }
 
 func (c *Connection) acquireSeg(off int64, size int) *segment {
-	var seg *segment
-	if n := len(c.segFree); n > 0 {
-		seg = c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-	} else {
-		slab := make([]segment, poolSlab)
-		for i := 1; i < len(slab); i++ {
-			c.segFree = append(c.segFree, &slab[i])
-		}
-		seg = &slab[0]
-	}
+	seg := c.arena.segs.Get()
 	seg.off, seg.size, seg.refs = off, size, 1
 	c.segLive++
 	return seg
@@ -94,7 +149,30 @@ func (c *Connection) releaseSeg(seg *segment) {
 	}
 	*seg = segment{}
 	c.segLive--
-	c.segFree = append(c.segFree, seg)
+	c.arena.segs.Put(seg)
+}
+
+// retireMI takes mi out of openMIs (finalized or abandoned): nothing samples
+// into it or reads its rtt buffers again, so they go home now, and the slot's
+// reference is dropped.
+func (a *arena) retireMI(mi *monitorInterval) {
+	pushSlice(&a.flts, mi.rttTimes)
+	pushSlice(&a.flts, mi.rttVals)
+	mi.rttTimes, mi.rttVals = nil, nil
+	a.releaseMI(mi)
+}
+
+// releaseMI drops one reference; the last one recycles the interval.
+func (a *arena) releaseMI(mi *monitorInterval) {
+	mi.refs--
+	if mi.refs > 0 {
+		return
+	}
+	if mi.refs < 0 {
+		panic("transport: monitorInterval over-released")
+	}
+	*mi = monitorInterval{}
+	a.mis.Put(mi)
 }
 
 // ackBatch carries acknowledged records from the receiver back to the
@@ -102,48 +180,25 @@ func (c *Connection) releaseSeg(seg *segment) {
 // the `any` interface without allocating, unlike the slice header it wraps.
 // Each entry holds the network reference its data packet's delivery
 // transferred to the ACK pipeline; senderAck releases them after the batch
-// is processed.
+// is processed. A recycled batch keeps its recs backing array.
 type ackBatch struct {
 	recs []*pktRec
 }
 
 // newAckBatch returns a recycled (or fresh) batch seeded with rec.
-func (s *Subflow) newAckBatch(rec *pktRec) *ackBatch {
-	if n := len(s.ackBatches); n > 0 {
-		b := s.ackBatches[n-1]
-		s.ackBatches[n-1] = nil
-		s.ackBatches = s.ackBatches[:n-1]
-		b.recs = append(b.recs, rec)
-		return b
-	}
-	return &ackBatch{recs: append(make([]*pktRec, 0, 4), rec)}
-}
-
-// popFlt returns a recycled float buffer (length 0) for MI rtt samples, or
-// nil — a fresh MI then grows its own, which joins the pool when finalized.
-func (s *Subflow) popFlt() []float64 {
-	if n := len(s.fltPool); n > 0 {
-		f := s.fltPool[n-1]
-		s.fltPool[n-1] = nil
-		s.fltPool = s.fltPool[:n-1]
-		return f
-	}
-	return nil
-}
-
-func (s *Subflow) pushFlt(f []float64) {
-	if cap(f) > 0 {
-		s.fltPool = append(s.fltPool, f[:0])
-	}
+func (a *arena) newAckBatch(rec *pktRec) *ackBatch {
+	b := a.batches.Get()
+	b.recs = append(b.recs, rec)
+	return b
 }
 
 // recycleBatch releases every record's network reference and returns the
-// batch to the pool.
+// batch to the arena.
 func (s *Subflow) recycleBatch(b *ackBatch) {
 	for i, rec := range b.recs {
 		b.recs[i] = nil
 		s.conn.releaseRec(rec)
 	}
 	b.recs = b.recs[:0]
-	s.ackBatches = append(s.ackBatches, b)
+	s.conn.arena.batches.Put(b)
 }

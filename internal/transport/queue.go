@@ -5,15 +5,23 @@ package transport
 // the popped prefix and forces every later append to reallocate, it advances
 // a head index and compacts in place once the dead prefix dominates. Each
 // queue slot owns one segment reference (see the ownership rules in pool.go):
-// push takes over a reference, pop hands it to the caller.
+// push takes over a reference, pop hands it to the caller. The storage
+// comes from and returns to the engine arena, so a new connection's queues
+// start on a closed one's backing arrays.
 type segQueue struct {
-	s    []*segment
-	head int
+	s     []*segment
+	head  int
+	arena *arena
 }
 
 func (q *segQueue) len() int { return len(q.s) - q.head }
 
-func (q *segQueue) push(seg *segment) { q.s = append(q.s, seg) }
+func (q *segQueue) push(seg *segment) {
+	if cap(q.s) == 0 {
+		q.s = popSlice(&q.arena.segSlices)
+	}
+	q.s = append(q.s, seg)
+}
 
 // peek returns the head segment without transferring ownership.
 func (q *segQueue) peek() *segment { return q.s[q.head] }
@@ -48,4 +56,11 @@ func (q *segQueue) reset() {
 	}
 	q.s = q.s[:0]
 	q.head = 0
+}
+
+// handBack returns an emptied queue's storage to the arena (teardown).
+func (q *segQueue) handBack() {
+	q.reset()
+	pushSlice(&q.arena.segSlices, q.s)
+	q.s = nil
 }

@@ -7,6 +7,7 @@ package transport
 type rangeSet struct {
 	next      int64      // everything below next is contiguous ("rcv.nxt")
 	intervals []interval // out-of-order islands above next, sorted, disjoint
+	retired   int64      // bytes the islands held when handBack retired them
 }
 
 type interval struct{ start, end int64 }
@@ -96,11 +97,20 @@ func (r *rangeSet) contiguous() int64 { return r.next }
 
 // buffered returns the number of out-of-order bytes held above the prefix.
 func (r *rangeSet) buffered() int64 {
-	var t int64
+	t := r.retired
 	for _, iv := range r.intervals {
 		t += iv.end - iv.start
 	}
 	return t
+}
+
+// handBack retires the set once nothing more can arrive (its connection
+// closed): the island storage returns to free, and buffered keeps reporting
+// the bytes it held.
+func (r *rangeSet) handBack(free *[][]interval) {
+	r.retired = r.buffered()
+	pushSlice(free, r.intervals)
+	r.intervals = nil
 }
 
 // contains reports whether the byte at off has arrived.

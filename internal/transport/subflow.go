@@ -10,7 +10,7 @@ import (
 )
 
 // pktRec is the sender-side record of one transmitted packet. Records are
-// pooled per connection and reference-counted (see pool.go for the
+// pooled per engine and reference-counted (see pool.go for the
 // ownership rules); refs is the number of live references.
 type pktRec struct {
 	sf        *Subflow
@@ -104,23 +104,28 @@ type Subflow struct {
 	rxPending *ackBatch
 	rxTimer   sim.TimerRef
 
-	// allocation recycling: sinks are built once (a method value allocates
-	// on every conversion), ACK batches cycle sender→receiver within this
-	// subflow (which simulates both endpoints), and MI rtt-sample slices
-	// cycle between finalized and freshly opened monitor intervals.
-	rxSink     netem.Sink
-	ackSink    netem.Sink
-	ackBatches []*ackBatch
-	fltPool    [][]float64
+	// The two endpoints' sinks, as interface values built once: rxSink and
+	// ackSink are this same subflow under another method set, so neither the
+	// conversion nor a method-value closure allocates.
+	rxSink  netem.Sink
+	ackSink netem.Sink
 
 	// metrics
-	goodput        *stats.Series // first-delivery bytes, bucketed
+	goodput        stats.Series // first-delivery bytes, bucketed
 	deliveredBytes int64
 	sentBytes      int64
 	sentPkts       uint64
 	lostPkts       uint64
 	retxPkts       uint64
 }
+
+type (
+	rxSink  Subflow
+	ackSink Subflow
+)
+
+func (r *rxSink) Deliver(pkt *netem.Packet)  { (*Subflow)(r).receiverDeliver(pkt) }
+func (a *ackSink) Deliver(pkt *netem.Packet) { (*Subflow)(a).senderAck(pkt) }
 
 // ID returns the subflow's index within its connection.
 func (s *Subflow) ID() int { return s.id }
@@ -154,7 +159,7 @@ func (s *Subflow) InflightPkts() int { return s.inflightPkts }
 func (s *Subflow) PendingPkts() int { return s.pending.len() + s.retx.len() }
 
 // Goodput returns the subflow's first-delivery byte series.
-func (s *Subflow) Goodput() *stats.Series { return s.goodput }
+func (s *Subflow) Goodput() *stats.Series { return &s.goodput }
 
 // DeliveredBytes returns total first-delivery bytes.
 func (s *Subflow) DeliveredBytes() int64 { return s.deliveredBytes }
@@ -291,13 +296,18 @@ func (s *Subflow) rollMI() {
 		s.conn.probes.RateChange(now, s.conn.Name, s.id, rate)
 	}
 	s.curRate = rate
-	mi := &monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate}
-	mi.rttTimes = s.popFlt()
-	mi.rttVals = s.popFlt()
+	a := s.conn.arena
+	mi := a.mis.Get()
+	*mi = monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate,
+		rttTimes: popSlice(&a.flts), rttVals: popSlice(&a.flts),
+		refs: 2, // openMIs slot + end-of-MI timer
+	}
 	s.miSeq++
 	s.openMIs = append(s.openMIs, mi)
 	// Closure-free: the identity guard in miEndEvent makes a stale timer a
-	// no-op, so the pooled no-handle Schedule suffices.
+	// no-op, so the pooled no-handle Schedule suffices. The timer's
+	// reference keeps mi from being recycled into a new current MI — which
+	// would defeat that guard — before it fires.
 	s.conn.eng.Schedule(mi.end, miEndEvent, mi)
 }
 
@@ -319,6 +329,7 @@ func miEndEvent(a any) {
 			s.kick()
 		}
 	}
+	s.conn.arena.releaseMI(mi) // the fired timer's reference
 }
 
 func (s *Subflow) miLen() int { return len(s.openMIs) - s.miHead }
@@ -330,8 +341,9 @@ func (s *Subflow) currentMI() *monitorInterval {
 // finalizeMIs delivers completed MI statistics to the controller, in order.
 // Resolved MIs are consumed via a head index (not re-slicing) so the queue's
 // capacity is reused; records may still reference a consumed MI (late
-// spurious corrections), which is safe because the MI structs are not pooled
-// — only their rtt-sample slices, which nothing reads after stats().
+// spurious corrections), which is safe because each holds a reference that
+// keeps the struct out of the arena — only its rtt-sample slices, which
+// nothing reads after stats(), go home at once.
 func (s *Subflow) finalizeMIs() {
 	now := s.conn.eng.Now()
 	for s.miHead < len(s.openMIs) && s.openMIs[s.miHead].resolved(now) {
@@ -339,14 +351,26 @@ func (s *Subflow) finalizeMIs() {
 		s.openMIs[s.miHead] = nil
 		s.miHead++
 		s.rc.OnMIComplete(mi.stats())
-		s.pushFlt(mi.rttTimes)
-		s.pushFlt(mi.rttVals)
-		mi.rttTimes, mi.rttVals = nil, nil
+		s.conn.arena.retireMI(mi)
 	}
 	if s.miHead == len(s.openMIs) {
 		s.openMIs = s.openMIs[:0]
 		s.miHead = 0
 	}
+}
+
+// dropOpenMIs abandons every open MI (subflow failure, teardown). That
+// orphans the pending miEndEvent timer — its identity check fails on an
+// empty queue — so no stale OnMIComplete reaches the controller. Every
+// packet of a dropped interval is resolved (lost or torn down), so nothing
+// samples into it again and its buffers can go home.
+func (s *Subflow) dropOpenMIs() {
+	for i := s.miHead; i < len(s.openMIs); i++ {
+		s.conn.arena.retireMI(s.openMIs[i])
+		s.openMIs[i] = nil
+	}
+	s.openMIs = s.openMIs[:0]
+	s.miHead = 0
 }
 
 // paceEvent and rtoEvent are static callbacks for sim.ScheduleRef:
@@ -466,6 +490,7 @@ func (s *Subflow) transmit(seg *segment) {
 	if s.rc != nil {
 		mi := s.currentMI()
 		rec.mi = mi
+		mi.refs++
 		mi.onSend(seg.size)
 	}
 	rec.rto = s.conn.eng.ScheduleRef(now+s.backedOffRTO(), rtoEvent, rec)
@@ -487,11 +512,11 @@ func (s *Subflow) receiverDeliver(pkt *netem.Packet) {
 	}
 	s.conn.onArrival(rec.seg.off, rec.size)
 	if s.conn.ackEvery <= 1 {
-		s.path.SendFeedback(s.newAckBatch(rec), s.ackSink)
+		s.path.SendFeedback(s.conn.arena.newAckBatch(rec), s.ackSink)
 		return
 	}
 	if s.rxPending == nil {
-		s.rxPending = s.newAckBatch(rec)
+		s.rxPending = s.conn.arena.newAckBatch(rec)
 	} else {
 		s.rxPending.recs = append(s.rxPending.recs, rec)
 	}
