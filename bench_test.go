@@ -236,8 +236,8 @@ func BenchmarkEmulatorThroughputSharded4(b *testing.B) { benchSharded(b, 4) }
 // BenchmarkEmulatorThroughputProbed is the same rig with the full telemetry
 // pipeline enabled — metrics registry (sketches + windowed series), flight
 // recorder, link probes, queue sampler. The gap to BenchmarkEmulatorThroughput
-// is the all-in cost of always-on observability, gated like every other
-// benchmark through BENCH_results.json.
+// is the all-in cost of always-on observability (the gated measurement of
+// it is the repository benchmark's traced_bulk workload).
 func BenchmarkEmulatorThroughputProbed(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64

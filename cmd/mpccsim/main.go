@@ -9,8 +9,10 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -18,60 +20,66 @@ import (
 
 	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/exp"
-	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
-	"mpcc/internal/transport"
 )
 
-func main() {
-	var (
-		proto  = flag.String("proto", "mpcc-latency", "multipath protocol")
-		spPeer = flag.String("sp", "", "single-path competitor protocol (default: the paper's peer)")
-		links  = flag.String("links", "100,100", "comma-separated link bandwidths in Mbps")
-		delay  = flag.Duration("delay", 30*time.Millisecond, "one-way link delay")
-		buffer = flag.Int("buffer", 375, "link buffer in KB")
-		loss   = flag.Float64("loss", 0, "random loss fraction on every link")
-		share  = flag.Bool("share", false, "add a single-path competitor on the last link")
-		dur    = flag.Duration("dur", 30*time.Second, "virtual duration")
-		warm   = flag.Duration("warmup", 10*time.Second, "warmup omitted from averages")
-		seed   = flag.Int64("seed", 1, "random seed")
-		traceF = flag.String("trace", "", "write MPCC controller decisions to this CSV file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	eng := sim.NewEngine(*seed)
-	net := topo.NewNet(eng)
-	var names []string
+// run is main with its arguments, streams and exit status made explicit, so
+// tests can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpccsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		proto  = fs.String("proto", "mpcc-latency", "multipath protocol")
+		spPeer = fs.String("sp", "", "single-path competitor protocol (default: the paper's peer)")
+		links  = fs.String("links", "100,100", "comma-separated link bandwidths in Mbps")
+		delay  = fs.Duration("delay", 30*time.Millisecond, "one-way link delay")
+		buffer = fs.Int("buffer", 375, "link buffer in KB")
+		loss   = fs.Float64("loss", 0, "random loss fraction on every link")
+		share  = fs.Bool("share", false, "add a single-path competitor on the last link")
+		dur    = fs.Duration("dur", 30*time.Second, "virtual duration")
+		warm   = fs.Duration("warmup", 10*time.Second, "warmup omitted from averages")
+		seed   = fs.Int64("seed", 1, "random seed")
+		traceF = fs.String("trace", "", "write MPCC controller decisions to this CSV file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	tp := &topo.Topology{}
+	mp := exp.FlowSpec{Name: "mp", Proto: exp.Protocol(*proto)}
+	var rates []float64
 	for i, f := range strings.Split(*links, ",") {
 		bw, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err == nil && !(bw > 0) { // also rejects NaN
+			err = fmt.Errorf("bandwidth %q is not a positive number of Mbps", f)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -links: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad -links: %v\n", err)
+			return 2
 		}
 		name := fmt.Sprintf("link%d", i+1)
-		l := net.AddLink(name, bw*1e6, sim.FromDuration(*delay), *buffer*1000)
-		l.SetLoss(*loss)
-		names = append(names, name)
+		tp.Links = append(tp.Links, name)
+		rates = append(rates, bw*1e6)
+		mp.Paths = append(mp.Paths, []string{name})
 	}
 
-	paths := make([]*netem.Path, len(names))
-	for i, n := range names {
-		paths[i] = net.Path(n)
-	}
-	attachOpts := exp.AttachOptions{}
-	var traceW *csv.Writer
 	if *traceF != "" {
 		f, err := os.Create(*traceF)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
-		traceW = csv.NewWriter(f)
+		traceW := csv.NewWriter(f)
 		defer traceW.Flush()
 		traceW.Write([]string{"t_seconds", "subflow", "kind", "state", "rate_mbps", "utility"})
-		attachOpts.MPCCTracer = func(ev ccmpcc.TraceEvent) {
+		mp.Attach.MPCCTracer = func(ev ccmpcc.TraceEvent) {
 			kind := "utility"
 			if ev.Decision {
 				kind = "decision"
@@ -84,36 +92,43 @@ func main() {
 			})
 		}
 	}
-	mp := exp.Attach(eng, "mp", exp.Protocol(*proto), paths, attachOpts)
-	mp.SetApp(transport.Bulk{}, nil)
-	mp.Start(0)
 
-	var sp *transport.Connection
+	flows := []exp.FlowSpec{mp}
 	if *share {
 		peer := exp.Protocol(*spPeer)
 		if peer == "" {
-			peer = exp.Protocol(*proto).SinglePathPeer()
+			peer = mp.Proto.SinglePathPeer()
 		}
-		sp = exp.Attach(eng, "sp", peer, []*netem.Path{net.Path(names[len(names)-1])}, exp.AttachOptions{})
-		sp.SetApp(transport.Bulk{}, nil)
-		sp.Start(0)
+		flows = append(flows, exp.FlowSpec{Name: "sp", Proto: peer, Paths: mp.Paths[len(mp.Paths)-1:]})
 	}
 
-	eng.Run(sim.FromDuration(*dur))
+	res := exp.Run(exp.Spec{
+		Seed: *seed, Duration: sim.FromDuration(*dur), Warmup: sim.FromDuration(*warm),
+		Topo: tp, Flows: flows,
+		Tweak: func(net *topo.Net) {
+			for i, name := range net.LinkNames() {
+				l := net.Link(name)
+				l.SetRate(rates[i])
+				l.SetDelay(sim.FromDuration(*delay))
+				l.SetBuffer(*buffer * 1000)
+				l.SetLoss(*loss)
+			}
+		},
+	})
 
-	from, end := sim.FromDuration(*warm), sim.FromDuration(*dur)
-	fmt.Printf("protocol %s over %d link(s), %v, buffer %dKB, loss %g\n",
-		*proto, len(names), *delay, *buffer, *loss)
-	fmt.Printf("  mp goodput: %7.1f Mbps", mp.MeanGoodputBps(from, end)/1e6)
-	for i, s := range mp.Subflows() {
-		fmt.Printf("  [sf%d %.1f]", i+1, 8*s.Goodput().MeanRateSince(from, end)/1e6)
+	fmt.Fprintf(stdout, "protocol %s over %d link(s), %v, buffer %dKB, loss %g\n",
+		*proto, len(tp.Links), *delay, *buffer, *loss)
+	fmt.Fprintf(stdout, "  mp goodput: %7.1f Mbps", res.Flows["mp"].GoodputBps/1e6)
+	for i, g := range res.Flows["mp"].SubflowGoodputBps {
+		fmt.Fprintf(stdout, "  [sf%d %.1f]", i+1, g/1e6)
 	}
-	m, sd := mp.MeanLatency()
-	fmt.Printf("  rtt %.1f±%.1f ms\n", m*1e3, sd*1e3)
-	if sp != nil {
-		m, sd = sp.MeanLatency()
-		fmt.Printf("  sp goodput: %7.1f Mbps  rtt %.1f±%.1f ms\n",
-			sp.MeanGoodputBps(from, end)/1e6, m*1e3, sd*1e3)
+	m, sd := res.Conns["mp"].MeanLatency()
+	fmt.Fprintf(stdout, "  rtt %.1f±%.1f ms\n", m*1e3, sd*1e3)
+	if *share {
+		m, sd = res.Conns["sp"].MeanLatency()
+		fmt.Fprintf(stdout, "  sp goodput: %7.1f Mbps  rtt %.1f±%.1f ms\n",
+			res.Flows["sp"].GoodputBps/1e6, m*1e3, sd*1e3)
 	}
-	fmt.Printf("  events processed: %d\n", eng.Processed)
+	fmt.Fprintf(stdout, "  events processed: %d\n", res.Events)
+	return 0
 }

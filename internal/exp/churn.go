@@ -110,9 +110,9 @@ type ChurnStats struct {
 // churnDriver runs one ChurnSpec on one engine. All its state is touched
 // only from engine callbacks, so it needs no locking.
 type churnDriver struct {
-	eng     *sim.Engine
+	w       *world
+	eng     *sim.Engine // w's one engine: churn runs are never sharded
 	spec    *ChurnSpec
-	bus     *obs.Bus
 	proto   Protocol
 	horizon sim.Time
 
@@ -159,8 +159,8 @@ type churnSession struct {
 }
 
 // startChurn validates the spec, builds the servers and generators, and
-// schedules the first arrival. Call before eng.Run.
-func startChurn(eng *sim.Engine, s *Spec, net *topo.Net, bus *obs.Bus) *churnDriver {
+// schedules the first arrival. Call before w.run.
+func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 	cs := s.Churn
 	if len(cs.Servers) == 0 {
 		panic("exp: ChurnSpec needs at least one server")
@@ -169,7 +169,7 @@ func startChurn(eng *sim.Engine, s *Spec, net *topo.Net, bus *obs.Bus) *churnDri
 		panic("exp: ChurnSpec needs RatePerSec > 0 or MMPP States")
 	}
 	d := &churnDriver{
-		eng: eng, spec: cs, bus: bus, proto: cs.Proto,
+		w: w, eng: w.engines[0], spec: cs, proto: cs.Proto,
 		horizon: s.Duration,
 		rng:     rand.New(rand.NewSource(s.Seed ^ 0x636875726e)), // "churn"
 		backoff: workload.Backoff{Base: cs.RetryBase, Cap: cs.RetryCap},
@@ -263,7 +263,7 @@ func (d *churnDriver) attempt(s *churnSession) {
 	sv := s.sv
 	if res := sv.Admit(sv.spec.PerConnRcvBuf); res != transport.AdmitOK {
 		d.stats.Rejected++
-		d.bus.SessionReject(now, s.name, sv.Name, res.String(), s.attempt+1)
+		d.w.bus.SessionReject(now, s.name, sv.Name, res.String(), s.attempt+1)
 		if s.attempt >= d.spec.MaxRetries {
 			d.abandon(s)
 			return
@@ -277,7 +277,7 @@ func (d *churnDriver) attempt(s *churnSession) {
 		}
 		d.stats.Retried++
 		s.attempt++
-		d.bus.SessionRetry(now, s.name, delay, s.attempt)
+		d.w.bus.SessionRetry(now, s.name, delay, s.attempt)
 		d.eng.Schedule(now+delay, churnRetryEvent, s)
 		return
 	}
@@ -286,15 +286,13 @@ func (d *churnDriver) attempt(s *churnSession) {
 	if d.active > d.stats.PeakActive {
 		d.stats.PeakActive = d.active
 	}
-	d.bus.SessionOpen(now, s.name, sv.Name, s.size, d.active)
+	d.w.bus.SessionOpen(now, s.name, sv.Name, s.size, d.active)
 
 	s.paths = s.paths[:0]
 	for _, t := range sv.paths {
-		p := netem.NewPath(t.Engine(), t.Name, t.Links()...)
-		p.SetProbes(d.bus)
-		s.paths = append(s.paths, p)
+		s.paths = append(s.paths, netem.NewPath(t.Engine(), t.Name, t.Links()...))
 	}
-	s.conn = Attach(d.eng, s.name, d.proto, s.paths, AttachOptions{ConnOptions: sv.connOpts, Probes: d.bus})
+	s.conn = d.w.attach(s.name, d.proto, s.paths, AttachOptions{ConnOptions: sv.connOpts})
 	s.start = now
 	s.conn.SetApp(transport.NewFile(s.size), s.onComplete)
 	s.conn.SetOnClose(s.onClose)
@@ -316,7 +314,7 @@ func (s *churnSession) closed(r transport.CloseReason, at sim.Time) {
 	} else {
 		d.stats.Aborted++
 	}
-	d.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
+	d.w.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
 	if after := d.spec.DrainCheckAfter; after > 0 && at+after < d.horizon {
 		d.stats.LeakChecks++
 		d.eng.Schedule(at+after, churnDrainEvent, s)

@@ -230,14 +230,18 @@ func parseMbps(t *testing.T, s string) float64 {
 	return v
 }
 
-func TestDataCenterSmoke(t *testing.T) {
-	dc := DCConfig{
+// smallDC shrinks the Fig. 19 workload to a two-second smoke.
+func smallDC() DCConfig {
+	return DCConfig{
 		LongFlows: 1, LongBytes: 2_000_000,
 		MedFlows: 1, MedBytes: 200_000,
 		ShortEvery: 500 * sim.Millisecond, ShortBytes: 10_000, ShortFor: sim.Second,
 		Duration: 2 * sim.Second, SubflowsPer: 3,
 	}
-	res := runDC(3, MPCCLoss, dc)
+}
+
+func TestDataCenterSmoke(t *testing.T) {
+	res := runDC(3, MPCCLoss, smallDC())
 	for _, class := range []string{"short", "medium", "long"} {
 		c := res[class]
 		if c.Started == 0 {

@@ -67,10 +67,10 @@ func DataCenterFCT(cfg Config, dc DCConfig) DCResult {
 }
 
 func runDC(seed int64, p Protocol, dc DCConfig) map[string]FCTClass {
-	defer countSim()
-	eng := sim.NewEngine(seed)
-	clos := topo.NewClos(eng, topo.DefaultClosConfig())
-	rng := eng.Rand()
+	w := newWorld(seed, nil, 0)
+	clos := topo.NewClos(w.engines[0], topo.DefaultClosConfig())
+	w.start(dc.Duration, clos.Links())
+	rng := w.engines[0].Rand()
 	nHosts := clos.Cfg.NumHosts
 
 	fcts := map[string][]float64{"short": nil, "medium": nil, "long": nil}
@@ -85,7 +85,7 @@ func runDC(seed int64, p Protocol, dc DCConfig) map[string]FCTClass {
 		paths := clos.SubflowPaths(src, dst, dc.SubflowsPer)
 		name := fmt.Sprintf("%s-%d", class, flowID)
 		flowID++
-		conn := Attach(eng, name, p, paths, AttachOptions{
+		conn := w.attach(name, p, paths, AttachOptions{
 			// DC stacks use a much lower minimum RTO than the WAN default.
 			ConnOptions: []transport.ConnOption{transport.WithMinRTO(10 * sim.Millisecond)},
 			// Start rate-based flows at a rate matched to the fabric.
@@ -109,7 +109,7 @@ func runDC(seed int64, p Protocol, dc DCConfig) map[string]FCTClass {
 			start(h, dc.ShortBytes, "short", at)
 		}
 	}
-	eng.Run(dc.Duration)
+	w.run(dc.Duration)
 
 	res := make(map[string]FCTClass, 3)
 	for class, ts := range fcts {

@@ -74,20 +74,21 @@ func LiveDownloads(cfg Config) *LiveResult {
 }
 
 func runDownload(seed int64, server, home string, p Protocol, fileBytes int64) float64 {
-	defer countSim()
-	eng := sim.NewEngine(seed)
+	const deadline = 20 * 60 * sim.Second // generous
+	w := newWorld(seed, nil, 0)
+	eng := w.engines[0]
 	// The WAN draw must be identical across protocols for a fair race, so
 	// it uses its own generator derived from the pair, not the engine's.
 	wanRng := rand.New(rand.NewSource(hashPair(server, home)))
 	pair := topo.BuildWAN(eng, server, home, wanRng)
-	paths := []*netem.Path{pair.WiFi, pair.Cell}
-	conn := Attach(eng, "dl", p, paths, AttachOptions{})
+	w.start(deadline, []*netem.Link{pair.WiFiLink, pair.CellLink})
+	conn := w.attach("dl", p, []*netem.Path{pair.WiFi, pair.Cell}, AttachOptions{})
 	var fct sim.Time = -1
 	conn.SetApp(transport.NewFile(fileBytes), func(t sim.Time) { fct = t; eng.Stop() })
 	conn.Start(0)
-	eng.Run(20 * 60 * sim.Second) // generous deadline
+	w.run(deadline)
 	if fct < 0 {
-		return (20 * 60 * sim.Second).Seconds() // did not finish
+		return deadline.Seconds() // did not finish
 	}
 	return fct.Seconds()
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,6 +235,11 @@ func TestWebWorkload(t *testing.T) {
 			t.Fatalf("%s completed %s short flows", row[0], row[2])
 		}
 	}
+	// The golden was rendered by the hand-wired engine runWeb used to carry,
+	// so it pins that Run(Spec{Flows}) builds the identical simulation.
+	var buf bytes.Buffer
+	tab.Fprint(&buf)
+	checkGolden(t, buf.Bytes(), "web_micro.golden")
 }
 
 func TestObservationSinglePath(t *testing.T) {

@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 	"mpcc/internal/stats"
 	"mpcc/internal/topo"
-	"mpcc/internal/transport"
 )
 
 // WebWorkload is an extension beyond the paper's evaluation (§9 calls for
@@ -34,31 +32,20 @@ func WebWorkload(cfg Config) *Table {
 }
 
 func runWeb(cfg Config, p Protocol) (bulkMbps float64, done int, median, p95 float64) {
-	eng := sim.NewEngine(cfg.Seed)
-	tp := topo.Fig3b()
-	net := tp.Build(eng)
-	paths := func() []*netem.Path {
-		return []*netem.Path{net.Path("link1"), net.Path("link2")}
-	}
-
-	bulk := Attach(eng, "bulk", p, paths(), AttachOptions{})
-	bulk.SetApp(transport.Bulk{}, nil)
-	bulk.Start(0)
-
-	var fcts []float64
+	paths := [][]string{{"link1"}, {"link2"}}
+	flows := []FlowSpec{{Name: "bulk", Proto: p, Paths: paths}}
 	interval := 400 * sim.Millisecond
-	id := 0
 	for at := sim.Second; at < cfg.Duration-sim.Second; at += interval {
-		id++
-		name := fmt.Sprintf("short-%d", id)
-		at := at
-		conn := Attach(eng, name, p, paths(), AttachOptions{})
-		conn.SetApp(transport.NewFile(100_000), func(fct sim.Time) {
-			fcts = append(fcts, fct.Seconds())
-		})
-		conn.Start(at)
+		flows = append(flows, FlowSpec{Name: fmt.Sprintf("short-%d", len(flows)),
+			Proto: p, Paths: paths, StartAt: at, FileBytes: 100_000})
 	}
-	eng.Run(cfg.Duration)
-	bulkMbps = bulk.MeanGoodputBps(cfg.Warmup, cfg.Duration) / 1e6
-	return bulkMbps, len(fcts), stats.Median(fcts), stats.Percentile(fcts, 95)
+	res := Run(Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
+		Topo: topo.Fig3b(), Flows: flows})
+	var fcts []float64
+	for _, f := range flows[1:] {
+		if fct := res.Flows[f.Name].FCT; fct >= 0 {
+			fcts = append(fcts, fct.Seconds())
+		}
+	}
+	return res.Flows["bulk"].GoodputBps / 1e6, len(fcts), stats.Median(fcts), stats.Percentile(fcts, 95)
 }

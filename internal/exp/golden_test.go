@@ -100,13 +100,10 @@ func TestGoldenTracePoliced(t *testing.T) {
 	checkGoldenTrace(t, got, "trace_policed_seed17.jsonl.golden")
 }
 
-// checkGoldenTrace compares got against the named golden file (rewriting it
-// under -update) and verifies the stored trace parses.
-func checkGoldenTrace(t *testing.T, got []byte, name string) {
+// checkGolden compares got against the named golden file (rewriting it
+// under -update) and returns the stored bytes.
+func checkGolden(t *testing.T, got []byte, name string) []byte {
 	t.Helper()
-	if len(got) == 0 {
-		t.Fatal("golden run produced an empty trace")
-	}
 	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -116,16 +113,27 @@ func checkGoldenTrace(t *testing.T, got []byte, name string) {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
+		return got
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("trace diverges from %s: %s\nIf the simulation change is intentional, regenerate with -update.",
+		t.Fatalf("output diverges from %s: %s\nIf the simulation change is intentional, regenerate with -update.",
 			golden, firstDiff(got, want))
 	}
+	return want
+}
+
+// checkGoldenTrace is checkGolden for JSONL traces: it also verifies that
+// the stored trace parses.
+func checkGoldenTrace(t *testing.T, got []byte, name string) {
+	t.Helper()
+	if len(got) == 0 {
+		t.Fatal("golden run produced an empty trace")
+	}
+	want := checkGolden(t, got, name)
 
 	// The golden file must itself be a valid trace.
 	events := 0

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"mpcc/internal/obs"
@@ -64,6 +65,37 @@ func TestRunSnapshotsRegistry(t *testing.T) {
 	}
 }
 
+// everyRunner is one small instance of each way the package runs a
+// simulation: the declarative front, and the figure runners that drive the
+// world over raw links (runDownload, runDC) or through Run (runWeb). Each
+// returns the numbers its experiment reports, so equal slices mean
+// bit-equal results.
+var everyRunner = []struct {
+	name string
+	run  func() []float64
+}{
+	{"Run", func() []float64 {
+		res := Run(probeSpec(nil))
+		return []float64{res.Flows["mp"].GoodputBps, res.Flows["sp"].GoodputBps}
+	}},
+	{"runDownload", func() []float64 {
+		return []float64{runDownload(1, "Ohio", "Boston", MPCCLoss, 1_000_000)}
+	}},
+	{"runDC", func() []float64 {
+		var out []float64
+		res := runDC(3, MPCCLoss, smallDC())
+		for _, class := range []string{"short", "medium", "long"} {
+			c := res[class]
+			out = append(out, float64(c.Done), c.Stats.Mean, c.Stats.Median, c.Stats.P99)
+		}
+		return out
+	}},
+	{"runWeb", func() []float64 {
+		bulk, done, med, p95 := runWeb(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)
+		return []float64{bulk, float64(done), med, p95}
+	}},
+}
+
 func TestProbedRunDoesNotPerturbResults(t *testing.T) {
 	plain := Run(probeSpec(nil))
 	probed := Run(probeSpec(obs.NewBus()))
@@ -71,6 +103,16 @@ func TestProbedRunDoesNotPerturbResults(t *testing.T) {
 		if probed.Flows[name].GoodputBps != fr.GoodputBps {
 			t.Errorf("flow %s: goodput %v probed vs %v plain — probes changed the simulation",
 				name, probed.Flows[name].GoodputBps, fr.GoodputBps)
+		}
+	}
+	// The same through the probe factory, for every runner.
+	for _, r := range everyRunner {
+		plain := r.run()
+		SetProbeFactory(func() *obs.Bus { return obs.NewBus() })
+		probed := r.run()
+		SetProbeFactory(nil)
+		if !reflect.DeepEqual(plain, probed) {
+			t.Errorf("%s: results %v probed vs %v plain — probes changed the simulation", r.name, probed, plain)
 		}
 	}
 }
@@ -152,5 +194,36 @@ func TestProbeFactory(t *testing.T) {
 	Run(probeSpec(obs.NewBus()))
 	if calls != 1 {
 		t.Fatal("factory consulted despite Spec.Probes")
+	}
+
+	// Every runner consults the factory once per simulation, brackets its
+	// events in one run-start/run-end pair, probes both its links and its
+	// transport, snapshots the registry, and counts itself.
+	for _, r := range everyRunner {
+		kinds := map[obs.Kind]int{}
+		calls = 0
+		SetProbeFactory(func() *obs.Bus {
+			calls++
+			return obs.NewBus(obs.SinkFunc(func(e obs.Event) { kinds[e.Kind]++ }))
+		})
+		var snaps []*obs.Snapshot
+		SetSnapshotSink(func(_ int64, s *obs.Snapshot) { snaps = append(snaps, s) })
+		sims := SimsRun()
+		r.run()
+		SetSnapshotSink(nil)
+		if got := SimsRun() - sims; got != 1 {
+			t.Errorf("%s: SimsRun advanced by %d, want 1", r.name, got)
+		}
+		if calls != 1 || kinds[obs.KindRunStart] != 1 || kinds[obs.KindRunEnd] != 1 {
+			t.Errorf("%s: %d factory calls, %d run-start, %d run-end events; want 1 each",
+				r.name, calls, kinds[obs.KindRunStart], kinds[obs.KindRunEnd])
+		}
+		if kinds[obs.KindQueueDepth] == 0 || kinds[obs.KindSchedPick] == 0 || kinds[obs.KindRTTSample] == 0 {
+			t.Errorf("%s: %d queue-depth, %d sched-pick, %d rtt-sample events; want all > 0", r.name,
+				kinds[obs.KindQueueDepth], kinds[obs.KindSchedPick], kinds[obs.KindRTTSample])
+		}
+		if len(snaps) != 1 || snaps[0].Counters["sched_picks"] == 0 || snaps[0].Gauges["sim.events_processed"] <= 0 {
+			t.Errorf("%s: %d registry snapshots (want 1 with transport counters and engine gauges)", r.name, len(snaps))
+		}
 	}
 }

@@ -46,19 +46,24 @@ func SimsRun() uint64 { return simsRun.Load() }
 // countSim records one completed simulation.
 func countSim() { simsRun.Add(1) }
 
-// RunParallel executes job(0) … job(n-1), each exactly once. With Workers()
-// ≤ 1 (or n ≤ 1) the jobs run inline in index order — byte-for-byte the
-// sequential behavior. Otherwise min(Workers(), n) goroutines pull indices
-// from a shared counter; jobs must be independent and must communicate
-// results only through index-addressed slots (e.g. results[i]), never by
-// appending to shared state. RunParallel returns when every job has
-// finished. A panicking job propagates to the caller.
-func RunParallel(n int, job func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
+// RunParallel executes job(0) … job(n-1), each exactly once, on the
+// process-wide pool of Workers() workers; see runPool for the contract.
+func RunParallel(n int, job func(i int)) { runPool(n, Workers(), job) }
+
+// runPool executes job(0) … job(n-1), each exactly once, on at most workers
+// goroutines — the one worker pool of the package: sweeps run simulations
+// on it (RunParallel) and a sharded simulation runs its engines on it
+// (world.run). With workers ≤ 1 (or n ≤ 1) the jobs run inline in index
+// order — byte-for-byte the sequential behavior. Otherwise min(workers, n)
+// goroutines pull indices from a shared counter; jobs must be independent
+// and must communicate results only through index-addressed slots (e.g.
+// results[i]), never by appending to shared state. runPool returns when
+// every job has finished. A panicking job propagates to the caller.
+func runPool(n, workers int, job func(i int)) {
+	if workers > n {
+		workers = n
 	}
-	if w <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			job(i)
 		}
@@ -70,8 +75,8 @@ func RunParallel(n int, job func(i int)) {
 		panicMu  sync.Mutex
 		panicked any
 	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	wg.Add(workers)
+	for g := 0; g < workers; g++ {
 		go func() {
 			defer wg.Done()
 			defer func() {

@@ -21,41 +21,68 @@ func withWorkers(n int, f func()) {
 	f()
 }
 
+// pools are the two entrances to the package's one worker pool: RunParallel
+// takes its worker count from the process-wide setting, runPool (which a
+// sharded world calls with the shard count) takes it as an argument and
+// must ignore the setting.
+var pools = []struct {
+	name string
+	run  func(workers, n int, job func(i int))
+}{
+	{"RunParallel", func(workers, n int, job func(i int)) {
+		withWorkers(workers, func() { RunParallel(n, job) })
+	}},
+	{"runPool", func(workers, n int, job func(i int)) {
+		withWorkers(3, func() { runPool(n, workers, job) })
+	}},
+}
+
 func TestRunParallelCoversAllJobs(t *testing.T) {
-	for _, w := range []int{1, 2, 7, 64} {
-		const n = 100
-		got := make([]int64, n)
-		var calls atomic.Int64
-		withWorkers(w, func() {
-			RunParallel(n, func(i int) {
+	for _, pool := range pools {
+		for _, w := range []int{-1, 0, 1, 2, 7, 64} {
+			const n = 100
+			got := make([]int64, n)
+			var calls atomic.Int64
+			var outOfOrder atomic.Bool
+			pool.run(w, n, func(i int) {
 				got[i] = int64(i * i)
-				calls.Add(1)
+				if calls.Add(1) != int64(i+1) {
+					outOfOrder.Store(true)
+				}
 			})
-		})
-		if calls.Load() != n {
-			t.Fatalf("workers=%d: %d calls, want %d", w, calls.Load(), n)
-		}
-		for i := range got {
-			if got[i] != int64(i*i) {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", w, i, got[i], i*i)
+			if calls.Load() != n {
+				t.Fatalf("%s workers=%d: %d calls, want %d", pool.name, w, calls.Load(), n)
+			}
+			for i := range got {
+				if got[i] != int64(i*i) {
+					t.Fatalf("%s workers=%d: slot %d = %d, want %d", pool.name, w, i, got[i], i*i)
+				}
+			}
+			// At most one worker means inline on the caller, in index order.
+			if w <= 1 && outOfOrder.Load() {
+				t.Fatalf("%s workers=%d: jobs did not run in index order", pool.name, w)
 			}
 		}
 	}
 }
 
 func TestRunParallelPropagatesPanic(t *testing.T) {
-	withWorkers(4, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic in a job did not propagate")
-			}
-		}()
-		RunParallel(16, func(i int) {
-			if i == 5 {
-				panic("boom")
-			}
-		})
-	})
+	for _, pool := range pools {
+		for _, w := range []int{1, 4} {
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Errorf("%s workers=%d: recovered %v, want the job's panic", pool.name, w, r)
+					}
+				}()
+				pool.run(w, 16, func(i int) {
+					if i == 5 {
+						panic("boom")
+					}
+				})
+			}()
+		}
+	}
 }
 
 // quickSpec is a small two-flow run that finishes fast enough to replicate.

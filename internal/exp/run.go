@@ -52,8 +52,8 @@ type Spec struct {
 	SPProto Protocol
 	// Shards selects space-parallel execution: the topology is partitioned
 	// into interaction components (topo.PartitionLinks), each component runs
-	// on its own engine, and up to Shards worker goroutines advance them
-	// under the conservative scheduler (sim.Group). The shard count only
+	// on its own engine, and up to Shards workers of the pool advance them
+	// concurrently. Components share nothing, so the shard count only
 	// sets worker parallelism — the partition, per-shard seeds, and event
 	// orders are fixed by the topology — so any Shards >= 1 produces
 	// byte-identical traces and snapshots, and on single-component
@@ -144,57 +144,41 @@ func (s *Spec) flowsFor() []FlowSpec {
 	return out
 }
 
-// Run executes the spec and summarizes it. When the spec (or the package
-// default) selects sharding, the run is dispatched to the space-parallel
-// engine; see Spec.Shards for the determinism contract.
+// Run executes the spec and summarizes it: the declarative front of the
+// world (world.go). When the spec (or the package default) selects
+// sharding, each topology component gets its own engine; see Spec.Shards
+// for the determinism contract.
 func Run(s Spec) *Result {
-	defer countSim()
-	if workers := s.shardWorkers(); workers > 0 {
-		return runSharded(s, workers)
+	flows := s.flowsFor()
+	// Unsharded, the whole topology is one component on one engine; sharded,
+	// the components are those of the run's effective flows.
+	workers := s.shardWorkers()
+	groups := [][][]string{{s.Topo.Links}}
+	if workers > 0 {
+		groups = make([][][]string, len(flows))
+		for i, f := range flows {
+			groups[i] = f.Paths
+		}
 	}
-	eng := sim.NewEngine(s.Seed)
-	bus := s.Probes
-	if bus == nil && probeFactory != nil {
-		bus = probeFactory()
-	}
-	if bus != nil && bus.Registry() == nil {
-		bus.SetRegistry(obs.NewRegistry())
-	}
-	net := s.Topo.Build(eng)
+	net, engines := topo.PartitionLinks(s.Topo.Links, groups).Build(s.Topo, s.Seed)
+	w := newWorld(s.Seed, s.Probes, workers, engines...)
 	if s.Tweak != nil {
 		s.Tweak(net)
 	}
-	if bus != nil {
-		bus.RunStart(s.Seed, s.Duration)
-		// LinkNames is creation order, so probe wiring (and hence the trace)
-		// never depends on map iteration.
-		qps := make([]obs.QueueProbe, 0, len(net.LinkNames()))
-		for _, name := range net.LinkNames() {
-			l := net.Link(name)
-			l.SetProbes(bus)
-			qps = append(qps, l.QueueProbe())
-		}
-		if s.Duration > 0 {
-			obs.SampleQueues(eng, bus, queueSampleEvery, qps...)
-		}
+	links := make([]*netem.Link, len(net.LinkNames()))
+	for i, name := range net.LinkNames() {
+		links[i] = net.Link(name)
 	}
-	flows := s.flowsFor()
+	w.start(s.Duration, links)
 	conns := make(map[string]*transport.Connection, len(flows))
 	for _, f := range flows {
 		ps := buildPaths(net, f.Paths)
-		for _, p := range ps {
-			if bus != nil {
-				p.SetProbes(bus)
-			}
-			if f.PathTweak != nil {
+		if f.PathTweak != nil {
+			for _, p := range ps {
 				f.PathTweak(p)
 			}
 		}
-		at := f.Attach
-		if at.Probes == nil {
-			at.Probes = bus
-		}
-		conn := Attach(eng, f.Name, f.Proto, ps, at)
+		conn := w.attach(f.Name, f.Proto, ps, f.Attach)
 		if f.FileBytes > 0 {
 			conn.SetApp(transport.NewFile(f.FileBytes), nil)
 		} else {
@@ -205,33 +189,12 @@ func Run(s Spec) *Result {
 	}
 	var churn *churnDriver
 	if s.Churn != nil {
-		churn = startChurn(eng, &s, net, bus)
+		churn = startChurn(w, &s, net)
 	}
-	eng.Run(s.Duration)
-	res := finish(s, net, conns, bus, eng.Processed, eng.MaxPending(), eng.Now())
+	res := &Result{Flows: make(map[string]*FlowResult, len(conns)), Net: net, Conns: conns}
+	res.Obs, res.Events = w.run(s.Duration)
 	if churn != nil {
 		res.Churn = churn.snapshot()
-	}
-	return res
-}
-
-// finish publishes the engine gauges, snapshots the registry, closes the
-// trace, and summarizes goodputs — the tail shared by the single-engine
-// and sharded runners. events and maxPending aggregate over shard engines
-// (sum and max respectively); for one engine they are its exact values.
-func finish(s Spec, net *topo.Net, conns map[string]*transport.Connection,
-	bus *obs.Bus, events uint64, maxPending int, endAt sim.Time) *Result {
-	res := &Result{Flows: make(map[string]*FlowResult, len(conns)), Net: net, Conns: conns, Events: events}
-	if bus != nil {
-		if reg := bus.Registry(); reg != nil {
-			reg.Gauge("sim.events_processed").Set(float64(events))
-			reg.Gauge("sim.max_pending_timers").Set(float64(maxPending))
-			res.Obs = reg.Snapshot()
-			if snapshotSink != nil {
-				snapshotSink(s.Seed, res.Obs)
-			}
-		}
-		bus.RunEnd(endAt)
 	}
 	var goodputs []float64
 	total := 0.0

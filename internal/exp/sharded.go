@@ -1,67 +1,36 @@
 package exp
 
-import (
-	"mpcc/internal/obs"
-	"mpcc/internal/sim"
-	"mpcc/internal/topo"
-	"mpcc/internal/transport"
-)
+import "mpcc/internal/obs"
 
-// Space-parallel execution (Spec.Shards).
-//
-// The topology is partitioned into interaction components — the connected
-// components of the links∪flows graph over the run's *effective* flows
-// (topo.PartitionLinks) — and each component gets its own engine, seeded
-// sim.ShardSeed(Seed, component). Components share no state whatsoever
-// (a component contains every link its connections can touch), so the
-// conservative scheduler (sim.Group) needs no cross-shard channels and
-// each window runs straight to the horizon; Shards only sets how many
-// worker goroutines advance components concurrently.
-//
-// Determinism: each component is a strictly sequential engine whose event
-// order is independent of every other component and of the worker count,
-// and its seed depends only on its index, which depends only on the
-// topology — so any Shards >= 1 yields byte-identical traces, snapshots,
-// and results. With a single component the build, seeding, and event
-// sequence are exactly the legacy single-engine run's, so the goldens gate
-// shards∈{1,2,4} against the committed unsharded traces byte-for-byte.
-//
-// Observability: probe events cannot be emitted into the run bus from
-// concurrent shards (sinks and the registry are unsynchronized, and the
-// interleaving would be racy anyway). Each component instead records its
-// events into a private ordered buffer; after the run the per-component
-// streams are k-way merged on (At, component) and replayed through the
-// user's bus, which reproduces the exact legacy stream for one component
-// and a canonical, shard-count-independent stream otherwise. Only
-// Spec.Probes/the probe factory participates in the replay; a custom
-// per-flow Attach.Probes bus is delivered live and must not be shared
-// across components.
+// Space-parallel execution (Spec.Shards): the topology is partitioned into
+// interaction components — the connected components of the links∪flows
+// graph over the run's *effective* flows (topo.PartitionLinks) — and each
+// component gets its own engine, seeded sim.ShardSeed(Seed, component). A
+// component contains every link its connections can touch, so components
+// share no state whatsoever and each engine simply runs to the horizon;
+// the shard count only sets how many workers of the pool (runPool) advance
+// engines concurrently. Spec.Shards states the determinism contract and the
+// world (world.go) builds and runs the engines; this file holds the shard
+// count's resolution and the probe record-and-replay a multi-engine world
+// needs.
 
 // defaultShards is the package-level shard default (SetShards), consulted
 // when Spec.Shards is 0 — the hook mpccbench's -shards flag uses.
 var defaultShards int
 
 // SetShards sets the package-default shard count applied to specs that do
-// not choose one (Spec.Shards == 0). n < 1 restores the legacy
-// single-engine default.
-func SetShards(n int) {
-	if n < 1 {
-		n = 0
-	}
-	defaultShards = n
-}
+// not choose one (Spec.Shards == 0). n < 1 restores the single-engine
+// default.
+func SetShards(n int) { defaultShards = n }
 
-// Shards reports the package-default shard count (0 = legacy engine).
-func Shards() int { return defaultShards }
-
-// shardWorkers resolves the spec's effective shard worker count; 0 selects
-// the legacy single-engine path. Sharded execution needs a positive
-// horizon, and a negative Spec.Shards forces legacy over the default.
+// shardWorkers resolves the spec's effective shard worker count; 0 means
+// unsharded, the whole topology on one engine. Sharded execution needs a
+// positive horizon, and a negative Spec.Shards overrides the default.
 func (s *Spec) shardWorkers() int {
 	if s.Churn != nil {
 		// Churn sessions attach mid-run; the static partition sharding is
-		// built on cannot see them, so the run always takes the legacy path
-		// (and is thereby trivially identical for any shard count).
+		// built on cannot see them, so the run always uses one engine (and
+		// is thereby trivially identical for any shard count).
 		return 0
 	}
 	n := s.Shards
@@ -74,110 +43,26 @@ func (s *Spec) shardWorkers() int {
 	return n
 }
 
-// eventRecorder buffers one component's probe events in emission order.
-// It is attached to a component-private bus, so only that component's
-// engine goroutine touches it; the group barrier publishes it back.
-type eventRecorder struct{ evs []obs.Event }
+// eventRecorder buffers one component's probe events in emission order. It
+// is the only sink of its component-private bus, so only the worker
+// advancing that component's engine touches it; the pool's barrier
+// publishes it back. The bus carries no registry: the user bus's registry
+// folds the events during the replay, in merged order, as a live run would.
+// Only the run bus takes part in the replay; a custom per-flow Attach.Probes
+// bus is delivered live and must not be shared across components.
+type eventRecorder struct {
+	bus *obs.Bus
+	evs []obs.Event
+}
 
 func (r *eventRecorder) Emit(e obs.Event) { r.evs = append(r.evs, e) }
 
-func runSharded(s Spec, workers int) *Result {
-	bus := s.Probes
-	if bus == nil && probeFactory != nil {
-		bus = probeFactory()
-	}
-	if bus != nil && bus.Registry() == nil {
-		bus.SetRegistry(obs.NewRegistry())
-	}
-
-	flows := s.flowsFor()
-	groups := make([][][]string, len(flows))
-	for i, f := range flows {
-		groups[i] = f.Paths
-	}
-	part := topo.PartitionLinks(s.Topo.Links, groups)
-	net, engines := part.Build(s.Topo, s.Seed)
-	if s.Tweak != nil {
-		s.Tweak(net)
-	}
-
-	// Component-private buses record events for the post-run replay. They
-	// carry no registry: the user bus's registry folds the events during
-	// replay, in merged order, exactly as a live single-engine run would.
-	recs := make([]*eventRecorder, len(engines))
-	comp := make([]*obs.Bus, len(engines))
-	if bus != nil {
-		for c := range engines {
-			recs[c] = &eventRecorder{}
-			comp[c] = obs.NewBus(recs[c])
-		}
-		bus.RunStart(s.Seed, s.Duration)
-		// Probe wiring follows LinkNames (creation) order, like the legacy
-		// runner; each component samples its own links on its own engine.
-		qps := make([][]obs.QueueProbe, len(engines))
-		for _, name := range net.LinkNames() {
-			l := net.Link(name)
-			c := part.ComponentOf(name)
-			l.SetProbes(comp[c])
-			qps[c] = append(qps[c], l.QueueProbe())
-		}
-		for c := range engines {
-			obs.SampleQueues(engines[c], comp[c], queueSampleEvery, qps[c]...)
-		}
-	}
-
-	conns := make(map[string]*transport.Connection, len(flows))
-	for _, f := range flows {
-		c := 0
-		if len(f.Paths) > 0 && len(f.Paths[0]) > 0 {
-			c = part.ComponentOf(f.Paths[0][0])
-		}
-		ps := buildPaths(net, f.Paths)
-		for _, p := range ps {
-			if bus != nil {
-				p.SetProbes(comp[c])
-			}
-			if f.PathTweak != nil {
-				f.PathTweak(p)
-			}
-		}
-		at := f.Attach
-		if at.Probes == nil {
-			at.Probes = comp[c]
-		}
-		conn := Attach(engines[c], f.Name, f.Proto, ps, at)
-		if f.FileBytes > 0 {
-			conn.SetApp(transport.NewFile(f.FileBytes), nil)
-		} else {
-			conn.SetApp(transport.Bulk{}, nil)
-		}
-		conn.Start(f.StartAt)
-		conns[f.Name] = conn
-	}
-
-	g := sim.NewGroup(engines...)
-	g.SetWorkers(workers)
-	g.Run(s.Duration)
-
-	if bus != nil {
-		replayMerged(bus, recs)
-	}
-	var events uint64
-	maxPending := 0
-	for _, e := range engines {
-		events += e.Processed
-		if mp := e.MaxPending(); mp > maxPending {
-			maxPending = mp
-		}
-	}
-	return finish(s, net, conns, bus, events, maxPending, engines[0].Now())
-}
-
 // replayMerged k-way merges the per-component event streams on
 // (At, component) — ties resolve to the lower component, FIFO within one —
-// and replays them into the user bus. Per-component streams are emitted in
-// engine-time order (the utility-event exemption aside), so the merged
-// stream has the same monotonicity the live single-engine stream has.
+// and replays them into the user bus: a canonical stream, independent of
+// the shard count. Per-component streams are emitted in engine-time order
+// (the utility-event exemption aside), so the merged stream has the same
+// monotonicity the live single-engine stream has.
 func replayMerged(bus *obs.Bus, recs []*eventRecorder) {
 	pos := make([]int, len(recs))
 	for {

@@ -81,6 +81,49 @@ func TestShardedClustersIdentity(t *testing.T) {
 	}
 }
 
+// TestIdleComponentsReachHorizon: in a multi-engine world a component that
+// runs out of events early — or never has any — still ends with its clock
+// at the horizon, and the run-end marker is stamped there, even though it
+// is read off the first engine, which here is the one that goes idle.
+func TestIdleComponentsReachHorizon(t *testing.T) {
+	const horizon = 600 * sim.Millisecond
+	for _, probed := range []bool{false, true} {
+		var ends []sim.Time
+		s := clustersSpec(2, 2, nil)
+		if probed {
+			s.Probes = obs.NewBus(obs.SinkFunc(func(e obs.Event) {
+				if e.Kind == obs.KindRunEnd {
+					ends = append(ends, e.At)
+				}
+			}))
+		}
+		// Three components: a 3 KB download that is over within a few RTTs
+		// (first engine), a link no flow touches, and a bulk pair.
+		s.Flows = []FlowSpec{
+			{Name: "brief", Proto: MPCCLoss, Paths: [][]string{{"c0link1"}}, FileBytes: 3000},
+			{Name: "bulk", Proto: MPCCLoss, Paths: [][]string{{"c1link1"}, {"c1link2"}}},
+		}
+		res := Run(s)
+		if fct := res.Flows["brief"].FCT; fct < 0 || fct > horizon/2 {
+			t.Fatalf("probed=%v: brief flow FCT %v; it should finish early", probed, fct)
+		}
+		engines := map[*sim.Engine]bool{}
+		for _, name := range res.Net.LinkNames() {
+			eng := res.Net.Link(name).Engine()
+			engines[eng] = true
+			if eng.Now() != horizon {
+				t.Errorf("probed=%v: engine of %s stopped at %v, want %v", probed, name, eng.Now(), horizon)
+			}
+		}
+		if len(engines) != 3 {
+			t.Fatalf("probed=%v: %d engines, want 3", probed, len(engines))
+		}
+		if probed && (len(ends) != 1 || ends[0] != horizon) {
+			t.Errorf("run-end markers at %v, want one at %v", ends, horizon)
+		}
+	}
+}
+
 // TestShardsResolution pins the Spec.Shards / SetShards precedence:
 // package default applies only when the spec is silent, and a negative
 // spec value forces the legacy engine over the default.

@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a virtual clock, a cancellable timer queue, and a seeded random source.
 //
-// All experiments in this repository run on a single Engine per simulation.
-// The engine is intentionally single-threaded: events execute one at a time
-// in (time, insertion-order) order, which makes every run bit-reproducible
-// for a given seed. Distinct engines share no state, so independent
-// simulations may run concurrently (see exp.RunParallel).
+// A simulation runs on one Engine (or one per disconnected component of its
+// topology, see exp.Spec.Shards). The engine is intentionally
+// single-threaded: events execute one at a time in (time, insertion-order)
+// order, which makes every run bit-reproducible for a given seed. Distinct
+// engines share no state, so they may run concurrently (see exp.RunParallel).
 //
 // The event core is allocation-conscious and built for timer churn: the
 // queue is a single-level hashed timing wheel (O(1) insert and cancel for
@@ -71,11 +71,11 @@ const (
 // fires; stopping an already-fired or already-stopped timer is a no-op.
 //
 // Exactly one of fn (a closure, scheduled via At/After) or afn+arg (a
-// closure-free callback, scheduled via AtArg/Schedule/ScheduleRef) is set
+// closure-free callback, scheduled via Schedule/ScheduleRef) is set
 // while the timer is pending. Timers created by Schedule and ScheduleRef are
 // pooled: they recycle through the engine free list the moment they fire or
 // are stopped, with a generation counter (see TimerRef) keeping stale
-// handles harmless. Timers returned by At/AtArg/After are never recycled —
+// handles harmless. Timers returned by At/After are never recycled —
 // callers may hold the bare *Timer arbitrarily long after firing and a
 // stale Stop must remain a harmless no-op, which a reused Timer could not
 // guarantee.
@@ -195,6 +195,18 @@ func NewEngine(seed int64) *Engine {
 		wheel: make([]*Timer, wheelSlots),
 		occ:   make([]uint64, wheelSlots/64),
 	}
+}
+
+// ShardSeed derives the deterministic RNG seed for shard index i of a
+// simulation seeded with seed. Shard 0 keeps the raw seed so a one-shard
+// run is bit-identical to a plain single-engine run; the remaining shards
+// mix the index with a 64-bit odd constant (golden-ratio, the usual
+// splitmix increment) so neighboring shards get uncorrelated streams.
+func ShardSeed(seed int64, i int) int64 {
+	if i == 0 {
+		return seed
+	}
+	return seed ^ int64(uint64(i)*0x9E3779B97F4A7C15)
 }
 
 // engineLocal is one package's engine-scoped state (see Local).
@@ -458,18 +470,6 @@ func (e *Engine) At(at Time, fn func()) *Timer {
 	return t
 }
 
-// AtArg schedules afn(arg) at absolute virtual time at and returns a
-// cancellable handle. Unlike At it captures no closure: afn is typically a
-// static function and arg a pointer, so the only allocation is the Timer
-// itself. Prefer ScheduleRef on hot paths — it recycles the Timer too.
-func (e *Engine) AtArg(at Time, afn func(any), arg any) *Timer {
-	e.checkFuture(at)
-	e.seq++
-	t := &Timer{at: at, seq: e.seq, afn: afn, arg: arg, eng: e, index: timerIdle}
-	e.enqueue(t)
-	return t
-}
-
 // grabPooled returns a free-list timer (allocating a slab when empty),
 // initialized for (at, afn, arg) at the next sequence number.
 func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
@@ -511,7 +511,7 @@ func (e *Engine) Schedule(at Time, afn func(any), arg any) {
 // generation-checked cancellable handle. The backing Timer is pooled like
 // Schedule's: it recycles the moment it fires or is stopped, and the
 // TimerRef's generation makes any stale handle a harmless no-op. This is
-// the zero-allocation replacement for AtArg on hot cancel-heavy paths
+// the zero-allocation cancellable timer for hot cancel-heavy paths
 // (retransmission, pacing, delayed-ACK and monitor-interval timers).
 func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	e.checkFuture(at)
@@ -595,33 +595,6 @@ func (e *Engine) Step() bool {
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
 func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
-
-// NextAt returns the virtual time of the earliest pending timer without
-// executing or dequeueing anything, and ok=false when the queue is empty.
-// The conservative shard scheduler (Group) polls this between synchronization
-// windows to size the next window.
-//
-// The earliest wheel timer always lives in the first occupied slot after the
-// frontier: slots are indexed by at>>wheelShift, so every timer in a later
-// slot is strictly later than every timer in an earlier one. Within a slot
-// the list is unordered, so the slot is scanned; slots hold one ~65 µs batch
-// of timers, which keeps the scan short.
-func (e *Engine) NextAt() (Time, bool) {
-	var best Time
-	ok := false
-	if len(e.heap) > 0 {
-		best, ok = e.heap[0].at, true
-	}
-	if e.wheelCount > 0 {
-		idx := e.nextOccupied() & wheelMask
-		for t := e.wheel[idx]; t != nil; t = t.next {
-			if !ok || t.at < best {
-				best, ok = t.at, true
-			}
-		}
-	}
-	return best, ok
-}
 
 // MaxPending returns the high-water mark of queued timers over the engine's
 // lifetime — a proxy for how much simultaneous in-flight state a scenario

@@ -78,25 +78,6 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 	}
 }
 
-func TestAtArg(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	record := func(a any) { got = append(got, *a.(*int)) }
-	x, y := 1, 2
-	e.AtArg(10, record, &x)
-	h := e.AtArg(20, record, &y)
-	if !h.Stop() {
-		t.Fatal("Stop on pending AtArg timer returned false")
-	}
-	e.Run(0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("got %v, want [1]", got)
-	}
-	if h.Stop() {
-		t.Fatal("Stop after run returned true")
-	}
-}
-
 // TestSchedulePoolingReuse checks that Schedule-created timers recycle
 // through the free list and that reuse does not disturb execution order.
 func TestSchedulePoolingReuse(t *testing.T) {

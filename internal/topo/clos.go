@@ -40,6 +40,7 @@ type Clos struct {
 	Cfg ClosConfig
 	eng *sim.Engine
 
+	links    []*netem.Link   // every link, in creation order
 	hostUp   []*netem.Link   // host → ToR
 	hostDown []*netem.Link   // ToR → host
 	torUp    [][]*netem.Link // [tor][spine] ToR → spine
@@ -50,7 +51,9 @@ type Clos struct {
 func NewClos(eng *sim.Engine, cfg ClosConfig) *Clos {
 	c := &Clos{Cfg: cfg, eng: eng}
 	mk := func(name string) *netem.Link {
-		return netem.NewLink(eng, name, cfg.LinkRateBps, cfg.LinkDelay, cfg.BufferBytes)
+		l := netem.NewLink(eng, name, cfg.LinkRateBps, cfg.LinkDelay, cfg.BufferBytes)
+		c.links = append(c.links, l)
+		return l
 	}
 	for h := 0; h < cfg.NumHosts; h++ {
 		c.hostUp = append(c.hostUp, mk(fmt.Sprintf("h%d-up", h)))
@@ -70,6 +73,10 @@ func NewClos(eng *sim.Engine, cfg ClosConfig) *Clos {
 	}
 	return c
 }
+
+// Links returns every link of the fabric in creation order (the order probe
+// wiring must follow to keep traces reproducible).
+func (c *Clos) Links() []*netem.Link { return c.links }
 
 // ToROf returns the ToR a host attaches to.
 func (c *Clos) ToROf(host int) int { return host % c.Cfg.NumToRs }

@@ -7,8 +7,7 @@ import (
 )
 
 // This file computes the space-partition of a topology for sharded
-// execution (exp.Spec.Shards): which links may share a simulation engine,
-// and what synchronization lookahead a coarser partition would admit.
+// execution (exp.Spec.Shards): which links may share a simulation engine.
 //
 // The repository's sharding unit is the *interaction component*: two links
 // belong to the same component when some flow's subflow traverses both (or
@@ -16,14 +15,12 @@ import (
 // connected components of the links ∪ flows bipartite graph). Everything
 // inside a component — its links, paths, connections, probes — schedules
 // on one engine and is bit-identical to a standalone single-engine run of
-// just that component; components share nothing at all, so they need no
-// cross-shard channels and their lookahead is effectively infinite. This
-// is the partition that preserves the determinism contract exactly: a
-// transport connection reads its engine's RNG at event time, so splitting
-// a connection (or two connections contending for one queue) across
-// engines would change the RNG interleaving and break same-seed
-// reproducibility. Finer-than-component partitions are still expressible
-// directly on sim.Group + Lookahead for workloads built for it.
+// just that component; components share nothing at all, so their engines
+// never synchronize. This is the partition that preserves the determinism
+// contract exactly: a transport connection reads its engine's RNG at event
+// time, so splitting a connection (or two connections contending for one
+// queue) across engines would change the RNG interleaving and break
+// same-seed reproducibility.
 
 // Partition is the grouping of a topology's links into engine shards.
 type Partition struct {
@@ -152,33 +149,6 @@ func (p *Partition) Build(t *Topology, seed int64) (*Net, []*sim.Engine) {
 		n.AddLinkOn(engines[p.ComponentOf(name)], name, DefaultRate, DefaultDelay, DefaultBuffer)
 	}
 	return n, engines
-}
-
-// Lookahead computes the conservative synchronization window a link
-// grouping admits: the minimum upstream propagation delay over every
-// adjacent link pair (a→b in some path) whose links sit in different
-// groups — a packet leaving group(a) for group(b) is in flight for at
-// least delay(a), so shards may run that far ahead without risking a
-// causality violation (the YAWNS bound). ok is false when no path crosses
-// groups (fully independent shards, unbounded windows). A zero-delay
-// crossing returns (0, true): that grouping admits no conservative window
-// and must not be used.
-func Lookahead(group map[string]int, paths [][]string, delay func(link string) sim.Time) (sim.Time, bool) {
-	var min sim.Time
-	found := false
-	for _, path := range paths {
-		for i := 1; i < len(path); i++ {
-			a, b := path[i-1], path[i]
-			if group[a] == group[b] {
-				continue
-			}
-			d := delay(a)
-			if !found || d < min {
-				min, found = d, true
-			}
-		}
-	}
-	return min, found
 }
 
 // Clusters returns a topology of k disjoint Fig3c-style clusters — each a

@@ -110,12 +110,6 @@ type (
 	BWTrace = netem.BWTrace
 	// RatePoint is one (time, rate) sample of a BWTrace or rate schedule.
 	RatePoint = netem.RatePoint
-	// EngineGroup runs several engines over one virtual clock in lookahead
-	// windows — the space-parallel engine (see internal/sim and DESIGN.md).
-	EngineGroup = sim.Group
-	// ShardChannel carries cross-shard events between two grouped engines,
-	// preserving exact delivery order.
-	ShardChannel = sim.Channel
 	// TopologyPartition groups a topology's links into independent
 	// interaction components, one engine shard each.
 	TopologyPartition = topo.Partition
@@ -327,12 +321,6 @@ func NewClos(eng *Engine, cfg ClosConfig) *Clos { return topo.NewClos(eng, cfg) 
 
 // DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
 func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }
-
-// NewEngineGroup groups engines for space-parallel execution. Connect
-// cross-shard channels, then Run the group to a horizon; with the same
-// seeds the event order — and thus every trace — is identical for any
-// worker count.
-func NewEngineGroup(engines ...*Engine) *EngineGroup { return sim.NewGroup(engines...) }
 
 // ShardSeed derives shard i's engine seed from a run seed, so a sharded
 // run's per-component randomness is a pure function of (seed, component).
