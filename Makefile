@@ -70,6 +70,8 @@ fuzz:
 	$(GO) test ./internal/transport -fuzz FuzzRangeSet -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzFaultTimeline -fuzztime 10s
 	$(GO) test ./internal/netem -fuzz FuzzParseBWTrace -fuzztime 10s
+	$(GO) test ./internal/obs -fuzz FuzzEncodeEvent -fuzztime 10s
+	$(GO) test ./internal/obs -fuzz FuzzAppendNsFloat -fuzztime 10s
 
 fmt:
 	gofmt -l -w .

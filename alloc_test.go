@@ -9,6 +9,7 @@
 package mpcc_test
 
 import (
+	"io"
 	"testing"
 
 	"mpcc"
@@ -50,17 +51,18 @@ func TestEmulatorSteadyStateAllocs(t *testing.T) {
 // TestProbedSteadyStateAllocs is the enabled-observability twin: the same
 // saturated rig with a full probe pipeline attached — a metrics registry
 // (sketch-backed histograms plus windowed series), a flight-recorder ring,
-// link drop probes, and the periodic queue sampler — must also stop
-// allocating once warm. The sketch's fixed log-spaced buckets, the series'
-// preallocated windows, and the recorder's value-copy ring are what make
-// always-on telemetry affordable at population scale.
+// a JSONL trace sink, link drop probes, and the periodic queue sampler —
+// must also stop allocating once warm. The sketch's fixed log-spaced
+// buckets, the series' preallocated windows, the recorder's value-copy ring,
+// the line encoder's bounded prefix table and the sampler's pooled timer are
+// what make always-on telemetry affordable at population scale.
 func TestProbedSteadyStateAllocs(t *testing.T) {
 	eng := mpcc.NewEngine(7)
 	net := mpcc.NewNetwork(eng)
 	net.AddLink("l1", 100e6, 30*mpcc.Millisecond, 375_000)
 	net.AddLink("l2", 100e6, 30*mpcc.Millisecond, 375_000)
 
-	bus := mpcc.NewProbeBus(mpcc.NewFlightRecorder(0))
+	bus := mpcc.NewProbeBus(mpcc.NewFlightRecorder(0), mpcc.NewJSONLWriter(io.Discard))
 	bus.SetRegistry(mpcc.NewMetricsRegistry())
 	var qps []mpcc.QueueProbe
 	for _, name := range []string{"l1", "l2"} {
@@ -89,8 +91,10 @@ func TestProbedSteadyStateAllocs(t *testing.T) {
 		horizon += step
 		eng.Run(horizon)
 	})
-	if avg > 8 {
-		t.Fatalf("probed steady-state allocates %.1f times per %v chunk, want ≤ 8", avg, step)
+	// A chunk holds five sampler ticks, so the bound must sit below 5 for an
+	// allocation per tick to show; the warm pipeline measures 0.
+	if avg > 2 {
+		t.Fatalf("probed steady-state allocates %.1f times per %v chunk, want ≤ 2", avg, step)
 	}
 }
 

@@ -51,8 +51,9 @@ func main() {
 
 	// The observability taps share one wiring pattern: sinks shared by all
 	// runs, a fresh bus+registry per run, run-start/run-end markers segmenting
-	// the stream. Concurrent runs would interleave whole events safely but in
-	// nondeterministic order, so any tap forces sequential execution.
+	// the stream. The sinks take no locks (one writer per goroutine) and a
+	// trace is reproducible only in a fixed run order, so any tap forces
+	// sequential execution.
 	var sharedSinks []obs.Sink
 	if *tracef != "" {
 		f, err := os.Create(*tracef)

@@ -14,10 +14,11 @@ var probeFactory func() *obs.Bus
 
 // SetProbeFactory installs (or, with nil, removes) the per-run probe bus
 // factory. The factory is consulted once per Run, from the goroutine
-// executing that run — when combined with RunParallel, either make the
-// returned buses' sinks concurrency-safe or force a single worker
-// (byte-reproducible traces require the latter anyway, since run order in a
-// shared trace is scheduling-dependent otherwise).
+// executing that run, and the bus's sinks are driven from that goroutine
+// only. The obs sinks take no locks — one writer per goroutine — so a
+// factory that shares a sink between runs must be combined with a single
+// RunParallel worker (byte-reproducible traces require that anyway, since
+// run order in a shared trace is scheduling-dependent otherwise).
 func SetProbeFactory(f func() *obs.Bus) { probeFactory = f }
 
 // snapshotSink, when set, receives every probed Run's registry snapshot right

@@ -76,8 +76,9 @@ func (f *FlightRecorder) AppendJSONL(b []byte, n int) []byte {
 	if n > 0 && len(evs) > n {
 		evs = evs[len(evs)-n:]
 	}
-	for _, e := range evs {
-		b = AppendEvent(b, e)
+	enc := new(lineEncoder)
+	for i := range evs {
+		b = enc.appendEvent(b, &evs[i])
 	}
 	return b
 }

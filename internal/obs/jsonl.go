@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
 
 	"mpcc/internal/sim"
 )
@@ -19,18 +17,26 @@ import (
 // — so a fixed-seed run produces a byte-identical trace every time. Only
 // the fields a kind defines are written; consumers can rely on their
 // presence per kind (see AppendEvent).
+//
+// One writer per goroutine: a writer may be shared by the sequential runs of
+// a sweep, but Emit, Flush and Close take no lock. Every tap that shares one
+// runs its simulations on one goroutine (mpccbench -trace forces -workers 1,
+// and a sharded run replays its engines' events from the goroutine that
+// closes it), which a byte-reproducible trace needs anyway.
 type JSONLWriter struct {
-	mu     sync.Mutex // serializes writers shared across sequential runs
-	w      *bufio.Writer
+	w      io.Writer
 	closer io.Closer
-	buf    []byte
-	err    error
+	enc    lineEncoder
+	buf    []byte // encoded lines not yet written to w
+	err    error  // the first write error; nothing is written after it
 }
+
+const jsonlBufSize = 1 << 16
 
 // NewJSONLWriter returns a writer emitting to w. If w is an io.Closer,
 // Close closes it after flushing.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	jw := &JSONLWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	jw := &JSONLWriter{w: w, buf: make([]byte, 0, jsonlBufSize)}
 	if c, ok := w.(io.Closer); ok {
 		jw.closer = c
 	}
@@ -39,21 +45,23 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 
 // Emit implements Sink.
 func (jw *JSONLWriter) Emit(e Event) {
-	jw.mu.Lock()
-	jw.buf = AppendEvent(jw.buf[:0], e)
-	if _, err := jw.w.Write(jw.buf); err != nil && jw.err == nil {
-		jw.err = err
+	jw.buf = jw.enc.appendEvent(jw.buf, &e)
+	if cap(jw.buf)-len(jw.buf) < lineRoom {
+		jw.Flush() // an error is latched for the caller's Flush or Close
 	}
-	jw.mu.Unlock()
 }
 
-// Flush writes buffered lines through to the underlying writer.
+// Flush writes buffered lines through to the underlying writer. It returns
+// the first error any write has met, now or earlier.
 func (jw *JSONLWriter) Flush() error {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if err := jw.w.Flush(); err != nil && jw.err == nil {
+	if len(jw.buf) > 0 && jw.err == nil {
+		n, err := jw.w.Write(jw.buf)
+		if err == nil && n < len(jw.buf) {
+			err = io.ErrShortWrite
+		}
 		jw.err = err
 	}
+	jw.buf = jw.buf[:0]
 	return jw.err
 }
 
@@ -96,140 +104,7 @@ func (jw *JSONLWriter) Close() error {
 //	session-reject: t, kind, flow, link, state, attempt
 //	session-retry:  t, kind, flow, delay_s, attempt
 func AppendEvent(b []byte, e Event) []byte {
-	b = append(b, `{"t":`...)
-	b = strconv.AppendInt(b, int64(e.At), 10)
-	b = append(b, `,"kind":"`...)
-	b = append(b, e.Kind.String()...)
-	b = append(b, '"')
-	switch e.Kind {
-	case KindMIDecision:
-		b = appendFlowSF(b, e)
-		b = appendStr(b, "state", e.State)
-		b = appendFloat(b, "rate_bps", e.Value)
-	case KindUtility:
-		b = appendFlowSF(b, e)
-		b = appendStr(b, "state", e.State)
-		b = appendFloat(b, "rate_bps", e.Aux)
-		b = appendFloat(b, "utility", e.Value)
-	case KindRateChange:
-		b = appendFlowSF(b, e)
-		b = appendFloat(b, "rate_bps", e.Value)
-	case KindDrop:
-		b = appendStr(b, "link", e.Link)
-		b = appendStr(b, "cause", e.Cause.String())
-		b = appendInt(b, "bytes", e.Bytes)
-	case KindQueueDepth:
-		b = appendStr(b, "link", e.Link)
-		b = appendInt(b, "bytes", e.Bytes)
-	case KindRetransmit, KindSchedPick:
-		b = appendFlowSF(b, e)
-		b = appendInt(b, "bytes", e.Bytes)
-	case KindRTOBackoff:
-		b = appendFlowSF(b, e)
-		b = appendFloat(b, "rto_s", e.Value)
-		b = appendInt(b, "consec", int64(e.Aux))
-	case KindSubflowDown, KindSubflowUp:
-		b = appendFlowSF(b, e)
-	case KindRunStart:
-		b = appendInt(b, "seed", e.Bytes)
-		b = appendFloat(b, "horizon_s", e.Value)
-	case KindRunEnd:
-		// t and kind only.
-	case KindReorder:
-		b = appendStr(b, "link", e.Link)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendFloat(b, "early_s", e.Value)
-	case KindDuplicate:
-		b = appendStr(b, "link", e.Link)
-		b = appendInt(b, "bytes", e.Bytes)
-	case KindAckCompress:
-		b = appendStr(b, "link", e.Link)
-		b = appendFloat(b, "defer_s", e.Value)
-	case KindRackMark:
-		b = appendFlowSF(b, e)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendFloat(b, "reo_wnd_s", e.Value)
-	case KindSpuriousRetx:
-		b = appendFlowSF(b, e)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendInt(b, "rto", int64(e.Aux))
-	case KindShaperDelay:
-		b = appendStr(b, "link", e.Link)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendFloat(b, "delay_s", e.Value)
-	case KindHandover:
-		b = appendStr(b, "link", e.Link)
-		b = appendFloat(b, "rate_bps", e.Value)
-		b = appendFloat(b, "delay_s", e.Aux)
-	case KindRTTSample:
-		b = appendFlowSF(b, e)
-		b = appendFloat(b, "rtt_s", e.Value)
-	case KindSessionOpen:
-		b = appendStr(b, "flow", e.Flow)
-		b = appendStr(b, "link", e.Link)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendInt(b, "active", int64(e.Aux))
-	case KindSessionClose:
-		b = appendStr(b, "flow", e.Flow)
-		b = appendStr(b, "link", e.Link)
-		b = appendStr(b, "state", e.State)
-		b = appendFloat(b, "fct_s", e.Value)
-		b = appendInt(b, "bytes", e.Bytes)
-		b = appendInt(b, "active", int64(e.Aux))
-	case KindSessionReject:
-		b = appendStr(b, "flow", e.Flow)
-		b = appendStr(b, "link", e.Link)
-		b = appendStr(b, "state", e.State)
-		b = appendInt(b, "attempt", int64(e.Aux))
-	case KindSessionRetry:
-		b = appendStr(b, "flow", e.Flow)
-		b = appendFloat(b, "delay_s", e.Value)
-		b = appendInt(b, "attempt", int64(e.Aux))
-	}
-	return append(b, '}', '\n')
-}
-
-func appendFlowSF(b []byte, e Event) []byte {
-	b = appendStr(b, "flow", e.Flow)
-	b = append(b, `,"sf":`...)
-	b = strconv.AppendInt(b, int64(e.Subflow), 10)
-	return b
-}
-
-func appendStr(b []byte, key, v string) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, `":`...)
-	return appendJSONString(b, v)
-}
-
-func appendInt(b []byte, key string, v int64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, `":`...)
-	return strconv.AppendInt(b, v, 10)
-}
-
-func appendFloat(b []byte, key string, v float64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, `":`...)
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// appendJSONString writes v as a JSON string. Names in this codebase are
-// plain ASCII; anything needing escapes takes the slow path through the
-// standard encoder.
-func appendJSONString(b []byte, v string) []byte {
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			enc, _ := json.Marshal(v)
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, v...)
-	return append(b, '"')
+	return (*lineEncoder)(nil).appendEvent(b, &e)
 }
 
 // jsonEvent is the wire form used when parsing a trace back.

@@ -134,7 +134,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 // for every event when a registry is attached; trace analyzers call it when
 // replaying a JSONL trace, which guarantees replayed aggregates match the
 // live run's snapshot exactly.
-func (r *Registry) Record(e Event) {
+func (r *Registry) Record(e Event) { r.record(&e) }
+
+// record is Record without the copy; the bus passes its own event through.
+func (r *Registry) record(e *Event) {
 	switch e.Kind {
 	case KindDrop:
 		if e.Cause < numCauses {

@@ -242,7 +242,7 @@ func (b *Bus) Emit(e Event) {
 		return
 	}
 	if b.reg != nil {
-		b.reg.Record(e)
+		b.reg.record(&e)
 	}
 	for _, s := range b.sinks {
 		s.Emit(e)

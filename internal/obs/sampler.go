@@ -20,19 +20,26 @@ func SampleQueues(eng *sim.Engine, b *Bus, every sim.Time, probes ...QueueProbe)
 	if b == nil || eng == nil || every <= 0 || len(probes) == 0 {
 		return func() {}
 	}
-	var tick func()
-	var timer *sim.Timer
-	tick = func() {
-		now := eng.Now()
-		for _, p := range probes {
-			b.QueueDepth(now, p.Link, p.Depth())
-		}
-		timer = eng.After(every, tick)
+	s := &queueSampler{eng: eng, bus: b, every: every, probes: probes}
+	s.timer = eng.ScheduleRef(eng.Now()+every, sampleQueuesEvent, s)
+	return func() { s.timer.Stop() }
+}
+
+// queueSampler is SampleQueues' state: one pooled engine timer, re-armed by
+// a static callback, so a running sampler allocates nothing.
+type queueSampler struct {
+	eng    *sim.Engine
+	bus    *Bus
+	every  sim.Time
+	probes []QueueProbe
+	timer  sim.TimerRef
+}
+
+func sampleQueuesEvent(arg any) {
+	s := arg.(*queueSampler)
+	now := s.eng.Now()
+	for _, p := range s.probes {
+		s.bus.QueueDepth(now, p.Link, p.Depth())
 	}
-	timer = eng.After(every, tick)
-	return func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}
+	s.timer = s.eng.ScheduleRef(now+s.every, sampleQueuesEvent, s)
 }

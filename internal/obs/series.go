@@ -69,9 +69,13 @@ type seriesAcc struct {
 	cnt []int64
 }
 
-// seriesStore is the registry's series table.
+// seriesStore is the registry's series table. front resolves the series of
+// recent samples without hashing their names; m is the whole table. Labels
+// past the guard are in neither, so dropping one costs a failed lookup in
+// each and nothing more.
 type seriesStore struct {
 	window  sim.Time
+	front   hotCache[*seriesAcc]
 	m       map[seriesID]*seriesAcc
 	perKind [numSeriesKinds]int
 	dropped *Counter
@@ -82,19 +86,26 @@ func newSeriesStore(window sim.Time, dropped *Counter) *seriesStore {
 }
 
 func (s *seriesStore) observe(id seriesID, at sim.Time, v float64) {
-	acc, ok := s.m[id]
-	if !ok {
-		if s.perKind[id.kind] >= maxSeriesPerKind {
-			s.dropped.Inc()
-			return
+	key := hotKey{name: id.name, sf: id.sf, kind: uint8(id.kind)}
+	p := s.front.get(key)
+	if p == nil {
+		acc, ok := s.m[id]
+		if !ok {
+			if s.perKind[id.kind] >= maxSeriesPerKind {
+				s.dropped.Inc()
+				return
+			}
+			s.perKind[id.kind]++
+			acc = &seriesAcc{
+				sum: make([]float64, 0, seriesWindowCap),
+				cnt: make([]int64, 0, seriesWindowCap),
+			}
+			s.m[id] = acc
 		}
-		s.perKind[id.kind]++
-		acc = &seriesAcc{
-			sum: make([]float64, 0, seriesWindowCap),
-			cnt: make([]int64, 0, seriesWindowCap),
-		}
-		s.m[id] = acc
+		p = s.front.claim(key)
+		*p = acc
 	}
+	acc := *p
 	idx := int(at / s.window)
 	for len(acc.sum) <= idx {
 		acc.sum = append(acc.sum, 0)

@@ -79,6 +79,41 @@ func TestSeriesCardinalityGuard(t *testing.T) {
 	if got := reg.Snapshot().Series["rate_bps flow000/sf0"].Count[0]; got != 2 {
 		t.Errorf("existing series stopped accumulating: count %d", got)
 	}
+
+	// Far more labels than the front cache has ways for, live and over-cap
+	// interleaved: every live label still lands in its own series, every
+	// over-cap sample is counted and nothing else, and none of it allocates.
+	const over, rounds = 100, 5
+	names := make([]string, maxSeriesPerKind+over)
+	for i := range names {
+		names[i] = fmt.Sprintf("flow%03d", i)
+	}
+	sweep := func() {
+		for i, name := range names {
+			b.RateChange(3*sim.Millisecond, name, 0, float64(i))
+		}
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(rounds-1, sweep); allocs != 0 {
+		t.Errorf("a sweep over %d labels allocated %.0f times, want 0", len(names), allocs)
+	}
+	s = reg.Snapshot()
+	if got, want := s.Counters["series.dropped"], float64(8+(rounds+1)*over); got != want {
+		t.Errorf("series.dropped = %v, want %v", got, want)
+	}
+	if len(s.Series) != maxSeriesPerKind {
+		t.Errorf("%d series after the sweeps, want %d", len(s.Series), maxSeriesPerKind)
+	}
+	for i, name := range names[:maxSeriesPerKind] {
+		sd := s.Series["rate_bps "+name+"/sf0"]
+		wantCount, wantSum := int64(1+rounds+1), 1e6+float64((rounds+1)*i)
+		if i == 0 {
+			wantCount, wantSum = wantCount+1, wantSum+3e6
+		}
+		if sd == nil || sd.Count[0] != wantCount || sd.Sum[0] != wantSum {
+			t.Fatalf("series %s = %+v, want count %d sum %v", name, sd, wantCount, wantSum)
+		}
+	}
 }
 
 func TestSeriesObserveAllocFree(t *testing.T) {
@@ -96,7 +131,28 @@ func TestSeriesObserveAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm series observation allocated %.2f allocs/op, want 0", allocs)
 	}
-	_ = reg
+
+	// Thirty live labels of one kind cannot all sit in the front cache's
+	// four-way sets at once with certainty; whichever path resolves a label
+	// — a front hit, or the map and a re-claimed front slot — allocates nothing.
+	flows := make([]string, 15)
+	for i := range flows {
+		flows[i] = fmt.Sprintf("f%02d", i)
+		b.RTTSample(0, flows[i], 0, sim.Millisecond)
+		b.RTTSample(0, flows[i], 1, sim.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		at += 20 * sim.Microsecond
+		for _, f := range flows {
+			b.RTTSample(at, f, 0, sim.Millisecond)
+			b.RTTSample(at, f, 1, sim.Millisecond)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm observation of %d labels allocated %.2f allocs/op, want 0", 2*len(flows), allocs)
+	}
+	if got := reg.Snapshot().Counters["series.dropped"]; got != 0 {
+		t.Errorf("series.dropped = %v with every label under the guard", got)
+	}
 }
 
 func TestSnapshotMerge(t *testing.T) {
@@ -212,5 +268,34 @@ func TestTimelineDumpRoundTripAndRender(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "0.000,,1e+07,") {
 		t.Errorf("csv row 0 = %q", lines[1])
+	}
+}
+
+// The series store's two paths, for `go test -bench Series ./internal/obs`:
+// the handful of labels an ordinary run samples over and over, and a churn
+// run's stream of labels past the cardinality guard.
+
+func BenchmarkSeriesObserveHot(b *testing.B) {
+	s := newSeriesStore(DefaultSeriesWindow, &Counter{})
+	ids := []seriesID{{seriesRTT, "mp", 0}, {seriesRTT, "mp", 1}, {seriesRTT, "sp", 0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.observe(ids[i%len(ids)], sim.Time(i)*sim.Microsecond, 0.03)
+	}
+}
+
+func BenchmarkSeriesObserveOverCap(b *testing.B) {
+	s := newSeriesStore(DefaultSeriesWindow, &Counter{})
+	ids := make([]seriesID, maxSeriesPerKind+1000)
+	for i := range ids {
+		ids[i] = seriesID{seriesRTT, fmt.Sprintf("s%06d", i), int32(i & 1)}
+		s.observe(ids[i], 0, 0.03)
+	}
+	ids = ids[maxSeriesPerKind:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.observe(ids[i%len(ids)], sim.Time(i)*sim.Microsecond, 0.03)
 	}
 }
