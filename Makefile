@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-compare examples fuzz simtest soak fmt loc
+.PHONY: build test check bench-compare figs-compare examples fuzz simtest soak fmt loc
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,23 @@ bench-compare:
 		(cd "$$tmp/base" && $(GO) run ./benchmark -seed $(BENCH_SEED) -out "$$tmp/base.json" >/dev/null) && \
 		$(GO) run ./benchmark -seed $(BENCH_SEED) -out "$$tmp/change.json" >/dev/null && \
 		$(GO) run ./benchmark -compare "$$tmp/base.json" "$$tmp/change.json"
+
+# Before/after of every experiment table: check BASE out into a temporary
+# directory, build mpccbench there and here, run `-exp all $(FIGS_ARGS)` on
+# both and diff stdout with the `[id: … wall …]` timing lines removed — exit
+# status 1 on any difference. The check for a refactor of internal/exp:
+# `make figs-compare BASE=HEAD~1 FIGS_ARGS='-dur 4s -warmup 2s -workers 1'`;
+# ~30 s per side at that scale.
+FIGS_ARGS ?= -dur 4s -warmup 2s
+figs-compare:
+	@test -n "$(BASE)" || { echo "usage: make figs-compare BASE=<rev> [FIGS_ARGS='-dur 4s -warmup 2s']"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+		(cd "$$tmp/base" && $(GO) build -o "$$tmp/mpccbench.base" ./cmd/mpccbench) && \
+		$(GO) build -o "$$tmp/mpccbench.change" ./cmd/mpccbench && \
+		"$$tmp/mpccbench.base" -exp all $(FIGS_ARGS) | grep -v '^\[' > "$$tmp/base.txt" && \
+		"$$tmp/mpccbench.change" -exp all $(FIGS_ARGS) | grep -v '^\[' > "$$tmp/change.txt" && \
+		diff "$$tmp/base.txt" "$$tmp/change.txt" && echo "figs-compare: every table identical to $(BASE)"
 
 # Deep simulation-testing sweep: SIMTEST_N randomized scenarios under the
 # full invariant oracle (see internal/simtest and DESIGN.md "Correctness

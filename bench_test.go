@@ -63,17 +63,7 @@ func BenchmarkFig8ChangingConditionsSP(b *testing.B) {
 
 func BenchmarkFig9SelfInducedLatency(b *testing.B) { runExp(b, "fig9", benchCfg()) }
 func BenchmarkFig10aFairness(b *testing.B)         { runExp(b, "fig10", benchCfg()) }
-
-func BenchmarkFig10bUtilization(b *testing.B) {
-	cfg := benchCfg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, util := exp.ConvergenceSuite(cfg)
-		if len(util.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkFig10bUtilization(b *testing.B)      { runExp(b, "fig10", benchCfg()) }
 
 func BenchmarkFig11Convergence(b *testing.B) { runExp(b, "fig11", benchCfg()) }
 func BenchmarkFig12CubicBuffer(b *testing.B) { runExp(b, "fig12", benchCfg()) }

@@ -13,13 +13,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"mpcc/internal/exp"
@@ -27,27 +28,63 @@ import (
 	"mpcc/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit, so
+// tests can drive it: 0 on success, 1 when a file cannot be created or
+// written, 2 on a bad flag or an unknown experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpccbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list available experiments")
-		id      = flag.String("exp", "", "experiment id (or \"all\")")
-		dur     = flag.Duration("dur", 20*time.Second, "virtual run duration")
-		warmup  = flag.Duration("warmup", 8*time.Second, "warmup omitted from averages")
-		reps    = flag.Int("reps", 1, "repetitions to average")
-		seed    = flag.Int64("seed", 42, "base random seed")
-		full    = flag.Bool("full", false, "paper-scale sweeps (576-config grids, 75 MB downloads)")
-		csvdir  = flag.String("csvdir", "", "also write each table as CSV into this directory")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = sequential); output is identical for any value")
-		shards  = flag.Int("shards", 0, "worker shards per simulation (0 = single engine); multi-cluster topologies split one run across cores, output is identical for any value")
-		tracef  = flag.String("trace", "", "write a JSONL probe trace of every simulation to this file (forces -workers 1 for run-order reproducibility)")
-		timelf  = flag.String("timeline", "", "write each run's windowed series as a timeline-dump line to this file (mpcctrace timeline reads it; forces -workers 1)")
-		flrecf  = flag.String("flightrec", "", "write the flight recorder — the last ~4k probe events across all runs — to this file on exit (forces -workers 1)")
-		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		list    = fs.Bool("list", false, "list available experiments")
+		id      = fs.String("exp", "", "experiment id (or \"all\")")
+		dur     = fs.Duration("dur", 20*time.Second, "virtual run duration")
+		warmup  = fs.Duration("warmup", 8*time.Second, "warmup omitted from averages")
+		reps    = fs.Int("reps", 1, "repetitions to average")
+		seed    = fs.Int64("seed", 42, "base random seed")
+		full    = fs.Bool("full", false, "paper-scale sweeps (576-config grids, 75 MB downloads)")
+		csvdir  = fs.String("csvdir", "", "also write each table as CSV into this directory")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = sequential); output is identical for any value")
+		shards  = fs.Int("shards", 0, "worker shards per simulation (0 = single engine); multi-cluster topologies split one run across cores, output is identical for any value")
+		tracef  = fs.String("trace", "", "write a JSONL probe trace of every simulation to this file (forces -workers 1 for run-order reproducibility)")
+		timelf  = fs.String("timeline", "", "write each run's windowed series as a timeline-dump line to this file (mpcctrace timeline reads it; forces -workers 1)")
+		flrecf  = fs.String("flightrec", "", "write the flight recorder — the last ~4k probe events across all runs — to this file on exit (forces -workers 1)")
+		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Values that would make every table meaningless (NaN or all-zero cells)
+	// are refused instead of run.
+	var bad string
+	switch {
+	case *reps < 1:
+		bad = fmt.Sprintf("-reps %d: need at least 1 repetition", *reps)
+	case *dur <= 0:
+		bad = fmt.Sprintf("-dur %v: need a positive duration", *dur)
+	case *warmup >= *dur:
+		bad = fmt.Sprintf("-warmup %v leaves nothing of -dur %v to measure", *warmup, *dur)
+	case *workers < 1:
+		bad = fmt.Sprintf("-workers %d: need at least 1 worker", *workers)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, bad)
+		return 2
+	}
 	exp.SetWorkers(*workers)
 	exp.SetShards(*shards)
+
+	// fail reports a file that could not be created or written; the caller
+	// returns 1.
+	fail := func(what string, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", what, err)
+		return 1
+	}
 
 	// The observability taps share one wiring pattern: sinks shared by all
 	// runs, a fresh bus+registry per run, run-start/run-end markers segmenting
@@ -58,8 +95,7 @@ func main() {
 	if *tracef != "" {
 		f, err := os.Create(*tracef)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			return fail("trace", err)
 		}
 		jw := obs.NewJSONLWriter(f)
 		defer jw.Close()
@@ -68,23 +104,22 @@ func main() {
 	if *flrecf != "" {
 		f, err := os.Create(*flrecf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			os.Exit(1)
+			return fail("flightrec", err)
 		}
 		fr := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
 		sharedSinks = append(sharedSinks, fr)
 		defer func() {
 			if err := fr.WriteJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
+				fail("flightrec", err)
 			}
 			f.Close()
 		}()
 	}
+	var timelineErr error
 	if *timelf != "" {
 		f, err := os.Create(*timelf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-			os.Exit(1)
+			return fail("timeline", err)
 		}
 		defer f.Close()
 		runIdx := 0
@@ -92,25 +127,24 @@ func main() {
 		exp.SetSnapshotSink(func(_ int64, s *obs.Snapshot) {
 			buf = obs.AppendTimeline(buf[:0], runIdx, s.Series)
 			runIdx++
-			if _, err := f.Write(buf); err != nil {
-				fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-				os.Exit(1)
+			if timelineErr == nil {
+				_, timelineErr = f.Write(buf)
 			}
 		})
+		defer exp.SetSnapshotSink(nil)
 	}
 	if len(sharedSinks) > 0 || *timelf != "" {
 		exp.SetProbeFactory(func() *obs.Bus { return obs.NewBus(sharedSinks...) })
+		defer exp.SetProbeFactory(nil)
 		exp.SetWorkers(1)
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -121,28 +155,26 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprof)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fail("memprofile", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the final live set
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fail("memprofile", err)
 			}
 		}()
 	}
 
 	if *list || *id == "" {
-		fmt.Println("experiments:")
-		reg := exp.Registry()
-		sort.Slice(reg, func(i, j int) bool { return reg[i].ID < reg[j].ID })
-		for _, e := range reg {
-			fmt.Printf("  %-22s %s\n", e.ID, e.Desc)
+		fmt.Fprintln(stdout, "experiments:")
+		for _, e := range exp.Registry() {
+			fmt.Fprintf(stdout, "  %-22s %s\n", e.ID, e.Desc)
 		}
-		if *id == "" && !*list {
-			os.Exit(2)
+		if !*list {
+			return 2
 		}
-		return
+		return 0
 	}
 
 	cfg := exp.Config{
@@ -153,23 +185,26 @@ func main() {
 		Full:     *full,
 	}
 
-	run := func(e exp.Experiment) {
+	ran := false
+	for _, e := range exp.Registry() {
+		if *id != "all" && *id != e.ID {
+			continue
+		}
+		ran = true
 		start := time.Now()
 		simsBefore := exp.SimsRun()
 		for i, t := range e.Run(cfg) {
-			t.Fprint(os.Stdout)
-			fmt.Println()
+			t.Fprint(stdout)
+			fmt.Fprintln(stdout)
 			if *csvdir != "" {
 				name := filepath.Join(*csvdir, fmt.Sprintf("%s_%d.csv", e.ID, i))
-				f, err := os.Create(name)
-				if err == nil {
-					err = t.WriteCSV(f)
-					f.Close()
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "csv %s: %v\n", name, err)
+				if err := writeCSV(name, t); err != nil {
+					return fail("csv", err)
 				}
 			}
+		}
+		if timelineErr != nil {
+			return fail("timeline", timelineErr)
 		}
 		wall := time.Since(start).Seconds()
 		sims := exp.SimsRun() - simsBefore
@@ -177,22 +212,26 @@ func main() {
 		if wall > 0 {
 			rate = float64(sims) / wall
 		}
-		fmt.Printf("[%s: %.1fs wall, %d sims, %.1f sims/s, %d workers]\n\n",
+		fmt.Fprintf(stdout, "[%s: %.1fs wall, %d sims, %.1f sims/s, %d workers]\n\n",
 			e.ID, wall, sims, rate, exp.Workers())
 	}
+	if !ran {
+		fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", *id)
+		return 2
+	}
+	return 0
+}
 
-	if *id == "all" {
-		for _, e := range exp.Registry() {
-			run(e)
-		}
-		return
+// writeCSV writes one table to a fresh file, reporting the first failure of
+// create, write or close.
+func writeCSV(name string, t *exp.Table) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
 	}
-	for _, e := range exp.Registry() {
-		if e.ID == *id {
-			run(e)
-			return
-		}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *id)
-	os.Exit(2)
+	return f.Close()
 }

@@ -18,8 +18,8 @@ import (
 	"strings"
 	"time"
 
-	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/exp"
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 )
@@ -79,18 +79,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceW := csv.NewWriter(f)
 		defer traceW.Flush()
 		traceW.Write([]string{"t_seconds", "subflow", "kind", "state", "rate_mbps", "utility"})
-		mp.Attach.MPCCTracer = func(ev ccmpcc.TraceEvent) {
-			kind := "utility"
-			if ev.Decision {
-				kind = "decision"
+		// A bus of the mp flow's own: every MI decision and utility sample
+		// of its controllers becomes a row. A per-flow bus starts no sampler
+		// timer, so tracing cannot move the event count.
+		mp.Attach.Probes = obs.NewBus(obs.SinkFunc(func(e obs.Event) {
+			kind, rateBps, utility := "decision", e.Value, 0.0
+			if e.Kind == obs.KindUtility {
+				kind, rateBps, utility = "utility", e.Aux, e.Value
+			} else if e.Kind != obs.KindMIDecision {
+				return
 			}
 			traceW.Write([]string{
-				strconv.FormatFloat(ev.At.Seconds(), 'f', 4, 64),
-				strconv.Itoa(ev.Subflow), kind, ev.State,
-				strconv.FormatFloat(ev.RateBps/1e6, 'f', 3, 64),
-				strconv.FormatFloat(ev.Utility, 'f', 4, 64),
+				strconv.FormatFloat(e.At.Seconds(), 'f', 4, 64),
+				strconv.Itoa(int(e.Subflow)), kind, e.State,
+				strconv.FormatFloat(rateBps/1e6, 'f', 3, 64),
+				strconv.FormatFloat(utility, 'f', 4, 64),
 			})
-		}
+		}))
 	}
 
 	flows := []exp.FlowSpec{mp}

@@ -139,15 +139,11 @@ type Controller struct {
 	state phase
 	rate  float64 // current base rate, bps
 
-	// Observability: probes is the composite bus the controller emits into,
-	// rebuilt whenever either source changes — ext (the run-wide bus handed
-	// over by SetProbes) or tracer (the legacy SetTracer hook, served by an
-	// adapter sink). nil when both are absent, which keeps emission on the
-	// nil-receiver fast path.
+	// Observability: the bus SetProbes handed over, and the connection name
+	// its events are tagged with. nil keeps emission on the nil-receiver
+	// fast path.
 	probes *obs.Bus
-	ext    *obs.Bus
 	flow   string
-	tracer func(TraceEvent)
 
 	// planned mirrors, in order, the MIs the transport has started; the
 	// n-th OnMIComplete corresponds to planned[n] (completions arrive in
@@ -596,63 +592,7 @@ func (c *Controller) clamp(r float64) float64 {
 	return r
 }
 
-// TraceEvent records one controller decision, for offline analysis of the
-// learning dynamics (cmd/mpccsim -trace).
-type TraceEvent struct {
-	At      sim.Time
-	Subflow int
-	State   string  // phase at decision time
-	RateBps float64 // rate chosen for the starting MI
-	Utility float64 // utility of the completed MI (Decision=false events)
-	// Decision is true for rate choices (NextRate), false for utility
-	// observations (OnMIComplete).
-	Decision bool
-}
-
-// SetTracer installs a hook invoked on every rate decision and utility
-// observation. Pass nil to disable. The hook must not retain the event.
-//
-// It is now an adapter over the probe bus: decisions arrive as
-// obs.KindMIDecision events and utilities as obs.KindUtility, translated
-// back into TraceEvents. SetTracer and SetProbes compose — both receive
-// every event.
-func (c *Controller) SetTracer(fn func(TraceEvent)) {
-	c.tracer = fn
-	c.rebuildProbes()
-}
-
 // SetProbes attaches the observability bus the controller emits MI decisions
 // and utility samples into, tagging each event with flow (the connection
 // name). Implements cc.ProbeSetter. nil detaches.
-func (c *Controller) SetProbes(b *obs.Bus, flow string) {
-	c.ext, c.flow = b, flow
-	c.rebuildProbes()
-}
-
-// rebuildProbes recomputes the composite emission bus from the external bus
-// and the legacy tracer hook.
-func (c *Controller) rebuildProbes() {
-	if c.ext == nil && c.tracer == nil {
-		c.probes = nil
-		return
-	}
-	c.probes = obs.NewBus()
-	if c.ext != nil {
-		c.probes.AddSink(c.ext) // a Bus is itself a Sink
-	}
-	if c.tracer != nil {
-		c.probes.AddSink(tracerSink(c.tracer))
-	}
-}
-
-// tracerSink adapts a SetTracer hook into an obs.Sink.
-func tracerSink(fn func(TraceEvent)) obs.Sink {
-	return obs.SinkFunc(func(e obs.Event) {
-		switch e.Kind {
-		case obs.KindMIDecision:
-			fn(TraceEvent{At: e.At, Subflow: int(e.Subflow), State: e.State, RateBps: e.Value, Decision: true})
-		case obs.KindUtility:
-			fn(TraceEvent{At: e.At, Subflow: int(e.Subflow), State: e.State, RateBps: e.Aux, Utility: e.Value})
-		}
-	})
-}
+func (c *Controller) SetProbes(b *obs.Bus, flow string) { c.probes, c.flow = b, flow }

@@ -416,10 +416,11 @@ func Churn(cfg Config) []*Table {
 			"peak_active", "fct_p50_s", "fct_p99_s", "fct_p999_s"},
 	}
 	capBps := 2 * topo.DefaultRate
-	stats := make([]*ChurnStats, len(ChurnLoads))
-	RunParallel(len(ChurnLoads), func(i int) {
-		stats[i] = Run(ChurnSpecAt(cfg, ChurnLoads[i])).Churn
-	})
+	specs := make([]Spec, len(ChurnLoads))
+	for i, rho := range ChurnLoads {
+		specs[i] = ChurnSpecAt(cfg, rho)
+	}
+	stats := runSpecs(specs, 1, func(r *Result) *ChurnStats { return r.Churn })
 	dur := cfg.Duration.Seconds()
 	var knee, at2x float64
 	for i, rho := range ChurnLoads {

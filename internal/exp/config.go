@@ -1,6 +1,9 @@
 package exp
 
-import "mpcc/internal/sim"
+import (
+	"mpcc/internal/sim"
+	"mpcc/internal/topo"
+)
 
 // Config scales the experiments. The paper runs 200 s × 5 repetitions with
 // the first 30 s omitted; convergence happens within a few hundred monitor
@@ -24,4 +27,10 @@ func DefaultConfig() Config {
 // QuickConfig returns an even shorter configuration for benchmarks.
 func QuickConfig() Config {
 	return Config{Duration: 10 * sim.Second, Warmup: 4 * sim.Second, Reps: 1, Seed: 42}
+}
+
+// spec starts a Spec at the configuration's scale — its seed, duration and
+// warm-up — for protocol p on topology tp with the given (or no) link tweak.
+func (c Config) spec(tp *topo.Topology, p Protocol, tweak func(*topo.Net)) Spec {
+	return Spec{Seed: c.Seed, Duration: c.Duration, Warmup: c.Warmup, Topo: tp, Proto: p, Tweak: tweak}
 }

@@ -70,12 +70,12 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 			[]transport.ConnOption{transport.WithFailThreshold(0)}},
 	}
 
-	var rows []FaultRow
-	for _, v := range variants {
+	specs := make([]Spec, len(variants))
+	for i, v := range variants {
 		opts := append([]transport.ConnOption{
 			transport.WithRcvBuf(16384 * transport.DefaultMSS),
 		}, v.extra...)
-		spec := Spec{
+		specs[i] = Spec{
 			Seed:     cfg.Seed,
 			Duration: d,
 			Warmup:   outStart - 2*sim.Second,
@@ -93,11 +93,10 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 					Attach: AttachOptions{ConnOptions: opts}},
 			},
 		}
-		res := Run(spec)
+	}
+	rows := runSpecs(specs, 1, func(res *Result) (row FaultRow) {
 		mp, sp := res.Flows["mp"], res.Flows["sp"]
 		sb, eb, db := int(outStart/faultBucket), int(outEnd/faultBucket), int(d/faultBucket)
-
-		row := FaultRow{Label: v.label}
 		row.PreBps = winMedian(mp.Series, sb-40, sb)
 		row.OutageBps = winMean(mp.Series, sb, eb)
 		if row.PreBps > 0 {
@@ -108,7 +107,10 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 		row.SPPreBps = winMedian(sp.Series, sb-40, sb)
 		row.SPPostBps = winMedian(sp.Series, eb+20, db)
 		row.RecoverSec = sustainedSince(sp.Series, eb, db, 0.8*row.SPPreBps)
-		rows = append(rows, row)
+		return row
+	})
+	for i, v := range variants {
+		rows[i].Label = v.label
 	}
 	return rows, outStart, outEnd
 }

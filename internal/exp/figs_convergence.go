@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"mpcc/internal/topo"
-)
+import "mpcc/internal/topo"
 
 // Fig9Buffers is the deep-buffer sweep of Fig. 9 (KB, ≥ BDP).
 var Fig9Buffers = []int{375, 500, 700, 1000}
@@ -12,70 +8,52 @@ var Fig9Buffers = []int{375, 500, 700, 1000}
 // Fig9Protocols is the Fig. 9 lineup.
 var Fig9Protocols = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, Reno, BBR}
 
-// SelfInducedLatency reproduces Fig. 9: two multipath connections share two
+// selfInducedLatency declares Fig. 9: two multipath connections share two
 // links (topology 3e); as buffers grow past the BDP, loss-based protocols
 // fill them and inflate RTT, while MPCC-latency keeps queues short.
-func SelfInducedLatency(cfg Config) *Table {
-	t := &Table{
-		Title:  "Fig 9 — mean self-induced latency vs buffer size (topology 3e), ms (±stddev)",
-		Header: append([]string{"buffer_KB"}, protoNames(Fig9Protocols)...),
+func selfInducedLatency(cfg Config) sweep[int] {
+	return sweep[int]{
+		head: []string{"buffer_KB"}, rows: Fig9Buffers, label: kbLabel,
+		protos: Fig9Protocols, reps: cfg.Reps,
+		spec: func(buf int, p Protocol) Spec {
+			return cfg.spec(topo.Fig3e(), p, func(n *topo.Net) {
+				n.Link("link1").SetBuffer(buf * 1000)
+				n.Link("link2").SetBuffer(buf * 1000)
+			})
+		},
+		metrics: []metric{{
+			title:  "Fig 9 — mean self-induced latency vs buffer size (topology 3e), ms (±stddev)",
+			format: "%.0f",
+			value: func(r *Result) float64 {
+				return (r.Flows["mp1"].LatencyMean + r.Flows["mp2"].LatencyMean) / 2 * 1e3
+			},
+			spread: func(r *Result) float64 {
+				return (r.Flows["mp1"].LatencyStd + r.Flows["mp2"].LatencyStd) / 2 * 1e3
+			},
+		}},
 	}
-	for _, buf := range Fig9Buffers {
-		row := []string{fmt.Sprint(buf)}
-		for _, p := range Fig9Protocols {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo:  topo.Fig3e(),
-				Proto: p,
-				Tweak: func(n *topo.Net) {
-					n.Link("link1").SetBuffer(buf * 1000)
-					n.Link("link2").SetBuffer(buf * 1000)
-				},
-			}, cfg.Reps)
-			mean := (res.Flows["mp1"].LatencyMean + res.Flows["mp2"].LatencyMean) / 2
-			std := (res.Flows["mp1"].LatencyStd + res.Flows["mp2"].LatencyStd) / 2
-			row = append(row, fmt.Sprintf("%.0f±%.0f", mean*1e3, std*1e3))
-		}
-		t.AddRow(row...)
-	}
-	return t
 }
 
 // Fig10Protocols is the Fig. 10 lineup.
 var Fig10Protocols = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, Reno, BBR}
 
-// ConvergenceSuite reproduces Fig. 10: Jain fairness index (10a) and
+// convergenceSuite declares Fig. 10: Jain fairness index (10a) and
 // normalized total goodput (10b) for each protocol on the five topologies,
 // with BDP buffers everywhere (the conditions under which MPTCP converges).
-func ConvergenceSuite(cfg Config) (fairnessTab, utilizationTab *Table) {
-	topos := topo.ConvergenceSuite()
-	names := make([]string, len(topos))
-	for i, tp := range topos {
-		names[i] = tp.Name
+func convergenceSuite(cfg Config) sweep[*topo.Topology] {
+	return sweep[*topo.Topology]{
+		head: []string{"protocol"}, byProto: true,
+		rows:   topo.ConvergenceSuite(),
+		label:  func(tp *topo.Topology) []string { return []string{tp.Name} },
+		protos: Fig10Protocols, reps: cfg.Reps,
+		spec: func(tp *topo.Topology, p Protocol) Spec { return cfg.spec(tp, p, nil) },
+		metrics: []metric{
+			{title: "Fig 10a — Jain fairness index per topology", format: "%.3f",
+				value: func(r *Result) float64 { return r.Jain }},
+			{title: "Fig 10b — total goodput / total capacity per topology", format: "%.3f",
+				value: func(r *Result) float64 { return r.Utilization }},
+		},
 	}
-	fairnessTab = &Table{
-		Title:  "Fig 10a — Jain fairness index per topology",
-		Header: append([]string{"protocol"}, names...),
-	}
-	utilizationTab = &Table{
-		Title:  "Fig 10b — total goodput / total capacity per topology",
-		Header: append([]string{"protocol"}, names...),
-	}
-	for _, p := range Fig10Protocols {
-		frow := []string{string(p)}
-		urow := []string{string(p)}
-		for _, tp := range topos {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo: tp, Proto: p,
-			}, cfg.Reps)
-			frow = append(frow, fmt.Sprintf("%.3f", res.Jain))
-			urow = append(urow, fmt.Sprintf("%.3f", res.Utilization))
-		}
-		fairnessTab.AddRow(frow...)
-		utilizationTab.AddRow(urow...)
-	}
-	return fairnessTab, utilizationTab
 }
 
 // ObservationSinglePath probes the §7.2.5 observation on the OLIA topology
@@ -90,16 +68,18 @@ func ObservationSinglePath(cfg Config) *Table {
 		Title:  "§7.2.5 observation — total goodput on the OLIA topology (optimum 200 Mbps)",
 		Header: []string{"protocol", "total_Mbps", "sp_Mbps", "mp_Mbps", "mp_on_shared_Mbps"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, p := range []Protocol{MPCCLoss, LIA, OLIA, Reno, BBR} {
-		res := RunAveraged(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig4a(), Proto: p,
-		}, cfg.Reps)
-		sp, mp := res.Flows["sp"], res.Flows["mp"]
-		t.AddRow(string(p),
-			mbps(sp.GoodputBps+mp.GoodputBps),
-			mbps(sp.GoodputBps), mbps(mp.GoodputBps),
-			mbps(mp.SubflowGoodputBps[0]))
+		labels = append(labels, string(p))
+		specs = append(specs, cfg.spec(topo.Fig4a(), p, nil))
 	}
+	t.rowPerSpec(labels, specs, cfg.Reps, func(res *Result) []string {
+		sp, mp := res.Flows["sp"], res.Flows["mp"]
+		return []string{
+			mbps(sp.GoodputBps + mp.GoodputBps),
+			mbps(sp.GoodputBps), mbps(mp.GoodputBps),
+			mbps(mp.SubflowGoodputBps[0])}
+	})
 	return t
 }

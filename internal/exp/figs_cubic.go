@@ -1,70 +1,24 @@
 package exp
 
-import (
-	"fmt"
-
-	"mpcc/internal/topo"
-)
+import "mpcc/internal/topo"
 
 // Fig12Protocols is the Figs. 12–13 multipath lineup (the paper drops the
 // TCP-unfriendly MPCC-loss and focuses on MPCC-latency, §7.2.6).
 var Fig12Protocols = []Protocol{MPCCLatency, LIA, OLIA, Balia, WVegas, Reno}
 
-// CubicFriendlinessBuffer reproduces Fig. 12: on topology 3c with a
+// cubicFriendlinessBuffer declares Fig. 12: on topology 3c with a
 // single-path TCP Cubic competitor on link 2, sweep link 1's buffer and
 // report both the multipath and the Cubic goodput.
-func CubicFriendlinessBuffer(cfg Config) (mpTab, spTab *Table) {
-	mpTab = &Table{
-		Title:  "Fig 12a — multipath goodput vs link-1 buffer, SP=Cubic (topology 3c), Mbps",
-		Header: append([]string{"buffer_KB"}, protoNames(Fig12Protocols)...),
-	}
-	spTab = &Table{
-		Title:  "Fig 12b — single-path Cubic goodput vs link-1 buffer (topology 3c), Mbps",
-		Header: append([]string{"buffer_KB"}, protoNames(Fig12Protocols)...),
-	}
-	for _, buf := range Fig5aBuffers {
-		mpRow := []string{fmt.Sprint(buf)}
-		spRow := []string{fmt.Sprint(buf)}
-		for _, p := range Fig12Protocols {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo: topo.Fig3c(), Proto: p, SPProto: Cubic,
-				Tweak: bufTweak("link1", buf*1000),
-			}, cfg.Reps)
-			mpRow = append(mpRow, mbps(res.Flows["mp"].GoodputBps))
-			spRow = append(spRow, mbps(res.Flows["sp"].GoodputBps))
-		}
-		mpTab.AddRow(mpRow...)
-		spTab.AddRow(spRow...)
-	}
-	return mpTab, spTab
+func cubicFriendlinessBuffer(cfg Config) sweep[int] {
+	return bufferSweep(cfg, topo.Fig3c, Fig12Protocols, Cubic,
+		goodputMbps("Fig 12a — multipath goodput vs link-1 buffer, SP=Cubic (topology 3c), Mbps", "mp"),
+		goodputMbps("Fig 12b — single-path Cubic goodput vs link-1 buffer (topology 3c), Mbps", "sp"))
 }
 
-// CubicFriendlinessLoss reproduces Fig. 13: the same setup with random loss
+// cubicFriendlinessLoss declares Fig. 13: the same setup with random loss
 // on link 1 instead of a buffer sweep.
-func CubicFriendlinessLoss(cfg Config) (mpTab, spTab *Table) {
-	mpTab = &Table{
-		Title:  "Fig 13a — multipath goodput vs link-1 random loss, SP=Cubic (topology 3c), Mbps",
-		Header: append([]string{"loss_pct"}, protoNames(Fig12Protocols)...),
-	}
-	spTab = &Table{
-		Title:  "Fig 13b — single-path Cubic goodput vs link-1 random loss (topology 3c), Mbps",
-		Header: append([]string{"loss_pct"}, protoNames(Fig12Protocols)...),
-	}
-	for _, loss := range Fig6LossRates {
-		mpRow := []string{fmt.Sprintf("%g", loss*100)}
-		spRow := []string{fmt.Sprintf("%g", loss*100)}
-		for _, p := range Fig12Protocols {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo: topo.Fig3c(), Proto: p, SPProto: Cubic,
-				Tweak: lossTweak("link1", loss),
-			}, cfg.Reps)
-			mpRow = append(mpRow, mbps(res.Flows["mp"].GoodputBps))
-			spRow = append(spRow, mbps(res.Flows["sp"].GoodputBps))
-		}
-		mpTab.AddRow(mpRow...)
-		spTab.AddRow(spRow...)
-	}
-	return mpTab, spTab
+func cubicFriendlinessLoss(cfg Config) sweep[float64] {
+	return lossSweep(cfg, topo.Fig3c, Fig12Protocols, Cubic,
+		goodputMbps("Fig 13a — multipath goodput vs link-1 random loss, SP=Cubic (topology 3c), Mbps", "mp"),
+		goodputMbps("Fig 13b — single-path Cubic goodput vs link-1 random loss (topology 3c), Mbps", "sp"))
 }

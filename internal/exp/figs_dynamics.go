@@ -22,6 +22,8 @@ type ChangingResult struct {
 	SPGoodput  map[Protocol][]float64
 	TrackError map[Protocol]float64 // mean |subflow − opt| in Mbps
 	FairError  map[Protocol]float64 // mean |sp − fair share| in Mbps
+
+	protos []Protocol // the lineup that ran, in table-column order
 }
 
 // Fig7Protocols is the protocol lineup of Figs. 7–8.
@@ -32,7 +34,12 @@ var Fig7Protocols = []Protocol{MPCCLatency, Reno, LIA, OLIA, Balia, WVegas}
 // 30 s epochs over 1400 s; epochDur scales that down) and each protocol's
 // tracking of the optimum is measured.
 func ChangingConditions(cfg Config, epochs int, epochDur sim.Time) *ChangingResult {
+	return changingConditions(cfg, epochs, epochDur, Fig7Protocols)
+}
+
+func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Protocol) *ChangingResult {
 	r := &ChangingResult{
+		protos:     protos,
 		MPSubflow:  make(map[Protocol][]float64),
 		SPGoodput:  make(map[Protocol][]float64),
 		TrackError: make(map[Protocol]float64),
@@ -68,15 +75,14 @@ func ChangingConditions(cfg Config, epochs int, epochDur sim.Time) *ChangingResu
 		r.FairMbps = append(r.FairMbps, alloc.Totals[1])
 	}
 
-	duration := sim.Time(epochs) * epochDur
-	for _, p := range Fig7Protocols {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: duration, Warmup: 0,
+	specs := make([]Spec, len(protos))
+	for i, p := range protos {
+		specs[i] = Spec{
+			Seed: cfg.Seed, Duration: sim.Time(epochs) * epochDur, Warmup: 0,
 			Topo:  topo.Fig3c(),
 			Proto: p,
 			Tweak: func(n *topo.Net) {
 				for i, c := range conds {
-					c := c
 					n.Eng.At(sim.Time(i)*epochDur, func() {
 						l := n.Link("link1")
 						l.SetRate(c.bw)
@@ -85,68 +91,63 @@ func ChangingConditions(cfg Config, epochs int, epochDur sim.Time) *ChangingResu
 					})
 				}
 			},
-		})
+		}
+	}
+	type tracking struct {
+		mp, sp            []float64
+		trackErr, fairErr float64
+	}
+	for i, tr := range runSpecs(specs, 1, func(res *Result) (tr tracking) {
 		mpSeries := res.Flows["mp"].SubflowSeries[0] // subflow on link1
 		spSeries := res.Flows["sp"].Series
 		bucketsPerEpoch := int(epochDur / (100 * sim.Millisecond))
-		var mp, sp []float64
-		var trackErr, fairErr float64
 		for i := 0; i < epochs; i++ {
 			// Skip the first half of each epoch (adaptation transient).
 			lo := i*bucketsPerEpoch + bucketsPerEpoch/2
 			hi := (i + 1) * bucketsPerEpoch
-			mp = append(mp, meanWindowMbps(mpSeries, lo, hi))
-			sp = append(sp, meanWindowMbps(spSeries, lo, hi))
-			trackErr += abs(mp[i] - r.OptMbps[i])
-			fairErr += abs(sp[i] - r.FairMbps[i])
+			tr.mp = append(tr.mp, meanWindowMbps(mpSeries, lo, hi))
+			tr.sp = append(tr.sp, meanWindowMbps(spSeries, lo, hi))
+			tr.trackErr += abs(tr.mp[i] - r.OptMbps[i])
+			tr.fairErr += abs(tr.sp[i] - r.FairMbps[i])
 		}
-		r.MPSubflow[p] = mp
-		r.SPGoodput[p] = sp
-		r.TrackError[p] = trackErr / float64(epochs)
-		r.FairError[p] = fairErr / float64(epochs)
+		return tr
+	}) {
+		p := protos[i]
+		r.MPSubflow[p] = tr.mp
+		r.SPGoodput[p] = tr.sp
+		r.TrackError[p] = tr.trackErr / float64(epochs)
+		r.FairError[p] = tr.fairErr / float64(epochs)
 	}
 	return r
 }
 
 // Fig7Table renders the Fig. 7 tracking comparison.
 func (r *ChangingResult) Fig7Table() *Table {
-	t := &Table{
-		Title:  "Fig 7 — multipath subflow on changing link 1 vs optimum, Mbps",
-		Header: append([]string{"epoch", "OPT"}, protoNamesFromKeys(r.MPSubflow)...),
-	}
-	names := protoNamesFromKeys(r.MPSubflow)
-	for i := range r.Epochs {
-		row := []string{fmt.Sprint(i), fmt.Sprintf("%.1f", r.OptMbps[i])}
-		for _, n := range names {
-			row = append(row, fmt.Sprintf("%.1f", r.MPSubflow[Protocol(n)][i]))
-		}
-		t.AddRow(row...)
-	}
-	tr := []string{"mean |err|", "0.0"}
-	for _, n := range names {
-		tr = append(tr, fmt.Sprintf("%.1f", r.TrackError[Protocol(n)]))
-	}
-	t.AddRow(tr...)
-	return t
+	return r.table("Fig 7 — multipath subflow on changing link 1 vs optimum, Mbps",
+		"OPT", r.OptMbps, r.MPSubflow, r.TrackError)
 }
 
 // Fig8Table renders the Fig. 8 fair-share comparison.
 func (r *ChangingResult) Fig8Table() *Table {
-	t := &Table{
-		Title:  "Fig 8 — single-path flow vs LMMF fair share under changing conditions, Mbps",
-		Header: append([]string{"epoch", "FAIR"}, protoNamesFromKeys(r.SPGoodput)...),
-	}
-	names := protoNamesFromKeys(r.SPGoodput)
+	return r.table("Fig 8 — single-path flow vs LMMF fair share under changing conditions, Mbps",
+		"FAIR", r.FairMbps, r.SPGoodput, r.FairError)
+}
+
+// table renders one per-epoch comparison: the reference line, then each
+// protocol's series, and a closing row of mean absolute errors.
+func (r *ChangingResult) table(title, refName string, ref []float64,
+	series map[Protocol][]float64, errs map[Protocol]float64) *Table {
+	t := &Table{Title: title, Header: append([]string{"epoch", refName}, protoNames(r.protos)...)}
 	for i := range r.Epochs {
-		row := []string{fmt.Sprint(i), fmt.Sprintf("%.1f", r.FairMbps[i])}
-		for _, n := range names {
-			row = append(row, fmt.Sprintf("%.1f", r.SPGoodput[Protocol(n)][i]))
+		row := []string{fmt.Sprint(i), fmt.Sprintf("%.1f", ref[i])}
+		for _, p := range r.protos {
+			row = append(row, fmt.Sprintf("%.1f", series[p][i]))
 		}
 		t.AddRow(row...)
 	}
 	tr := []string{"mean |err|", "0.0"}
-	for _, n := range names {
-		tr = append(tr, fmt.Sprintf("%.1f", r.FairError[Protocol(n)]))
+	for _, p := range r.protos {
+		tr = append(tr, fmt.Sprintf("%.1f", errs[p]))
 	}
 	t.AddRow(tr...)
 	return t
@@ -160,25 +161,22 @@ func ConvergenceTrace(cfg Config) *Table {
 		Title:  "Fig 11 — convergence on topology 3c: steady-state mean (Mbps) and jitter (stddev, Mbps)",
 		Header: []string{"protocol", "flow", "mean", "jitter"},
 	}
-	for _, p := range []Protocol{MPCCLatency, Balia} {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3c(), Proto: p,
-		})
-		warmBuckets := int(cfg.Warmup / (100 * sim.Millisecond))
-		for _, flow := range []string{"mp", "sp"} {
-			fr := res.Flows[flow]
-			if flow == "mp" {
-				for si, series := range fr.SubflowSeries {
-					post := tailMbps(series, warmBuckets)
-					t.AddRow(string(p), fmt.Sprintf("mp-sf%d", si+1),
-						fmt.Sprintf("%.1f", stats.Mean(post)), fmt.Sprintf("%.1f", stats.Stddev(post)))
-				}
-				continue
-			}
-			post := tailMbps(fr.Series, warmBuckets)
-			t.AddRow(string(p), flow,
-				fmt.Sprintf("%.1f", stats.Mean(post)), fmt.Sprintf("%.1f", stats.Stddev(post)))
+	specs := []Spec{cfg.spec(topo.Fig3c(), MPCCLatency, nil), cfg.spec(topo.Fig3c(), Balia, nil)}
+	warmBuckets := int(cfg.Warmup / (100 * sim.Millisecond))
+	for i, rows := range runSpecs(specs, 1, func(res *Result) (rows [][]string) {
+		stat := func(flow string, series []float64) {
+			post := tailMbps(series, warmBuckets)
+			rows = append(rows, []string{flow,
+				fmt.Sprintf("%.1f", stats.Mean(post)), fmt.Sprintf("%.1f", stats.Stddev(post))})
+		}
+		for si, series := range res.Flows["mp"].SubflowSeries {
+			stat(fmt.Sprintf("mp-sf%d", si+1), series)
+		}
+		stat("sp", res.Flows["sp"].Series)
+		return rows
+	}) {
+		for _, row := range rows {
+			t.AddRow(append([]string{string(specs[i].Proto)}, row...)...)
 		}
 	}
 	return t
@@ -213,14 +211,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func protoNamesFromKeys(m map[Protocol][]float64) []string {
-	var out []string
-	for _, p := range Fig7Protocols {
-		if _, ok := m[p]; ok {
-			out = append(out, string(p))
-		}
-	}
-	return out
 }

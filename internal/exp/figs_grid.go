@@ -54,19 +54,13 @@ type GridResult struct {
 // GridBaselines are the comparison protocols of Figs. 14–15.
 var GridBaselines = []Protocol{LIA, OLIA}
 
-// gridCell is one grid job's output: MPCC/<baseline> ratios for one link
-// pair, in GridBaselines order.
-type gridCell struct {
-	util, jain []float64
-}
-
 // ParameterGrid reproduces Figs. 14 (topology 3c) and 15 (topology 3d):
 // MPCC-latency against LIA and OLIA over the Table-1 link-parameter grid.
 // With cfg.Full it runs all 24² = 576 pairs; otherwise a deterministic
-// 1-in-stride subsample. Link pairs are enumerated up front in the grid
-// order and run concurrently; each job's ratios land in its own slot and
-// are appended to the result in enumeration order, so the distributions are
-// identical for any worker count.
+// 1-in-stride subsample. Every (link pair, protocol) simulation is
+// enumerated up front — pair by pair in grid order, MPCC-latency then the
+// GridBaselines — and the ratios are formed from the reduced
+// (utilization, Jain) points in that order.
 func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridResult {
 	if cfg.Full {
 		stride = 1
@@ -75,47 +69,35 @@ func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridRes
 		stride = 1
 	}
 	grid := Table1Grid()
-	type pair struct{ c1, c2 LinkConfig }
-	var jobs []pair
+	protos := append([]Protocol{MPCCLatency}, GridBaselines...)
+	var specs []Spec
 	idx := 0
 	for _, c1 := range grid {
 		for _, c2 := range grid {
 			if idx++; (idx-1)%stride != 0 {
 				continue
 			}
-			jobs = append(jobs, pair{c1, c2})
+			for _, p := range protos {
+				specs = append(specs, cfg.spec(build(), p, func(n *topo.Net) {
+					applyLinkConfig(n, "link1", c1)
+					applyLinkConfig(n, "link2", c2)
+				}))
+			}
 		}
 	}
-	cells := make([]gridCell, len(jobs))
-	RunParallel(len(jobs), func(i int) {
-		j := jobs[i]
-		tweak := func(n *topo.Net) {
-			applyLinkConfig(n, "link1", j.c1)
-			applyLinkConfig(n, "link2", j.c2)
-		}
-		run := func(p Protocol) (util, jain float64) {
-			r := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo: build(), Proto: p, Tweak: tweak,
-			}, cfg.Reps)
-			return r.Utilization, r.Jain
-		}
-		mpccU, mpccJ := run(MPCCLatency)
-		for _, base := range GridBaselines {
-			bu, bj := run(base)
-			cells[i].util = append(cells[i].util, ratio(mpccU, bu))
-			cells[i].jain = append(cells[i].jain, ratio(mpccJ, bj))
-		}
-	})
+	type point struct{ util, jain float64 }
+	points := runSpecs(specs, cfg.Reps, func(r *Result) point { return point{r.Utilization, r.Jain} })
 	res := &GridResult{
-		Configs:   len(jobs),
+		Configs:   len(specs) / len(protos),
 		UtilRatio: make(map[Protocol][]float64),
 		JainRatio: make(map[Protocol][]float64),
 	}
-	for _, c := range cells {
+	for i := 0; i < len(points); i += len(protos) {
+		mpcc := points[i]
 		for bi, base := range GridBaselines {
-			res.UtilRatio[base] = append(res.UtilRatio[base], c.util[bi])
-			res.JainRatio[base] = append(res.JainRatio[base], c.jain[bi])
+			b := points[i+1+bi]
+			res.UtilRatio[base] = append(res.UtilRatio[base], ratio(mpcc.util, b.util))
+			res.JainRatio[base] = append(res.JainRatio[base], ratio(mpcc.jain, b.jain))
 		}
 	}
 	return res

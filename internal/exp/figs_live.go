@@ -46,15 +46,16 @@ func LiveDownloads(cfg Config) *LiveResult {
 		}
 	}
 	times := make([]float64, len(jobs))
+	reps := replicates(cfg.Reps)
 	RunParallel(len(jobs), func(i int) {
 		j := jobs[i]
 		// One WAN draw per (pair, protocol, rep); reps average.
 		total := 0.0
-		for rep := 0; rep < cfg.Reps; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			seed := cfg.Seed + int64(rep)*1000 + int64(j.pi)
 			total += runDownload(seed, j.server, j.home, LiveProtocols[j.pi], fileBytes)
 		}
-		times[i] = total / float64(cfg.Reps)
+		times[i] = total / float64(reps)
 	})
 	res := &LiveResult{FileBytes: fileBytes, Times: make(map[string]map[string]map[Protocol]float64)}
 	for i, j := range jobs {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,47 +17,20 @@ func micro() Config {
 	return Config{Duration: 8 * sim.Second, Warmup: 4 * sim.Second, Reps: 1, Seed: 11}
 }
 
-func cell(t *testing.T, tab *Table, row, col int) float64 {
-	t.Helper()
-	s := tab.Rows[row][col]
-	if i := strings.Index(s, "\u00b1"); i >= 0 {
-		s = s[:i]
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q: %v", row, col, tab.Rows[row][col], err)
-	}
-	return v
-}
-
-// column returns the 1-based data column index of a protocol in a header.
-func column(t *testing.T, tab *Table, name string) int {
-	t.Helper()
-	for i, h := range tab.Header {
-		if h == name {
-			return i
-		}
-	}
-	t.Fatalf("no column %q in %v", name, tab.Header)
-	return -1
-}
+// The shape tests subsample a figure by trimming rows and protocols on their
+// own copy of its declaration, and read the numbers behind the cells —
+// vals[metric][table row][column] — rather than parsing them back out.
 
 func TestShallowBufferShape(t *testing.T) {
-	// Only the two smallest buffers and two protocols: MPCC must beat LIA
-	// at 3 KB (the Fig. 5a separation).
-	old := Fig5aBuffers
-	defer func() { Fig5aBuffers = old }()
-	Fig5aBuffers = []int{3, 375}
-	oldSet := MultipathSet
-	defer func() { MultipathSet = oldSet }()
-	MultipathSet = []Protocol{MPCCLoss, LIA}
-
-	tab := ShallowBufferMP(micro())
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	// Only the smallest and the BDP buffer and two protocols: MPCC must beat
+	// LIA at 3 KB (the Fig. 5a separation).
+	s := shallowBufferMP(micro())
+	s.rows, s.protos = []int{3, 375}, []Protocol{MPCCLoss, LIA}
+	tabs, vals := s.run()
+	if len(tabs) != 1 || len(tabs[0].Rows) != 2 || len(tabs[0].Rows[0]) != 3 {
+		t.Fatalf("trimmed sweep rendered %d tables, rows %v", len(tabs), tabs[0].Rows)
 	}
-	mpcc3 := cell(t, tab, 0, column(t, tab, "mpcc-loss"))
-	lia3 := cell(t, tab, 0, column(t, tab, "lia"))
+	mpcc3, lia3 := vals[0][0][0], vals[0][0][1]
 	if mpcc3 < 140 {
 		t.Fatalf("MPCC at 3KB = %.1f Mbps, want near full 2-link utilization", mpcc3)
 	}
@@ -66,16 +40,10 @@ func TestShallowBufferShape(t *testing.T) {
 }
 
 func TestRandomLossShape(t *testing.T) {
-	old := Fig6LossRates
-	defer func() { Fig6LossRates = old }()
-	Fig6LossRates = []float64{0.01}
-	oldSet := MultipathSet
-	defer func() { MultipathSet = oldSet }()
-	MultipathSet = []Protocol{MPCCLoss, LIA}
-
-	tab := RandomLossMP(micro())
-	mpccG := cell(t, tab, 0, column(t, tab, "mpcc-loss"))
-	liaG := cell(t, tab, 0, column(t, tab, "lia"))
+	s := randomLossMP(micro())
+	s.rows, s.protos = []float64{0.01}, []Protocol{MPCCLoss, LIA}
+	_, vals := s.run()
+	mpccG, liaG := vals[0][0][0], vals[0][0][1]
 	// Fig. 6a headline: at 1% loss MPCC retains most capacity, LIA collapses.
 	if mpccG < 120 {
 		t.Fatalf("MPCC at 1%% loss = %.1f Mbps", mpccG)
@@ -86,16 +54,10 @@ func TestRandomLossShape(t *testing.T) {
 }
 
 func TestSelfInducedLatencyShape(t *testing.T) {
-	old := Fig9Buffers
-	defer func() { Fig9Buffers = old }()
-	Fig9Buffers = []int{1000}
-	oldP := Fig9Protocols
-	defer func() { Fig9Protocols = oldP }()
-	Fig9Protocols = []Protocol{MPCCLatency, LIA}
-
-	tab := SelfInducedLatency(micro())
-	mpccLat := cell(t, tab, 0, column(t, tab, "mpcc-latency"))
-	liaLat := cell(t, tab, 0, column(t, tab, "lia"))
+	s := selfInducedLatency(micro())
+	s.rows, s.protos = []int{1000}, []Protocol{MPCCLatency, LIA}
+	tabs, vals := s.run()
+	mpccLat, liaLat := vals[0][0][0], vals[0][0][1]
 	// Fig. 9: with deep (1000 KB) buffers the loss-based LIA bloats the
 	// queue; MPCC-latency stays near the 60 ms base RTT.
 	if mpccLat >= liaLat {
@@ -104,30 +66,31 @@ func TestSelfInducedLatencyShape(t *testing.T) {
 	if mpccLat > 110 {
 		t.Fatalf("MPCC-latency RTT %.0f ms too bloated", mpccLat)
 	}
+	// The cell shows the mean the test just read, ± the spread.
+	if cell, want := tabs[0].Rows[0][1], fmt.Sprintf("%.0f±", mpccLat); !strings.HasPrefix(cell, want) {
+		t.Fatalf("cell %q does not start with %q", cell, want)
+	}
 }
 
 func TestConvergenceSuiteShape(t *testing.T) {
-	oldP := Fig10Protocols
-	defer func() { Fig10Protocols = oldP }()
-	Fig10Protocols = []Protocol{MPCCLoss, LIA}
-	fair, util := ConvergenceSuite(micro())
-	if len(fair.Rows) != 2 || len(util.Rows) != 2 {
-		t.Fatal("wrong row counts")
+	s := convergenceSuite(micro())
+	s.protos = []Protocol{MPCCLoss, LIA}
+	tabs, vals := s.run()
+	fair, util := tabs[0], tabs[1]
+	// Fig. 10 is the transposed sweep: protocols label the rows, the five
+	// topologies the columns.
+	if len(fair.Rows) != 2 || len(util.Rows) != 2 || fair.Rows[1][0] != "lia" ||
+		len(fair.Header) != 1+len(s.rows) || fair.Header[1] != s.rows[0].Name {
+		t.Fatalf("wrong table shape: header %v, rows %v", fair.Header, fair.Rows)
 	}
-	// In BDP-buffer conditions both achieve decent utilization everywhere.
-	for ri := range util.Rows {
-		for ci := 1; ci < len(util.Rows[ri]); ci++ {
-			v := cell(t, util, ri, ci)
-			if v < 0.4 || v > 1.05 {
-				t.Fatalf("utilization %s/%s = %v implausible", util.Rows[ri][0], util.Header[ci], v)
+	for ri := range vals[0] {
+		for ci, jain := range vals[0][ri] {
+			if jain < 0.3 || jain > 1.0+1e-9 {
+				t.Fatalf("jain %s/%s = %v out of range", fair.Rows[ri][0], fair.Header[ci+1], jain)
 			}
-		}
-	}
-	for ri := range fair.Rows {
-		for ci := 1; ci < len(fair.Rows[ri]); ci++ {
-			v := cell(t, fair, ri, ci)
-			if v < 0.3 || v > 1.0+1e-9 {
-				t.Fatalf("jain %s/%s = %v out of range", fair.Rows[ri][0], fair.Header[ci], v)
+			// In BDP-buffer conditions both achieve decent utilization everywhere.
+			if u := vals[1][ri][ci]; u < 0.4 || u > 1.05 {
+				t.Fatalf("utilization %s/%s = %v implausible", util.Rows[ri][0], util.Header[ci+1], u)
 			}
 		}
 	}
@@ -147,33 +110,22 @@ func TestConvergenceTraceJitter(t *testing.T) {
 }
 
 func TestCubicFriendlinessShapes(t *testing.T) {
-	old := Fig5aBuffers
-	defer func() { Fig5aBuffers = old }()
-	Fig5aBuffers = []int{375}
-	oldP := Fig12Protocols
-	defer func() { Fig12Protocols = oldP }()
-	Fig12Protocols = []Protocol{MPCCLatency}
-
-	mpTab, spTab := CubicFriendlinessBuffer(micro())
-	sp := cell(t, spTab, 0, 1)
+	s := cubicFriendlinessBuffer(micro())
+	s.rows, s.protos = []int{375}, []Protocol{MPCCLatency}
+	_, vals := s.run()
+	mp, sp := vals[0][0][0], vals[1][0][0]
 	// §7.2.6: competing against MPCC-latency, Cubic keeps well over 50% of
 	// its link.
 	if sp < 50 {
 		t.Fatalf("Cubic got only %.1f Mbps against MPCC-latency", sp)
 	}
-	mp := cell(t, mpTab, 0, 1)
 	if mp < 80 {
 		t.Fatalf("MPCC got only %.1f Mbps with a private link available", mp)
 	}
 }
 
 func TestChangingConditionsTracking(t *testing.T) {
-	oldP := Fig7Protocols
-	defer func() { Fig7Protocols = oldP }()
-	Fig7Protocols = []Protocol{MPCCLatency, LIA}
-
-	cfg := micro()
-	r := ChangingConditions(cfg, 4, 4*sim.Second)
+	r := changingConditions(micro(), 4, 4*sim.Second, []Protocol{MPCCLatency, LIA})
 	if len(r.Epochs) != 4 || len(r.OptMbps) != 4 || len(r.FairMbps) != 4 {
 		t.Fatal("epoch bookkeeping broken")
 	}
@@ -235,7 +187,7 @@ func TestWebWorkload(t *testing.T) {
 			t.Fatalf("%s completed %s short flows", row[0], row[2])
 		}
 	}
-	// The golden was rendered by the hand-wired engine runWeb used to carry,
+	// The golden was rendered by the hand-wired engine this experiment once had,
 	// so it pins that Run(Spec{Flows}) builds the identical simulation.
 	var buf bytes.Buffer
 	tab.Fprint(&buf)

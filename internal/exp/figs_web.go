@@ -23,15 +23,22 @@ func WebWorkload(cfg Config) *Table {
 			"the paper predicts MPCC trades short-flow FCT for long-flow throughput (§7.4)",
 		},
 	}
+	var labels []string
+	var specs []Spec
 	for _, p := range []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia} {
-		bulkMbps, done, med, p95 := runWeb(cfg, p)
-		t.AddRow(string(p), fmt.Sprintf("%.1f", bulkMbps),
-			fmt.Sprint(done), fmt.Sprintf("%.0f", med*1e3), fmt.Sprintf("%.0f", p95*1e3))
+		labels, specs = append(labels, string(p)), append(specs, webSpec(cfg, p))
 	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+		bulkMbps, done, med, p95 := webStats(res)
+		return []string{fmt.Sprintf("%.1f", bulkMbps),
+			fmt.Sprint(done), fmt.Sprintf("%.0f", med*1e3), fmt.Sprintf("%.0f", p95*1e3)}
+	})
 	return t
 }
 
-func runWeb(cfg Config, p Protocol) (bulkMbps float64, done int, median, p95 float64) {
+// webSpec declares the web-like run: the bulk flow plus one short download
+// every 400 ms from second 1 to one second before the end.
+func webSpec(cfg Config, p Protocol) Spec {
 	paths := [][]string{{"link1"}, {"link2"}}
 	flows := []FlowSpec{{Name: "bulk", Proto: p, Paths: paths}}
 	interval := 400 * sim.Millisecond
@@ -39,11 +46,17 @@ func runWeb(cfg Config, p Protocol) (bulkMbps float64, done int, median, p95 flo
 		flows = append(flows, FlowSpec{Name: fmt.Sprintf("short-%d", len(flows)),
 			Proto: p, Paths: paths, StartAt: at, FileBytes: 100_000})
 	}
-	res := Run(Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		Topo: topo.Fig3b(), Flows: flows})
+	s := cfg.spec(topo.Fig3b(), p, nil)
+	s.Flows = flows
+	return s
+}
+
+// webStats reads a webSpec run: the bulk goodput and the short flows'
+// completion count and FCT percentiles (seconds), in arrival order.
+func webStats(res *Result) (bulkMbps float64, done int, median, p95 float64) {
 	var fcts []float64
-	for _, f := range flows[1:] {
-		if fct := res.Flows[f.Name].FCT; fct >= 0 {
+	for i := 1; i < len(res.Flows); i++ {
+		if fct := res.Flows[fmt.Sprintf("short-%d", i)].FCT; fct >= 0 {
 			fcts = append(fcts, fct.Seconds())
 		}
 	}

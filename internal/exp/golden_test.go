@@ -158,3 +158,31 @@ func firstDiff(got, want []byte) string {
 	}
 	return fmt.Sprintf("lengths differ: got %d lines, want %d", len(gl), len(wl))
 }
+
+// TestRegistryTablesGolden pins every table of every experiment that scales
+// with Config (fig16/fig17/fig19 run fixed-size workloads and take minutes)
+// at a micro configuration, byte for byte, for one worker and for many. The
+// golden was rendered by the hand-written per-cell loops the sweep runner
+// replaced, so it pins that the runner enumerates, seeds, folds and renders
+// exactly as they did.
+func TestRegistryTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	cfg := Config{Duration: sim.Second, Warmup: 500 * sim.Millisecond, Reps: 1, Seed: 42}
+	for _, workers := range []int{1, 8} {
+		var buf bytes.Buffer
+		withWorkers(workers, func() {
+			for _, e := range Registry() {
+				switch e.ID {
+				case "fig16", "fig17", "fig19":
+					continue
+				}
+				for _, tab := range e.Run(cfg) {
+					buf.WriteString(tab.String())
+				}
+			}
+		})
+		checkGolden(t, buf.Bytes(), "tables_micro.golden")
+	}
+}

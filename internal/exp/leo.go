@@ -51,26 +51,17 @@ func leoTweak(period, duration sim.Time) func(*topo.Net) {
 // capacity high; the cost is purely re-learning speed — an online learner
 // should degrade gracefully as the period shrinks, not collapse.
 func LEOGoodput(cfg Config) *Table {
-	t := &Table{
-		Title:  "LEO — multipath goodput vs handover period (LEO link1 + terrestrial link2), Mbps",
-		Header: append([]string{"period_s"}, protoNames(LEOSet)...),
-	}
-	for _, period := range LEOPeriods {
-		row := []string{fmt.Sprintf("%g", period.Seconds())}
-		for _, p := range LEOSet {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo:  topo.Fig3b(),
-				Proto: p,
-				Tweak: leoTweak(period, cfg.Duration),
-			}, cfg.Reps)
-			row = append(row, mbps(res.Flows["mp"].GoodputBps))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"Each handover atomically steps link1 between 150 Mbps/60 ms and 60 Mbps/75 ms (≈0.5–1.4 MB BDP). period_s = 0 is the no-handover baseline; the gap to it is the pure cost of re-learning the path after each discontinuity.")
-	return t
+	return sweep[sim.Time]{
+		head: []string{"period_s"}, rows: LEOPeriods,
+		label:  func(period sim.Time) []string { return []string{fmt.Sprintf("%g", period.Seconds())} },
+		protos: LEOSet, reps: cfg.Reps,
+		spec: func(period sim.Time, p Protocol) Spec {
+			return cfg.spec(topo.Fig3b(), p, leoTweak(period, cfg.Duration))
+		},
+		metrics: []metric{goodputMbps(
+			"LEO — multipath goodput vs handover period (LEO link1 + terrestrial link2), Mbps", "mp")},
+		notes: []string{"Each handover atomically steps link1 between 150 Mbps/60 ms and 60 Mbps/75 ms (≈0.5–1.4 MB BDP). period_s = 0 is the no-handover baseline; the gap to it is the pure cost of re-learning the path after each discontinuity."},
+	}.tables()[0]
 }
 
 // LEOHandoverDetail runs the fastest cadence for the latency-flavor
@@ -78,12 +69,7 @@ func LEOGoodput(cfg Config) *Table {
 // and loss probes, showing how the controller re-converges after each step.
 func LEOHandoverDetail(cfg Config) *Table {
 	period := 2 * sim.Second
-	res := Run(Spec{
-		Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-		Topo:  topo.Fig3b(),
-		Proto: MPCCLatency,
-		Tweak: leoTweak(period, cfg.Duration),
-	})
+	res := Run(cfg.spec(topo.Fig3b(), MPCCLatency, leoTweak(period, cfg.Duration)))
 	t := &Table{
 		Title:  fmt.Sprintf("LEO — MPCC-latency per-interval goodput across %gs handovers", period.Seconds()),
 		Header: []string{"interval_s", "goodput_mbps"},

@@ -67,7 +67,7 @@ func TestRunSnapshotsRegistry(t *testing.T) {
 
 // everyRunner is one small instance of each way the package runs a
 // simulation: the declarative front, and the figure runners that drive the
-// world over raw links (runDownload, runDC) or through Run (runWeb). Each
+// world over raw links (runDownload, runDC) or through Run (webSpec). Each
 // returns the numbers its experiment reports, so equal slices mean
 // bit-equal results.
 var everyRunner = []struct {
@@ -90,8 +90,8 @@ var everyRunner = []struct {
 		}
 		return out
 	}},
-	{"runWeb", func() []float64 {
-		bulk, done, med, p95 := runWeb(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)
+	{"webSpec", func() []float64 {
+		bulk, done, med, p95 := webStats(Run(webSpec(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)))
 		return []float64{bulk, float64(done), med, p95}
 	}},
 }

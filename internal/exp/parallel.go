@@ -6,17 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// The sweep runner exploits the fact that every simulation is hermetic: a
-// run builds its own sim.Engine with its own seeded RNG and touches no
-// package-level mutable state, so independent (seed, config) jobs may
-// execute concurrently without changing any result. Determinism is
-// preserved structurally, not by luck: callers pre-enumerate the full job
-// list up front (the enumeration order is the sequential loop order), each
-// job writes into its own index-addressed slot, and results are merged
-// sequentially in job-index order afterwards. Every floating-point
-// addition therefore happens in exactly the order the sequential code used,
-// and the output is bit-identical for any worker count. See DESIGN.md
-// "Performance architecture".
+// Every simulation is hermetic: a run builds its own sim.Engine with its own
+// seeded RNG and touches no package-level mutable state, so independent
+// jobs may execute concurrently without changing any result. This file is
+// the worker pool; runSpecs (sweep.go) is how experiments use it. See
+// DESIGN.md "Deterministic parallelism".
 
 // workerCount is the process-wide worker pool size for RunParallel.
 var workerCount atomic.Int32

@@ -21,10 +21,12 @@ func withWorkers(n int, f func()) {
 	f()
 }
 
-// pools are the two entrances to the package's one worker pool: RunParallel
+// pools are the entrances to the package's one worker pool: RunParallel
 // takes its worker count from the process-wide setting, runPool (which a
 // sharded world calls with the shard count) takes it as an argument and
-// must ignore the setting.
+// must ignore the setting, and runSpecs runs one simulation per job on
+// RunParallel — here a near-empty one whose Tweak is the job, so a job that
+// panics is a cell that panics.
 var pools = []struct {
 	name string
 	run  func(workers, n int, job func(i int))
@@ -34,6 +36,14 @@ var pools = []struct {
 	}},
 	{"runPool", func(workers, n int, job func(i int)) {
 		withWorkers(3, func() { runPool(n, workers, job) })
+	}},
+	{"runSpecs", func(workers, n int, job func(i int)) {
+		specs := make([]Spec, n)
+		for i := range specs {
+			specs[i] = Spec{Duration: sim.Millisecond, Topo: topo.Fig3c(), Proto: Reno,
+				Tweak: func(*topo.Net) { job(i) }}
+		}
+		withWorkers(workers, func() { runSpecs(specs, 1, func(r *Result) float64 { return r.Jain }) })
 	}},
 }
 
@@ -97,23 +107,56 @@ func quickSpec(seed int64) Spec {
 }
 
 // TestRunAveragedParallelIdentical is the determinism regression test for
-// the sweep runner: averaged results must be bit-identical between
-// sequential (workers=1) and concurrent execution. It runs under -race in
-// make check, which also shakes out data races in the runner itself.
+// the sweep runner: what reduce sees — every spec's replicates folded in
+// replicate order — must be bit-identical between sequential (workers=1)
+// and concurrent execution, a replicate count below 1 must mean one run,
+// and RunAveraged must be the one-spec case. It runs under -race in make
+// check, which also shakes out data races in the runner itself.
 func TestRunAveragedParallelIdentical(t *testing.T) {
-	var seq, par *Result
-	withWorkers(1, func() { seq = RunAveraged(quickSpec(7), 3) })
-	withWorkers(8, func() { par = RunAveraged(quickSpec(7), 3) })
-
-	if seq.Utilization != par.Utilization || seq.Jain != par.Jain {
-		t.Errorf("utilization/jain differ: seq %v/%v, par %v/%v",
-			seq.Utilization, seq.Jain, par.Utilization, par.Jain)
+	specs := []Spec{quickSpec(7), quickSpec(8), quickSpec(9)}
+	// fold is what reduce saw for one spec, stamped with reduce's call order.
+	type fold struct {
+		flows      map[string]*FlowResult
+		util, jain float64
+		notes      []string
+		nth        int32
 	}
-	if !reflect.DeepEqual(seq.Notes, par.Notes) {
-		t.Errorf("notes differ: %v vs %v", seq.Notes, par.Notes)
+	sweep := func(workers, reps int) (out []fold) {
+		var calls atomic.Int32
+		withWorkers(workers, func() {
+			out = runSpecs(specs, reps, func(r *Result) fold {
+				return fold{r.Flows, r.Utilization, r.Jain, r.Notes, calls.Add(1)}
+			})
+		})
+		if int(calls.Load()) != len(specs) {
+			t.Errorf("workers=%d reps=%d: reduce ran %d times, want once per spec", workers, reps, calls.Load())
+		}
+		return out
 	}
-	if !reflect.DeepEqual(seq.Flows, par.Flows) {
-		t.Errorf("per-flow results differ between workers=1 and workers=8")
+	seq, par := sweep(1, 3), sweep(8, 3)
+	for i := range specs {
+		if seq[i].nth != int32(i+1) {
+			t.Errorf("workers=1: spec %d reduced %dth, want enumeration order", i, seq[i].nth)
+		}
+		if fr := seq[i].flows["mp"]; fr.MinGoodputBps == fr.MaxGoodputBps {
+			t.Errorf("spec %d: three seeds, one goodput — replicates not folded", i)
+		}
+		par[i].nth = seq[i].nth // concurrent specs may finish in any order
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Errorf("spec %d: fold differs between workers=1 and workers=8", i)
+		}
+	}
+	var avg *Result
+	withWorkers(8, func() { avg = RunAveraged(specs[1], 3) })
+	if !reflect.DeepEqual(avg.Flows, seq[1].flows) || avg.Jain != seq[1].jain {
+		t.Errorf("RunAveraged differs from the same spec inside a sweep")
+	}
+	// A replicate count below 1 is a single run at the spec's own seed.
+	one := Run(specs[0])
+	for _, reps := range []int{-2, 0, 1} {
+		if got := sweep(2, reps)[0]; !reflect.DeepEqual(got.flows, one.Flows) || got.util != one.Utilization {
+			t.Errorf("reps=%d: not the single run", reps)
+		}
 	}
 }
 
@@ -180,23 +223,25 @@ func TestParameterGridParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeIntoSubflowMismatch checks the aggregation guard: replicates
-// that disagree on a flow's subflow count average over the common prefix
-// and record a note rather than panicking.
+// TestMergeIntoSubflowMismatch checks the fold runSpecs applies to a spec's
+// replicates: sums divided by the replicate count, the goodput spread
+// tracked, and replicates that disagree on a flow's subflow count averaged
+// over the common prefix with a note rather than a panic.
 func TestMergeIntoSubflowMismatch(t *testing.T) {
-	agg := &Result{Flows: map[string]*FlowResult{
-		"f": {GoodputBps: 10, MinGoodputBps: 10, MaxGoodputBps: 10, SubflowGoodputBps: []float64{4, 6}},
-	}}
-	res := &Result{Flows: map[string]*FlowResult{
-		"f": {GoodputBps: 20, SubflowGoodputBps: []float64{20}},
-	}}
-	mergeInto(agg, res)
+	agg := average([]*Result{
+		{Jain: 0.5, Flows: map[string]*FlowResult{
+			"f": {GoodputBps: 10, MinGoodputBps: 10, MaxGoodputBps: 10, SubflowGoodputBps: []float64{4, 6}},
+		}},
+		{Jain: 1, Flows: map[string]*FlowResult{
+			"f": {GoodputBps: 20, MinGoodputBps: 20, MaxGoodputBps: 20, SubflowGoodputBps: []float64{20}},
+		}},
+	})
 	a := agg.Flows["f"]
-	if got := a.SubflowGoodputBps; got[0] != 24 || got[1] != 6 {
-		t.Errorf("subflow aggregate = %v, want [24 6]", got)
+	if got := a.SubflowGoodputBps; got[0] != 12 || got[1] != 3 {
+		t.Errorf("subflow average = %v, want [12 3]", got)
 	}
-	if a.GoodputBps != 30 || a.MinGoodputBps != 10 || a.MaxGoodputBps != 20 {
-		t.Errorf("flow aggregate wrong: %+v", a)
+	if agg.Jain != 0.75 || a.GoodputBps != 15 || a.MinGoodputBps != 10 || a.MaxGoodputBps != 20 {
+		t.Errorf("flow average wrong: jain %v, %+v", agg.Jain, a)
 	}
 	if len(agg.Notes) != 1 || !strings.Contains(agg.Notes[0], "subflow count") {
 		t.Errorf("expected a subflow-count note, got %v", agg.Notes)

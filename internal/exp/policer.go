@@ -37,28 +37,29 @@ func policerTweak(rateBps float64, burst int) func(*topo.Net) {
 // ceiling is the contract rate; a controller that reads policer loss as
 // queue-building congestion collapses below it, hardest at shallow depths.
 func PolicerGoodput(cfg Config) *Table {
-	t := &Table{
-		Title:  "Policer — multipath goodput vs token-bucket contract (shared bottleneck), Mbps",
-		Header: append([]string{"rate_mbps", "burst_kb"}, protoNames(PolicerSet)...),
+	type contract struct {
+		rate  float64
+		depth int
 	}
+	var rows []contract
 	for _, rate := range PolicerRates {
 		for _, depth := range PolicerDepths {
-			row := []string{fmt.Sprintf("%g", rate/1e6), fmt.Sprintf("%g", float64(depth)/1e3)}
-			for _, p := range PolicerSet {
-				res := RunAveraged(Spec{
-					Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-					Topo:  topo.SharedBottleneck(),
-					Proto: p,
-					Tweak: policerTweak(rate, depth),
-				}, cfg.Reps)
-				row = append(row, mbps(res.Flows["mp"].GoodputBps))
-			}
-			t.AddRow(row...)
+			rows = append(rows, contract{rate, depth})
 		}
 	}
-	t.Notes = append(t.Notes,
-		"The policer admits exactly rate_mbps (plus one burst_kb bucket), dropping the excess with zero added delay: goodput at the contract rate means the controller survived loss that carried no latency warning.")
-	return t
+	return sweep[contract]{
+		head: []string{"rate_mbps", "burst_kb"}, rows: rows,
+		label: func(c contract) []string {
+			return []string{fmt.Sprintf("%g", c.rate/1e6), fmt.Sprintf("%g", float64(c.depth)/1e3)}
+		},
+		protos: PolicerSet, reps: cfg.Reps,
+		spec: func(c contract, p Protocol) Spec {
+			return cfg.spec(topo.SharedBottleneck(), p, policerTweak(c.rate, c.depth))
+		},
+		metrics: []metric{goodputMbps(
+			"Policer — multipath goodput vs token-bucket contract (shared bottleneck), Mbps", "mp")},
+		notes: []string{"The policer admits exactly rate_mbps (plus one burst_kb bucket), dropping the excess with zero added delay: goodput at the contract rate means the controller survived loss that carried no latency warning."},
+	}.tables()[0]
 }
 
 // PolicerLossSignal sweeps bucket depth at a fixed contract rate for the
@@ -73,13 +74,13 @@ func PolicerLossSignal(cfg Config) *Table {
 		Header: []string{"burst_kb", "goodput_mbps", "policer_drops", "queue_drops",
 			"declared", "spurious", "corrected", "latency_ms"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, depth := range PolicerDepths {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo:  topo.SharedBottleneck(),
-			Proto: MPCCLatency,
-			Tweak: policerTweak(PolicerRates[0], depth),
-		})
+		labels = append(labels, fmt.Sprintf("%g", float64(depth)/1e3))
+		specs = append(specs, cfg.spec(topo.SharedBottleneck(), MPCCLatency, policerTweak(PolicerRates[0], depth)))
+	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
 		var declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			declared += sf.LostPkts()
@@ -92,12 +93,11 @@ func PolicerLossSignal(cfg Config) *Table {
 			policerDrops += st.DropsPolicer
 			queueDrops += st.DropsQueueFull
 		}
-		t.AddRow(fmt.Sprintf("%g", float64(depth)/1e3),
-			mbps(res.Flows["mp"].GoodputBps),
+		return []string{mbps(res.Flows["mp"].GoodputBps),
 			fmt.Sprint(policerDrops), fmt.Sprint(queueDrops),
 			fmt.Sprint(declared), fmt.Sprint(spurious), fmt.Sprint(corrected),
-			fmt.Sprintf("%.2f", res.Flows["mp"].LatencyMean*1e3))
-	}
+			fmt.Sprintf("%.2f", res.Flows["mp"].LatencyMean*1e3)}
+	})
 	t.Notes = append(t.Notes,
 		"policer_drops land with the queue empty, so latency_ms holds at the 120 ms base RTT at every depth: the whole congestion signal is in corrected (= declared − spurious) losses, none of it in the latency gradient.")
 	return t

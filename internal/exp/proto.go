@@ -85,9 +85,6 @@ type AttachOptions struct {
 	ConnOptions []transport.ConnOption
 	// InitialRateBps overrides rate-based controllers' initial rate.
 	InitialRateBps float64
-	// MPCCTracer, if set, receives every MPCC controller decision and
-	// utility observation (mpcc-latency/mpcc-loss/vivace only).
-	MPCCTracer func(ccmpcc.TraceEvent)
 	// Probes, if set, is the observability bus the connection and its
 	// controllers emit into (see internal/obs). Run wires its per-run bus
 	// here automatically; set it only when calling Attach directly.
@@ -138,9 +135,6 @@ func Attach(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o Att
 		grp := ccmpcc.NewGroup()
 		for _, path := range paths {
 			ctl := ccmpcc.New(cfg, grp, eng.Rand())
-			if o.MPCCTracer != nil {
-				ctl.SetTracer(o.MPCCTracer)
-			}
 			probe(ctl)
 			conn.AddRateSubflow(path, ctl)
 		}
@@ -152,9 +146,6 @@ func Attach(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o Att
 		}
 		for _, path := range paths {
 			ctl := ccmpcc.New(cfg, ccmpcc.NewGroup(), eng.Rand())
-			if o.MPCCTracer != nil {
-				ctl.SetTracer(o.MPCCTracer)
-			}
 			probe(ctl)
 			conn.AddRateSubflow(path, ctl)
 		}

@@ -23,16 +23,16 @@ func Registry() []Experiment {
 			return []*Table{Fig2GradientField()}
 		}},
 		{"fig5a", "multipath goodput vs shallow buffers (Fig. 5a)", func(cfg Config) []*Table {
-			return []*Table{ShallowBufferMP(cfg)}
+			return shallowBufferMP(cfg).tables()
 		}},
 		{"fig5b", "single-path goodput vs shallow buffers (Fig. 5b)", func(cfg Config) []*Table {
-			return []*Table{ShallowBufferSP(cfg)}
+			return shallowBufferSP(cfg).tables()
 		}},
 		{"fig6a", "multipath goodput vs random loss (Fig. 6a)", func(cfg Config) []*Table {
-			return []*Table{RandomLossMP(cfg)}
+			return randomLossMP(cfg).tables()
 		}},
 		{"fig6b", "single-path goodput vs random loss (Fig. 6b)", func(cfg Config) []*Table {
-			return []*Table{RandomLossSP(cfg)}
+			return randomLossSP(cfg).tables()
 		}},
 		{"fig7", "tracking the optimum under changing conditions (Fig. 7)", func(cfg Config) []*Table {
 			r := ChangingConditions(cfg, 8, 5*sim.Second)
@@ -43,22 +43,19 @@ func Registry() []Experiment {
 			return []*Table{r.Fig8Table()}
 		}},
 		{"fig9", "self-induced latency vs buffer size (Fig. 9)", func(cfg Config) []*Table {
-			return []*Table{SelfInducedLatency(cfg)}
+			return selfInducedLatency(cfg).tables()
 		}},
 		{"fig10", "fairness and utilization across topologies (Fig. 10)", func(cfg Config) []*Table {
-			f, u := ConvergenceSuite(cfg)
-			return []*Table{f, u}
+			return convergenceSuite(cfg).tables()
 		}},
 		{"fig11", "convergence and rate-jitter, MPCC vs Balia (Fig. 11)", func(cfg Config) []*Table {
 			return []*Table{ConvergenceTrace(cfg)}
 		}},
 		{"fig12", "TCP-Cubic friendliness vs buffers (Fig. 12)", func(cfg Config) []*Table {
-			mp, sp := CubicFriendlinessBuffer(cfg)
-			return []*Table{mp, sp}
+			return cubicFriendlinessBuffer(cfg).tables()
 		}},
 		{"fig13", "TCP-Cubic friendliness vs random loss (Fig. 13)", func(cfg Config) []*Table {
-			mp, sp := CubicFriendlinessLoss(cfg)
-			return []*Table{mp, sp}
+			return cubicFriendlinessLoss(cfg).tables()
 		}},
 		{"fig14", "Table-1 parameter grid on topology 3c (Fig. 14)", func(cfg Config) []*Table {
 			g := ParameterGrid(cfg, topo.Fig3c, 16)

@@ -45,26 +45,16 @@ func reorderTweak(prob float64) func(*topo.Net) {
 // transport holds its goodput flat across the sweep; protocols whose loss
 // detector misreads reordering as congestion collapse instead.
 func ReorderGoodput(cfg Config) *Table {
-	t := &Table{
-		Title:  "Reorder — multipath goodput vs reordering intensity on both links (topology 3b), Mbps",
-		Header: append([]string{"reorder_pct"}, protoNames(ReorderSet)...),
-	}
-	for _, prob := range ReorderIntensities {
-		row := []string{fmt.Sprintf("%g", prob*100)}
-		for _, p := range ReorderSet {
-			res := RunAveraged(Spec{
-				Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Topo:  topo.Fig3b(),
-				Proto: p,
-				Tweak: reorderTweak(prob),
-			}, cfg.Reps)
-			row = append(row, mbps(res.Flows["mp"].GoodputBps))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"Reordering is pure arrival inversion (no packets destroyed): RACK-style time-based detection plus spurious-retransmit repair should keep goodput near the 0% column at every intensity.")
-	return t
+	return sweep[float64]{
+		head: []string{"reorder_pct"}, rows: ReorderIntensities, label: pctLabel,
+		protos: ReorderSet, reps: cfg.Reps,
+		spec: func(prob float64, p Protocol) Spec {
+			return cfg.spec(topo.Fig3b(), p, reorderTweak(prob))
+		},
+		metrics: []metric{goodputMbps(
+			"Reorder — multipath goodput vs reordering intensity on both links (topology 3b), Mbps", "mp")},
+		notes: []string{"Reordering is pure arrival inversion (no packets destroyed): RACK-style time-based detection plus spurious-retransmit repair should keep goodput near the 0% column at every intensity."},
+	}.tables()[0]
 }
 
 // ReorderLossSignal sweeps the same intensities for the MPCC-loss protagonist
@@ -78,13 +68,13 @@ func ReorderLossSignal(cfg Config) *Table {
 		Title:  "Reorder — MPCC-loss loss-signal integrity vs reordering intensity (topology 3b)",
 		Header: []string{"reorder_pct", "reordered", "sent", "declared", "spurious", "corrected", "link_drops"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, prob := range ReorderIntensities {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo:  topo.Fig3b(),
-			Proto: MPCCLoss,
-			Tweak: reorderTweak(prob),
-		})
+		labels = append(labels, pctLabel(prob)[0])
+		specs = append(specs, cfg.spec(topo.Fig3b(), MPCCLoss, reorderTweak(prob)))
+	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
 		var sent, declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			sent += sf.SentPkts()
@@ -98,10 +88,9 @@ func ReorderLossSignal(cfg Config) *Table {
 			reordered += st.Reordered
 			drops += st.DropsQueueFull + st.DropsRandom + st.DropsOutage + st.DropsBurst
 		}
-		t.AddRow(fmt.Sprintf("%g", prob*100),
-			fmt.Sprint(reordered), fmt.Sprint(sent), fmt.Sprint(declared),
-			fmt.Sprint(spurious), fmt.Sprint(corrected), fmt.Sprint(drops))
-	}
+		return []string{fmt.Sprint(reordered), fmt.Sprint(sent), fmt.Sprint(declared),
+			fmt.Sprint(spurious), fmt.Sprint(corrected), fmt.Sprint(drops)}
+	})
 	t.Notes = append(t.Notes,
 		"\"declared\" are loss declarations (dupack/RACK/RTO), \"spurious\" the subset repaired by a late acknowledgement (Eifel), \"corrected\" = declared − spurious is what reaches the controller's monitor-interval statistics. corrected tracks link_drops: the declarations induced by reordering alone are all repaired.")
 	return t

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
@@ -235,80 +233,4 @@ func scale(xs []float64, f float64) []float64 {
 		out[i] = x * f
 	}
 	return out
-}
-
-// RunAveraged runs the spec reps times with consecutive seeds and averages
-// per-flow goodputs, utilization and Jain index. Series and FCT come from
-// the first run. Replicates execute concurrently (see RunParallel) but are
-// merged in replicate order, so the output is identical for any worker
-// count.
-func RunAveraged(s Spec, reps int) *Result {
-	if reps < 1 {
-		reps = 1
-	}
-	results := make([]*Result, reps)
-	RunParallel(reps, func(r int) {
-		rs := s
-		rs.Seed = s.Seed + int64(r)*1000
-		results[r] = Run(rs)
-	})
-	agg := results[0]
-	for _, res := range results[1:] {
-		mergeInto(agg, res)
-	}
-	n := float64(reps)
-	agg.Utilization /= n
-	agg.Jain /= n
-	for _, fr := range agg.Flows {
-		fr.GoodputBps /= n
-		fr.LatencyMean /= n
-		fr.LatencyStd /= n
-		for i := range fr.SubflowGoodputBps {
-			fr.SubflowGoodputBps[i] /= n
-		}
-	}
-	return agg
-}
-
-// mergeInto accumulates res into agg (one RunAveraged replicate). If the
-// replicates disagree on a flow's subflow count — possible when a fault
-// timeline permanently removes a subflow in some seeds — subflow goodputs
-// aggregate over the common prefix and the discrepancy is recorded in
-// agg.Notes instead of panicking on an index out of range.
-func mergeInto(agg, res *Result) {
-	agg.Utilization += res.Utilization
-	agg.Jain += res.Jain
-	agg.Events += res.Events
-	if agg.Obs != nil && res.Obs != nil {
-		agg.Obs.Merge(res.Obs)
-	}
-	for name, fr := range res.Flows {
-		a := agg.Flows[name]
-		if a == nil {
-			agg.Notes = append(agg.Notes,
-				fmt.Sprintf("flow %s: present in a later replicate only; skipped", name))
-			continue
-		}
-		a.GoodputBps += fr.GoodputBps
-		if fr.GoodputBps < a.MinGoodputBps {
-			a.MinGoodputBps = fr.GoodputBps
-		}
-		if fr.GoodputBps > a.MaxGoodputBps {
-			a.MaxGoodputBps = fr.GoodputBps
-		}
-		a.LatencyMean += fr.LatencyMean
-		a.LatencyStd += fr.LatencyStd
-		n := len(a.SubflowGoodputBps)
-		if len(fr.SubflowGoodputBps) != n {
-			if len(fr.SubflowGoodputBps) < n {
-				n = len(fr.SubflowGoodputBps)
-			}
-			agg.Notes = append(agg.Notes,
-				fmt.Sprintf("flow %s: replicates disagree on subflow count (%d vs %d); averaging the first %d",
-					name, len(a.SubflowGoodputBps), len(fr.SubflowGoodputBps), n))
-		}
-		for i := 0; i < n; i++ {
-			a.SubflowGoodputBps[i] += fr.SubflowGoodputBps[i]
-		}
-	}
 }

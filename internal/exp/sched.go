@@ -19,6 +19,8 @@ func SchedulerValidation(cfg Config) *Table {
 		Title:  "§6 scheduler validation — per-subflow BBR over 2×100 Mbps, Mbps",
 		Header: []string{"scheduler", "goodput", "sf1", "sf2"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, tc := range []struct {
 		name  string
 		sched transport.Scheduler
@@ -26,20 +28,19 @@ func SchedulerValidation(cfg Config) *Table {
 		{"default", transport.DefaultScheduler{}},
 		{"rate-based(10%)", transport.NewRateScheduler(0.10)},
 	} {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3b(), Proto: BBR,
-			Flows: []FlowSpec{{
-				Name: "mp", Proto: BBR,
-				Paths:  [][]string{{"link1"}, {"link2"}},
-				Attach: AttachOptions{Scheduler: tc.sched},
-			}},
-			// Distinct RTTs make the lowest-RTT preference bite.
-			Tweak: func(n *topo.Net) { n.Link("link2").SetDelay(45 * sim.Millisecond) },
-		})
-		fr := res.Flows["mp"]
-		t.AddRow(tc.name, mbps(fr.GoodputBps), mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1]))
+		// Distinct RTTs make the lowest-RTT preference bite.
+		s := cfg.spec(topo.Fig3b(), BBR, func(n *topo.Net) { n.Link("link2").SetDelay(45 * sim.Millisecond) })
+		s.Flows = []FlowSpec{{
+			Name: "mp", Proto: BBR,
+			Paths:  [][]string{{"link1"}, {"link2"}},
+			Attach: AttachOptions{Scheduler: tc.sched},
+		}}
+		labels, specs = append(labels, tc.name), append(specs, s)
 	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+		fr := res.Flows["mp"]
+		return []string{mbps(fr.GoodputBps), mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1])}
+	})
 	return t
 }
 
@@ -52,31 +53,29 @@ func AblationSchedulerThreshold(cfg Config) *Table {
 		Title:  "Ablation §6 — rate-scheduler threshold sweep (MPCC-latency, 2 links, unequal RTT)",
 		Header: []string{"threshold", "bulk_goodput_Mbps", "1MB_fct_ms"},
 	}
-	for _, thr := range []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.0} {
-		spec := Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3b(),
-			Flows: []FlowSpec{{
+	// Two simulations per threshold, enumerated bulk then file.
+	thresholds := []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.0}
+	var specs []Spec
+	for _, thr := range thresholds {
+		for _, fileBytes := range []int64{0, 1_000_000} {
+			s := cfg.spec(topo.Fig3b(), MPCCLatency, func(n *topo.Net) { n.Link("link2").SetDelay(60 * sim.Millisecond) })
+			s.Flows = []FlowSpec{{
 				Name: "mp", Proto: MPCCLatency,
-				Paths:  [][]string{{"link1"}, {"link2"}},
-				Attach: AttachOptions{Scheduler: transport.NewRateScheduler(thr)},
-			}},
-			Tweak: func(n *topo.Net) { n.Link("link2").SetDelay(60 * sim.Millisecond) },
+				Paths:     [][]string{{"link1"}, {"link2"}},
+				Attach:    AttachOptions{Scheduler: transport.NewRateScheduler(thr)},
+				FileBytes: fileBytes,
+			}}
+			specs = append(specs, s)
 		}
-		bulk := Run(spec)
-		fileSpec := spec
-		fileSpec.Flows = []FlowSpec{{
-			Name: "mp", Proto: MPCCLatency,
-			Paths:     [][]string{{"link1"}, {"link2"}},
-			Attach:    AttachOptions{Scheduler: transport.NewRateScheduler(thr)},
-			FileBytes: 1_000_000,
-		}}
-		file := Run(fileSpec)
+	}
+	flows := runSpecs(specs, 1, func(res *Result) *FlowResult { return res.Flows["mp"] })
+	for i, thr := range thresholds {
+		bulk, file := flows[2*i], flows[2*i+1]
 		fct := "-"
-		if f := file.Flows["mp"].FCT; f >= 0 {
-			fct = fmt.Sprintf("%.0f", f.Seconds()*1e3)
+		if file.FCT >= 0 {
+			fct = fmt.Sprintf("%.0f", file.FCT.Seconds()*1e3)
 		}
-		t.AddRow(fmt.Sprintf("%.0f%%", thr*100), mbps(bulk.Flows["mp"].GoodputBps), fct)
+		t.AddRow(fmt.Sprintf("%.0f%%", thr*100), mbps(bulk.GoodputBps), fct)
 	}
 	return t
 }
@@ -90,14 +89,17 @@ func AblationConnLevel(cfg Config) *Table {
 		Title:  "Ablation §4 — connection-level vs per-subflow rate control (topology 3c)",
 		Header: []string{"design", "mp_goodput_Mbps", "sp_goodput_Mbps", "utilization"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, p := range []Protocol{MPCCConnLevel, MPCCLoss} {
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3c(), Proto: p, SPProto: MPCCLoss,
-		})
-		t.AddRow(string(p), mbps(res.Flows["mp"].GoodputBps),
-			mbps(res.Flows["sp"].GoodputBps), fmt.Sprintf("%.3f", res.Utilization))
+		s := cfg.spec(topo.Fig3c(), p, nil)
+		s.SPProto = MPCCLoss
+		labels, specs = append(labels, string(p)), append(specs, s)
 	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+		return []string{mbps(res.Flows["mp"].GoodputBps),
+			mbps(res.Flows["sp"].GoodputBps), fmt.Sprintf("%.3f", res.Utilization)}
+	})
 	return t
 }
 
@@ -113,36 +115,37 @@ func AblationOmegaBase(cfg Config) *Table {
 		Title:  "Ablation §5.2/§7.2.7 — probe/bound scaled by connection total vs own rate (500+50 Mbps links)",
 		Header: []string{"omega base", "goodput_Mbps", "sf_fat", "sf_thin", "thin_drop_pct"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, tc := range []struct {
 		name string
 		own  bool
 	}{{"connection total", false}, {"own rate", true}} {
 		mcfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
 		mcfg.ScaleByOwnRate = tc.own
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3b(),
-			Flows: []FlowSpec{{
-				Name: "mp", Proto: MPCCLoss,
-				Paths:  [][]string{{"link1"}, {"link2"}},
-				Attach: AttachOptions{MPCCConfig: &mcfg},
-			}},
-			Tweak: func(n *topo.Net) {
-				n.Link("link1").SetRate(500e6)
-				n.Link("link1").SetBuffer(4 * 375000)
-				n.Link("link2").SetRate(50e6)
-			},
+		s := cfg.spec(topo.Fig3b(), MPCCLoss, func(n *topo.Net) {
+			n.Link("link1").SetRate(500e6)
+			n.Link("link1").SetBuffer(4 * 375000)
+			n.Link("link2").SetRate(50e6)
 		})
+		s.Flows = []FlowSpec{{
+			Name: "mp", Proto: MPCCLoss,
+			Paths:  [][]string{{"link1"}, {"link2"}},
+			Attach: AttachOptions{MPCCConfig: &mcfg},
+		}}
+		labels, specs = append(labels, tc.name), append(specs, s)
+	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
 		fr := res.Flows["mp"]
 		thin := res.Net.Link("link2").Stats()
 		dropPct := 0.0
 		if total := thin.EnqueuedPackets + thin.DropsQueueFull; total > 0 {
 			dropPct = 100 * float64(thin.DropsQueueFull) / float64(total)
 		}
-		t.AddRow(tc.name, mbps(fr.GoodputBps),
+		return []string{mbps(fr.GoodputBps),
 			mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1]),
-			fmt.Sprintf("%.2f", dropPct))
-	}
+			fmt.Sprintf("%.2f", dropPct)}
+	})
 	return t
 }
 
@@ -154,23 +157,25 @@ func AblationNoPublication(cfg Config) *Table {
 		Title:  "Ablation §5.2 — frozen rate-publication snapshot vs live sibling rates (topology 3e)",
 		Header: []string{"publication", "utilization", "jain"},
 	}
+	var labels []string
+	var specs []Spec
 	for _, tc := range []struct {
 		name string
 		live bool
 	}{{"frozen snapshot", false}, {"live rates", true}} {
 		mcfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
 		mcfg.LivePublication = tc.live
-		res := Run(Spec{
-			Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
-			Topo: topo.Fig3e(),
-			Flows: []FlowSpec{
-				{Name: "mp1", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
-					Attach: AttachOptions{MPCCConfig: &mcfg}},
-				{Name: "mp2", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
-					Attach: AttachOptions{MPCCConfig: &mcfg}},
-			},
-		})
-		t.AddRow(tc.name, fmt.Sprintf("%.3f", res.Utilization), fmt.Sprintf("%.3f", res.Jain))
+		s := cfg.spec(topo.Fig3e(), MPCCLoss, nil)
+		s.Flows = []FlowSpec{
+			{Name: "mp1", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
+				Attach: AttachOptions{MPCCConfig: &mcfg}},
+			{Name: "mp2", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
+				Attach: AttachOptions{MPCCConfig: &mcfg}},
+		}
+		labels, specs = append(labels, tc.name), append(specs, s)
 	}
+	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+		return []string{fmt.Sprintf("%.3f", res.Utilization), fmt.Sprintf("%.3f", res.Jain)}
+	})
 	return t
 }

@@ -140,7 +140,7 @@ func TestLinkThroughputMatchesRate(t *testing.T) {
 		p.Send(1500, nil, sink, nil)
 		sent++
 		if e.Now() < sim.Second {
-			e.After(interval, send)
+			e.At(e.Now()+interval, send)
 		}
 	}
 	e.At(0, send)

@@ -44,10 +44,10 @@ func TestQueueDepthNeverExceedsBuffer(t *testing.T) {
 	feed = func() {
 		p.Send(pktSize, nil, sink, nil)
 		if e.Now() < 2*sim.Second {
-			e.After(gap, feed)
+			e.At(e.Now()+gap, feed)
 		}
 	}
-	e.After(0, feed)
+	e.At(0, feed)
 	e.Run(3 * sim.Second)
 
 	bound := bufBytes + pktSize

@@ -70,12 +70,12 @@ const (
 // Timer is a handle to a scheduled callback. It may be stopped before it
 // fires; stopping an already-fired or already-stopped timer is a no-op.
 //
-// Exactly one of fn (a closure, scheduled via At/After) or afn+arg (a
+// Exactly one of fn (a closure, scheduled via At) or afn+arg (a
 // closure-free callback, scheduled via Schedule/ScheduleRef) is set
 // while the timer is pending. Timers created by Schedule and ScheduleRef are
 // pooled: they recycle through the engine free list the moment they fire or
 // are stopped, with a generation counter (see TimerRef) keeping stale
-// handles harmless. Timers returned by At/After are never recycled —
+// handles harmless. Timers returned by At are never recycled —
 // callers may hold the bare *Timer arbitrarily long after firing and a
 // stale Stop must remain a harmless no-op, which a reused Timer could not
 // guarantee.
@@ -519,9 +519,6 @@ func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	e.enqueue(t)
 	return TimerRef{t: t, gen: t.gen}
 }
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
 
 // release returns a fired or stopped pooled timer to the free list,
 // retiring its generation so stale TimerRefs cannot touch it.

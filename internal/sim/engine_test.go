@@ -91,7 +91,7 @@ func TestEngineAfter(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
 	e.At(40, func() {
-		e.After(5, func() { at = e.Now() })
+		e.At(e.Now()+5, func() { at = e.Now() })
 	})
 	e.Run(0)
 	if at != 45 {
@@ -174,7 +174,7 @@ func TestDeterminism(t *testing.T) {
 			out = append(out, e.Rand().Intn(1000))
 			n++
 			if n < 50 {
-				e.After(Time(1+e.Rand().Intn(100)), rec)
+				e.At(e.Now()+Time(1+e.Rand().Intn(100)), rec)
 			}
 		}
 		e.At(0, rec)
@@ -254,7 +254,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			e.After(1, tick)
+			e.At(e.Now()+1, tick)
 		}
 	}
 	b.ResetTimer()

@@ -11,7 +11,7 @@ func ExampleEngine() {
 	eng.At(20*sim.Millisecond, func() { fmt.Println("second at", eng.Now()) })
 	eng.At(10*sim.Millisecond, func() {
 		fmt.Println("first at", eng.Now())
-		eng.After(5*sim.Millisecond, func() { fmt.Println("nested at", eng.Now()) })
+		eng.At(eng.Now()+5*sim.Millisecond, func() { fmt.Println("nested at", eng.Now()) })
 	})
 	eng.Run(0)
 	// Output:

@@ -139,10 +139,8 @@ func (s *Subflow) revive() {
 	s.conn.probes.SubflowUp(s.upAt, s.conn.Name, s.id)
 	s.consecRTOs, s.backoff = 0, 0
 	s.rtoEpochIdx = s.sendIdx
-	if s.probeTimer != nil {
-		s.probeTimer.Stop()
-		s.probeTimer = nil
-	}
+	s.probeTimer.Stop()
+	s.probeTimer = sim.TimerRef{}
 	if fa, ok := s.controller().(cc.FailureAware); ok {
 		fa.OnSubflowUp()
 	}
@@ -170,11 +168,11 @@ func (s *Subflow) scheduleProbe() {
 	if s.conn.probeInterval <= 0 {
 		return
 	}
-	if s.probeTimer != nil {
-		s.probeTimer.Stop()
-	}
-	s.probeTimer = s.conn.eng.After(s.conn.probeInterval, s.sendProbe)
+	s.probeTimer.Stop()
+	s.probeTimer = s.conn.eng.ScheduleRef(s.conn.eng.Now()+s.conn.probeInterval, probeEvent, s)
 }
+
+func probeEvent(a any) { a.(*Subflow).sendProbe() }
 
 // sendProbe transmits a single MSS-sized probe on the dead path. Probes
 // carry no stream data; their only purpose is eliciting an acknowledgement.

@@ -114,10 +114,8 @@ func (s *Subflow) teardown() {
 	s.rackTimer = sim.TimerRef{}
 	s.rxTimer.Stop()
 	s.rxTimer = sim.TimerRef{}
-	if s.probeTimer != nil {
-		s.probeTimer.Stop()
-		s.probeTimer = nil
-	}
+	s.probeTimer.Stop()
+	s.probeTimer = sim.TimerRef{}
 	s.pacerIdle = true
 	s.capBlocked = false
 	if s.rxPending != nil {

@@ -94,7 +94,7 @@ type Subflow struct {
 	consecRTOs  int    // RTO episodes since the last ACK
 	backoff     int    // RTO doublings currently applied
 	rtoEpochIdx uint64 // timeouts of packets sent before this don't open a new episode
-	probeTimer  *sim.Timer
+	probeTimer  sim.TimerRef
 	probeSeq    uint64
 	fails       uint64
 	downAt      sim.Time
