@@ -10,8 +10,9 @@ test:
 
 # Tier-1 gate: formatting cleanliness, vet, the full test suite under the
 # race detector (which also exercises the parallel sweep runner), and a
-# 1-iteration smoke of the go-test benchmarks in bench_test.go so they keep
-# compiling and running. Performance claims are made with bench-compare.
+# 1-iteration smoke of the go-test benchmarks in bench_test.go and of the
+# event-queue driver in internal/sim so they keep compiling and running.
+# Performance claims are made with bench-compare.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -19,6 +20,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run 'SteadyStateAllocs' -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEmulatorThroughput(Probed)?$$' -benchtime 1x -benchmem .
+	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchtime 1x
 	$(MAKE) examples
 
 # Build every example and smoke-run the trace-replay and churn demos (short
@@ -82,7 +84,7 @@ soak:
 
 # Short fuzz pass over every native fuzz target.
 fuzz:
-	$(GO) test ./internal/sim -fuzz FuzzTimingWheel -fuzztime 10s
+	$(GO) test ./internal/sim -fuzz FuzzTimingWheel -fuzztime 20s
 	$(GO) test ./internal/fairness -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzRangeSet -fuzztime 10s
 	$(GO) test ./internal/transport -fuzz FuzzFaultTimeline -fuzztime 10s

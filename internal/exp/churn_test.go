@@ -121,3 +121,30 @@ func TestChurnObsMetrics(t *testing.T) {
 		t.Errorf("session_fct_seconds count = %d, want %d", got, st.Completed)
 	}
 }
+
+// TestChurnQueueTiers is the regression guard for the event core's split:
+// under overload the backed-off RTOs, watchdogs and churn timers beyond the
+// wheel span live in the far heap, and the imminent heap — the one every pop
+// sifts — holds a drained slot's worth. Routing far timers back through the
+// hot heap would push its high-water mark into the hundreds.
+func TestChurnQueueTiers(t *testing.T) {
+	cfg := churnTestConfig()
+	cfg.Duration = 2 * sim.Second
+	spec := ChurnSpecAt(cfg, 1.3)
+	spec.Probes = obs.NewBus()
+	res := Run(spec)
+	q := res.Queue
+	if q.ImminentMax > 64 || q.FarMax < 100 {
+		t.Fatalf("imminent high-water %d (want <= 64), far high-water %d (want >= 100): %+v",
+			q.ImminentMax, q.FarMax, q)
+	}
+	for name, want := range map[string]int{
+		"sim.max_pending_imminent": q.ImminentMax,
+		"sim.max_pending_wheel":    q.WheelMax,
+		"sim.max_pending_far":      q.FarMax,
+	} {
+		if got := int(res.Obs.Gauges[name]); got != want {
+			t.Errorf("gauge %s = %d, want %d", name, got, want)
+		}
+	}
+}

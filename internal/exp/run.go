@@ -116,6 +116,11 @@ type Result struct {
 	// over shard engines; RunAveraged sums it over replicates. Throughput
 	// benchmarks report it as events/op.
 	Events uint64
+	// Queue is what each tier of the engines' event queue did (inserts,
+	// cancels, occupancy high-water marks), folded over shard engines and,
+	// by RunAveraged, over replicates: counts sum, high-water marks keep
+	// the maximum.
+	Queue sim.QueueStats
 	// Churn holds the session ledger and FCT distribution of the run's
 	// churn workload; nil when Spec.Churn was nil. RunAveraged keeps the
 	// first replicate's.
@@ -190,7 +195,7 @@ func Run(s Spec) *Result {
 		churn = startChurn(w, &s, net)
 	}
 	res := &Result{Flows: make(map[string]*FlowResult, len(conns)), Net: net, Conns: conns}
-	res.Obs, res.Events = w.run(s.Duration)
+	res.Obs, res.Events, res.Queue = w.run(s.Duration)
 	if churn != nil {
 		res.Churn = churn.snapshot()
 	}

@@ -76,6 +76,7 @@ func mergeInto(agg, res *Result) {
 	agg.Utilization += res.Utilization
 	agg.Jain += res.Jain
 	agg.Events += res.Events
+	foldQueue(&agg.Queue, res.Queue)
 	if agg.Obs != nil && res.Obs != nil {
 		agg.Obs.Merge(res.Obs)
 	}

@@ -121,8 +121,8 @@ func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOpt
 // Closing means: recorded streams replay into the run bus, the engine
 // gauges are published, the registry is snapshotted (and handed to the
 // snapshot sink), the trace gets its run-end marker, and the simulation is
-// counted. events sums over engines.
-func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64) {
+// counted. events sums over engines; queue folds their queue counters.
+func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue sim.QueueStats) {
 	runPool(len(w.engines), w.workers, func(c int) { w.engines[c].Run(horizon) })
 	maxPending := 0
 	for _, e := range w.engines {
@@ -130,12 +130,16 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64) {
 		if mp := e.MaxPending(); mp > maxPending {
 			maxPending = mp
 		}
+		foldQueue(&queue, e.QueueStats())
 	}
 	if w.bus != nil {
 		replayMerged(w.bus, w.recs)
 		reg := w.bus.Registry() // newWorld made sure there is one
 		reg.Gauge("sim.events_processed").Set(float64(events))
 		reg.Gauge("sim.max_pending_timers").Set(float64(maxPending))
+		reg.Gauge("sim.max_pending_imminent").Set(float64(queue.ImminentMax))
+		reg.Gauge("sim.max_pending_wheel").Set(float64(queue.WheelMax))
+		reg.Gauge("sim.max_pending_far").Set(float64(queue.FarMax))
 		snap = reg.Snapshot()
 		if snapshotSink != nil {
 			snapshotSink(w.seed, snap)
@@ -143,5 +147,21 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64) {
 		w.bus.RunEnd(w.engines[0].Now())
 	}
 	countSim()
-	return snap, events
+	return snap, events, queue
+}
+
+// foldQueue accumulates one engine's (or one replicate's) queue counters
+// into agg: counts sum, high-water marks keep the maximum.
+func foldQueue(agg *sim.QueueStats, q sim.QueueStats) {
+	agg.ImminentInserts += q.ImminentInserts
+	agg.ImminentCancels += q.ImminentCancels
+	agg.WheelInserts += q.WheelInserts
+	agg.WheelCancels += q.WheelCancels
+	agg.FarInserts += q.FarInserts
+	agg.FarCancels += q.FarCancels
+	agg.SlotDrains += q.SlotDrains
+	agg.FarPops += q.FarPops
+	agg.ImminentMax = max(agg.ImminentMax, q.ImminentMax)
+	agg.WheelMax = max(agg.WheelMax, q.WheelMax)
+	agg.FarMax = max(agg.FarMax, q.FarMax)
 }

@@ -7,14 +7,17 @@
 // order, which makes every run bit-reproducible for a given seed. Distinct
 // engines share no state, so they may run concurrently (see exp.RunParallel).
 //
-// The event core is allocation-conscious and built for timer churn: the
-// queue is a single-level hashed timing wheel (O(1) insert and cancel for
-// timers within ~half a second, which covers RTO, pacing, delayed-ACK and
-// monitor-interval timers) backed by an inlined monomorphic 4-ary heap that
-// holds the overflow — timers in the slot currently being drained and
-// far-future timers beyond the wheel span. The wheel never changes execution
-// order: every due timer passes through the heap before firing, so pops
-// follow the exact (at, seq) total order the heap alone would produce
+// The event core is allocation-conscious and built for timer churn. The
+// queue has three tiers, split by a timer's 65.5 µs slot relative to the
+// frontier (the slot being fired): an imminent heap for slots at or before
+// it, a single-level hashed timing wheel for the next 8 191 slots (O(1)
+// insert and cancel within ~half a second: pacing, delayed-ACK,
+// monitor-interval and un-backed-off RTO timers), and a far heap for
+// everything beyond (backed-off RTOs, watchdogs, churn timers — over a
+// thousand at a time under overload). Both heaps are one inlined monomorphic
+// 4-ary implementation, and the one every pop sifts holds a slot's worth of
+// timers however many wait far out. Each pop takes the global (at, seq)
+// minimum, the exact total order one heap alone would produce
 // (property-tested against a reference heap in wheel_test.go). Timers
 // created by Schedule and ScheduleRef recycle through a slab-backed
 // per-engine free list. See DESIGN.md "Performance architecture".
@@ -58,9 +61,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 // the slot of a timestamp is a shift, not a division; wheelSlots of them
 // span ≈537 ms, which covers every high-churn timer class the transport
 // arms (pacer ticks, delayed ACKs, RACK rechecks, monitor intervals, and
-// un-backed-off RTOs). Timers beyond the span overflow to the heap, which
-// restores them in order without any cascading because pops always compare
-// the heap head against the wheel frontier.
+// un-backed-off RTOs). Timers beyond the span go to the far heap, which
+// needs no cascading: the frontier never passes the far head's slot without
+// popping it.
 const (
 	wheelShift = 16
 	wheelSlots = 8192 // power of two
@@ -87,7 +90,8 @@ type Timer struct {
 	arg any
 	eng *Engine
 
-	// Queue position: index >= 0 is the heap slot; timerIdle (-1) means not
+	// Queue position: index >= 0 is the position in a heap — the far heap
+	// when far is set, else the imminent one; timerIdle (-1) means not
 	// queued; timerInWheel (-2) means linked into the wheel slot derived
 	// from at. Wheel slots are doubly-linked intrusive lists through
 	// next/prev so cancellation unlinks in O(1).
@@ -97,6 +101,7 @@ type Timer struct {
 	gen     uint64 // incremented every time a pooled timer is recycled
 	stopped bool
 	pooled  bool // owned by the engine free list (Schedule/ScheduleRef)
+	far     bool // in the far heap; written only on the far path
 }
 
 const (
@@ -109,9 +114,11 @@ func (t *Timer) At() Time { return t.at }
 
 // Stop cancels the timer and reports whether it was still pending. A
 // pending timer is removed from its queue immediately — O(1) for
-// wheel-resident timers, O(log n) for heap-resident ones — so long-lived
-// simulations that cancel many timers (retransmission and pacing timers
-// cancel on every ACK) do not accumulate dead entries.
+// wheel-resident timers, O(log n) for heap-resident ones, n being the size
+// of the one heap the timer sits in (the imminent heap holds a slot's worth,
+// the far heap the timers beyond the wheel span) — so long-lived simulations
+// that cancel many timers (retransmission and pacing timers cancel on every
+// ACK) do not accumulate dead entries.
 func (t *Timer) Stop() bool {
 	if t == nil || t.stopped {
 		return false
@@ -162,17 +169,19 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// heap holds the overflow: timers due in the slot currently being
-	// drained plus far-future timers beyond the wheel span. It is an
-	// inlined monomorphic 4-ary min-heap ordered by (at, seq).
-	heap []*Timer
+	// imminent holds the timers whose slot is at or before the frontier:
+	// the slot being drained plus whatever is scheduled into it meanwhile.
+	// far holds the timers that were beyond the wheel span when scheduled;
+	// they stay there until popped or stopped, however close they come.
+	imminent timerHeap
+	far      timerHeap
 
 	// wheel is the single-level hashed timing wheel: slot i holds an
 	// unordered doubly-linked list of timers with at>>wheelShift ≡ i
 	// (mod wheelSlots), strictly after the frontier and within one span.
 	// occ is its occupancy bitmap, wheelCount the total resident timers,
 	// and frontier the absolute slot index up to which slots have been
-	// drained into the heap.
+	// drained into the imminent heap.
 	wheel      []*Timer
 	occ        []uint64
 	wheelCount int
@@ -183,6 +192,7 @@ type Engine struct {
 	rng      *rand.Rand
 	stopped  bool
 	maxQueue int
+	stats    QueueStats
 	// Processed counts executed events, for diagnostics and benchmarks.
 	Processed uint64
 }
@@ -236,12 +246,17 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// ---- timing wheel + 4-ary overflow heap, ordered by (at, seq) ----
+// ---- imminent heap + timing wheel + far heap, ordered by (at, seq) ----
 //
-// Pop order is the total order (at, seq): a timer is only ever popped from
-// the heap, and the heap always receives every timer of a slot before the
-// first pop past that slot's frontier. The wheel's internal arrangement —
-// and in particular O(1) cancellations — cannot affect execution order.
+// Pop order is the total order (at, seq). The timers in slots at or before
+// the frontier are exactly the imminent heap plus the due far timers (those
+// whose slot the frontier has reached); wheel timers and far timers not yet
+// due all lie in later slots. So the smaller of the imminent head and a due
+// far head is the global minimum, and when there is neither the frontier
+// moves to whichever comes first, the next occupied wheel slot or the far
+// head's slot. The wheel's internal arrangement — and in particular O(1)
+// cancellations — cannot affect execution order, and no timer ever moves
+// from one heap to the other.
 
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
@@ -250,38 +265,54 @@ func timerLess(a, b *Timer) bool {
 	return a.seq < b.seq
 }
 
-// enqueue routes a freshly scheduled timer to the wheel when its slot is
-// strictly after the frontier and within one span, and to the heap
-// otherwise (imminent or far-future).
+// enqueue routes a freshly scheduled timer by its slot: at or before the
+// frontier to the imminent heap, within one span after it to the wheel,
+// beyond the span to the far heap.
 func (e *Engine) enqueue(t *Timer) {
-	if n := len(e.heap) + e.wheelCount + 1; n > e.maxQueue {
+	if n := e.Pending() + 1; n > e.maxQueue {
 		e.maxQueue = n
 	}
 	slot := int64(t.at >> wheelShift)
-	if slot <= e.frontier || slot >= e.frontier+wheelSlots {
-		e.push(t)
-		return
+	switch {
+	case slot <= e.frontier:
+		e.imminent.push(t)
+		e.stats.ImminentInserts++
+		e.stats.ImminentMax = max(e.stats.ImminentMax, len(e.imminent))
+	case slot >= e.frontier+wheelSlots:
+		t.far = true
+		e.far.push(t)
+		e.stats.FarInserts++
+		e.stats.FarMax = max(e.stats.FarMax, len(e.far))
+	default:
+		idx := slot & wheelMask
+		head := e.wheel[idx]
+		t.index = timerInWheel
+		t.prev = nil
+		t.next = head
+		if head != nil {
+			head.prev = t
+		}
+		e.wheel[idx] = t
+		e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+		e.wheelCount++
+		e.stats.WheelInserts++
+		e.stats.WheelMax = max(e.stats.WheelMax, e.wheelCount)
 	}
-	idx := slot & wheelMask
-	head := e.wheel[idx]
-	t.index = timerInWheel
-	t.prev = nil
-	t.next = head
-	if head != nil {
-		head.prev = t
-	}
-	e.wheel[idx] = t
-	e.occ[idx>>6] |= 1 << (uint(idx) & 63)
-	e.wheelCount++
 }
 
 // dequeue removes a pending timer from whichever structure holds it.
 func (e *Engine) dequeue(t *Timer) {
 	switch {
-	case t.index >= 0:
-		e.removeAt(int(t.index))
 	case t.index == timerInWheel:
 		e.unlink(t)
+		e.stats.WheelCancels++
+	case t.index >= 0 && t.far:
+		t.far = false
+		e.far.removeAt(int(t.index))
+		e.stats.FarCancels++
+	case t.index >= 0:
+		e.imminent.removeAt(int(t.index))
+		e.stats.ImminentCancels++
 	}
 }
 
@@ -304,11 +335,9 @@ func (e *Engine) unlink(t *Timer) {
 	e.wheelCount--
 }
 
-// advance moves the frontier to the next occupied wheel slot and drains it
-// into the heap, where (at, seq) ordering is restored. Empty slots are
-// skipped in bulk via the occupancy bitmap.
-func (e *Engine) advance() {
-	next := e.nextOccupied()
+// drain moves the frontier to the occupied wheel slot next and empties that
+// slot into the imminent heap, where (at, seq) ordering is restored.
+func (e *Engine) drain(next int64) {
 	e.frontier = next
 	idx := next & wheelMask
 	t := e.wheel[idx]
@@ -318,13 +347,16 @@ func (e *Engine) advance() {
 		n := t.next
 		t.next, t.prev = nil, nil
 		e.wheelCount--
-		e.push(t)
+		e.imminent.push(t)
 		t = n
 	}
+	e.stats.SlotDrains++
+	e.stats.ImminentMax = max(e.stats.ImminentMax, len(e.imminent))
 }
 
 // nextOccupied scans the occupancy bitmap for the first occupied slot
-// strictly after the frontier. The caller guarantees wheelCount > 0.
+// strictly after the frontier, skipping empty slots a word at a time. The
+// caller guarantees wheelCount > 0.
 func (e *Engine) nextOccupied() int64 {
 	start := e.frontier + 1
 	for off := int64(0); off < wheelSlots; {
@@ -336,60 +368,84 @@ func (e *Engine) nextOccupied() int64 {
 		}
 		off += int64(64 - bit)
 	}
-	panic("sim: wheel occupancy bitmap inconsistent with wheelCount")
+	panic(fmt.Sprintf("sim: wheel occupancy bitmap is empty with wheelCount=%d (imminent=%d, far=%d)",
+		e.wheelCount, len(e.imminent), len(e.far)))
+}
+
+// popFar removes and returns the far heap's head.
+func (e *Engine) popFar() *Timer {
+	t := e.far.popMin()
+	t.far = false
+	e.stats.FarPops++
+	return t
 }
 
 // nextTimer removes and returns the globally earliest pending timer, or nil
-// when no timers remain. Heap timers in slots at or before the frontier
-// beat every wheel timer (which all sit strictly after the frontier), so
-// the pop respects the (at, seq) total order.
+// when no timers remain.
 func (e *Engine) nextTimer() *Timer {
 	for {
-		if len(e.heap) > 0 {
-			slot := int64(e.heap[0].at >> wheelShift)
-			if e.wheelCount == 0 {
-				// Nothing to drain: fast-forward the frontier so newly
-				// scheduled near-term timers use the wheel again.
-				if slot > e.frontier {
-					e.frontier = slot
-				}
-				return e.popMin()
+		if len(e.imminent) > 0 {
+			// Only a far timer whose slot the frontier has reached can
+			// precede the imminent head; the two compete head to head.
+			if len(e.far) > 0 && int64(e.far[0].at>>wheelShift) <= e.frontier &&
+				timerLess(e.far[0], e.imminent[0]) {
+				return e.popFar()
 			}
-			if slot <= e.frontier {
-				return e.popMin()
-			}
-		} else if e.wheelCount == 0 {
-			return nil
+			return e.imminent.popMin()
 		}
-		e.advance()
+		if len(e.far) == 0 {
+			if e.wheelCount == 0 {
+				return nil
+			}
+			e.drain(e.nextOccupied())
+			continue
+		}
+		// Nothing imminent: the frontier moves to the next occupied wheel
+		// slot or to the far head's slot, whichever is first. On a tie the
+		// slot is drained and the far head competes with it above.
+		if slot := int64(e.far[0].at >> wheelShift); slot > e.frontier {
+			if e.wheelCount > 0 {
+				if next := e.nextOccupied(); next <= slot {
+					e.drain(next)
+					continue
+				}
+			}
+			e.frontier = slot
+		}
+		return e.popFar()
 	}
 }
 
-func (e *Engine) push(t *Timer) {
-	t.index = int32(len(e.heap))
-	e.heap = append(e.heap, t)
-	e.siftUp(len(e.heap) - 1)
+// timerHeap is an inlined monomorphic 4-ary min-heap ordered by (at, seq).
+// Each timer records its position in index so removeAt needs no search.
+type timerHeap []*Timer
+
+func (hp *timerHeap) push(t *Timer) {
+	h := append(*hp, t)
+	*hp = h
+	h.siftUp(len(h) - 1)
 }
 
-// popMin removes and returns the earliest heap timer.
-func (e *Engine) popMin() *Timer {
-	h := e.heap
+// popMin removes and returns the earliest timer.
+func (hp *timerHeap) popMin() *Timer {
+	h := *hp
 	t := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[0].index = 0
 	h[n] = nil
-	e.heap = h[:n]
+	h = h[:n]
+	*hp = h
 	if n > 0 {
-		e.siftDown(0)
+		h.siftDown(0)
 	}
 	t.index = timerIdle
 	return t
 }
 
 // removeAt deletes the timer at heap position i (used by eager Stop).
-func (e *Engine) removeAt(i int) {
-	h := e.heap
+func (hp *timerHeap) removeAt(i int) {
+	h := *hp
 	n := len(h) - 1
 	t := h[i]
 	if i != n {
@@ -397,16 +453,16 @@ func (e *Engine) removeAt(i int) {
 		h[i].index = int32(i)
 	}
 	h[n] = nil
-	e.heap = h[:n]
+	h = h[:n]
+	*hp = h
 	if i < n {
-		e.siftDown(i)
-		e.siftUp(i)
+		h.siftDown(i)
+		h.siftUp(i)
 	}
 	t.index = timerIdle
 }
 
-func (e *Engine) siftUp(i int) {
-	h := e.heap
+func (h timerHeap) siftUp(i int) {
 	t := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -421,8 +477,7 @@ func (e *Engine) siftUp(i int) {
 	t.index = int32(i)
 }
 
-func (e *Engine) siftDown(i int) {
-	h := e.heap
+func (h timerHeap) siftDown(i int) {
 	n := len(h)
 	t := h[i]
 	for {
@@ -565,15 +620,16 @@ func (e *Engine) Run(horizon Time) {
 			break
 		}
 		if horizon > 0 && next.at > horizon {
-			// Not due within the horizon: put it back (cheap — it lands in
-			// the heap or wheel according to the unchanged frontier).
+			// Not due within the horizon: put it back. Its slot is at or
+			// before the frontier whichever heap it was popped from, so it
+			// lands in the imminent heap, where it is the head.
 			e.enqueue(next)
 			e.now = horizon
 			return
 		}
 		e.fire(next)
 	}
-	if horizon > 0 && e.now < horizon && len(e.heap) == 0 && e.wheelCount == 0 {
+	if horizon > 0 && e.now < horizon && e.Pending() == 0 {
 		e.now = horizon
 	}
 }
@@ -591,9 +647,29 @@ func (e *Engine) Step() bool {
 
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
+func (e *Engine) Pending() int { return len(e.imminent) + e.wheelCount + len(e.far) }
 
 // MaxPending returns the high-water mark of queued timers over the engine's
 // lifetime — a proxy for how much simultaneous in-flight state a scenario
 // builds up, surfaced as a gauge by the experiment harness.
 func (e *Engine) MaxPending() int { return e.maxQueue }
+
+// QueueStats counts what each tier of the event queue did over the engine's
+// lifetime: timers routed into it by a scheduling call (Inserts), timers
+// stopped while resident (Cancels) and its occupancy high-water mark (Max).
+// A timer a slot drain moves from the wheel to the imminent heap is not an
+// imminent insert; drained timers are WheelInserts - WheelCancels less what
+// the wheel still holds.
+type QueueStats struct {
+	ImminentInserts, ImminentCancels uint64
+	WheelInserts, WheelCancels       uint64
+	FarInserts, FarCancels           uint64
+	ImminentMax, WheelMax, FarMax    int
+
+	SlotDrains uint64 // wheel slots emptied into the imminent heap
+	FarPops    uint64 // pops served from the far heap
+}
+
+// QueueStats returns the queue's per-tier counters — the check, without a
+// profiler, that far-future timers stay out of the heap every pop sifts.
+func (e *Engine) QueueStats() QueueStats { return e.stats }

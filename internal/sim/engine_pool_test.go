@@ -6,34 +6,47 @@ import (
 	"testing"
 )
 
+// TestStopRemovesEagerly: Stop takes a timer out of whichever tier holds it
+// at once — the imminent heap (slot 0 is at the frontier), the wheel, the
+// far heap — and each tier counts its own cancel.
 func TestStopRemovesEagerly(t *testing.T) {
 	e := NewEngine(1)
-	a := e.At(10, func() {})
-	b := e.At(20, func() {})
-	c := e.At(30, func() {})
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
+	var timers []*Timer
+	for _, at := range []Time{10, 20, 30, Millisecond, 2 * Millisecond, 3 * Millisecond, Second, 2 * Second, 3 * Second} {
+		timers = append(timers, e.At(at, func() {}))
 	}
-	if !b.Stop() {
-		t.Fatal("Stop on a pending timer returned false")
+	if e.Pending() != 9 {
+		t.Fatalf("Pending = %d, want 9", e.Pending())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending after Stop = %d, want 2 (eager removal)", e.Pending())
+	for i, mid := range []int{1, 4, 7} {
+		if !timers[mid].Stop() {
+			t.Fatalf("Stop on pending timer %d returned false", mid)
+		}
+		if want := 8 - i; e.Pending() != want {
+			t.Fatalf("Pending after Stop %d = %d, want %d (eager removal)", mid, e.Pending(), want)
+		}
+		if timers[mid].Stop() {
+			t.Fatalf("second Stop on timer %d returned true", mid)
+		}
 	}
-	if b.Stop() {
-		t.Fatal("second Stop returned true")
+	want := QueueStats{
+		ImminentInserts: 3, WheelInserts: 3, FarInserts: 3,
+		ImminentCancels: 1, WheelCancels: 1, FarCancels: 1,
+		ImminentMax: 3, WheelMax: 3, FarMax: 3,
+	}
+	if got := e.QueueStats(); got != want {
+		t.Fatalf("QueueStats = %+v, want %+v", got, want)
 	}
 	e.Run(0)
-	if e.Processed != 2 {
-		t.Fatalf("Processed = %d, want 2", e.Processed)
+	if e.Processed != 6 {
+		t.Fatalf("Processed = %d, want 6", e.Processed)
 	}
-	_ = a
-	_ = c
 }
 
-// TestHeapOrderUnderRandomRemovals stresses removeAt: random timers are
-// scheduled, a random subset stopped, and the rest must still fire in
-// (time, insertion) order.
+// TestHeapOrderUnderRandomRemovals stresses removeAt on both heaps: random
+// timers are scheduled, half into the slot at the frontier (the imminent
+// heap) and half a second out (the far heap), a random subset stopped, and
+// the rest must still fire in (time, insertion) order.
 func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	e := NewEngine(1)
@@ -47,11 +60,14 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 		timers []*Timer
 		fired  []int
 	)
-	for i := 0; i < 500; i++ {
-		v := &ev{at: Time(rng.Intn(100)), seq: i}
+	for i := 0; i < 1000; i++ {
+		v := &ev{at: Time(rng.Intn(100)) + Time(i%2)*Second, seq: i}
 		evs = append(evs, v)
 		i := i
 		timers = append(timers, e.At(v.at, func() { fired = append(fired, i) }))
+	}
+	if q := e.QueueStats(); q.ImminentMax != 500 || q.FarMax != 500 {
+		t.Fatalf("timers did not split across the two heaps: %+v", q)
 	}
 	for i, v := range evs {
 		if rng.Intn(3) == 0 {

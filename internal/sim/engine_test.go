@@ -87,7 +87,9 @@ func TestEngineHorizonAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestEngineAfter(t *testing.T) {
+// TestEngineAtFromCallback: a callback schedules relative to the time it
+// fired at, not to the time the run started.
+func TestEngineAtFromCallback(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
 	e.At(40, func() {
@@ -95,7 +97,7 @@ func TestEngineAfter(t *testing.T) {
 	})
 	e.Run(0)
 	if at != 45 {
-		t.Fatalf("After fired at %v, want 45", at)
+		t.Fatalf("timer scheduled from a callback fired at %v, want 45", at)
 	}
 }
 
@@ -260,6 +262,53 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ResetTimer()
 	e.At(0, tick)
 	e.Run(0)
+}
+
+// chain is one self-rescheduling timer that alternates between two hops.
+type chain struct {
+	eng *Engine
+	hop [2]Time
+	n   int
+}
+
+func chainTick(a any) {
+	c := a.(*chain)
+	c.n++
+	c.eng.Schedule(c.eng.Now()+c.hop[c.n&1], chainTick, c)
+}
+
+// BenchmarkEngineQueue times one Step (pop, fire, re-schedule) against the
+// three timer populations a run can hold: near is 1 024 chains hopping 120 µs
+// and 30 ms (packets in flight: wheel and imminent heap only), far is 900
+// chains hopping 600 and 900 ms (every timer beyond the wheel span), mixed
+// is both at once — the overload population, where a resident far tier must
+// not tax the near timers that do nearly all the firing.
+func BenchmarkEngineQueue(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		near, far int
+	}{{"near", 1024, 0}, {"far", 0, 900}, {"mixed", 1024, 900}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(1)
+			start := func(n int, short, long Time) {
+				for i := 0; i < n; i++ {
+					jitter := Time(i) * 37
+					c := &chain{eng: e, hop: [2]Time{short + jitter, long + jitter}}
+					e.Schedule(Time(i)*Microsecond, chainTick, c)
+				}
+			}
+			start(bc.near, 120*Microsecond, 30*Millisecond)
+			start(bc.far, 600*Millisecond, 900*Millisecond)
+			for i := 0; i < 1<<16; i++ {
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
 }
 
 // TestEngineLocal: engine-scoped state is built once per (engine, key) and

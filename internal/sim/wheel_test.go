@@ -10,7 +10,7 @@ import (
 //
 // refQueue is the obviously-correct timer queue the timing wheel is checked
 // against: a container/heap ordered by (at, seq) with eager removal. It
-// shares no code with the engine's wheel/4-ary-heap hybrid.
+// shares no code with the engine's heap/wheel/heap hybrid.
 
 type refEntry struct {
 	at  Time
@@ -98,8 +98,8 @@ func (q *refQueue) popOne() (int, bool) {
 //
 // A script is a deterministic sequence of rounds applied identically to a
 // sim.Engine and to the reference queue. Offsets are chosen to straddle
-// every wheel regime: the current slot (heap), near slots (wheel), the slot
-// boundary, the full span boundary, and far-future overflow (heap).
+// every queue regime: the current slot (imminent heap), near slots (wheel),
+// the slot boundary, the full span boundary, and beyond the span (far heap).
 
 type op struct {
 	schedOffsets []Time // schedule one timer per offset (relative to now)
@@ -118,9 +118,9 @@ var interestingOffsets = []Time{
 	(Time(1) << wheelShift) + 1,
 	Time(wheelSlots/2) << wheelShift, // mid-span
 	Time(wheelSlots-1) << wheelShift, // last wheel slot
-	Time(wheelSlots) << wheelShift,   // first overflow slot
+	Time(wheelSlots) << wheelShift,   // first far slot
 	(Time(wheelSlots) << wheelShift) + 12345,
-	3 * Time(wheelSlots) << wheelShift, // deep overflow
+	3 * Time(wheelSlots) << wheelShift, // deep in the far heap
 	Millisecond, 10 * Millisecond, 200 * Millisecond, Second,
 }
 
@@ -133,17 +133,21 @@ func randomOffset(rng *rand.Rand) Time {
 	case 2:
 		return Time(rng.Int63n(int64(600 * Millisecond))) // spans the wheel
 	default:
-		return Time(rng.Int63n(int64(3 * Second))) // mostly overflow
+		return Time(rng.Int63n(int64(3 * Second))) // mostly far
 	}
 }
 
 // runScript drives both implementations in lockstep: every engine fire must
 // match the reference heap's minimum (at, seq) entry, so cancels and spawns
 // issued from inside callbacks see an identical pending set on both sides.
-func runScript(t *testing.T, ops []op) {
+// Pending and MaxPending must agree with the reference's size and its
+// high-water mark whichever tiers the timers sit in. It returns the engine's
+// queue counters so a script can show it reached the regime it was built for.
+func runScript(t *testing.T, ops []op) QueueStats {
 	t.Helper()
 	eng := NewEngine(7)
 	ref := newRefQueue()
+	refMax := 0
 
 	nextID := 0
 	handles := map[int]TimerRef{}
@@ -152,6 +156,7 @@ func runScript(t *testing.T, ops []op) {
 	var schedule func(at Time, id int)
 	schedule = func(at Time, id int) {
 		ref.schedule(at, id)
+		refMax = max(refMax, len(ref.h))
 		handles[id] = eng.ScheduleRef(at, func(a any) {
 			i := a.(int)
 			want, ok := ref.popOne()
@@ -210,18 +215,28 @@ func runScript(t *testing.T, ops []op) {
 			t.Fatalf("engine stopped at horizon %d but reference still has id %d due at %d",
 				horizon, ref.h[0].id, ref.h[0].at)
 		}
+		if eng.Pending() != len(ref.h) {
+			t.Fatalf("Pending = %d at horizon %d, reference holds %d", eng.Pending(), horizon, len(ref.h))
+		}
 	}
 	// Drain: whatever survives must still agree, in order.
 	eng.Run(0)
 	if len(ref.h) != 0 {
 		t.Fatalf("engine drained but reference still holds %d entries", len(ref.h))
 	}
+	if eng.Pending() != 0 || eng.MaxPending() != refMax {
+		t.Fatalf("drained: Pending = %d, MaxPending = %d; reference high-water %d",
+			eng.Pending(), eng.MaxPending(), refMax)
+	}
+	return eng.QueueStats()
 }
 
 // TestWheelMatchesReferenceHeap is the differential property test: under
 // randomized schedule/cancel/reschedule interleavings spanning every wheel
 // regime, the engine must pop the exact (at, seq) sequence a reference heap
-// pops. 60 seeds × 30 rounds ≈ 50k timers per run.
+// pops. 60 seeds × 30 rounds ≈ 50k timers per run. Odd seeds start with a
+// few hundred resident far timers, which the rounds then cancel, re-arm and
+// run into while the near ones churn.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,6 +250,13 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				o.schedOffsets = append(o.schedOffsets, randomOffset(rng))
+			}
+			if r == 0 && seed%2 == 1 {
+				residents := 200 + rng.Intn(200)
+				for i := 0; i < residents; i++ {
+					o.schedOffsets = append(o.schedOffsets, wheelSpan+Time(rng.Int63n(int64(8*Second))))
+				}
+				n += residents
 			}
 			if rng.Intn(3) == 0 {
 				o.spawnEvery = 1 + rng.Intn(5)
@@ -251,10 +273,137 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 				o.cancelOnFire[id+rng.Intn(n)] = id + rng.Intn(n)
 			}
 			id = hi
-			ops = append(ops, op{})
-			ops[len(ops)-1] = o
+			ops = append(ops, o)
 		}
 		runScript(t, ops)
+	}
+}
+
+const (
+	slotSpan  = Time(1) << wheelShift          // one wheel slot
+	wheelSpan = Time(wheelSlots) << wheelShift // the whole wheel
+)
+
+// absOps turns rounds written in absolute times — at[i] schedules, until is
+// the round's horizon — into the base-relative form runScript takes.
+func absOps(rounds ...op) []op {
+	base := Time(0)
+	for i := range rounds {
+		o := &rounds[i]
+		for j := range o.schedOffsets {
+			o.schedOffsets[j] -= base
+		}
+		o.runFor -= base
+		base += o.runFor
+	}
+	return rounds
+}
+
+// TestFarHeapRegimes scripts the situations the imminent/far split creates.
+// Pop order, Pending and MaxPending are checked against the reference by
+// runScript; the queue counters show each script reached its regime. Ids
+// count schedules in script order from 0.
+func TestFarHeapRegimes(t *testing.T) {
+	const tie = wheelSpan + 100*slotSpan + 500 // mid-slot, far from t = 0
+	for _, tc := range []struct {
+		name string
+		ops  []op
+		want QueueStats // Max fields are not compared
+	}{
+		{
+			// The far timer (slot 8202) precedes the next occupied wheel slot
+			// (8240): the frontier moves to its slot and it pops without a
+			// drain. The timer at slot 100 keeps the wheel occupied across
+			// the first horizon so the far one is not reached early.
+			name: "far slot before the next occupied wheel slot",
+			ops: absOps(
+				op{schedOffsets: []Time{wheelSpan + 10*slotSpan, 50 * slotSpan, 100 * slotSpan}, runFor: 60 * slotSpan},
+				op{schedOffsets: []Time{8240 * slotSpan}, runFor: 8300 * slotSpan},
+			),
+			want: QueueStats{FarInserts: 1, FarPops: 1, WheelInserts: 3, SlotDrains: 3, ImminentInserts: 1},
+		},
+		{
+			// Three far timers and four wheel timers share one slot, with
+			// equal at across the two heaps: the drained slot is in the
+			// imminent heap when the far head comes due, and the seq tie is
+			// broken head to head (ids 0, 1 before 6; 2 before 7).
+			name: "same slot, equal at, far head due while imminent is non-empty",
+			ops: absOps(
+				op{schedOffsets: []Time{tie, tie, tie + 1, 50 * slotSpan, 200 * slotSpan}, runFor: 120 * slotSpan},
+				op{schedOffsets: []Time{tie - 1, tie, tie + 1, tie + 2}, runFor: tie + 10},
+			),
+			want: QueueStats{FarInserts: 3, FarPops: 3, WheelInserts: 6, SlotDrains: 3, ImminentInserts: 1},
+		},
+		{
+			// No wheel timers at all: the frontier jumps from far head to far
+			// head. At the second round it lags the clock by a whole span, so
+			// even a timer 1 ns ahead is beyond the span and takes the far
+			// path.
+			name: "wheel empty, only far timers left",
+			ops: absOps(
+				op{schedOffsets: []Time{wheelSpan + 5*slotSpan, 2 * wheelSpan, 2 * wheelSpan, 3*wheelSpan + 7}, runFor: 4 * wheelSpan},
+				op{schedOffsets: []Time{4*wheelSpan + 1, 4*wheelSpan + slotSpan, 4*wheelSpan + 10*slotSpan, 5*wheelSpan + 1}, runFor: 6 * wheelSpan},
+			),
+			want: QueueStats{FarInserts: 8, FarPops: 8},
+		},
+		{
+			// Run pops the far timer, finds it past the horizon and puts it
+			// back: it lands in the imminent heap (the frontier moved to its
+			// slot), as do the timers scheduled before and just after it.
+			// The second far timer is put back the same way, then stopped.
+			name: "Run puts back a timer popped from far",
+			ops: absOps(
+				op{schedOffsets: []Time{2 * wheelSpan}, runFor: wheelSpan},
+				op{schedOffsets: []Time{wheelSpan + 10*slotSpan, 2*wheelSpan + 5}, runFor: 3 * wheelSpan},
+				op{schedOffsets: []Time{5 * wheelSpan}, runFor: 4 * wheelSpan},
+				op{cancels: []int{3}, runFor: 6 * wheelSpan},
+			),
+			want: QueueStats{FarInserts: 2, FarPops: 2, ImminentInserts: 4, ImminentCancels: 1},
+		},
+		{
+			// Id 0 cancels id 1, drained into the imminent heap with it; id 3
+			// cancels the far id 2; the far id 4 fires.
+			name: "callbacks cancel an imminent and a far timer",
+			ops: absOps(op{
+				schedOffsets: []Time{10*slotSpan + 5, 10*slotSpan + 6, 2 * wheelSpan, 20 * slotSpan, 3 * wheelSpan},
+				cancelOnFire: map[int]int{0: 1, 3: 2},
+				runFor:       4 * wheelSpan,
+			}),
+			want: QueueStats{FarInserts: 2, FarCancels: 1, FarPops: 1, WheelInserts: 3, SlotDrains: 2, ImminentCancels: 1},
+		},
+	} {
+		got := runScript(t, tc.ops)
+		got.ImminentMax, got.WheelMax, got.FarMax = 0, 0, 0
+		if got != tc.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFarResidentsChurn keeps hundreds of timers resident beyond the wheel
+// span, cancelling and re-arming a batch of them every 25 ms round while
+// near-term timers churn through the wheel, long enough for the oldest to
+// come due. The far heap must carry all of them and the imminent heap none.
+func TestFarResidentsChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	far := func() Time { return wheelSpan + Time(rng.Int63n(int64(Second))) }
+	first := op{runFor: 25 * Millisecond}
+	for i := 0; i < 400; i++ {
+		first.schedOffsets = append(first.schedOffsets, far())
+	}
+	ops := []op{first}
+	for r, ids := 1, 400; r < 60; r++ {
+		o := op{runFor: 25 * Millisecond, spawnEvery: 3}
+		for i := 0; i < 30; i++ {
+			o.cancels = append(o.cancels, rng.Intn(ids))
+			o.schedOffsets = append(o.schedOffsets, far(), Time(rng.Int63n(int64(4*Millisecond))))
+		}
+		ids += 80 // 60 schedules, a spawned child for every third
+		ops = append(ops, o)
+	}
+	q := runScript(t, ops)
+	if q.FarMax < 400 || q.FarCancels < 500 || q.FarPops < 300 || q.ImminentMax > 32 {
+		t.Fatalf("the far tier did not carry the resident timers: %+v", q)
 	}
 }
 
@@ -271,7 +420,9 @@ func TestWheelFrontierFastForward(t *testing.T) {
 
 // FuzzTimingWheel feeds arbitrary byte strings as op scripts to the same
 // differential check, so the fuzzer can search for wheel-geometry edge
-// cases the random tests miss. Each byte pair encodes one action.
+// cases the random tests miss. Each byte pair encodes one action. The corpus
+// under testdata/fuzz/FuzzTimingWheel holds the far-heap regimes of
+// TestFarHeapRegimes in this encoding.
 func FuzzTimingWheel(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0xff, 0x80, 0x40, 0x03, 0x07})
 	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x55, 0xaa})
@@ -284,6 +435,7 @@ func FuzzTimingWheel(f *testing.F) {
 		ref := newRefQueue()
 		var fired, want []int
 		handles := map[int]TimerRef{}
+		var ats []Time // by id
 		id := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			a, b := data[i], data[i+1]
@@ -291,9 +443,15 @@ func FuzzTimingWheel(f *testing.F) {
 			case 0: // schedule: b picks an offset class
 				off := Time(b) << (uint(b%3) * 9) // 0..255, ..130k, ..66M ns
 				if b%7 == 0 {
-					off = Time(b) * 41 * Millisecond // up to ~10s: overflow
+					off = Time(b) * 41 * Millisecond // up to ~10s: the far heap
 				}
 				at := eng.Now() + off
+				if a >= 0x80 && id > 0 && ats[int(b)%id] >= eng.Now() {
+					// Land exactly on an earlier timer, which may sit in
+					// another tier: the tie is broken by seq across tiers.
+					at = ats[int(b)%id]
+				}
+				ats = append(ats, at)
 				ref.schedule(at, id)
 				idc := id
 				handles[id] = eng.ScheduleRef(at, func(any) { fired = append(fired, idc) }, nil)
@@ -310,6 +468,9 @@ func FuzzTimingWheel(f *testing.F) {
 			case 2: // run forward by a b-scaled amount (strictly positive:
 				// Run(0) means drain-all, which the reference doesn't mirror)
 				h := eng.Now() + Time(b)*(Time(1)<<(wheelShift-2)) + 1
+				if a >= 0x80 {
+					h = eng.Now() + Time(b)*5*Millisecond + 1 // up to ~1.3s: far timers come due
+				}
 				fired = fired[:0]
 				eng.Run(h)
 				want = ref.popDue(h)
@@ -320,6 +481,9 @@ func FuzzTimingWheel(f *testing.F) {
 					if fired[j] != want[j] {
 						t.Fatalf("order diverges at %d: %d vs %d", j, fired[j], want[j])
 					}
+				}
+				if eng.Pending() != len(ref.h) {
+					t.Fatalf("Pending = %d, reference holds %d", eng.Pending(), len(ref.h))
 				}
 			}
 		}
