@@ -95,13 +95,18 @@ func BenchmarkFig15ParameterGrid3d(b *testing.B) {
 	}
 }
 
+// download runs one 10 MB synthetic-WAN download and returns its completion
+// time (-1 if it missed the deadline).
+func download(seed int64, server, home string, p exp.Protocol) sim.Time {
+	return exp.Run(exp.DownloadSpec(seed, server, home, p, 10_000_000)).Flows["dl"].FCT
+}
+
 func BenchmarkFig16LiveDownloads(b *testing.B) {
 	// One representative pair per home rather than the full 6×3 matrix.
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, home := range topo.Homes {
-			secs := exp.BenchDownload(int64(i+1), "Tokyo", home, exp.MPCCLatency, 10_000_000)
-			if secs <= 0 {
+			if download(int64(i+1), "Tokyo", home, exp.MPCCLatency) <= 0 {
 				b.Fatal("download failed")
 			}
 		}
@@ -111,8 +116,8 @@ func BenchmarkFig16LiveDownloads(b *testing.B) {
 func BenchmarkFig17NormalizedGain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mp := exp.BenchDownload(1, "SaoPaulo", "Israel", exp.MPCCLatency, 10_000_000)
-		lia := exp.BenchDownload(1, "SaoPaulo", "Israel", exp.LIA, 10_000_000)
+		mp := download(1, "SaoPaulo", "Israel", exp.MPCCLatency)
+		lia := download(1, "SaoPaulo", "Israel", exp.LIA)
 		if !(mp > 0 && lia > 0) {
 			b.Fatal("download failed")
 		}

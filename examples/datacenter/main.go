@@ -12,11 +12,15 @@ import (
 
 func run(proto mpcc.Protocol) (longFCT float64, shortFCTs []float64) {
 	eng := mpcc.NewEngine(11)
-	clos := mpcc.NewClos(eng, mpcc.DefaultClosConfig())
+	// The fabric is a value: it names its links and each host pair's ECMP
+	// paths; the network builds them on the engine.
+	clos := mpcc.Clos{Cfg: mpcc.DefaultClosConfig()}
+	net := clos.Topology().Build(eng)
+	clos.Tweak(net)
 
 	start := func(src, dst int, bytes int64, out *float64) *mpcc.Connection {
 		conn := mpcc.NewConnection(eng, fmt.Sprintf("%s-%d-%d", proto, src, dst), proto,
-			clos.SubflowPaths(src, dst, 3), mpcc.AttachOptions{InitialRateBps: 50e6})
+			net.Paths(clos.SubflowPaths(src, dst, 3)), mpcc.AttachOptions{InitialRateBps: 50e6})
 		conn.SetApp(mpcc.NewFile(bytes), func(fct mpcc.Time) { *out = fct.Seconds() })
 		conn.Start(0)
 		return conn

@@ -195,7 +195,7 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 		d.servers = append(d.servers, churnServer{
 			Server:   transport.NewServer(sv.Name, sv.MaxConns, sv.BudgetBytes),
 			spec:     sv,
-			paths:    buildPaths(net, sv.Paths),
+			paths:    net.Paths(sv.Paths),
 			connOpts: opts,
 		})
 	}

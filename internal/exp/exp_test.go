@@ -18,7 +18,7 @@ func TestAttachAllProtocols(t *testing.T) {
 	for _, p := range append(append([]Protocol{}, MultipathSet...), Cubic, MPCCConnLevel) {
 		eng := sim.NewEngine(1)
 		net := topo.Fig3b().Build(eng)
-		paths := buildPaths(net, [][]string{{"link1"}, {"link2"}})
+		paths := net.Paths([][]string{{"link1"}, {"link2"}})
 		conn := Attach(eng, "c", p, paths, AttachOptions{})
 		if got := len(conn.Subflows()); got != 2 {
 			t.Fatalf("%s: %d subflows", p, got)
@@ -39,7 +39,7 @@ func TestAttachUnknownPanics(t *testing.T) {
 			t.Fatal("expected panic for unknown protocol")
 		}
 	}()
-	Attach(eng, "x", Protocol("nope"), buildPaths(net, [][]string{{"link1"}}), AttachOptions{})
+	Attach(eng, "x", Protocol("nope"), net.Paths([][]string{{"link1"}}), AttachOptions{})
 }
 
 func TestSinglePathPeers(t *testing.T) {
@@ -195,13 +195,55 @@ func TestFig2GradientFieldTable(t *testing.T) {
 }
 
 func TestRunDownloadSinglePair(t *testing.T) {
-	secs := runDownload(1, "Ohio", "Boston", MPCCLoss, 3_000_000)
-	if secs <= 0 || secs > 120 {
-		t.Fatalf("download time %v s implausible", secs)
+	spec := DownloadSpec(1, "Ohio", "Boston", MPCCLoss, 3_000_000)
+	fct := Run(spec).Flows["dl"].FCT
+	if fct <= 0 || fct > 120*sim.Second {
+		t.Fatalf("download time %v implausible", fct)
 	}
 	// Same seed, same pair → deterministic.
-	if again := runDownload(1, "Ohio", "Boston", MPCCLoss, 3_000_000); again != secs {
+	if again := Run(spec).Flows["dl"].FCT; again != fct {
 		t.Fatal("download not deterministic")
+	}
+}
+
+// TestRunEndsAtLastCompletion pins Run's stop rule: a spec whose flows are
+// all finite transfers ends in the event that completes the last of them,
+// whatever its Duration — a rate-based controller would otherwise keep
+// ticking to the horizon — while one bulk flow, or a churn overlay, keeps
+// the run going to Duration.
+func TestRunEndsAtLastCompletion(t *testing.T) {
+	for _, p := range []Protocol{MPCCLoss, BBR} {
+		var events []uint64
+		for _, horizon := range []sim.Time{30 * sim.Second, 20 * 60 * sim.Second} {
+			s := DownloadSpec(1, "Ohio", "Boston", p, 3_000_000)
+			s.Duration = horizon
+			res := Run(s)
+			if fct := res.Flows["dl"].FCT; fct <= 0 || res.Net.Eng.Now() != fct {
+				t.Fatalf("%s, horizon %v: engine ended at %v, download at %v", p, horizon, res.Net.Eng.Now(), fct)
+			}
+			events = append(events, res.Events)
+		}
+		if events[0] != events[1] {
+			t.Errorf("%s: %d events at a 30 s horizon, %d at 20 min — the run outlived its download", p, events[0], events[1])
+		}
+	}
+
+	paths := [][]string{{"link1"}, {"link2"}}
+	file := FlowSpec{Name: "file", Proto: MPCCLoss, Paths: paths, FileBytes: 100_000}
+	mixed := tiny().spec(topo.Fig3b(), MPCCLoss, nil)
+	mixed.Flows = []FlowSpec{file, {Name: "bulk", Proto: MPCCLoss, Paths: paths}}
+	if res := Run(mixed); res.Flows["file"].FCT < 0 || res.Net.Eng.Now() != mixed.Duration {
+		t.Errorf("bulk + file: file FCT %v, engine ended at %v, want the run to reach %v",
+			res.Flows["file"].FCT, res.Net.Eng.Now(), mixed.Duration)
+	}
+
+	churn := ChurnSpecAt(churnTestConfig(), 0.6)
+	file.Paths = topo.ServerFarmPaths(0)
+	churn.Flows = []FlowSpec{file}
+	res := Run(churn)
+	if res.Flows["file"].FCT < 0 || res.Net.Eng.Now() != churn.Duration || res.Churn.Completed == 0 {
+		t.Errorf("churn + file: file FCT %v, engine ended at %v with %d sessions completed, want the run to reach %v",
+			res.Flows["file"].FCT, res.Net.Eng.Now(), res.Churn.Completed, churn.Duration)
 	}
 }
 
@@ -241,7 +283,8 @@ func smallDC() DCConfig {
 }
 
 func TestDataCenterSmoke(t *testing.T) {
-	res := runDC(3, MPCCLoss, smallDC())
+	spec := dcSpec(3, MPCCLoss, smallDC())
+	res := dcClasses(spec.Flows)(Run(spec))
 	for _, class := range []string{"short", "medium", "long"} {
 		c := res[class]
 		if c.Started == 0 {

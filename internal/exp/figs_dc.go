@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 
 	"mpcc/internal/sim"
 	"mpcc/internal/stats"
@@ -52,52 +54,48 @@ type DCResult map[Protocol]map[string]FCTClass
 
 // DataCenterFCT reproduces Fig. 19 on the Fig. 18 Clos testbed: every flow
 // is a 3-subflow multipath connection over ECMP-spread spine paths; flow
-// completion times are collected per size class. Protocols run
-// concurrently, each on its own engine with the same seed.
+// completion times are collected per size class. One simulation per
+// protocol, all at the same seed and so over the same flow set.
 func DataCenterFCT(cfg Config, dc DCConfig) DCResult {
-	results := make([]map[string]FCTClass, len(DCProtocols))
-	RunParallel(len(DCProtocols), func(i int) {
-		results[i] = runDC(cfg.Seed, DCProtocols[i], dc)
-	})
+	specs := make([]Spec, len(DCProtocols))
+	for i, p := range DCProtocols {
+		specs[i] = dcSpec(cfg.Seed, p, dc)
+	}
+	classes := runSpecs(specs, 1, dcClasses(specs[0].Flows))
 	out := make(DCResult, len(DCProtocols))
 	for i, p := range DCProtocols {
-		out[p] = results[i]
+		out[p] = classes[i]
 	}
 	return out
 }
 
-func runDC(seed int64, p Protocol, dc DCConfig) map[string]FCTClass {
-	w := newWorld(seed, nil, 0)
-	clos := topo.NewClos(w.engines[0], topo.DefaultClosConfig())
-	w.start(dc.Duration, clos.Links())
-	rng := w.engines[0].Rand()
+// dcSpec declares the Fig. 19 run for one protocol: per host, the long and
+// the medium flows from t = 0 and one short flow per interval, each to a
+// destination drawn here, at declaration time, from a generator of its own
+// seeded like the engine's. Flows are named "<class>-<n>", n counting every
+// flow of the run.
+func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
+	clos := topo.Clos{Cfg: topo.DefaultClosConfig()}
 	nHosts := clos.Cfg.NumHosts
-
-	fcts := map[string][]float64{"short": nil, "medium": nil, "long": nil}
-	started := map[string]int{}
-	flowID := 0
-
+	rng := rand.New(rand.NewSource(seed))
+	attach := AttachOptions{
+		// DC stacks use a much lower minimum RTO than the WAN default.
+		ConnOptions: []transport.ConnOption{transport.WithMinRTO(10 * sim.Millisecond)},
+		// Start rate-based flows at a rate matched to the fabric.
+		InitialRateBps: 50e6,
+	}
+	var flows []FlowSpec
 	start := func(src int, bytes int64, class string, at sim.Time) {
 		dst := rng.Intn(nHosts - 1)
 		if dst >= src {
 			dst++
 		}
-		paths := clos.SubflowPaths(src, dst, dc.SubflowsPer)
-		name := fmt.Sprintf("%s-%d", class, flowID)
-		flowID++
-		conn := w.attach(name, p, paths, AttachOptions{
-			// DC stacks use a much lower minimum RTO than the WAN default.
-			ConnOptions: []transport.ConnOption{transport.WithMinRTO(10 * sim.Millisecond)},
-			// Start rate-based flows at a rate matched to the fabric.
-			InitialRateBps: 50e6,
+		flows = append(flows, FlowSpec{
+			Name: fmt.Sprintf("%s-%d", class, len(flows)), Proto: p,
+			Paths:   clos.SubflowPaths(src, dst, dc.SubflowsPer),
+			StartAt: at, FileBytes: bytes, Attach: attach,
 		})
-		conn.SetApp(transport.NewFile(bytes), func(fct sim.Time) {
-			fcts[class] = append(fcts[class], fct.Seconds())
-		})
-		conn.Start(at)
-		started[class]++
 	}
-
 	for h := 0; h < nHosts; h++ {
 		for i := 0; i < dc.LongFlows; i++ {
 			start(h, dc.LongBytes, "long", 0)
@@ -109,13 +107,34 @@ func runDC(seed int64, p Protocol, dc DCConfig) map[string]FCTClass {
 			start(h, dc.ShortBytes, "short", at)
 		}
 	}
-	w.run(dc.Duration)
+	return Spec{Seed: seed, Duration: dc.Duration, Topo: clos.Topology(), Flows: flows,
+		Tweak: func(net *topo.Net) {
+			clos.Tweak(net)
+			for range flows {
+				net.Eng.Rand().Intn(nHosts - 1)
+			}
+		}}
+}
 
-	res := make(map[string]FCTClass, 3)
-	for class, ts := range fcts {
-		res[class] = FCTClass{Done: len(ts), Started: started[class], Stats: stats.Summarize(ts)}
+// dcClasses returns the reduce of a dcSpec run over flows: the FCTs of each
+// size class, in declaration order.
+func dcClasses(flows []FlowSpec) func(*Result) map[string]FCTClass {
+	return func(r *Result) map[string]FCTClass {
+		fcts := map[string][]float64{"short": nil, "medium": nil, "long": nil}
+		started := map[string]int{}
+		for _, f := range flows {
+			class, _, _ := strings.Cut(f.Name, "-")
+			started[class]++
+			if fct := r.Flows[f.Name].FCT; fct >= 0 {
+				fcts[class] = append(fcts[class], fct.Seconds())
+			}
+		}
+		res := make(map[string]FCTClass, 3)
+		for class, ts := range fcts {
+			res[class] = FCTClass{Done: len(ts), Started: started[class], Stats: stats.Summarize(ts)}
+		}
+		return res
 	}
-	return res
 }
 
 // Table renders Fig. 19's percentiles for one size class.

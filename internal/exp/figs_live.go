@@ -4,94 +4,70 @@ import (
 	"fmt"
 	"math/rand"
 
-	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
-	"mpcc/internal/transport"
 )
 
 // LiveProtocols is the Fig. 16 lineup. "cubic" and "bbr" run uncoupled
 // single-path controllers on each of the two interfaces, as in the paper.
 var LiveProtocols = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, Cubic, BBR}
 
-// LiveResult holds the Fig. 16/17 download times in seconds, keyed by
-// home → server → protocol.
+// LiveResult holds the Fig. 16/17 download times in seconds, one per (home,
+// server, protocol) in that nesting order.
 type LiveResult struct {
 	FileBytes int64
-	Times     map[string]map[string]map[Protocol]float64
+	secs      []float64
+}
+
+// at is the download time of LiveProtocols[p] from topo.Servers[server] to
+// topo.Homes[home].
+func (r *LiveResult) at(home, server, p int) float64 {
+	return r.secs[(home*len(topo.Servers)+server)*len(LiveProtocols)+p]
 }
 
 // LiveDownloads reproduces §7.3: timed file downloads from the six AWS
 // regions to the three homes over synthetic WiFi+cellular paths (see
-// topo.BuildWAN for the substitution). The default downloads 25 MB; with
-// cfg.Full the paper's 75 MB.
+// topo.NewWANPair for the substitution), one simulation (× cfg.Reps) per
+// (home, server, protocol). The default downloads 25 MB; with cfg.Full the
+// paper's 75 MB.
 func LiveDownloads(cfg Config) *LiveResult {
 	fileBytes := int64(25_000_000)
 	if cfg.Full {
 		fileBytes = 75_000_000
 	}
-	// Pre-enumerate the (home, server, protocol) matrix in loop order; each
-	// cell is an independent set of downloads, so the cells run concurrently
-	// and merge back into the nested maps in enumeration order.
-	type cell struct {
-		home, server string
-		pi           int
-	}
-	var jobs []cell
+	var specs []Spec
 	for _, home := range topo.Homes {
 		for _, server := range topo.Servers {
-			for pi := range LiveProtocols {
-				jobs = append(jobs, cell{home, server, pi})
+			for pi, p := range LiveProtocols {
+				specs = append(specs, DownloadSpec(cfg.Seed+int64(pi), server, home, p, fileBytes))
 			}
 		}
 	}
-	times := make([]float64, len(jobs))
-	reps := replicates(cfg.Reps)
-	RunParallel(len(jobs), func(i int) {
-		j := jobs[i]
-		// One WAN draw per (pair, protocol, rep); reps average.
-		total := 0.0
-		for rep := 0; rep < reps; rep++ {
-			seed := cfg.Seed + int64(rep)*1000 + int64(j.pi)
-			total += runDownload(seed, j.server, j.home, LiveProtocols[j.pi], fileBytes)
+	secs := runSpecs(specs, cfg.Reps, func(r *Result) float64 {
+		if fct := r.Flows["dl"].FCT; fct >= 0 {
+			return fct.Seconds()
 		}
-		times[i] = total / float64(reps)
+		return downloadDeadline.Seconds() // did not finish
 	})
-	res := &LiveResult{FileBytes: fileBytes, Times: make(map[string]map[string]map[Protocol]float64)}
-	for i, j := range jobs {
-		hm := res.Times[j.home]
-		if hm == nil {
-			hm = make(map[string]map[Protocol]float64)
-			res.Times[j.home] = hm
-		}
-		sm := hm[j.server]
-		if sm == nil {
-			sm = make(map[Protocol]float64)
-			hm[j.server] = sm
-		}
-		sm[LiveProtocols[j.pi]] = times[i]
-	}
-	return res
+	return &LiveResult{FileBytes: fileBytes, secs: secs}
 }
 
-func runDownload(seed int64, server, home string, p Protocol, fileBytes int64) float64 {
-	const deadline = 20 * 60 * sim.Second // generous
-	w := newWorld(seed, nil, 0)
-	eng := w.engines[0]
-	// The WAN draw must be identical across protocols for a fair race, so
-	// it uses its own generator derived from the pair, not the engine's.
-	wanRng := rand.New(rand.NewSource(hashPair(server, home)))
-	pair := topo.BuildWAN(eng, server, home, wanRng)
-	w.start(deadline, []*netem.Link{pair.WiFiLink, pair.CellLink})
-	conn := w.attach("dl", p, []*netem.Path{pair.WiFi, pair.Cell}, AttachOptions{})
-	var fct sim.Time = -1
-	conn.SetApp(transport.NewFile(fileBytes), func(t sim.Time) { fct = t; eng.Stop() })
-	conn.Start(0)
-	w.run(deadline)
-	if fct < 0 {
-		return deadline.Seconds() // did not finish
+const downloadDeadline = 20 * 60 * sim.Second // generous
+
+// DownloadSpec declares one timed download of §7.3: protocol p fetches
+// fileBytes from server to home over the pair's WiFi and cellular paths,
+// flow "dl". The run ends when the file completes — FlowResult.FCT is the
+// download time — or at the 20-minute deadline.
+func DownloadSpec(seed int64, server, home string, p Protocol, fileBytes int64) Spec {
+	// The WAN draw must be identical across protocols and seeds for a fair
+	// race, so it uses its own generator derived from the pair, not the
+	// engine's.
+	pair := topo.NewWANPair(server, home, rand.New(rand.NewSource(hashPair(server, home))))
+	return Spec{
+		Seed: seed, Duration: downloadDeadline, Topo: pair.Topo, Tweak: pair.Tweak,
+		Flows: []FlowSpec{{Name: "dl", Proto: p, Paths: pair.Topo.Flows[0].Paths,
+			FileBytes: fileBytes, PathTweak: pair.PathTweak}},
 	}
-	return fct.Seconds()
 }
 
 func hashPair(server, home string) int64 {
@@ -106,16 +82,16 @@ func hashPair(server, home string) int64 {
 	return h
 }
 
-// Fig16Table renders per-home download times.
-func (r *LiveResult) Fig16Table(home string) *Table {
+// Fig16Table renders the download times to topo.Homes[home].
+func (r *LiveResult) Fig16Table(home int) *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Fig 16 — download time of a %d MB file to %s, seconds", r.FileBytes/1_000_000, home),
+		Title:  fmt.Sprintf("Fig 16 — download time of a %d MB file to %s, seconds", r.FileBytes/1_000_000, topo.Homes[home]),
 		Header: append([]string{"server"}, protoNames(LiveProtocols)...),
 	}
-	for _, server := range topo.Servers {
+	for s, server := range topo.Servers {
 		row := []string{server}
-		for _, p := range LiveProtocols {
-			row = append(row, fmt.Sprintf("%.1f", r.Times[home][server][p]))
+		for p := range LiveProtocols {
+			row = append(row, fmt.Sprintf("%.1f", r.at(home, s, p)))
 		}
 		t.AddRow(row...)
 	}
@@ -130,25 +106,19 @@ func (r *LiveResult) Fig17Table() *Table {
 		Title:  "Fig 17 — mean download-speed gain of MPCC-latency over each protocol (ratio >1 ⇒ MPCC faster)",
 		Header: []string{"protocol", "mean time ratio vs mpcc-latency"},
 	}
-	for _, p := range LiveProtocols {
+	for p, proto := range LiveProtocols {
 		sum, n := 0.0, 0
-		for _, home := range topo.Homes {
-			for _, server := range topo.Servers {
-				ref := r.Times[home][server][MPCCLatency]
-				v := r.Times[home][server][p]
+		for h := range topo.Homes {
+			for s := range topo.Servers {
+				ref := r.at(h, s, 0) // LiveProtocols[0] is MPCC-latency
+				v := r.at(h, s, p)
 				if ref > 0 && v > 0 {
 					sum += v / ref // >1 means the protocol is slower than MPCC
 					n++
 				}
 			}
 		}
-		t.AddRow(string(p), fmt.Sprintf("%.2f", sum/float64(n)))
+		t.AddRow(string(proto), fmt.Sprintf("%.2f", sum/float64(n)))
 	}
 	return t
-}
-
-// BenchDownload exposes a single synthetic-WAN download for the benchmark
-// harness: it returns the download time in seconds.
-func BenchDownload(seed int64, server, home string, p Protocol, bytes int64) float64 {
-	return runDownload(seed, server, home, p, bytes)
 }

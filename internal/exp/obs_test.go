@@ -65,11 +65,11 @@ func TestRunSnapshotsRegistry(t *testing.T) {
 	}
 }
 
-// everyRunner is one small instance of each way the package runs a
-// simulation: the declarative front, and the figure runners that drive the
-// world over raw links (runDownload, runDC) or through Run (webSpec). Each
-// returns the numbers its experiment reports, so equal slices mean
-// bit-equal results.
+// everyRunner is one small instance of each kind of spec the package runs:
+// bulk flows on a canonical topology, a WAN download that ends at its FCT,
+// the Clos flow mix, and web's finite flows over a bulk one. Each returns
+// the numbers its experiment reports, so equal slices mean bit-equal
+// results.
 var everyRunner = []struct {
 	name string
 	run  func() []float64
@@ -78,12 +78,13 @@ var everyRunner = []struct {
 		res := Run(probeSpec(nil))
 		return []float64{res.Flows["mp"].GoodputBps, res.Flows["sp"].GoodputBps}
 	}},
-	{"runDownload", func() []float64 {
-		return []float64{runDownload(1, "Ohio", "Boston", MPCCLoss, 1_000_000)}
+	{"DownloadSpec", func() []float64 {
+		return []float64{Run(DownloadSpec(1, "Ohio", "Boston", MPCCLoss, 1_000_000)).Flows["dl"].FCT.Seconds()}
 	}},
-	{"runDC", func() []float64 {
+	{"dcSpec", func() []float64 {
 		var out []float64
-		res := runDC(3, MPCCLoss, smallDC())
+		spec := dcSpec(3, MPCCLoss, smallDC())
+		res := dcClasses(spec.Flows)(Run(spec))
 		for _, class := range []string{"short", "medium", "long"} {
 			c := res[class]
 			out = append(out, float64(c.Done), c.Stats.Mean, c.Stats.Median, c.Stats.P99)

@@ -225,17 +225,26 @@ func TestParameterGridParallelIdentical(t *testing.T) {
 
 // TestMergeIntoSubflowMismatch checks the fold runSpecs applies to a spec's
 // replicates: sums divided by the replicate count, the goodput spread
-// tracked, and replicates that disagree on a flow's subflow count averaged
+// tracked, a completion time averaged with a did-not-finish counted as the
+// horizon, and replicates that disagree on a flow's subflow count averaged
 // over the common prefix with a note rather than a panic.
 func TestMergeIntoSubflowMismatch(t *testing.T) {
 	agg := average([]*Result{
 		{Jain: 0.5, Flows: map[string]*FlowResult{
-			"f": {GoodputBps: 10, MinGoodputBps: 10, MaxGoodputBps: 10, SubflowGoodputBps: []float64{4, 6}},
+			"f":    {GoodputBps: 10, MinGoodputBps: 10, MaxGoodputBps: 10, SubflowGoodputBps: []float64{4, 6}, FCT: 4 * sim.Second},
+			"bulk": {FCT: -1},
 		}},
 		{Jain: 1, Flows: map[string]*FlowResult{
-			"f": {GoodputBps: 20, MinGoodputBps: 20, MaxGoodputBps: 20, SubflowGoodputBps: []float64{20}},
+			"f":    {GoodputBps: 20, MinGoodputBps: 20, MaxGoodputBps: 20, SubflowGoodputBps: []float64{20}, FCT: -1},
+			"bulk": {FCT: -1},
 		}},
-	})
+	}, 10*sim.Second)
+	if got := agg.Flows["f"].FCT; got != 7*sim.Second {
+		t.Errorf("FCT average = %v, want 7s (4 s and a did-not-finish at the 10 s horizon)", got)
+	}
+	if got := agg.Flows["bulk"].FCT; got != -1 {
+		t.Errorf("FCT of a flow that never finishes = %v, want -1", got)
+	}
 	a := agg.Flows["f"]
 	if got := a.SubflowGoodputBps; got[0] != 12 || got[1] != 3 {
 		t.Errorf("subflow average = %v, want [12 3]", got)

@@ -68,7 +68,7 @@ func Registry() []Experiment {
 		{"fig16", "AWS→residential download times (Fig. 16)", func(cfg Config) []*Table {
 			r := LiveDownloads(cfg)
 			var out []*Table
-			for _, home := range topo.Homes {
+			for home := range topo.Homes {
 				out = append(out, r.Fig16Table(home))
 			}
 			return out

@@ -173,9 +173,18 @@ func Run(s Spec) *Result {
 		links[i] = net.Link(name)
 	}
 	w.start(s.Duration, links)
+	// A run of finite transfers only (and no churn to open more) has nothing
+	// left to measure once the last of them completes, but a rate-based
+	// controller would keep its monitor intervals ticking to the horizon: such
+	// a run ends at its last completion instead. Per engine, because engines
+	// share no clock — each stops at the last completion among its own flows.
+	var pending map[*sim.Engine]*int
+	if s.Churn == nil && allFinite(flows) {
+		pending = make(map[*sim.Engine]*int, len(engines))
+	}
 	conns := make(map[string]*transport.Connection, len(flows))
 	for _, f := range flows {
-		ps := buildPaths(net, f.Paths)
+		ps := net.Paths(f.Paths)
 		if f.PathTweak != nil {
 			for _, p := range ps {
 				f.PathTweak(p)
@@ -183,7 +192,7 @@ func Run(s Spec) *Result {
 		}
 		conn := w.attach(f.Name, f.Proto, ps, f.Attach)
 		if f.FileBytes > 0 {
-			conn.SetApp(transport.NewFile(f.FileBytes), nil)
+			conn.SetApp(transport.NewFile(f.FileBytes), stopAfterLast(pending, ps[0].Engine()))
 		} else {
 			conn.SetApp(transport.Bulk{}, nil)
 		}
@@ -224,12 +233,34 @@ func Run(s Spec) *Result {
 	return res
 }
 
-func buildPaths(net *topo.Net, pathNames [][]string) []*netem.Path {
-	out := make([]*netem.Path, len(pathNames))
-	for i, names := range pathNames {
-		out[i] = net.Path(names...)
+func allFinite(flows []FlowSpec) bool {
+	for _, f := range flows {
+		if f.FileBytes <= 0 {
+			return false
+		}
 	}
-	return out
+	return len(flows) > 0
+}
+
+// stopAfterLast counts one more finite flow on eng and returns its
+// completion callback: whichever completion brings eng's count to zero stops
+// the engine, from inside that event. A nil pending means the rule does not
+// apply to the run, and nothing is allocated or called.
+func stopAfterLast(pending map[*sim.Engine]*int, eng *sim.Engine) func(sim.Time) {
+	if pending == nil {
+		return nil
+	}
+	left := pending[eng]
+	if left == nil {
+		left = new(int)
+		pending[eng] = left
+	}
+	*left++
+	return func(sim.Time) {
+		if *left--; *left == 0 {
+			eng.Stop()
+		}
+	}
 }
 
 func scale(xs []float64, f float64) []float64 {

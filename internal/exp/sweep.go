@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"sync/atomic"
+
+	"mpcc/internal/sim"
 )
 
 // runSpecs is the one way an experiment runs its simulations. The caller
@@ -28,7 +30,7 @@ func runSpecs[T any](specs []Spec, reps int, reduce func(*Result) T) []T {
 		parts[j] = Run(s)
 		if int(done[i].Add(1)) == reps {
 			mine := parts[i*reps : (i+1)*reps]
-			out[i] = reduce(average(mine))
+			out[i] = reduce(average(mine, s.Duration))
 			clear(mine)
 		}
 	})
@@ -47,8 +49,10 @@ func RunAveraged(s Spec, reps int) *Result {
 }
 
 // average folds one spec's replicates, in replicate order, into the first
-// and divides the summed means by their count.
-func average(results []*Result) *Result {
+// and divides the summed means by their count. A finite flow's FCT becomes
+// the mean over the replicates, one in which it did not finish by the horizon
+// counting as the horizon; it stays -1 if it finished in none.
+func average(results []*Result, horizon sim.Time) *Result {
 	agg := results[0]
 	for _, res := range results[1:] {
 		mergeInto(agg, res)
@@ -56,15 +60,29 @@ func average(results []*Result) *Result {
 	n := float64(len(results))
 	agg.Utilization /= n
 	agg.Jain /= n
-	for _, fr := range agg.Flows {
+	for name, fr := range agg.Flows {
 		fr.GoodputBps /= n
 		fr.LatencyMean /= n
 		fr.LatencyStd /= n
 		for i := range fr.SubflowGoodputBps {
 			fr.SubflowGoodputBps[i] /= n
 		}
+		fr.FCT = meanFCT(results, name, horizon)
 	}
 	return agg
+}
+
+func meanFCT(results []*Result, flow string, horizon sim.Time) sim.Time {
+	sum, done := sim.Time(0), 0
+	for _, res := range results {
+		if fr := res.Flows[flow]; fr != nil && fr.FCT >= 0 {
+			sum, done = sum+fr.FCT, done+1
+		}
+	}
+	if done == 0 {
+		return -1
+	}
+	return (sum + sim.Time(len(results)-done)*horizon) / sim.Time(len(results))
 }
 
 // mergeInto accumulates res into agg (one replicate of average). If the

@@ -7,10 +7,10 @@ import (
 	"mpcc/internal/transport"
 )
 
-// world is the one place a simulation is wired, run and closed. Run
-// (declarative Specs), runDownload (raw WAN links) and runDC (raw Clos
-// links) drive it through the same steps, so every experiment is probed,
-// traced and counted alike:
+// world is the one place a simulation is wired, run and closed. Run drives
+// it for every Spec, so every experiment is probed, traced and counted
+// alike (the one other caller is the churn overlay, which attaches its
+// sessions mid-run):
 //
 //	newWorld → build links, Tweak → start → attach… → run
 //
@@ -120,12 +120,13 @@ func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOpt
 // sequential engine and the worker count can never change an event order.
 // Closing means: recorded streams replay into the run bus, the engine
 // gauges are published, the registry is snapshotted (and handed to the
-// snapshot sink), the trace gets its run-end marker, and the simulation is
-// counted. events sums over engines; queue folds their queue counters.
+// snapshot sink), the trace gets its run-end marker — at the latest engine
+// clock, so never before a merged event — and the simulation is counted. events sums over engines; queue folds their queue counters.
 func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue sim.QueueStats) {
 	runPool(len(w.engines), w.workers, func(c int) { w.engines[c].Run(horizon) })
-	maxPending := 0
+	maxPending, end := 0, sim.Time(0)
 	for _, e := range w.engines {
+		end = max(end, e.Now()) // an engine of finite flows stops at its last FCT
 		events += e.Processed
 		if mp := e.MaxPending(); mp > maxPending {
 			maxPending = mp
@@ -144,7 +145,7 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 		if snapshotSink != nil {
 			snapshotSink(w.seed, snap)
 		}
-		w.bus.RunEnd(w.engines[0].Now())
+		w.bus.RunEnd(end)
 	}
 	countSim()
 	return snap, events, queue

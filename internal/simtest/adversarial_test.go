@@ -7,6 +7,7 @@ package simtest
 // tests).
 
 import (
+	"strings"
 	"testing"
 
 	"mpcc/internal/exp"
@@ -128,7 +129,8 @@ func TestHandoverScenarioPassesOracles(t *testing.T) {
 
 // TestHandoverScheduleOracleFires proves both halves of the schedule check:
 // a handover arriving off-schedule is a live violation, and a scheduled
-// handover that never fires is a Finalize violation.
+// handover that was due by the end of the run and never fired is a Finalize
+// violation — while one due only after the run ended is not.
 func TestHandoverScheduleOracleFires(t *testing.T) {
 	o := NewOracle()
 	o.expectHandovers("l0", []sim.Time{sim.Second, 2 * sim.Second})
@@ -143,16 +145,22 @@ func TestHandoverScheduleOracleFires(t *testing.T) {
 		t.Fatal("off-schedule handover not reported live")
 	}
 
+	// A run that ended at 2 s: the handover due at 1 s was missed, the one
+	// due at 3 s was never owed.
+	eng := sim.NewEngine(1)
+	net := topo.NewNet(eng)
+	net.AddDefaultLink("l0")
+	eng.Run(2 * sim.Second)
 	o2 := NewOracle()
-	o2.expectHandovers("l0", []sim.Time{sim.Second})
-	leftover := false
-	for _, v := range o2.Finalize(&exp.Result{}) {
+	o2.expectHandovers("l0", []sim.Time{sim.Second, 3 * sim.Second})
+	var leftover []Violation
+	for _, v := range o2.Finalize(&exp.Result{Net: net}) {
 		if v.Invariant == InvHandoverSched {
-			leftover = true
+			leftover = append(leftover, v)
 		}
 	}
-	if !leftover {
-		t.Fatal("never-fired handover not reported at Finalize")
+	if len(leftover) != 1 || !strings.Contains(leftover[0].Detail, "1 scheduled handovers never fired") {
+		t.Fatalf("want exactly the handover due at 1s reported at Finalize, got %v", leftover)
 	}
 }
 

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 
-	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 )
 
@@ -33,85 +32,70 @@ func DefaultClosConfig() ClosConfig {
 	}
 }
 
-// Clos is a 2-layer Clos fabric: hosts at ToRs, ToRs fully meshed to
-// spines. Subflows are placed on distinct spine paths via ECMP hashing, as
-// the testbed's hardcoded shortest paths were.
+// Clos is a 2-layer Clos fabric as a value: hosts at ToRs, ToRs fully meshed
+// to spines. Subflows are placed on distinct spine paths via ECMP hashing,
+// as the testbed's hardcoded shortest paths were.
 type Clos struct {
 	Cfg ClosConfig
-	eng *sim.Engine
-
-	links    []*netem.Link   // every link, in creation order
-	hostUp   []*netem.Link   // host → ToR
-	hostDown []*netem.Link   // ToR → host
-	torUp    [][]*netem.Link // [tor][spine] ToR → spine
-	torDown  [][]*netem.Link // [spine][tor] spine → ToR
 }
 
-// NewClos builds the fabric on eng.
-func NewClos(eng *sim.Engine, cfg ClosConfig) *Clos {
-	c := &Clos{Cfg: cfg, eng: eng}
-	mk := func(name string) *netem.Link {
-		l := netem.NewLink(eng, name, cfg.LinkRateBps, cfg.LinkDelay, cfg.BufferBytes)
-		c.links = append(c.links, l)
-		return l
+// Topology returns the fabric's links — host up- and downlinks, then each
+// ToR's up- and downlink per spine — and no flows: the experiment declares
+// them over SubflowPaths.
+func (c Clos) Topology() *Topology {
+	t := &Topology{Name: "clos"}
+	for h := 0; h < c.Cfg.NumHosts; h++ {
+		t.Links = append(t.Links, hostUp(h), hostDown(h))
 	}
-	for h := 0; h < cfg.NumHosts; h++ {
-		c.hostUp = append(c.hostUp, mk(fmt.Sprintf("h%d-up", h)))
-		c.hostDown = append(c.hostDown, mk(fmt.Sprintf("h%d-down", h)))
-	}
-	c.torUp = make([][]*netem.Link, cfg.NumToRs)
-	c.torDown = make([][]*netem.Link, cfg.NumSpines)
-	for s := 0; s < cfg.NumSpines; s++ {
-		c.torDown[s] = make([]*netem.Link, cfg.NumToRs)
-	}
-	for t := 0; t < cfg.NumToRs; t++ {
-		c.torUp[t] = make([]*netem.Link, cfg.NumSpines)
-		for s := 0; s < cfg.NumSpines; s++ {
-			c.torUp[t][s] = mk(fmt.Sprintf("tor%d-spine%d", t, s))
-			c.torDown[s][t] = mk(fmt.Sprintf("spine%d-tor%d", s, t))
+	for tor := 0; tor < c.Cfg.NumToRs; tor++ {
+		for s := 0; s < c.Cfg.NumSpines; s++ {
+			t.Links = append(t.Links, torUp(tor, s), torDown(s, tor))
 		}
 	}
-	return c
+	return t
 }
 
-// Links returns every link of the fabric in creation order (the order probe
-// wiring must follow to keep traces reproducible).
-func (c *Clos) Links() []*netem.Link { return c.links }
+func hostUp(h int) string       { return fmt.Sprintf("h%d-up", h) }
+func hostDown(h int) string     { return fmt.Sprintf("h%d-down", h) }
+func torUp(tor, s int) string   { return fmt.Sprintf("tor%d-spine%d", tor, s) }
+func torDown(s, tor int) string { return fmt.Sprintf("spine%d-tor%d", s, tor) }
+
+// Tweak gives every built link the fabric's rate, delay and buffer (an
+// exp.Spec's Tweak).
+func (c Clos) Tweak(net *Net) {
+	for _, name := range net.LinkNames() {
+		l := net.Link(name)
+		l.SetRate(c.Cfg.LinkRateBps)
+		l.SetDelay(c.Cfg.LinkDelay)
+		l.SetBuffer(c.Cfg.BufferBytes)
+	}
+}
 
 // ToROf returns the ToR a host attaches to.
-func (c *Clos) ToROf(host int) int { return host % c.Cfg.NumToRs }
+func (c Clos) ToROf(host int) int { return host % c.Cfg.NumToRs }
 
 // ECMPSpine hashes (src, dst, subflow) onto a spine, emulating the
 // testbed's ECMP path choice per subflow.
-func (c *Clos) ECMPSpine(src, dst, subflow int) int {
+func (c Clos) ECMPSpine(src, dst, subflow int) int {
 	h := uint32(src)*2654435761 ^ uint32(dst)*40503 ^ uint32(subflow)*9176
 	return int(h % uint32(c.Cfg.NumSpines))
 }
 
-// Path returns the subflow's path from src to dst through the given spine
-// (ignored when both hosts share a ToR).
-func (c *Clos) Path(src, dst, spine int) *netem.Path {
+// Path returns the links of the path from src to dst through the given
+// spine (ignored when both hosts share a ToR).
+func (c Clos) Path(src, dst, spine int) []string {
 	st, dt := c.ToROf(src), c.ToROf(dst)
-	name := fmt.Sprintf("h%d→h%d/s%d", src, dst, spine)
 	if st == dt {
-		return netem.NewPath(c.eng, name, c.hostUp[src], c.hostDown[dst])
+		return []string{hostUp(src), hostDown(dst)}
 	}
-	return netem.NewPath(c.eng, name,
-		c.hostUp[src], c.torUp[st][spine], c.torDown[spine][dt], c.hostDown[dst])
+	return []string{hostUp(src), torUp(st, spine), torDown(spine, dt), hostDown(dst)}
 }
 
 // SubflowPaths returns n ECMP-spread paths from src to dst, one per subflow.
-func (c *Clos) SubflowPaths(src, dst, n int) []*netem.Path {
-	out := make([]*netem.Path, n)
-	for i := 0; i < n; i++ {
+func (c Clos) SubflowPaths(src, dst, n int) [][]string {
+	out := make([][]string, n)
+	for i := range out {
 		out[i] = c.Path(src, dst, c.ECMPSpine(src, dst, i))
 	}
 	return out
-}
-
-// TotalCapacity sums the fabric's link rates (for utilization accounting).
-func (c *Clos) TotalCapacity() float64 {
-	n := len(c.hostUp) + len(c.hostDown)
-	n += c.Cfg.NumToRs * c.Cfg.NumSpines * 2
-	return float64(n) * c.Cfg.LinkRateBps
 }

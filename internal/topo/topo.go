@@ -96,6 +96,15 @@ func (n *Net) Path(names ...string) *netem.Path {
 	return netem.NewPath(eng, fmt.Sprint(names), ls...)
 }
 
+// Paths builds one path per link-name sequence: a flow's subflows.
+func (n *Net) Paths(pathNames [][]string) []*netem.Path {
+	out := make([]*netem.Path, len(pathNames))
+	for i, names := range pathNames {
+		out[i] = n.Path(names...)
+	}
+	return out
+}
+
 // FlowDef declares one connection of a canonical topology: its name, its
 // subflows as link-name sequences, and its role in the figures.
 type FlowDef struct {

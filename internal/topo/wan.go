@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mpcc/internal/netem"
@@ -48,17 +47,22 @@ var homeAccesses = map[string]homeAccess{
 	"Illinois": {wifiBps: 60e6, wifiBuf: 320_000, wifiLoss: 0.0001, cellBps: 30e6, cellBuf: 900_000, cellLoss: 0.0025, cellExtraD: 22 * sim.Millisecond},
 }
 
-// WANPair is the pair of access paths for one (server, home) download.
+// WANPair is the pair of access paths for one (server, home) download, as a
+// value: a two-link topology plus the parameters that make its links and
+// paths this pair's.
 type WANPair struct {
-	WiFi, Cell *netem.Path
-	WiFiLink   *netem.Link
-	CellLink   *netem.Link
+	// Topo holds the WiFi and the cellular access link, in that order, and
+	// one flow, "dl", with a subflow over each.
+	Topo *Topology
+
+	acc              homeAccess // after the draw
+	wifiWAN, cellWAN sim.Time   // WAN delay carried by each path
 }
 
-// BuildWAN constructs the WiFi and cellular paths from server to home on
-// eng. rng perturbs the access parameters ±15% so repeated runs see varied
-// conditions, as live measurements do.
-func BuildWAN(eng *sim.Engine, server, home string, rng *rand.Rand) *WANPair {
+// NewWANPair describes the WiFi and cellular paths from server to home. rng
+// perturbs the access parameters ±15% so repeated runs see varied
+// conditions, as live measurements do; nil draws nothing.
+func NewWANPair(server, home string, rng *rand.Rand) *WANPair {
 	delays, ok := wanOneWayMs[home]
 	if !ok {
 		panic("topo: unknown home " + home)
@@ -75,17 +79,43 @@ func BuildWAN(eng *sim.Engine, server, home string, rng *rand.Rand) *WANPair {
 		return v * (0.85 + 0.3*rng.Float64())
 	}
 	wan := sim.FromSeconds(jitter(d) / 1e3)
+	acc.wifiBps = jitter(acc.wifiBps)
+	acc.cellBps = jitter(acc.cellBps)
+	acc.cellLoss = jitter(acc.cellLoss)
 
-	wifi := netem.NewLink(eng, fmt.Sprintf("%s-%s-wifi", server, home),
-		jitter(acc.wifiBps), 3*sim.Millisecond, acc.wifiBuf)
-	wifi.SetLoss(acc.wifiLoss)
-	cell := netem.NewLink(eng, fmt.Sprintf("%s-%s-cell", server, home),
-		jitter(acc.cellBps), 15*sim.Millisecond, acc.cellBuf)
-	cell.SetLoss(jitter(acc.cellLoss))
+	wifi, cell := server+"-"+home+"-wifi", server+"-"+home+"-cell"
+	return &WANPair{
+		Topo: &Topology{
+			Name:  server + "-" + home,
+			Links: []string{wifi, cell},
+			Flows: []FlowDef{{Name: "dl", Paths: [][]string{{wifi}, {cell}}}},
+		},
+		acc: acc, wifiWAN: wan, cellWAN: wan + acc.cellExtraD,
+	}
+}
 
-	wp := netem.NewPath(eng, "wifi", wifi)
-	wp.SetExtraDelay(wan)
-	cp := netem.NewPath(eng, "cell", cell)
-	cp.SetExtraDelay(wan + acc.cellExtraD)
-	return &WANPair{WiFi: wp, Cell: cp, WiFiLink: wifi, CellLink: cell}
+// Tweak gives the built access links the pair's parameters (an exp.Spec's
+// Tweak).
+func (w *WANPair) Tweak(net *Net) {
+	wifi, cell := net.Link(w.Topo.Links[0]), net.Link(w.Topo.Links[1])
+	wifi.SetRate(w.acc.wifiBps)
+	wifi.SetDelay(3 * sim.Millisecond)
+	wifi.SetBuffer(w.acc.wifiBuf)
+	wifi.SetLoss(w.acc.wifiLoss)
+	cell.SetRate(w.acc.cellBps)
+	cell.SetDelay(15 * sim.Millisecond)
+	cell.SetBuffer(w.acc.cellBuf)
+	cell.SetLoss(w.acc.cellLoss)
+}
+
+// PathTweak adds the WAN's propagation delay to a path over one of the
+// pair's access links (an exp.FlowSpec's PathTweak). The delay stays on the
+// path rather than in the link's: a packet crosses it as an event of its
+// own before it reaches the access queue.
+func (w *WANPair) PathTweak(p *netem.Path) {
+	if p.Links()[0].Name == w.Topo.Links[0] {
+		p.SetExtraDelay(w.wifiWAN)
+	} else {
+		p.SetExtraDelay(w.cellWAN)
+	}
 }

@@ -74,7 +74,9 @@ type (
 	ParallelLinkNetwork = fairness.Network
 	// Allocation is an LMMF allocation on a ParallelLinkNetwork.
 	Allocation = fairness.Allocation
-	// Clos is the Fig. 18 data-center fabric.
+	// Clos is the Fig. 18 data-center fabric as a value: Topology names its
+	// links (build them with Topology.Build, size them with Tweak) and
+	// SubflowPaths names the links of a host pair's ECMP paths.
 	Clos = topo.Clos
 	// ClosConfig sizes a Clos fabric.
 	ClosConfig = topo.ClosConfig
@@ -315,9 +317,6 @@ func RunExperiment(id string, cfg Config) ([]*Table, error) { return exp.RunByID
 // LMMF computes the lexicographic max-min fair allocation on a
 // parallel-link network (the fairness notion of Theorems 4.1/5.1/5.2).
 func LMMF(n *ParallelLinkNetwork) (*Allocation, error) { return fairness.LMMF(n) }
-
-// NewClos builds the Fig. 18 data-center fabric on eng.
-func NewClos(eng *Engine, cfg ClosConfig) *Clos { return topo.NewClos(eng, cfg) }
 
 // DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
 func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }

@@ -81,8 +81,10 @@ func TestFacadeLMMF(t *testing.T) {
 
 func TestFacadeClos(t *testing.T) {
 	eng := mpcc.NewEngine(1)
-	clos := mpcc.NewClos(eng, mpcc.DefaultClosConfig())
-	paths := clos.SubflowPaths(0, 1, 3)
+	clos := mpcc.Clos{Cfg: mpcc.DefaultClosConfig()}
+	net := clos.Topology().Build(eng)
+	clos.Tweak(net)
+	paths := net.Paths(clos.SubflowPaths(0, 1, 3))
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths", len(paths))
 	}
