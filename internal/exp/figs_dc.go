@@ -107,13 +107,7 @@ func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
 			start(h, dc.ShortBytes, "short", at)
 		}
 	}
-	return Spec{Seed: seed, Duration: dc.Duration, Topo: clos.Topology(), Flows: flows,
-		Tweak: func(net *topo.Net) {
-			clos.Tweak(net)
-			for range flows {
-				net.Eng.Rand().Intn(nHosts - 1)
-			}
-		}}
+	return Spec{Seed: seed, Duration: dc.Duration, Topo: clos.Topology(), Tweak: clos.Tweak, Flows: flows}
 }
 
 // dcClasses returns the reduce of a dcSpec run over flows: the FCTs of each
