@@ -38,8 +38,8 @@ func LiveDownloads(cfg Config) *LiveResult {
 	var specs []Spec
 	for _, home := range topo.Homes {
 		for _, server := range topo.Servers {
-			for pi, p := range LiveProtocols {
-				specs = append(specs, DownloadSpec(cfg.Seed+int64(pi), server, home, p, fileBytes))
+			for _, p := range LiveProtocols {
+				specs = append(specs, DownloadSpec(cfg.Seed, server, home, p, fileBytes))
 			}
 		}
 	}
