@@ -12,8 +12,7 @@ import (
 
 func run(proto mpcc.Protocol) (longFCT float64, shortFCTs []float64) {
 	eng := mpcc.NewEngine(11)
-	// The fabric is a value: it names its links and each host pair's ECMP
-	// paths; the network builds them on the engine.
+	// The fabric names its links and paths; the network builds them.
 	clos := mpcc.Clos{Cfg: mpcc.DefaultClosConfig()}
 	net := clos.Topology().Build(eng)
 	clos.Tweak(net)

@@ -65,7 +65,8 @@ type ChurnSpec struct {
 
 	// DrainCheckAfter, when positive, audits a session's pool gauges this
 	// long after it closes (in-flight packets need a drain window before
-	// every pooled buffer is home); failures count in ChurnStats.Leaks.
+	// every pooled buffer is home), or once its last retransmission timer is
+	// done if that is later; failures count in ChurnStats.Leaks.
 	DrainCheckAfter sim.Time
 }
 
@@ -315,9 +316,12 @@ func (s *churnSession) closed(r transport.CloseReason, at sim.Time) {
 		d.stats.Aborted++
 	}
 	d.w.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
-	if after := d.spec.DrainCheckAfter; after > 0 && at+after < d.horizon {
+	// The drain window covers what is in the network; a record can also sit
+	// behind a retransmission timer that outlives the close.
+	check := max(at+d.spec.DrainCheckAfter, s.conn.TimersDoneBy())
+	if d.spec.DrainCheckAfter > 0 && check < d.horizon {
 		d.stats.LeakChecks++
-		d.eng.Schedule(at+after, churnDrainEvent, s)
+		d.eng.Schedule(check, churnDrainEvent, s)
 		return
 	}
 	d.recycle(s)

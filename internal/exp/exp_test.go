@@ -284,7 +284,7 @@ func smallDC() DCConfig {
 
 func TestDataCenterSmoke(t *testing.T) {
 	spec := dcSpec(3, MPCCLoss, smallDC())
-	res := dcClasses(spec.Flows)(Run(spec))
+	res := dcClasses(spec.Flows, Run(spec))
 	for _, class := range []string{"short", "medium", "long"} {
 		c := res[class]
 		if c.Started == 0 {

@@ -49,24 +49,34 @@ type FCTClass struct {
 	Stats         stats.Summary // seconds, completed flows only
 }
 
-// DCResult maps protocol → class name → FCT summary.
-type DCResult map[Protocol]map[string]FCTClass
-
 // DataCenterFCT reproduces Fig. 19 on the Fig. 18 Clos testbed: every flow
 // is a 3-subflow multipath connection over ECMP-spread spine paths; flow
-// completion times are collected per size class. One simulation per
-// protocol, all at the same seed and so over the same flow set.
-func DataCenterFCT(cfg Config, dc DCConfig) DCResult {
+// completion times are collected per size class, one table of percentiles
+// each. One simulation per protocol, all at the same seed and so over the
+// same flow set.
+func DataCenterFCT(cfg Config, dc DCConfig) []*Table {
 	specs := make([]Spec, len(DCProtocols))
 	for i, p := range DCProtocols {
 		specs[i] = dcSpec(cfg.Seed, p, dc)
 	}
-	classes := runSpecs(specs, 1, dcClasses(specs[0].Flows))
-	out := make(DCResult, len(DCProtocols))
-	for i, p := range DCProtocols {
-		out[p] = classes[i]
+	classes := runSpecs(specs, 1, func(r *Result) map[string]FCTClass { return dcClasses(specs[0].Flows, r) })
+	var tabs []*Table
+	for _, class := range []string{"short", "medium", "long"} {
+		t := &Table{
+			Title:  fmt.Sprintf("Fig 19 — FCT on the Clos testbed, %s flows, seconds", class),
+			Header: []string{"protocol", "done/started", "mean", "p1", "p5", "median", "p95", "p99"},
+		}
+		for i, p := range DCProtocols {
+			c := classes[i][class]
+			row := []string{string(p), fmt.Sprintf("%d/%d", c.Done, c.Started)}
+			for _, v := range []float64{c.Stats.Mean, c.Stats.P1, c.Stats.P5, c.Stats.Median, c.Stats.P95, c.Stats.P99} {
+				row = append(row, fmt.Sprintf("%.4f", v))
+			}
+			t.AddRow(row...)
+		}
+		tabs = append(tabs, t)
 	}
-	return out
+	return tabs
 }
 
 // dcSpec declares the Fig. 19 run for one protocol: per host, the long and
@@ -110,43 +120,21 @@ func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
 	return Spec{Seed: seed, Duration: dc.Duration, Topo: clos.Topology(), Tweak: clos.Tweak, Flows: flows}
 }
 
-// dcClasses returns the reduce of a dcSpec run over flows: the FCTs of each
-// size class, in declaration order.
-func dcClasses(flows []FlowSpec) func(*Result) map[string]FCTClass {
-	return func(r *Result) map[string]FCTClass {
-		fcts := map[string][]float64{"short": nil, "medium": nil, "long": nil}
-		started := map[string]int{}
-		for _, f := range flows {
-			class, _, _ := strings.Cut(f.Name, "-")
-			started[class]++
-			if fct := r.Flows[f.Name].FCT; fct >= 0 {
-				fcts[class] = append(fcts[class], fct.Seconds())
-			}
+// dcClasses reads a dcSpec run: the FCTs of each size class, in the
+// declaration order of flows.
+func dcClasses(flows []FlowSpec, r *Result) map[string]FCTClass {
+	fcts := map[string][]float64{"short": nil, "medium": nil, "long": nil}
+	started := map[string]int{}
+	for _, f := range flows {
+		class, _, _ := strings.Cut(f.Name, "-")
+		started[class]++
+		if fct := r.Flows[f.Name].FCT; fct >= 0 {
+			fcts[class] = append(fcts[class], fct.Seconds())
 		}
-		res := make(map[string]FCTClass, 3)
-		for class, ts := range fcts {
-			res[class] = FCTClass{Done: len(ts), Started: started[class], Stats: stats.Summarize(ts)}
-		}
-		return res
 	}
-}
-
-// Table renders Fig. 19's percentiles for one size class.
-func (r DCResult) Table(class string) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Fig 19 — FCT on the Clos testbed, %s flows, seconds", class),
-		Header: []string{"protocol", "done/started", "mean", "p1", "p5", "median", "p95", "p99"},
+	res := make(map[string]FCTClass, len(fcts))
+	for class, ts := range fcts {
+		res[class] = FCTClass{Done: len(ts), Started: started[class], Stats: stats.Summarize(ts)}
 	}
-	for _, p := range DCProtocols {
-		c := r[p][class]
-		t.AddRow(string(p),
-			fmt.Sprintf("%d/%d", c.Done, c.Started),
-			fmt.Sprintf("%.4f", c.Stats.Mean),
-			fmt.Sprintf("%.4f", c.Stats.P1),
-			fmt.Sprintf("%.4f", c.Stats.P5),
-			fmt.Sprintf("%.4f", c.Stats.Median),
-			fmt.Sprintf("%.4f", c.Stats.P95),
-			fmt.Sprintf("%.4f", c.Stats.P99))
-	}
-	return t
+	return res
 }

@@ -84,7 +84,7 @@ var everyRunner = []struct {
 	{"dcSpec", func() []float64 {
 		var out []float64
 		spec := dcSpec(3, MPCCLoss, smallDC())
-		res := dcClasses(spec.Flows)(Run(spec))
+		res := dcClasses(spec.Flows, Run(spec))
 		for _, class := range []string{"short", "medium", "long"} {
 			c := res[class]
 			out = append(out, float64(c.Done), c.Stats.Mean, c.Stats.Median, c.Stats.P99)

@@ -66,20 +66,17 @@ func Registry() []Experiment {
 			return []*Table{g.Table("Fig 15 — MPCC vs LIA/OLIA over the Table-1 grid, topology 3d")}
 		}},
 		{"fig16", "AWS→residential download times (Fig. 16)", func(cfg Config) []*Table {
-			r := LiveDownloads(cfg)
 			var out []*Table
-			for home := range topo.Homes {
-				out = append(out, r.Fig16Table(home))
+			for _, home := range topo.Homes {
+				out = append(out, liveDownloads(cfg, home).tables()...)
 			}
 			return out
 		}},
 		{"fig17", "normalized live-download gains (Fig. 17)", func(cfg Config) []*Table {
-			r := LiveDownloads(cfg)
-			return []*Table{r.Fig17Table()}
+			return []*Table{Fig17Table(cfg)}
 		}},
 		{"fig19", "data-center flow completion times (Fig. 19)", func(cfg Config) []*Table {
-			r := DataCenterFCT(cfg, DefaultDCConfig())
-			return []*Table{r.Table("short"), r.Table("medium"), r.Table("long")}
+			return DataCenterFCT(cfg, DefaultDCConfig())
 		}},
 		{"sched", "rate-based scheduler validation (§6)", func(cfg Config) []*Table {
 			return []*Table{SchedulerValidation(cfg)}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
@@ -79,7 +81,7 @@ type FlowResult struct {
 	SubflowGoodputBps []float64
 	LatencyMean       float64 // seconds
 	LatencyStd        float64
-	FCT               sim.Time // -1 unless a File flow completed
+	FCT               sim.Time // -1 unless a File flow completed; replicates: see average
 	// Series is the per-bucket goodput in bits/s (100 ms buckets from t=0).
 	Series []float64
 	// SubflowSeries is the same per subflow.
@@ -164,23 +166,18 @@ func Run(s Spec) *Result {
 		}
 	}
 	net, engines := topo.PartitionLinks(s.Topo.Links, groups).Build(s.Topo, s.Seed)
-	w := newWorld(s.Seed, s.Probes, workers, engines...)
+	w := newWorld(s.Seed, s.Probes, workers, engines)
 	if s.Tweak != nil {
 		s.Tweak(net)
 	}
-	links := make([]*netem.Link, len(net.LinkNames()))
-	for i, name := range net.LinkNames() {
-		links[i] = net.Link(name)
-	}
-	w.start(s.Duration, links)
-	// A run of finite transfers only (and no churn to open more) has nothing
-	// left to measure once the last of them completes, but a rate-based
-	// controller would keep its monitor intervals ticking to the horizon: such
-	// a run ends at its last completion instead. Per engine, because engines
-	// share no clock — each stops at the last completion among its own flows.
-	var pending map[*sim.Engine]*int
-	if s.Churn == nil && allFinite(flows) {
-		pending = make(map[*sim.Engine]*int, len(engines))
+	w.start(s.Duration, net)
+	// A run of nothing but finite transfers (and no churn to open more) ends
+	// at the last completion: a rate-based controller would otherwise keep
+	// its monitor intervals ticking to the horizon. Per engine, because
+	// engines share no clock: left counts each one's unfinished transfers.
+	var left []int
+	if s.Churn == nil && len(flows) > 0 && !slices.ContainsFunc(flows, FlowSpec.bulk) {
+		left = make([]int, len(engines))
 	}
 	conns := make(map[string]*transport.Connection, len(flows))
 	for _, f := range flows {
@@ -191,10 +188,10 @@ func Run(s Spec) *Result {
 			}
 		}
 		conn := w.attach(f.Name, f.Proto, ps, f.Attach)
-		if f.FileBytes > 0 {
-			conn.SetApp(transport.NewFile(f.FileBytes), stopAfterLast(pending, ps[0].Engine()))
-		} else {
+		if f.bulk() {
 			conn.SetApp(transport.Bulk{}, nil)
+		} else {
+			conn.SetApp(transport.NewFile(f.FileBytes), stopAfterLast(left, engines, ps[0].Engine()))
 		}
 		conn.Start(f.StartAt)
 		conns[f.Name] = conn
@@ -233,31 +230,20 @@ func Run(s Spec) *Result {
 	return res
 }
 
-func allFinite(flows []FlowSpec) bool {
-	for _, f := range flows {
-		if f.FileBytes <= 0 {
-			return false
-		}
-	}
-	return len(flows) > 0
-}
+func (f FlowSpec) bulk() bool { return f.FileBytes <= 0 }
 
 // stopAfterLast counts one more finite flow on eng and returns its
-// completion callback: whichever completion brings eng's count to zero stops
-// the engine, from inside that event. A nil pending means the rule does not
-// apply to the run, and nothing is allocated or called.
-func stopAfterLast(pending map[*sim.Engine]*int, eng *sim.Engine) func(sim.Time) {
-	if pending == nil {
+// completion callback: the completion that brings eng's count to zero stops
+// the engine, from inside that event. A nil left means the rule does not
+// apply to the run; nothing is then allocated or called.
+func stopAfterLast(left []int, engines []*sim.Engine, eng *sim.Engine) func(sim.Time) {
+	if left == nil {
 		return nil
 	}
-	left := pending[eng]
-	if left == nil {
-		left = new(int)
-		pending[eng] = left
-	}
-	*left++
+	n := &left[slices.Index(engines, eng)]
+	*n++
 	return func(sim.Time) {
-		if *left--; *left == 0 {
+		if *n--; *n == 0 {
 			eng.Stop()
 		}
 	}

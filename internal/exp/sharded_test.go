@@ -104,75 +104,77 @@ func TestShardedClustersIdentity(t *testing.T) {
 
 // TestIdleComponentsReachHorizon: in a multi-engine world a component that
 // runs out of events early — or never has any — still ends with its clock
-// at the horizon, and the run-end marker is stamped there. A component whose
-// flows are all finite, in a run of nothing but finite flows, stops at its
-// last completion instead, and the marker carries the latest engine clock —
-// not the first engine's, which here is the one that finishes first.
+// at the horizon, and the run-end marker is stamped there, even though the
+// first engine is the one that goes idle.
 func TestIdleComponentsReachHorizon(t *testing.T) {
 	const horizon = 600 * sim.Millisecond
-	brief := FlowSpec{Name: "brief", Proto: MPCCLoss, Paths: [][]string{{"c0link1"}}, FileBytes: 3000}
-	for _, tc := range []struct {
-		name    string
-		flows   []FlowSpec
-		engines int
-		// endsAtFCTOf names the flow at whose completion its engine and the
-		// run must end, the first engine ending at the brief flow's; empty
-		// means every engine and the run end at the horizon.
-		endsAtFCTOf string
-	}{
+	for _, probed := range []bool{false, true} {
 		// Three components: a 3 KB download that is over within a few RTTs
 		// (first engine), a link no flow touches, and a bulk pair.
-		{"bulk", []FlowSpec{brief,
-			{Name: "bulk", Proto: MPCCLoss, Paths: [][]string{{"c1link1"}, {"c1link2"}}}}, 3, ""},
-		// Two components of finite flows: the first engine stops at the brief
-		// download's completion, the second, later, at the longer one's.
-		{"finite", []FlowSpec{
-			{Name: "brief", Proto: MPCCLoss, Paths: [][]string{{"c0link1"}, {"c0link2"}}, FileBytes: 3000},
-			{Name: "longer", Proto: MPCCLoss, Paths: [][]string{{"c1link1"}, {"c1link2"}}, FileBytes: 30_000}}, 2, "longer"},
-	} {
-		for _, probed := range []bool{false, true} {
-			var ends []sim.Time
-			s := clustersSpec(2, 2, nil)
-			if probed {
-				s.Probes = obs.NewBus(obs.SinkFunc(func(e obs.Event) {
-					if e.Kind == obs.KindRunEnd {
-						ends = append(ends, e.At)
-					}
-				}))
-			}
-			s.Flows = tc.flows
-			res := Run(s)
-			briefFCT := res.Flows["brief"].FCT
-			if briefFCT < 0 || briefFCT > horizon/2 {
-				t.Fatalf("%s probed=%v: brief flow FCT %v; it should finish early", tc.name, probed, briefFCT)
-			}
-			end := horizon
-			if tc.endsAtFCTOf != "" {
-				if end = res.Flows[tc.endsAtFCTOf].FCT; end <= briefFCT || end >= horizon {
-					t.Fatalf("%s probed=%v: %s flow FCT %v, want between the brief flow's %v and the horizon",
-						tc.name, probed, tc.endsAtFCTOf, end, briefFCT)
-				}
-			}
-			engines := map[*sim.Engine]bool{}
-			for _, name := range res.Net.LinkNames() {
-				eng := res.Net.Link(name).Engine()
-				engines[eng] = true
-				want := end
-				if tc.endsAtFCTOf != "" && eng == res.Net.Link("c0link1").Engine() {
-					want = briefFCT
-				}
-				if eng.Now() != want {
-					t.Errorf("%s probed=%v: engine of %s stopped at %v, want %v", tc.name, probed, name, eng.Now(), want)
-				}
-			}
-			if len(engines) != tc.engines {
-				t.Fatalf("%s probed=%v: %d engines, want %d", tc.name, probed, len(engines), tc.engines)
-			}
-			if probed && (len(ends) != 1 || ends[0] != end) {
-				t.Errorf("%s: run-end markers at %v, want one at %v", tc.name, ends, end)
+		res, ends := runClusters(probed, []FlowSpec{
+			{Name: "brief", Proto: MPCCLoss, Paths: [][]string{{"c0link1"}}, FileBytes: 3000},
+			{Name: "bulk", Proto: MPCCLoss, Paths: [][]string{{"c1link1"}, {"c1link2"}}},
+		})
+		if fct := res.Flows["brief"].FCT; fct < 0 || fct > horizon/2 {
+			t.Fatalf("probed=%v: brief flow FCT %v; it should finish early", probed, fct)
+		}
+		engines := map[*sim.Engine]bool{}
+		for _, name := range res.Net.LinkNames() {
+			eng := res.Net.Link(name).Engine()
+			engines[eng] = true
+			if eng.Now() != horizon {
+				t.Errorf("probed=%v: engine of %s stopped at %v, want %v", probed, name, eng.Now(), horizon)
 			}
 		}
+		if len(engines) != 3 {
+			t.Fatalf("probed=%v: %d engines, want 3", probed, len(engines))
+		}
+		if probed && (len(ends) != 1 || ends[0] != horizon) {
+			t.Errorf("run-end markers at %v, want one at %v", ends, horizon)
+		}
 	}
+}
+
+// TestFiniteComponentsStopAtTheirLastFCT: in a run of nothing but finite
+// flows each engine stops at the last completion among its own flows, and
+// the run-end marker carries the latest engine clock — not the first
+// engine's, which here is the one that finishes first.
+func TestFiniteComponentsStopAtTheirLastFCT(t *testing.T) {
+	for _, probed := range []bool{false, true} {
+		res, ends := runClusters(probed, []FlowSpec{
+			{Name: "brief", Proto: MPCCLoss, Paths: [][]string{{"c0link1"}, {"c0link2"}}, FileBytes: 3000},
+			{Name: "longer", Proto: MPCCLoss, Paths: [][]string{{"c1link1"}, {"c1link2"}}, FileBytes: 30_000},
+		})
+		brief, longer := res.Flows["brief"].FCT, res.Flows["longer"].FCT
+		if brief < 0 || longer <= brief {
+			t.Fatalf("probed=%v: FCTs %v and %v, want the brief flow to finish first", probed, brief, longer)
+		}
+		for link, want := range map[string]sim.Time{"c0link1": brief, "c1link1": longer} {
+			if now := res.Net.Link(link).Engine().Now(); now != want {
+				t.Errorf("probed=%v: engine of %s stopped at %v, want its last FCT %v", probed, link, now, want)
+			}
+		}
+		if probed && (len(ends) != 1 || ends[0] != longer) {
+			t.Errorf("run-end markers at %v, want one at %v", ends, longer)
+		}
+	}
+}
+
+// runClusters runs the flows on two clusters, two shard workers, and
+// returns the result with the times of the run-end markers a probed run
+// emitted.
+func runClusters(probed bool, flows []FlowSpec) (res *Result, ends []sim.Time) {
+	s := clustersSpec(2, 2, nil)
+	if probed {
+		s.Probes = obs.NewBus(obs.SinkFunc(func(e obs.Event) {
+			if e.Kind == obs.KindRunEnd {
+				ends = append(ends, e.At)
+			}
+		}))
+	}
+	s.Flows = flows
+	res = Run(s)
+	return res, ends
 }
 
 // TestShardsResolution pins the Spec.Shards / SetShards precedence:

@@ -19,7 +19,7 @@ import (
 // as their spec is reduced. reduce runs on a pool worker; it may read the
 // Result freely but must touch nothing shared and start no simulations.
 func runSpecs[T any](specs []Spec, reps int, reduce func(*Result) T) []T {
-	reps = replicates(reps)
+	reps = max(reps, 1)
 	out := make([]T, len(specs))
 	parts := make([]*Result, len(specs)*reps)
 	done := make([]atomic.Int32, len(specs))
@@ -36,10 +36,6 @@ func runSpecs[T any](specs []Spec, reps int, reduce func(*Result) T) []T {
 	})
 	return out
 }
-
-// replicates is the one place a replicate count is normalized: anything
-// below 1 means a single run.
-func replicates(reps int) int { return max(reps, 1) }
 
 // RunAveraged runs the spec reps times with consecutive seeds and averages
 // per-flow goodputs, utilization and Jain index; everything else comes from
@@ -67,22 +63,17 @@ func average(results []*Result, horizon sim.Time) *Result {
 		for i := range fr.SubflowGoodputBps {
 			fr.SubflowGoodputBps[i] /= n
 		}
-		fr.FCT = meanFCT(results, name, horizon)
-	}
-	return agg
-}
-
-func meanFCT(results []*Result, flow string, horizon sim.Time) sim.Time {
-	sum, done := sim.Time(0), 0
-	for _, res := range results {
-		if fr := res.Flows[flow]; fr != nil && fr.FCT >= 0 {
-			sum, done = sum+fr.FCT, done+1
+		sum, done := sim.Time(0), 0
+		for _, res := range results {
+			if f := res.Flows[name]; f != nil && f.FCT >= 0 {
+				sum, done = sum+f.FCT, done+1
+			}
+		}
+		if done > 0 {
+			fr.FCT = (sum + sim.Time(len(results)-done)*horizon) / sim.Time(len(results))
 		}
 	}
-	if done == 0 {
-		return -1
-	}
-	return (sum + sim.Time(len(results)-done)*horizon) / sim.Time(len(results))
+	return agg
 }
 
 // mergeInto accumulates res into agg (one replicate of average). If the

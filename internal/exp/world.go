@@ -4,6 +4,7 @@ import (
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
+	"mpcc/internal/topo"
 	"mpcc/internal/transport"
 )
 
@@ -34,13 +35,9 @@ type world struct {
 }
 
 // newWorld resolves the run's bus — probes, else the package probe factory,
-// else none — gives it a registry, and adopts the given engines; given none
-// it creates the single engine seeded seed. workers bounds how many engines
-// advance concurrently (≤ 1 = inline).
-func newWorld(seed int64, probes *obs.Bus, workers int, engines ...*sim.Engine) *world {
-	if len(engines) == 0 {
-		engines = []*sim.Engine{sim.NewEngine(seed)}
-	}
+// else none — gives it a registry, and adopts the engines. workers bounds how
+// many of them advance concurrently (≤ 1 = inline).
+func newWorld(seed int64, probes *obs.Bus, workers int, engines []*sim.Engine) *world {
 	w := &world{seed: seed, bus: probes, engines: engines, workers: workers}
 	if w.bus == nil && probeFactory != nil {
 		w.bus = probeFactory()
@@ -72,16 +69,18 @@ func (w *world) busOn(eng *sim.Engine) *obs.Bus {
 	return w.bus
 }
 
-// start opens the run in the trace and wires the links' probes, in the
-// order given (creation order, never map order), plus one queue-depth
-// sampler per engine over that engine's links.
-func (w *world) start(horizon sim.Time, links []*netem.Link) {
+// start opens the run in the trace and wires the probes of net's links, in
+// creation order (never map order), plus one queue-depth sampler per engine
+// over that engine's links.
+func (w *world) start(horizon sim.Time, net *topo.Net) {
 	if w.bus == nil {
 		return
 	}
 	w.bus.RunStart(w.seed, horizon)
-	for _, l := range links {
-		l.SetProbes(w.busOn(l.Engine()))
+	links := make([]*netem.Link, len(net.LinkNames()))
+	for i, name := range net.LinkNames() {
+		links[i] = net.Link(name)
+		links[i].SetProbes(w.busOn(links[i].Engine()))
 	}
 	if horizon <= 0 {
 		return

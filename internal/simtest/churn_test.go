@@ -59,6 +59,33 @@ func TestChurnScenarioPassesOracle(t *testing.T) {
 	}
 }
 
+// TestCloseUnderBackoffScenarios pins two generated scenarios (seeds 238 and
+// 274 of the main sweep, as repro lines so generator drift cannot unpin
+// them) on which the conn-leak audit used to fire: sessions opened inside a
+// flap or outage window send under a backed-off RTO, reordering detection
+// declares some of those packets lost, and the records stay behind their
+// retransmission timers for longer than the fixed drain window after the
+// session closes. The audit now also waits for the connection's timers
+// (transport.Connection.TimersDoneBy).
+func TestCloseUnderBackoffScenarios(t *testing.T) {
+	for _, line := range []string{
+		`{"seed":238,"dur":3096.4772364925566,"links":[{"rate":21.252111673899797,"delay":29.871101639534483,"buf":53092}],"flows":[{"proto":"bbr","paths":[[0]],"start":571.3930233663286}],"faults":[{"kind":"trace","link":0,"at":1205.8918836737764,"dur":82.86176606618831,"trace":[17.59904617513596,7.473901634434359,17.663662309030986,11.484771562531323,8.990978117841314,10.442401567205373]},{"kind":"flaps","link":0,"at":911.7420201230796,"dur":156.31338635573232,"n":3,"up":107.46010029354328}],"churn":{"proto":"mpcc-loss","rate":34.248401733894326,"alpha":1.355279942771415,"minKB":18,"maxKB":522,"conns":12,"budgetKB":190,"rcvKB":95,"retries":1,"retryMs":34.44595815736996}}`,
+		`{"seed":274,"dur":3278.4936954416235,"links":[{"rate":21.3082497208823,"delay":27.756938600486343,"buf":132654,"reo":24.39220861045782,"reoCorr":0.03590110324639809,"reoGap":28,"reoEarly":12.781674745653728},{"rate":5.579558739639841,"delay":12.738464853768026,"buf":14520,"polRate":4.725163051428383,"polBurst":9423},{"rate":28.562052288144518,"delay":16.76396655842135,"buf":40356,"reo":4.418767444934813,"reoCorr":0.17363321914426183,"reoEarly":5.483370946656515}],"flows":[{"proto":"mpcc-latency","paths":[[0,1]],"ackJitter":0.743698867398428},{"proto":"olia","paths":[[0],[1]]}],"faults":[{"kind":"outage","link":1,"at":1256.609867202238,"dur":383.53094938287524}],"churn":{"proto":"mpcc-latency","rate":25.146830472933566,"hiRate":96.98826071644575,"dwell":110.78464829152047,"alpha":1.5121943665090105,"minKB":13,"maxKB":260,"conns":11,"budgetKB":230,"rcvKB":46,"retries":1,"retryMs":45.452609581915084}}`,
+	} {
+		sc, err := ParseScenario(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Check(sc)
+		if r.Failed() {
+			t.Errorf("seed %d violates invariants:\n  %s", sc.Seed, formatViolations(r.Violations))
+		}
+		if r.Result.Churn.LeakChecks == 0 {
+			t.Errorf("seed %d: no post-close pool audits ran", sc.Seed)
+		}
+	}
+}
+
 // churnSeeds returns up to n generator seeds whose scenarios carry a churn
 // workload, scanning forward from base.
 func churnSeeds(base int64, n int) []int64 {

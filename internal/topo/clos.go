@@ -60,8 +60,7 @@ func hostDown(h int) string     { return fmt.Sprintf("h%d-down", h) }
 func torUp(tor, s int) string   { return fmt.Sprintf("tor%d-spine%d", tor, s) }
 func torDown(s, tor int) string { return fmt.Sprintf("spine%d-tor%d", s, tor) }
 
-// Tweak gives every built link the fabric's rate, delay and buffer (an
-// exp.Spec's Tweak).
+// Tweak gives every built link the fabric's parameters (an exp.Spec.Tweak).
 func (c Clos) Tweak(net *Net) {
 	for _, name := range net.LinkNames() {
 		l := net.Link(name)
@@ -71,9 +70,6 @@ func (c Clos) Tweak(net *Net) {
 	}
 }
 
-// ToROf returns the ToR a host attaches to.
-func (c Clos) ToROf(host int) int { return host % c.Cfg.NumToRs }
-
 // ECMPSpine hashes (src, dst, subflow) onto a spine, emulating the
 // testbed's ECMP path choice per subflow.
 func (c Clos) ECMPSpine(src, dst, subflow int) int {
@@ -82,9 +78,10 @@ func (c Clos) ECMPSpine(src, dst, subflow int) int {
 }
 
 // Path returns the links of the path from src to dst through the given
-// spine (ignored when both hosts share a ToR).
+// spine (ignored when both hosts share a ToR: host h attaches to ToR
+// h mod NumToRs).
 func (c Clos) Path(src, dst, spine int) []string {
-	st, dt := c.ToROf(src), c.ToROf(dst)
+	st, dt := src%c.Cfg.NumToRs, dst%c.Cfg.NumToRs
 	if st == dt {
 		return []string{hostUp(src), hostDown(dst)}
 	}

@@ -30,33 +30,31 @@ var wanOneWayMs = map[string]map[string]float64{
 	"Illinois": {"Ohio": 8, "SaoPaulo": 80, "London": 50, "Tokyo": 85, "Frankfurt": 55, "NorthCalifornia": 30},
 }
 
-// homeAccess describes a home's two access interfaces.
-type homeAccess struct {
-	wifiBps    float64
-	wifiBuf    int
-	wifiLoss   float64
-	cellBps    float64
-	cellBuf    int     // bloated
-	cellLoss   float64 // non-congestion loss (handovers, radio)
-	cellExtraD sim.Time
+// access is one access interface of a home: its link and what the path over
+// it adds on top of the WAN's propagation delay.
+type access struct {
+	rateBps float64
+	delay   sim.Time
+	buf     int
+	loss    float64
+	extra   sim.Time
 }
 
-var homeAccesses = map[string]homeAccess{
-	"Israel":   {wifiBps: 40e6, wifiBuf: 256_000, wifiLoss: 0.0001, cellBps: 25e6, cellBuf: 768_000, cellLoss: 0.003, cellExtraD: 25 * sim.Millisecond},
-	"Boston":   {wifiBps: 80e6, wifiBuf: 384_000, wifiLoss: 0.0001, cellBps: 35e6, cellBuf: 1_000_000, cellLoss: 0.002, cellExtraD: 20 * sim.Millisecond},
-	"Illinois": {wifiBps: 60e6, wifiBuf: 320_000, wifiLoss: 0.0001, cellBps: 30e6, cellBuf: 900_000, cellLoss: 0.0025, cellExtraD: 22 * sim.Millisecond},
+// homeAccesses holds each home's WiFi interface and its cellular one, the
+// latter with a bloated buffer, non-congestion loss (handovers, radio) and
+// extra delay.
+var homeAccesses = map[string][2]access{
+	"Israel":   {{40e6, 3 * sim.Millisecond, 256_000, 0.0001, 0}, {25e6, 15 * sim.Millisecond, 768_000, 0.003, 25 * sim.Millisecond}},
+	"Boston":   {{80e6, 3 * sim.Millisecond, 384_000, 0.0001, 0}, {35e6, 15 * sim.Millisecond, 1_000_000, 0.002, 20 * sim.Millisecond}},
+	"Illinois": {{60e6, 3 * sim.Millisecond, 320_000, 0.0001, 0}, {30e6, 15 * sim.Millisecond, 900_000, 0.0025, 22 * sim.Millisecond}},
 }
 
 // WANPair is the pair of access paths for one (server, home) download, as a
-// value: a two-link topology plus the parameters that make its links and
-// paths this pair's.
+// value: Topo holds the WiFi and the cellular access link, in that order, and
+// one flow, "dl", with a subflow over each; acc is what the draw made of each.
 type WANPair struct {
-	// Topo holds the WiFi and the cellular access link, in that order, and
-	// one flow, "dl", with a subflow over each.
 	Topo *Topology
-
-	acc              homeAccess // after the draw
-	wifiWAN, cellWAN sim.Time   // WAN delay carried by each path
+	acc  [2]access // extra includes the WAN's delay
 }
 
 // NewWANPair describes the WiFi and cellular paths from server to home. rng
@@ -71,51 +69,46 @@ func NewWANPair(server, home string, rng *rand.Rand) *WANPair {
 	if !ok {
 		panic("topo: unknown server " + server)
 	}
-	acc := homeAccesses[home]
 	jitter := func(v float64) float64 {
 		if rng == nil {
 			return v
 		}
 		return v * (0.85 + 0.3*rng.Float64())
 	}
+	acc := homeAccesses[home]
 	wan := sim.FromSeconds(jitter(d) / 1e3)
-	acc.wifiBps = jitter(acc.wifiBps)
-	acc.cellBps = jitter(acc.cellBps)
-	acc.cellLoss = jitter(acc.cellLoss)
+	acc[0].rateBps = jitter(acc[0].rateBps)
+	acc[1].rateBps = jitter(acc[1].rateBps)
+	acc[1].loss = jitter(acc[1].loss)
+	acc[0].extra += wan
+	acc[1].extra += wan
 
 	wifi, cell := server+"-"+home+"-wifi", server+"-"+home+"-cell"
-	return &WANPair{
-		Topo: &Topology{
-			Name:  server + "-" + home,
-			Links: []string{wifi, cell},
-			Flows: []FlowDef{{Name: "dl", Paths: [][]string{{wifi}, {cell}}}},
-		},
-		acc: acc, wifiWAN: wan, cellWAN: wan + acc.cellExtraD,
+	return &WANPair{acc: acc, Topo: &Topology{
+		Name:  server + "-" + home,
+		Links: []string{wifi, cell},
+		Flows: []FlowDef{{Name: "dl", Paths: [][]string{{wifi}, {cell}}}},
+	}}
+}
+
+// Tweak gives the built access links their parameters (an exp.Spec.Tweak).
+func (w *WANPair) Tweak(net *Net) {
+	for i, a := range w.acc {
+		l := net.Link(w.Topo.Links[i])
+		l.SetRate(a.rateBps)
+		l.SetDelay(a.delay)
+		l.SetBuffer(a.buf)
+		l.SetLoss(a.loss)
 	}
 }
 
-// Tweak gives the built access links the pair's parameters (an exp.Spec's
-// Tweak).
-func (w *WANPair) Tweak(net *Net) {
-	wifi, cell := net.Link(w.Topo.Links[0]), net.Link(w.Topo.Links[1])
-	wifi.SetRate(w.acc.wifiBps)
-	wifi.SetDelay(3 * sim.Millisecond)
-	wifi.SetBuffer(w.acc.wifiBuf)
-	wifi.SetLoss(w.acc.wifiLoss)
-	cell.SetRate(w.acc.cellBps)
-	cell.SetDelay(15 * sim.Millisecond)
-	cell.SetBuffer(w.acc.cellBuf)
-	cell.SetLoss(w.acc.cellLoss)
-}
-
-// PathTweak adds the WAN's propagation delay to a path over one of the
-// pair's access links (an exp.FlowSpec's PathTweak). The delay stays on the
-// path rather than in the link's: a packet crosses it as an event of its
-// own before it reaches the access queue.
+// PathTweak adds the WAN's delay to a path over one of the pair's access
+// links (an exp.FlowSpec.PathTweak). It stays on the path rather than in the
+// link's delay: a packet crosses it as an event of its own, ahead of the queue.
 func (w *WANPair) PathTweak(p *netem.Path) {
-	if p.Links()[0].Name == w.Topo.Links[0] {
-		p.SetExtraDelay(w.wifiWAN)
-	} else {
-		p.SetExtraDelay(w.cellWAN)
+	for i, a := range w.acc {
+		if p.Links()[0].Name == w.Topo.Links[i] {
+			p.SetExtraDelay(a.extra)
+		}
 	}
 }

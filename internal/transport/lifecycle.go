@@ -201,5 +201,14 @@ func watchdogEvent(a any) {
 
 // PoolInUse returns how many pooled packet records and segments the
 // connection currently holds out of the engine arena. Both return to zero
-// once a closed connection's in-flight packets drain (the leak gauge).
+// once a closed connection's in-flight packets have drained and TimersDoneBy
+// has passed (the leak gauge).
 func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive }
+
+// TimersDoneBy returns the instant by which every retransmission timer the
+// connection armed has fired or been cancelled. Teardown cancels those of
+// the records still in a subflow's in-flight window; a packet that
+// reordering detection declared lost has left it with its timer pending — a
+// no-op when it fires — and the timer holds the record and its segment until
+// then, for up to the backed-off RTO in force when the packet was sent.
+func (c *Connection) TimersDoneBy() sim.Time { return c.lastRTOAt }

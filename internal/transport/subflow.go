@@ -493,7 +493,9 @@ func (s *Subflow) transmit(seg *segment) {
 		mi.refs++
 		mi.onSend(seg.size)
 	}
-	rec.rto = s.conn.eng.ScheduleRef(now+s.backedOffRTO(), rtoEvent, rec)
+	rtoAt := now + s.backedOffRTO()
+	s.conn.lastRTOAt = max(s.conn.lastRTOAt, rtoAt)
+	rec.rto = s.conn.eng.ScheduleRef(rtoAt, rtoEvent, rec)
 	s.path.Send(seg.size, rec, s.rxSink, nil)
 }
 

@@ -74,9 +74,8 @@ type (
 	ParallelLinkNetwork = fairness.Network
 	// Allocation is an LMMF allocation on a ParallelLinkNetwork.
 	Allocation = fairness.Allocation
-	// Clos is the Fig. 18 data-center fabric as a value: Topology names its
-	// links (build them with Topology.Build, size them with Tweak) and
-	// SubflowPaths names the links of a host pair's ECMP paths.
+	// Clos is the Fig. 18 data-center fabric as a value: it names its links
+	// (Topology, Tweak) and each host pair's ECMP paths (SubflowPaths).
 	Clos = topo.Clos
 	// ClosConfig sizes a Clos fabric.
 	ClosConfig = topo.ClosConfig
