@@ -65,11 +65,11 @@ figs-compare:
 # Deep simulation-testing sweep: SIMTEST_N randomized scenarios under the
 # full invariant oracle (see internal/simtest and DESIGN.md "Correctness
 # architecture"). The in-test default is a few hundred scenarios; this
-# target raises the budget for a pre-merge soak. Failing scenarios shrink
-# themselves and print a one-line SIMTEST_SCENARIO repro command.
-SIMTEST_N ?= 2000
+# target raises the budget to 10000 for a pre-merge soak (memory stays flat:
+# the sweep keeps only failing reports). Failing scenarios shrink themselves
+# and print a one-line SIMTEST_SCENARIO repro command.
 simtest:
-	SIMTEST_N=$(SIMTEST_N) $(GO) test ./internal/simtest -count=1 -v -run TestRandomScenarios
+	SIMTEST_N=$(or $(SIMTEST_N),10000) $(GO) test ./internal/simtest -count=1 -v -run TestRandomScenarios
 	$(GO) test -race ./internal/simtest -count=1
 
 # Overload-survival soak: SIMTEST_N generated churn scenarios — open-loop
@@ -79,7 +79,7 @@ simtest:
 # knee oracle. Failing scenarios shrink themselves and print a one-line
 # SIMTEST_SCENARIO repro command.
 soak:
-	SIMTEST_N=$(SIMTEST_N) $(GO) test -race ./internal/simtest -count=1 -v -run 'TestChurnSoak'
+	SIMTEST_N=$(or $(SIMTEST_N),2000) $(GO) test -race ./internal/simtest -count=1 -v -run 'TestChurnSoak'
 	$(GO) test -race ./internal/simtest -count=1 -v -run 'TestChurnGracefulDegradation'
 
 # Short fuzz pass over every native fuzz target.

@@ -64,9 +64,9 @@ type ChurnSpec struct {
 	StartAt sim.Time
 
 	// DrainCheckAfter, when positive, audits a session's pool gauges this
-	// long after it closes (in-flight packets need a drain window before
-	// every pooled buffer is home), or once its last retransmission timer is
-	// done if that is later; failures count in ChurnStats.Leaks.
+	// long after it closes (teardown reclaims everything but the packets
+	// still in the network, which need a drain window before every pooled
+	// buffer is home); failures count in ChurnStats.Leaks.
 	DrainCheckAfter sim.Time
 }
 
@@ -316,10 +316,7 @@ func (s *churnSession) closed(r transport.CloseReason, at sim.Time) {
 		d.stats.Aborted++
 	}
 	d.w.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
-	// The drain window covers what is in the network; a record can also sit
-	// behind a retransmission timer that outlives the close.
-	check := max(at+d.spec.DrainCheckAfter, s.conn.TimersDoneBy())
-	if d.spec.DrainCheckAfter > 0 && check < d.horizon {
+	if check := at + d.spec.DrainCheckAfter; d.spec.DrainCheckAfter > 0 && check < d.horizon {
 		d.stats.LeakChecks++
 		d.eng.Schedule(check, churnDrainEvent, s)
 		return

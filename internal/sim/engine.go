@@ -12,11 +12,11 @@
 // frontier (the slot being fired): an imminent heap for slots at or before
 // it, a single-level hashed timing wheel for the next 8 191 slots (O(1)
 // insert and cancel within ~half a second: pacing, delayed-ACK,
-// monitor-interval and un-backed-off RTO timers), and a far heap for
-// everything beyond (backed-off RTOs, watchdogs, churn timers — over a
-// thousand at a time under overload). Both heaps are one inlined monomorphic
-// 4-ary implementation, and the one every pop sifts holds a slot's worth of
-// timers however many wait far out. Each pop takes the global (at, seq)
+// monitor-interval and a subflow's RTO timer while un-backed-off), and a far
+// heap for everything beyond (watchdogs, churn timers, backed-off RTO timers
+// — about a thousand at a time under overload). Both heaps are one inlined
+// monomorphic 4-ary implementation, and the one every pop sifts holds a
+// slot's worth of timers however many wait far out. Each pop takes the global (at, seq)
 // minimum, the exact total order one heap alone would produce
 // (property-tested against a reference heap in wheel_test.go). Timers
 // created by Schedule and ScheduleRef recycle through a slab-backed
@@ -117,8 +117,8 @@ func (t *Timer) At() Time { return t.at }
 // wheel-resident timers, O(log n) for heap-resident ones, n being the size
 // of the one heap the timer sits in (the imminent heap holds a slot's worth,
 // the far heap the timers beyond the wheel span) — so long-lived simulations
-// that cancel many timers (retransmission and pacing timers cancel on every
-// ACK) do not accumulate dead entries.
+// that cancel many timers (pacing and RACK timers are re-armed all the time)
+// do not accumulate dead entries.
 func (t *Timer) Stop() bool {
 	if t == nil || t.stopped {
 		return false

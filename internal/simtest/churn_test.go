@@ -63,10 +63,10 @@ func TestChurnScenarioPassesOracle(t *testing.T) {
 // 274 of the main sweep, as repro lines so generator drift cannot unpin
 // them) on which the conn-leak audit used to fire: sessions opened inside a
 // flap or outage window send under a backed-off RTO, reordering detection
-// declares some of those packets lost, and the records stay behind their
-// retransmission timers for longer than the fixed drain window after the
-// session closes. The audit now also waits for the connection's timers
-// (transport.Connection.TimersDoneBy).
+// declares some of those packets lost, and each record stayed behind its own
+// retransmission timer for longer than the drain window after the session
+// closed. A record carries its deadline now, not a timer, so it goes home at
+// teardown and the fixed drain window covers the network alone.
 func TestCloseUnderBackoffScenarios(t *testing.T) {
 	for _, line := range []string{
 		`{"seed":238,"dur":3096.4772364925566,"links":[{"rate":21.252111673899797,"delay":29.871101639534483,"buf":53092}],"flows":[{"proto":"bbr","paths":[[0]],"start":571.3930233663286}],"faults":[{"kind":"trace","link":0,"at":1205.8918836737764,"dur":82.86176606618831,"trace":[17.59904617513596,7.473901634434359,17.663662309030986,11.484771562531323,8.990978117841314,10.442401567205373]},{"kind":"flaps","link":0,"at":911.7420201230796,"dur":156.31338635573232,"n":3,"up":107.46010029354328}],"churn":{"proto":"mpcc-loss","rate":34.248401733894326,"alpha":1.355279942771415,"minKB":18,"maxKB":522,"conns":12,"budgetKB":190,"rcvKB":95,"retries":1,"retryMs":34.44595815736996}}`,
@@ -106,17 +106,12 @@ func TestGeneratedChurnScenariosPassOracle(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Fatal("no churn scenarios in seed range; generator draw broken?")
 	}
-	reports := make([]*Report, len(seeds))
-	exp.RunParallel(len(seeds), func(i int) {
-		reports[i] = Check(FromSeed(seeds[i]))
-	})
+	perSeed := make([]int, len(seeds))
+	failed := sweep(seeds, func(i int, r *Report) { perSeed[i] = r.Result.Churn.Arrivals })
+	reportFailures(t, failed)
 	arrivals := 0
-	for _, r := range reports {
-		if r.Failed() {
-			reportFailure(t, r, Options{})
-			continue
-		}
-		arrivals += r.Result.Churn.Arrivals
+	for _, n := range perSeed {
+		arrivals += n
 	}
 	if arrivals == 0 {
 		t.Fatalf("%d churn scenarios produced zero arrivals", len(seeds))
@@ -245,23 +240,9 @@ func TestChurnSoak(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Fatal("no churn scenarios in soak seed range")
 	}
-	reports := make([]*Report, len(seeds))
-	exp.RunParallel(len(seeds), func(i int) {
-		reports[i] = Check(FromSeed(seeds[i]))
-	})
-	failures := 0
-	for _, r := range reports {
-		if !r.Failed() {
-			continue
-		}
-		failures++
-		if failures > 3 {
-			t.Errorf("…and more failures; stopping the detail at 3")
-			break
-		}
-		reportFailure(t, r, Options{})
-	}
-	if failures == 0 {
+	if failed := sweep(seeds, nil); len(failed) > 0 {
+		reportFailures(t, failed)
+	} else {
 		t.Logf("soaked %d churn scenarios, 0 violations", len(seeds))
 	}
 }

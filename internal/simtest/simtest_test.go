@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,26 +48,45 @@ func baseSeed(t *testing.T) int64 {
 // scenarios, each audited by the full invariant oracle. A failure shrinks
 // itself and prints a one-line repro command.
 func TestRandomScenarios(t *testing.T) {
-	n := scenarioBudget(t, 220)
-	base := baseSeed(t)
-	reports := make([]*Report, n)
-	exp.RunParallel(n, func(i int) {
-		reports[i] = Check(FromSeed(base + int64(i)))
-	})
-	failures := 0
-	for _, r := range reports {
-		if !r.Failed() {
-			continue
+	base, seeds := baseSeed(t), make([]int64, scenarioBudget(t, 220))
+	for i := range seeds {
+		seeds[i] = base + int64(i)
+	}
+	if failed := sweep(seeds, nil); len(failed) > 0 {
+		reportFailures(t, failed)
+	} else {
+		t.Logf("audited %d scenarios, 0 violations", len(seeds))
+	}
+}
+
+// sweep audits the generated scenario of every seed on the worker pool and
+// returns the failing reports in seed order. A passing report — flight ring
+// and all — is dropped as soon as its scenario is done, so a sweep's memory
+// does not grow with its length; visit, if set, reads every report first
+// (on the worker that produced it, so it must only write per-index state).
+func sweep(seeds []int64, visit func(i int, r *Report)) []*Report {
+	failed := make([]*Report, len(seeds))
+	exp.RunParallel(len(seeds), func(i int) {
+		r := Check(FromSeed(seeds[i]))
+		if visit != nil {
+			visit(i, r)
 		}
-		failures++
-		if failures > 3 {
-			t.Errorf("…and more failures; stopping the detail at 3")
+		if r.Failed() {
+			failed[i] = r
+		}
+	})
+	return slices.DeleteFunc(failed, func(r *Report) bool { return r == nil })
+}
+
+// reportFailures shrinks and logs the first three failing reports of a sweep.
+func reportFailures(t *testing.T, failed []*Report) {
+	t.Helper()
+	for i, r := range failed {
+		if i == 3 {
+			t.Errorf("…and %d more failures; stopping the detail at 3", len(failed)-i)
 			break
 		}
 		reportFailure(t, r, Options{})
-	}
-	if failures == 0 {
-		t.Logf("audited %d scenarios, 0 violations", n)
 	}
 }
 

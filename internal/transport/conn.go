@@ -73,9 +73,8 @@ type Connection struct {
 
 	// pool gauges: arena objects this connection currently holds (the
 	// churn leak check asserts these return to zero after teardown drains)
-	recLive   int
-	segLive   int
-	lastRTOAt sim.Time // latest retransmission-timer deadline armed so far (TimersDoneBy)
+	recLive int
+	segLive int
 
 	// forward-progress tracking: the longest observed interval between
 	// consecutive first-delivery events (hostile-path stall oracle).

@@ -95,6 +95,8 @@ func (s *Subflow) fail() {
 	s.pacerTimer = sim.TimerRef{}
 	s.rackTimer.Stop()
 	s.rackTimer = sim.TimerRef{}
+	s.rtoTimer.Stop()
+	s.rtoTimer = sim.TimerRef{}
 	s.pacerIdle = true
 	s.capBlocked = false
 	s.dropOpenMIs()
@@ -107,10 +109,6 @@ func (s *Subflow) fail() {
 		s.lostPkts++
 		s.inflightBytes -= rec.size
 		s.inflightPkts--
-		if rec.rto.Stop() {
-			rec.rto = sim.TimerRef{}
-			s.conn.releaseRec(rec) // the cancelled RTO timer's reference
-		}
 		if !rec.seg.delivered {
 			rec.seg.refs++ // the retransmission queue's reference
 			s.retx.push(rec.seg)

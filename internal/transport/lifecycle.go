@@ -5,8 +5,8 @@ import "mpcc/internal/sim"
 // Connection lifecycle. A connection is open from Start until Close/Abort
 // (explicit) or a watchdog timeout (idle/handshake) shuts it down. Teardown
 // is synchronous for everything the connection owns: pending/retx/orphan
-// segments, outstanding-slot and RTO-timer packet references, receiver-side
-// delayed-ACK batches, every per-subflow timer, and the backing arrays its
+// segments, outstanding-slot packet references, receiver-side delayed-ACK
+// batches, every per-subflow timer, and the backing arrays its
 // queues grew (handed back to the engine arena). References held by
 // packets still inside netem links cannot be reclaimed synchronously; the
 // closed guards on the delivery/feedback sinks release each one as it
@@ -112,6 +112,8 @@ func (s *Subflow) teardown() {
 	s.pacerTimer = sim.TimerRef{}
 	s.rackTimer.Stop()
 	s.rackTimer = sim.TimerRef{}
+	s.rtoTimer.Stop()
+	s.rtoTimer = sim.TimerRef{}
 	s.rxTimer.Stop()
 	s.rxTimer = sim.TimerRef{}
 	s.probeTimer.Stop()
@@ -131,10 +133,6 @@ func (s *Subflow) teardown() {
 		rec := s.outstanding[i]
 		if rec == nil {
 			continue
-		}
-		if rec.rto.Stop() {
-			rec.rto = sim.TimerRef{}
-			s.conn.releaseRec(rec) // the cancelled RTO timer's reference
 		}
 		s.outstanding[i] = nil
 		s.conn.releaseRec(rec) // the outstanding slot's reference
@@ -201,14 +199,5 @@ func watchdogEvent(a any) {
 
 // PoolInUse returns how many pooled packet records and segments the
 // connection currently holds out of the engine arena. Both return to zero
-// once a closed connection's in-flight packets have drained and TimersDoneBy
-// has passed (the leak gauge).
+// once a closed connection's in-flight packets have drained (the leak gauge).
 func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive }
-
-// TimersDoneBy returns the instant by which every retransmission timer the
-// connection armed has fired or been cancelled. Teardown cancels those of
-// the records still in a subflow's in-flight window; a packet that
-// reordering detection declared lost has left it with its timer pending — a
-// no-op when it fires — and the timer holds the record and its segment until
-// then, for up to the backed-off RTO in force when the packet was sent.
-func (c *Connection) TimersDoneBy() sim.Time { return c.lastRTOAt }

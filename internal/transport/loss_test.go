@@ -28,8 +28,13 @@ func TestDupThresholdMarksEarlierPacketsLost(t *testing.T) {
 		t.Fatalf("rig sent only %d packets", len(s.outstanding))
 	}
 	// Capture the records before acking: advanceHead nils resolved entries
-	// in the live outstanding array.
+	// in the live outstanding array, and a test reference keeps each one
+	// from going home once the link's drop and the head advance released
+	// theirs.
 	recs := append([]*pktRec(nil), s.outstanding[s.outHead:]...)
+	for _, rec := range recs {
+		rec.refs++
+	}
 	// Ack the packet 3 indices after the head: everything with
 	// idx+3 ≤ ackedIdx (the head) must be declared lost.
 	target := recs[3]

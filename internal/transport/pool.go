@@ -18,16 +18,15 @@ import "mpcc/internal/sim"
 //
 // Reference-counting rules:
 //
-// pktRec — created by transmit with three references: the outstanding slot
-// (released when advanceHead passes the record), the network packet carrying
-// it as Meta (netem releases it on a drop via ReleaseMeta and retains an
-// extra one per duplication clone via RetainMeta; a delivery transfers it to
-// the receiver's ACK pipeline, which releases it after senderAck processed
-// the record), and the pending RTO timer (released when the timer fires or
-// is successfully stopped). A record may therefore outlive its loss
-// declaration — exactly what Eifel-style spurious-retransmit repair needs —
-// and its connection's Close: a record still inside a link then belongs to
-// the network alone and goes home when that packet delivers or drops.
+// pktRec — created by transmit with two references: the outstanding slot
+// (released when advanceHead passes the record, or by teardown) and the
+// network packet carrying it as Meta (netem releases it on a drop via
+// ReleaseMeta and retains an extra one per duplication clone via RetainMeta;
+// a delivery transfers it to the receiver's ACK pipeline, which releases it
+// after senderAck processed the record). No timer holds one: a record carries
+// its RTO deadline. It may outlive its loss declaration — what Eifel-style
+// spurious-retransmit repair needs — and its connection's Close only while
+// its packet is in a link, and goes home when that packet delivers or drops.
 //
 // segment — one reference per queue membership (pending/retx/orphans) plus
 // one per pktRec pointing at it. Queue pops transfer the reference to the

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"mpcc/internal/cc"
 	"mpcc/internal/netem"
@@ -22,7 +23,7 @@ type pktRec struct {
 	lost      bool
 	lostByRTO bool // the loss declaration came from an RTO episode
 	mi        *monitorInterval
-	rto       sim.TimerRef
+	rtoAt     sim.Time // retransmission deadline, fixed at send
 	refs      int32
 }
 
@@ -47,8 +48,10 @@ type Subflow struct {
 	inflightPkts  int
 	sendIdx       uint64
 
-	// RTT estimation
+	// RTT estimation, and the one retransmission timer (see onRTOTimer)
 	srtt, rttvar, rto sim.Time
+	rtoTimer          sim.TimerRef
+	rtoTimerAt        sim.Time
 
 	running bool // set once begin() ran
 
@@ -378,12 +381,15 @@ func (s *Subflow) dropOpenMIs() {
 // pooled by the engine.
 func paceEvent(a any) { a.(*Subflow).pace() }
 
-func rtoEvent(a any) {
-	rec := a.(*pktRec)
-	rec.rto = sim.TimerRef{}
-	sf := rec.sf
-	sf.onRTOTimer(rec)
-	sf.conn.releaseRec(rec) // the fired RTO timer's reference
+func rtoEvent(a any) { a.(*Subflow).onRTOTimer() }
+
+// armRTO makes the retransmission timer fire no later than at.
+func (s *Subflow) armRTO(at sim.Time) {
+	if s.rtoTimer.Pending() && s.rtoTimerAt <= at {
+		return
+	}
+	s.rtoTimer.Stop()
+	s.rtoTimerAt, s.rtoTimer = at, s.conn.eng.ScheduleRef(at, rtoEvent, s)
 }
 
 func flushAcksEvent(a any) { a.(*Subflow).flushAcks() }
@@ -480,7 +486,7 @@ func (s *Subflow) transmit(seg *segment) {
 	now := s.conn.eng.Now()
 	rec := s.conn.acquireRec()
 	rec.sf, rec.seg, rec.idx, rec.size, rec.sentAt = s, seg, s.sendIdx, seg.size, now
-	rec.refs = 3 // outstanding slot + network packet Meta + RTO timer
+	rec.refs = 2 // outstanding slot + network packet Meta
 	s.sendIdx++
 	s.sentPkts++
 	s.sentBytes += int64(seg.size)
@@ -493,9 +499,8 @@ func (s *Subflow) transmit(seg *segment) {
 		mi.refs++
 		mi.onSend(seg.size)
 	}
-	rtoAt := now + s.backedOffRTO()
-	s.conn.lastRTOAt = max(s.conn.lastRTOAt, rtoAt)
-	rec.rto = s.conn.eng.ScheduleRef(rtoAt, rtoEvent, rec)
+	rec.rtoAt = now + s.backedOffRTO()
+	s.armRTO(rec.rtoAt)
 	s.path.Send(seg.size, rec, s.rxSink, nil)
 }
 
@@ -594,16 +599,12 @@ func (s *Subflow) handleAck(rec *pktRec) {
 	}
 }
 
-// ackOne applies the per-packet bookkeeping of one acknowledgement: RTO
-// cancellation, RTT/ledger/MI updates, and RACK state. The batch-level
-// pipeline (detection, head advance, MI finalization, resume) runs once per
-// feedback packet in senderAck.
+// ackOne applies the per-packet bookkeeping of one acknowledgement:
+// RTT/ledger/MI updates and RACK state. The batch-level pipeline (detection,
+// head advance, MI finalization, resume) runs once per feedback packet in
+// senderAck.
 func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
 	now := s.conn.eng.Now()
-	if rec.rto.Stop() {
-		rec.rto = sim.TimerRef{}
-		s.conn.releaseRec(rec) // the cancelled RTO timer's reference
-	}
 	if rec.acked {
 		return
 	}
@@ -821,35 +822,55 @@ func (s *Subflow) advanceHead() {
 	}
 }
 
-func (s *Subflow) onRTOTimer(rec *pktRec) {
-	if rec.acked || rec.lost || s.state == SubflowFailed {
-		return
-	}
-	// Count RTO episodes, not timers: every packet of a flight times out
-	// together, which must read as one path event, not one per packet. A
-	// timeout opens a new episode only if the packet was sent at or after
-	// the previous episode's close.
-	if rec.idx >= s.rtoEpochIdx {
-		s.rtoEpochIdx = s.sendIdx
-		s.consecRTOs++
-		if s.backoff < 16 {
-			s.backoff++
+// onRTOTimer fires the subflow's one retransmission timer. Each record keeps
+// the deadline it was sent with; every unresolved record that is due times
+// out, in send order, and the timer re-arms at the earliest deadline left.
+// Acknowledgements never touch the timer, so a fire may find nothing due.
+func (s *Subflow) onRTOTimer() {
+	s.rtoTimer = sim.TimerRef{}
+	now, next := s.conn.eng.Now(), sim.Time(math.MaxInt64)
+	// outstanding[outHead:] holds consecutive send indices ending at
+	// sendIdx-1 and everything before the head is resolved. A timeout may
+	// advance the head or compact the slice, so the walk resumes by index.
+	head := func() uint64 { return s.sendIdx - uint64(len(s.outstanding)-s.outHead) }
+	for idx := head(); idx < s.sendIdx; idx = max(idx+1, head()) {
+		rec := s.outstanding[len(s.outstanding)-int(s.sendIdx-idx)]
+		if rec.acked || rec.lost {
+			continue
 		}
-		// Guarded: backedOffRTO does real work, unlike the emit helper itself.
-		if s.conn.probes != nil {
-			s.conn.probes.RTOBackoff(s.conn.eng.Now(), s.conn.Name, s.id, s.backedOffRTO(), s.consecRTOs)
+		if rec.rtoAt > now {
+			next = min(next, rec.rtoAt)
+			continue
 		}
+		// Count RTO episodes, not timeouts: every packet of a flight times
+		// out together, which must read as one path event, not one per
+		// packet. A timeout opens a new episode only if the packet was sent
+		// at or after the previous episode's close.
+		if rec.idx >= s.rtoEpochIdx {
+			s.rtoEpochIdx = s.sendIdx
+			s.consecRTOs++
+			if s.backoff < 16 {
+				s.backoff++
+			}
+			// Guarded: backedOffRTO does real work, unlike the emit helper itself.
+			if s.conn.probes != nil {
+				s.conn.probes.RTOBackoff(now, s.conn.Name, s.id, s.backedOffRTO(), s.consecRTOs)
+			}
+		}
+		s.markLost(rec, true)
+		s.advanceHead()
+		if s.rc != nil {
+			s.finalizeMIs()
+		}
+		if s.conn.failThreshold > 0 && s.consecRTOs >= s.conn.failThreshold {
+			s.fail() // resolves the rest and stops the timer
+			return
+		}
+		s.kick()
 	}
-	s.markLost(rec, true)
-	s.advanceHead()
-	if s.rc != nil {
-		s.finalizeMIs()
+	if next < math.MaxInt64 {
+		s.armRTO(next)
 	}
-	if s.conn.failThreshold > 0 && s.consecRTOs >= s.conn.failThreshold {
-		s.fail()
-		return
-	}
-	s.kick()
 }
 
 func (s *Subflow) markLost(rec *pktRec, isRTO bool) {
