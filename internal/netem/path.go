@@ -180,7 +180,7 @@ func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReas
 	pkt.Size = size
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
-	pkt.hops = p.links
+	pkt.path = p
 	pkt.sink = sink
 	pkt.onDrop = onDrop
 	if p.extraDelay > 0 {
@@ -224,14 +224,20 @@ func feedbackDeliverEvent(a any) {
 // onDrop is stored on the packet so transports learn about their own losses
 // immediately in tests; real senders infer loss from missing feedback.
 func (pkt *Packet) forward() {
-	if pkt.hop >= len(pkt.hops) {
+	hops := pkt.path.links
+	if pkt.hop > 0 {
+		// Its arrival is past its serialization end: off the FIFO before the
+		// packet is reused by the next link or the pool.
+		hops[pkt.hop-1].settle()
+	}
+	if pkt.hop >= len(hops) {
 		if pkt.sink != nil {
 			pkt.sink.Deliver(pkt)
 		}
 		pkt.release()
 		return
 	}
-	link := pkt.hops[pkt.hop]
+	link := hops[pkt.hop]
 	pkt.hop++
 	link.enqueue(pkt)
 }

@@ -166,8 +166,9 @@ func (r TimerRef) Pending() bool {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now Time
-	seq uint64
+	now    Time
+	seq    uint64
+	firing uint64 // seq of the event firing now; e.seq once Run reaches its horizon
 
 	// imminent holds the timers whose slot is at or before the frontier:
 	// the slot being drained plus whatever is scheduled into it meanwhile.
@@ -554,12 +555,24 @@ func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
 }
 
 // Schedule posts afn(arg) at absolute virtual time at with no cancellation
-// handle. The backing Timer comes from (and returns to) the engine free
-// list, so steady-state anonymous events — packet serialization, delivery,
-// feedback — allocate nothing.
-func (e *Engine) Schedule(at Time, afn func(any), arg any) {
+// handle and returns its sequence number, the tie-break Fired compares. The
+// backing Timer comes from (and returns to) the engine free list, so
+// steady-state anonymous events — packet arrivals, feedback — allocate
+// nothing.
+func (e *Engine) Schedule(at Time, afn func(any), arg any) uint64 {
 	e.checkFuture(at)
 	e.enqueue(e.grabPooled(at, afn, arg))
+	return e.seq
+}
+
+// Fired reports whether the execution order has passed the instant (at, seq),
+// seq being a number Schedule returned: at is in the past, or it is now and
+// seq is at most that of the event firing now. Once Run reaches its horizon
+// every instant up to it has passed. A component that would only update
+// state in an event reads this instead and settles lazily (see netem's link
+// queue).
+func (e *Engine) Fired(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq <= e.firing
 }
 
 // ScheduleRef schedules afn(arg) at absolute virtual time at and returns a
@@ -589,7 +602,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // fire executes t's callback (t is already off the queue) and recycles
 // pooled timers.
 func (e *Engine) fire(t *Timer) {
-	e.now = t.at
+	e.now, e.firing = t.at, t.seq
 	e.Processed++
 	if t.fn != nil {
 		fn := t.fn
@@ -624,13 +637,13 @@ func (e *Engine) Run(horizon Time) {
 			// before the frontier whichever heap it was popped from, so it
 			// lands in the imminent heap, where it is the head.
 			e.enqueue(next)
-			e.now = horizon
+			e.now, e.firing = horizon, e.seq
 			return
 		}
 		e.fire(next)
 	}
 	if horizon > 0 && e.now < horizon && e.Pending() == 0 {
-		e.now = horizon
+		e.now, e.firing = horizon, e.seq
 	}
 }
 

@@ -330,3 +330,121 @@ func TestEngineLocal(t *testing.T) {
 		t.Fatal("distinct engines share a value")
 	}
 }
+
+// TestFired pins the order Fired reports against: strictly earlier times,
+// and at the current time exactly the seqs up to the firing event's, until a
+// horizon makes every instant up to it past.
+func TestFired(t *testing.T) {
+	noop := func(any) {}
+	cases := []struct {
+		name string
+		got  func() bool
+		want bool
+	}{
+		{"before Run, an instant at time zero", func() bool {
+			e := NewEngine(1)
+			return e.Fired(0, e.Schedule(0, noop, nil))
+		}, false},
+		{"inside an event, a lower same-instant seq", func() bool {
+			e := NewEngine(1)
+			lo := e.Schedule(100, noop, nil)
+			var got bool
+			e.At(100, func() { got = e.Fired(100, lo) })
+			e.Run(0)
+			return got
+		}, true},
+		{"inside an event, its own seq", func() bool {
+			e := NewEngine(1)
+			var got bool
+			var self uint64
+			self = e.Schedule(100, func(any) { got = e.Fired(100, self) }, nil)
+			e.Run(0)
+			return got
+		}, true},
+		{"inside an event, a higher same-instant seq", func() bool {
+			e := NewEngine(1)
+			var got bool
+			var hi uint64
+			e.At(100, func() { got = e.Fired(100, hi) })
+			hi = e.Schedule(100, noop, nil)
+			e.Run(0)
+			return got
+		}, false},
+		{"inside an event, a seq scheduled now for now", func() bool {
+			e := NewEngine(1)
+			var got bool
+			e.At(100, func() { got = e.Fired(100, e.Schedule(100, noop, nil)) })
+			e.Run(0)
+			return got
+		}, false},
+		{"inside an event, an earlier time with a higher seq", func() bool {
+			e := NewEngine(1)
+			var got bool
+			var hi uint64
+			e.At(100, func() { got = e.Fired(99, hi) })
+			hi = e.Schedule(99, noop, nil)
+			e.Run(0)
+			return got
+		}, true},
+		{"inside an event, a later time with a lower seq", func() bool {
+			e := NewEngine(1)
+			lo := e.Schedule(101, noop, nil)
+			var got bool
+			e.At(100, func() { got = e.Fired(101, lo) })
+			e.Run(0)
+			return got
+		}, false},
+		{"after a horizon, the last seq at the horizon", func() bool {
+			e := NewEngine(1)
+			e.Schedule(300, noop, nil)
+			e.At(100, func() {})
+			last := e.Schedule(200, noop, nil)
+			e.Run(200)
+			return e.Fired(200, last)
+		}, true},
+		{"after a horizon with nothing at it, the latest seq", func() bool {
+			e := NewEngine(1)
+			e.Schedule(300, noop, nil)
+			last := e.Schedule(150, noop, nil)
+			e.Run(200)
+			return e.Now() == 200 && !e.Fired(200, last+1) && e.Fired(150, last)
+		}, true},
+		{"after a horizon with no event fired, an instant at it", func() bool {
+			e := NewEngine(1)
+			later := e.Schedule(300, noop, nil) // e.g. an arrival whose serialization ends at 200
+			e.Run(200)
+			return e.Fired(200, later)
+		}, true},
+		{"after a horizon, a seq scheduled for it afterwards", func() bool {
+			e := NewEngine(1)
+			e.Schedule(300, noop, nil)
+			e.Run(200)
+			return e.Fired(200, e.Schedule(200, noop, nil))
+		}, false},
+		{"after a horizon, the instant past it", func() bool {
+			e := NewEngine(1)
+			e.Run(200)
+			return e.Fired(201, 0)
+		}, false},
+		{"after Stop, the stopping event's seq", func() bool {
+			e := NewEngine(1)
+			var stop uint64
+			stop = e.Schedule(100, func(any) { e.Stop() }, nil)
+			e.Schedule(100, noop, nil)
+			e.Run(200)
+			return e.Fired(100, stop)
+		}, true},
+		{"after Stop, a same-instant seq not yet fired", func() bool {
+			e := NewEngine(1)
+			e.Schedule(100, func(any) { e.Stop() }, nil)
+			next := e.Schedule(100, noop, nil)
+			e.Run(200)
+			return e.Fired(100, next)
+		}, false},
+	}
+	for _, tc := range cases {
+		if got := tc.got(); got != tc.want {
+			t.Errorf("%s: Fired = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -83,7 +83,7 @@ func (r *RateScheduler) Pick(c *Connection) *Subflow {
 func (r *RateScheduler) queueCap(s *Subflow) int {
 	var pktsPerRTT float64
 	if s.rc != nil {
-		pktsPerRTT = s.curRate * s.srtt.Seconds() / 8 / float64(s.conn.mss)
+		pktsPerRTT = s.pktsPerRTT
 	} else {
 		pktsPerRTT = s.wc.Cwnd()
 	}

@@ -48,6 +48,7 @@ func rigConn(t *testing.T, states []subState) *Connection {
 			s = c.AddWindowSubflow(tn.path(i), fixedWin{st.cwndPkts})
 		}
 		s.srtt = st.srtt
+		s.notePace()
 		s.inflightPkts = st.inflight
 		s.pending = segQueue{s: make([]*segment, st.pending)}
 		if st.failed {
@@ -221,4 +222,46 @@ func checkPick(t *testing.T, got *Subflow, want int) {
 	case got != nil && got.ID() != want:
 		t.Fatalf("Pick returned subflow %d, want %d", got.ID(), want)
 	}
+}
+
+// stepRate is a rate controller whose rate a test moves between MIs.
+type stepRate struct{ rate float64 }
+
+func (f *stepRate) InitialRate() float64                { return f.rate }
+func (f *stepRate) NextRate(now, srtt sim.Time) float64 { return f.rate }
+func (f *stepRate) OnMIComplete(cc.MIStats)             {}
+
+// TestPktsPerRTTTracksPace: the rate scheduler's cached curRate·srtt equals
+// the formula, bit for bit, after each of notePace's write sites.
+func TestPktsPerRTTTracksPace(t *testing.T) {
+	tn := newTestNet(1, 1)
+	ctl := &stepRate{5e6}
+	c := NewConnection(tn.eng, "pace")
+	s := c.AddRateSubflow(tn.path(0), ctl)
+	c.SetApp(Bulk{}, nil)
+	c.Start(0)
+	check := func(when string) {
+		t.Helper()
+		want := s.curRate * s.srtt.Seconds() / 8 / float64(s.conn.mss)
+		if s.pktsPerRTT != want || want == 0 {
+			t.Fatalf("after %s: pktsPerRTT = %v, want %v (non-zero)", when, s.pktsPerRTT, want)
+		}
+	}
+	s.curRate = 3e6
+	s.init()
+	check("init")
+	tn.eng.Step() // the start event: init, then the first MI at 5 Mbps
+	check("the first MI")
+	ctl.rate = 7e6
+	s.rollMI()
+	check("a rate change")
+	s.curRate = 0.25
+	s.nextSend = 0
+	s.pace()
+	if s.curRate != 1 {
+		t.Fatalf("pace left curRate = %v, want the clamp to 1", s.curRate)
+	}
+	check("the rate-1 clamp")
+	s.updateRTT(45 * sim.Millisecond)
+	check("an RTT sample")
 }

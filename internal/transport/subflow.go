@@ -55,8 +55,10 @@ type Subflow struct {
 
 	running bool // set once begin() ran
 
-	// pacing state (rate-based)
+	// pacing state (rate-based); pktsPerRTT is curRate·srtt in packets,
+	// kept by notePace for the rate scheduler's queue cap
 	curRate    float64
+	pktsPerRTT float64
 	nextSend   sim.Time
 	pacerTimer sim.TimerRef
 	pacerIdle  bool
@@ -216,6 +218,7 @@ func (s *Subflow) init() {
 	s.rttvar = s.srtt / 2
 	s.reoWndMult = 1
 	s.updateRTO()
+	s.notePace()
 	if s.rc != nil {
 		// Until the first MI opens the subflow must not transmit.
 		s.pacerIdle = true
@@ -299,6 +302,7 @@ func (s *Subflow) rollMI() {
 		s.conn.probes.RateChange(now, s.conn.Name, s.id, rate)
 	}
 	s.curRate = rate
+	s.notePace()
 	a := s.conn.arena
 	mi := a.mis.Get()
 	*mi = monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate,
@@ -429,6 +433,7 @@ func (s *Subflow) pace() {
 		// A zero/negative rate models a stalled controller, not an
 		// infinite inter-packet gap.
 		s.curRate = 1
+		s.notePace()
 	}
 	gap := sim.FromSeconds(float64(seg.size) * 8 / s.curRate)
 	if s.nextSend < now {
@@ -922,6 +927,12 @@ func (s *Subflow) updateRTT(rtt sim.Time) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.updateRTO()
+	s.notePace()
+}
+
+// notePace recomputes pktsPerRTT after curRate or srtt changed.
+func (s *Subflow) notePace() {
+	s.pktsPerRTT = s.curRate * s.srtt.Seconds() / 8 / float64(s.conn.mss)
 }
 
 func (s *Subflow) updateRTO() {
