@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -14,28 +15,33 @@ import (
 	"mpcc/internal/stats"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: mpccfair 'caps=<c1,c2,...>; conn=<l,...>; conn=<l,...>'")
-		fmt.Fprintln(os.Stderr, "example (the paper's Fig. 1): mpccfair 'caps=100,100,100; conn=0; conn=0,1,2'")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams passed in; it returns
+// the exit status: 2 for a usage or parse error, 1 when the solver fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: mpccfair 'caps=<c1,c2,...>; conn=<l,...>; conn=<l,...>'")
+		fmt.Fprintln(stderr, "example (the paper's Fig. 1): mpccfair 'caps=100,100,100; conn=0; conn=0,1,2'")
+		return 2
 	}
-	net, err := fairness.Parse(strings.Join(os.Args[1:], " "))
+	net, err := fairness.Parse(strings.Join(args, " "))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	alloc, err := fairness.LMMF(net)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Println("LMMF allocation:")
+	fmt.Fprintln(stdout, "LMMF allocation:")
 	for i, total := range alloc.Totals {
-		fmt.Printf("  conn %d (links %v): total %8.2f  per-link %v\n",
+		fmt.Fprintf(stdout, "  conn %d (links %v): total %8.2f  per-link %v\n",
 			i, net.Conns[i], total, fmtSlice(alloc.PerLink[i]))
 	}
-	fmt.Printf("Jain fairness index: %.4f\n", stats.JainIndex(alloc.Totals))
+	fmt.Fprintf(stdout, "Jain fairness index: %.4f\n", stats.JainIndex(alloc.Totals))
+	return 0
 }
 
 func fmtSlice(xs []float64) string {
