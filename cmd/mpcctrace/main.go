@@ -20,11 +20,12 @@
 // detection activity additionally get a "hostile path" breakdown of drops
 // vs reorders vs duplicates vs spurious retransmits.
 // filter re-emits matching events as JSONL,
-// preserving the stable field order. csv converts events to the aligned
-// time-series CSV of internal/trace for plotting: event-count kinds
-// (drop, retransmit, sched-pick) aggregate as bytes per bucket, level
-// kinds (rate-change, mi-decision, utility, rto-backoff, queue-depth) as
-// the bucket mean.
+// preserving the stable field order. csv converts events to aligned
+// per-bucket series in the CSV form of timeline -csv, one column per link or
+// flow/sfN, for plotting: event-count kinds (drop, retransmit, sched-pick)
+// aggregate as bytes per bucket, level kinds (rate-change, mi-decision,
+// utility, rto-backoff, queue-depth) as the bucket mean, and an empty bucket
+// reads 0.
 //
 // timeline renders the windowed per-path series (rate, RTT, queue depth) as
 // aligned columns, one row per time window — or plain CSV with -csv. It
@@ -41,12 +42,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
-	"mpcc/internal/trace"
 )
 
 func main() {
@@ -479,56 +478,49 @@ func cmdCSV(args []string, stdin io.Reader, stdout io.Writer) error {
 	defer done()
 
 	bw := sim.FromDuration(*bucket)
-	type acc struct {
-		sum   []float64
-		count []int
-	}
-	byKey := map[string]*acc{}
-	var keys []string
-	maxBucket := -1
+	series := map[string]*obs.SeriesData{}
+	windows := 0
 	_, err = forEachRun(in, *runSel, func(_ int, e obs.Event) error {
 		if e.Kind != wantKind {
 			return nil
 		}
 		key := seriesKey(e)
-		a := byKey[key]
-		if a == nil {
-			a = &acc{}
-			byKey[key] = a
-			keys = append(keys, key)
+		sd := series[key]
+		if sd == nil {
+			sd = &obs.SeriesData{Window: bw}
+			series[key] = sd
 		}
 		b := int(e.At / bw)
-		for len(a.sum) <= b {
-			a.sum = append(a.sum, 0)
-			a.count = append(a.count, 0)
+		for len(sd.Sum) <= b {
+			sd.Sum = append(sd.Sum, 0)
+			sd.Count = append(sd.Count, 0)
 		}
-		a.sum[b] += eventValue(e)
-		a.count[b]++
-		if b > maxBucket {
-			maxBucket = b
-		}
+		sd.Sum[b] += eventValue(e)
+		sd.Count[b]++
+		windows = max(windows, b+1)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if len(keys) == 0 {
+	if len(series) == 0 {
 		return fmt.Errorf("no %s events%s", wantKind, selNote(*runSel))
 	}
-	sort.Strings(keys)
+	// Every series spans every bucket, and each bucket becomes one sample of
+	// its exported value (the mean for a level kind, else the sum), so
+	// RenderTimeline prints that value and an empty bucket reads 0.
 	mean := levelKind(wantKind)
-	series := make([][]float64, len(keys))
-	for i, key := range keys {
-		a := byKey[key]
-		out := make([]float64, maxBucket+1)
-		for b := range a.sum {
-			v := a.sum[b]
-			if mean && a.count[b] > 0 {
-				v /= float64(a.count[b])
-			}
-			out[b] = v
+	for _, sd := range series {
+		for sd.Windows() < windows {
+			sd.Sum = append(sd.Sum, 0)
+			sd.Count = append(sd.Count, 0)
 		}
-		series[i] = out
+		for b, n := range sd.Count {
+			if mean && n > 0 {
+				sd.Sum[b] /= float64(n)
+			}
+			sd.Count[b] = 1
+		}
 	}
-	return trace.WriteSeriesCSV(stdout, bw, keys, series...)
+	return obs.RenderTimeline(stdout, series, true)
 }

@@ -24,11 +24,6 @@ func DefaultConfig() Config {
 	return Config{Duration: 20 * sim.Second, Warmup: 8 * sim.Second, Reps: 1, Seed: 42}
 }
 
-// QuickConfig returns an even shorter configuration for benchmarks.
-func QuickConfig() Config {
-	return Config{Duration: 10 * sim.Second, Warmup: 4 * sim.Second, Reps: 1, Seed: 42}
-}
-
 // spec starts a Spec at the configuration's scale — its seed, duration and
 // warm-up — for protocol p on topology tp with the given (or no) link tweak.
 func (c Config) spec(tp *topo.Topology, p Protocol, tweak func(*topo.Net)) Spec {

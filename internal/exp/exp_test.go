@@ -324,12 +324,24 @@ func TestExperimentTablesDeterministic(t *testing.T) {
 }
 
 func TestTableWriteCSV(t *testing.T) {
-	tab := &Table{Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
+	tab := &Table{Title: "t", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}, Notes: []string{"n"}}
 	var sb strings.Builder
 	if err := tab.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
+	// Title and notes are left out.
 	if sb.String() != "a,b\n1,2\n" {
 		t.Fatalf("CSV = %q", sb.String())
+	}
+}
+
+func TestTableWriteCSVQuotesCells(t *testing.T) {
+	tab := &Table{Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"3", "4,x"}}}
+	var sb strings.Builder
+	if err := tab.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != "a,b\n1,2\n3,\"4,x\"\n" {
+		t.Fatalf("comma-containing cell not quoted: CSV = %q", sb.String())
 	}
 }

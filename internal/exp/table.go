@@ -1,11 +1,10 @@
 package exp
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
-
-	"mpcc/internal/trace"
 )
 
 // Table is a printable experiment result mirroring one of the paper's
@@ -76,5 +75,5 @@ func mbps(bps float64) string { return fmt.Sprintf("%.1f", bps/1e6) }
 // WriteCSV writes the table as CSV (header + rows; title and notes are
 // omitted).
 func (t *Table) WriteCSV(w io.Writer) error {
-	return trace.WriteTableCSV(w, t.Header, t.Rows)
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Header}, t.Rows...))
 }

@@ -81,9 +81,6 @@ func (tb *TokenBucket) Tokens(now sim.Time) float64 {
 // Rate returns the refill rate in bits/s.
 func (tb *TokenBucket) Rate() float64 { return tb.rateBps }
 
-// Burst returns the bucket depth in bytes.
-func (tb *TokenBucket) Burst() int { return tb.burst }
-
 // SetPolicer attaches a token-bucket policer at the link's ingress:
 // packets exceeding the rate/burst contract are dropped with DropPolicer,
 // with zero added delay and no queue occupancy — loss that carries no

@@ -277,9 +277,6 @@ func (l *Link) SetJitter(d sim.Time) {
 	l.jitter = d
 }
 
-// Jitter returns the maximum extra per-packet delay.
-func (l *Link) Jitter() sim.Time { return l.jitter }
-
 // Reorder parameterizes netem-style deliberate packet reordering. A selected
 // packet is dispatched early: it skips a uniform [1, cap] share of its
 // propagation delay and bypasses the link's in-order delivery guard, so it

@@ -7,13 +7,13 @@ import (
 	"mpcc/internal/sim"
 )
 
-// The JSONL line encoder. A line is `{"t":` + the timestamp's digits, then
-// `,"kind":"…"`, the members the kind leads with (flow and sf, or link), and
-// the kind's remaining members in layouts order. Everything up to and
-// including the first remaining member's key depends only on (kind, name,
-// subflow), and a run emits millions of lines from a few dozen such sources
-// — so an encoder renders that prefix once per source and afterwards writes
-// a line as timestamp + one prefix copy + values + `}\n`.
+// The probe-kind table and the JSONL line encoder. A line is `{"t":` + the
+// timestamp's digits, then `,"kind":"…"`, the members the kind leads with
+// (flow and sf, or link), and the kind's remaining members in layouts order.
+// Everything up to and including the first remaining member's key depends
+// only on (kind, name, subflow), and a run emits millions of lines from a few
+// dozen such sources — so an encoder renders that prefix once per source and
+// afterwards writes a line as timestamp + one prefix copy + values + `}\n`.
 
 // lead says which members follow "kind" and key a line's prefix.
 type lead uint8
@@ -26,21 +26,23 @@ const (
 )
 
 // source says which Event field supplies a member's value, and how it is
-// rendered.
+// rendered and parsed.
 type source uint8
 
 const (
-	srcLink   source = iota // Link, string
+	srcFlow   source = iota // Flow, string
+	srcSF                   // Subflow, integer
+	srcLink                 // Link, string
 	srcState                // State, string
 	srcCause                // Cause's name, string
 	srcBytes                // Bytes, integer
-	srcAuxInt               // Aux truncated to an integer
+	srcAuxInt               // Aux truncated to an integer (parsed back as a float)
 	srcValue                // Value, float
 	srcAux                  // Aux, float
 )
 
-// member is one JSON member after the lead: its pre-rendered `,"key":` and
-// the source of its value.
+// member is one JSON member after "kind": its pre-rendered `,"key":` and the
+// source of its value.
 type member struct {
 	sep string
 	src source
@@ -48,37 +50,54 @@ type member struct {
 
 func mem(key string, src source) member { return member{`,"` + key + `":`, src} }
 
-// layout is one kind's line: the field set and order AppendEvent documents.
+// key returns the member's JSON key.
+func (m member) key() string { return m.sep[2 : len(m.sep)-2] }
+
+// leadMembers are the members each lead puts between "kind" and a kind's own.
+var leadMembers = [...][]member{
+	leadNone:   nil,
+	leadFlow:   {mem("flow", srcFlow)},
+	leadFlowSF: {mem("flow", srcFlow), mem("sf", srcSF)},
+	leadLink:   {mem("link", srcLink)},
+}
+
+// layout is the one description of a probe kind: its wire name, its lead and
+// its own members in line order, and the Registry counter every event of the
+// kind increments ("" for none). Kind.String, KindFromString, the line
+// encoder, ParseEvent and Registry.record all read it, so a new kind costs
+// one row here plus one typed emit helper on Bus.
 type layout struct {
+	name    string
 	lead    lead
 	members []member
+	counter string
 }
 
 var layouts = [numKinds]layout{
-	KindMIDecision:    {leadFlowSF, []member{mem("state", srcState), mem("rate_bps", srcValue)}},
-	KindUtility:       {leadFlowSF, []member{mem("state", srcState), mem("rate_bps", srcAux), mem("utility", srcValue)}},
-	KindRateChange:    {leadFlowSF, []member{mem("rate_bps", srcValue)}},
-	KindDrop:          {leadLink, []member{mem("cause", srcCause), mem("bytes", srcBytes)}},
-	KindQueueDepth:    {leadLink, []member{mem("bytes", srcBytes)}},
-	KindRetransmit:    {leadFlowSF, []member{mem("bytes", srcBytes)}},
-	KindRTOBackoff:    {leadFlowSF, []member{mem("rto_s", srcValue), mem("consec", srcAuxInt)}},
-	KindSubflowDown:   {leadFlowSF, nil},
-	KindSubflowUp:     {leadFlowSF, nil},
-	KindSchedPick:     {leadFlowSF, []member{mem("bytes", srcBytes)}},
-	KindRunStart:      {leadNone, []member{mem("seed", srcBytes), mem("horizon_s", srcValue)}},
-	KindRunEnd:        {leadNone, nil},
-	KindReorder:       {leadLink, []member{mem("bytes", srcBytes), mem("early_s", srcValue)}},
-	KindDuplicate:     {leadLink, []member{mem("bytes", srcBytes)}},
-	KindAckCompress:   {leadLink, []member{mem("defer_s", srcValue)}},
-	KindRackMark:      {leadFlowSF, []member{mem("bytes", srcBytes), mem("reo_wnd_s", srcValue)}},
-	KindSpuriousRetx:  {leadFlowSF, []member{mem("bytes", srcBytes), mem("rto", srcAuxInt)}},
-	KindShaperDelay:   {leadLink, []member{mem("bytes", srcBytes), mem("delay_s", srcValue)}},
-	KindHandover:      {leadLink, []member{mem("rate_bps", srcValue), mem("delay_s", srcAux)}},
-	KindRTTSample:     {leadFlowSF, []member{mem("rtt_s", srcValue)}},
-	KindSessionOpen:   {leadFlow, []member{mem("link", srcLink), mem("bytes", srcBytes), mem("active", srcAuxInt)}},
-	KindSessionClose:  {leadFlow, []member{mem("link", srcLink), mem("state", srcState), mem("fct_s", srcValue), mem("bytes", srcBytes), mem("active", srcAuxInt)}},
-	KindSessionReject: {leadFlow, []member{mem("link", srcLink), mem("state", srcState), mem("attempt", srcAuxInt)}},
-	KindSessionRetry:  {leadFlow, []member{mem("delay_s", srcValue), mem("attempt", srcAuxInt)}},
+	KindMIDecision:    {"mi-decision", leadFlowSF, []member{mem("state", srcState), mem("rate_bps", srcValue)}, ""},
+	KindUtility:       {"utility", leadFlowSF, []member{mem("state", srcState), mem("rate_bps", srcAux), mem("utility", srcValue)}, ""},
+	KindRateChange:    {"rate-change", leadFlowSF, []member{mem("rate_bps", srcValue)}, "rate_changes"},
+	KindDrop:          {"drop", leadLink, []member{mem("cause", srcCause), mem("bytes", srcBytes)}, "drops.total"},
+	KindQueueDepth:    {"queue-depth", leadLink, []member{mem("bytes", srcBytes)}, ""},
+	KindRetransmit:    {"retransmit", leadFlowSF, []member{mem("bytes", srcBytes)}, "retransmits"},
+	KindRTOBackoff:    {"rto-backoff", leadFlowSF, []member{mem("rto_s", srcValue), mem("consec", srcAuxInt)}, "rto_episodes"},
+	KindSubflowDown:   {"subflow-down", leadFlowSF, nil, "subflow_downs"},
+	KindSubflowUp:     {"subflow-up", leadFlowSF, nil, "subflow_ups"},
+	KindSchedPick:     {"sched-pick", leadFlowSF, []member{mem("bytes", srcBytes)}, "sched_picks"},
+	KindRunStart:      {"run-start", leadNone, []member{mem("seed", srcBytes), mem("horizon_s", srcValue)}, ""},
+	KindRunEnd:        {"run-end", leadNone, nil, ""},
+	KindReorder:       {"reorder", leadLink, []member{mem("bytes", srcBytes), mem("early_s", srcValue)}, "reorders"},
+	KindDuplicate:     {"duplicate", leadLink, []member{mem("bytes", srcBytes)}, "duplicates"},
+	KindAckCompress:   {"ack-compress", leadLink, []member{mem("defer_s", srcValue)}, "ack_compressions"},
+	KindRackMark:      {"rack-mark", leadFlowSF, []member{mem("bytes", srcBytes), mem("reo_wnd_s", srcValue)}, "rack_marks"},
+	KindSpuriousRetx:  {"spurious-retx", leadFlowSF, []member{mem("bytes", srcBytes), mem("rto", srcAuxInt)}, "spurious_retx"},
+	KindShaperDelay:   {"shaper-delay", leadLink, []member{mem("bytes", srcBytes), mem("delay_s", srcValue)}, "shaper_delays"},
+	KindHandover:      {"handover", leadLink, []member{mem("rate_bps", srcValue), mem("delay_s", srcAux)}, "handovers"},
+	KindRTTSample:     {"rtt-sample", leadFlowSF, []member{mem("rtt_s", srcValue)}, ""},
+	KindSessionOpen:   {"session-open", leadFlow, []member{mem("link", srcLink), mem("bytes", srcBytes), mem("active", srcAuxInt)}, ""},
+	KindSessionClose:  {"session-close", leadFlow, []member{mem("link", srcLink), mem("state", srcState), mem("fct_s", srcValue), mem("bytes", srcBytes), mem("active", srcAuxInt)}, ""},
+	KindSessionReject: {"session-reject", leadFlow, []member{mem("link", srcLink), mem("state", srcState), mem("attempt", srcAuxInt)}, ""},
+	KindSessionRetry:  {"session-retry", leadFlow, []member{mem("delay_s", srcValue), mem("attempt", srcAuxInt)}, ""},
 }
 
 // lineRoom is the free space below which a sink that batches lines in a
@@ -112,22 +131,22 @@ func (enc *lineEncoder) appendEvent(b []byte, e *Event) []byte {
 		return append(b, `,"kind":"unknown"}`+"\n"...)
 	}
 	lay := &layouts[e.Kind]
-	key := hotKey{kind: uint8(e.Kind)}
-	switch lay.lead {
-	case leadFlowSF:
-		key.name, key.sf = e.Flow, e.Subflow
-	case leadFlow:
-		key.name = e.Flow
-	case leadLink:
-		key.name = e.Link
-	}
 	if enc == nil {
-		b = appendPrefix(b, lay, key)
+		b = appendPrefix(b, e)
 	} else {
+		key := hotKey{kind: uint8(e.Kind)}
+		switch lay.lead {
+		case leadFlowSF:
+			key.name, key.sf = e.Flow, e.Subflow
+		case leadFlow:
+			key.name = e.Flow
+		case leadLink:
+			key.name = e.Link
+		}
 		p := enc.prefixes.get(key)
 		if p == nil {
 			p = enc.prefixes.claim(key)
-			*p = appendPrefix((*p)[:0], lay, key) // the evicted prefix's storage is reused
+			*p = appendPrefix((*p)[:0], e) // the evicted prefix's storage is reused
 		}
 		b = append(b, *p...)
 	}
@@ -136,45 +155,49 @@ func (enc *lineEncoder) appendEvent(b []byte, e *Event) []byte {
 		if i > 0 {
 			b = append(b, mb.sep...)
 		}
-		switch mb.src {
-		case srcLink:
-			b = appendJSONString(b, e.Link)
-		case srcState:
-			b = appendJSONString(b, e.State)
-		case srcCause:
-			b = appendJSONString(b, e.Cause.String())
-		case srcBytes:
-			b = strconv.AppendInt(b, e.Bytes, 10)
-		case srcAuxInt:
-			b = strconv.AppendInt(b, int64(e.Aux), 10)
-		case srcValue:
-			b = appendNsFloat(b, e.Value)
-		case srcAux:
-			b = appendNsFloat(b, e.Aux)
-		}
+		b = appendValue(b, mb.src, e)
 	}
 	return append(b, '}', '\n')
 }
 
 // appendPrefix renders what follows the timestamp up to and including the
 // first member's key: `,"kind":"rtt-sample","flow":"mp","sf":0,"rtt_s":`.
-func appendPrefix(b []byte, lay *layout, key hotKey) []byte {
+func appendPrefix(b []byte, e *Event) []byte {
+	lay := &layouts[e.Kind]
 	b = append(b, `,"kind":"`...)
-	b = append(b, kindNames[key.kind]...)
+	b = append(b, lay.name...)
 	b = append(b, '"')
-	switch lay.lead {
-	case leadFlow, leadFlowSF:
-		b = appendJSONString(append(b, `,"flow":`...), key.name)
-		if lay.lead == leadFlowSF {
-			b = strconv.AppendInt(append(b, `,"sf":`...), int64(key.sf), 10)
-		}
-	case leadLink:
-		b = appendJSONString(append(b, `,"link":`...), key.name)
+	for _, mb := range leadMembers[lay.lead] {
+		b = appendValue(append(b, mb.sep...), mb.src, e)
 	}
 	if len(lay.members) > 0 {
 		b = append(b, lay.members[0].sep...)
 	}
 	return b
+}
+
+// appendValue renders the value of e's field src.
+func appendValue(b []byte, src source, e *Event) []byte {
+	switch src {
+	case srcFlow:
+		return appendJSONString(b, e.Flow)
+	case srcSF:
+		return strconv.AppendInt(b, int64(e.Subflow), 10)
+	case srcLink:
+		return appendJSONString(b, e.Link)
+	case srcState:
+		return appendJSONString(b, e.State)
+	case srcCause:
+		return appendJSONString(b, e.Cause.String())
+	case srcBytes:
+		return strconv.AppendInt(b, e.Bytes, 10)
+	case srcAuxInt:
+		return strconv.AppendInt(b, int64(e.Aux), 10)
+	case srcValue:
+		return appendNsFloat(b, e.Value)
+	default: // srcAux
+		return appendNsFloat(b, e.Aux)
+	}
 }
 
 // appendJSONString writes v as a JSON string. Names in this codebase are

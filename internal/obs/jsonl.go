@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"mpcc/internal/sim"
 )
@@ -16,7 +19,7 @@ import (
 // nanoseconds, and floats use strconv's shortest round-trip representation
 // — so a fixed-seed run produces a byte-identical trace every time. Only
 // the fields a kind defines are written; consumers can rely on their
-// presence per kind (see AppendEvent).
+// presence per kind (the kind's row in layouts).
 //
 // One writer per goroutine: a writer may be shared by the sequential runs of
 // a sweep, but Emit, Flush and Close take no lock. Every tap that shares one
@@ -76,136 +79,148 @@ func (jw *JSONLWriter) Close() error {
 	return err
 }
 
-// AppendEvent appends e's JSONL line (newline included) to b. The field
-// set and order per kind:
-//
-//	mi-decision:  t, kind, flow, sf, state, rate_bps
-//	utility:      t, kind, flow, sf, state, rate_bps, utility
-//	rate-change:  t, kind, flow, sf, rate_bps
-//	drop:         t, kind, link, cause, bytes
-//	queue-depth:  t, kind, link, bytes
-//	retransmit:   t, kind, flow, sf, bytes
-//	rto-backoff:  t, kind, flow, sf, rto_s, consec
-//	subflow-down: t, kind, flow, sf
-//	subflow-up:   t, kind, flow, sf
-//	sched-pick:   t, kind, flow, sf, bytes
-//	run-start:    t, kind, seed, horizon_s
-//	run-end:      t, kind
-//	reorder:      t, kind, link, bytes, early_s
-//	duplicate:    t, kind, link, bytes
-//	ack-compress: t, kind, link, defer_s
-//	rack-mark:    t, kind, flow, sf, bytes, reo_wnd_s
-//	spurious-retx: t, kind, flow, sf, bytes, rto
-//	shaper-delay: t, kind, link, bytes, delay_s
-//	handover:     t, kind, link, rate_bps, delay_s
-//	rtt-sample:   t, kind, flow, sf, rtt_s
-//	session-open:   t, kind, flow, link, bytes, active
-//	session-close:  t, kind, flow, link, state, fct_s, bytes, active
-//	session-reject: t, kind, flow, link, state, attempt
-//	session-retry:  t, kind, flow, delay_s, attempt
+// AppendEvent appends e's JSONL line (newline included) to b: t, kind, then
+// the members of e's kind in its layouts order.
 func AppendEvent(b []byte, e Event) []byte {
 	return (*lineEncoder)(nil).appendEvent(b, &e)
 }
 
-// jsonEvent is the wire form used when parsing a trace back.
-type jsonEvent struct {
-	T        int64    `json:"t"`
-	Kind     string   `json:"kind"`
-	Flow     string   `json:"flow"`
-	Link     string   `json:"link"`
-	SF       *int32   `json:"sf"`
-	State    string   `json:"state"`
-	Cause    string   `json:"cause"`
-	Bytes    int64    `json:"bytes"`
-	RateBps  float64  `json:"rate_bps"`
-	Utility  *float64 `json:"utility"`
-	RTOs     float64  `json:"rto_s"`
-	Consec   float64  `json:"consec"`
-	Seed     int64    `json:"seed"`
-	HorizonS float64  `json:"horizon_s"`
-	EarlyS   float64  `json:"early_s"`
-	DeferS   float64  `json:"defer_s"`
-	ReoWndS  float64  `json:"reo_wnd_s"`
-	RTOFlag  float64  `json:"rto"`
-	DelayS   float64  `json:"delay_s"`
-	RTTs     float64  `json:"rtt_s"`
-	FctS     float64  `json:"fct_s"`
-	Active   float64  `json:"active"`
-	Attempt  float64  `json:"attempt"`
-}
-
-// ParseEvent decodes one JSONL trace line back into an Event.
+// ParseEvent decodes one JSONL trace line back into an Event: t, kind, then
+// the members layouts names for the kind, each read from the member with
+// exactly that key. Members the kind does not name are ignored, and a missing
+// or null one leaves its field zero (Subflow -1).
 func ParseEvent(line []byte) (Event, error) {
-	var je jsonEvent
-	if err := json.Unmarshal(line, &je); err != nil {
+	line = bytes.TrimSpace(line)
+	if !json.Valid(line) || line[0] != '{' {
+		return Event{}, errors.New("obs: trace line is not a JSON object")
+	}
+	var buf [12]rawMember
+	ms := splitObject(buf[:0], line)
+	name, err := parseString(lookup(ms, "kind"))
+	if err != nil {
 		return Event{}, err
 	}
-	kind, ok := KindFromString(je.Kind)
+	kind, ok := KindFromString(name)
 	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown event kind %q", je.Kind)
+		return Event{}, fmt.Errorf("obs: unknown event kind %q", name)
 	}
-	e := Event{At: sim.Time(je.T), Kind: kind, Flow: je.Flow, Link: je.Link, State: je.State, Subflow: -1}
-	if je.SF != nil {
-		e.Subflow = *je.SF
+	e := Event{Kind: kind, Subflow: -1}
+	if raw := lookup(ms, "t"); raw != nil {
+		t, err := strconv.ParseInt(string(raw), 10, 64)
+		if err != nil {
+			return Event{}, fmt.Errorf("obs: t: %w", err)
+		}
+		e.At = sim.Time(t)
 	}
-	switch kind {
-	case KindMIDecision, KindRateChange:
-		e.Value = je.RateBps
-	case KindUtility:
-		e.Aux = je.RateBps
-		if je.Utility != nil {
-			e.Value = *je.Utility
+	lay := &layouts[kind]
+	for _, mbs := range [2][]member{leadMembers[lay.lead], lay.members} {
+		for _, mb := range mbs {
+			if raw := lookup(ms, mb.key()); raw != nil {
+				if err := parseValue(&e, mb.src, raw); err != nil {
+					return Event{}, fmt.Errorf("obs: %s: %w", mb.key(), err)
+				}
+			}
 		}
-	case KindDrop:
-		cause, ok := CauseFromString(je.Cause)
-		if !ok {
-			return Event{}, fmt.Errorf("obs: unknown drop cause %q", je.Cause)
-		}
-		e.Cause = cause
-		e.Bytes = je.Bytes
-	case KindQueueDepth, KindRetransmit, KindSchedPick:
-		e.Bytes = je.Bytes
-	case KindRTOBackoff:
-		e.Value = je.RTOs
-		e.Aux = je.Consec
-	case KindRunStart:
-		e.Bytes = je.Seed
-		e.Value = je.HorizonS
-	case KindReorder:
-		e.Bytes = je.Bytes
-		e.Value = je.EarlyS
-	case KindDuplicate:
-		e.Bytes = je.Bytes
-	case KindAckCompress:
-		e.Value = je.DeferS
-	case KindRackMark:
-		e.Bytes = je.Bytes
-		e.Value = je.ReoWndS
-	case KindSpuriousRetx:
-		e.Bytes = je.Bytes
-		e.Aux = je.RTOFlag
-	case KindShaperDelay:
-		e.Bytes = je.Bytes
-		e.Value = je.DelayS
-	case KindHandover:
-		e.Value = je.RateBps
-		e.Aux = je.DelayS
-	case KindRTTSample:
-		e.Value = je.RTTs
-	case KindSessionOpen:
-		e.Bytes = je.Bytes
-		e.Aux = je.Active
-	case KindSessionClose:
-		e.Value = je.FctS
-		e.Bytes = je.Bytes
-		e.Aux = je.Active
-	case KindSessionReject:
-		e.Aux = je.Attempt
-	case KindSessionRetry:
-		e.Value = je.DelayS
-		e.Aux = je.Attempt
 	}
 	return e, nil
+}
+
+// rawMember is one member of a JSON object: its key as written between the
+// quotes, and its value's token.
+type rawMember struct{ key, val []byte }
+
+// splitObject appends the members of obj, a valid JSON object, to dst,
+// leaving out those whose value is null: one level in, outside strings, a
+// member ends at a comma or the closing brace, and its colon splits it.
+func splitObject(dst []rawMember, obj []byte) []rawMember {
+	depth, start, colon := 0, 1, 0
+	for i := 0; i < len(obj); i++ {
+		switch obj[i] {
+		case '"':
+			for i++; obj[i] != '"'; i++ {
+				if obj[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case ':':
+			if depth == 1 {
+				colon = i
+			}
+		case ',', '}', ']':
+			if depth == 1 && colon > start {
+				key, val := bytes.TrimSpace(obj[start:colon]), bytes.TrimSpace(obj[colon+1:i])
+				if string(val) != "null" {
+					dst = append(dst, rawMember{key[1 : len(key)-1], val})
+				}
+				start = i + 1
+			}
+			if obj[i] != ',' {
+				depth--
+			}
+		}
+	}
+	return dst
+}
+
+// lookup returns the value of the last member keyed key, or nil.
+func lookup(ms []rawMember, key string) []byte {
+	for i := len(ms) - 1; i >= 0; i-- {
+		if string(ms[i].key) == key {
+			return ms[i].val
+		}
+	}
+	return nil
+}
+
+// parseString decodes a JSON string token; nil (a missing member) is "".
+func parseString(raw []byte) (string, error) {
+	if raw == nil {
+		return "", nil
+	}
+	if raw[0] != '"' {
+		return "", fmt.Errorf("%s is not a string", raw)
+	}
+	for _, c := range raw {
+		if c == '\\' || c >= 0x80 {
+			var s string
+			err := json.Unmarshal(raw, &s) // escapes and non-ASCII, as the encoder's slow path wrote them
+			return s, err
+		}
+	}
+	return string(raw[1 : len(raw)-1]), nil
+}
+
+// parseValue decodes raw into e's field src.
+func parseValue(e *Event, src source, raw []byte) (err error) {
+	switch src {
+	case srcFlow:
+		e.Flow, err = parseString(raw)
+	case srcSF:
+		var sf int64
+		sf, err = strconv.ParseInt(string(raw), 10, 32)
+		e.Subflow = int32(sf)
+	case srcLink:
+		e.Link, err = parseString(raw)
+	case srcState:
+		e.State, err = parseString(raw)
+	case srcCause:
+		var name string
+		if name, err = parseString(raw); err == nil {
+			var ok bool
+			if e.Cause, ok = CauseFromString(name); !ok {
+				err = fmt.Errorf("unknown drop cause %q", name)
+			}
+		}
+	case srcBytes:
+		e.Bytes, err = strconv.ParseInt(string(raw), 10, 64)
+	case srcValue:
+		e.Value, err = strconv.ParseFloat(string(raw), 64)
+	default: // srcAux, srcAuxInt
+		e.Aux, err = strconv.ParseFloat(string(raw), 64)
+	}
+	return err
 }
 
 // ReadTrace parses a whole JSONL trace, invoking fn per event in file

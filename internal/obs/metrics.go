@@ -19,23 +19,12 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	// Pre-resolved handles for the event-driven builtins, so Record never
-	// builds a lookup key on the hot path.
+	// Pre-resolved handles for the event-driven builtins, so record never
+	// builds a lookup key on the hot path: each kind's layouts counter, then
+	// the metrics of the kinds whose arm in record does more than count.
+	byKind       [numKinds]*Counter
 	dropsByCause [numCauses]*Counter
-	dropsTotal   *Counter
-	retransmits  *Counter
 	retxBytes    *Counter
-	rtoEpisodes  *Counter
-	downs, ups   *Counter
-	schedPicks   *Counter
-	rateChanges  *Counter
-	reorders     *Counter
-	duplicates   *Counter
-	ackCompress  *Counter
-	rackMarks    *Counter
-	spuriousRetx *Counter
-	shaperDelays *Counter
-	handovers    *Counter
 	miByPhase    map[string]*Counter
 	queueDepth   *Histogram
 	utility      *Histogram
@@ -68,21 +57,12 @@ func NewRegistry() *Registry {
 	for c := DropCause(0); c < numCauses; c++ {
 		r.dropsByCause[c] = r.Counter("drops." + c.String())
 	}
-	r.dropsTotal = r.Counter("drops.total")
-	r.retransmits = r.Counter("retransmits")
+	for k := range layouts {
+		if name := layouts[k].counter; name != "" {
+			r.byKind[k] = r.Counter(name)
+		}
+	}
 	r.retxBytes = r.Counter("retransmit_bytes")
-	r.rtoEpisodes = r.Counter("rto_episodes")
-	r.downs = r.Counter("subflow_downs")
-	r.ups = r.Counter("subflow_ups")
-	r.schedPicks = r.Counter("sched_picks")
-	r.rateChanges = r.Counter("rate_changes")
-	r.reorders = r.Counter("reorders")
-	r.duplicates = r.Counter("duplicates")
-	r.ackCompress = r.Counter("ack_compressions")
-	r.rackMarks = r.Counter("rack_marks")
-	r.spuriousRetx = r.Counter("spurious_retx")
-	r.shaperDelays = r.Counter("shaper_delays")
-	r.handovers = r.Counter("handovers")
 	r.queueDepth = r.Histogram("queue_depth_bytes")
 	r.utility = r.Histogram("utility")
 	r.rtt = r.Histogram("rtt_seconds")
@@ -138,14 +118,18 @@ func (r *Registry) Record(e Event) { r.record(&e) }
 
 // record is Record without the copy; the bus passes its own event through.
 func (r *Registry) record(e *Event) {
+	if e.Kind >= numKinds {
+		return
+	}
+	if c := r.byKind[e.Kind]; c != nil {
+		c.Inc()
+	}
 	switch e.Kind {
 	case KindDrop:
 		if e.Cause < numCauses {
 			r.dropsByCause[e.Cause].Inc()
 		}
-		r.dropsTotal.Inc()
 	case KindRetransmit:
-		r.retransmits.Inc()
 		r.retxBytes.Add(float64(e.Bytes))
 	case KindQueueDepth:
 		r.queueDepth.Observe(float64(e.Bytes))
@@ -159,31 +143,8 @@ func (r *Registry) record(e *Event) {
 		c.Inc()
 	case KindUtility:
 		r.utility.Observe(e.Value)
-	case KindRTOBackoff:
-		r.rtoEpisodes.Inc()
-	case KindSubflowDown:
-		r.downs.Inc()
-	case KindSubflowUp:
-		r.ups.Inc()
-	case KindSchedPick:
-		r.schedPicks.Inc()
 	case KindRateChange:
-		r.rateChanges.Inc()
 		r.series.observe(seriesID{seriesRate, e.Flow, e.Subflow}, e.At, e.Value)
-	case KindReorder:
-		r.reorders.Inc()
-	case KindDuplicate:
-		r.duplicates.Inc()
-	case KindAckCompress:
-		r.ackCompress.Inc()
-	case KindRackMark:
-		r.rackMarks.Inc()
-	case KindSpuriousRetx:
-		r.spuriousRetx.Inc()
-	case KindShaperDelay:
-		r.shaperDelays.Inc()
-	case KindHandover:
-		r.handovers.Inc()
 	case KindRTTSample:
 		r.rtt.Observe(e.Value)
 		r.series.observe(seriesID{seriesRTT, e.Flow, e.Subflow}, e.At, e.Value)

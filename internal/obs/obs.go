@@ -30,7 +30,8 @@ import "mpcc/internal/sim"
 // Kind identifies a probe event type.
 type Kind uint8
 
-// The probe event types, one per cross-layer observation point.
+// The probe event types, one per cross-layer observation point. Each kind's
+// wire name, JSONL members and built-in counter are its row in layouts.
 const (
 	// KindMIDecision is a rate controller choosing the rate for a new
 	// monitor interval (cc layer). State is the controller phase, Value the
@@ -119,26 +120,19 @@ const (
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	"mi-decision", "utility", "rate-change", "drop", "queue-depth",
-	"retransmit", "rto-backoff", "subflow-down", "subflow-up", "sched-pick",
-	"run-start", "run-end", "reorder", "duplicate", "ack-compress",
-	"rack-mark", "spurious-retx", "shaper-delay", "handover", "rtt-sample",
-	"session-open", "session-close", "session-reject", "session-retry",
-}
-
+// String returns the kind's wire name (its layouts row), or "unknown".
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+	if k < numKinds {
+		return layouts[k].name
 	}
 	return "unknown"
 }
 
 // KindFromString returns the Kind named s, or ok=false.
 func KindFromString(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
+	for k := range layouts {
+		if layouts[k].name == s {
+			return Kind(k), true
 		}
 	}
 	return 0, false

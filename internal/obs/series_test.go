@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -274,6 +277,106 @@ func TestTimelineDumpRoundTripAndRender(t *testing.T) {
 // The series store's two paths, for `go test -bench Series ./internal/obs`:
 // the handful of labels an ordinary run samples over and over, and a churn
 // run's stream of labels past the cardinality guard.
+
+// oneSample returns a series holding vals as single-sample windows.
+func oneSample(window sim.Time, vals ...float64) *SeriesData {
+	sd := &SeriesData{Window: window, Sum: vals, Count: make([]int64, len(vals))}
+	for i := range sd.Count {
+		sd.Count[i] = 1
+	}
+	return sd
+}
+
+func renderCSV(t *testing.T, series map[string]*SeriesData) string {
+	t.Helper()
+	var b strings.Builder
+	if err := RenderTimeline(&b, series, true); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestRenderTimelineCSV pins the CSV shape: a t_seconds column then one per
+// key in lexical order, and a blank cell past a shorter series' end.
+func TestRenderTimelineCSV(t *testing.T) {
+	got := renderCSV(t, map[string]*SeriesData{
+		"y": oneSample(100*sim.Millisecond, 10, 20),
+		"x": oneSample(100*sim.Millisecond, 1, 2, 3),
+	})
+	if want := "t_seconds,x,y\n0.000,1,10\n0.100,2,20\n0.200,3,\n"; got != want {
+		t.Errorf("csv = %q, want %q", got, want)
+	}
+}
+
+// TestRenderTimelineCSVEmpty: series without windows render the header
+// alone, and no series at all is an error.
+func TestRenderTimelineCSVEmpty(t *testing.T) {
+	if got := renderCSV(t, map[string]*SeriesData{"x": oneSample(sim.Second)}); got != "t_seconds,x\n" {
+		t.Errorf("windowless series = %q, want the header alone", got)
+	}
+	if err := RenderTimeline(new(strings.Builder), nil, true); err == nil {
+		t.Error("no series rendered without an error")
+	}
+}
+
+// TestRenderTimelineCSVRoundTrip: window starts read back exactly and
+// values to the 6 significant digits they are printed with.
+func TestRenderTimelineCSVRoundTrip(t *testing.T) {
+	in := [][]float64{
+		{1.5, -2.25, 3.141592653589793, 0},
+		{1e9, 1e-9, 6.02214076e23, -273.15},
+	}
+	recs, err := csv.NewReader(strings.NewReader(renderCSV(t, map[string]*SeriesData{
+		"a": oneSample(100*sim.Millisecond, in[0]...),
+		"b": oneSample(100*sim.Millisecond, in[1]...),
+	}))).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+len(in[0]) {
+		t.Fatalf("got %d records", len(recs))
+	}
+	for i, rec := range recs[1:] {
+		if ts, err := strconv.ParseFloat(rec[0], 64); err != nil || ts != float64(i)/10 {
+			t.Errorf("row %d: t=%q, want %v", i, rec[0], float64(i)/10)
+		}
+		for j := range in {
+			got, err := strconv.ParseFloat(rec[j+1], 64)
+			if want := in[j][i]; err != nil || math.Abs(got-want) > 1e-6*math.Abs(want) {
+				t.Errorf("row %d col %d: %v came back as %q", i, j, want, rec[j+1])
+			}
+		}
+	}
+}
+
+func TestTimelinePrecision(t *testing.T) {
+	for _, c := range []struct {
+		window sim.Time
+		want   int
+	}{
+		{sim.Second, 3}, // never fewer than 3
+		{100 * sim.Millisecond, 3},
+		{sim.Millisecond, 3},
+		{250 * sim.Microsecond, 5}, // sub-ms windows need more digits
+		{sim.Microsecond, 6},
+		{25 * sim.Nanosecond, 9},
+		{0, 9}, // degenerate: full resolution
+	} {
+		if got := timelinePrecision(c.window); got != c.want {
+			t.Errorf("timelinePrecision(%v) = %d, want %d", c.window, got, c.want)
+		}
+	}
+}
+
+// TestSubMillisecondBucketsStayDistinct: at a fixed 3 decimals, 250 µs
+// windows would collapse onto repeated timestamps (0.000, 0.000, 0.000,
+// 0.001, ...).
+func TestSubMillisecondBucketsStayDistinct(t *testing.T) {
+	got := renderCSV(t, map[string]*SeriesData{"v": oneSample(250*sim.Microsecond, 1, 2, 3, 4)})
+	if want := "t_seconds,v\n0.00000,1\n0.00025,2\n0.00050,3\n0.00075,4\n"; got != want {
+		t.Errorf("csv = %q, want %q", got, want)
+	}
+}
 
 func BenchmarkSeriesObserveHot(b *testing.B) {
 	s := newSeriesStore(DefaultSeriesWindow, &Counter{})

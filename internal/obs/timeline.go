@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,9 +90,10 @@ func ParseTimeline(line []byte) (runIdx int, series map[string]*SeriesData, err 
 }
 
 // RenderTimeline writes the per-window means of the series as aligned
-// columns (csv=false) or CSV (csv=true). Rows are windows from t=0; a cell
-// is blank when its window saw no samples. Keys render in lexical order.
-func RenderTimeline(w io.Writer, series map[string]*SeriesData, csv bool) error {
+// columns (asCSV=false) or CSV (asCSV=true). Rows are windows from t=0,
+// stamped in seconds at timelinePrecision; a cell is blank when its window
+// saw no samples. Keys render in lexical order.
+func RenderTimeline(w io.Writer, series map[string]*SeriesData, asCSV bool) error {
 	keys := SortedSeriesKeys(series)
 	if len(keys) == 0 {
 		return fmt.Errorf("no series to render")
@@ -108,8 +110,8 @@ func RenderTimeline(w io.Writer, series map[string]*SeriesData, csv bool) error 
 	}
 	prec := timelinePrecision(window)
 
-	cells := make([][]string, windows)
-	for i := range cells {
+	rows := [][]string{append([]string{"t_seconds"}, keys...)}
+	for i := 0; i < windows; i++ {
 		row := make([]string, len(keys)+1)
 		row[0] = strconv.FormatFloat((sim.Time(i) * window).Seconds(), 'f', prec, 64)
 		for j, key := range keys {
@@ -117,41 +119,19 @@ func RenderTimeline(w io.Writer, series map[string]*SeriesData, csv bool) error 
 				row[j+1] = strconv.FormatFloat(m, 'g', 6, 64)
 			}
 		}
-		cells[i] = row
+		rows = append(rows, row)
 	}
-	header := append([]string{"t_seconds"}, keys...)
-
-	if csv {
-		for _, row := range append([][]string{header}, cells...) {
-			for j, c := range row {
-				if j > 0 {
-					if _, err := io.WriteString(w, ","); err != nil {
-						return err
-					}
-				}
-				if _, err := io.WriteString(w, c); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-		return nil
+	if asCSV {
+		return csv.NewWriter(w).WriteAll(rows)
 	}
 
-	widths := make([]int, len(header))
-	for j, h := range header {
-		widths[j] = len(h)
-	}
-	for _, row := range cells {
+	widths := make([]int, len(rows[0]))
+	for _, row := range rows {
 		for j, c := range row {
-			if len(c) > widths[j] {
-				widths[j] = len(c)
-			}
+			widths[j] = max(widths[j], len(c))
 		}
 	}
-	for _, row := range append([][]string{header}, cells...) {
+	for _, row := range rows {
 		for j, c := range row {
 			if j > 0 {
 				if _, err := io.WriteString(w, "  "); err != nil {
@@ -169,10 +149,12 @@ func RenderTimeline(w io.Writer, series map[string]*SeriesData, csv bool) error 
 	return nil
 }
 
-// timelinePrecision mirrors internal/trace's adaptive time precision:
-// enough decimals for the window width, never fewer than 3.
+// timelinePrecision returns the decimal places that render window starts
+// exactly: enough digits for the window width itself (sub-millisecond
+// windows would otherwise collapse onto repeated timestamps), never fewer
+// than 3.
 func timelinePrecision(window sim.Time) int {
-	prec := 9
+	prec := 9 // ns resolution
 	for d := window; prec > 3 && d > 0 && d%10 == 0; d /= 10 {
 		prec--
 	}

@@ -18,9 +18,9 @@
 // monomorphic 4-ary implementation, and the one every pop sifts holds a
 // slot's worth of timers however many wait far out. Each pop takes the global (at, seq)
 // minimum, the exact total order one heap alone would produce
-// (property-tested against a reference heap in wheel_test.go). Timers
-// created by Schedule and ScheduleRef recycle through a slab-backed
-// per-engine free list. See DESIGN.md "Performance architecture".
+// (property-tested against a reference heap in wheel_test.go). Every timer
+// recycles through a slab-backed per-engine free list. See DESIGN.md
+// "Performance architecture".
 package sim
 
 import (
@@ -70,22 +70,12 @@ const (
 	wheelMask  = wheelSlots - 1
 )
 
-// Timer is a handle to a scheduled callback. It may be stopped before it
-// fires; stopping an already-fired or already-stopped timer is a no-op.
-//
-// Exactly one of fn (a closure, scheduled via At) or afn+arg (a
-// closure-free callback, scheduled via Schedule/ScheduleRef) is set
-// while the timer is pending. Timers created by Schedule and ScheduleRef are
-// pooled: they recycle through the engine free list the moment they fire or
-// are stopped, with a generation counter (see TimerRef) keeping stale
-// handles harmless. Timers returned by At are never recycled —
-// callers may hold the bare *Timer arbitrarily long after firing and a
-// stale Stop must remain a harmless no-op, which a reused Timer could not
-// guarantee.
+// Timer is a scheduled callback: afn(arg) at (at, seq). Every timer is
+// pooled — it recycles through the engine free list the moment it fires or
+// is stopped — so callers hold a TimerRef, never a *Timer.
 type Timer struct {
 	at  Time
 	seq uint64
-	fn  func()
 	afn func(any)
 	arg any
 	eng *Engine
@@ -95,13 +85,11 @@ type Timer struct {
 	// queued; timerInWheel (-2) means linked into the wheel slot derived
 	// from at. Wheel slots are doubly-linked intrusive lists through
 	// next/prev so cancellation unlinks in O(1).
-	index   int32
-	next    *Timer
-	prev    *Timer
-	gen     uint64 // incremented every time a pooled timer is recycled
-	stopped bool
-	pooled  bool // owned by the engine free list (Schedule/ScheduleRef)
-	far     bool // in the far heap; written only on the far path
+	index int32
+	next  *Timer
+	prev  *Timer
+	gen   uint64 // incremented every time the timer is recycled
+	far   bool   // in the far heap; written only on the far path
 }
 
 const (
@@ -109,40 +97,10 @@ const (
 	timerInWheel = -2
 )
 
-// At reports the virtual time the timer is scheduled to fire.
-func (t *Timer) At() Time { return t.at }
-
-// Stop cancels the timer and reports whether it was still pending. A
-// pending timer is removed from its queue immediately — O(1) for
-// wheel-resident timers, O(log n) for heap-resident ones, n being the size
-// of the one heap the timer sits in (the imminent heap holds a slot's worth,
-// the far heap the timers beyond the wheel span) — so long-lived simulations
-// that cancel many timers (pacing and RACK timers are re-armed all the time)
-// do not accumulate dead entries.
-func (t *Timer) Stop() bool {
-	if t == nil || t.stopped {
-		return false
-	}
-	if t.fn == nil && t.afn == nil {
-		return false // already fired
-	}
-	t.stopped = true
-	t.eng.dequeue(t)
-	t.fn, t.afn, t.arg = nil, nil, nil
-	if t.pooled {
-		t.eng.release(t)
-	}
-	return true
-}
-
-// Stopped reports whether Stop was called before the timer fired.
-func (t *Timer) Stopped() bool { return t.stopped }
-
-// TimerRef is a cheap, copyable handle to a pooled cancellable timer
-// created by ScheduleRef. The zero value is inert. Unlike a bare *Timer, a
-// TimerRef remains safe to Stop after the timer fired and its Timer was
-// recycled into a new role: the generation counter detects staleness, so a
-// stale Stop is a no-op exactly like a stale Stop on an At-created timer.
+// TimerRef is a cheap, copyable handle to a cancellable timer, returned by
+// At and ScheduleRef. The zero value is inert. A TimerRef stays safe to Stop
+// after its timer fired and was recycled into a new role: the generation
+// counter detects staleness, so a stale Stop is a no-op.
 type TimerRef struct {
 	t   *Timer
 	gen uint64
@@ -150,12 +108,18 @@ type TimerRef struct {
 
 // Stop cancels the referenced timer if this handle's incarnation is still
 // pending, reporting whether it was. Stale handles (fired, already stopped,
-// or recycled) return false and touch nothing.
+// or recycled) return false and touch nothing. A pending timer is removed
+// from its queue immediately — O(1) in the wheel, O(log n) in the heap that
+// holds it (the imminent heap holds a slot's worth, the far heap the timers
+// beyond the wheel span) — so simulations that cancel many timers (pacing
+// and RACK timers are re-armed all the time) accumulate no dead entries.
 func (r TimerRef) Stop() bool {
-	if r.t == nil || r.t.gen != r.gen {
+	if !r.Pending() {
 		return false
 	}
-	return r.t.Stop()
+	r.t.eng.dequeue(r.t)
+	r.t.eng.release(r.t)
+	return true
 }
 
 // Pending reports whether this handle's incarnation is still scheduled.
@@ -188,7 +152,7 @@ type Engine struct {
 	wheelCount int
 	frontier   int64
 
-	free     []*Timer // recycled Schedule/ScheduleRef timers
+	free     []*Timer // recycled timers
 	locals   []engineLocal
 	rng      *rand.Rand
 	stopped  bool
@@ -516,15 +480,13 @@ func (e *Engine) checkFuture(at Time) {
 	}
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// panics: it always indicates a logic error in a simulation component.
-func (e *Engine) At(at Time, fn func()) *Timer {
-	e.checkFuture(at)
-	e.seq++
-	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: timerIdle}
-	e.enqueue(t)
-	return t
-}
+// At schedules fn to run at absolute virtual time at and returns its
+// cancellable handle: ScheduleRef with the closure as the argument.
+// Scheduling in the past panics: it always indicates a logic error in a
+// simulation component.
+func (e *Engine) At(at Time, fn func()) TimerRef { return e.ScheduleRef(at, callFunc, fn) }
+
+func callFunc(fn any) { fn.(func())() }
 
 // grabPooled returns a free-list timer (allocating a slab when empty),
 // initialized for (at, afn, arg) at the next sequence number.
@@ -535,7 +497,7 @@ func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
 		t = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		t.at, t.seq, t.afn, t.arg, t.stopped = at, e.seq, afn, arg, false
+		t.at, t.seq, t.afn, t.arg = at, e.seq, afn, arg
 	} else {
 		// Slab growth: one allocation provisions a batch of timers, so
 		// steady state allocates nothing and cold start allocates rarely.
@@ -543,7 +505,6 @@ func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
 		for i := range slab {
 			slab[i].eng = e
 			slab[i].index = timerIdle
-			slab[i].pooled = true
 			if i > 0 {
 				e.free = append(e.free, &slab[i])
 			}
@@ -576,10 +537,10 @@ func (e *Engine) Fired(at Time, seq uint64) bool {
 }
 
 // ScheduleRef schedules afn(arg) at absolute virtual time at and returns a
-// generation-checked cancellable handle. The backing Timer is pooled like
-// Schedule's: it recycles the moment it fires or is stopped, and the
-// TimerRef's generation makes any stale handle a harmless no-op. This is
-// the zero-allocation cancellable timer for hot cancel-heavy paths
+// generation-checked cancellable handle. The backing Timer comes from the
+// free list like Schedule's: it recycles the moment it fires or is stopped,
+// and the TimerRef's generation makes any stale handle a harmless no-op.
+// This is the zero-allocation cancellable timer for hot cancel-heavy paths
 // (retransmission, pacing, delayed-ACK and monitor-interval timers).
 func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	e.checkFuture(at)
@@ -588,7 +549,7 @@ func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	return TimerRef{t: t, gen: t.gen}
 }
 
-// release returns a fired or stopped pooled timer to the free list,
+// release returns a fired or stopped timer to the free list,
 // retiring its generation so stale TimerRefs cannot touch it.
 func (e *Engine) release(t *Timer) {
 	t.afn, t.arg = nil, nil
@@ -599,25 +560,15 @@ func (e *Engine) release(t *Timer) {
 // Stop halts Run after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// fire executes t's callback (t is already off the queue) and recycles
-// pooled timers.
+// fire executes t's callback (t is already off the queue). The timer is
+// released before the callback runs: the callback may immediately re-arm a
+// timer and reuse this very Timer for it, which is safe — the generation
+// bump in release has already invalidated old refs.
 func (e *Engine) fire(t *Timer) {
 	e.now, e.firing = t.at, t.seq
 	e.Processed++
-	if t.fn != nil {
-		fn := t.fn
-		t.fn = nil
-		fn()
-		return
-	}
 	afn, arg := t.afn, t.arg
-	t.afn, t.arg = nil, nil
-	if t.pooled {
-		// Release before the callback runs: the callback may immediately
-		// re-arm a timer and reuse this very Timer for it, which is safe —
-		// the generation bump in release has already invalidated old refs.
-		e.release(t)
-	}
+	e.release(t)
 	afn(arg)
 }
 

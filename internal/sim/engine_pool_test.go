@@ -11,7 +11,7 @@ import (
 // far heap — and each tier counts its own cancel.
 func TestStopRemovesEagerly(t *testing.T) {
 	e := NewEngine(1)
-	var timers []*Timer
+	var timers []TimerRef
 	for _, at := range []Time{10, 20, 30, Millisecond, 2 * Millisecond, 3 * Millisecond, Second, 2 * Second, 3 * Second} {
 		timers = append(timers, e.At(at, func() {}))
 	}
@@ -57,7 +57,7 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 	}
 	var (
 		evs    []*ev
-		timers []*Timer
+		timers []TimerRef
 		fired  []int
 	)
 	for i := 0; i < 1000; i++ {

@@ -111,12 +111,18 @@ func TestTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop should report false")
 	}
+	if tm.Pending() {
+		t.Fatal("stopped timer still pending")
+	}
+	// The next timer reuses the stopped one's Timer; the stale handle must
+	// not reach it.
+	next := e.At(20, func() {})
+	if tm.Stop() || !next.Pending() {
+		t.Fatal("a stale handle stopped the timer that recycled its Timer")
+	}
 	e.Run(0)
 	if fired {
 		t.Fatal("stopped timer fired")
-	}
-	if !tm.Stopped() {
-		t.Fatal("Stopped() should be true")
 	}
 }
 

@@ -20,12 +20,13 @@ func ExampleEngine() {
 	// second at 20ms
 }
 
-func ExampleTimer_Stop() {
+func ExampleTimerRef_Stop() {
 	eng := sim.NewEngine(1)
 	t := eng.At(sim.Second, func() { fmt.Println("never printed") })
-	t.Stop()
+	fmt.Println("stopped:", t.Stop())
 	eng.Run(0)
-	fmt.Println("stopped:", t.Stopped())
+	fmt.Println("pending:", t.Pending(), "stopped again:", t.Stop())
 	// Output:
 	// stopped: true
+	// pending: false stopped again: false
 }

@@ -555,8 +555,6 @@ func FromSeed(seed int64) Scenario {
 		s.Faults = append(s.Faults, f)
 	}
 
-	s.markExpectations()
-
 	// Drawn last, so the shard dimension never perturbs the draws above:
 	// every seed still generates the exact scenario it did before sharding
 	// existed, now sometimes executed by the sharded engine.
@@ -590,15 +588,26 @@ func FromSeed(seed int64) Scenario {
 		}
 		s.Churn = c
 	}
+	s.markExpectations() // draws nothing, so it can see the churn dimension
 	return s
 }
 
 // markExpectations flags the file flows whose completion the oracle must
 // see. The conditions are deliberately conservative — small file, early
-// start, low loss, no burst loss on its links, ample post-fault slack — so
-// a missed delivery indicates a liveness bug (data stranded by fault
-// recovery), not a slow-but-healthy run.
+// start, low loss, no burst loss on its links, ample post-fault slack, and
+// only window-based competitors — so a missed delivery indicates a liveness
+// bug (data stranded by fault recovery), not a slow-but-healthy run.
+//
+// The fair-share estimate below splits a link evenly between the subflows
+// that cross it, which holds only among window-based controllers. A
+// rate-based competitor (BBR, Vivace, the MPCC variants) keeps a small
+// buffer full, so a small file's tail retransmission can be dropped until its
+// subflow is declared failed; churn sessions crowd every link in numbers
+// the estimate cannot see. Neither case gets an expectation.
 func (s *Scenario) markExpectations() {
+	if s.Churn != nil {
+		return
+	}
 	lastFaultEnd := 0.0
 	burstLink := make(map[int]bool)
 	for _, f := range s.Faults {
@@ -612,12 +621,15 @@ func (s *Scenario) markExpectations() {
 	if lastFaultEnd > 0.55*s.DurationMs || s.DurationMs < 2200 {
 		return
 	}
-	// Per-link subflow counts, for the fair-share feasibility check below.
+	// Per-link subflow counts, for the fair-share feasibility check below,
+	// and the flows on each link, for the competitor check.
 	users := make([]int, len(s.Links))
-	for _, f := range s.Flows {
+	flowsOn := make([][]int, len(s.Links))
+	for fi, f := range s.Flows {
 		for _, path := range f.Paths {
 			for _, li := range path {
 				users[li]++
+				flowsOn[li] = append(flowsOn[li], fi)
 			}
 		}
 	}
@@ -649,6 +661,11 @@ func (s *Scenario) markExpectations() {
 		clean := true
 		for _, path := range f.Paths {
 			for _, li := range path {
+				for _, fj := range flowsOn[li] {
+					if fj != i && exp.Protocol(s.Flows[fj].Proto).RateBased() {
+						clean = false
+					}
+				}
 				l := s.Links[li]
 				// Duplicates consume buffer (evicting originals under load)
 				// and heavy reordering drags completion through repeated

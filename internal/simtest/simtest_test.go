@@ -283,6 +283,24 @@ func TestDuplicationScenarioKeepsLedger(t *testing.T) {
 	}
 }
 
+// TestExpectDeliveryPremise pins the seeds whose small files the generator
+// used to expect delivered although BBR, Vivace or MPCC competitors (and,
+// for three of them, churn sessions) shared their links: the expectation is
+// no longer armed, and the scenarios pass the oracle.
+func TestExpectDeliveryPremise(t *testing.T) {
+	for _, seed := range []int64{3873, 5693, 6651, 7682} {
+		sc := FromSeed(seed)
+		for i, f := range sc.Flows {
+			if f.Expect {
+				t.Errorf("seed %d: flow %d expects delivery among %s", seed, i, sc)
+			}
+		}
+		if r := Check(sc); r.Failed() {
+			t.Errorf("seed %d violates:\n  %s", seed, formatViolations(r.Violations))
+		}
+	}
+}
+
 // scenarioSize counts a scenario's moving parts (links, flows, subflow
 // paths, faults) — the quantity the shrinker minimizes.
 func scenarioSize(sc Scenario) int {

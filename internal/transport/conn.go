@@ -425,16 +425,3 @@ func (c *Connection) MeanLatencySince(from sim.Time) float64 {
 	}
 	return sum / count
 }
-
-// LatencyTimeseries returns per-bucket average RTTs in seconds.
-func (c *Connection) LatencyTimeseries() []float64 {
-	sums := c.latSeries.Rates()
-	counts := c.latCountSeries.Rates()
-	out := make([]float64, len(sums))
-	for i := range sums {
-		if i < len(counts) && counts[i] > 0 {
-			out[i] = sums[i] / counts[i]
-		}
-	}
-	return out
-}

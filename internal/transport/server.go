@@ -17,9 +17,8 @@ type Server struct {
 	peakActive int
 	peakBytes  int64
 
-	accepted      uint64
-	rejectedConns uint64
-	rejectedBytes uint64
+	accepted uint64
+	rejected uint64
 }
 
 // AdmitResult is the outcome of an admission attempt.
@@ -57,11 +56,11 @@ func NewServer(name string, maxConns int, budgetBytes int64) *Server {
 // receive budget. On AdmitOK the reservation is held until Release.
 func (sv *Server) Admit(rcvBuf int64) AdmitResult {
 	if sv.MaxConns > 0 && sv.active >= sv.MaxConns {
-		sv.rejectedConns++
+		sv.rejected++
 		return RejectConns
 	}
 	if sv.BudgetBytes > 0 && sv.usedBytes+rcvBuf > sv.BudgetBytes {
-		sv.rejectedBytes++
+		sv.rejected++
 		return RejectBudget
 	}
 	sv.active++
@@ -88,9 +87,6 @@ func (sv *Server) Release(rcvBuf int64) {
 // Active returns the number of currently admitted connections.
 func (sv *Server) Active() int { return sv.active }
 
-// UsedBytes returns the receive-budget bytes currently reserved.
-func (sv *Server) UsedBytes() int64 { return sv.usedBytes }
-
 // PeakActive returns the high-water concurrent-connection count.
 func (sv *Server) PeakActive() int { return sv.peakActive }
 
@@ -102,10 +98,4 @@ func (sv *Server) PeakBytes() int64 { return sv.peakBytes }
 func (sv *Server) Accepted() uint64 { return sv.accepted }
 
 // Rejected returns total admission rejections (both causes).
-func (sv *Server) Rejected() uint64 { return sv.rejectedConns + sv.rejectedBytes }
-
-// RejectedConns returns rejections due to the connection cap.
-func (sv *Server) RejectedConns() uint64 { return sv.rejectedConns }
-
-// RejectedBytes returns rejections due to the byte budget.
-func (sv *Server) RejectedBytes() uint64 { return sv.rejectedBytes }
+func (sv *Server) Rejected() uint64 { return sv.rejected }
