@@ -10,6 +10,7 @@ package mpcc_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"mpcc"
@@ -99,28 +100,34 @@ func TestProbedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestChurnSteadyStateAllocs guards the same property under connection
-// churn: pooled objects belong to the engine, not to a connection, so a
-// session opened late in a run is built from what closed sessions released.
-// The canonical overload spec (1.3x the farm's capacity, ~280 sessions per
-// virtual second) is run to two horizons, both past its first several hundred
-// sessions; the longer run replays the shorter and then continues, so the
-// difference in allocations over the difference in accepted sessions is the
-// warm cost of one more session — its Connection, Subflows, controllers,
-// paths and name, and nothing per packet (~32 now; ~300 before the arena).
+// churn: pooled objects belong to the engine, not to a connection, and a
+// session's connection, subflows, series and MPCC controllers are recycled
+// when it retires, so a session opened late in a run is built from what
+// closed sessions released. The canonical overload spec (1.3x the farm's
+// capacity, ~230 accepted sessions per virtual second) is run to two
+// horizons, both past the ramp to its peak concurrency; the longer run
+// replays the shorter and then continues, so the difference in allocations
+// over the difference in accepted sessions is the warm cost of one more
+// session. What is left is its name (one per arrival, ~1.25 per accepted
+// session), its File, and the recycled storage still growing for a session
+// longer than every one before it on the same objects.
 func TestChurnSteadyStateAllocs(t *testing.T) {
-	run := func(dur sim.Time) (allocs float64, accepted int) {
+	run := func(dur sim.Time) (mallocs, bytes uint64, accepted int) {
 		spec := exp.ChurnSpecAt(exp.Config{Seed: 7, Duration: dur, Warmup: sim.Second}, 1.3)
-		allocs = testing.AllocsPerRun(1, func() { accepted = exp.Run(spec).Churn.Accepted })
-		return allocs, accepted
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		accepted = exp.Run(spec).Churn.Accepted
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, accepted
 	}
-	a1, n1 := run(4 * sim.Second)
-	a2, n2 := run(8 * sim.Second)
-	if n1 < 500 || n2-n1 < 500 {
+	m1, b1, n1 := run(20 * sim.Second)
+	m2, b2, n2 := run(40 * sim.Second)
+	if n1 < 2000 || n2-n1 < 2000 {
 		t.Fatalf("churn spec too light to measure: %d then %d accepted sessions", n1, n2)
 	}
-	perSession := (a2 - a1) / float64(n2-n1)
-	t.Logf("%.0f allocations for %d more sessions: %.1f per session", a2-a1, n2-n1, perSession)
-	if perSession > 60 {
-		t.Fatalf("a warm churn session allocates %.1f objects, want ≤ 60", perSession)
+	objs, bytes := float64(m2-m1)/float64(n2-n1), float64(b2-b1)/float64(n2-n1)
+	t.Logf("%d allocations, %d bytes for %d more sessions: %.2f objects, %.0f B per session", m2-m1, b2-b1, n2-n1, objs, bytes)
+	if objs > 4 || bytes > 512 {
+		t.Fatalf("a warm churn session allocates %.2f objects and %.0f B, want ≤ 4 and ≤ 512 B", objs, bytes)
 	}
 }

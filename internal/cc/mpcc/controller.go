@@ -188,23 +188,36 @@ type Controller struct {
 	lastRate   float64 // bps at which lastU was measured
 	swingBound float64 // Mbps cap on the next step after an overshoot; 0 = none
 	moveIssued bool
+
+	next *Controller // the Group's chain of controllers
 }
 
 // New returns a controller for one subflow. grp must be the connection's
 // shared Group; the controller joins it. rng drives probe-order
-// randomization and must be the simulation's deterministic source.
+// randomization and must be the simulation's deterministic source. After
+// grp.Reset, New rebuilds one of grp's controllers in place.
 func New(cfg Config, grp *Group, rng *rand.Rand) *Controller {
 	if !cfg.Params.Valid() {
 		panic("mpcc: invalid utility parameters")
 	}
-	c := &Controller{
-		cfg:   cfg,
-		grp:   grp,
-		id:    grp.Join(),
-		rng:   rng,
-		state: phaseStarting,
-		rate:  cfg.InitialRateBps,
-		amp:   1,
+	c := grp.reuse
+	if c != nil {
+		grp.reuse = c.next
+	} else {
+		c = &Controller{next: grp.ctls}
+		grp.ctls = c
+	}
+	retry, next := c.probeRetry[:0], c.next
+	*c = Controller{
+		cfg:        cfg,
+		grp:        grp,
+		id:         grp.Join(),
+		rng:        rng,
+		state:      phaseStarting,
+		rate:       cfg.InitialRateBps,
+		amp:        1,
+		probeRetry: retry,
+		next:       next,
 	}
 	c.planned = c.plannedBuf[:0]
 	grp.Publish(c.id, c.rate)
@@ -267,7 +280,7 @@ func (c *Controller) probePairs() int {
 func (c *Controller) nextProbeMI() plannedMI {
 	if len(c.probeRetry) > 0 {
 		role := c.probeRetry[0]
-		c.probeRetry = c.probeRetry[1:]
+		c.probeRetry = c.probeRetry[:copy(c.probeRetry, c.probeRetry[1:])]
 		c.awaiting++
 		if role == roleProbeHi {
 			return plannedMI{roleProbeHi, c.probeHiRate}
@@ -538,7 +551,7 @@ func (c *Controller) OnSubflowUp() {
 	c.awaiting = 0
 	c.probeOmega, c.probeIssued, c.probeGot = 0, 0, 0
 	c.probeHiU, c.probeLoU, c.probeTol = 0, 0, 0
-	c.probeRetry = nil
+	c.probeRetry = c.probeRetry[:0]
 	c.dir, c.amp, c.consec = 0, 1, 0
 	c.bestU, c.bestTol, c.bestRate = 0, 0, 0
 	c.lastU, c.lastRate = 0, 0
@@ -553,7 +566,7 @@ func (c *Controller) enterProbing() {
 	c.probeGot = 0
 	c.awaiting = 0
 	c.moveIssued = false
-	c.probeRetry = nil
+	c.probeRetry = c.probeRetry[:0]
 	c.probeHiU, c.probeLoU, c.probeTol = 0, 0, 0
 }
 

@@ -9,10 +9,23 @@ package mpcc
 type Group struct {
 	rates []float64 // published rate per subflow id, bits/s
 	down  []bool    // true while the transport's failure detector holds the subflow dead
+
+	// ctls chains, through Controller.next, every controller New built on
+	// the group; after a Reset, reuse is the next one New rebuilds.
+	ctls, reuse *Controller
 }
 
 // NewGroup returns an empty publication board.
 func NewGroup() *Group { return &Group{} }
+
+// Reset empties the board for another connection, keeping its storage and
+// its controllers: New rebuilds them in place before allocating. The caller
+// promises that nothing drives them any more (their connection has shut
+// down).
+func (g *Group) Reset() {
+	g.rates, g.down = g.rates[:0], g.down[:0]
+	g.reuse = g.ctls
+}
 
 // Join registers a new subflow and returns its id.
 func (g *Group) Join() int {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
@@ -131,8 +132,9 @@ type churnDriver struct {
 }
 
 // churnServer is one accept point with everything a session needs resolved
-// once: its spec, a template path per subflow (links looked up and name
-// rendered), and the connection options every session shares.
+// once: its spec, the path per subflow every session sends on (a Path holds
+// no per-connection state), and the connection options every session
+// shares.
 type churnServer struct {
 	*transport.Server
 	spec     *ServerSpec
@@ -143,8 +145,8 @@ type churnServer struct {
 // churnSession is one session's record from arrival to its post-close drain
 // audit. It is the argument of the driver's pooled timers (retry, drain
 // check) and is itself recycled through churnDriver.free, together with the
-// two callbacks bound to it, so an arrival allocates nothing here in steady
-// state.
+// two callbacks bound to it and its MPCC group, so an arrival allocates
+// nothing here in steady state but its name.
 type churnSession struct {
 	d       *churnDriver
 	name    string
@@ -153,7 +155,7 @@ type churnSession struct {
 	attempt int // rejected attempts so far
 	start   sim.Time
 	conn    *transport.Connection
-	paths   []*netem.Path // scratch handed to Attach
+	grp     *ccmpcc.Group // MPCC sessions' board, reset for the next one
 
 	onComplete func(sim.Time)
 	onClose    func(transport.CloseReason, sim.Time)
@@ -236,14 +238,20 @@ func (d *churnDriver) newSession() *churnSession {
 		d.free = d.free[:n-1]
 		return s
 	}
-	s := &churnSession{d: d}
+	s := &churnSession{d: d, grp: ccmpcc.NewGroup()}
 	s.onComplete = s.complete
 	s.onClose = s.closed
 	return s
 }
 
-// recycle returns a finished session's record for the next arrival.
+// recycle returns a finished session's record for the next arrival, and
+// its connection and controllers to the engine arena: the transport drives
+// no controller after shutdown.
 func (d *churnDriver) recycle(s *churnSession) {
+	if s.conn != nil {
+		s.conn.Recycle()
+		s.grp.Reset()
+	}
 	s.name, s.sv, s.conn = "", nil, nil
 	d.free = append(d.free, s)
 }
@@ -289,11 +297,7 @@ func (d *churnDriver) attempt(s *churnSession) {
 	}
 	d.w.bus.SessionOpen(now, s.name, sv.Name, s.size, d.active)
 
-	s.paths = s.paths[:0]
-	for _, t := range sv.paths {
-		s.paths = append(s.paths, netem.NewPath(t.Engine(), t.Name, t.Links()...))
-	}
-	s.conn = d.w.attach(s.name, d.proto, s.paths, AttachOptions{ConnOptions: sv.connOpts})
+	s.conn = d.w.attach(s.name, d.proto, sv.paths, AttachOptions{ConnOptions: sv.connOpts}, s.grp)
 	s.start = now
 	s.conn.SetApp(transport.NewFile(s.size), s.onComplete)
 	s.conn.SetOnClose(s.onClose)

@@ -91,18 +91,29 @@ type AttachOptions struct {
 	Probes *obs.Bus
 }
 
+// kernelScheduler installs the default MPTCP scheduler. Stateless, so built
+// once: the choice costs a connection no allocation.
+var kernelScheduler = transport.WithScheduler(transport.DefaultScheduler{})
+
 // Attach builds a connection named name running protocol p over the given
 // paths (one subflow per path) and installs the appropriate scheduler:
-// the paper's 10%-threshold rate scheduler for rate-based protocols, the
-// default MPTCP scheduler for window-based ones (§7.1).
+// the paper's 10%-threshold rate scheduler for rate-based protocols (the
+// connection default), the default MPTCP scheduler for window-based ones
+// (§7.1).
 func Attach(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o AttachOptions) *transport.Connection {
+	return attachGroup(eng, name, p, paths, o, nil)
+}
+
+// attachGroup is Attach with the rate-publication board the subflows of an
+// MPCC-latency or MPCC-loss connection join: grp's controllers are rebuilt
+// in place (the churn driver recycles its sessions' boards); nil builds a
+// new one.
+func attachGroup(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o AttachOptions, grp *ccmpcc.Group) *transport.Connection {
 	opts := o.ConnOptions
 	if o.Scheduler != nil {
 		opts = append(opts, transport.WithScheduler(o.Scheduler))
-	} else if p.RateBased() {
-		opts = append(opts, transport.WithScheduler(transport.NewRateScheduler(0.10)))
-	} else {
-		opts = append(opts, transport.WithScheduler(transport.DefaultScheduler{}))
+	} else if !p.RateBased() {
+		opts = append(opts, kernelScheduler)
 	}
 	if o.Probes != nil {
 		opts = append(opts, transport.WithProbes(o.Probes))
@@ -132,7 +143,9 @@ func Attach(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o Att
 		if o.InitialRateBps > 0 {
 			cfg.InitialRateBps = o.InitialRateBps
 		}
-		grp := ccmpcc.NewGroup()
+		if grp == nil {
+			grp = ccmpcc.NewGroup()
+		}
 		for _, path := range paths {
 			ctl := ccmpcc.New(cfg, grp, eng.Rand())
 			probe(ctl)

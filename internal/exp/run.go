@@ -187,7 +187,7 @@ func Run(s Spec) *Result {
 				f.PathTweak(p)
 			}
 		}
-		conn := w.attach(f.Name, f.Proto, ps, f.Attach)
+		conn := w.attach(f.Name, f.Proto, ps, f.Attach, nil)
 		if f.bulk() {
 			conn.SetApp(transport.Bulk{}, nil)
 		} else {

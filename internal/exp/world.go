@@ -1,6 +1,7 @@
 package exp
 
 import (
+	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
@@ -98,8 +99,8 @@ func (w *world) start(horizon sim.Time, net *topo.Net) {
 
 // attach builds a connection on the engine its paths live on, with the
 // paths, the connection and its controllers probed by that engine's bus
-// (unless o names a bus of its own).
-func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOptions) *transport.Connection {
+// (unless o names a bus of its own); grp is attachGroup's.
+func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOptions, grp *ccmpcc.Group) *transport.Connection {
 	eng := w.engines[0]
 	if len(paths) > 0 {
 		eng = paths[0].Engine()
@@ -111,7 +112,7 @@ func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOpt
 	if o.Probes == nil {
 		o.Probes = bus
 	}
-	return Attach(eng, name, p, paths, o)
+	return attachGroup(eng, name, p, paths, o, grp)
 }
 
 // run advances every engine to the horizon (0 = until idle or stopped) and

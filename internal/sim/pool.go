@@ -2,13 +2,14 @@ package sim
 
 // Pool is a slab-backed free list of *T: the one implementation behind every
 // pooled object type of the layers above (netem packets; transport records,
-// segments, ACK batches and monitor intervals). Pools hang off one engine
-// (see Engine.Local), and an engine is single-threaded, so a plain slice
-// needs no locking — unlike a sync.Pool, which would cost an atomic per
-// get/put and leak objects across concurrently running engines. A cold
-// start provisions Slab objects per allocation; a warm pool allocates
+// segments, ACK batches, monitor intervals and connections). Pools hang off
+// one engine (see Engine.Local), and an engine is single-threaded, so a
+// plain slice needs no locking — unlike a sync.Pool, which would cost an
+// atomic per get/put and leak objects across concurrently running engines.
+// A cold start provisions Slab objects per allocation; a warm pool allocates
 // nothing. The caller resets an object before Put (zeroes it, or keeps only
-// an emptied buffer), so which owner used it last cannot reach the next one.
+// an emptied buffer) — or, if whoever released it may still read it, right
+// after Get — so which owner used it last cannot reach the next one.
 type Pool[T any] struct {
 	Slab int // objects provisioned per allocation
 

@@ -5,7 +5,7 @@ import "mpcc/internal/sim"
 // Series is a time-bucketed accumulator for throughput-style measurements:
 // values added at virtual times are summed into fixed-width buckets, from
 // which per-bucket rates can be derived. The zero value is not usable; build
-// one with NewSeries.
+// one with NewSeries, or Reset it.
 //
 // Only the buckets from the first one written are stored (buckets[0] is
 // bucket number base), so a series first written late in a run costs one
@@ -21,10 +21,23 @@ type Series struct {
 // NewSeries returns a series whose buckets are width wide, starting at time
 // start.
 func NewSeries(start, width sim.Time) *Series {
+	s := &Series{}
+	s.Reset(start, width)
+	return s
+}
+
+// Reset empties the series and restarts it at start with buckets width wide.
+// It keeps the bucket storage of a series used before, so that a recycled
+// owner's series costs no allocation; a new one gets room for a short-lived
+// owner's whole life (most churn sessions at 100 ms buckets) in one.
+func (s *Series) Reset(start, width sim.Time) {
 	if width <= 0 {
 		panic("stats: series bucket width must be positive")
 	}
-	return &Series{bucket: width, start: start}
+	*s = Series{bucket: width, start: start, buckets: s.buckets[:0]}
+	if cap(s.buckets) == 0 {
+		s.buckets = make([]float64, 0, 32)
+	}
 }
 
 // Add accumulates v into the bucket containing time at. Times before the
@@ -36,10 +49,7 @@ func (s *Series) Add(at sim.Time, v float64) {
 	idx := int((at - s.start) / s.bucket)
 	switch {
 	case len(s.buckets) == 0:
-		// First write: room for a short-lived owner's whole life (a churn
-		// session at 100 ms buckets) in the one allocation.
-		s.base = idx
-		s.buckets = make([]float64, 0, 16)
+		s.base = idx // first write
 	case idx < s.base:
 		// Out-of-order first writes: re-base on the earlier bucket.
 		s.buckets = append(make([]float64, s.base-idx), s.buckets...)

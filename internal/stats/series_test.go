@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"testing"
 
 	"mpcc/internal/sim"
@@ -149,6 +150,33 @@ func TestSeriesLateStart(t *testing.T) {
 		s.Add(15*sim.Second+900*sim.Millisecond, 1)
 	}); n > 1 {
 		t.Fatalf("late-start series cost %.0f allocations, want 1", n)
+	}
+}
+
+// TestSeriesResetKeepsStorage: a reset series reads exactly like a new one
+// — no bucket of the previous life leaks, the start and width are the new
+// ones — while its writes reuse the old storage.
+func TestSeriesResetKeepsStorage(t *testing.T) {
+	var s Series
+	s.Reset(0, sim.Second)
+	for at := sim.Time(0); at < 40*sim.Second; at += 250 * sim.Millisecond {
+		s.Add(at, 3)
+	}
+	fill := func(s *Series) {
+		s.Add(12*sim.Second, 1)
+		s.Add(14*sim.Second+sim.Millisecond, 2)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		s.Reset(10*sim.Second, 2*sim.Second)
+		fill(&s)
+	}); n != 0 {
+		t.Fatalf("reset series allocated %.0f times, want 0", n)
+	}
+	fresh := NewSeries(10*sim.Second, 2*sim.Second)
+	fill(fresh)
+	if !slices.Equal(s.Rates(), fresh.Rates()) || s.Sum() != fresh.Sum() || s.Len() != fresh.Len() ||
+		s.BucketWidth() != fresh.BucketWidth() || s.MeanRate(20*sim.Second) != fresh.MeanRate(20*sim.Second) {
+		t.Fatalf("reset series reads %v (sum %v), a new one %v (sum %v)", s.Rates(), s.Sum(), fresh.Rates(), fresh.Sum())
 	}
 }
 

@@ -57,14 +57,17 @@ type Connection struct {
 
 	probes *obs.Bus // nil when observability is disabled
 
-	started bool
-	pumping bool
 	startAt sim.Time
 	nextOff int64
+	started bool
+	pumping bool
 
 	// lifecycle (see lifecycle.go)
 	closed           bool
 	closeReason      CloseReason
+	startPending     bool // Start's event has not run yet
+	recycled         bool // Recycle called
+	reclaimed        bool // back in the arena
 	closedAt         sim.Time
 	onClose          func(reason CloseReason, at sim.Time)
 	idleTimeout      sim.Time
@@ -72,9 +75,13 @@ type Connection struct {
 	watchdog         sim.TimerRef
 
 	// pool gauges: arena objects this connection currently holds (the
-	// churn leak check asserts these return to zero after teardown drains)
-	recLive int
-	segLive int
+	// churn leak check asserts recs and segs return to zero after teardown
+	// drains); with the revival probes in flight and startPending they are
+	// everything a recycled connection waits for (reclaim)
+	recLive   int
+	segLive   int
+	miLive    int
+	probeLive int
 
 	// forward-progress tracking: the longest observed interval between
 	// consecutive first-delivery events (hostile-path stall oracle).
@@ -152,48 +159,75 @@ func WithProbes(b *obs.Bus) ConnOption { return func(c *Connection) { c.probes =
 // kernel default).
 func WithScheduler(s Scheduler) ConnOption { return func(c *Connection) { c.sched = s } }
 
+// paperScheduler is the default scheduler. A RateScheduler is stateless, so
+// every connection shares this one.
+var paperScheduler Scheduler = NewRateScheduler(0.10)
+
 // NewConnection creates an idle connection; add subflows, set an app, then
-// Start it.
+// Start it. It is built on a connection an earlier owner recycled when the
+// engine's arena holds one (see Recycle), with every field reset.
 func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection {
 	a := arenaOf(eng)
-	c := &Connection{
-		Name:          name,
-		eng:           eng,
-		arena:         a,
-		orphans:       segQueue{arena: a},
-		mss:           DefaultMSS,
-		sndBufPkts:    DefaultSndBufPkts,
-		minRTO:        DefaultMinRTO,
-		rcvBuf:        DefaultRcvBufBytes,
-		ackEvery:      1,
-		sched:         NewRateScheduler(0.10),
-		fct:           -1,
-		failThreshold: DefaultFailThreshold,
-		probeInterval: DefaultProbeInterval,
+	c := a.conns.Get()
+	// What a recycled connection keeps: its Subflows (in the spare capacity
+	// of subflows, which may be subflowBuf) and its series' buckets.
+	subflows, buf := c.subflows[:0], c.subflowBuf
+	goodput, lat, latCount := c.goodput, c.latSeries, c.latCountSeries
+	*c = Connection{
+		Name:           name,
+		eng:            eng,
+		arena:          a,
+		orphans:        segQueue{arena: a},
+		mss:            DefaultMSS,
+		sndBufPkts:     DefaultSndBufPkts,
+		minRTO:         DefaultMinRTO,
+		rcvBuf:         DefaultRcvBufBytes,
+		ackEvery:       1,
+		sched:          paperScheduler,
+		fct:            -1,
+		failThreshold:  DefaultFailThreshold,
+		probeInterval:  DefaultProbeInterval,
+		subflowBuf:     buf,
+		goodput:        goodput,
+		latSeries:      lat,
+		latCountSeries: latCount,
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.rcv.intervals = popSlice(&a.spans)
-	// Held by value: NewSeries inlines, so the copies cost no allocation.
-	c.goodput = *stats.NewSeries(0, metricBucket)
-	c.latSeries = *stats.NewSeries(0, metricBucket)
-	c.latCountSeries = *stats.NewSeries(0, metricBucket)
-	c.subflows = c.subflowBuf[:0]
+	c.goodput.Reset(0, metricBucket)
+	c.latSeries.Reset(0, metricBucket)
+	c.latCountSeries.Reset(0, metricBucket)
+	c.subflows = subflows
+	if subflows == nil {
+		c.subflows = c.subflowBuf[:0]
+	}
 	return c
 }
 
+// newSubflow appends a subflow on path, rebuilt on the one a recycled
+// connection kept in that slot, if any.
 func (c *Connection) newSubflow(path *netem.Path) *Subflow {
-	s := &Subflow{
+	var s *Subflow
+	if n := len(c.subflows); n < cap(c.subflows) {
+		s = c.subflows[:n+1][n]
+	}
+	if s == nil {
+		s = new(Subflow)
+	}
+	goodput := s.goodput
+	*s = Subflow{
 		conn:    c,
 		id:      len(c.subflows),
 		path:    path,
-		goodput: *stats.NewSeries(0, metricBucket),
+		goodput: goodput,
 
 		pending:     segQueue{arena: c.arena},
 		retx:        segQueue{arena: c.arena},
 		outstanding: popSlice(&c.arena.recSlices),
 	}
+	s.goodput.Reset(0, metricBucket)
 	s.rxSink, s.ackSink = (*rxSink)(s), (*ackSink)(s)
 	c.subflows = append(c.subflows, s)
 	return s
@@ -242,12 +276,15 @@ func (c *Connection) Start(at sim.Time) {
 		c.app = Bulk{}
 	}
 	c.startAt = at
+	c.startPending = true
 	c.eng.Schedule(at, startEvent, c)
 }
 
 func startEvent(a any) {
 	c := a.(*Connection)
+	c.startPending = false
 	if c.closed {
+		c.reclaim()
 		return // shut down before it ever started
 	}
 	for _, s := range c.subflows {

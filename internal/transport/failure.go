@@ -155,11 +155,22 @@ func (s *Subflow) revive() {
 
 // ---- revival probing ----
 
-// probeRec is the in-flight record of one revival probe.
+// probeRec is the in-flight record of one revival probe. The connection
+// counts the copies in the network (probeLive), netem adjusting the count
+// for clones and drops like a pktRec's, so a recycled connection waits for
+// its last probe.
 type probeRec struct {
 	sf     *Subflow
 	seq    uint64
 	sentAt sim.Time
+}
+
+func (pr *probeRec) RetainMeta() { pr.sf.conn.probeLive++ }
+
+func (pr *probeRec) ReleaseMeta() {
+	c := pr.sf.conn
+	c.probeLive--
+	c.reclaim()
 }
 
 func (s *Subflow) scheduleProbe() {
@@ -180,6 +191,7 @@ func (s *Subflow) sendProbe() {
 	}
 	s.probeSeq++
 	pr := &probeRec{sf: s, seq: s.probeSeq, sentAt: s.conn.eng.Now()}
+	s.conn.probeLive++
 	s.path.Send(s.conn.mss, pr, netem.SinkFunc(s.probeDeliver), nil)
 	s.scheduleProbe()
 }
@@ -187,10 +199,11 @@ func (s *Subflow) sendProbe() {
 // probeDeliver runs at the receiver when a probe survives the path; it
 // immediately acknowledges.
 func (s *Subflow) probeDeliver(pkt *netem.Packet) {
+	pr := pkt.Meta.(*probeRec)
 	if s.conn.closed {
+		pr.ReleaseMeta()
 		return
 	}
-	pr := pkt.Meta.(*probeRec)
 	s.path.SendFeedback(pr, netem.SinkFunc(s.probeAck))
 }
 
@@ -198,6 +211,7 @@ func (s *Subflow) probeDeliver(pkt *netem.Packet) {
 // current failure episode revives the subflow.
 func (s *Subflow) probeAck(fb *netem.Packet) {
 	pr := fb.Meta.(*probeRec)
+	pr.ReleaseMeta() // a reclaimed connection is reset only on reuse
 	if s.conn.closed || s.state != SubflowFailed || pr.seq != s.probeSeq {
 		return
 	}

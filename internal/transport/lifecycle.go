@@ -11,7 +11,9 @@ import "mpcc/internal/sim"
 // packets still inside netem links cannot be reclaimed synchronously; the
 // closed guards on the delivery/feedback sinks release each one as it
 // drains, so the per-connection pool gauges (PoolInUse) return to zero once
-// the engine goes idle — the churn leak test asserts exactly that.
+// the engine goes idle — the churn leak test asserts exactly that. An owner
+// done with a closed connection may Recycle it: once drained it goes back
+// to the engine arena for the next NewConnection.
 
 // CloseReason records why a connection shut down.
 type CloseReason uint8
@@ -201,3 +203,31 @@ func watchdogEvent(a any) {
 // connection currently holds out of the engine arena. Both return to zero
 // once a closed connection's in-flight packets have drained (the leak gauge).
 func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive }
+
+// Recycle is the owner's promise that it is done with a closed connection:
+// nothing will read or drive it, its Subflows or their series again, and
+// its controllers are free for another connection (no controller method
+// runs after shutdown). The Connection, its Subflows and their storage go
+// back to the engine arena once nothing in flight points at them any more —
+// data packets and duplication clones in links, ACK batches on the reverse
+// path, pending end-of-MI timers, revival probes and a start event that
+// never ran — and a later NewConnection on the same engine rebuilds on them.
+// Nothing needs to call it: a connection never recycled is garbage-collected.
+func (c *Connection) Recycle() {
+	if !c.closed {
+		panic("transport: Recycle of an open connection")
+	}
+	c.recycled = true
+	c.reclaim()
+}
+
+// reclaim hands a recycled connection to the arena once drained. Every
+// release that can be the last calls it; the connection is reset on reuse,
+// not here, because the releaser may still be reading it.
+func (c *Connection) reclaim() {
+	if c.recycled && !c.reclaimed && c.recLive == 0 && c.segLive == 0 && c.miLive == 0 &&
+		c.probeLive == 0 && !c.startPending {
+		c.reclaimed = true
+		c.arena.conns.Put(c)
+	}
+}

@@ -268,6 +268,6 @@ func TestArenaDoubleReleasePanics(t *testing.T) {
 
 	mi := c.arena.mis.Get()
 	mi.refs = 1
-	c.arena.releaseMI(mi)
-	mustPanic("monitorInterval", func() { c.arena.releaseMI(mi) })
+	c.releaseMI(mi)
+	mustPanic("monitorInterval", func() { c.releaseMI(mi) })
 }

@@ -8,13 +8,16 @@ import "mpcc/internal/sim"
 // engine is single-threaded, so plain slices need no locking, and distinct
 // engines (shard workers, RunParallel jobs) never share one. Because the
 // arena outlives any connection, a session opened late in a run draws the
-// objects and backing arrays that sessions long closed have released, and
-// steady state allocates nothing under churn as for one long-lived
-// connection (guarded by the alloc regression tests).
+// objects and backing arrays that sessions long closed have released —
+// down to the Connection, its Subflows and their series buckets once its
+// owner has called Recycle — and steady state allocates nothing per packet
+// under churn, as for one long-lived connection (guarded by the alloc
+// regression tests).
 //
-// Every object is zeroed on release and every recycled backing array holds
-// only nil slots at length 0, so which connection used an object before
-// cannot influence the next one.
+// Every object is zeroed on release (a recycled Connection and its Subflows
+// on reuse, since a release may still be on the stack) and every recycled
+// backing array holds only nil slots at length 0, so which connection used
+// an object before cannot influence the next one.
 //
 // Reference-counting rules:
 //
@@ -40,14 +43,20 @@ import "mpcc/internal/sim"
 // then), and one per pktRec charged to it (a late spurious ACK may still
 // correct an interval that has already reported).
 //
-// The per-connection recLive/segLive gauges (PoolInUse) count what one
-// connection holds out of the arena; the arena's own InUse counts are their
-// sum over every connection the engine ever carried.
+// Connection — its owner's until Recycle, then the network's until the
+// last record, segment, monitor interval and revival probe that points at it
+// is home (reclaim), then the arena's.
+//
+// The per-connection recLive/segLive/miLive gauges (PoolInUse reports the
+// first two) count what one connection holds out of the arena; the arena's
+// own InUse counts are their sum over every connection the engine ever
+// carried.
 type arena struct {
 	recs    sim.Pool[pktRec]
 	segs    sim.Pool[segment]
 	batches sim.Pool[ackBatch]
 	mis     sim.Pool[monitorInterval]
+	conns   sim.Pool[Connection]
 
 	// Backing arrays handed back at teardown (and MI rtt-sample buffers,
 	// which also cycle between finalized and freshly opened intervals).
@@ -69,6 +78,9 @@ func arenaOf(eng *sim.Engine) *arena {
 			segs:    sim.Pool[segment]{Slab: poolSlab},
 			batches: sim.Pool[ackBatch]{Slab: poolSlab},
 			mis:     sim.Pool[monitorInterval]{Slab: poolSlab},
+			// One at a time: a connection nobody recycles costs exactly
+			// its own allocation.
+			conns: sim.Pool[Connection]{Slab: 1},
 		}
 	}).(*arena)
 }
@@ -116,8 +128,9 @@ func (c *Connection) releaseRec(rec *pktRec) {
 	c.arena.recs.Put(rec)
 	c.releaseSeg(seg)
 	if mi != nil {
-		c.arena.releaseMI(mi)
+		c.releaseMI(mi)
 	}
+	c.reclaim()
 }
 
 // RetainMeta and ReleaseMeta let netem adjust the reference count for
@@ -154,24 +167,30 @@ func (c *Connection) releaseSeg(seg *segment) {
 // retireMI takes mi out of openMIs (finalized or abandoned): nothing samples
 // into it or reads its rtt buffers again, so they go home now, and the slot's
 // reference is dropped.
-func (a *arena) retireMI(mi *monitorInterval) {
-	pushSlice(&a.flts, mi.rttTimes)
-	pushSlice(&a.flts, mi.rttVals)
+func (c *Connection) retireMI(mi *monitorInterval) {
+	pushSlice(&c.arena.flts, mi.rttTimes)
+	pushSlice(&c.arena.flts, mi.rttVals)
 	mi.rttTimes, mi.rttVals = nil, nil
-	a.releaseMI(mi)
+	c.releaseMI(mi)
 }
 
-// releaseMI drops one reference; the last one recycles the interval.
-func (a *arena) releaseMI(mi *monitorInterval) {
+// releaseMI drops one reference; the last one recycles the interval (out
+// of line, so that the per-packet call inlines).
+func (c *Connection) releaseMI(mi *monitorInterval) {
 	mi.refs--
-	if mi.refs > 0 {
-		return
+	if mi.refs <= 0 {
+		c.freeMI(mi)
 	}
+}
+
+func (c *Connection) freeMI(mi *monitorInterval) {
 	if mi.refs < 0 {
 		panic("transport: monitorInterval over-released")
 	}
 	*mi = monitorInterval{}
-	a.mis.Put(mi)
+	c.miLive--
+	c.arena.mis.Put(mi)
+	c.reclaim()
 }
 
 // ackBatch carries acknowledged records from the receiver back to the

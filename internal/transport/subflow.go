@@ -305,6 +305,7 @@ func (s *Subflow) rollMI() {
 	s.notePace()
 	a := s.conn.arena
 	mi := a.mis.Get()
+	s.conn.miLive++
 	*mi = monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate,
 		rttTimes: popSlice(&a.flts), rttVals: popSlice(&a.flts),
 		refs: 2, // openMIs slot + end-of-MI timer
@@ -336,7 +337,7 @@ func miEndEvent(a any) {
 			s.kick()
 		}
 	}
-	s.conn.arena.releaseMI(mi) // the fired timer's reference
+	s.conn.releaseMI(mi) // the fired timer's reference
 }
 
 func (s *Subflow) miLen() int { return len(s.openMIs) - s.miHead }
@@ -358,7 +359,7 @@ func (s *Subflow) finalizeMIs() {
 		s.openMIs[s.miHead] = nil
 		s.miHead++
 		s.rc.OnMIComplete(mi.stats())
-		s.conn.arena.retireMI(mi)
+		s.conn.retireMI(mi)
 	}
 	if s.miHead == len(s.openMIs) {
 		s.openMIs = s.openMIs[:0]
@@ -373,7 +374,7 @@ func (s *Subflow) finalizeMIs() {
 // samples into it again and its buffers can go home.
 func (s *Subflow) dropOpenMIs() {
 	for i := s.miHead; i < len(s.openMIs); i++ {
-		s.conn.arena.retireMI(s.openMIs[i])
+		s.conn.retireMI(s.openMIs[i])
 		s.openMIs[i] = nil
 	}
 	s.openMIs = s.openMIs[:0]
@@ -654,6 +655,11 @@ func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
 	s.deliverOnce(rec.seg, now)
 	s.conn.onRTTSample(now, rtt)
 	s.conn.probes.RTTSample(now, s.conn.Name, s.id, rtt)
+	if s.conn.closed {
+		// The completion callback closed the connection: its intervals are
+		// retired and its controller must not hear from it again.
+		return
+	}
 
 	if rec.mi != nil {
 		rec.mi.onAck(rec.size, rec.sentAt, rtt)
@@ -814,9 +820,11 @@ func (s *Subflow) advanceHead() {
 		s.outHead++
 		s.conn.releaseRec(rec) // the outstanding slot's reference
 	}
-	if s.outHead > 1024 && s.outHead*2 > len(s.outstanding) {
+	if s.outHead > 64 && s.outHead*2 > len(s.outstanding) {
 		// Compact in place: the live suffix slides down over the consumed
 		// prefix, reusing the backing array instead of allocating a copy.
+		// The array thus settles at about twice the flight, which the
+		// recycled arrays of a churn workload's long sessions stay within.
 		n := copy(s.outstanding, s.outstanding[s.outHead:])
 		tail := s.outstanding[n:]
 		for i := range tail {
