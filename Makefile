@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/obs -fuzz FuzzEncodeEvent -fuzztime 10s
 	$(GO) test ./internal/obs -fuzz FuzzAppendNsFloat -fuzztime 10s
 	$(GO) test ./internal/obs -fuzz FuzzParseEvent -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/obs -fuzz FuzzParseTimeline -fuzztime 10s -fuzzminimizetime 2s
 
 fmt:
 	gofmt -l -w .

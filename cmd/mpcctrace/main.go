@@ -42,10 +42,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 )
 
 func main() {
@@ -454,7 +454,7 @@ func cmdCSV(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("csv", flag.ContinueOnError)
 	runSel := fs.Int("run", 0, "run to export (0-based)")
 	kind := fs.String("kind", "", "event kind to export (required; e.g. rate-change, queue-depth)")
-	bucket := fs.Duration("bucket", 100*time.Millisecond, "time-bucket width")
+	bucket := fs.Duration("bucket", stats.DefaultBucket.Duration(), "time-bucket width")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -478,26 +478,20 @@ func cmdCSV(args []string, stdin io.Reader, stdout io.Writer) error {
 	defer done()
 
 	bw := sim.FromDuration(*bucket)
-	series := map[string]*obs.SeriesData{}
+	series := map[string]*stats.Series{}
 	windows := 0
 	_, err = forEachRun(in, *runSel, func(_ int, e obs.Event) error {
 		if e.Kind != wantKind {
 			return nil
 		}
 		key := seriesKey(e)
-		sd := series[key]
-		if sd == nil {
-			sd = &obs.SeriesData{Window: bw}
-			series[key] = sd
+		sr := series[key]
+		if sr == nil {
+			sr = stats.NewSeries(0, bw)
+			series[key] = sr
 		}
-		b := int(e.At / bw)
-		for len(sd.Sum) <= b {
-			sd.Sum = append(sd.Sum, 0)
-			sd.Count = append(sd.Count, 0)
-		}
-		sd.Sum[b] += eventValue(e)
-		sd.Count[b]++
-		windows = max(windows, b+1)
+		sr.Add(e.At, eventValue(e))
+		windows = max(windows, sr.Len())
 		return nil
 	})
 	if err != nil {
@@ -506,21 +500,20 @@ func cmdCSV(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(series) == 0 {
 		return fmt.Errorf("no %s events%s", wantKind, selNote(*runSel))
 	}
-	// Every series spans every bucket, and each bucket becomes one sample of
-	// its exported value (the mean for a level kind, else the sum), so
+	// Export every series over every bucket with one sample per bucket, its
+	// exported value (the mean for a level kind, else the sum), so
 	// RenderTimeline prints that value and an empty bucket reads 0.
 	mean := levelKind(wantKind)
-	for _, sd := range series {
-		for sd.Windows() < windows {
-			sd.Sum = append(sd.Sum, 0)
-			sd.Count = append(sd.Count, 0)
-		}
-		for b, n := range sd.Count {
-			if mean && n > 0 {
-				sd.Sum[b] /= float64(n)
+	for key, sr := range series {
+		out := stats.NewSeries(0, bw)
+		for b := 0; b < windows; b++ {
+			v := sr.Bucket(b).Sum
+			if m, ok := sr.Mean(b); ok && mean {
+				v = m
 			}
-			sd.Count[b] = 1
+			out.Add(sim.Time(b)*bw, v)
 		}
+		series[key] = out
 	}
 	return obs.RenderTimeline(stdout, series, true)
 }

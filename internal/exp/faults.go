@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"mpcc/internal/netem"
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 	"mpcc/internal/topo"
 	"mpcc/internal/transport"
 )
@@ -34,9 +34,6 @@ type FaultRow struct {
 	SPPostBps  float64
 	RecoverSec float64
 }
-
-// faultBucket is the goodput-series granularity of FlowResult.Series.
-const faultBucket = 100 * sim.Millisecond
 
 // FaultRecoveryRows runs the fault-injection experiment and returns one row
 // per protocol variant plus the outage window.
@@ -96,16 +93,21 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 	}
 	rows := runSpecs(specs, 1, func(res *Result) (row FaultRow) {
 		mp, sp := res.Flows["mp"], res.Flows["sp"]
-		sb, eb, db := int(outStart/faultBucket), int(outEnd/faultBucket), int(d/faultBucket)
-		row.PreBps = winMedian(mp.Series, sb-40, sb)
-		row.OutageBps = winMean(mp.Series, sb, eb)
+		b := stats.DefaultBucket // FlowResult.Series' bucket width
+		sb, eb, db := int(outStart/b), int(outEnd/b), int(d/b)
+		// Steady levels are medians: unlike the mean, a median is robust to
+		// the transient head-of-line stalls a finite receive buffer causes on
+		// a lossy path, so it measures the goodput level rather than
+		// averaging the stalls in.
+		row.PreBps = stats.Median(window(mp.Series, sb-40, sb))
+		row.OutageBps = stats.Mean(window(mp.Series, sb, eb))
 		if row.PreBps > 0 {
 			row.Retention = row.OutageBps / row.PreBps
 		}
-		row.PostBps = winMedian(mp.Series, eb+20, db)
+		row.PostBps = stats.Median(window(mp.Series, eb+20, db))
 		row.MigrateSec = sustainedSince(mp.Series, sb, eb, 0.8*row.PreBps)
-		row.SPPreBps = winMedian(sp.Series, sb-40, sb)
-		row.SPPostBps = winMedian(sp.Series, eb+20, db)
+		row.SPPreBps = stats.Median(window(sp.Series, sb-40, sb))
+		row.SPPostBps = stats.Median(window(sp.Series, eb+20, db))
 		row.RecoverSec = sustainedSince(sp.Series, eb, db, 0.8*row.SPPreBps)
 		return row
 	})
@@ -115,52 +117,21 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 	return rows, outStart, outEnd
 }
 
-// winMean averages series buckets [from, to), clamped to the series.
-func winMean(series []float64, from, to int) float64 {
-	if from < 0 {
-		from = 0
+// window returns series buckets [lo, hi) clamped to the series (empty when
+// nothing is left, which stats.Mean and stats.Median read as 0).
+func window(series []float64, lo, hi int) []float64 {
+	lo, hi = max(lo, 0), min(hi, len(series))
+	if hi <= lo {
+		return nil
 	}
-	if to > len(series) {
-		to = len(series)
-	}
-	if to <= from {
-		return 0
-	}
-	s := 0.0
-	for _, x := range series[from:to] {
-		s += x
-	}
-	return s / float64(to-from)
-}
-
-// winMedian is the median of series buckets [from, to), clamped to the
-// series. Unlike the mean it is robust to the transient head-of-line stalls a
-// finite receive buffer causes on a lossy path, so it measures the steady
-// goodput level rather than averaging the stalls in.
-func winMedian(series []float64, from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(series) {
-		to = len(series)
-	}
-	if to <= from {
-		return 0
-	}
-	w := append([]float64(nil), series[from:to]...)
-	sort.Float64s(w)
-	n := len(w)
-	if n%2 == 1 {
-		return w[n/2]
-	}
-	return (w[n/2-1] + w[n/2]) / 2
+	return series[lo:hi]
 }
 
 // sustainedSince returns the seconds after bucket from at which every
 // 1-second sliding window of the series stays at or above target through
 // bucket to, or -1 if no such point exists (the flow never came back).
 func sustainedSince(series []float64, from, to int, target float64) float64 {
-	const win = 10 // 1 s of 100 ms buckets
+	win := int(sim.Second / stats.DefaultBucket)
 	if to > len(series) {
 		to = len(series)
 	}
@@ -172,7 +143,7 @@ func sustainedSince(series []float64, from, to int, target float64) float64 {
 	// windows hold the target.
 	ok := -1
 	for b := last; b >= from; b-- {
-		if winMean(series, b, b+win) >= target {
+		if stats.Mean(window(series, b, b+win)) >= target {
 			ok = b
 		} else {
 			break
@@ -181,7 +152,7 @@ func sustainedSince(series []float64, from, to int, target float64) float64 {
 	if ok < 0 {
 		return -1
 	}
-	return float64(ok-from) * faultBucket.Seconds()
+	return float64(ok-from) * stats.DefaultBucket.Seconds()
 }
 
 // FaultRecovery renders the fault-injection experiment as a table.

@@ -100,13 +100,13 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 	for i, tr := range runSpecs(specs, 1, func(res *Result) (tr tracking) {
 		mpSeries := res.Flows["mp"].SubflowSeries[0] // subflow on link1
 		spSeries := res.Flows["sp"].Series
-		bucketsPerEpoch := int(epochDur / (100 * sim.Millisecond))
+		bucketsPerEpoch := int(epochDur / stats.DefaultBucket)
 		for i := 0; i < epochs; i++ {
 			// Skip the first half of each epoch (adaptation transient).
 			lo := i*bucketsPerEpoch + bucketsPerEpoch/2
 			hi := (i + 1) * bucketsPerEpoch
-			tr.mp = append(tr.mp, meanWindowMbps(mpSeries, lo, hi))
-			tr.sp = append(tr.sp, meanWindowMbps(spSeries, lo, hi))
+			tr.mp = append(tr.mp, stats.Mean(window(mpSeries, lo, hi))/1e6)
+			tr.sp = append(tr.sp, stats.Mean(window(spSeries, lo, hi))/1e6)
 			tr.trackErr += abs(tr.mp[i] - r.OptMbps[i])
 			tr.fairErr += abs(tr.sp[i] - r.FairMbps[i])
 		}
@@ -162,7 +162,7 @@ func ConvergenceTrace(cfg Config) *Table {
 		Header: []string{"protocol", "flow", "mean", "jitter"},
 	}
 	specs := []Spec{cfg.spec(topo.Fig3c(), MPCCLatency, nil), cfg.spec(topo.Fig3c(), Balia, nil)}
-	warmBuckets := int(cfg.Warmup / (100 * sim.Millisecond))
+	warmBuckets := int(cfg.Warmup / stats.DefaultBucket)
 	for i, rows := range runSpecs(specs, 1, func(res *Result) (rows [][]string) {
 		stat := func(flow string, series []float64) {
 			post := tailMbps(series, warmBuckets)
@@ -191,19 +191,6 @@ func tailMbps(series []float64, from int) []float64 {
 		out = append(out, v/1e6)
 	}
 	return out
-}
-
-func meanWindowMbps(series []float64, lo, hi int) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(series) {
-		hi = len(series)
-	}
-	if lo >= hi {
-		return 0
-	}
-	return stats.Mean(series[lo:hi]) / 1e6
 }
 
 func abs(x float64) float64 {

@@ -5,6 +5,7 @@ import (
 
 	"mpcc/internal/netem"
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 	"mpcc/internal/topo"
 )
 
@@ -74,24 +75,16 @@ func LEOHandoverDetail(cfg Config) *Table {
 		Title:  fmt.Sprintf("LEO — MPCC-latency per-interval goodput across %gs handovers", period.Seconds()),
 		Header: []string{"interval_s", "goodput_mbps"},
 	}
-	// Result.Series buckets goodput at 100 ms from t=0; fold it to one row
-	// per handover interval so each row spans exactly one satellite dwell.
+	// Result.Series buckets goodput from t=0; fold it to one row per
+	// handover interval so each row spans exactly one satellite dwell.
 	series := res.Flows["mp"].Series
-	perBucket := 100 * sim.Millisecond
-	bucketsPerPeriod := int(period / perBucket)
+	bucketsPerPeriod := int(period / stats.DefaultBucket)
 	for start := 0; start < len(series); start += bucketsPerPeriod {
-		end := start + bucketsPerPeriod
-		if end > len(series) {
-			end = len(series)
-		}
-		sum := 0.0
-		for _, v := range series[start:end] {
-			sum += v
-		}
-		mean := sum / float64(end-start)
+		dwell := window(series, start, start+bucketsPerPeriod)
+		end := start + len(dwell)
 		t.AddRow(fmt.Sprintf("%g–%g",
-			(sim.Time(start)*perBucket).Seconds(), (sim.Time(end)*perBucket).Seconds()),
-			mbps(mean))
+			(sim.Time(start)*stats.DefaultBucket).Seconds(), (sim.Time(end)*stats.DefaultBucket).Seconds()),
+			mbps(stats.Mean(dwell)))
 	}
 	if st := res.Net.Link("link1").Stats(); st.Handovers > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("link1 executed %d handovers on the %gs cadence; each row is one dwell interval, so the dip-and-recover shape of each re-learning episode is visible directly.", st.Handovers, period.Seconds()))

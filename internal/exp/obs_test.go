@@ -49,7 +49,7 @@ func TestRunSnapshotsRegistry(t *testing.T) {
 	// RTT trajectories plus per-link queue depth.
 	for _, key := range []string{"rate_bps mp/sf0", "rtt_s mp/sf0", "queue_bytes link1"} {
 		sd := s.Series[key]
-		if sd == nil || sd.Windows() == 0 {
+		if sd == nil || sd.Len() == 0 {
 			t.Errorf("series %q missing or empty; have %v", key, obs.SortedSeriesKeys(s.Series))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 )
 
 // Registry is a per-run metrics store: named counters, gauges, and
@@ -66,16 +67,17 @@ func NewRegistry() *Registry {
 	r.queueDepth = r.Histogram("queue_depth_bytes")
 	r.utility = r.Histogram("utility")
 	r.rtt = r.Histogram("rtt_seconds")
-	r.series = newSeriesStore(DefaultSeriesWindow, r.Counter("series.dropped"))
+	r.series = newSeriesStore(stats.DefaultBucket, r.Counter("series.dropped"))
 	return r
 }
 
-// SetSeriesWindow overrides the windowed-series width. Call it before the
-// first event: it resets the series store, discarding anything folded so
-// far (trace replayers use it to re-bucket at a different resolution).
+// SetSeriesWindow overrides the windowed-series width (stats.DefaultBucket
+// unless set; w <= 0 restores it). Call it before the first event: it
+// resets the series store, discarding anything folded so far (trace
+// replayers use it to re-bucket at a different resolution).
 func (r *Registry) SetSeriesWindow(w sim.Time) {
 	if w <= 0 {
-		w = DefaultSeriesWindow
+		w = stats.DefaultBucket
 	}
 	r.series = newSeriesStore(w, r.Counter("series.dropped"))
 }
@@ -227,14 +229,15 @@ type HistogramStats struct {
 // Snapshot is a registry frozen at the end of a run, attached to
 // exp.Result. Maps are keyed by metric name; iterate SortedCounterNames and
 // friends for deterministic output. Series holds the windowed rate/RTT/queue
-// time series (see SeriesData). Snapshots merge: the sketch clones retained
-// internally make Merge exact, so a parallel sweep folds per-run snapshots
-// into one population-scale view.
+// time series, keyed "rate_bps flow/sfN", "rtt_s flow/sfN" or "queue_bytes
+// link". Snapshots merge: the sketch clones retained internally make Merge
+// exact, so a parallel sweep folds per-run snapshots into one
+// population-scale view.
 type Snapshot struct {
 	Counters   map[string]float64
 	Gauges     map[string]float64
 	Histograms map[string]HistogramStats
-	Series     map[string]*SeriesData
+	Series     map[string]*stats.Series
 
 	// sketches are clones of the live registry's histograms, kept so Merge
 	// can fold bucket state rather than approximating from HistogramStats.
@@ -289,13 +292,12 @@ func (s *Snapshot) Merge(other *Snapshot) {
 		sk.Merge(osk)
 		s.Histograms[name] = sk.Stats()
 	}
-	for key, osd := range other.Series {
-		sd, ok := s.Series[key]
-		if !ok {
-			s.Series[key] = osd.clone()
-			continue
+	for key, osr := range other.Series {
+		if sr, ok := s.Series[key]; ok {
+			sr.Merge(osr)
+		} else {
+			s.Series[key] = osr.Clone()
 		}
-		sd.merge(osd)
 	}
 }
 

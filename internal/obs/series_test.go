@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 )
 
 // seriesBus returns a bus+registry pair for series tests.
@@ -35,8 +36,8 @@ func TestSeriesFoldsWindows(t *testing.T) {
 	if rate == nil {
 		t.Fatalf("missing rate series; have %v", SortedSeriesKeys(s.Series))
 	}
-	if rate.Window != DefaultSeriesWindow {
-		t.Errorf("window = %v", rate.Window)
+	if rate.BucketWidth() != stats.DefaultBucket {
+		t.Errorf("window = %v", rate.BucketWidth())
 	}
 	if got, ok := rate.Mean(0); !ok || got != 15e6 {
 		t.Errorf("window 0 mean = %v (ok=%v), want 15e6", got, ok)
@@ -79,7 +80,7 @@ func TestSeriesCardinalityGuard(t *testing.T) {
 	}
 	// Existing labels keep accumulating after the cap trips.
 	b.RateChange(2*sim.Millisecond, "flow000", 0, 3e6)
-	if got := reg.Snapshot().Series["rate_bps flow000/sf0"].Count[0]; got != 2 {
+	if got := reg.Snapshot().Series["rate_bps flow000/sf0"].Bucket(0).Count; got != 2 {
 		t.Errorf("existing series stopped accumulating: count %d", got)
 	}
 
@@ -113,7 +114,7 @@ func TestSeriesCardinalityGuard(t *testing.T) {
 		if i == 0 {
 			wantCount, wantSum = wantCount+1, wantSum+3e6
 		}
-		if sd == nil || sd.Count[0] != wantCount || sd.Sum[0] != wantSum {
+		if sd == nil || sd.Bucket(0) != (stats.Bucket{Sum: wantSum, Count: wantCount}) {
 			t.Fatalf("series %s = %+v, want count %d sum %v", name, sd, wantCount, wantSum)
 		}
 	}
@@ -211,8 +212,8 @@ func TestSetSeriesWindow(t *testing.T) {
 	b.SetRegistry(reg)
 	b.RateChange(2500*sim.Millisecond, "mp", 0, 1e6)
 	sd := reg.Snapshot().Series["rate_bps mp/sf0"]
-	if sd.Window != sim.Second || sd.Windows() != 3 {
-		t.Errorf("window %v with %d windows, want 1s x 3", sd.Window, sd.Windows())
+	if sd.BucketWidth() != sim.Second || sd.Len() != 3 {
+		t.Errorf("window %v with %d windows, want 1s x 3", sd.BucketWidth(), sd.Len())
 	}
 }
 
@@ -242,10 +243,14 @@ func TestTimelineDumpRoundTripAndRender(t *testing.T) {
 		t.Fatalf("round trip lost data: run=%d series=%d", runIdx, len(series))
 	}
 	for key, sd := range snap.Series {
-		got := series[key]
-		if got == nil || got.Window != sd.Window || len(got.Sum) != len(sd.Sum) {
+		if got := series[key]; got == nil || !sameSeries(got, sd) {
 			t.Errorf("series %q did not round-trip", key)
 		}
+	}
+	// The queue series' first sample landed in window 1: the dump spells
+	// out the empty window before it.
+	if want := `{"key":"queue_bytes link1","sum":[0,3000],"count":[0,1]}`; !bytes.Contains(line, []byte(want)) {
+		t.Errorf("dump lacks %s:\n%s", want, line)
 	}
 
 	var text bytes.Buffer
@@ -274,20 +279,68 @@ func TestTimelineDumpRoundTripAndRender(t *testing.T) {
 	}
 }
 
+// FuzzParseTimeline: ParseTimeline reads files from outside the program
+// (mpcctrace timeline), so arbitrary bytes must never panic it, and every
+// line it accepts must re-encode through AppendTimeline into a line that
+// parses back to the same series.
+func FuzzParseTimeline(f *testing.F) {
+	b, reg := seriesBus()
+	b.RateChange(10*sim.Millisecond, "mp", 0, 10e6)
+	b.RTTSample(250*sim.Millisecond, "mp", 1, 30*sim.Millisecond)
+	b.QueueDepth(150*sim.Millisecond, "link1", 3000)
+	f.Add(bytes.TrimSpace(AppendTimeline(nil, 3, reg.Snapshot().Series)))
+	f.Add([]byte(`{"run":1,"window_ns":0,"series":[]}`))
+	f.Add([]byte(`{"run":0,"window_ns":250000,"series":[{"key":"aé","sum":[-0,1e-300,2.5],"count":[0,1,-3]}]}`))
+	f.Add([]byte(`{"run":2,"window_ns":5,"series":[{"key":"x","sum":[1],"count":[1,2]}]}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		run, series, err := ParseTimeline(line)
+		if err != nil {
+			return
+		}
+		again := AppendTimeline(nil, run, series)
+		run2, series2, err := ParseTimeline(bytes.TrimSpace(again))
+		if err != nil {
+			t.Fatalf("re-encoded line does not parse: %v\n%s", err, again)
+		}
+		if run2 != run || len(series2) != len(series) {
+			t.Fatalf("run %d with %d series came back as run %d with %d", run, len(series), run2, len(series2))
+		}
+		for key, sr := range series {
+			if got := series2[key]; got == nil || !sameSeries(got, sr) {
+				t.Fatalf("series %q did not round-trip:\n%s", key, again)
+			}
+		}
+	})
+}
+
 // The series store's two paths, for `go test -bench Series ./internal/obs`:
 // the handful of labels an ordinary run samples over and over, and a churn
 // run's stream of labels past the cardinality guard.
 
 // oneSample returns a series holding vals as single-sample windows.
-func oneSample(window sim.Time, vals ...float64) *SeriesData {
-	sd := &SeriesData{Window: window, Sum: vals, Count: make([]int64, len(vals))}
-	for i := range sd.Count {
-		sd.Count[i] = 1
+func oneSample(window sim.Time, vals ...float64) *stats.Series {
+	b := make([]stats.Bucket, len(vals))
+	for i, v := range vals {
+		b[i] = stats.Bucket{Sum: v, Count: 1}
 	}
-	return sd
+	return stats.SeriesOf(window, b)
 }
 
-func renderCSV(t *testing.T, series map[string]*SeriesData) string {
+// sameSeries reports whether a and b read alike: width, span and every
+// window's sum and count.
+func sameSeries(a, b *stats.Series) bool {
+	if a.BucketWidth() != b.BucketWidth() || a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Bucket(i) != b.Bucket(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func renderCSV(t *testing.T, series map[string]*stats.Series) string {
 	t.Helper()
 	var b strings.Builder
 	if err := RenderTimeline(&b, series, true); err != nil {
@@ -299,7 +352,7 @@ func renderCSV(t *testing.T, series map[string]*SeriesData) string {
 // TestRenderTimelineCSV pins the CSV shape: a t_seconds column then one per
 // key in lexical order, and a blank cell past a shorter series' end.
 func TestRenderTimelineCSV(t *testing.T) {
-	got := renderCSV(t, map[string]*SeriesData{
+	got := renderCSV(t, map[string]*stats.Series{
 		"y": oneSample(100*sim.Millisecond, 10, 20),
 		"x": oneSample(100*sim.Millisecond, 1, 2, 3),
 	})
@@ -311,7 +364,7 @@ func TestRenderTimelineCSV(t *testing.T) {
 // TestRenderTimelineCSVEmpty: series without windows render the header
 // alone, and no series at all is an error.
 func TestRenderTimelineCSVEmpty(t *testing.T) {
-	if got := renderCSV(t, map[string]*SeriesData{"x": oneSample(sim.Second)}); got != "t_seconds,x\n" {
+	if got := renderCSV(t, map[string]*stats.Series{"x": oneSample(sim.Second)}); got != "t_seconds,x\n" {
 		t.Errorf("windowless series = %q, want the header alone", got)
 	}
 	if err := RenderTimeline(new(strings.Builder), nil, true); err == nil {
@@ -326,7 +379,7 @@ func TestRenderTimelineCSVRoundTrip(t *testing.T) {
 		{1.5, -2.25, 3.141592653589793, 0},
 		{1e9, 1e-9, 6.02214076e23, -273.15},
 	}
-	recs, err := csv.NewReader(strings.NewReader(renderCSV(t, map[string]*SeriesData{
+	recs, err := csv.NewReader(strings.NewReader(renderCSV(t, map[string]*stats.Series{
 		"a": oneSample(100*sim.Millisecond, in[0]...),
 		"b": oneSample(100*sim.Millisecond, in[1]...),
 	}))).ReadAll()
@@ -372,14 +425,14 @@ func TestTimelinePrecision(t *testing.T) {
 // windows would collapse onto repeated timestamps (0.000, 0.000, 0.000,
 // 0.001, ...).
 func TestSubMillisecondBucketsStayDistinct(t *testing.T) {
-	got := renderCSV(t, map[string]*SeriesData{"v": oneSample(250*sim.Microsecond, 1, 2, 3, 4)})
+	got := renderCSV(t, map[string]*stats.Series{"v": oneSample(250*sim.Microsecond, 1, 2, 3, 4)})
 	if want := "t_seconds,v\n0.00000,1\n0.00025,2\n0.00050,3\n0.00075,4\n"; got != want {
 		t.Errorf("csv = %q, want %q", got, want)
 	}
 }
 
 func BenchmarkSeriesObserveHot(b *testing.B) {
-	s := newSeriesStore(DefaultSeriesWindow, &Counter{})
+	s := newSeriesStore(stats.DefaultBucket, &Counter{})
 	ids := []seriesID{{seriesRTT, "mp", 0}, {seriesRTT, "mp", 1}, {seriesRTT, "sp", 0}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -389,7 +442,7 @@ func BenchmarkSeriesObserveHot(b *testing.B) {
 }
 
 func BenchmarkSeriesObserveOverCap(b *testing.B) {
-	s := newSeriesStore(DefaultSeriesWindow, &Counter{})
+	s := newSeriesStore(stats.DefaultBucket, &Counter{})
 	ids := make([]seriesID, maxSeriesPerKind+1000)
 	for i := range ids {
 		ids[i] = seriesID{seriesRTT, fmt.Sprintf("s%06d", i), int32(i & 1)}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 )
 
 // Timeline dump format: one JSON object per run holding that run's windowed
@@ -22,13 +23,13 @@ import (
 const timelineMagic = `"window_ns"`
 
 // AppendTimeline appends one run's timeline dump line (newline included).
-func AppendTimeline(b []byte, runIdx int, series map[string]*SeriesData) []byte {
+func AppendTimeline(b []byte, runIdx int, series map[string]*stats.Series) []byte {
 	b = append(b, `{"run":`...)
 	b = strconv.AppendInt(b, int64(runIdx), 10)
 	b = append(b, `,"window_ns":`...)
 	var window sim.Time
-	for _, sd := range series {
-		window = sd.Window
+	for _, sr := range series {
+		window = sr.BucketWidth()
 		break
 	}
 	b = strconv.AppendInt(b, int64(window), 10)
@@ -37,22 +38,22 @@ func AppendTimeline(b []byte, runIdx int, series map[string]*SeriesData) []byte 
 		if i > 0 {
 			b = append(b, ',')
 		}
-		sd := series[key]
+		sr := series[key]
 		b = append(b, `{"key":`...)
 		b = appendJSONString(b, key)
 		b = append(b, `,"sum":[`...)
-		for j, v := range sd.Sum {
+		for j := 0; j < sr.Len(); j++ {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			b = strconv.AppendFloat(b, sr.Bucket(j).Sum, 'g', -1, 64)
 		}
 		b = append(b, `],"count":[`...)
-		for j, n := range sd.Count {
+		for j := 0; j < sr.Len(); j++ {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, n, 10)
+			b = strconv.AppendInt(b, sr.Bucket(j).Count, 10)
 		}
 		b = append(b, `]}`...)
 	}
@@ -70,21 +71,27 @@ type timelineLine struct {
 	} `json:"series"`
 }
 
-// ParseTimeline decodes one timeline dump line.
-func ParseTimeline(line []byte) (runIdx int, series map[string]*SeriesData, err error) {
+// ParseTimeline decodes one timeline dump line. A line without series may
+// carry no window (AppendTimeline has none to write for a run that folded no
+// samples); one with series must.
+func ParseTimeline(line []byte) (runIdx int, series map[string]*stats.Series, err error) {
 	var tl timelineLine
 	if err := json.Unmarshal(line, &tl); err != nil {
 		return 0, nil, err
 	}
-	if tl.WindowNs <= 0 {
+	if tl.WindowNs < 0 || tl.WindowNs == 0 && len(tl.Series) > 0 {
 		return 0, nil, fmt.Errorf("obs: timeline line has no window_ns")
 	}
-	series = make(map[string]*SeriesData, len(tl.Series))
+	series = make(map[string]*stats.Series, len(tl.Series))
 	for _, s := range tl.Series {
 		if len(s.Sum) != len(s.Count) {
 			return 0, nil, fmt.Errorf("obs: timeline series %q: %d sums vs %d counts", s.Key, len(s.Sum), len(s.Count))
 		}
-		series[s.Key] = &SeriesData{Window: sim.Time(tl.WindowNs), Sum: s.Sum, Count: s.Count}
+		b := make([]stats.Bucket, len(s.Sum))
+		for i := range b {
+			b[i] = stats.Bucket{Sum: s.Sum[i], Count: s.Count[i]}
+		}
+		series[s.Key] = stats.SeriesOf(sim.Time(tl.WindowNs), b)
 	}
 	return tl.Run, series, nil
 }
@@ -93,20 +100,16 @@ func ParseTimeline(line []byte) (runIdx int, series map[string]*SeriesData, err 
 // columns (asCSV=false) or CSV (asCSV=true). Rows are windows from t=0,
 // stamped in seconds at timelinePrecision; a cell is blank when its window
 // saw no samples. Keys render in lexical order.
-func RenderTimeline(w io.Writer, series map[string]*SeriesData, asCSV bool) error {
+func RenderTimeline(w io.Writer, series map[string]*stats.Series, asCSV bool) error {
 	keys := SortedSeriesKeys(series)
 	if len(keys) == 0 {
 		return fmt.Errorf("no series to render")
 	}
 	var window sim.Time
 	windows := 0
-	for _, sd := range series {
-		if sd.Window > window {
-			window = sd.Window
-		}
-		if sd.Windows() > windows {
-			windows = sd.Windows()
-		}
+	for _, sr := range series {
+		window = max(window, sr.BucketWidth())
+		windows = max(windows, sr.Len())
 	}
 	prec := timelinePrecision(window)
 

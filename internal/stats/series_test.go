@@ -180,6 +180,95 @@ func TestSeriesResetKeepsStorage(t *testing.T) {
 	}
 }
 
+// TestSeriesBuckets pins the per-bucket reads (sum, count, mean), Merge and
+// Clone that the metrics registry, the timeline dump and mpcctrace read.
+// want lists every bucket from bucket 0.
+func TestSeriesBuckets(t *testing.T) {
+	const w, ms = 100 * sim.Millisecond, sim.Millisecond
+	type add struct {
+		at sim.Time
+		v  float64
+	}
+	of := func(adds ...add) *Series {
+		s := NewSeries(0, w)
+		for _, a := range adds {
+			s.Add(a.at, a.v)
+		}
+		return s
+	}
+	cases := []struct {
+		name   string
+		series func() *Series
+		want   []Bucket
+	}{{
+		name:   "empty",
+		series: func() *Series { return of() },
+	}, {
+		name:   "a late first write reads leading empty buckets",
+		series: func() *Series { return of(add{350 * ms, 4}, add{390 * ms, 2}) },
+		want:   []Bucket{{}, {}, {}, {6, 2}},
+	}, {
+		name:   "an empty bucket inside the span has no mean",
+		series: func() *Series { return of(add{0, 1}, add{250 * ms, 3}, add{299 * ms, -1}) },
+		want:   []Bucket{{1, 1}, {}, {2, 2}},
+	}, {
+		name: "merge extends the shorter series and adds element-wise",
+		series: func() *Series {
+			s := of(add{10 * ms, 1}, add{110 * ms, 2})
+			s.Merge(of(add{150 * ms, 3}, add{420 * ms, 5}))
+			return s
+		},
+		want: []Bucket{{1, 1}, {5, 2}, {}, {}, {5, 1}},
+	}, {
+		name: "merge of an earlier series re-bases a late one",
+		series: func() *Series {
+			s := of(add{420 * ms, 5})
+			s.Merge(of(add{10 * ms, 1}, add{420 * ms, 2}))
+			return s
+		},
+		want: []Bucket{{1, 1}, {}, {}, {}, {7, 2}},
+	}, {
+		name: "merge into an empty series copies",
+		series: func() *Series {
+			s := of()
+			s.Merge(of(add{210 * ms, 8}))
+			s.Merge(of())
+			return s
+		},
+		want: []Bucket{{}, {}, {8, 1}},
+	}, {
+		name:   "SeriesOf keeps trailing empty buckets",
+		series: func() *Series { return SeriesOf(w, []Bucket{{2, 1}, {}, {}}) },
+		want:   []Bucket{{2, 1}, {}, {}},
+	}}
+	check := func(what string, s *Series, want []Bucket) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", what, s.Len(), len(want))
+		}
+		for i, b := range append(want, Bucket{}) { // one past the end reads empty
+			if got := s.Bucket(i); got != b {
+				t.Fatalf("%s: bucket %d = %+v, want %+v", what, i, got, b)
+			}
+			m, ok := s.Mean(i)
+			if ok != (b.Count > 0) || ok && m != b.Sum/float64(b.Count) {
+				t.Fatalf("%s: bucket %d mean = %v (ok=%v), want the mean of %+v", what, i, m, ok, b)
+			}
+		}
+	}
+	for _, tc := range cases {
+		s := tc.series()
+		check(tc.name, s, tc.want)
+		// Clone shares no storage: writes to the clone, inside and past the
+		// span, leave the original as it was.
+		c := s.Clone()
+		check(tc.name+" (clone)", c, tc.want)
+		c.Add(0, 100)
+		c.Add(sim.Time(len(tc.want))*w, 7)
+		check(tc.name+" (after writing its clone)", s, tc.want)
+	}
+}
+
 func TestSeriesPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -16,7 +16,6 @@ const (
 	DefaultMSS        = 1500
 	DefaultSndBufPkts = 4096
 	DefaultMinRTO     = 200 * sim.Millisecond
-	metricBucket      = 100 * sim.Millisecond
 
 	// DefaultRcvBufBytes is the default receive (reassembly) buffer: the
 	// 300 MB the paper's experiments configure to take flow control out of
@@ -88,8 +87,7 @@ type Connection struct {
 	lastDeliveredAt sim.Time
 	maxDeliveryGap  sim.Time
 
-	// metrics
-	goodput    stats.Series
+	// metrics (first-delivery goodput is bucketed per subflow: Goodput)
 	ackedBytes int64
 	fileSize   int64
 	fct        sim.Time // -1 until the file completes
@@ -97,8 +95,7 @@ type Connection struct {
 
 	latSum, latSumSq float64
 	latCount         int64
-	latSeries        stats.Series // RTT·duration accumulator for averages
-	latCountSeries   stats.Series
+	latSeries        stats.Series // RTT samples (seconds), bucketed
 }
 
 // ConnOption configures a Connection.
@@ -170,35 +167,30 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 	a := arenaOf(eng)
 	c := a.conns.Get()
 	// What a recycled connection keeps: its Subflows (in the spare capacity
-	// of subflows, which may be subflowBuf) and its series' buckets.
-	subflows, buf := c.subflows[:0], c.subflowBuf
-	goodput, lat, latCount := c.goodput, c.latSeries, c.latCountSeries
+	// of subflows, which may be subflowBuf) and its latency series' buckets.
+	subflows, buf, lat := c.subflows[:0], c.subflowBuf, c.latSeries
 	*c = Connection{
-		Name:           name,
-		eng:            eng,
-		arena:          a,
-		orphans:        segQueue{arena: a},
-		mss:            DefaultMSS,
-		sndBufPkts:     DefaultSndBufPkts,
-		minRTO:         DefaultMinRTO,
-		rcvBuf:         DefaultRcvBufBytes,
-		ackEvery:       1,
-		sched:          paperScheduler,
-		fct:            -1,
-		failThreshold:  DefaultFailThreshold,
-		probeInterval:  DefaultProbeInterval,
-		subflowBuf:     buf,
-		goodput:        goodput,
-		latSeries:      lat,
-		latCountSeries: latCount,
+		Name:          name,
+		eng:           eng,
+		arena:         a,
+		orphans:       segQueue{arena: a},
+		mss:           DefaultMSS,
+		sndBufPkts:    DefaultSndBufPkts,
+		minRTO:        DefaultMinRTO,
+		rcvBuf:        DefaultRcvBufBytes,
+		ackEvery:      1,
+		sched:         paperScheduler,
+		fct:           -1,
+		failThreshold: DefaultFailThreshold,
+		probeInterval: DefaultProbeInterval,
+		subflowBuf:    buf,
+		latSeries:     lat,
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.rcv.intervals = popSlice(&a.spans)
-	c.goodput.Reset(0, metricBucket)
-	c.latSeries.Reset(0, metricBucket)
-	c.latCountSeries.Reset(0, metricBucket)
+	c.latSeries.Reset(0, stats.DefaultBucket)
 	c.subflows = subflows
 	if subflows == nil {
 		c.subflows = c.subflowBuf[:0]
@@ -227,7 +219,7 @@ func (c *Connection) newSubflow(path *netem.Path) *Subflow {
 		retx:        segQueue{arena: c.arena},
 		outstanding: popSlice(&c.arena.recSlices),
 	}
-	s.goodput.Reset(0, metricBucket)
+	s.goodput.Reset(0, stats.DefaultBucket)
 	s.rxSink, s.ackSink = (*rxSink)(s), (*ackSink)(s)
 	c.subflows = append(c.subflows, s)
 	return s
@@ -353,7 +345,6 @@ func (c *Connection) onDelivered(seg *segment, now sim.Time) {
 	}
 	c.lastDeliveredAt = now
 	c.ackedBytes += int64(seg.size)
-	c.goodput.Add(now, float64(seg.size))
 	if c.fileSize > 0 && c.fct < 0 && c.ackedBytes >= c.fileSize {
 		c.fct = now - c.startAt
 		if c.onComplete != nil {
@@ -368,7 +359,6 @@ func (c *Connection) onRTTSample(now sim.Time, rtt sim.Time) {
 	c.latSumSq += sec * sec
 	c.latCount++
 	c.latSeries.Add(now, sec)
-	c.latCountSeries.Add(now, 1)
 }
 
 // rwndLimit returns the highest stream offset the receiver can accept.
@@ -412,8 +402,20 @@ func (c *Connection) LastDeliveredAt() sim.Time { return c.lastDeliveredAt }
 // MSS returns the connection's packet payload size.
 func (c *Connection) MSS() int { return c.mss }
 
-// Goodput returns the connection's first-delivery byte series.
-func (c *Connection) Goodput() *stats.Series { return &c.goodput }
+// Goodput returns the connection's first-delivery byte series: the sum of
+// its subflows' (each segment is delivered once, by one subflow), built anew
+// on every call.
+func (c *Connection) Goodput() *stats.Series {
+	n := 0
+	for _, s := range c.subflows {
+		n = max(n, s.goodput.Len())
+	}
+	g := stats.SeriesOf(stats.DefaultBucket, make([]stats.Bucket, 0, n))
+	for _, s := range c.subflows {
+		g.Merge(&s.goodput)
+	}
+	return g
+}
 
 // AckedBytes returns total first-delivery bytes.
 func (c *Connection) AckedBytes() int64 { return c.ackedBytes }
@@ -425,7 +427,7 @@ func (c *Connection) FCT() sim.Time { return c.fct }
 // MeanGoodputBps returns the average goodput in bits/s between from and end,
 // mirroring the paper's habit of omitting a warmup prefix.
 func (c *Connection) MeanGoodputBps(from, end sim.Time) float64 {
-	return 8 * c.goodput.MeanRateSince(from, end)
+	return 8 * c.Goodput().MeanRateSince(from, end)
 }
 
 // MeanLatency returns the average RTT over all samples, in seconds, with its
@@ -447,13 +449,15 @@ func (c *Connection) MeanLatency() (mean, stddev float64) {
 // or after from (so warmup transients can be omitted, as with goodput).
 // Falls back to the all-time mean when no samples lie in the window.
 func (c *Connection) MeanLatencySince(from sim.Time) float64 {
-	sums := c.latSeries.RatesSince(from)
-	counts := c.latCountSeries.RatesSince(from)
+	// Sum and count accumulate as per-second rates, bucket by bucket: the
+	// latency column of every table is pinned at that rounding.
+	secs := stats.DefaultBucket.Seconds()
 	var sum, count float64
-	for i := range sums {
-		sum += sums[i]
-		if i < len(counts) {
-			count += counts[i]
+	for i, n := 0, c.latSeries.Len(); i < n; i++ {
+		if sim.Time(i)*stats.DefaultBucket >= from {
+			b := c.latSeries.Bucket(i)
+			sum += b.Sum / secs
+			count += float64(b.Count) / secs
 		}
 	}
 	if count == 0 {

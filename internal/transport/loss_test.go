@@ -4,8 +4,18 @@ import (
 	"testing"
 
 	"mpcc/internal/cc/reno"
+	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 )
+
+// ack delivers an acknowledgement of rec to the sender as the network does:
+// a feedback packet carrying a one-record batch. The batch releases the
+// network reference a delivered packet hands it; ack takes that reference
+// here, so the caller's references are untouched.
+func (s *Subflow) ack(rec *pktRec) {
+	rec.refs++
+	s.senderAck(&netem.Packet{Meta: s.conn.arena.newAckBatch(rec)})
+}
 
 // lossRig builds a started window-subflow connection with a hand-feedable
 // packet ledger: the engine is run to start the connection but the link is
@@ -39,7 +49,7 @@ func TestDupThresholdMarksEarlierPacketsLost(t *testing.T) {
 	// idx+3 ≤ ackedIdx (the head) must be declared lost.
 	target := recs[3]
 	before := s.lostPkts
-	s.handleAck(target)
+	s.ack(target)
 	if !recs[0].lost {
 		t.Fatal("head packet not marked lost after dup-threshold ack")
 	}
@@ -88,11 +98,11 @@ func TestSpuriousLossLateAckCountsDeliveryOnce(t *testing.T) {
 	rec := recs[0]
 	s.markLost(rec, false)
 	acked := s.conn.AckedBytes()
-	s.handleAck(rec) // the "lost" packet's ack arrives after all
+	s.ack(rec) // the "lost" packet's ack arrives after all
 	if s.conn.AckedBytes() != acked+int64(rec.size) {
 		t.Fatalf("late ack delivery accounting wrong: %d → %d", acked, s.conn.AckedBytes())
 	}
-	s.handleAck(rec) // duplicate ack must be idempotent
+	s.ack(rec) // duplicate ack must be idempotent
 	if s.conn.AckedBytes() != acked+int64(rec.size) {
 		t.Fatal("duplicate ack double-counted delivery")
 	}

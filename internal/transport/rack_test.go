@@ -69,17 +69,17 @@ func TestRackSuppressesDupThresholdAfterReordering(t *testing.T) {
 	for _, rec := range recs {
 		rec.refs++ // a test reference: read after the head advance released its slot
 	}
-	s.handleAck(recs[2])
+	s.ack(recs[2])
 	if s.reoSeen {
 		t.Fatal("in-order ack wrongly flagged reordering")
 	}
-	s.handleAck(recs[1]) // older index after newer: reordering observed
+	s.ack(recs[1]) // older index after newer: reordering observed
 	if !s.reoSeen {
 		t.Fatal("out-of-order ack did not flag reordering")
 	}
 	// Under dup-threshold rules this ack would mark recs[0..2] lost; RACK
 	// must hold off (everything was sent at the same instant).
-	s.handleAck(recs[5])
+	s.ack(recs[5])
 	if recs[0].lost {
 		t.Fatal("RACK marked a same-flight packet lost immediately")
 	}
@@ -136,7 +136,7 @@ func TestSpuriousRTOUndo(t *testing.T) {
 		t.Fatal("RTO not backed off after the episode")
 	}
 
-	s.handleAck(recs[0]) // the "lost" packet's ack arrives after all
+	s.ack(recs[0]) // the "lost" packet's ack arrives after all
 	if s.backoff != 0 {
 		t.Fatalf("backoff after spurious ack = %d, want 0", s.backoff)
 	}

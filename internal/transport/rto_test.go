@@ -118,7 +118,7 @@ func TestRTODeadlines(t *testing.T) {
 					scripted = true
 					r.send(st.send)
 					for _, i := range st.ack {
-						r.s.handleAck(r.recs[i])
+						r.s.ack(r.recs[i])
 					}
 				})
 			}

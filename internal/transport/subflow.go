@@ -589,22 +589,6 @@ func (s *Subflow) senderAck(fb *netem.Packet) {
 	s.recycleBatch(batch)
 }
 
-// handleAck processes a single acknowledged record through the full
-// pipeline (the pre-batching behavior, kept for white-box tests).
-func (s *Subflow) handleAck(rec *pktRec) {
-	if s.conn.closed {
-		return
-	}
-	var sawAck, sawSpurious bool
-	s.ackOne(rec, &sawAck, &sawSpurious)
-	if sawAck {
-		s.ackPipeline()
-	} else if sawSpurious {
-		s.conn.pump()
-		s.kick()
-	}
-}
-
 // ackOne applies the per-packet bookkeeping of one acknowledgement:
 // RTT/ledger/MI updates and RACK state. The batch-level pipeline (detection,
 // head advance, MI finalization, resume) runs once per feedback packet in

@@ -41,21 +41,13 @@ type (
 	Time = sim.Time
 	// Network is a collection of named emulated links.
 	Network = topo.Net
-	// Link is one emulated link (bandwidth, delay, drop-tail buffer, loss).
-	Link = netem.Link
 	// Path is a unidirectional route a subflow sends on.
 	Path = netem.Path
 	// Connection is a multipath transport connection.
 	Connection = transport.Connection
-	// Subflow is one path-bound flow of a Connection.
-	Subflow = transport.Subflow
-	// SubflowState is a Subflow's failure-detector state (active/failed).
-	SubflowState = transport.SubflowState
 	// FaultInjector scripts link outages, flap cycles, and burst-loss
 	// windows on the virtual clock.
 	FaultInjector = netem.FaultInjector
-	// GilbertElliott parameterizes two-state burst loss on a Link.
-	GilbertElliott = netem.GilbertElliott
 	// Bulk is an infinite data source.
 	Bulk = transport.Bulk
 	// ConnOption tunes a Connection (pass via AttachOptions.ConnOptions).
@@ -68,8 +60,6 @@ type (
 	Config = exp.Config
 	// Table is a printable experiment result.
 	Table = exp.Table
-	// Topology is a canonical evaluation network.
-	Topology = topo.Topology
 	// ParallelLinkNetwork is the fairness-theory abstraction of §4.2.
 	ParallelLinkNetwork = fairness.Network
 	// Allocation is an LMMF allocation on a ParallelLinkNetwork.
@@ -90,50 +80,27 @@ type (
 	// MetricsRegistry aggregates probe events into counters, gauges, and
 	// histograms.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a registry frozen at the end of a run.
-	MetricsSnapshot = obs.Snapshot
 	// JSONLWriter is a ProbeSink writing byte-reproducible JSONL traces.
 	JSONLWriter = obs.JSONLWriter
 	// QueueProbe exposes one link's queue depth to SampleQueues.
 	QueueProbe = obs.QueueProbe
-	// MetricsSeries is one windowed time series of a MetricsSnapshot
-	// (per-subflow rate and RTT, per-link queue depth).
-	MetricsSeries = obs.SeriesData
 	// FlightRecorder is a bounded ring of the most recent probe events — a
 	// ProbeSink whose contents dump as replayable JSONL after a failure.
 	FlightRecorder = obs.FlightRecorder
-	// TokenBucket meters bytes against a rate/burst contract (the model
-	// behind Link.SetPolicer and Link.SetShaper).
-	TokenBucket = netem.TokenBucket
-	// HandoverStep is one rate/delay state of an LEO handover schedule.
-	HandoverStep = netem.HandoverStep
 	// BWTrace is a recorded bandwidth timeseries for trace-replay links.
 	BWTrace = netem.BWTrace
-	// RatePoint is one (time, rate) sample of a BWTrace or rate schedule.
-	RatePoint = netem.RatePoint
-	// TopologyPartition groups a topology's links into independent
-	// interaction components, one engine shard each.
-	TopologyPartition = topo.Partition
 	// Server models one accept point's resource limits: a concurrent-
 	// connection cap and a shared receive-buffer byte budget admission
 	// control sheds against (see DESIGN.md "Open-loop workload and overload
 	// model").
 	Server = transport.Server
-	// AdmitResult is the outcome of a Server admission attempt.
-	AdmitResult = transport.AdmitResult
 	// CloseReason records why a Connection closed (done/aborted/idle/
 	// handshake-timeout).
 	CloseReason = transport.CloseReason
 	// PoissonArrivals generates homogeneous (optionally shape-modulated)
 	// Poisson session arrivals.
 	PoissonArrivals = workload.Poisson
-	// MMPPArrivals generates Markov-modulated Poisson arrivals (bursty,
-	// state-switched rates).
-	MMPPArrivals = workload.MMPP
-	// MMPPState is one (rate, mean dwell) state of an MMPPArrivals process.
-	MMPPState = workload.MMPPState
-	// ArrivalShape modulates an arrival process's rate over virtual time
-	// (e.g. Diurnal).
+	// ArrivalShape modulates an arrival process's rate over virtual time.
 	ArrivalShape = workload.Shape
 	// BoundedPareto is the heavy-tailed object-size distribution of the
 	// open-loop workload model.
@@ -145,66 +112,28 @@ type (
 
 // Time units.
 const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
 
-// The evaluated protocols (§7.1).
+// Evaluated protocols (§7.1); the others convert from their names, e.g.
+// Protocol("balia").
 const (
 	MPCCLatency = exp.MPCCLatency
 	MPCCLoss    = exp.MPCCLoss
 	LIA         = exp.LIA
 	OLIA        = exp.OLIA
-	Balia       = exp.Balia
-	WVegas      = exp.WVegas
-	Reno        = exp.Reno
 	Cubic       = exp.Cubic
-	BBR         = exp.BBR
 )
 
-// Subflow failure-detector states.
-const (
-	SubflowActive = transport.SubflowActive
-	SubflowFailed = transport.SubflowFailed
-)
+// AdmitOK is the Server admission outcome that admits a connection.
+const AdmitOK = transport.AdmitOK
 
-// Server admission outcomes.
-const (
-	AdmitOK      = transport.AdmitOK
-	RejectConns  = transport.RejectConns
-	RejectBudget = transport.RejectBudget
-)
-
-// Connection close reasons.
-const (
-	CloseDone      = transport.CloseDone
-	CloseAborted   = transport.CloseAborted
-	CloseIdle      = transport.CloseIdle
-	CloseHandshake = transport.CloseHandshake
-)
+// CloseDone is the CloseReason of a connection whose transfer completed.
+const CloseDone = transport.CloseDone
 
 // NewEngine returns a simulation engine seeded deterministically.
 func NewEngine(seed int64) *Engine { return sim.NewEngine(seed) }
-
-// NewTokenBucket returns a token bucket that starts full at now (see
-// Link.SetPolicer / Link.SetShaper for attaching contracts to links).
-func NewTokenBucket(rateBps float64, burstBytes int, now Time) *TokenBucket {
-	return netem.NewTokenBucket(rateBps, burstBytes, now)
-}
-
-// ScheduleHandovers applies an LEO handover schedule to a link: count steps
-// from start, one every period, cycling through steps. Returns a stop func.
-func ScheduleHandovers(eng *Engine, l *Link, steps []HandoverStep, start, period Time, count int) (stop func()) {
-	return netem.ScheduleHandovers(eng, l, steps, start, period, count)
-}
-
-// ScheduleRates drives a link's rate from (time, rate) samples, looping
-// with the given period (0 = play once).
-func ScheduleRates(eng *Engine, l *Link, points []RatePoint, loop Time) (stop func()) {
-	return netem.ScheduleRates(eng, l, points, loop)
-}
 
 // ParseBWTrace reads a bandwidth trace from CSV ("time_s,rate_mbps" rows,
 // # comments and one optional header allowed).
@@ -246,20 +175,6 @@ func NewPoissonArrivals(seed int64, ratePerSec float64, shape ArrivalShape) *Poi
 	return workload.NewPoisson(seed, ratePerSec, shape)
 }
 
-// NewMMPPArrivals returns a seeded Markov-modulated Poisson arrival process
-// cycling through the given states.
-func NewMMPPArrivals(seed int64, states []MMPPState, shape ArrivalShape) *MMPPArrivals {
-	return workload.NewMMPP(seed, states, shape)
-}
-
-// Diurnal returns an arrival shape oscillating sinusoidally between 1.0 and
-// trough over the given period — the classic day/night load curve.
-func Diurnal(period Time, trough float64) ArrivalShape { return workload.Diurnal(period, trough) }
-
-// WithProbeInterval sets how often a failed subflow probes for revival;
-// d <= 0 disables probing.
-func WithProbeInterval(d Time) ConnOption { return transport.WithProbeInterval(d) }
-
 // NewNetwork returns an empty network of named links on eng.
 func NewNetwork(eng *Engine) *Network { return topo.NewNet(eng) }
 
@@ -293,10 +208,6 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	return obs.NewFlightRecorder(size)
 }
 
-// WithProbes attaches an observability bus to a Connection being built via
-// ConnOptions (NewConnection wires AttachOptions.Probes automatically).
-func WithProbes(b *ProbeBus) ConnOption { return transport.WithProbes(b) }
-
 // NewFile returns a fixed-size transfer application.
 func NewFile(bytes int64) transport.App { return transport.NewFile(bytes) }
 
@@ -319,24 +230,6 @@ func LMMF(n *ParallelLinkNetwork) (*Allocation, error) { return fairness.LMMF(n)
 
 // DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
 func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }
-
-// ShardSeed derives shard i's engine seed from a run seed, so a sharded
-// run's per-component randomness is a pure function of (seed, component).
-func ShardSeed(seed int64, i int) int64 { return sim.ShardSeed(seed, i) }
-
-// PartitionTopology splits a topology into independent interaction
-// components (links connected by a flow path, or sibling subflows of one
-// connection). Each component can run on its own engine shard.
-func PartitionTopology(t *Topology) *TopologyPartition { return topo.PartitionTopology(t) }
-
-// Clusters returns a topology of k disjoint Fig. 3(c)-style clusters — the
-// canonical multi-component workload for the space-parallel engine.
-func Clusters(k int) *Topology { return topo.Clusters(k) }
-
-// SetShards sets the process-wide default shard worker count applied to
-// experiment runs that don't choose one (0 restores the single-engine
-// default). Output is identical for any value; see DESIGN.md.
-func SetShards(n int) { exp.SetShards(n) }
 
 // Experiments lists the available experiment ids with descriptions.
 func Experiments() map[string]string {
