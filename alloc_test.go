@@ -102,15 +102,16 @@ func TestProbedSteadyStateAllocs(t *testing.T) {
 // TestChurnSteadyStateAllocs guards the same property under connection
 // churn: pooled objects belong to the engine, not to a connection, and a
 // session's connection, subflows, series and MPCC controllers are recycled
-// when it retires, so a session opened late in a run is built from what
-// closed sessions released. The canonical overload spec (1.3x the farm's
-// capacity, ~230 accepted sessions per virtual second) is run to two
-// horizons, both past the ramp to its peak concurrency; the longer run
-// replays the shorter and then continues, so the difference in allocations
-// over the difference in accepted sessions is the warm cost of one more
-// session. What is left is its name (one per arrival, ~1.25 per accepted
-// session), its File, and the recycled storage still growing for a session
-// longer than every one before it on the same objects.
+// when it closes (the connection once its packets drain), so a session
+// opened late in a run is built from what closed sessions released. The
+// canonical overload spec (1.3x the farm's capacity, ~230 accepted sessions
+// per virtual second) is run to two horizons, both past the ramp to its
+// peak concurrency; the longer run replays the shorter and then continues,
+// so the difference in allocations over the difference in accepted
+// sessions is the warm cost of one more session. What is left is its name
+// (one per arrival, ~1.25 per accepted session) and the recycled storage
+// still growing for a session longer than every one before it on the same
+// objects: 1.78 objects and 442 B at seed 7 (449 B under -race).
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	run := func(dur sim.Time) (mallocs, bytes uint64, accepted int) {
 		spec := exp.ChurnSpecAt(exp.Config{Seed: 7, Duration: dur, Warmup: sim.Second}, 1.3)
@@ -127,7 +128,29 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 	}
 	objs, bytes := float64(m2-m1)/float64(n2-n1), float64(b2-b1)/float64(n2-n1)
 	t.Logf("%d allocations, %d bytes for %d more sessions: %.2f objects, %.0f B per session", m2-m1, b2-b1, n2-n1, objs, bytes)
-	if objs > 4 || bytes > 512 {
-		t.Fatalf("a warm churn session allocates %.2f objects and %.0f B, want ≤ 4 and ≤ 512 B", objs, bytes)
+	if objs > 2.25 || bytes > 496 {
+		t.Fatalf("a warm churn session allocates %.2f objects and %.0f B, want ≤ 2.25 and ≤ 496 B", objs, bytes)
+	}
+}
+
+// TestChurnRunAllocs bounds what one whole 20 s run of the overload spec
+// allocates, warm-up included: a session holds its connection, subflows and
+// MPCC controllers only while it is live, so the run builds about as many
+// of them as its peak concurrency needs. Holding each closed session's
+// objects through its 2 s drain audit builds several times as many: about
+// 58 700 objects at this seed, against 36 800 when they go home at close.
+func TestChurnRunAllocs(t *testing.T) {
+	spec := exp.ChurnSpecAt(exp.Config{Seed: 1000, Duration: 20 * sim.Second, Warmup: sim.Second}, 1.3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := exp.Run(spec).Churn
+	runtime.ReadMemStats(&after)
+	objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d objects, %d bytes for %d accepted sessions at a peak of %d", objs, bytes, st.Accepted, st.PeakActive)
+	if st.Accepted < 4000 || st.PeakActive < 200 {
+		t.Fatalf("churn spec too light to measure: %d accepted, peak %d", st.Accepted, st.PeakActive)
+	}
+	if objs > 42_000 || bytes > 10_500_000 {
+		t.Fatalf("a 20 s overload run allocates %d objects and %d bytes, want ≤ 42 000 and ≤ 10.5 MB", objs, bytes)
 	}
 }

@@ -64,10 +64,11 @@ type ChurnSpec struct {
 	// StartAt delays the first arrival.
 	StartAt sim.Time
 
-	// DrainCheckAfter, when positive, audits a session's pool gauges this
+	// DrainCheckAfter, when positive, audits a session's connection this
 	// long after it closes (teardown reclaims everything but the packets
 	// still in the network, which need a drain window before every pooled
-	// buffer is home); failures count in ChurnStats.Leaks.
+	// buffer is home): one that has not gone back to the engine arena and
+	// still holds pooled records or segments counts in ChurnStats.Leaks.
 	DrainCheckAfter sim.Time
 }
 
@@ -122,8 +123,13 @@ type churnDriver struct {
 	arr     workload.Arrivals
 	backoff workload.Backoff
 	servers []churnServer
-	free    []*churnSession // session records between sessions
-	nameBuf []byte          // scratch for rendering session names
+	// Free lists, as per-engine as the transport arena (a churn run has one
+	// engine and one driver): session records, MPCC groups (reset) and
+	// drain-audit records between uses.
+	sessions sim.Pool[churnSession]
+	groups   sim.Pool[ccmpcc.Group]
+	audits   sim.Pool[churnAudit]
+	nameBuf  []byte // scratch for rendering session names
 
 	nextID int
 	active int
@@ -142,11 +148,15 @@ type churnServer struct {
 	connOpts []transport.ConnOption
 }
 
-// churnSession is one session's record from arrival to its post-close drain
-// audit. It is the argument of the driver's pooled timers (retry, drain
-// check) and is itself recycled through churnDriver.free, together with the
-// two callbacks bound to it and its MPCC group, so an arrival allocates
-// nothing here in steady state but its name.
+// churnSession is one session's record from arrival to close (or to giving
+// up). It is the argument of the driver's pooled retry timer and goes back
+// to churnDriver.sessions as soon as the session closes or gives up, together
+// with the two callbacks bound to it and its File (a closed connection never
+// reads its app again), so an arrival allocates nothing here in steady state
+// but its name. While admitted it holds a connection and an MPCC group; at
+// close both go back (the connection to the engine arena once its packets
+// drain, the group to churnDriver.groups), so a session waiting to retry
+// holds neither.
 type churnSession struct {
 	d       *churnDriver
 	name    string
@@ -155,10 +165,22 @@ type churnSession struct {
 	attempt int // rejected attempts so far
 	start   sim.Time
 	conn    *transport.Connection
-	grp     *ccmpcc.Group // MPCC sessions' board, reset for the next one
+	grp     *ccmpcc.Group  // the connection's rate-publication board
+	file    transport.File // the session's object, reset per admission
 
 	onComplete func(sim.Time)
 	onClose    func(transport.CloseReason, sim.Time)
+}
+
+// churnAudit is the drain audit of one closed session: its connection,
+// recycled at the close, and that connection's generation then. A
+// connection whose generation moved went home drained (and may carry another
+// session by now), so only one still out is read. The record is the audit
+// timer's argument.
+type churnAudit struct {
+	d    *churnDriver
+	conn *transport.Connection
+	gen  uint64
 }
 
 // startChurn validates the spec, builds the servers and generators, and
@@ -177,6 +199,10 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 		rng:     rand.New(rand.NewSource(s.Seed ^ 0x636875726e)), // "churn"
 		backoff: workload.Backoff{Base: cs.RetryBase, Cap: cs.RetryCap},
 		fct:     &obs.Histogram{},
+
+		sessions: sim.Pool[churnSession]{Slab: 16},
+		groups:   sim.Pool[ccmpcc.Group]{Slab: 16},
+		audits:   sim.Pool[churnAudit]{Slab: 64},
 	}
 	if len(cs.States) > 0 {
 		d.arr = workload.NewMMPP(s.Seed+1, cs.States, cs.Shape)
@@ -232,28 +258,27 @@ func (d *churnDriver) arrive() {
 }
 
 func (d *churnDriver) newSession() *churnSession {
-	if n := len(d.free); n > 0 {
-		s := d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		return s
+	s := d.sessions.Get()
+	if s.d == nil { // first use: bind the callbacks once
+		s.d = d
+		s.onComplete = s.complete
+		s.onClose = s.closed
 	}
-	s := &churnSession{d: d, grp: ccmpcc.NewGroup()}
-	s.onComplete = s.complete
-	s.onClose = s.closed
 	return s
 }
 
-// recycle returns a finished session's record for the next arrival, and
-// its connection and controllers to the engine arena: the transport drives
+// recycle returns a finished session's record for the next arrival; a
+// closed session's connection goes to the engine arena (once its packets
+// drain) and its group, reset, to the next admission: the transport drives
 // no controller after shutdown.
 func (d *churnDriver) recycle(s *churnSession) {
 	if s.conn != nil {
 		s.conn.Recycle()
 		s.grp.Reset()
+		d.groups.Put(s.grp)
 	}
-	s.name, s.sv, s.conn = "", nil, nil
-	d.free = append(d.free, s)
+	s.name, s.sv, s.conn, s.grp = "", nil, nil, nil
+	d.sessions.Put(s)
 }
 
 func (d *churnDriver) abandon(s *churnSession) {
@@ -297,9 +322,11 @@ func (d *churnDriver) attempt(s *churnSession) {
 	}
 	d.w.bus.SessionOpen(now, s.name, sv.Name, s.size, d.active)
 
+	s.grp = d.groups.Get()
 	s.conn = d.w.attach(s.name, d.proto, sv.paths, AttachOptions{ConnOptions: sv.connOpts}, s.grp)
 	s.start = now
-	s.conn.SetApp(transport.NewFile(s.size), s.onComplete)
+	s.file.Reset(s.size)
+	s.conn.SetApp(&s.file, s.onComplete)
 	s.conn.SetOnClose(s.onClose)
 	s.conn.Start(now)
 }
@@ -322,20 +349,31 @@ func (s *churnSession) closed(r transport.CloseReason, at sim.Time) {
 	d.w.bus.SessionClose(at, s.name, sv.Name, r.String(), fct, s.conn.AckedBytes(), d.active)
 	if check := at + d.spec.DrainCheckAfter; d.spec.DrainCheckAfter > 0 && check < d.horizon {
 		d.stats.LeakChecks++
-		d.eng.Schedule(check, churnDrainEvent, s)
-		return
+		d.eng.Schedule(check, churnDrainEvent, d.audit(s.conn))
 	}
 	d.recycle(s)
 }
 
-// churnDrainEvent audits a closed session's pool gauges after its drain
-// window, then retires the record.
-func churnDrainEvent(a any) {
-	s := a.(*churnSession)
-	if recs, segs := s.conn.PoolInUse(); recs != 0 || segs != 0 {
-		s.d.stats.Leaks++
+// audit returns a drain-audit record of conn at its current generation.
+func (d *churnDriver) audit(conn *transport.Connection) *churnAudit {
+	a := d.audits.Get()
+	*a = churnAudit{d: d, conn: conn, gen: conn.Generation()}
+	return a
+}
+
+// churnDrainEvent audits a closed session's connection after its drain
+// window: a leak is a connection that has not gone home and still holds
+// pooled records or segments. One that went home was drained when it did.
+func churnDrainEvent(v any) {
+	a := v.(*churnAudit)
+	d := a.d
+	if a.conn.Generation() == a.gen {
+		if recs, segs := a.conn.PoolInUse(); recs != 0 || segs != 0 {
+			d.stats.Leaks++
+		}
 	}
-	s.d.recycle(s)
+	*a = churnAudit{}
+	d.audits.Put(a)
 }
 
 // snapshot finalizes the run's ChurnStats.

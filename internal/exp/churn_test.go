@@ -6,6 +6,8 @@ import (
 
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
+	"mpcc/internal/topo"
+	"mpcc/internal/transport"
 )
 
 func churnTestConfig() Config {
@@ -146,5 +148,80 @@ func TestChurnQueueTiers(t *testing.T) {
 		if got := int(res.Obs.Gauges[name]); got != want {
 			t.Errorf("gauge %s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// churnRig builds spec's world and churn driver as Run does, but schedules
+// no arrivals: the caller opens sessions on server 0 with open.
+func churnRig(spec Spec) (d *churnDriver, eng *sim.Engine, open func(size int64) *transport.Connection) {
+	net, engines := topo.PartitionLinks(spec.Topo.Links, [][][]string{{spec.Topo.Links}}).Build(spec.Topo, spec.Seed)
+	w := newWorld(spec.Seed, nil, 0, engines)
+	spec.Churn.StartAt = spec.Duration // the first arrival lands past the horizon
+	d = startChurn(w, &spec, net)
+	open = func(size int64) *transport.Connection {
+		s := d.newSession()
+		s.name, s.sv, s.size = fmt.Sprintf("t%d", d.stats.Accepted), &d.servers[0], size
+		d.attempt(s)
+		return s.conn
+	}
+	return d, engines[0], open
+}
+
+// TestChurnAuditCountsConnectionStillOut closes a session while its
+// records are still out — every ACK batch sits on a 2 s reverse path when
+// the handshake watchdog aborts it — and audits it 200 ms later: one leak.
+func TestChurnAuditCountsConnectionStillOut(t *testing.T) {
+	spec := ChurnSpecAt(Config{Seed: 3, Duration: 3 * sim.Second}, 1.0)
+	spec.Churn.HandshakeTimeout = 300 * sim.Millisecond
+	spec.Churn.DrainCheckAfter = 200 * sim.Millisecond
+	d, eng, open := churnRig(spec)
+	for _, p := range d.servers[0].paths {
+		p.SetReverseDelay(2 * sim.Second)
+	}
+	conn := open(1 << 20)
+	gen := conn.Generation()
+	eng.Run(spec.Duration)
+	st := d.snapshot()
+	if st.Aborted != 1 || st.LeakChecks != 1 {
+		t.Fatalf("want one aborted session and one audit, got %+v", st)
+	}
+	if st.Leaks != 1 {
+		t.Fatalf("a connection closed with its ACK batches in flight audited %d leaks, want 1", st.Leaks)
+	}
+	if conn.Generation() == gen {
+		t.Fatal("the connection never went home once its ACK batches arrived")
+	}
+}
+
+// TestChurnAuditSkipsReusedConnection closes a small session, lets its
+// connection drain and go home, and opens a large session on that same
+// connection before the small one's audit fires: the audit must see that
+// its connection went home (the generation moved) instead of reading the
+// large session's records, which are out.
+func TestChurnAuditSkipsReusedConnection(t *testing.T) {
+	spec := ChurnSpecAt(Config{Seed: 3, Duration: 3 * sim.Second}, 1.0)
+	spec.Churn.DrainCheckAfter = 500 * sim.Millisecond
+	d, eng, open := churnRig(spec)
+	small := open(30e3)
+	gen := small.Generation()
+	for small.Generation() == gen {
+		if !eng.Step() {
+			t.Fatal("the small session's connection never went home")
+		}
+	}
+	auditAt := small.ClosedAt() + spec.Churn.DrainCheckAfter
+	if d.stats.Completed != 1 || d.stats.LeakChecks != 1 || eng.Now() >= auditAt {
+		t.Fatalf("the small session should be done with its audit pending at %v (now %v): %+v", auditAt, eng.Now(), d.stats)
+	}
+	if large := open(8 << 20); large != small {
+		t.Fatal("the large session did not get the small one's connection")
+	}
+	eng.Run(auditAt - 1)
+	if recs, _ := small.PoolInUse(); recs == 0 || small.Closed() {
+		t.Fatalf("the large session has no records out at the audit (closed=%v)", small.Closed())
+	}
+	eng.Run(spec.Duration)
+	if st := d.snapshot(); st.Leaks != 0 {
+		t.Fatalf("the audit of a connection that went home counted %d leaks in %d audits", st.Leaks, st.LeakChecks)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
 // MPCC reproduction: summary statistics, percentiles, Jain's fairness index,
-// least-squares slopes (for latency gradients), time-bucketed series, and
+// a least-squares fit (for latency gradients), time-bucketed series, and
 // windowed min/max filters (for BBR).
 package stats
 
@@ -157,45 +157,51 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumsq)
 }
 
-// Slope returns the least-squares slope of ys regressed on xs. It returns 0
-// if fewer than two points are given or if all xs coincide. It is used to
-// compute the latency gradient d(RTT)/dT over a monitor interval.
-func Slope(xs, ys []float64) float64 {
-	s, _ := SlopeWithSE(xs, ys)
-	return s
-}
+// Point is one (x, y) sample of a regression.
+type Point struct{ X, Y float64 }
 
-// SlopeWithSE returns the least-squares slope and its standard error. The
-// standard error lets callers t-test whether a measured slope is
-// distinguishable from zero (the latency-gradient noise filter). It is 0
-// when it cannot be estimated (fewer than three points).
-func SlopeWithSE(xs, ys []float64) (slope, se float64) {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0, 0
+// Regress fits y on x by least squares over pts and returns the mean of the
+// ys, the slope, and the slope's standard error. A monitor interval keeps
+// its (send offset, RTT) samples as one array of Points, and this is its
+// mean RTT and latency gradient d(RTT)/dT (§5.2); the standard error lets
+// callers t-test whether the slope is distinguishable from zero (the
+// latency-gradient noise filter). The slope is 0 with fewer than two points
+// or when every x coincides, and the standard error is 0 when it cannot be
+// estimated (fewer than three points). Empty input yields zeros.
+func Regress(pts []Point) (meanY, slope, se float64) {
+	n := len(pts)
+	if n == 0 {
+		return 0, 0, 0
 	}
-	mx, my := Mean(xs), Mean(ys)
+	var sx, sy float64
+	for _, p := range pts {
+		sx += p.X
+		sy += p.Y
+	}
+	mx, my := sx/float64(n), sy/float64(n)
+	if n < 2 {
+		return my, 0, 0
+	}
 	var num, den float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		num += dx * (ys[i] - my)
+	for _, p := range pts {
+		dx := p.X - mx
+		num += dx * (p.Y - my)
 		den += dx * dx
 	}
 	if den == 0 {
-		return 0, 0
+		return my, 0, 0
 	}
 	slope = num / den
 	if n < 3 {
-		return slope, 0
+		return my, slope, 0
 	}
 	var rss float64
 	intercept := my - slope*mx
-	for i := 0; i < n; i++ {
-		r := ys[i] - (intercept + slope*xs[i])
+	for _, p := range pts {
+		r := p.Y - (intercept + slope*p.X)
 		rss += r * r
 	}
-	se = math.Sqrt(rss / float64(n-2) / den)
-	return slope, se
+	return my, slope, math.Sqrt(rss / float64(n-2) / den)
 }
 
 // Summary bundles the descriptive statistics the paper reports.

@@ -116,23 +116,22 @@ func TestQuickJainProperties(t *testing.T) {
 }
 
 func TestSlope(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7}
-	if got := Slope(xs, ys); !almost(got, 2, 1e-12) {
-		t.Fatalf("Slope = %v, want 2", got)
+	pts := []Point{{0, 1}, {1, 3}, {2, 5}, {3, 7}}
+	if mean, slope, se := Regress(pts); mean != 4 || !almost(slope, 2, 1e-12) || !almost(se, 0, 1e-12) {
+		t.Fatalf("Regress = %v, %v, %v, want 4, 2, 0", mean, slope, se)
 	}
-	if Slope(xs, ys[:3]) != 0 {
-		t.Fatal("mismatched lengths should yield 0")
+	if _, slope, _ := Regress([]Point{{1, 0}, {1, 5}}); slope != 0 {
+		t.Fatal("vertical data should yield slope 0")
 	}
-	if Slope([]float64{1, 1}, []float64{0, 5}) != 0 {
-		t.Fatal("vertical data should yield 0")
+	if mean, slope, se := Regress([]Point{{1, 2}}); mean != 2 || slope != 0 || se != 0 {
+		t.Fatal("a single point should yield its y and slope 0")
 	}
-	if Slope([]float64{1}, []float64{2}) != 0 {
-		t.Fatal("single point should yield 0")
+	if mean, slope, se := Regress(nil); mean != 0 || slope != 0 || se != 0 {
+		t.Fatal("no points should yield zeros")
 	}
 }
 
-// Property: slope of an exact line y = a + b·x recovers b.
+// Property: the slope of an exact line y = a + b·x recovers b.
 func TestQuickSlopeRecoversLine(t *testing.T) {
 	f := func(a, b float64, n uint8) bool {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
@@ -141,17 +140,92 @@ func TestQuickSlopeRecoversLine(t *testing.T) {
 		if math.Abs(a) > 1e6 || math.Abs(b) > 1e6 {
 			return true
 		}
-		m := int(n%20) + 2
-		xs := make([]float64, m)
-		ys := make([]float64, m)
-		for i := 0; i < m; i++ {
-			xs[i] = float64(i)
-			ys[i] = a + b*float64(i)
+		pts := make([]Point, int(n%20)+2)
+		for i := range pts {
+			pts[i] = Point{float64(i), a + b*float64(i)}
 		}
-		return almost(Slope(xs, ys), b, 1e-6*(1+math.Abs(b)))
+		_, slope, _ := Regress(pts)
+		return almost(slope, b, 1e-6*(1+math.Abs(b)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoSliceFit is the formula Regress replaced — the mean of ys, then the
+// slope and its standard error over parallel xs and ys — kept as the
+// reference Regress must reproduce bit for bit, because the monitor
+// interval's mean RTT and latency gradient feed every MPCC decision.
+func twoSliceFit(xs, ys []float64) (mean, slope, se float64) {
+	mean = Mean(ys)
+	n := len(xs)
+	if n < 2 {
+		return mean, 0, 0
+	}
+	mx, my := Mean(xs), Mean(ys)
+	var num, den float64
+	for i := 0; i < n; i++ {
+		dx := xs[i] - mx
+		num += dx * (ys[i] - my)
+		den += dx * dx
+	}
+	if den == 0 {
+		return mean, 0, 0
+	}
+	slope = num / den
+	if n < 3 {
+		return mean, slope, 0
+	}
+	var rss float64
+	intercept := my - slope*mx
+	for i := 0; i < n; i++ {
+		r := ys[i] - (intercept + slope*xs[i])
+		rss += r * r
+	}
+	return mean, slope, math.Sqrt(rss / float64(n-2) / den)
+}
+
+// TestRegressMatchesTwoSliceFormula pins Regress to the reference bit for
+// bit on a table of edge cases and on random monitor-interval-like samples
+// (send offsets ~0.1 ms apart, RTTs around 50 ms with noise and a gradient).
+func TestRegressMatchesTwoSliceFormula(t *testing.T) {
+	check := func(name string, pts []Point) {
+		t.Helper()
+		xs, ys := make([]float64, len(pts)), make([]float64, len(pts))
+		for i, p := range pts {
+			xs[i], ys[i] = p.X, p.Y
+		}
+		wm, ws, wse := twoSliceFit(xs, ys)
+		gm, gs, gse := Regress(pts)
+		if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gs) != math.Float64bits(ws) ||
+			math.Float64bits(gse) != math.Float64bits(wse) {
+			t.Fatalf("%s: Regress = (%v, %v, %v), reference (%v, %v, %v)", name, gm, gs, gse, wm, ws, wse)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		pts  []Point
+	}{
+		{"empty", nil},
+		{"one point", []Point{{0.004, 0.051}}},
+		{"two points", []Point{{0.001, 0.05}, {0.002, 0.0513}}},
+		{"two points, one offset", []Point{{0.003, 0.05}, {0.003, 0.07}}},
+		{"constant offset", []Point{{0.01, 0.05}, {0.01, 0.06}, {0.01, 0.055}, {0.01, 0.052}}},
+		{"exact line", []Point{{0, 1}, {1, 3}, {2, 5}, {3, 7}}},
+		{"flat rtt", []Point{{0.001, 0.05}, {0.002, 0.05}, {0.003, 0.05}}},
+		{"three points", []Point{{0.0011, 0.0502}, {0.0023, 0.0517}, {0.0031, 0.0509}}},
+	} {
+		check(c.name, c.pts)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		pts := make([]Point, rng.Intn(200))
+		x := 0.0
+		for j := range pts {
+			x += rng.ExpFloat64() * 1e-4
+			pts[j] = Point{x, 0.05 + 0.01*rng.NormFloat64()*rng.Float64() + 0.2*x}
+		}
+		check("random", pts)
 	}
 }
 

@@ -40,6 +40,11 @@ type File struct {
 // NewFile returns a File transfer of size bytes.
 func NewFile(size int64) *File { return &File{remaining: size} }
 
+// Reset makes f a new transfer of size bytes, so an owner can keep one File
+// per session slot instead of allocating one per transfer. A connection
+// reads the size when SetApp installs f.
+func (f *File) Reset(size int64) { f.remaining = size }
+
 // HasData implements App.
 func (f *File) HasData() bool { return f.remaining > 0 }
 

@@ -64,9 +64,10 @@ type Connection struct {
 	// lifecycle (see lifecycle.go)
 	closed           bool
 	closeReason      CloseReason
-	startPending     bool // Start's event has not run yet
-	recycled         bool // Recycle called
-	reclaimed        bool // back in the arena
+	startPending     bool   // Start's event has not run yet
+	recycled         bool   // Recycle called
+	reclaimed        bool   // back in the arena
+	gen              uint64 // times reclaimed (Generation); survives reuse
 	closedAt         sim.Time
 	onClose          func(reason CloseReason, at sim.Time)
 	idleTimeout      sim.Time
@@ -167,8 +168,9 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 	a := arenaOf(eng)
 	c := a.conns.Get()
 	// What a recycled connection keeps: its Subflows (in the spare capacity
-	// of subflows, which may be subflowBuf) and its latency series' buckets.
-	subflows, buf, lat := c.subflows[:0], c.subflowBuf, c.latSeries
+	// of subflows, which may be subflowBuf), its latency series' buckets and
+	// its generation.
+	subflows, buf, lat, gen := c.subflows[:0], c.subflowBuf, c.latSeries, c.gen
 	*c = Connection{
 		Name:          name,
 		eng:           eng,
@@ -185,6 +187,7 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 		probeInterval: DefaultProbeInterval,
 		subflowBuf:    buf,
 		latSeries:     lat,
+		gen:           gen,
 	}
 	for _, o := range opts {
 		o(c)

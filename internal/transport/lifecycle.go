@@ -221,6 +221,14 @@ func (c *Connection) Recycle() {
 	c.reclaim()
 }
 
+// Generation counts the times the connection has gone back to the engine
+// arena. A holder that keeps a recycled connection past its Recycle (an
+// audit of its drain, say) records the generation then: while it reads the
+// same value, the connection is the one it recycled and still out; once it
+// moved, that connection drained and went home, and the object may already
+// carry another owner's session.
+func (c *Connection) Generation() uint64 { return c.gen }
+
 // reclaim hands a recycled connection to the arena once drained. Every
 // release that can be the last calls it; the connection is reset on reuse,
 // not here, because the releaser may still be reading it.
@@ -228,6 +236,7 @@ func (c *Connection) reclaim() {
 	if c.recycled && !c.reclaimed && c.recLive == 0 && c.segLive == 0 && c.miLive == 0 &&
 		c.probeLive == 0 && !c.startPending {
 		c.reclaimed = true
+		c.gen++
 		c.arena.conns.Put(c)
 	}
 }

@@ -24,10 +24,11 @@ type monitorInterval struct {
 	outstanding int // packets sent in this MI not yet acked/lost
 	closed      bool
 
-	rttTimes []float64 // seconds since MI start, at send time
-	rttVals  []float64 // RTT sample in seconds
-	minRTT   sim.Time
-	refs     int32
+	// rtt holds one sample per ACK: X is the send time in seconds since
+	// the MI start, Y the RTT in seconds.
+	rtt    []stats.Point
+	minRTT sim.Time
+	refs   int32
 }
 
 func (mi *monitorInterval) onSend(bytes int) {
@@ -38,8 +39,7 @@ func (mi *monitorInterval) onSend(bytes int) {
 func (mi *monitorInterval) onAck(bytes int, sentAt sim.Time, rtt sim.Time) {
 	mi.ackedBytes += bytes
 	mi.outstanding--
-	mi.rttTimes = append(mi.rttTimes, (sentAt - mi.start).Seconds())
-	mi.rttVals = append(mi.rttVals, rtt.Seconds())
+	mi.rtt = append(mi.rtt, stats.Point{X: (sentAt - mi.start).Seconds(), Y: rtt.Seconds()})
 	if mi.minRTT == 0 || rtt < mi.minRTT {
 		mi.minRTT = rtt
 	}
@@ -84,9 +84,8 @@ func (mi *monitorInterval) stats() cc.MIStats {
 	st.SendRate = float64(mi.sentBytes) * 8 / dur
 	st.Goodput = float64(mi.ackedBytes) * 8 / dur
 	st.LossRate = float64(mi.lostBytes) / float64(mi.sentBytes)
-	if len(mi.rttVals) > 0 {
-		st.AvgRTT = sim.FromSeconds(stats.Mean(mi.rttVals))
-		st.RTTGradient, st.RTTGradientSE = stats.SlopeWithSE(mi.rttTimes, mi.rttVals)
-	}
+	var mean float64
+	mean, st.RTTGradient, st.RTTGradientSE = stats.Regress(mi.rtt)
+	st.AvgRTT = sim.FromSeconds(mean)
 	return st
 }

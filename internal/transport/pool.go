@@ -1,6 +1,9 @@
 package transport
 
-import "mpcc/internal/sim"
+import (
+	"mpcc/internal/sim"
+	"mpcc/internal/stats"
+)
 
 // arena is transport's share of the engine-scoped object arena
 // (sim.Engine.Local): the slabs and free lists for every pooled object of
@@ -45,7 +48,9 @@ import "mpcc/internal/sim"
 //
 // Connection — its owner's until Recycle, then the network's until the
 // last record, segment, monitor interval and revival probe that points at it
-// is home (reclaim), then the arena's.
+// is home (reclaim), then the arena's; each return to the arena advances its
+// Generation, which lets a holder past Recycle tell it apart from the next
+// owner's connection on the same object.
 //
 // The per-connection recLive/segLive/miLive gauges (PoolInUse reports the
 // first two) count what one connection holds out of the arena; the arena's
@@ -58,9 +63,9 @@ type arena struct {
 	mis     sim.Pool[monitorInterval]
 	conns   sim.Pool[Connection]
 
-	// Backing arrays handed back at teardown (and MI rtt-sample buffers,
+	// Backing arrays handed back at teardown (and MI rtt-sample arrays,
 	// which also cycle between finalized and freshly opened intervals).
-	flts      [][]float64
+	flts      [][]stats.Point
 	recSlices [][]*pktRec          // Subflow.outstanding
 	miSlices  [][]*monitorInterval // Subflow.openMIs
 	segSlices [][]*segment         // segQueue storage
@@ -165,12 +170,11 @@ func (c *Connection) releaseSeg(seg *segment) {
 }
 
 // retireMI takes mi out of openMIs (finalized or abandoned): nothing samples
-// into it or reads its rtt buffers again, so they go home now, and the slot's
-// reference is dropped.
+// into it or reads its rtt samples again, so their array goes home now, and
+// the slot's reference is dropped.
 func (c *Connection) retireMI(mi *monitorInterval) {
-	pushSlice(&c.arena.flts, mi.rttTimes)
-	pushSlice(&c.arena.flts, mi.rttVals)
-	mi.rttTimes, mi.rttVals = nil, nil
+	pushSlice(&c.arena.flts, mi.rtt)
+	mi.rtt = nil
 	c.releaseMI(mi)
 }
 

@@ -206,21 +206,103 @@ func TestRecycledConnectionRunsLikeFresh(t *testing.T) {
 		if err := jw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		mean, std := c.MeanLatency()
-		ledger = fmt.Sprintf("acked %d received %d offered %d inorder %d fct %v cause %v at %v latency %v %v %v gap %v last %v goodput %v\n",
-			c.AckedBytes(), c.ReceivedBytes(), c.OfferedBytes(), c.InOrderBytes(), c.FCT(), c.CloseCause(), c.ClosedAt(),
-			mean, std, c.MeanLatencySince(sim.Second), c.MaxDeliveryGap(), c.LastDeliveredAt(), c.Goodput().Rates())
-		for _, s := range c.Subflows() {
-			ledger += fmt.Sprintf("sf%d sent %d/%d delivered %d lost %d spurious %d/%d fails %d state %v srtt %v rate %v goodput %v\n",
-				s.ID(), s.SentPkts(), s.SentBytes(), s.DeliveredBytes(), s.LostPkts(), s.SpuriousPkts(), s.SpuriousRTOs(),
-				s.Fails(), s.State(), s.SRTT(), s.Rate(), s.Goodput().Rates())
-		}
-		return buf.String(), ledger
+		return buf.String(), connLedger(c)
 	}
 	freshTrace, freshLedger := run(false)
 	trace, ledger := run(true)
 	if ledger != freshLedger {
 		t.Fatalf("ledgers differ:\nfresh:\n%s\nrecycled:\n%s", freshLedger, ledger)
+	}
+	if trace != freshTrace {
+		t.Fatalf("traces differ (%d vs %d bytes)", len(freshTrace), len(trace))
+	}
+}
+
+// connLedger renders everything a connection and its subflows account.
+func connLedger(c *Connection) string {
+	mean, std := c.MeanLatency()
+	ledger := fmt.Sprintf("acked %d received %d offered %d inorder %d fct %v cause %v at %v latency %v %v %v gap %v last %v goodput %v\n",
+		c.AckedBytes(), c.ReceivedBytes(), c.OfferedBytes(), c.InOrderBytes(), c.FCT(), c.CloseCause(), c.ClosedAt(),
+		mean, std, c.MeanLatencySince(sim.Second), c.MaxDeliveryGap(), c.LastDeliveredAt(), c.Goodput().Rates())
+	for _, s := range c.Subflows() {
+		ledger += fmt.Sprintf("sf%d sent %d/%d delivered %d lost %d spurious %d/%d fails %d state %v srtt %v rate %v goodput %v\n",
+			s.ID(), s.SentPkts(), s.SentBytes(), s.DeliveredBytes(), s.LostPkts(), s.SpuriousPkts(), s.SpuriousRTOs(),
+			s.Fails(), s.State(), s.SRTT(), s.Rate(), s.Goodput().Rates())
+	}
+	return ledger
+}
+
+// TestGroupReusedAtCloseRunsLikeFresh is the churn driver's close: an MPCC
+// connection is aborted with data packets (and duplication clones) in its
+// links, delayed-ACK batches on the reverse path and an MI-end timer pending,
+// and its group is reset at once and taken by the next connection, which
+// starts while the old one drains. The twin gives the next connection a new
+// group instead. Traces and ledgers must be identical.
+func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
+	run := func(reuse bool) (trace, ledger string) {
+		var buf bytes.Buffer
+		jw := obs.NewJSONLWriter(&buf)
+		bus := obs.NewBus(jw)
+		tn := newTestNet(93, 2)
+		for _, l := range tn.links {
+			l.SetProbes(bus)
+		}
+		tn.links[0].SetLoss(0.01)
+		tn.links[0].SetDuplicate(0.05)
+		a := arenaOf(tn.eng)
+		attach := func(name string, grp *ccmpcc.Group) (*Connection, []*ccmpcc.Controller) {
+			c := NewConnection(tn.eng, name, WithProbes(bus), WithDelayedAcks(2, 4*sim.Millisecond))
+			var ctls []*ccmpcc.Controller
+			for i := range tn.links {
+				p := tn.path(i)
+				p.SetProbes(bus)
+				ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
+				ctl.SetProbes(bus, name)
+				c.AddRateSubflow(p, ctl)
+				ctls = append(ctls, ctl)
+			}
+			return c, ctls
+		}
+
+		grp := ccmpcc.NewGroup()
+		old, oldCtls := attach("old", grp)
+		old.SetApp(Bulk{}, nil)
+		old.Start(0)
+		for !(tn.eng.Now() > sim.Second && a.batches.InUse() > 0 &&
+			netem.PacketsInUse(tn.eng) > a.batches.InUse() && old.miLive > 0) {
+			if !tn.eng.Step() {
+				t.Fatal("engine went idle before the close condition held")
+			}
+		}
+		old.Abort()
+		old.Recycle()
+		if reuse {
+			grp.Reset()
+		} else {
+			grp = ccmpcc.NewGroup()
+		}
+		c, ctls := attach("next", grp)
+		if reused := ctls[0] == oldCtls[1] && ctls[1] == oldCtls[0]; reused != reuse { // the group rebuilds last-built first
+			t.Fatalf("reuse=%v but controllers reused=%v", reuse, reused)
+		}
+		if c == old || old.miLive == 0 || old.recLive == 0 {
+			t.Fatalf("the old connection drained before the next one started (miLive %d, recLive %d)", old.miLive, old.recLive)
+		}
+		c.SetApp(NewFile(4<<20), func(sim.Time) { c.Close() })
+		c.Start(tn.eng.Now() + sim.Millisecond)
+		tn.eng.Run(0)
+		if !c.Closed() || c.FCT() < 0 {
+			t.Fatalf("next connection did not complete: closed=%v fct=%v", c.Closed(), c.FCT())
+		}
+		if err := jw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), connLedger(c)
+	}
+	freshTrace, freshLedger := run(false)
+	trace, ledger := run(true)
+	if ledger != freshLedger {
+		t.Fatalf("ledgers differ:\nfresh group:\n%s\nreused group:\n%s", freshLedger, ledger)
 	}
 	if trace != freshTrace {
 		t.Fatalf("traces differ (%d vs %d bytes)", len(freshTrace), len(trace))
@@ -288,7 +370,12 @@ func (g guardedWindow) OnSpuriousLoss(now sim.Time, wasRTO bool) {
 // connection closes — from the completion callback inside ACK processing
 // (per-packet and delayed ACKs), by abort with packets in flight, by the idle
 // watchdog, and while a failed subflow probes — over a lossy, reordering,
-// duplicating path, and fails on any controller call after the close.
+// duplicating path, and fails on any controller call after the close. An
+// MPCC connection's close also does what the churn driver's does: it resets
+// the group inside the close hook and hands its controllers to a next
+// connection that starts at once, while the closed one's packets, ACK
+// batches and MI-end timer are still in flight; the next connection's calls
+// are legal, the closed one's are not.
 func TestNoControllerCallAfterShutdown(t *testing.T) {
 	type closer struct {
 		name string
@@ -334,11 +421,28 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 						c.AddWindowSubflow(tn.path(i), guardedWindow{g, reno.New()})
 					}
 				}
+				var next *Connection
+				if kind == "mpcc" {
+					c.SetOnClose(func(CloseReason, sim.Time) {
+						grp.Reset()
+						next = NewConnection(tn.eng, "next")
+						gn := guard{t, &next, &calls}
+						for i := range tn.links {
+							ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
+							next.AddRateSubflow(tn.path(i), guardedRate{gn, ctl})
+						}
+						next.SetApp(NewFile(256<<10), func(sim.Time) { next.Close() })
+						next.Start(tn.eng.Now())
+					})
+				}
 				cl.setup(tn, c)
 				c.Start(0)
 				tn.eng.Run(0)
 				if !c.Closed() || calls == 0 {
 					t.Fatalf("closed=%v after %d controller calls", c.Closed(), calls)
+				}
+				if kind == "mpcc" && (next == nil || next.FCT() < 0) {
+					t.Fatal("the connection that took the group did not complete its file")
 				}
 			})
 		}

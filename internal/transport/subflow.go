@@ -307,7 +307,7 @@ func (s *Subflow) rollMI() {
 	mi := a.mis.Get()
 	s.conn.miLive++
 	*mi = monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate,
-		rttTimes: popSlice(&a.flts), rttVals: popSlice(&a.flts),
+		rtt:  popSlice(&a.flts),
 		refs: 2, // openMIs slot + end-of-MI timer
 	}
 	s.miSeq++
@@ -350,8 +350,8 @@ func (s *Subflow) currentMI() *monitorInterval {
 // Resolved MIs are consumed via a head index (not re-slicing) so the queue's
 // capacity is reused; records may still reference a consumed MI (late
 // spurious corrections), which is safe because each holds a reference that
-// keeps the struct out of the arena — only its rtt-sample slices, which
-// nothing reads after stats(), go home at once.
+// keeps the struct out of the arena — only its rtt-sample array, which
+// nothing reads after stats(), goes home at once.
 func (s *Subflow) finalizeMIs() {
 	now := s.conn.eng.Now()
 	for s.miHead < len(s.openMIs) && s.openMIs[s.miHead].resolved(now) {
