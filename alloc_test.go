@@ -1,11 +1,12 @@
 // Steady-state allocation regression test for the emulator hot loop.
 //
 // The event core is designed to stop allocating once warm: timers, packets,
-// transmission records, and segments all come from pools; ACK feedback rides
-// pooled batches; queues recycle their backing arrays. This test boots the
-// same saturated MPCC₂ rig as BenchmarkEmulatorThroughput, warms it past the
-// point where pools and stat buffers have grown to their working size, and
-// then requires continued simulation to be (amortized) allocation-free.
+// transmission records, and segments all come from pools; an ACK carries its
+// data packet's pooled record; queues recycle their backing arrays. This
+// test boots the same saturated MPCC₂ rig as BenchmarkEmulatorThroughput,
+// warms it past the point where pools and stat buffers have grown to their
+// working size, and then requires continued simulation to be (amortized)
+// allocation-free.
 package mpcc_test
 
 import (
@@ -16,6 +17,7 @@ import (
 	"mpcc"
 	"mpcc/internal/exp"
 	"mpcc/internal/sim"
+	"mpcc/internal/topo"
 )
 
 func TestEmulatorSteadyStateAllocs(t *testing.T) {
@@ -152,5 +154,31 @@ func TestChurnRunAllocs(t *testing.T) {
 	}
 	if objs > 42_000 || bytes > 10_500_000 {
 		t.Fatalf("a 20 s overload run allocates %d objects and %d bytes, want ≤ 42 000 and ≤ 10.5 MB", objs, bytes)
+	}
+}
+
+// TestFig3cRunAllocs bounds what one whole 20 s Fig. 3c run allocates, for
+// a paced protocol (MPCC-loss) and an ACK-clocked one (LIA), after a first
+// run has warmed the process: about 620 and 425 objects at seed 1. An
+// acknowledgement carries its data packet's record back to the sender, so
+// nothing is built per ACK in flight; a pooled object per feedback packet,
+// growing to the peak number of ACKs in flight (≈ 500), would nearly
+// double both.
+func TestFig3cRunAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		proto exp.Protocol
+		max   uint64
+	}{{exp.MPCCLoss, 710}, {exp.LIA, 485}} {
+		spec := exp.Spec{Seed: 1, Duration: 20 * sim.Second, Warmup: 6 * sim.Second, Topo: topo.Fig3c(), Proto: tc.proto}
+		exp.Run(spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		exp.Run(spec)
+		runtime.ReadMemStats(&after)
+		objs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d objects, %d bytes", tc.proto, objs, after.TotalAlloc-before.TotalAlloc)
+		if objs > tc.max {
+			t.Errorf("a 20 s Fig. 3c run of %s allocates %d objects, want ≤ %d", tc.proto, objs, tc.max)
+		}
 	}
 }

@@ -53,8 +53,6 @@ func (s MIStats) Duration() float64 { return (s.End - s.Start).Seconds() }
 // for the new interval, and delivers completed statistics — in MI order, and
 // typically about one RTT after the interval ends — via OnMIComplete.
 type RateController interface {
-	// InitialRate returns the rate for the very first MI, in bits/s.
-	InitialRate() float64
 	// NextRate returns the pacing rate for the MI beginning at now.
 	NextRate(now, srtt sim.Time) float64
 	// OnMIComplete delivers the statistics of a finished MI.
@@ -71,8 +69,6 @@ type InflightCapper interface {
 // WindowController is an ACK-clocked, congestion-window-based controller.
 // The window is measured in packets (MSS units) and may be fractional.
 type WindowController interface {
-	// InitialCwnd returns the initial window in packets.
-	InitialCwnd() float64
 	// Cwnd returns the current window in packets.
 	Cwnd() float64
 	// OnAck is invoked for every acknowledged packet.

@@ -99,9 +99,6 @@ type LIA struct{ base }
 // NewLIA returns a LIA controller registered with coupler.
 func NewLIA(coupler *cc.Coupler) *LIA { return &LIA{newBase(coupler)} }
 
-// InitialCwnd implements cc.WindowController.
-func (c *LIA) InitialCwnd() float64 { return c.cwnd }
-
 // Cwnd implements cc.WindowController.
 func (c *LIA) Cwnd() float64 { return c.cwnd }
 
@@ -148,9 +145,6 @@ type OLIA struct{ base }
 
 // NewOLIA returns an OLIA controller registered with coupler.
 func NewOLIA(coupler *cc.Coupler) *OLIA { return &OLIA{newBase(coupler)} }
-
-// InitialCwnd implements cc.WindowController.
-func (c *OLIA) InitialCwnd() float64 { return c.cwnd }
 
 // Cwnd implements cc.WindowController.
 func (c *OLIA) Cwnd() float64 { return c.cwnd }
@@ -244,9 +238,6 @@ type Balia struct{ base }
 
 // NewBalia returns a Balia controller registered with coupler.
 func NewBalia(coupler *cc.Coupler) *Balia { return &Balia{newBase(coupler)} }
-
-// InitialCwnd implements cc.WindowController.
-func (c *Balia) InitialCwnd() float64 { return c.cwnd }
 
 // Cwnd implements cc.WindowController.
 func (c *Balia) Cwnd() float64 { return c.cwnd }

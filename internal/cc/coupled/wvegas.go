@@ -35,9 +35,6 @@ func NewWVegas(coupler *cc.Coupler, totalAlpha float64) *WVegas {
 	return w
 }
 
-// InitialCwnd implements cc.WindowController.
-func (c *WVegas) InitialCwnd() float64 { return c.cwnd }
-
 // Cwnd implements cc.WindowController.
 func (c *WVegas) Cwnd() float64 { return c.cwnd }
 

@@ -38,9 +38,6 @@ func New() *Controller {
 	return &Controller{cwnd: 10, ssthresh: 1e9, maxCwnd: 1e9, epochStart: -1}
 }
 
-// InitialCwnd implements cc.WindowController.
-func (c *Controller) InitialCwnd() float64 { return c.cwnd }
-
 // Cwnd implements cc.WindowController.
 func (c *Controller) Cwnd() float64 { return c.cwnd }
 

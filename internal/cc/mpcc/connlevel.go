@@ -223,9 +223,6 @@ type connSubflow struct {
 	idx int
 }
 
-// InitialRate implements cc.RateController.
-func (a *connSubflow) InitialRate() float64 { return a.cl.cfg.InitialRateBps }
-
 // NextRate implements cc.RateController.
 func (a *connSubflow) NextRate(now, srtt sim.Time) float64 {
 	a.cl.observeSRTT(srtt)

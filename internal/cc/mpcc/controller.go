@@ -233,9 +233,6 @@ func (c *Controller) Rate() float64 { return c.rate }
 // State returns the controller phase name (for tracing and tests).
 func (c *Controller) State() string { return c.state.String() }
 
-// InitialRate implements cc.RateController.
-func (c *Controller) InitialRate() float64 { return c.cfg.InitialRateBps }
-
 // NextRate implements cc.RateController: it is called at each MI boundary
 // and returns the pacing rate for the new interval. It also publishes the
 // chosen rate to the group (the rate-publication point).

@@ -43,9 +43,6 @@ func New(opts ...Option) *Controller {
 	return c
 }
 
-// InitialCwnd implements cc.WindowController.
-func (c *Controller) InitialCwnd() float64 { return c.cwnd }
-
 // Cwnd implements cc.WindowController.
 func (c *Controller) Cwnd() float64 { return c.cwnd }
 

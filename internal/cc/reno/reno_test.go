@@ -8,8 +8,8 @@ import (
 
 func TestSlowStartDoublesPerRTT(t *testing.T) {
 	c := New()
-	if c.InitialCwnd() != 10 {
-		t.Fatalf("InitialCwnd = %v", c.InitialCwnd())
+	if c.Cwnd() != 10 {
+		t.Fatalf("initial Cwnd = %v", c.Cwnd())
 	}
 	// One RTT worth of ACKs (cwnd packets) doubles the window.
 	w := c.Cwnd()

@@ -168,8 +168,9 @@ func churnRig(spec Spec) (d *churnDriver, eng *sim.Engine, open func(size int64)
 }
 
 // TestChurnAuditCountsConnectionStillOut closes a session while its
-// records are still out — every ACK batch sits on a 2 s reverse path when
-// the handshake watchdog aborts it — and audits it 200 ms later: one leak.
+// records are still out — every acknowledgement sits on a 2 s reverse path
+// when the handshake watchdog aborts it — and audits it 200 ms later: one
+// leak.
 func TestChurnAuditCountsConnectionStillOut(t *testing.T) {
 	spec := ChurnSpecAt(Config{Seed: 3, Duration: 3 * sim.Second}, 1.0)
 	spec.Churn.HandshakeTimeout = 300 * sim.Millisecond
@@ -186,10 +187,10 @@ func TestChurnAuditCountsConnectionStillOut(t *testing.T) {
 		t.Fatalf("want one aborted session and one audit, got %+v", st)
 	}
 	if st.Leaks != 1 {
-		t.Fatalf("a connection closed with its ACK batches in flight audited %d leaks, want 1", st.Leaks)
+		t.Fatalf("a connection closed with its acknowledgements in flight audited %d leaks, want 1", st.Leaks)
 	}
 	if conn.Generation() == gen {
-		t.Fatal("the connection never went home once its ACK batches arrived")
+		t.Fatal("the connection never went home once its acknowledgements arrived")
 	}
 }
 

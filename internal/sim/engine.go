@@ -11,7 +11,7 @@
 // queue has three tiers, split by a timer's 65.5 µs slot relative to the
 // frontier (the slot being fired): an imminent heap for slots at or before
 // it, a single-level hashed timing wheel for the next 8 191 slots (O(1)
-// insert and cancel within ~half a second: pacing, delayed-ACK,
+// insert and cancel within ~half a second: pacing, ACK returns,
 // monitor-interval and a subflow's RTO timer while un-backed-off), and a far
 // heap for everything beyond (watchdogs, churn timers, backed-off RTO timers
 // — about a thousand at a time under overload). Both heaps are one inlined
@@ -60,7 +60,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Timing-wheel geometry. Slots are 2^wheelShift nanoseconds (≈65.5 µs) so
 // the slot of a timestamp is a shift, not a division; wheelSlots of them
 // span ≈537 ms, which covers every high-churn timer class the transport
-// arms (pacer ticks, delayed ACKs, RACK rechecks, monitor intervals, and
+// arms (pacer ticks, ACK returns, RACK rechecks, monitor intervals, and
 // un-backed-off RTOs). Timers beyond the span go to the far heap, which
 // needs no cascading: the frontier never passes the far head's slot without
 // popping it.
@@ -541,7 +541,7 @@ func (e *Engine) Fired(at Time, seq uint64) bool {
 // free list like Schedule's: it recycles the moment it fires or is stopped,
 // and the TimerRef's generation makes any stale handle a harmless no-op.
 // This is the zero-allocation cancellable timer for hot cancel-heavy paths
-// (retransmission, pacing, delayed-ACK and monitor-interval timers).
+// (retransmission, pacing, RACK-recheck and revival-probe timers).
 func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	e.checkFuture(at)
 	t := e.grabPooled(at, afn, arg)

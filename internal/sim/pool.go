@@ -2,7 +2,7 @@ package sim
 
 // Pool is a slab-backed free list of *T: the one implementation behind every
 // pooled object type of the layers above (netem packets; transport records,
-// segments, ACK batches, monitor intervals and connections). Pools hang off
+// segments, monitor intervals and connections). Pools hang off
 // one engine (see Engine.Local), and an engine is single-threaded, so a
 // plain slice needs no locking — unlike a sync.Pool, which would cost an
 // atomic per get/put and leak objects across concurrently running engines.

@@ -1,5 +1,7 @@
 package simtest
 
+import "slices"
+
 // The shrinker: given a scenario that violates an invariant, find a smaller
 // scenario that still violates the *same* invariant. Because a Check is a
 // pure function of its Scenario, shrinking is plain greedy search — apply a
@@ -120,59 +122,15 @@ func shrinkOnce(sc Scenario, target string, keepLinks bool, fails func(Scenario)
 			}
 		}
 	}
-	if anyLoss(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].LossPct = 0
-		}
-		if fails(c) {
-			return c, true
-		}
-	}
-	if anyJitter(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].JitterMs = 0
-		}
-		if fails(c) {
-			return c, true
-		}
-	}
-	if anyReorder(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].ReorderPct, c.Links[i].ReorderCorr = 0, 0
-			c.Links[i].ReorderGap, c.Links[i].ReoEarlyMs = 0, 0
-		}
-		if fails(c) {
-			return c, true
-		}
-	}
-	if anyDup(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].DupPct = 0
-		}
-		if fails(c) {
-			return c, true
-		}
-	}
-	if anyPolicer(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].PolicerMbps, c.Links[i].PolicerBurst = 0, 0
-		}
-		if fails(c) {
-			return c, true
-		}
-	}
-	if anyShaper(sc) {
-		c := clone(sc)
-		for i := range c.Links {
-			c.Links[i].ShaperMbps, c.Links[i].ShaperBurst = 0, 0
-		}
-		if fails(c) {
-			return c, true
+	for _, imp := range impairments {
+		if slices.ContainsFunc(sc.Links, imp.present) {
+			c := clone(sc)
+			for i := range c.Links {
+				imp.clear(&c.Links[i])
+			}
+			if fails(c) {
+				return c, true
+			}
 		}
 	}
 	for i, f := range sc.Flows {
@@ -317,56 +275,17 @@ func dropLink(sc Scenario, i int) (Scenario, bool) {
 	return c, true
 }
 
-func anyLoss(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.LossPct > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func anyJitter(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.JitterMs > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func anyReorder(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.reorders() {
-			return true
-		}
-	}
-	return false
-}
-
-func anyDup(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.DupPct > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func anyPolicer(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.policed() {
-			return true
-		}
-	}
-	return false
-}
-
-func anyShaper(sc Scenario) bool {
-	for _, l := range sc.Links {
-		if l.shaped() {
-			return true
-		}
-	}
-	return false
+// impairments lists the link impairments shrinkOnce clears, in the order it
+// tries them: each is one reduction that clears it on every link, tried
+// when some link has it.
+var impairments = []struct {
+	present func(LinkSpec) bool
+	clear   func(*LinkSpec)
+}{
+	{func(l LinkSpec) bool { return l.LossPct > 0 }, func(l *LinkSpec) { l.LossPct = 0 }},
+	{func(l LinkSpec) bool { return l.JitterMs > 0 }, func(l *LinkSpec) { l.JitterMs = 0 }},
+	{LinkSpec.reorders, func(l *LinkSpec) { l.ReorderPct, l.ReorderCorr, l.ReorderGap, l.ReoEarlyMs = 0, 0, 0, 0 }},
+	{func(l LinkSpec) bool { return l.DupPct > 0 }, func(l *LinkSpec) { l.DupPct = 0 }},
+	{LinkSpec.policed, func(l *LinkSpec) { l.PolicerMbps, l.PolicerBurst = 0, 0 }},
+	{LinkSpec.shaped, func(l *LinkSpec) { l.ShaperMbps, l.ShaperBurst = 0, 0 }},
 }

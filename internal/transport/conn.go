@@ -37,12 +37,7 @@ type Connection struct {
 	subflowBuf [2]*Subflow // inline storage for the common 1–2 subflow case
 	sched      Scheduler
 	app        App
-	mss        int
-	sndBufPkts int
 	minRTO     sim.Time
-
-	ackEvery   int      // delayed ACKs: packets per ACK (default 1 = immediate)
-	ackTimeout sim.Time // delayed-ACK timer
 	rcvBuf     int64    // receive-buffer bytes (default DefaultRcvBufBytes; 0 = unlimited)
 	rcv        rangeSet // receiver-side reassembly state
 
@@ -102,22 +97,9 @@ type Connection struct {
 // ConnOption configures a Connection.
 type ConnOption func(*Connection)
 
-// WithMSS overrides the packet payload size.
-func WithMSS(mss int) ConnOption { return func(c *Connection) { c.mss = mss } }
-
-// WithSndBuf overrides the send-buffer cap, in packets of pending data.
-func WithSndBuf(pkts int) ConnOption { return func(c *Connection) { c.sndBufPkts = pkts } }
-
 // WithMinRTO overrides the minimum retransmission timeout (the data-center
 // experiments lower it, as DC stacks do).
 func WithMinRTO(d sim.Time) ConnOption { return func(c *Connection) { c.minRTO = d } }
-
-// WithDelayedAcks makes receivers acknowledge every n-th packet, or after
-// timeout if fewer arrive (RFC 1122-style delayed ACKs; the default is
-// per-packet acknowledgement).
-func WithDelayedAcks(n int, timeout sim.Time) ConnOption {
-	return func(c *Connection) { c.ackEvery, c.ackTimeout = n, timeout }
-}
 
 // WithRcvBuf bounds the receiver's reassembly buffer: a sender may not have
 // stream data beyond (in-order delivered + bytes) outstanding. The default
@@ -176,11 +158,8 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 		eng:           eng,
 		arena:         a,
 		orphans:       segQueue{arena: a},
-		mss:           DefaultMSS,
-		sndBufPkts:    DefaultSndBufPkts,
 		minRTO:        DefaultMinRTO,
 		rcvBuf:        DefaultRcvBufBytes,
-		ackEvery:      1,
 		sched:         paperScheduler,
 		fct:           -1,
 		failThreshold: DefaultFailThreshold,
@@ -304,12 +283,12 @@ func (c *Connection) pump() {
 	}
 	c.pumping = true
 	defer func() { c.pumping = false }()
-	for c.totalUnacked() < c.sndBufPkts && c.app.HasData() {
+	for c.totalUnacked() < DefaultSndBufPkts && c.app.HasData() {
 		s := c.sched.Pick(c)
 		if s == nil {
 			return
 		}
-		n := c.app.Take(c.mss)
+		n := c.app.Take(DefaultMSS)
 		if n == 0 {
 			return
 		}
@@ -401,9 +380,6 @@ func (c *Connection) MaxDeliveryGap() sim.Time { return c.maxDeliveryGap }
 // LastDeliveredAt returns the time of the most recent first delivery (0 if
 // nothing has been delivered yet).
 func (c *Connection) LastDeliveredAt() sim.Time { return c.lastDeliveredAt }
-
-// MSS returns the connection's packet payload size.
-func (c *Connection) MSS() int { return c.mss }
 
 // Goodput returns the connection's first-delivery byte series: the sum of
 // its subflows' (each segment is delivered once, by one subflow), built anew

@@ -192,7 +192,7 @@ func (s *Subflow) sendProbe() {
 	s.probeSeq++
 	pr := &probeRec{sf: s, seq: s.probeSeq, sentAt: s.conn.eng.Now()}
 	s.conn.probeLive++
-	s.path.Send(s.conn.mss, pr, netem.SinkFunc(s.probeDeliver), nil)
+	s.path.Send(DefaultMSS, pr, netem.SinkFunc(s.probeDeliver), nil)
 	s.scheduleProbe()
 }
 

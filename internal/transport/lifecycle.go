@@ -5,11 +5,11 @@ import "mpcc/internal/sim"
 // Connection lifecycle. A connection is open from Start until Close/Abort
 // (explicit) or a watchdog timeout (idle/handshake) shuts it down. Teardown
 // is synchronous for everything the connection owns: pending/retx/orphan
-// segments, outstanding-slot packet references, receiver-side delayed-ACK
-// batches, every per-subflow timer, and the backing arrays its
-// queues grew (handed back to the engine arena). References held by
-// packets still inside netem links cannot be reclaimed synchronously; the
-// closed guards on the delivery/feedback sinks release each one as it
+// segments, outstanding-slot packet references, every per-subflow timer,
+// and the backing arrays its queues grew (handed back to the engine arena).
+// References held by data packets still inside netem links and by
+// acknowledgements on the reverse path cannot be reclaimed synchronously;
+// the closed guards on the delivery/feedback sinks release each one as it
 // drains, so the per-connection pool gauges (PoolInUse) return to zero once
 // the engine goes idle — the churn leak test asserts exactly that. An owner
 // done with a closed connection may Recycle it: once drained it goes back
@@ -106,7 +106,7 @@ func (c *Connection) shutdown(reason CloseReason) {
 }
 
 // teardown releases everything a subflow owns. In-flight packets (data,
-// ACK batches, duplication clones) keep their records alive until netem
+// duplication clones, acknowledgements) keep their records alive until netem
 // resolves them; the closed guards on receiverDeliver/senderAck release
 // those references as they drain.
 func (s *Subflow) teardown() {
@@ -116,17 +116,10 @@ func (s *Subflow) teardown() {
 	s.rackTimer = sim.TimerRef{}
 	s.rtoTimer.Stop()
 	s.rtoTimer = sim.TimerRef{}
-	s.rxTimer.Stop()
-	s.rxTimer = sim.TimerRef{}
 	s.probeTimer.Stop()
 	s.probeTimer = sim.TimerRef{}
 	s.pacerIdle = true
 	s.capBlocked = false
-	if s.rxPending != nil {
-		b := s.rxPending
-		s.rxPending = nil
-		s.recycleBatch(b) // releases each record's network reference
-	}
 	a := s.conn.arena
 	s.dropOpenMIs()
 	pushSlice(&a.miSlices, s.openMIs)
@@ -209,9 +202,10 @@ func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive 
 // its controllers are free for another connection (no controller method
 // runs after shutdown). The Connection, its Subflows and their storage go
 // back to the engine arena once nothing in flight points at them any more —
-// data packets and duplication clones in links, ACK batches on the reverse
-// path, pending end-of-MI timers, revival probes and a start event that
-// never ran — and a later NewConnection on the same engine rebuilds on them.
+// data packets and duplication clones in links, acknowledgements on the
+// reverse path, pending end-of-MI timers, revival probes and a start event
+// that never ran — and a later NewConnection on the same engine rebuilds on
+// them.
 // Nothing needs to call it: a connection never recycled is garbage-collected.
 func (c *Connection) Recycle() {
 	if !c.closed {

@@ -84,16 +84,32 @@ func TestCloseKeepsReceivedBytes(t *testing.T) {
 	}
 }
 
+// TestAbortReleasesPools aborts a connection with data packets in its link
+// and acknowledgements on its 300 ms reverse path. They drain into the
+// pools, and change nothing the connection accounts: its ledger stays as it
+// was at the abort.
 func TestAbortReleasesPools(t *testing.T) {
 	tn := newTestNet(71, 1)
-	c := NewConnection(tn.eng, "ab", WithDelayedAcks(4, 10*sim.Millisecond))
-	c.AddWindowSubflow(tn.path(0), reno.New())
+	c := NewConnection(tn.eng, "ab")
+	p := tn.path(0)
+	p.SetReverseDelay(300 * sim.Millisecond)
+	c.AddWindowSubflow(p, reno.New())
+	acks := ackCount(c)
 	c.SetApp(Bulk{}, nil)
 	c.Start(0)
-	tn.eng.At(1500*sim.Millisecond, c.Abort)
+	for !(tn.eng.Now() > 1500*sim.Millisecond && *acks > 0 && netem.PacketsInUse(tn.eng) > *acks) {
+		if !tn.eng.Step() {
+			t.Fatal("engine went idle before the abort condition held")
+		}
+	}
+	c.Abort()
+	atAbort := connLedger(c)
 	tn.eng.Run(4 * sim.Second)
 	if c.CloseCause() != CloseAborted {
 		t.Fatalf("cause = %v, want abort", c.CloseCause())
+	}
+	if got := connLedger(c); got != atAbort {
+		t.Fatalf("packets that arrived after the abort moved the ledger:\nat abort:\n%s\ndrained:\n%s", atAbort, got)
 	}
 	drained(t, c, "after abort")
 	if p := tn.eng.Pending(); p != 0 {
@@ -166,7 +182,8 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // TestChurnLeak10kSessions is the satellite leak check: 10k sessions —
-// completions, mid-flight aborts, delayed ACKs, lossy and duplicating paths —
+// completions, mid-flight aborts, acknowledgements that outlive their
+// session on a long reverse path, lossy and duplicating paths —
 // after which every per-connection pool gauge must be back at zero, the
 // engine must hold no stray timers, and the engine arena must have every
 // object home (arena out == Σ PoolInUse == 0) while having grown with peak
@@ -181,17 +198,19 @@ func TestChurnLeak10kSessions(t *testing.T) {
 	conns := make([]*Connection, 0, sessions)
 	for i := 0; i < sessions; i++ {
 		i := i
-		var opts []ConnOption
-		if i%3 == 1 {
-			opts = append(opts, WithDelayedAcks(4, 5*sim.Millisecond))
+		path := func(link int) *netem.Path {
+			p := tn.path(link)
+			if i%3 == 1 {
+				p.SetReverseDelay(50 * sim.Millisecond)
+			}
+			return p
 		}
-		opts = append(opts, WithRcvBuf(64*1500))
-		c := NewConnection(tn.eng, "s", opts...)
+		c := NewConnection(tn.eng, "s", WithRcvBuf(64*1500))
 		if i%2 == 0 {
-			c.AddRateSubflow(tn.path(0), ccmpcc.New(cfg, grp, tn.eng.Rand()))
-			c.AddRateSubflow(tn.path(1), ccmpcc.New(cfg, grp, tn.eng.Rand()))
+			c.AddRateSubflow(path(0), ccmpcc.New(cfg, grp, tn.eng.Rand()))
+			c.AddRateSubflow(path(1), ccmpcc.New(cfg, grp, tn.eng.Rand()))
 		} else {
-			c.AddWindowSubflow(tn.path(i%2), reno.New())
+			c.AddWindowSubflow(path(i%2), reno.New())
 		}
 		start := sim.Time(i) * 2 * sim.Millisecond
 		if i%7 == 3 {
@@ -217,9 +236,8 @@ func TestChurnLeak10kSessions(t *testing.T) {
 		t.Fatalf("%d timers still pending after all sessions closed", p)
 	}
 	a := arenaOf(tn.eng)
-	if recs, segs, batches, mis := a.recs.InUse(), a.segs.InUse(), a.batches.InUse(), a.mis.InUse(); recs|segs|batches|mis != 0 {
-		t.Fatalf("arena not drained at engine idle: %d recs, %d segs, %d ack batches, %d MIs out",
-			recs, segs, batches, mis)
+	if recs, segs, mis := a.recs.InUse(), a.segs.InUse(), a.mis.InUse(); recs|segs|mis != 0 {
+		t.Fatalf("arena not drained at engine idle: %d recs, %d segs, %d MIs out", recs, segs, mis)
 	}
 	if n := netem.PacketsInUse(tn.eng); n != 0 {
 		t.Fatalf("%d packets still out of the engine arena at idle", n)

@@ -9,12 +9,12 @@ import (
 )
 
 // ack delivers an acknowledgement of rec to the sender as the network does:
-// a feedback packet carrying a one-record batch. The batch releases the
-// network reference a delivered packet hands it; ack takes that reference
-// here, so the caller's references are untouched.
+// a feedback packet carrying the record. senderAck releases the network
+// reference a delivered packet hands it; ack takes that reference here, so
+// the caller's references are untouched.
 func (s *Subflow) ack(rec *pktRec) {
 	rec.refs++
-	s.senderAck(&netem.Packet{Meta: s.conn.arena.newAckBatch(rec)})
+	s.senderAck(&netem.Packet{Meta: rec})
 }
 
 // lossRig builds a started window-subflow connection with a hand-feedable

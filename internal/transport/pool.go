@@ -28,11 +28,12 @@ import (
 // (released when advanceHead passes the record, or by teardown) and the
 // network packet carrying it as Meta (netem releases it on a drop via
 // ReleaseMeta and retains an extra one per duplication clone via RetainMeta;
-// a delivery transfers it to the receiver's ACK pipeline, which releases it
-// after senderAck processed the record). No timer holds one: a record carries
-// its RTO deadline. It may outlive its loss declaration — what Eifel-style
-// spurious-retransmit repair needs — and its connection's Close only while
-// its packet is in a link, and goes home when that packet delivers or drops.
+// a delivery hands it to the feedback packet that acknowledges the data
+// packet, and senderAck releases it once it processed the record). No timer
+// holds one: a record carries its RTO deadline. It may outlive its loss
+// declaration — what Eifel-style spurious-retransmit repair needs — and its
+// connection's Close only while its data or feedback packet is on the path,
+// and goes home when that packet arrives or drops.
 //
 // segment — one reference per queue membership (pending/retx/orphans) plus
 // one per pktRec pointing at it. Queue pops transfer the reference to the
@@ -57,11 +58,10 @@ import (
 // own InUse counts are their sum over every connection the engine ever
 // carried.
 type arena struct {
-	recs    sim.Pool[pktRec]
-	segs    sim.Pool[segment]
-	batches sim.Pool[ackBatch]
-	mis     sim.Pool[monitorInterval]
-	conns   sim.Pool[Connection]
+	recs  sim.Pool[pktRec]
+	segs  sim.Pool[segment]
+	mis   sim.Pool[monitorInterval]
+	conns sim.Pool[Connection]
 
 	// Backing arrays handed back at teardown (and MI rtt-sample arrays,
 	// which also cycle between finalized and freshly opened intervals).
@@ -79,10 +79,9 @@ const poolSlab = 64
 func arenaOf(eng *sim.Engine) *arena {
 	return eng.Local(arenaKey{}, func() any {
 		return &arena{
-			recs:    sim.Pool[pktRec]{Slab: poolSlab},
-			segs:    sim.Pool[segment]{Slab: poolSlab},
-			batches: sim.Pool[ackBatch]{Slab: poolSlab},
-			mis:     sim.Pool[monitorInterval]{Slab: poolSlab},
+			recs: sim.Pool[pktRec]{Slab: poolSlab},
+			segs: sim.Pool[segment]{Slab: poolSlab},
+			mis:  sim.Pool[monitorInterval]{Slab: poolSlab},
 			// One at a time: a connection nobody recycles costs exactly
 			// its own allocation.
 			conns: sim.Pool[Connection]{Slab: 1},
@@ -195,32 +194,4 @@ func (c *Connection) freeMI(mi *monitorInterval) {
 	c.miLive--
 	c.arena.mis.Put(mi)
 	c.reclaim()
-}
-
-// ackBatch carries acknowledged records from the receiver back to the
-// sender as a single feedback packet's Meta. A pooled pointer goes through
-// the `any` interface without allocating, unlike the slice header it wraps.
-// Each entry holds the network reference its data packet's delivery
-// transferred to the ACK pipeline; senderAck releases them after the batch
-// is processed. A recycled batch keeps its recs backing array.
-type ackBatch struct {
-	recs []*pktRec
-}
-
-// newAckBatch returns a recycled (or fresh) batch seeded with rec.
-func (a *arena) newAckBatch(rec *pktRec) *ackBatch {
-	b := a.batches.Get()
-	b.recs = append(b.recs, rec)
-	return b
-}
-
-// recycleBatch releases every record's network reference and returns the
-// batch to the arena.
-func (s *Subflow) recycleBatch(b *ackBatch) {
-	for i, rec := range b.recs {
-		b.recs[i] = nil
-		s.conn.releaseRec(rec)
-	}
-	b.recs = b.recs[:0]
-	s.conn.arena.batches.Put(b)
 }

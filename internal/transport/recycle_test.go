@@ -20,23 +20,23 @@ import (
 // exactly when nothing is pending. Each case leaves a different holder for
 // last, and must be seen holding the connection on its own.
 func TestRecycleWaitsForTheNetwork(t *testing.T) {
-	type held struct{ recs, batches, mis, probes, pkts int }
-	// inFlight: data packets (each with its clone) in the link and ACK
-	// batches on the reverse path, every feedback packet carrying one batch.
-	inFlight := func(c *Connection, a *arena) bool {
-		return a.batches.InUse() > 0 && netem.PacketsInUse(c.eng) > a.batches.InUse()
+	type held struct{ recs, acks, mis, probes, pkts int }
+	// inFlight: data packets (each with its clone) in the link and
+	// acknowledgements on the reverse path.
+	inFlight := func(c *Connection, acks int) bool {
+		return acks > 0 && netem.PacketsInUse(c.eng) > acks
 	}
 	cases := []struct {
 		name string
 		rig  func(tn *testNet) *Connection
 		// closeWhen picks the instant to close; last says what must be seen
 		// holding the connection alone.
-		closeWhen func(c *Connection, a *arena) bool
+		closeWhen func(c *Connection, acks int) bool
 		last      func(h held) bool
 	}{{
 		// A slow subflow's MIs outlast its packets: a data packet with its
-		// duplication clone in a link and an ACK batch on the way back at
-		// the close, and the pending MI-end timer last.
+		// duplication clone in a link and an acknowledgement on the way back
+		// at the close, and the pending MI-end timer last.
 		name: "mi timer",
 		rig: func(tn *testNet) *Connection {
 			tn.links[0].SetDuplicate(1)
@@ -44,11 +44,12 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			c.AddRateSubflow(tn.path(0), fixedRate{0.5 * mbps})
 			return c
 		},
-		closeWhen: func(c *Connection, a *arena) bool { return c.eng.Now() > sim.Second && inFlight(c, a) },
+		closeWhen: func(c *Connection, acks int) bool { return c.eng.Now() > sim.Second && inFlight(c, acks) },
 		last:      func(h held) bool { return h.mis > 0 && h.pkts == 0 },
 	}, {
-		// Window subflows have no MIs. One's 1 s reverse path keeps its ACK
-		// batches in flight after the other's data packets have arrived.
+		// Window subflows have no MIs. One's 1 s reverse path keeps a batch
+		// of acknowledgements in flight after the other's data packets have
+		// arrived.
 		name: "ack batch",
 		rig: func(tn *testNet) *Connection {
 			tn.links[1].SetDuplicate(1)
@@ -59,8 +60,8 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			c.AddWindowSubflow(tn.path(1), fixedWin{64})
 			return c
 		},
-		closeWhen: func(c *Connection, a *arena) bool { return c.eng.Now() > 3*sim.Second && inFlight(c, a) },
-		last:      func(h held) bool { return h.batches > 0 && h.pkts == h.batches },
+		closeWhen: func(c *Connection, acks int) bool { return c.eng.Now() > 3*sim.Second && inFlight(c, acks) },
+		last:      func(h held) bool { return h.acks > 0 && h.pkts == h.acks },
 	}, {
 		// A failed subflow's revival probe is the only packet left.
 		name: "revival probe",
@@ -72,7 +73,7 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			tn.eng.At(3*sim.Second, func() { tn.links[0].SetDown(false) })
 			return c
 		},
-		closeWhen: func(c *Connection, a *arena) bool { return c.probeLive > 0 && c.miLive == 0 },
+		closeWhen: func(c *Connection, acks int) bool { return c.probeLive > 0 && c.miLive == 0 },
 		last:      func(h held) bool { return h.probes > 0 && h.recs == 0 && h.mis == 0 },
 	}, {
 		// Closed before its start event ran.
@@ -82,7 +83,7 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			c.AddRateSubflow(tn.path(0), fixedRate{20 * mbps})
 			return c
 		},
-		closeWhen: func(c *Connection, a *arena) bool { return true },
+		closeWhen: func(c *Connection, acks int) bool { return true },
 		last:      func(h held) bool { return h.pkts == 0 && h.mis == 0 },
 	}}
 	for _, tc := range cases {
@@ -90,9 +91,10 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			tn := newTestNet(81, 2)
 			a := arenaOf(tn.eng)
 			c := tc.rig(tn)
+			acks := ackCount(c)
 			c.SetApp(Bulk{}, nil)
 			c.Start(10 * sim.Millisecond)
-			for !tc.closeWhen(c, a) {
+			for !tc.closeWhen(c, *acks) {
 				if !tn.eng.Step() {
 					t.Fatal("engine went idle before the close condition held")
 				}
@@ -101,7 +103,7 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			c.Recycle()
 			sawLast := false
 			for {
-				h := held{c.recLive, a.batches.InUse(), c.miLive, c.probeLive, netem.PacketsInUse(tn.eng)}
+				h := held{c.recLive, *acks, c.miLive, c.probeLive, netem.PacketsInUse(tn.eng)}
 				home := a.conns.InUse() == 0
 				if pending := tn.eng.Pending(); home != (pending == 0) {
 					t.Fatalf("t=%v: connection home=%v with %d events pending (%+v)", tn.eng.Now(), home, pending, h)
@@ -170,7 +172,7 @@ func TestRecycledConnectionRunsLikeFresh(t *testing.T) {
 		l0.SetReorder(&netem.Reorder{Prob: 0.1, MaxEarly: 20 * sim.Millisecond})
 		l0.SetDuplicate(0.05)
 		grp := ccmpcc.NewGroup()
-		old := attach("old", grp, WithFailThreshold(2), WithDelayedAcks(3, 4*sim.Millisecond))
+		old := attach("old", grp, WithFailThreshold(2))
 		old.SetApp(Bulk{}, nil)
 		old.Start(0)
 		tn.eng.At(2*sim.Second, func() { l1.SetDown(true) })
@@ -234,7 +236,7 @@ func connLedger(c *Connection) string {
 
 // TestGroupReusedAtCloseRunsLikeFresh is the churn driver's close: an MPCC
 // connection is aborted with data packets (and duplication clones) in its
-// links, delayed-ACK batches on the reverse path and an MI-end timer pending,
+// links, acknowledgements on a long reverse path and an MI-end timer pending,
 // and its group is reset at once and taken by the next connection, which
 // starts while the old one drains. The twin gives the next connection a new
 // group instead. Traces and ledgers must be identical.
@@ -249,13 +251,13 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 		}
 		tn.links[0].SetLoss(0.01)
 		tn.links[0].SetDuplicate(0.05)
-		a := arenaOf(tn.eng)
 		attach := func(name string, grp *ccmpcc.Group) (*Connection, []*ccmpcc.Controller) {
-			c := NewConnection(tn.eng, name, WithProbes(bus), WithDelayedAcks(2, 4*sim.Millisecond))
+			c := NewConnection(tn.eng, name, WithProbes(bus))
 			var ctls []*ccmpcc.Controller
 			for i := range tn.links {
 				p := tn.path(i)
 				p.SetProbes(bus)
+				p.SetReverseDelay(200 * sim.Millisecond)
 				ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
 				ctl.SetProbes(bus, name)
 				c.AddRateSubflow(p, ctl)
@@ -266,10 +268,10 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 
 		grp := ccmpcc.NewGroup()
 		old, oldCtls := attach("old", grp)
+		acks := ackCount(old)
 		old.SetApp(Bulk{}, nil)
 		old.Start(0)
-		for !(tn.eng.Now() > sim.Second && a.batches.InUse() > 0 &&
-			netem.PacketsInUse(tn.eng) > a.batches.InUse() && old.miLive > 0) {
+		for !(tn.eng.Now() > sim.Second && *acks > 0 && netem.PacketsInUse(tn.eng) > *acks && old.miLive > 0) {
 			if !tn.eng.Step() {
 				t.Fatal("engine went idle before the close condition held")
 			}
@@ -330,7 +332,6 @@ type guardedRate struct {
 	*ccmpcc.Controller
 }
 
-func (g guardedRate) InitialRate() float64 { g.check("InitialRate"); return g.Controller.InitialRate() }
 func (g guardedRate) NextRate(now, srtt sim.Time) float64 {
 	g.check("NextRate")
 	return g.Controller.NextRate(now, srtt)
@@ -347,10 +348,6 @@ type guardedWindow struct {
 	*reno.Controller
 }
 
-func (g guardedWindow) InitialCwnd() float64 {
-	g.check("InitialCwnd")
-	return g.Controller.InitialCwnd()
-}
 func (g guardedWindow) Cwnd() float64 { g.check("Cwnd"); return g.Controller.Cwnd() }
 func (g guardedWindow) OnAck(now, rtt sim.Time, n float64) {
 	g.check("OnAck")
@@ -368,14 +365,15 @@ func (g guardedWindow) OnSpuriousLoss(now sim.Time, wasRTO bool) {
 
 // TestNoControllerCallAfterShutdown closes connections every way a
 // connection closes — from the completion callback inside ACK processing
-// (per-packet and delayed ACKs), by abort with packets in flight, by the idle
-// watchdog, and while a failed subflow probes — over a lossy, reordering,
-// duplicating path, and fails on any controller call after the close. An
-// MPCC connection's close also does what the churn driver's does: it resets
-// the group inside the close hook and hands its controllers to a next
-// connection that starts at once, while the closed one's packets, ACK
-// batches and MI-end timer are still in flight; the next connection's calls
-// are legal, the closed one's are not.
+// (on the default reverse path and with acknowledgements delayed on a long
+// one), by abort with packets in flight, by the idle watchdog, and while a
+// failed subflow probes — over a lossy, reordering, duplicating path, and
+// fails on any controller call after the close. An MPCC connection's close
+// also does what the churn driver's does: it resets the group inside the
+// close hook and hands its controllers to a next connection that starts at
+// once, while the closed one's packets, acknowledgements and MI-end timer
+// are still in flight; the next connection's calls are legal, the closed
+// one's are not.
 func TestNoControllerCallAfterShutdown(t *testing.T) {
 	type closer struct {
 		name string
@@ -386,7 +384,12 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 	file := func(tn *testNet, c *Connection) { c.SetApp(NewFile(2<<20), func(sim.Time) { c.Close() }) }
 	closers := []closer{
 		{"completion", nil, file},
-		{"completion delayed acks", []ConnOption{WithDelayedAcks(4, 5*sim.Millisecond)}, file},
+		{"completion delayed acks", nil, func(tn *testNet, c *Connection) {
+			for _, s := range c.Subflows() {
+				s.Path().SetReverseDelay(250 * sim.Millisecond)
+			}
+			file(tn, c)
+		}},
 		{"abort", nil, func(tn *testNet, c *Connection) {
 			c.SetApp(Bulk{}, nil)
 			tn.eng.At(3*sim.Second+7*sim.Millisecond, c.Abort)
@@ -447,4 +450,38 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ackCount counts the acknowledgements of c's subflows on their reverse
+// paths. It wraps each subflow's two sinks: one acknowledgement leaves for
+// every data packet the open receiver takes in, and one arrives at every
+// senderAck. Call it before Start.
+func ackCount(c *Connection) *int {
+	n := new(int)
+	for _, s := range c.subflows {
+		s.rxSink, s.ackSink = countedRx{s, n}, countedAck{s, n}
+	}
+	return n
+}
+
+type acksOf struct {
+	s *Subflow
+	n *int
+}
+
+type (
+	countedRx  acksOf
+	countedAck acksOf
+)
+
+func (r countedRx) Deliver(pkt *netem.Packet) {
+	if !r.s.conn.closed {
+		*r.n++
+	}
+	r.s.receiverDeliver(pkt)
+}
+
+func (a countedAck) Deliver(pkt *netem.Packet) {
+	*a.n--
+	a.s.senderAck(pkt)
 }

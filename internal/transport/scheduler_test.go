@@ -11,14 +11,12 @@ import (
 // tests control every input of the Pick decision directly.
 type fixedRate struct{ rate float64 }
 
-func (f fixedRate) InitialRate() float64                { return f.rate }
 func (f fixedRate) NextRate(now, srtt sim.Time) float64 { return f.rate }
 func (f fixedRate) OnMIComplete(cc.MIStats)             {}
 
 // fixedWin is a window controller pinned to one cwnd.
 type fixedWin struct{ w float64 }
 
-func (f fixedWin) InitialCwnd() float64                       { return f.w }
 func (f fixedWin) Cwnd() float64                              { return f.w }
 func (f fixedWin) OnAck(now, rtt sim.Time, ackedPkts float64) {}
 func (f fixedWin) OnLossEvent(sim.Time)                       {}
@@ -227,7 +225,6 @@ func checkPick(t *testing.T, got *Subflow, want int) {
 // stepRate is a rate controller whose rate a test moves between MIs.
 type stepRate struct{ rate float64 }
 
-func (f *stepRate) InitialRate() float64                { return f.rate }
 func (f *stepRate) NextRate(now, srtt sim.Time) float64 { return f.rate }
 func (f *stepRate) OnMIComplete(cc.MIStats)             {}
 
@@ -242,7 +239,7 @@ func TestPktsPerRTTTracksPace(t *testing.T) {
 	c.Start(0)
 	check := func(when string) {
 		t.Helper()
-		want := s.curRate * s.srtt.Seconds() / 8 / float64(s.conn.mss)
+		want := s.curRate * s.srtt.Seconds() / 8 / float64(DefaultMSS)
 		if s.pktsPerRTT != want || want == 0 {
 			t.Fatalf("after %s: pktsPerRTT = %v, want %v (non-zero)", when, s.pktsPerRTT, want)
 		}

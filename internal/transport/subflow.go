@@ -105,10 +105,6 @@ type Subflow struct {
 	downAt      sim.Time
 	upAt        sim.Time
 
-	// receiver-side delayed-ACK state
-	rxPending *ackBatch
-	rxTimer   sim.TimerRef
-
 	// The two endpoints' sinks, as interface values built once: rxSink and
 	// ackSink are this same subflow under another method set, so neither the
 	// conversion nor a method-value closure allocates.
@@ -152,7 +148,7 @@ func (s *Subflow) CwndPkts() float64 {
 		return s.wc.Cwnd()
 	}
 	if capper, ok := s.rc.(cc.InflightCapper); ok {
-		return capper.InflightCapBytes(s.conn.eng.Now(), s.srtt) / float64(s.conn.mss)
+		return capper.InflightCapBytes(s.conn.eng.Now(), s.srtt) / float64(DefaultMSS)
 	}
 	return 1e15
 }
@@ -274,7 +270,7 @@ func (s *Subflow) miDuration(rate float64) sim.Time {
 		d = sim.Millisecond
 	}
 	if rate > 0 {
-		pktTime := sim.FromSeconds(miMinPkts * float64(s.conn.mss) * 8 / rate)
+		pktTime := sim.FromSeconds(miMinPkts * float64(DefaultMSS) * 8 / rate)
 		if pktTime > d {
 			d = pktTime
 		}
@@ -397,8 +393,6 @@ func (s *Subflow) armRTO(at sim.Time) {
 	s.rtoTimerAt, s.rtoTimer = at, s.conn.eng.ScheduleRef(at, rtoEvent, s)
 }
 
-func flushAcksEvent(a any) { a.(*Subflow).flushAcks() }
-
 func (s *Subflow) armPacer(at sim.Time) {
 	s.pacerTimer.Stop()
 	s.pacerTimer = s.conn.eng.ScheduleRef(at, paceEvent, s)
@@ -413,7 +407,7 @@ func (s *Subflow) pace() {
 		return
 	}
 	if capper, ok := s.rc.(cc.InflightCapper); ok {
-		if float64(s.inflightBytes+s.conn.mss) > capper.InflightCapBytes(now, s.srtt) {
+		if float64(s.inflightBytes+DefaultMSS) > capper.InflightCapBytes(now, s.srtt) {
 			s.capBlocked = true
 			return // resumed by the next ack
 		}
@@ -510,11 +504,10 @@ func (s *Subflow) transmit(seg *segment) {
 	s.path.Send(seg.size, rec, s.rxSink, nil)
 }
 
-// receiverDeliver runs at the receiving endpoint. With per-packet ACKs
-// (the default) it immediately returns an acknowledgement; with delayed
-// ACKs it batches every conn.ackEvery packets or flushes after
-// conn.ackTimeout, whichever comes first. The packet's Meta reference
-// transfers into the ACK pipeline (released after senderAck).
+// receiverDeliver runs at the receiving endpoint and acknowledges every data
+// packet at once: the packet's record goes back as the feedback packet's
+// Meta, carrying the network reference its delivery transferred (released
+// after senderAck).
 func (s *Subflow) receiverDeliver(pkt *netem.Packet) {
 	rec := pkt.Meta.(*pktRec)
 	if s.conn.closed {
@@ -524,79 +517,42 @@ func (s *Subflow) receiverDeliver(pkt *netem.Packet) {
 		return
 	}
 	s.conn.onArrival(rec.seg.off, rec.size)
-	if s.conn.ackEvery <= 1 {
-		s.path.SendFeedback(s.conn.arena.newAckBatch(rec), s.ackSink)
-		return
-	}
-	if s.rxPending == nil {
-		s.rxPending = s.conn.arena.newAckBatch(rec)
-	} else {
-		s.rxPending.recs = append(s.rxPending.recs, rec)
-	}
-	if len(s.rxPending.recs) >= s.conn.ackEvery {
-		s.flushAcks()
-		return
-	}
-	if !s.rxTimer.Pending() {
-		s.rxTimer = s.conn.eng.ScheduleRef(s.conn.eng.Now()+s.conn.ackTimeout, flushAcksEvent, s)
-	}
+	s.path.SendFeedback(rec, s.ackSink)
 }
 
-func (s *Subflow) flushAcks() {
-	s.rxTimer.Stop()
-	s.rxTimer = sim.TimerRef{}
-	if s.rxPending == nil || s.conn.closed {
-		return
-	}
-	batch := s.rxPending
-	s.rxPending = nil
-	s.path.SendFeedback(batch, s.ackSink)
-}
-
-// senderAck processes an acknowledgement batch back at the sender: one
-// cheap per-packet bookkeeping pass (ackOne), then — at most once per
-// feedback packet, not once per acked packet — the full pipeline of loss
-// detection, head advance, monitor-interval finalization, and send-machinery
-// resumption. With per-packet ACKs (the default) a batch holds one record
-// and the behavior is identical to running the pipeline per packet; with
-// delayed ACKs the coalescing is where batching pays. Afterwards the batch
-// and its records' network references are recycled (the feedback *Packet
-// itself is released by the path right after this returns).
+// senderAck processes one acknowledgement back at the sender: the
+// per-packet bookkeeping (ackOne), then the pipeline of loss detection, head
+// advance, monitor-interval finalization and send-machinery resumption.
+// Afterwards the record's network reference is released (the feedback
+// *Packet itself is released by the path right after this returns).
 func (s *Subflow) senderAck(fb *netem.Packet) {
-	batch := fb.Meta.(*ackBatch)
-	var sawAck, sawSpurious bool
-	for _, rec := range batch.recs {
-		if s.conn.closed {
-			// A completion callback may close the connection mid-batch;
-			// the rest of the batch just returns its network references.
-			break
+	rec := fb.Meta.(*pktRec)
+	if !s.conn.closed {
+		fresh, spurious := s.ackOne(rec)
+		switch {
+		case s.conn.closed:
+			// A completion callback closed the connection.
+		case fresh:
+			s.ackPipeline()
+		case spurious:
+			// A spurious acknowledgement skips detection and head advance:
+			// the inflight ledger was settled at loss declaration, so only
+			// the send machinery resumes.
+			s.conn.pump()
+			s.kick()
 		}
-		s.ackOne(rec, &sawAck, &sawSpurious)
 	}
-	if s.conn.closed {
-		s.recycleBatch(batch)
-		return
-	}
-	if sawAck {
-		s.ackPipeline()
-	} else if sawSpurious {
-		// A spurious-only batch skips detection and head advance, exactly
-		// like the old per-packet spurious path: the inflight ledger was
-		// settled at loss declaration, so only the send machinery resumes.
-		s.conn.pump()
-		s.kick()
-	}
-	s.recycleBatch(batch)
+	s.conn.releaseRec(rec)
 }
 
 // ackOne applies the per-packet bookkeeping of one acknowledgement:
-// RTT/ledger/MI updates and RACK state. The batch-level pipeline (detection,
-// head advance, MI finalization, resume) runs once per feedback packet in
-// senderAck.
-func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
+// RTT/ledger/MI updates and RACK state. It reports whether the record was
+// newly acknowledged (fresh) or proved an earlier loss declaration wrong
+// (spurious); neither holds for a duplicate.
+func (s *Subflow) ackOne(rec *pktRec) (fresh, spurious bool) {
 	now := s.conn.eng.Now()
 	if rec.acked {
-		return
+		return false, false
 	}
 	// Any acknowledgement proves the path still forwards packets: reset the
 	// failure detector and the RTO backoff (RFC 6298 §5.7).
@@ -628,8 +584,7 @@ func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
 		}
 		s.conn.probes.SpuriousRetx(now, s.conn.Name, s.id, rec.size, rec.lostByRTO)
 		s.deliverOnce(rec.seg, now)
-		*sawSpurious = true
-		return
+		return false, true
 	}
 	rec.acked = true
 	rtt := now - rec.sentAt
@@ -642,7 +597,7 @@ func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
 	if s.conn.closed {
 		// The completion callback closed the connection: its intervals are
 		// retired and its controller must not hear from it again.
-		return
+		return true, false
 	}
 
 	if rec.mi != nil {
@@ -668,18 +623,18 @@ func (s *Subflow) ackOne(rec *pktRec, sawAck, sawSpurious *bool) {
 		s.rackXmit = rec.sentAt
 		s.rackRTT = rtt
 	}
-	*sawAck = true
+	return true, false
 }
 
-// ackPipeline is the batch-level tail of acknowledgement processing: loss
-// detection, head advance, MI finalization, and send-machinery resumption.
+// ackPipeline is the tail of acknowledgement processing: loss detection,
+// head advance, MI finalization, and send-machinery resumption.
 func (s *Subflow) ackPipeline() {
 	now := s.conn.eng.Now()
 	// Loss detection: dup-threshold ordering while acks arrive in order;
 	// once reordering has been observed, time-based RACK marking (the dup
 	// threshold would misread every reordered flight as loss). The
-	// dup-threshold walk uses the batch's highest acked index, which for an
-	// in-order single-packet batch is exactly the acked packet's index.
+	// dup-threshold walk uses the highest acked index, which while acks
+	// arrive in order is exactly the acked packet's index.
 	if s.reoSeen {
 		s.rackDetect(now)
 	} else {
@@ -924,7 +879,7 @@ func (s *Subflow) updateRTT(rtt sim.Time) {
 
 // notePace recomputes pktsPerRTT after curRate or srtt changed.
 func (s *Subflow) notePace() {
-	s.pktsPerRTT = s.curRate * s.srtt.Seconds() / 8 / float64(s.conn.mss)
+	s.pktsPerRTT = s.curRate * s.srtt.Seconds() / 8 / float64(DefaultMSS)
 }
 
 func (s *Subflow) updateRTO() {

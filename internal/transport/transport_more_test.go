@@ -14,21 +14,25 @@ import (
 
 func TestConnectionOptions(t *testing.T) {
 	tn := newTestNet(30, 1)
-	c := NewConnection(tn.eng, "opts",
-		WithMSS(500), WithSndBuf(64), WithMinRTO(50*sim.Millisecond))
-	if c.mss != 500 || c.sndBufPkts != 64 || c.minRTO != 50*sim.Millisecond {
-		t.Fatalf("options not applied: mss=%d sndbuf=%d minrto=%v", c.mss, c.sndBufPkts, c.minRTO)
+	c := NewConnection(tn.eng, "opts", WithMinRTO(50*sim.Millisecond))
+	if c.minRTO != 50*sim.Millisecond {
+		t.Fatalf("option not applied: minrto=%v", c.minRTO)
 	}
-	c.AddWindowSubflow(tn.path(0), reno.New())
+	s := c.AddWindowSubflow(tn.path(0), reno.New())
 	c.SetApp(Bulk{}, nil)
 	c.Start(0)
 	tn.eng.Run(5 * sim.Second)
 	if c.AckedBytes() == 0 {
-		t.Fatal("no delivery with custom MSS")
+		t.Fatal("no delivery with a lowered RTO floor")
 	}
-	// Every delivered segment is ≤ the custom MSS.
-	if got := c.AckedBytes() % 500; got != 0 {
-		t.Fatalf("acked bytes %d not a multiple of MSS 500", c.AckedBytes())
+	// Every delivered segment is one MSS.
+	if got := c.AckedBytes() % DefaultMSS; got != 0 {
+		t.Fatalf("acked bytes %d not a multiple of MSS %d", c.AckedBytes(), DefaultMSS)
+	}
+	// The RTO's variance term is floored at the lowered minimum, not the
+	// default one.
+	if s.rto >= s.srtt+DefaultMinRTO {
+		t.Fatalf("rto %v with srtt %v ignores the 50ms floor", s.rto, s.srtt)
 	}
 }
 
@@ -221,57 +225,6 @@ func TestZeroWarmupAccounting(t *testing.T) {
 	// The tail (steady state) must beat the whole-run mean (slow start).
 	if tail < full {
 		t.Fatalf("tail %.1f < full-run %.1f — warmup omission pointless", tail/1e6, full/1e6)
-	}
-}
-
-func TestDelayedAcks(t *testing.T) {
-	tn := newTestNet(50, 1)
-	c := NewConnection(tn.eng, "delack", WithDelayedAcks(2, 40*sim.Millisecond))
-	c.AddWindowSubflow(tn.path(0), reno.New())
-	c.SetApp(NewFile(3_000_000), nil)
-	c.Start(0)
-	tn.eng.Run(30 * sim.Second)
-	if c.FCT() < 0 {
-		t.Fatal("file did not complete with delayed ACKs")
-	}
-	if c.AckedBytes() != 3_000_000 {
-		t.Fatalf("acked %d", c.AckedBytes())
-	}
-}
-
-func TestDelayedAcksOddTailFlushesOnTimer(t *testing.T) {
-	// A file that ends on an odd packet: the final ACK must come from the
-	// delayed-ACK timer, not wait forever for a second packet.
-	tn := newTestNet(51, 1)
-	c := NewConnection(tn.eng, "odd", WithDelayedAcks(2, 40*sim.Millisecond))
-	c.AddWindowSubflow(tn.path(0), reno.New())
-	c.SetApp(NewFile(1500*3), nil) // 3 packets
-	c.Start(0)
-	tn.eng.Run(5 * sim.Second)
-	if c.FCT() < 0 {
-		t.Fatal("odd-tail file stalled under delayed ACKs")
-	}
-	// The last packet waits for the 40ms delayed-ACK timer.
-	if c.FCT() > 500*sim.Millisecond {
-		t.Fatalf("FCT %v implausibly slow", c.FCT())
-	}
-}
-
-func TestDelayedAcksThroughputClose(t *testing.T) {
-	// Delayed ACKs halve the ACK rate but must not halve bulk throughput.
-	run := func(opts ...ConnOption) float64 {
-		tn := newTestNet(52, 1)
-		c := NewConnection(tn.eng, "x", opts...)
-		c.AddWindowSubflow(tn.path(0), reno.New())
-		c.SetApp(Bulk{}, nil)
-		c.Start(0)
-		tn.eng.Run(20 * sim.Second)
-		return goodputMbps(c, 8*sim.Second, 20*sim.Second)
-	}
-	imm := run()
-	del := run(WithDelayedAcks(2, 40*sim.Millisecond))
-	if del < imm*0.7 {
-		t.Fatalf("delayed-ACK goodput %.1f vs immediate %.1f", del, imm)
 	}
 }
 
