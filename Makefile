@@ -23,13 +23,20 @@ check:
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchtime 1x
 	$(MAKE) examples
 
-# Build every example and smoke-run the trace-replay and churn demos (short
-# horizons via their -dur flags), so the examples stay compilable and
-# runnable under tier-1.
+# Build and run every example (the trace-replay and churn demos at short
+# horizons via their -dur flags; each of the others takes under a second),
+# so the examples and the facade they exercise stay runnable under tier-1.
+# The tracing example writes trace.jsonl into the working directory.
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/cellular_trace -dur 12s
 	$(GO) run ./examples/churn -dur 4s
+	$(GO) run ./examples/datacenter
+	$(GO) run ./examples/failover
+	$(GO) run ./examples/fairness
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/tracing
+	$(GO) run ./examples/wifi_cellular
 
 # Before/after of the repository benchmark (see benchmark/README.md):
 # check BASE out into a temporary directory, run `go run ./benchmark -out`

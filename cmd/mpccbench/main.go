@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		full    = fs.Bool("full", false, "paper-scale sweeps (576-config grids, 75 MB downloads)")
 		csvdir  = fs.String("csvdir", "", "also write each table as CSV into this directory")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = sequential); output is identical for any value")
-		shards  = fs.Int("shards", 0, "worker shards per simulation (0 = single engine); multi-cluster topologies split one run across cores, output is identical for any value")
 		tracef  = fs.String("trace", "", "write a JSONL probe trace of every simulation to this file (forces -workers 1 for run-order reproducibility)")
 		timelf  = fs.String("timeline", "", "write each run's windowed series as a timeline-dump line to this file (mpcctrace timeline reads it; forces -workers 1)")
 		flrecf  = fs.String("flightrec", "", "write the flight recorder — the last ~4k probe events across all runs — to this file on exit (forces -workers 1)")
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	exp.SetWorkers(*workers)
-	exp.SetShards(*shards)
 
 	// fail reports a file that could not be created or written; the caller
 	// returns 1.

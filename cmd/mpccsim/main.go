@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,7 +28,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its arguments, streams and exit status made explicit, so
-// tests can drive it.
+// tests can drive it: 0 on success, 1 when the -trace file cannot be
+// created, 2 on a bad flag.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mpccsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -48,6 +50,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	// Values the simulation cannot run (it would panic, never finish, or
+	// measure nothing) are refused instead of run.
+	known := slices.Concat(exp.MultipathSet, []exp.Protocol{exp.Cubic, exp.MPCCConnLevel, exp.Vivace})
+	var bad string
+	switch {
+	case !slices.Contains(known, exp.Protocol(*proto)):
+		bad = fmt.Sprintf("-proto %q: unknown protocol", *proto)
+	case *spPeer != "" && !slices.Contains(known, exp.Protocol(*spPeer)):
+		bad = fmt.Sprintf("-sp %q: unknown protocol", *spPeer)
+	case *delay < 0:
+		bad = fmt.Sprintf("-delay %v: need a non-negative delay", *delay)
+	case *buffer < 1:
+		bad = fmt.Sprintf("-buffer %d: need a positive buffer", *buffer)
+	case !(*loss >= 0 && *loss <= 1): // also rejects NaN
+		bad = fmt.Sprintf("-loss %g: need a fraction in [0, 1]", *loss)
+	case *dur <= 0:
+		bad = fmt.Sprintf("-dur %v: need a positive duration", *dur)
+	case *warm < 0:
+		bad = fmt.Sprintf("-warmup %v: need a non-negative warm-up", *warm)
+	case *warm >= *dur:
+		bad = fmt.Sprintf("-warmup %v leaves nothing of -dur %v to measure", *warm, *dur)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, bad)
 		return 2
 	}
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -65,16 +66,49 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestBadLinks: unusable -links values are rejected at flag parsing with
-// exit status 2 instead of reaching netem's constructor panics.
+// TestBadLinks: flag values the simulation cannot run — unusable -links,
+// unknown protocols, a negative delay, buffer or warm-up, a loss outside
+// [0, 1], no duration, a warm-up that leaves nothing to measure — are
+// rejected before simulating with one stderr line and exit status 2,
+// instead of a netem panic, a run that never ends, or a 0.0 Mbps table.
 func TestBadLinks(t *testing.T) {
-	for _, links := range []string{"0", "-5", "100,0", "abc", "nan", ""} {
+	cases := []struct {
+		args   []string
+		prefix string
+	}{
+		{[]string{"-links", "0"}, "bad -links: "},
+		{[]string{"-links", "-5"}, "bad -links: "},
+		{[]string{"-links", "100,0"}, "bad -links: "},
+		{[]string{"-links", "abc"}, "bad -links: "},
+		{[]string{"-links", "nan"}, "bad -links: "},
+		{[]string{"-links", ""}, "bad -links: "},
+		{[]string{"-dur", "0"}, "-dur "},
+		{[]string{"-dur", "-1s"}, "-dur "},
+		{[]string{"-loss", "2"}, "-loss "},
+		{[]string{"-loss", "-0.1"}, "-loss "},
+		{[]string{"-loss", "NaN"}, "-loss "},
+		{[]string{"-delay", "-1ms"}, "-delay "},
+		{[]string{"-proto", "bogus"}, "-proto "},
+		{[]string{"-share", "-sp", "bogus"}, "-sp "},
+		{[]string{"-buffer", "-5"}, "-buffer "},
+		{[]string{"-buffer", "0"}, "-buffer "},
+		{[]string{"-warmup", "5s", "-dur", "2s"}, "-warmup "},
+		{[]string{"-warmup", "-1s", "-dur", "2s"}, "-warmup "},
+	}
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-links", links}, &stdout, &stderr); code != 2 {
-			t.Errorf("-links %q: exit %d, want 2", links, code)
-		}
-		if !strings.HasPrefix(stderr.String(), "bad -links: ") || stdout.Len() != 0 {
-			t.Errorf("-links %q: stderr %q, stdout %q", links, stderr.String(), stdout.String())
+		done := make(chan int, 1)
+		go func() { done <- run(tc.args, &stdout, &stderr) }()
+		select {
+		case code := <-done:
+			if code != 2 {
+				t.Errorf("%q: exit %d, want 2", tc.args, code)
+			}
+			if !strings.HasPrefix(stderr.String(), tc.prefix) || strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0 {
+				t.Errorf("%q: stderr %q, stdout %q; want one line starting %q", tc.args, stderr.String(), stdout.String(), tc.prefix)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%q: still running after a second", tc.args)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestSummaryContractsBreakdown(t *testing.T) {
 		Tweak: func(n *topo.Net) {
 			n.Link("link1").SetPolicer(3e6, 9000)
 			n.Link("link2").SetShaper(5e6, 9000)
-			netem.ScheduleHandovers(n.Eng, n.Link("link2"),
+			n.Link("link2").ScheduleHandovers(
 				[]netem.HandoverStep{
 					{RateBps: 6e6, Delay: 25 * sim.Millisecond},
 					{RateBps: 10e6, Delay: 15 * sim.Millisecond},

@@ -39,7 +39,7 @@ func run(proto mpcc.Protocol, tr *mpcc.BWTrace, dur mpcc.Time) (aggregate, wifiS
 	net.AddLink("wifi", 30e6, 12*mpcc.Millisecond, 256_000)
 	lte := net.AddLink("lte", 40e6, 35*mpcc.Millisecond, 600_000)
 	lte.SetLoss(0.002)
-	tr.Apply(eng, lte, tr.Duration()) // loop the recording for the whole run
+	lte.ScheduleRates(tr.Points, tr.Duration()) // loop the recording for the whole run
 
 	conn := mpcc.NewConnection(eng, string(proto), proto,
 		[]*mpcc.Path{net.Path("wifi"), net.Path("lte")}, mpcc.AttachOptions{})

@@ -56,7 +56,7 @@ func runLoad(rho float64, dur mpcc.Time) ledger {
 	// λ = ρ · capacity / mean object size.
 	sizes := mpcc.BoundedPareto{Alpha: 1.3, Min: 30e3, Max: 30e6}
 	lambda := rho * 2 * 100e6 / 8 / sizes.Mean()
-	arrivals := mpcc.NewPoissonArrivals(43, lambda, nil)
+	arrivals := mpcc.NewPoissonArrivals(43, lambda)
 	backoff := mpcc.Backoff{Base: 50 * mpcc.Millisecond, Cap: 2 * mpcc.Second}
 	rng := rand.New(rand.NewSource(44))
 

@@ -25,7 +25,7 @@ func run(name string, opts ...mpcc.ConnOption) ([]float64, *mpcc.Connection) {
 	net := mpcc.NewNetwork(eng)
 	net.AddLink("wifi", 80e6, 10*mpcc.Millisecond, 300_000)
 	net.AddLink("lte", 25e6, 35*mpcc.Millisecond, 500_000)
-	mpcc.NewFaultInjector(eng).Outage(net.Link("wifi"), outageStart, outageDur)
+	net.Link("wifi").Outage(outageStart, outageDur)
 
 	ao := mpcc.AttachOptions{ConnOptions: append(
 		[]mpcc.ConnOption{mpcc.WithRcvBuf(4096 * 1500)}, opts...)}

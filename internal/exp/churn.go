@@ -40,10 +40,9 @@ type ServerSpec struct {
 type ChurnSpec struct {
 	Servers []ServerSpec
 
-	// RatePerSec (with optional Shape) selects a Poisson arrival process;
-	// a non-empty States selects MMPP instead (RatePerSec is then ignored).
+	// RatePerSec selects a Poisson arrival process; a non-empty States
+	// selects MMPP instead (RatePerSec is then ignored).
 	RatePerSec float64
-	Shape      workload.Shape
 	States     []workload.MMPPState
 
 	// Sizes samples per-session object bytes.
@@ -60,9 +59,6 @@ type ChurnSpec struct {
 	// Per-session connection watchdogs (0 disables).
 	HandshakeTimeout sim.Time
 	IdleTimeout      sim.Time
-
-	// StartAt delays the first arrival.
-	StartAt sim.Time
 
 	// DrainCheckAfter, when positive, audits a session's connection this
 	// long after it closes (teardown reclaims everything but the packets
@@ -205,9 +201,9 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 		audits:   sim.Pool[churnAudit]{Slab: 64},
 	}
 	if len(cs.States) > 0 {
-		d.arr = workload.NewMMPP(s.Seed+1, cs.States, cs.Shape)
+		d.arr = workload.NewMMPP(s.Seed+1, cs.States)
 	} else {
-		d.arr = workload.NewPoisson(s.Seed+1, cs.RatePerSec, cs.Shape)
+		d.arr = workload.NewPoisson(s.Seed+1, cs.RatePerSec, nil)
 	}
 	for k := range cs.Servers {
 		sv := &cs.Servers[k]
@@ -228,7 +224,7 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 			connOpts: opts,
 		})
 	}
-	d.chain(cs.StartAt)
+	d.chain(0)
 	return d
 }
 

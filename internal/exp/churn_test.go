@@ -156,8 +156,10 @@ func TestChurnQueueTiers(t *testing.T) {
 func churnRig(spec Spec) (d *churnDriver, eng *sim.Engine, open func(size int64) *transport.Connection) {
 	net, engines := topo.PartitionLinks(spec.Topo.Links, [][][]string{{spec.Topo.Links}}).Build(spec.Topo, spec.Seed)
 	w := newWorld(spec.Seed, nil, 0, engines)
-	spec.Churn.StartAt = spec.Duration // the first arrival lands past the horizon
-	d = startChurn(w, &spec, net)
+	rig := spec
+	rig.Duration = 0 // the first arrival lands past a zero horizon
+	d = startChurn(w, &rig, net)
+	d.horizon = spec.Duration
 	open = func(size int64) *transport.Connection {
 		s := d.newSession()
 		s.name, s.sv, s.size = fmt.Sprintf("t%d", d.stats.Accepted), &d.servers[0], size
@@ -177,7 +179,7 @@ func TestChurnAuditCountsConnectionStillOut(t *testing.T) {
 	spec.Churn.DrainCheckAfter = 200 * sim.Millisecond
 	d, eng, open := churnRig(spec)
 	for _, p := range d.servers[0].paths {
-		p.SetReverseDelay(2 * sim.Second)
+		p.SetAckDelay(2 * sim.Second)
 	}
 	conn := open(1 << 20)
 	gen := conn.Generation()

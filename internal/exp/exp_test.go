@@ -109,12 +109,18 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// averaged runs one spec reps times through the sweep runner and returns
+// the replicates' fold.
+func averaged(s Spec, reps int) *Result {
+	return runSpecs([]Spec{s}, reps, func(r *Result) *Result { return r })[0]
+}
+
 func TestRunAveraged(t *testing.T) {
 	cfg := tiny()
 	spec := Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
 		Topo: topo.Fig3b(), Proto: Reno}
 	one := Run(spec)
-	avg := RunAveraged(spec, 2)
+	avg := averaged(spec, 2)
 	if avg.Flows["mp"].GoodputBps <= 0 {
 		t.Fatal("averaged goodput zero")
 	}
@@ -303,7 +309,7 @@ func TestRunAveragedTracksSpread(t *testing.T) {
 	cfg := tiny()
 	spec := Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
 		Topo: topo.Fig3b(), Proto: MPCCLoss}
-	avg := RunAveraged(spec, 3)
+	avg := averaged(spec, 3)
 	fr := avg.Flows["mp"]
 	if fr.MinGoodputBps > fr.GoodputBps || fr.MaxGoodputBps < fr.GoodputBps {
 		t.Fatalf("spread does not bracket the mean: min %v mean %v max %v",

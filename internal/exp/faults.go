@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 	"mpcc/internal/stats"
 	"mpcc/internal/topo"
@@ -40,7 +39,7 @@ type FaultRow struct {
 //
 // Setup: topology 3c with link2 narrowed to a thin 10 Mbps secondary (BDP
 // buffer) — the classic primary+backup multipath shape. The multipath flow
-// runs over both links, a single-path flow shares link2. A FaultInjector
+// runs over both links, a single-path flow shares link2. A scripted outage
 // takes link2 down from 45% to 65% of the run. Each connection has a finite
 // (16384-packet) receive buffer, so a sender that keeps unacked holes on the
 // dead path stalls on head-of-line blocking unless the failure detector
@@ -81,7 +80,7 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 				l2 := net.Link("link2")
 				l2.SetRate(10e6)
 				l2.SetBuffer(75000) // one BDP at 10 Mbps × 60 ms
-				netem.NewFaultInjector(net.Eng).Outage(l2, outStart, outEnd-outStart)
+				l2.Outage(outStart, outEnd-outStart)
 			},
 			Flows: []FlowSpec{
 				{Name: "mp", Proto: v.proto, Paths: [][]string{{"link1"}, {"link2"}},

@@ -82,9 +82,9 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 			Topo:  topo.Fig3c(),
 			Proto: p,
 			Tweak: func(n *topo.Net) {
+				l := n.Link("link1")
 				for i, c := range conds {
-					n.Eng.At(sim.Time(i)*epochDur, func() {
-						l := n.Link("link1")
+					l.Engine().At(sim.Time(i)*epochDur, func() {
 						l.SetRate(c.bw)
 						l.SetDelay(c.lat)
 						l.SetLoss(c.loss)

@@ -72,7 +72,7 @@ func policedGoldenSpec(bus *obs.Bus) Spec {
 			}
 			net.Link("link1").SetPolicer(1e6, 4500)
 			net.Link("link2").SetShaper(1.5e6, 4500)
-			netem.ScheduleHandovers(net.Eng, net.Link("link2"),
+			net.Link("link2").ScheduleHandovers(
 				[]netem.HandoverStep{
 					{RateBps: 2.5e6, Delay: 12 * sim.Millisecond},
 					{RateBps: 2e6, Delay: 10 * sim.Millisecond},

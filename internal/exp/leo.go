@@ -42,7 +42,7 @@ func leoTweak(period, duration sim.Time) func(*topo.Net) {
 			// state 1 and alternates from there.
 			rotated := append(append([]netem.HandoverStep{}, leoSchedule[1:]...), leoSchedule[0])
 			count := int(duration / period)
-			netem.ScheduleHandovers(n.Eng, leo, rotated, period, period, count)
+			leo.ScheduleHandovers(rotated, period, period, count)
 		}
 	}
 }

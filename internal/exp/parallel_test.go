@@ -110,8 +110,9 @@ func quickSpec(seed int64) Spec {
 // the sweep runner: what reduce sees — every spec's replicates folded in
 // replicate order — must be bit-identical between sequential (workers=1)
 // and concurrent execution, a replicate count below 1 must mean one run,
-// and RunAveraged must be the one-spec case. It runs under -race in make
-// check, which also shakes out data races in the runner itself.
+// and a one-spec sweep must fold as the same spec inside a larger one. It
+// runs under -race in make check, which also shakes out data races in the
+// runner itself.
 func TestRunAveragedParallelIdentical(t *testing.T) {
 	specs := []Spec{quickSpec(7), quickSpec(8), quickSpec(9)}
 	// fold is what reduce saw for one spec, stamped with reduce's call order.
@@ -147,9 +148,9 @@ func TestRunAveragedParallelIdentical(t *testing.T) {
 		}
 	}
 	var avg *Result
-	withWorkers(8, func() { avg = RunAveraged(specs[1], 3) })
+	withWorkers(8, func() { avg = averaged(specs[1], 3) })
 	if !reflect.DeepEqual(avg.Flows, seq[1].flows) || avg.Jain != seq[1].jain {
-		t.Errorf("RunAveraged differs from the same spec inside a sweep")
+		t.Errorf("a one-spec sweep differs from the same spec inside a larger one")
 	}
 	// A replicate count below 1 is a single run at the spec's own seed.
 	one := Run(specs[0])
@@ -161,20 +162,20 @@ func TestRunAveragedParallelIdentical(t *testing.T) {
 }
 
 // TestRunAveragedSnapshotWorkerIdentity is the acceptance test for mergeable
-// telemetry: with a per-run probe factory installed, the merged snapshot of a
-// RunAveraged sweep must be identical for any worker count — counters,
+// telemetry: with a per-run probe factory installed, the merged snapshot of
+// an averaged spec must be identical for any worker count — counters,
 // gauges, sketch-backed histogram stats, and the serialized windowed series.
 func TestRunAveragedSnapshotWorkerIdentity(t *testing.T) {
 	runMerged := func(workers int) *Result {
 		SetProbeFactory(func() *obs.Bus { return obs.NewBus() })
 		defer SetProbeFactory(nil)
 		var res *Result
-		withWorkers(workers, func() { res = RunAveraged(quickSpec(11), 4) })
+		withWorkers(workers, func() { res = averaged(quickSpec(11), 4) })
 		return res
 	}
 	seq := runMerged(1)
 	if seq.Obs == nil {
-		t.Fatal("probed RunAveraged produced no snapshot")
+		t.Fatal("probed averaged run produced no snapshot")
 	}
 	// Counters summed over 4 replicates, not the first replicate alone.
 	one := Run(func() Spec { s := quickSpec(11); s.Probes = obs.NewBus(); return s }())

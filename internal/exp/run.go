@@ -37,7 +37,7 @@ type Spec struct {
 	// the package probe factory (SetProbeFactory) is consulted; when that is
 	// nil too, observability is fully disabled — the run is byte- and
 	// event-count-identical to one built before the obs layer existed. A
-	// Spec-level bus is per run: sharing one across RunAveraged replicates
+	// Spec-level bus is per run: sharing one across replicates
 	// accumulates their metrics into a single registry.
 	Probes *obs.Bus
 	// Tweak adjusts link parameters (buffer, loss, bandwidth) after the
@@ -59,9 +59,8 @@ type Spec struct {
 	// byte-identical traces and snapshots, and on single-component
 	// topologies (every flow interacting, e.g. the golden-trace figures)
 	// the output is additionally byte-identical to the unsharded engine.
-	// 0 consults the package default (SetShards); negative forces the
-	// legacy single-engine path regardless of the default. Sharded
-	// execution requires Duration > 0.
+	// Shards <= 0 runs the whole topology on one engine. Sharded execution
+	// requires Duration > 0.
 	Shards int
 	// Churn, if set, overlays an open-loop session workload on the run:
 	// connections arrive, transfer, and close under admission control (see
@@ -74,8 +73,9 @@ type Spec struct {
 // FlowResult summarizes one connection after a run.
 type FlowResult struct {
 	GoodputBps float64 // post-warmup mean
-	// MinGoodputBps/MaxGoodputBps span the replicates of a RunAveraged
-	// (the paper's error bars); they equal GoodputBps for a single run.
+	// MinGoodputBps/MaxGoodputBps span the replicates of an averaged spec
+	// (runSpecs; the paper's error bars); they equal GoodputBps for a
+	// single run.
 	MinGoodputBps     float64
 	MaxGoodputBps     float64
 	SubflowGoodputBps []float64
@@ -100,31 +100,31 @@ type Result struct {
 	// Conns gives post-run access to the transport connections, keyed by
 	// flow name, so correctness oracles (internal/simtest) can audit
 	// end-of-run transport state (per-subflow byte ledgers, failure-detector
-	// state) against the network's link counters. RunAveraged keeps the
+	// state) against the network's link counters. Averaging keeps the
 	// first replicate's connections.
 	Conns map[string]*transport.Connection
 	// Notes records aggregation anomalies (e.g. replicates disagreeing on
-	// subflow counts in RunAveraged).
+	// subflow counts).
 	Notes []string
 	// Obs is the run's metrics-registry snapshot (drops by cause,
 	// retransmits, queue-depth percentiles, MI counts per phase, engine
 	// gauges, windowed series). nil when the run had no probe bus.
-	// RunAveraged folds the replicates' snapshots in replicate order:
+	// Averaging folds the replicates' snapshots in replicate order:
 	// counters sum, gauges keep the high-water mark, histograms merge at
 	// the sketch level, series add element-wise — so the merged snapshot
 	// is identical for any worker count.
 	Obs *obs.Snapshot
 	// Events is the number of simulation events the run processed, summed
-	// over shard engines; RunAveraged sums it over replicates. Throughput
+	// over shard engines; averaging sums it over replicates. Throughput
 	// benchmarks report it as events/op.
 	Events uint64
 	// Queue is what each tier of the engines' event queue did (inserts,
 	// cancels, occupancy high-water marks), folded over shard engines and,
-	// by RunAveraged, over replicates: counts sum, high-water marks keep
+	// by averaging, over replicates: counts sum, high-water marks keep
 	// the maximum.
 	Queue sim.QueueStats
 	// Churn holds the session ledger and FCT distribution of the run's
-	// churn workload; nil when Spec.Churn was nil. RunAveraged keeps the
+	// churn workload; nil when Spec.Churn was nil. Averaging keeps the
 	// first replicate's.
 	Churn *ChurnStats
 }

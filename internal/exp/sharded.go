@@ -14,18 +14,9 @@ import "mpcc/internal/obs"
 // count's resolution and the probe record-and-replay a multi-engine world
 // needs.
 
-// defaultShards is the package-level shard default (SetShards), consulted
-// when Spec.Shards is 0 — the hook mpccbench's -shards flag uses.
-var defaultShards int
-
-// SetShards sets the package-default shard count applied to specs that do
-// not choose one (Spec.Shards == 0). n < 1 restores the single-engine
-// default.
-func SetShards(n int) { defaultShards = n }
-
 // shardWorkers resolves the spec's effective shard worker count; 0 means
 // unsharded, the whole topology on one engine. Sharded execution needs a
-// positive horizon, and a negative Spec.Shards overrides the default.
+// positive horizon.
 func (s *Spec) shardWorkers() int {
 	if s.Churn != nil {
 		// Churn sessions attach mid-run; the static partition sharding is
@@ -33,14 +24,10 @@ func (s *Spec) shardWorkers() int {
 		// is thereby trivially identical for any shard count).
 		return 0
 	}
-	n := s.Shards
-	if n == 0 {
-		n = defaultShards
-	}
-	if n < 1 || s.Duration <= 0 {
+	if s.Shards < 1 || s.Duration <= 0 {
 		return 0
 	}
-	return n
+	return s.Shards
 }
 
 // eventRecorder buffers one component's probe events in emission order. It

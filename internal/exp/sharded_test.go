@@ -177,26 +177,21 @@ func runClusters(probed bool, flows []FlowSpec) (res *Result, ends []sim.Time) {
 	return res, ends
 }
 
-// TestShardsResolution pins the Spec.Shards / SetShards precedence:
-// package default applies only when the spec is silent, and a negative
-// spec value forces the legacy engine over the default.
+// TestShardsResolution pins how Spec.Shards resolves: zero or negative
+// runs one engine, a positive value shards, and a run without a horizon
+// cannot shard.
 func TestShardsResolution(t *testing.T) {
-	defer SetShards(0)
 	s := Spec{Duration: sim.Second}
 	if got := s.shardWorkers(); got != 0 {
-		t.Fatalf("silent spec, no default: workers=%d, want 0", got)
-	}
-	SetShards(4)
-	if got := s.shardWorkers(); got != 4 {
-		t.Fatalf("silent spec, default 4: workers=%d, want 4", got)
+		t.Fatalf("silent spec: workers=%d, want 0", got)
 	}
 	s.Shards = -1
 	if got := s.shardWorkers(); got != 0 {
-		t.Fatalf("negative spec must force legacy: workers=%d, want 0", got)
+		t.Fatalf("negative spec: workers=%d, want 0", got)
 	}
 	s.Shards = 2
 	if got := s.shardWorkers(); got != 2 {
-		t.Fatalf("explicit spec beats default: workers=%d, want 2", got)
+		t.Fatalf("explicit spec: workers=%d, want 2", got)
 	}
 	s.Duration = 0
 	if got := s.shardWorkers(); got != 0 {

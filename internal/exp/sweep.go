@@ -37,13 +37,6 @@ func runSpecs[T any](specs []Spec, reps int, reduce func(*Result) T) []T {
 	return out
 }
 
-// RunAveraged runs the spec reps times with consecutive seeds and averages
-// per-flow goodputs, utilization and Jain index; everything else comes from
-// the first run. It is runSpecs over one spec.
-func RunAveraged(s Spec, reps int) *Result {
-	return runSpecs([]Spec{s}, reps, func(r *Result) *Result { return r })[0]
-}
-
 // average folds one spec's replicates, in replicate order, into the first
 // and divides the summed means by their count. A finite flow's FCT becomes
 // the mean over the replicates, one in which it did not finish by the horizon

@@ -14,7 +14,7 @@ import (
 // BWTrace is a recorded bandwidth timeseries for trace-replay links: each
 // sample gives the link rate taking effect at its timestamp. Traces come
 // from a small CSV format (see ParseBWTrace) and drive a link's existing
-// time-varying rate knob via Apply/ScheduleRates.
+// time-varying rate knob via Link.ScheduleRates.
 type BWTrace struct {
 	Points []RatePoint // monotonically increasing At
 }
@@ -118,9 +118,26 @@ func (tr *BWTrace) MaxRate() float64 {
 	return max
 }
 
-// Apply drives l's rate from the trace starting at the engine's current
-// time, looping with the given period (0 = play once); pass Duration() to
-// loop seamlessly. It is a thin wrapper over ScheduleRates.
-func (tr *BWTrace) Apply(eng *sim.Engine, l *Link, loop sim.Time) (stop func()) {
-	return ScheduleRates(eng, l, tr.Points, loop)
+// RatePoint pairs a virtual time offset with a link bandwidth, for
+// trace-driven links (e.g. cellular bandwidth traces).
+type RatePoint struct {
+	At      sim.Time
+	RateBps float64
+}
+
+// ScheduleRates applies a bandwidth trace to the link: each point's rate
+// takes effect at its offset from now. If loop > 0 the trace repeats with
+// that period indefinitely; pass a BWTrace's Duration() to loop it
+// seamlessly.
+func (l *Link) ScheduleRates(points []RatePoint, loop sim.Time) {
+	var apply func(base sim.Time)
+	apply = func(base sim.Time) {
+		for _, p := range points {
+			l.eng.At(base+p.At, func() { l.SetRate(p.RateBps) })
+		}
+		if loop > 0 {
+			l.eng.At(base+loop, func() { apply(base + loop) })
+		}
+	}
+	apply(l.eng.Now())
 }

@@ -85,7 +85,7 @@ func TestBWTraceApplyDrivesLinkRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Apply(e, l, tr.Duration()) // loop every 3 s
+	l.ScheduleRates(tr.Points, tr.Duration()) // loop every 3 s
 	check := func(at sim.Time, want float64) {
 		e.At(at, func() {
 			if l.Rate() != want {
@@ -122,7 +122,7 @@ func FuzzParseBWTrace(f *testing.F) {
 			return
 		}
 		// A successful parse must uphold the invariants every consumer
-		// (ScheduleRates, the simtest trace-envelope oracle) relies on.
+		// (Link.ScheduleRates, the simtest trace-envelope oracle) relies on.
 		if len(tr.Points) == 0 {
 			t.Fatal("nil error but no points")
 		}

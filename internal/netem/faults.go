@@ -2,93 +2,37 @@ package netem
 
 import "mpcc/internal/sim"
 
-// FaultInjector schedules hard failures on links at virtual times: outages
-// (the link blackholes everything between down and up), flap sequences
-// (repeated short outages), and windows of Gilbert–Elliott burst loss. It is
-// the scripted counterpart of ScheduleRates: experiments declare a fault
-// timeline up front and the sim engine executes it deterministically.
-//
-// Every method returns a stop function that cancels the not-yet-executed
-// part of the schedule (events already fired are not undone).
-type FaultInjector struct {
-	eng *sim.Engine
-}
-
-// NewFaultInjector returns an injector driving faults on eng's clock.
-func NewFaultInjector(eng *sim.Engine) *FaultInjector {
-	return &FaultInjector{eng: eng}
-}
-
-// checkEngine rejects links living on a different engine than the
-// injector's clock: under sharded execution (exp.Spec.Shards) that would
-// mutate link state from another shard's event stream. Build one injector
-// per shard (l.Engine()) instead.
-func (fi *FaultInjector) checkEngine(l *Link) {
-	if fi.eng != l.eng {
-		panic("netem: fault injector engine differs from link " + l.Name + "'s engine")
-	}
-}
+// Scheduled link changes. An experiment declares a link's timeline up front
+// — outages, flap cycles, burst-loss windows (here), a rate trace
+// (ScheduleRates) or a handover cadence (ScheduleHandovers) — and the link's
+// own engine executes it deterministically. Scheduling on l.Engine() means a
+// change can only run on the engine that owns the link, sharded or not.
 
 // Outage takes l down at absolute virtual time at and restores it at
 // at+dur. A non-positive dur schedules a permanent outage.
-func (fi *FaultInjector) Outage(l *Link, at, dur sim.Time) (stop func()) {
-	fi.checkEngine(l)
-	stopped := false
-	fi.eng.At(at, func() {
-		if !stopped {
-			l.SetDown(true)
-		}
-	})
+func (l *Link) Outage(at, dur sim.Time) {
+	l.eng.At(at, func() { l.SetDown(true) })
 	if dur > 0 {
-		fi.eng.At(at+dur, func() {
-			if !stopped {
-				l.SetDown(false)
-			}
-		})
+		l.eng.At(at+dur, func() { l.SetDown(false) })
 	}
-	return func() { stopped = true }
 }
 
 // Flaps schedules n down/up cycles on l starting at start: down for downFor,
-// then up for upFor, repeated. The link is guaranteed up after the last
-// cycle completes.
-func (fi *FaultInjector) Flaps(l *Link, start sim.Time, n int, downFor, upFor sim.Time) (stop func()) {
-	fi.checkEngine(l)
-	stopped := false
+// then up for upFor, repeated. The link is up after the last cycle.
+func (l *Link) Flaps(start sim.Time, n int, downFor, upFor sim.Time) {
 	at := start
 	for i := 0; i < n; i++ {
-		downAt, upAt := at, at+downFor
-		fi.eng.At(downAt, func() {
-			if !stopped {
-				l.SetDown(true)
-			}
-		})
-		fi.eng.At(upAt, func() {
-			if !stopped {
-				l.SetDown(false)
-			}
-		})
-		at = upAt + upFor
+		l.eng.At(at, func() { l.SetDown(true) })
+		l.eng.At(at+downFor, func() { l.SetDown(false) })
+		at += downFor + upFor
 	}
-	return func() { stopped = true }
 }
 
 // BurstLoss enables Gilbert–Elliott burst loss on l at absolute time at and
 // disables it again at at+dur. A non-positive dur leaves it enabled.
-func (fi *FaultInjector) BurstLoss(l *Link, at, dur sim.Time, ge GilbertElliott) (stop func()) {
-	fi.checkEngine(l)
-	stopped := false
-	fi.eng.At(at, func() {
-		if !stopped {
-			l.SetGilbertElliott(&ge)
-		}
-	})
+func (l *Link) BurstLoss(at, dur sim.Time, ge GilbertElliott) {
+	l.eng.At(at, func() { l.SetGilbertElliott(&ge) })
 	if dur > 0 {
-		fi.eng.At(at+dur, func() {
-			if !stopped {
-				l.SetGilbertElliott(nil)
-			}
-		})
+		l.eng.At(at+dur, func() { l.SetGilbertElliott(nil) })
 	}
-	return func() { stopped = true }
 }

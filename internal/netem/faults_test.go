@@ -128,8 +128,7 @@ func TestGilbertElliottBurstLoss(t *testing.T) {
 func TestFaultInjectorOutage(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewLink(e, "l", 100*mbps, 0, 1<<20)
-	fi := NewFaultInjector(e)
-	fi.Outage(l, 10*sim.Millisecond, 20*sim.Millisecond)
+	l.Outage(10*sim.Millisecond, 20*sim.Millisecond)
 	e.Run(5 * sim.Millisecond)
 	if l.Down() {
 		t.Fatal("down before the scheduled outage")
@@ -147,23 +146,10 @@ func TestFaultInjectorOutage(t *testing.T) {
 	}
 }
 
-func TestFaultInjectorOutageStop(t *testing.T) {
-	e := sim.NewEngine(1)
-	l := NewLink(e, "l", 100*mbps, 0, 1<<20)
-	fi := NewFaultInjector(e)
-	stop := fi.Outage(l, 10*sim.Millisecond, 0)
-	stop()
-	e.Run(20 * sim.Millisecond)
-	if l.Down() {
-		t.Fatal("stopped outage still fired")
-	}
-}
-
 func TestFaultInjectorFlaps(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewLink(e, "l", 100*mbps, 0, 1<<20)
-	fi := NewFaultInjector(e)
-	fi.Flaps(l, 0, 3, 5*sim.Millisecond, 5*sim.Millisecond)
+	l.Flaps(0, 3, 5*sim.Millisecond, 5*sim.Millisecond)
 	downAt := []sim.Time{2 * sim.Millisecond, 12 * sim.Millisecond, 22 * sim.Millisecond}
 	upAt := []sim.Time{7 * sim.Millisecond, 17 * sim.Millisecond, 27 * sim.Millisecond}
 	for i := range downAt {
@@ -184,8 +170,7 @@ func TestFaultInjectorFlaps(t *testing.T) {
 func TestFaultInjectorBurstLossWindow(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewLink(e, "l", 100*mbps, 0, 1<<20)
-	fi := NewFaultInjector(e)
-	fi.BurstLoss(l, 10*sim.Millisecond, 10*sim.Millisecond,
+	l.BurstLoss(10*sim.Millisecond, 10*sim.Millisecond,
 		GilbertElliott{PGoodBad: 1, PBadGood: 0, LossBad: 1})
 	e.Run(15 * sim.Millisecond)
 	if !l.geOn {

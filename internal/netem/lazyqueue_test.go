@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 )
 
@@ -168,9 +169,11 @@ func newLazyTwin(sc lazyScenario, seed int64, ref bool) *lazyTwin {
 	for i := 0; i < sc.hops; i++ {
 		l := NewLink(e, fmt.Sprintf("l%d", i), lazyRate/float64(1+i%2), 0, 3000)
 		sc.setup(l, i)
-		l.OnDrop = func(p *Packet, why DropReason) {
-			tw.log = append(tw.log, fmt.Sprintf("%v drop %s %v %d", e.Now(), l.Name, why, p.Size))
-		}
+		l.SetProbes(obs.NewBus(obs.SinkFunc(func(ev obs.Event) {
+			if ev.Kind == obs.KindDrop {
+				tw.log = append(tw.log, fmt.Sprintf("%v drop %s %v %d", ev.At, ev.Link, DropReason(ev.Cause), ev.Bytes))
+			}
+		})))
 		tw.links = append(tw.links, l)
 	}
 	sink := SinkFunc(func(p *Packet) {

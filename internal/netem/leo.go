@@ -31,28 +31,19 @@ func (l *Link) Handover(rateBps float64, delay sim.Time) {
 // steps[i mod len(steps)]). count <= 0 schedules one full cycle. The probe
 // bus is read at each fire time, so buses attached after scheduling (the
 // experiment harness attaches probes after topology tweaks) still observe
-// every handover. The returned stop function cancels the remainder.
-func ScheduleHandovers(eng *sim.Engine, l *Link, steps []HandoverStep, start, period sim.Time, count int) (stop func()) {
+// every handover.
+func (l *Link) ScheduleHandovers(steps []HandoverStep, start, period sim.Time, count int) {
 	if len(steps) == 0 {
-		return func() {}
+		return
 	}
 	if period <= 0 {
 		panic("netem: handover period must be positive")
 	}
-	if eng != l.eng {
-		panic("netem: ScheduleHandovers engine differs from link " + l.Name + "'s engine")
-	}
 	if count <= 0 {
 		count = len(steps)
 	}
-	stopped := false
 	for i := 0; i < count; i++ {
 		step := steps[i%len(steps)]
-		eng.At(start+sim.Time(i)*period, func() {
-			if !stopped {
-				l.Handover(step.RateBps, step.Delay)
-			}
-		})
+		l.eng.At(start+sim.Time(i)*period, func() { l.Handover(step.RateBps, step.Delay) })
 	}
-	return func() { stopped = true }
 }

@@ -22,7 +22,7 @@ func TestScheduleHandoversStepsOnSchedule(t *testing.T) {
 			rates = append(rates, ev.Value)
 		}
 	}))
-	ScheduleHandovers(e, l, steps, sim.Second, sim.Second, 3)
+	l.ScheduleHandovers(steps, sim.Second, sim.Second, 3)
 	// Probes attach after scheduling, as the experiment harness does
 	// (Build → Tweak → SetProbes): handovers must still be observed.
 	e.At(500*sim.Millisecond, func() { l.SetProbes(bus) })
@@ -56,18 +56,18 @@ func TestScheduleHandoversStopAndDefaults(t *testing.T) {
 		{RateBps: 40 * mbps, Delay: 30 * sim.Millisecond},
 		{RateBps: 80 * mbps, Delay: 15 * sim.Millisecond},
 	}
-	// count <= 0 runs one full cycle.
-	stop := ScheduleHandovers(e, l, steps, sim.Second, sim.Second, 0)
-	e.At(1500*sim.Millisecond, stop) // cancel before the second step
-	e.Run(4 * sim.Second)
-	if got := l.Stats().Handovers; got != 1 {
-		t.Fatalf("Handovers after stop = %d, want 1", got)
+	// count <= 0 runs one full cycle and then stops.
+	l.ScheduleHandovers(steps, sim.Second, sim.Second, 0)
+	e.Run(10 * sim.Second)
+	if got := l.Stats().Handovers; got != 2 {
+		t.Fatalf("Handovers = %d, want one cycle of 2", got)
 	}
-	if l.Rate() != 40*mbps {
-		t.Fatalf("rate = %v, want the first step's 40 Mbps", l.Rate())
+	if l.Rate() != 80*mbps || l.Delay() != 15*sim.Millisecond {
+		t.Fatalf("final link state = %v bps / %v, want the last step's 80 Mbps / 15 ms", l.Rate(), l.Delay())
 	}
 	// Empty schedules are inert.
-	if stop := ScheduleHandovers(e, l, nil, sim.Second, sim.Second, 5); stop == nil {
-		t.Fatal("empty schedule returned nil stop")
+	l.ScheduleHandovers(nil, sim.Second, sim.Second, 5)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("empty schedule left %d pending events", n)
 	}
 }

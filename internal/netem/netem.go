@@ -3,7 +3,7 @@
 // delay, drop-tail buffer size, and i.i.d. random loss — at packet
 // granularity on a sim.Engine virtual clock, plus the fault model the
 // paper's time-varying experiments never exercise: hard link outages and
-// flap sequences (SetDown, FaultInjector) and Gilbert–Elliott two-state
+// flap sequences (SetDown, Outage, Flaps) and Gilbert–Elliott two-state
 // burst loss (SetGilbertElliott).
 //
 // A Path is an ordered sequence of Links ending at a Sink. Forward (data)
@@ -171,9 +171,6 @@ type Link struct {
 	stats LinkStats
 
 	probes *obs.Bus // nil when observability is disabled
-
-	// OnDrop, if non-nil, is invoked for every dropped packet.
-	OnDrop func(pkt *Packet, reason DropReason)
 }
 
 // NewLink returns a link on engine eng. rateBps is the serialization rate in
@@ -587,9 +584,6 @@ func (l *Link) drop(pkt *Packet, reason DropReason) {
 	// obs.DropCause values mirror DropReason one-to-one (asserted in tests),
 	// so the cause is a cast rather than a translation table.
 	l.probes.Drop(l.eng.Now(), l.Name, obs.DropCause(reason), pkt.Size)
-	if l.OnDrop != nil {
-		l.OnDrop(pkt, reason)
-	}
 	if pkt.onDrop != nil {
 		pkt.onDrop(pkt, reason)
 	}

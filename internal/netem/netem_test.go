@@ -182,12 +182,8 @@ func TestPathExtraAndReverseDelay(t *testing.T) {
 	if p.PropDelay() != 13*sim.Millisecond {
 		t.Fatalf("PropDelay with extra = %v", p.PropDelay())
 	}
-	if p.ReverseDelay() != 13*sim.Millisecond {
-		t.Fatalf("default ReverseDelay = %v", p.ReverseDelay())
-	}
-	p.SetReverseDelay(20 * sim.Millisecond)
-	if p.ReverseDelay() != 20*sim.Millisecond {
-		t.Fatalf("overridden ReverseDelay = %v", p.ReverseDelay())
+	if p.BaseRTT() != 26*sim.Millisecond {
+		t.Fatalf("BaseRTT with extra = %v", p.BaseRTT())
 	}
 	var at sim.Time
 	p.Send(1000, nil, SinkFunc(func(*Packet) { at = e.Now() }), nil)
@@ -336,27 +332,29 @@ func TestLinkEmitsDropProbes(t *testing.T) {
 func TestScheduleRates(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewLink(e, "l", 10*mbps, 0, 1<<20)
-	stop := ScheduleRates(e, l, []RatePoint{
-		{At: 10 * sim.Millisecond, RateBps: 20 * mbps},
-		{At: 20 * sim.Millisecond, RateBps: 5 * mbps},
-	}, 30*sim.Millisecond)
-	e.Run(15 * sim.Millisecond)
-	if l.Rate() != 20*mbps {
-		t.Fatalf("rate at 15ms = %v", l.Rate())
+	e.At(5*sim.Millisecond, func() {
+		// Offsets count from the moment of scheduling.
+		l.ScheduleRates([]RatePoint{
+			{At: 10 * sim.Millisecond, RateBps: 20 * mbps},
+			{At: 20 * sim.Millisecond, RateBps: 5 * mbps},
+		}, 30*sim.Millisecond)
+	})
+	e.Run(14 * sim.Millisecond)
+	if l.Rate() != 10*mbps {
+		t.Fatalf("rate at 14ms = %v, want the initial rate", l.Rate())
 	}
-	e.Run(25 * sim.Millisecond)
+	e.Run(20 * sim.Millisecond)
+	if l.Rate() != 20*mbps {
+		t.Fatalf("rate at 20ms = %v", l.Rate())
+	}
+	e.Run(30 * sim.Millisecond)
 	if l.Rate() != 5*mbps {
-		t.Fatalf("rate at 25ms = %v", l.Rate())
+		t.Fatalf("rate at 30ms = %v", l.Rate())
 	}
-	// Looping: the first point re-applies at 40ms.
-	e.Run(45 * sim.Millisecond)
+	// Looping: the first point re-applies at 45ms.
+	e.Run(50 * sim.Millisecond)
 	if l.Rate() != 20*mbps {
-		t.Fatalf("rate at 45ms = %v (loop broken)", l.Rate())
-	}
-	stop()
-	e.Run(80 * sim.Millisecond)
-	if l.Rate() != 20*mbps {
-		t.Fatalf("rate changed after stop: %v", l.Rate())
+		t.Fatalf("rate at 50ms = %v (loop broken)", l.Rate())
 	}
 }
 
@@ -585,8 +583,8 @@ func TestAckDelayAndJitter(t *testing.T) {
 	l := NewLink(e, "l", 8*mbps, 10*sim.Millisecond, 1<<20)
 	p := NewPath(e, "p", l)
 	p.SetAckDelay(5 * sim.Millisecond)
-	if p.ReverseDelay() != 10*sim.Millisecond {
-		t.Fatalf("ReverseDelay = %v, want 10ms (impairment must not leak in)", p.ReverseDelay())
+	if p.BaseRTT() != 20*sim.Millisecond {
+		t.Fatalf("BaseRTT = %v, want 20ms (impairment must not leak in)", p.BaseRTT())
 	}
 	var at sim.Time
 	p.SendFeedback("ack", SinkFunc(func(*Packet) { at = e.Now() }))

@@ -17,17 +17,14 @@ type Path struct {
 	// link (e.g. last-mile latency private to this path).
 	extraDelay sim.Time
 
-	// reverseDelay is the feedback (ACK) one-way delay. If zero it defaults
-	// to the sum of forward propagation delays plus extraDelay.
-	reverseDelay sim.Time
-
 	// ACK-path impairment knobs (all zero = the clean delay-only reverse
-	// channel). ackDelay is a fixed asymmetric reverse-path addition on top
-	// of ReverseDelay; ackJitter adds a uniform [0, ackJitter) per-feedback
-	// delay with no in-order guard, so ACKs may arrive out of order;
-	// ackCompress defers each feedback arrival to the next multiple of the
-	// slot width, so ACKs landing inside one slot arrive back to back (ACK
-	// compression/aggregation, as on half-duplex or cellular uplinks).
+	// channel, whose one-way delay is PropDelay). ackDelay is a fixed
+	// asymmetric reverse-path addition on top of it; ackJitter adds a
+	// uniform [0, ackJitter) per-feedback delay with no in-order guard, so
+	// ACKs may arrive out of order; ackCompress defers each feedback arrival
+	// to the next multiple of the slot width, so ACKs landing inside one
+	// slot arrive back to back (ACK compression/aggregation, as on
+	// half-duplex or cellular uplinks).
 	ackDelay    sim.Time
 	ackJitter   sim.Time
 	ackCompress sim.Time
@@ -93,14 +90,10 @@ func (p *Path) Engine() *sim.Engine { return p.eng }
 // SetExtraDelay adds a fixed path-private one-way delay.
 func (p *Path) SetExtraDelay(d sim.Time) { p.extraDelay = d }
 
-// SetReverseDelay overrides the feedback delay; 0 restores the default
-// (the sum of forward propagation delays).
-func (p *Path) SetReverseDelay(d sim.Time) { p.reverseDelay = d }
-
 // SetAckDelay adds a fixed asymmetric reverse-path delay to every feedback
-// packet, on top of ReverseDelay. Unlike SetReverseDelay it models an
-// impairment, so it is not reflected in ReverseDelay/BaseRTT — estimators
-// observe it only through the ACKs themselves.
+// packet, on top of the forward propagation delay the reverse channel
+// mirrors. It models an impairment, so it is not reflected in BaseRTT —
+// estimators observe it only through the ACKs themselves.
 func (p *Path) SetAckDelay(d sim.Time) {
 	if d < 0 {
 		panic("netem: negative ack delay")
@@ -145,16 +138,9 @@ func (p *Path) PropDelay() sim.Time {
 	return d
 }
 
-// ReverseDelay returns the feedback one-way delay.
-func (p *Path) ReverseDelay() sim.Time {
-	if p.reverseDelay > 0 {
-		return p.reverseDelay
-	}
-	return p.PropDelay()
-}
-
-// BaseRTT returns the zero-queue round-trip time of the path.
-func (p *Path) BaseRTT() sim.Time { return p.PropDelay() + p.ReverseDelay() }
+// BaseRTT returns the zero-queue round-trip time of the path: the
+// feedback channel's one-way delay is the forward propagation delay.
+func (p *Path) BaseRTT() sim.Time { return 2 * p.PropDelay() }
 
 // BottleneckRate returns the minimum link rate along the path in bits/s.
 func (p *Path) BottleneckRate() float64 {
@@ -199,7 +185,7 @@ func (p *Path) SendFeedback(meta any, sink Sink) {
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
 	pkt.sink = sink
-	at := p.eng.Now() + p.ReverseDelay() + p.ackDelay
+	at := p.eng.Now() + p.PropDelay() + p.ackDelay
 	if p.ackJitter > 0 {
 		at += sim.Time(p.eng.Rand().Int63n(int64(p.ackJitter)))
 	}
@@ -240,41 +226,4 @@ func (pkt *Packet) forward() {
 	link := hops[pkt.hop]
 	pkt.hop++
 	link.enqueue(pkt)
-}
-
-// RatePoint pairs a virtual time offset with a link bandwidth, for
-// trace-driven links (e.g. cellular bandwidth traces).
-type RatePoint struct {
-	At      sim.Time
-	RateBps float64
-}
-
-// ScheduleRates applies a bandwidth trace to the link: each point's rate
-// takes effect at its time offset. If loop > 0 the trace repeats with that
-// period indefinitely. The returned stop function cancels future changes.
-func ScheduleRates(eng *sim.Engine, l *Link, points []RatePoint, loop sim.Time) (stop func()) {
-	if eng != l.eng {
-		panic("netem: ScheduleRates engine differs from link " + l.Name + "'s engine")
-	}
-	stopped := false
-	var apply func(base sim.Time)
-	apply = func(base sim.Time) {
-		for _, p := range points {
-			p := p
-			eng.At(base+p.At, func() {
-				if !stopped {
-					l.SetRate(p.RateBps)
-				}
-			})
-		}
-		if loop > 0 {
-			eng.At(base+loop, func() {
-				if !stopped {
-					apply(base + loop)
-				}
-			})
-		}
-	}
-	apply(eng.Now())
-	return func() { stopped = true }
 }

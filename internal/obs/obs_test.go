@@ -261,7 +261,7 @@ func TestSampleQueues(t *testing.T) {
 	depth := 1000
 	c := &collector{}
 	b := NewBus(c)
-	stop := SampleQueues(eng, b, sim.Time(10e6), QueueProbe{Link: "wifi", Depth: func() int {
+	SampleQueues(eng, b, sim.Time(10e6), QueueProbe{Link: "wifi", Depth: func() int {
 		depth += 500
 		return depth
 	}})
@@ -280,13 +280,14 @@ func TestSampleQueues(t *testing.T) {
 			t.Errorf("sample %d at %d, want %d", i, e.At, want)
 		}
 	}
-	stop()
-	eng.Run(sim.Time(100e6))
-	if len(c.events) != 4 {
-		t.Fatalf("sampler kept firing after stop: %d samples", len(c.events))
-	}
 
 	// Disabled or degenerate configurations are inert.
-	SampleQueues(nil, nil, 0)()
-	SampleQueues(eng, nil, sim.Time(1e6), QueueProbe{Link: "x", Depth: func() int { return 0 }})()
+	idle := sim.NewEngine(1)
+	SampleQueues(nil, nil, 0)
+	SampleQueues(idle, nil, sim.Time(1e6), QueueProbe{Link: "x", Depth: func() int { return 0 }})
+	SampleQueues(idle, b, 0, QueueProbe{Link: "x", Depth: func() int { return 0 }})
+	SampleQueues(idle, b, sim.Time(1e6))
+	if n := idle.Pending(); n != 0 {
+		t.Fatalf("inert samplers scheduled %d events", n)
+	}
 }

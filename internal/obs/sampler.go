@@ -11,28 +11,26 @@ type QueueProbe struct {
 
 // SampleQueues schedules a self-repeating timer on eng that emits a
 // KindQueueDepth event per probe every `every` of virtual time, starting at
-// now+every. The returned stop function cancels future samples.
+// now+every, for the rest of the run.
 //
 // Call this only when probes are live: scheduling the timer changes the
 // engine's event count, so a run with a sampler is deterministic but not
 // event-count-identical to one without.
-func SampleQueues(eng *sim.Engine, b *Bus, every sim.Time, probes ...QueueProbe) (stop func()) {
+func SampleQueues(eng *sim.Engine, b *Bus, every sim.Time, probes ...QueueProbe) {
 	if b == nil || eng == nil || every <= 0 || len(probes) == 0 {
-		return func() {}
+		return
 	}
 	s := &queueSampler{eng: eng, bus: b, every: every, probes: probes}
-	s.timer = eng.ScheduleRef(eng.Now()+every, sampleQueuesEvent, s)
-	return func() { s.timer.Stop() }
+	eng.Schedule(eng.Now()+every, sampleQueuesEvent, s)
 }
 
-// queueSampler is SampleQueues' state: one pooled engine timer, re-armed by
-// a static callback, so a running sampler allocates nothing.
+// queueSampler is SampleQueues' state: one pooled engine event, re-posted
+// by a static callback, so a running sampler allocates nothing.
 type queueSampler struct {
 	eng    *sim.Engine
 	bus    *Bus
 	every  sim.Time
 	probes []QueueProbe
-	timer  sim.TimerRef
 }
 
 func sampleQueuesEvent(arg any) {
@@ -41,5 +39,5 @@ func sampleQueuesEvent(arg any) {
 	for _, p := range s.probes {
 		s.bus.QueueDepth(now, p.Link, p.Depth())
 	}
-	s.timer = s.eng.ScheduleRef(now+s.every, sampleQueuesEvent, s)
+	s.eng.Schedule(now+s.every, sampleQueuesEvent, s)
 }

@@ -766,16 +766,15 @@ func (s Scenario) buildSpec(bus *obs.Bus, o *Oracle) exp.Spec {
 			// Faults schedule on the faulted link's own engine: under
 			// sharded execution (Shards >= 1) links live on per-component
 			// engines and net.Eng is only shard 0.
-			fi := netem.NewFaultInjector(l.Engine())
 			at := sim.FromSeconds(f.AtMs / 1000)
 			dur := sim.FromSeconds(f.DurMs / 1000)
 			switch f.Kind {
 			case FaultOutage:
-				fi.Outage(l, at, dur)
+				l.Outage(at, dur)
 			case FaultFlaps:
-				fi.Flaps(l, at, f.Cycles, dur, sim.FromSeconds(f.UpMs/1000))
+				l.Flaps(at, f.Cycles, dur, sim.FromSeconds(f.UpMs/1000))
 			case FaultBurst:
-				fi.BurstLoss(l, at, dur, geFromSeverity(f.Severity))
+				l.BurstLoss(at, dur, geFromSeverity(f.Severity))
 			case FaultRate:
 				orig := l.Rate()
 				cut := f.RateMbps * 1e6
@@ -789,7 +788,7 @@ func (s Scenario) buildSpec(bus *obs.Bus, o *Oracle) exp.Spec {
 					{RateBps: f.RateMbps * 1e6, Delay: sim.FromSeconds(f.DelayMs / 1000)},
 					{RateBps: base.RateMbps * 1e6, Delay: sim.FromSeconds(base.DelayMs / 1000)},
 				}
-				netem.ScheduleHandovers(l.Engine(), l, steps, at, dur, f.Cycles)
+				l.ScheduleHandovers(steps, at, dur, f.Cycles)
 				if o != nil {
 					// The oracle holds the exact fire times; every handover
 					// event must land on one, and all must fire by the horizon.
@@ -809,7 +808,7 @@ func (s Scenario) buildSpec(bus *obs.Bus, o *Oracle) exp.Spec {
 				// The trace plays once; its end restores the base rate.
 				end := at + sim.Time(len(f.Trace))*dur
 				pts = append(pts, netem.RatePoint{At: end, RateBps: s.Links[f.Link].RateMbps * 1e6})
-				netem.ScheduleRates(l.Engine(), l, pts, 0)
+				l.ScheduleRates(pts, 0)
 				if o != nil && s.soleRateFault(fidx) {
 					armTraceEnvelope(l.Engine(), o, l, linkNames[f.Link],
 						at, dur, f.Trace, s.Links[f.Link].BufBytes)

@@ -92,7 +92,7 @@ func TestAbortReleasesPools(t *testing.T) {
 	tn := newTestNet(71, 1)
 	c := NewConnection(tn.eng, "ab")
 	p := tn.path(0)
-	p.SetReverseDelay(300 * sim.Millisecond)
+	p.SetAckDelay(300 * sim.Millisecond)
 	c.AddWindowSubflow(p, reno.New())
 	acks := ackCount(c)
 	c.SetApp(Bulk{}, nil)
@@ -201,7 +201,7 @@ func TestChurnLeak10kSessions(t *testing.T) {
 		path := func(link int) *netem.Path {
 			p := tn.path(link)
 			if i%3 == 1 {
-				p.SetReverseDelay(50 * sim.Millisecond)
+				p.SetAckDelay(50 * sim.Millisecond)
 			}
 			return p
 		}

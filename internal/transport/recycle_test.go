@@ -54,7 +54,7 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 		rig: func(tn *testNet) *Connection {
 			tn.links[1].SetDuplicate(1)
 			slow := tn.path(0)
-			slow.SetReverseDelay(sim.Second)
+			slow.SetAckDelay(sim.Second)
 			c := NewConnection(tn.eng, "late-acks")
 			c.AddWindowSubflow(slow, fixedWin{64})
 			c.AddWindowSubflow(tn.path(1), fixedWin{64})
@@ -257,7 +257,7 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 			for i := range tn.links {
 				p := tn.path(i)
 				p.SetProbes(bus)
-				p.SetReverseDelay(200 * sim.Millisecond)
+				p.SetAckDelay(200 * sim.Millisecond)
 				ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
 				ctl.SetProbes(bus, name)
 				c.AddRateSubflow(p, ctl)
@@ -386,7 +386,7 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 		{"completion", nil, file},
 		{"completion delayed acks", nil, func(tn *testNet, c *Connection) {
 			for _, s := range c.Subflows() {
-				s.Path().SetReverseDelay(250 * sim.Millisecond)
+				s.Path().SetAckDelay(250 * sim.Millisecond)
 			}
 			file(tn, c)
 		}},

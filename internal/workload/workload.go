@@ -1,6 +1,6 @@
 // Package workload generates open-loop session workloads: arrival
 // processes (Poisson, MMPP), heavy-tailed object sizes (bounded Pareto),
-// diurnal load shaping, and retry backoff schedules.
+// and retry backoff schedules.
 //
 // Every generator owns its own rand.Rand seeded explicitly by the caller,
 // never the simulation engine's RNG: arrival sequences must not shift when
@@ -20,22 +20,6 @@ import (
 // Shape multiplies an arrival process's base intensity by a time-varying
 // factor in (0, 1]. A nil Shape means constant intensity.
 type Shape func(t sim.Time) float64
-
-// Diurnal returns a smooth day-shaped load multiplier with the given
-// period: 1.0 at peak (mid-period), trough at t=0, following a raised
-// cosine. trough must be in (0, 1].
-func Diurnal(period sim.Time, trough float64) Shape {
-	if period <= 0 {
-		panic("workload: Diurnal period must be positive")
-	}
-	if trough <= 0 || trough > 1 {
-		panic("workload: Diurnal trough must be in (0, 1]")
-	}
-	return func(t sim.Time) float64 {
-		phase := 2 * math.Pi * float64(t%period) / float64(period)
-		return trough + (1-trough)*0.5*(1-math.Cos(phase))
-	}
-}
 
 // Arrivals produces the strictly increasing instants of an arrival
 // process. Next returns the first arrival strictly after now.
@@ -82,20 +66,18 @@ type MMPPState struct {
 }
 
 // MMPP is a Markov-modulated Poisson process: a cyclic continuous-time
-// chain over states, each with its own arrival intensity, with an optional
-// Shape multiplier applied on top. Sampling thins a homogeneous process at
-// the maximum state rate.
+// chain over states, each with its own arrival intensity. Sampling thins a
+// homogeneous process at the maximum state rate.
 type MMPP struct {
 	rng      *rand.Rand
 	states   []MMPPState
-	shape    Shape
 	maxRate  float64
 	cur      int
 	stateEnd sim.Time // absolute time the current dwell expires
 }
 
 // NewMMPP returns an MMPP starting in state 0 at time 0.
-func NewMMPP(seed int64, states []MMPPState, shape Shape) *MMPP {
+func NewMMPP(seed int64, states []MMPPState) *MMPP {
 	if len(states) == 0 {
 		panic("workload: MMPP needs at least one state")
 	}
@@ -108,7 +90,7 @@ func NewMMPP(seed int64, states []MMPPState, shape Shape) *MMPP {
 			maxRate = s.RatePerSec
 		}
 	}
-	m := &MMPP{rng: rand.New(rand.NewSource(seed)), states: states, shape: shape, maxRate: maxRate}
+	m := &MMPP{rng: rand.New(rand.NewSource(seed)), states: states, maxRate: maxRate}
 	m.stateEnd = m.dwell()
 	return m
 }
@@ -134,11 +116,7 @@ func (m *MMPP) advanceTo(t sim.Time) {
 // rateAt returns the instantaneous intensity at time t.
 func (m *MMPP) rateAt(t sim.Time) float64 {
 	m.advanceTo(t)
-	r := m.states[m.cur].RatePerSec
-	if m.shape != nil {
-		r *= clamp01(m.shape(t))
-	}
-	return r
+	return m.states[m.cur].RatePerSec
 }
 
 // Next returns the next arrival instant strictly after now.

@@ -55,25 +55,6 @@ func TestPoissonShapeThinning(t *testing.T) {
 	}
 }
 
-// TestDiurnalShapeBounds checks the raised-cosine shape hits the trough at
-// phase 0, the peak at mid-period, and stays within [trough, 1].
-func TestDiurnalShapeBounds(t *testing.T) {
-	period := 10 * sim.Second
-	sh := Diurnal(period, 0.2)
-	if v := sh(0); math.Abs(v-0.2) > 1e-9 {
-		t.Errorf("shape(0) = %v, want trough 0.2", v)
-	}
-	if v := sh(period / 2); math.Abs(v-1) > 1e-9 {
-		t.Errorf("shape(period/2) = %v, want peak 1", v)
-	}
-	for i := 0; i < 1000; i++ {
-		v := sh(sim.Time(i) * period / 1000)
-		if v < 0.2-1e-9 || v > 1+1e-9 {
-			t.Fatalf("shape out of [0.2,1] at step %d: %v", i, v)
-		}
-	}
-}
-
 // TestMMPPDwellTimes drives the modulating chain directly and checks the
 // per-state mean dwell matches the spec at a fixed seed.
 func TestMMPPDwellTimes(t *testing.T) {
@@ -81,7 +62,7 @@ func TestMMPPDwellTimes(t *testing.T) {
 		{RatePerSec: 50, MeanDwell: 200 * sim.Millisecond},
 		{RatePerSec: 300, MeanDwell: 50 * sim.Millisecond},
 	}
-	m := NewMMPP(3, states, nil)
+	m := NewMMPP(3, states)
 	sums := make([]float64, len(states))
 	counts := make([]int, len(states))
 	prevEnd := sim.Time(0)
@@ -109,7 +90,7 @@ func TestMMPPRateModulation(t *testing.T) {
 		{RatePerSec: 40, MeanDwell: 500 * sim.Millisecond},
 		{RatePerSec: 400, MeanDwell: 500 * sim.Millisecond},
 	}
-	m := NewMMPP(11, states, nil)
+	m := NewMMPP(11, states)
 	// After Next accepts an arrival the chain has been advanced to that
 	// instant, so m.cur is the state the arrival occurred in.
 	counts := make([]float64, len(states))
@@ -188,11 +169,12 @@ func TestBackoffSchedule(t *testing.T) {
 // the property exp.RunParallel and sharding rely on.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	gen := func(seed int64) []sim.Time {
-		p := NewPoisson(seed, 123, Diurnal(5*sim.Second, 0.3))
+		ramp := func(t sim.Time) float64 { return 0.3 + 0.7*float64(t%sim.Second)/float64(sim.Second) }
+		p := NewPoisson(seed, 123, ramp)
 		m := NewMMPP(seed+1, []MMPPState{
 			{RatePerSec: 20, MeanDwell: 100 * sim.Millisecond},
 			{RatePerSec: 200, MeanDwell: 30 * sim.Millisecond},
-		}, nil)
+		})
 		bp := BoundedPareto{Alpha: 1.3, Min: 1e3, Max: 1e6}
 		rng := rand.New(rand.NewSource(seed + 2))
 		var seq []sim.Time

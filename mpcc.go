@@ -45,9 +45,6 @@ type (
 	Path = netem.Path
 	// Connection is a multipath transport connection.
 	Connection = transport.Connection
-	// FaultInjector scripts link outages, flap cycles, and burst-loss
-	// windows on the virtual clock.
-	FaultInjector = netem.FaultInjector
 	// Bulk is an infinite data source.
 	Bulk = transport.Bulk
 	// ConnOption tunes a Connection (pass via AttachOptions.ConnOptions).
@@ -97,11 +94,8 @@ type (
 	// CloseReason records why a Connection closed (done/aborted/idle/
 	// handshake-timeout).
 	CloseReason = transport.CloseReason
-	// PoissonArrivals generates homogeneous (optionally shape-modulated)
-	// Poisson session arrivals.
+	// PoissonArrivals generates homogeneous Poisson session arrivals.
 	PoissonArrivals = workload.Poisson
-	// ArrivalShape modulates an arrival process's rate over virtual time.
-	ArrivalShape = workload.Shape
 	// BoundedPareto is the heavy-tailed object-size distribution of the
 	// open-loop workload model.
 	BoundedPareto = workload.BoundedPareto
@@ -142,11 +136,6 @@ func ParseBWTrace(r io.Reader) (*BWTrace, error) { return netem.ParseBWTrace(r) 
 // ParseBWTraceString parses a bandwidth trace held in a string.
 func ParseBWTraceString(s string) (*BWTrace, error) { return netem.ParseBWTraceString(s) }
 
-// NewFaultInjector returns an injector scheduling link faults on eng's
-// clock. Every method returns a stop function cancelling the rest of its
-// schedule.
-func NewFaultInjector(eng *Engine) *FaultInjector { return netem.NewFaultInjector(eng) }
-
 // WithRcvBuf bounds the receiver's reassembly buffer (bytes); 0 means
 // unlimited.
 func WithRcvBuf(bytes int64) ConnOption { return transport.WithRcvBuf(bytes) }
@@ -169,10 +158,9 @@ func NewServer(name string, maxConns int, budgetBytes int64) *Server {
 	return transport.NewServer(name, maxConns, budgetBytes)
 }
 
-// NewPoissonArrivals returns a seeded Poisson arrival process at ratePerSec,
-// optionally modulated by shape (nil = constant rate).
-func NewPoissonArrivals(seed int64, ratePerSec float64, shape ArrivalShape) *PoissonArrivals {
-	return workload.NewPoisson(seed, ratePerSec, shape)
+// NewPoissonArrivals returns a seeded Poisson arrival process at ratePerSec.
+func NewPoissonArrivals(seed int64, ratePerSec float64) *PoissonArrivals {
+	return workload.NewPoisson(seed, ratePerSec, nil)
 }
 
 // NewNetwork returns an empty network of named links on eng.
@@ -192,10 +180,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func NewJSONLWriter(w io.Writer) *JSONLWriter { return obs.NewJSONLWriter(w) }
 
 // SampleQueues periodically emits queue-depth events for the given link
-// probes (Link.QueueProbe) onto b until the returned stop function is
-// called.
-func SampleQueues(eng *Engine, b *ProbeBus, every Time, probes ...QueueProbe) (stop func()) {
-	return obs.SampleQueues(eng, b, every, probes...)
+// probes (Link.QueueProbe) onto b for the rest of the run.
+func SampleQueues(eng *Engine, b *ProbeBus, every Time, probes ...QueueProbe) {
+	obs.SampleQueues(eng, b, every, probes...)
 }
 
 // NewFlightRecorder returns a flight recorder holding the last size probe
