@@ -9,8 +9,9 @@ test:
 	$(GO) test ./...
 
 # Tier-1 gate: formatting cleanliness, vet, the full test suite under the
-# race detector (which also exercises the parallel sweep runner), and a
-# 1-iteration smoke of the go-test benchmarks in bench_test.go and of the
+# race detector (which also exercises the parallel sweep runner), the
+# allocation guards again without it (the race detector shifts their exact
+# counts), and a 1-iteration smoke of the go-test benchmarks in bench_test.go and of the
 # event-queue driver in internal/sim so they keep compiling and running.
 # Performance claims are made with bench-compare.
 check:
@@ -18,7 +19,7 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'SteadyStateAllocs' -count=1 .
+	$(GO) test -run 'SteadyStateAllocs|RunAllocs' -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEmulatorThroughput(Probed)?$$' -benchtime 1x -benchmem .
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchtime 1x
 	$(MAKE) examples

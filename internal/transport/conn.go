@@ -171,7 +171,7 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 	for _, o := range opts {
 		o(c)
 	}
-	c.rcv.intervals = popSlice(&a.spans)
+	c.rcv.intervals = a.islands.get()
 	c.latSeries.Reset(0, stats.DefaultBucket)
 	c.subflows = subflows
 	if subflows == nil {
@@ -199,7 +199,7 @@ func (c *Connection) newSubflow(path *netem.Path) *Subflow {
 
 		pending:     segQueue{arena: c.arena},
 		retx:        segQueue{arena: c.arena},
-		outstanding: popSlice(&c.arena.recSlices),
+		outstanding: c.arena.outstanding.get(),
 	}
 	s.goodput.Reset(0, stats.DefaultBucket)
 	s.rxSink, s.ackSink = (*rxSink)(s), (*ackSink)(s)
@@ -214,7 +214,7 @@ func (c *Connection) AddRateSubflow(path *netem.Path, rc cc.RateController) *Sub
 	}
 	s := c.newSubflow(path)
 	s.rc = rc
-	s.openMIs = popSlice(&c.arena.miSlices)
+	s.openMIs = c.arena.openMIs.get()
 	return s
 }
 

@@ -221,60 +221,50 @@ func (s *Subflow) probeAck(fb *netem.Packet) {
 
 // ---- connection-level migration ----
 
-// liveSubflows returns the subflows not currently declared dead, excluding
-// except (which may be nil).
-func (c *Connection) liveSubflows(except *Subflow) []*Subflow {
-	var live []*Subflow
-	for _, s := range c.subflows {
-		if s != except && s.state != SubflowFailed {
-			live = append(live, s)
+// nextLive returns the index of the first subflow after i (wrapping; -1
+// starts at the first) that is neither except nor declared dead, or -1 if
+// there is none.
+func (c *Connection) nextLive(except *Subflow, i int) int {
+	n := len(c.subflows)
+	for j := 1; j <= n; j++ {
+		k := (i + j) % n
+		if s := c.subflows[k]; s != except && s.state != SubflowFailed {
+			return k
 		}
 	}
-	return live
+	return -1
 }
 
 // migrateFrom re-queues a failed subflow's segments onto live siblings:
 // already-sent data joins sibling retransmission queues (retransmissions
 // bypass the receive-window gate — they fill the same holes), never-sent
-// data joins sibling pending queues round-robin. With no live sibling the
-// segments are held at the connection until one revives.
+// data joins sibling pending queues, each round-robin from the first live
+// sibling. With no live sibling the segments are held at the connection
+// until one revives. The queues are walked in place, so a failover
+// allocates nothing.
 func (c *Connection) migrateFrom(s *Subflow) {
-	var sent, unsent []*segment
-	for _, seg := range s.retx.items() {
-		if !seg.delivered {
-			sent = append(sent, seg)
-		} else {
-			c.releaseSeg(seg)
+	first := c.nextLive(s, -1)
+	for _, q := range [...]*segQueue{&s.retx, &s.pending} {
+		k := first
+		for _, seg := range q.items() {
+			switch {
+			case seg.delivered:
+				c.releaseSeg(seg)
+			case k < 0:
+				c.orphans.push(seg)
+			case q == &s.retx:
+				c.subflows[k].retx.push(seg)
+				k = c.nextLive(s, k)
+			default:
+				c.subflows[k].pending.push(seg)
+				k = c.nextLive(s, k)
+			}
 		}
+		// Every live entry was transferred or released above.
+		q.reset()
 	}
-	for _, seg := range s.pending.items() {
-		if !seg.delivered {
-			unsent = append(unsent, seg)
-		} else {
-			c.releaseSeg(seg)
-		}
-	}
-	// Every live entry was transferred (sent/unsent) or released above.
-	s.retx.reset()
-	s.pending.reset()
-	live := c.liveSubflows(s)
-	if len(live) == 0 {
-		for _, seg := range sent {
-			c.orphans.push(seg)
-		}
-		for _, seg := range unsent {
-			c.orphans.push(seg)
-		}
-		return
-	}
-	for i, seg := range sent {
-		live[i%len(live)].retx.push(seg)
-	}
-	for i, seg := range unsent {
-		live[i%len(live)].pending.push(seg)
-	}
-	for _, sf := range live {
-		sf.kick()
+	for _, sf := range c.subflows {
+		sf.kick() // a no-op on a dead subflow
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 
 	ccmpcc "mpcc/internal/cc/mpcc"
@@ -204,5 +205,90 @@ func TestFlappingLinkSurvives(t *testing.T) {
 	}
 	if c.AckedBytes() != 10_000_000 {
 		t.Fatalf("acked %d bytes", c.AckedBytes())
+	}
+}
+
+// TestMigrateFromOrderAndAllocs pins where a failed subflow's segments go:
+// undelivered retransmissions, then undelivered pending data, each dealt
+// round-robin from the first live sibling (dead ones and the failed subflow
+// skipped), delivered ones released, and everything to the connection's
+// orphans when no sibling is live. A warm failover allocates nothing.
+func TestMigrateFromOrderAndAllocs(t *testing.T) {
+	tn := newTestNet(88, 1)
+	c := NewConnection(tn.eng, "mig")
+	for i := 0; i < 4; i++ {
+		c.AddWindowSubflow(tn.path(0), reno.New())
+	}
+	sf := c.Subflows()
+	sf[2].state = SubflowFailed
+	fill := func(s *Subflow) {
+		for i, delivered := range []bool{false, true, false, false} {
+			seg := c.acquireSeg(int64(i), 1)
+			seg.delivered = delivered
+			s.retx.push(seg)
+		}
+		for i := 10; i < 12; i++ {
+			s.pending.push(c.acquireSeg(int64(i), 1))
+		}
+	}
+	offs := func(q *segQueue) []int64 {
+		var out []int64
+		for _, seg := range q.items() {
+			out = append(out, seg.off)
+		}
+		return out
+	}
+	drain := func(q *segQueue) {
+		for q.len() > 0 {
+			c.releaseSeg(q.pop())
+		}
+	}
+
+	fill(sf[0])
+	c.migrateFrom(sf[0])
+	for _, tc := range []struct {
+		name string
+		q    *segQueue
+		want []int64
+	}{
+		{"sf1 retx", &sf[1].retx, []int64{0, 3}},
+		{"sf3 retx", &sf[3].retx, []int64{2}},
+		{"sf1 pending", &sf[1].pending, []int64{10}},
+		{"sf3 pending", &sf[3].pending, []int64{11}},
+		{"sf2 retx", &sf[2].retx, nil},
+		{"sf0 retx", &sf[0].retx, nil},
+		{"sf0 pending", &sf[0].pending, nil},
+		{"orphans", &c.orphans, nil},
+	} {
+		if got := offs(tc.q); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: offsets %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if c.segLive != 5 {
+		t.Errorf("%d segments live after migration, want 5 (the delivered one released)", c.segLive)
+	}
+
+	sf[1].state, sf[3].state = SubflowFailed, SubflowFailed
+	drain(&sf[1].retx)
+	drain(&sf[1].pending)
+	drain(&sf[3].retx)
+	drain(&sf[3].pending)
+	fill(sf[0])
+	c.migrateFrom(sf[0])
+	if got, want := offs(&c.orphans), []int64{0, 2, 3, 10, 11}; !slices.Equal(got, want) {
+		t.Errorf("orphans with no live sibling: offsets %v, want %v", got, want)
+	}
+	drain(&c.orphans)
+
+	sf[1].state, sf[3].state = SubflowActive, SubflowActive
+	if n := testing.AllocsPerRun(20, func() {
+		fill(sf[0])
+		c.migrateFrom(sf[0])
+		for _, s := range sf {
+			drain(&s.retx)
+			drain(&s.pending)
+		}
+	}); n != 0 {
+		t.Errorf("a warm failover allocates %.1f objects, want 0", n)
 	}
 }

@@ -99,7 +99,7 @@ func (c *Connection) shutdown(reason CloseReason) {
 		c.releaseSeg(c.orphans.pop())
 	}
 	c.orphans.handBack()
-	c.rcv.handBack(&c.arena.spans)
+	c.rcv.handBack(&c.arena.islands)
 	if c.onClose != nil {
 		c.onClose(reason, c.closedAt)
 	}
@@ -122,7 +122,7 @@ func (s *Subflow) teardown() {
 	s.capBlocked = false
 	a := s.conn.arena
 	s.dropOpenMIs()
-	pushSlice(&a.miSlices, s.openMIs)
+	a.openMIs.put(s.openMIs)
 	s.openMIs = nil
 	for i := s.outHead; i < len(s.outstanding); i++ {
 		rec := s.outstanding[i]
@@ -132,7 +132,7 @@ func (s *Subflow) teardown() {
 		s.outstanding[i] = nil
 		s.conn.releaseRec(rec) // the outstanding slot's reference
 	}
-	pushSlice(&a.recSlices, s.outstanding)
+	a.outstanding.put(s.outstanding)
 	s.outstanding, s.outHead = nil, 0
 	s.inflightBytes, s.inflightPkts = 0, 0
 	for s.pending.len() > 0 {

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"slices"
+
 	"mpcc/internal/sim"
 	"mpcc/internal/stats"
 )
@@ -65,11 +67,11 @@ type arena struct {
 
 	// Backing arrays handed back at teardown (and MI rtt-sample arrays,
 	// which also cycle between finalized and freshly opened intervals).
-	flts      [][]stats.Point
-	recSlices [][]*pktRec          // Subflow.outstanding
-	miSlices  [][]*monitorInterval // Subflow.openMIs
-	segSlices [][]*segment         // segQueue storage
-	spans     [][]interval         // rangeSet islands
+	rtts        arrays[stats.Point]
+	outstanding arrays[*pktRec]          // Subflow.outstanding
+	openMIs     arrays[*monitorInterval] // Subflow.openMIs
+	queues      arrays[*segment]         // segQueue storage
+	islands     arrays[interval]         // rangeSet islands
 }
 
 type arenaKey struct{}
@@ -89,25 +91,43 @@ func arenaOf(eng *sim.Engine) *arena {
 	}).(*arena)
 }
 
-// popSlice returns a recycled backing array (length 0) from free, or nil —
-// the caller's first append then grows its own, which joins the pool when
-// handed back.
-func popSlice[T any](free *[][]T) []T {
-	n := len(*free)
-	if n == 0 {
-		return nil
+// Backing arrays are provisioned like objects: arraysPerSlab arrays of
+// arrayCap entries per allocation. An array that outgrows its arrayCap
+// entries reallocates on its own (append never writes past a carved
+// array's capacity) and the grown array is what goes home. Nothing outside
+// arrays reads an array's capacity except to tell a held array from none,
+// so where an array came from cannot reach behaviour.
+const (
+	arrayCap      = 64
+	arraysPerSlab = 16
+)
+
+// arrays is a free list of emptied backing arrays of T.
+type arrays[T any] struct{ free [][]T }
+
+// get returns a recycled array, or a fresh one carved from a new slab, at
+// length 0.
+func (p *arrays[T]) get() []T {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return s
 	}
-	s := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return s
+	slab := make([]T, arrayCap*arraysPerSlab)
+	p.free = slices.Grow(p.free, arraysPerSlab-1)
+	for i := arraysPerSlab - 1; i > 0; i-- {
+		p.free = append(p.free, slab[i*arrayCap:i*arrayCap:(i+1)*arrayCap])
+	}
+	return slab[0:0:arrayCap]
 }
 
-// pushSlice hands s's backing array back. The caller has already cleared
-// every slot that held a pointer.
-func pushSlice[T any](free *[][]T, s []T) {
+// put takes back s's backing array, grown or not. The caller has already
+// cleared every slot that held a pointer; an array without capacity is
+// dropped.
+func (p *arrays[T]) put(s []T) {
 	if cap(s) > 0 {
-		*free = append(*free, s[:0])
+		p.free = append(p.free, s[:0])
 	}
 }
 
@@ -172,7 +192,7 @@ func (c *Connection) releaseSeg(seg *segment) {
 // into it or reads its rtt samples again, so their array goes home now, and
 // the slot's reference is dropped.
 func (c *Connection) retireMI(mi *monitorInterval) {
-	pushSlice(&c.arena.flts, mi.rtt)
+	c.arena.rtts.put(mi.rtt)
 	mi.rtt = nil
 	c.releaseMI(mi)
 }

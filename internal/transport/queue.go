@@ -18,7 +18,7 @@ func (q *segQueue) len() int { return len(q.s) - q.head }
 
 func (q *segQueue) push(seg *segment) {
 	if cap(q.s) == 0 {
-		q.s = popSlice(&q.arena.segSlices)
+		q.s = q.arena.queues.get()
 	}
 	q.s = append(q.s, seg)
 }
@@ -61,6 +61,6 @@ func (q *segQueue) reset() {
 // handBack returns an emptied queue's storage to the arena (teardown).
 func (q *segQueue) handBack() {
 	q.reset()
-	pushSlice(&q.arena.segSlices, q.s)
+	q.arena.queues.put(q.s)
 	q.s = nil
 }

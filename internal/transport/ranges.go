@@ -107,9 +107,9 @@ func (r *rangeSet) buffered() int64 {
 // handBack retires the set once nothing more can arrive (its connection
 // closed): the island storage returns to free, and buffered keeps reporting
 // the bytes it held.
-func (r *rangeSet) handBack(free *[][]interval) {
+func (r *rangeSet) handBack(free *arrays[interval]) {
 	r.retired = r.buffered()
-	pushSlice(free, r.intervals)
+	free.put(r.intervals)
 	r.intervals = nil
 }
 

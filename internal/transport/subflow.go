@@ -303,7 +303,7 @@ func (s *Subflow) rollMI() {
 	mi := a.mis.Get()
 	s.conn.miLive++
 	*mi = monitorInterval{sf: s, seq: s.miSeq, start: now, end: now + s.miDuration(rate), rate: rate,
-		rtt:  popSlice(&a.flts),
+		rtt:  a.rtts.get(),
 		refs: 2, // openMIs slot + end-of-MI timer
 	}
 	s.miSeq++
