@@ -17,6 +17,7 @@ import (
 
 	"mpcc"
 	"mpcc/internal/exp"
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 )
@@ -66,7 +67,7 @@ func TestProbedSteadyStateAllocs(t *testing.T) {
 	net.AddLink("l1", 100e6, 30*mpcc.Millisecond, 375_000)
 	net.AddLink("l2", 100e6, 30*mpcc.Millisecond, 375_000)
 
-	bus := mpcc.NewProbeBus(mpcc.NewFlightRecorder(0), mpcc.NewJSONLWriter(io.Discard))
+	bus := mpcc.NewProbeBus(obs.NewFlightRecorder(obs.DefaultFlightRecorderSize), mpcc.NewJSONLWriter(io.Discard))
 	bus.SetRegistry(mpcc.NewMetricsRegistry())
 	var qps []mpcc.QueueProbe
 	for _, name := range []string{"l1", "l2"} {

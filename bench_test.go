@@ -6,10 +6,12 @@
 package mpcc_test
 
 import (
+	"slices"
 	"testing"
 
 	"mpcc"
 	"mpcc/internal/exp"
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 )
@@ -22,12 +24,14 @@ func benchCfg() exp.Config {
 
 func runExp(b *testing.B, id string, cfg exp.Config) {
 	b.Helper()
+	reg := exp.Registry()
+	at := slices.IndexFunc(reg, func(e exp.Experiment) bool { return e.ID == id })
+	if at < 0 {
+		b.Fatalf("no experiment %q", id)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tabs, err := exp.RunByID(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tabs := reg[at].Run(cfg)
 		if len(tabs) == 0 || len(tabs[0].Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}
@@ -241,7 +245,7 @@ func BenchmarkEmulatorThroughputProbed(b *testing.B) {
 		net := mpcc.NewNetwork(eng)
 		net.AddLink("l1", 100e6, 30*mpcc.Millisecond, 375_000)
 		net.AddLink("l2", 100e6, 30*mpcc.Millisecond, 375_000)
-		bus := mpcc.NewProbeBus(mpcc.NewFlightRecorder(0))
+		bus := mpcc.NewProbeBus(obs.NewFlightRecorder(obs.DefaultFlightRecorderSize))
 		bus.SetRegistry(mpcc.NewMetricsRegistry())
 		var qps []mpcc.QueueProbe
 		for _, name := range []string{"l1", "l2"} {

@@ -84,6 +84,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// Every output file and directory is opened before the first
+	// simulation, so a bad path costs nothing.
+	if *csvdir != "" {
+		if err := os.MkdirAll(*csvdir, 0o755); err != nil {
+			return fail("csv", err)
+		}
+	}
+
 	// The observability taps share one wiring pattern: sinks shared by all
 	// runs, a fresh bus+registry per run, run-start/run-end markers segmenting
 	// the stream. The sinks take no locks (one writer per goroutine) and a

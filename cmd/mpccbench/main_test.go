@@ -95,9 +95,39 @@ func TestBadInput(t *testing.T) {
 		}
 	}
 
+	// A -csvdir that cannot be created fails before any simulation.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var stdout, stderr bytes.Buffer
-	args := []string{"-exp", "sched", "-dur", "2s", "-warmup", "1s", "-csvdir", filepath.Join(t.TempDir(), "missing")}
-	if code := run(args, &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "csv: ") {
-		t.Errorf("unwritable -csvdir: exit %d, stderr %q; want 1 and a csv error", code, stderr.String())
+	args := []string{"-exp", "sched", "-dur", "2s", "-warmup", "1s", "-csvdir", filepath.Join(file, "dir")}
+	if code := run(args, &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "csv: ") || stdout.Len() != 0 {
+		t.Errorf("unwritable -csvdir: exit %d, stderr %q, stdout %q; want 1, a csv error and no table", code, stderr.String(), stdout.String())
+	}
+}
+
+// TestCSVDirCreated: a -csvdir that does not exist yet is created, parents
+// included, and receives the tables.
+func TestCSVDirCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "csv")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "sched", "-dur", "2s", "-warmup", "1s", "-csvdir", dir}
+	if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, stderr.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sched_0.csv")); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHelp: -h prints the flags and exits 0, like every command here.
+func TestHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "-csvdir") {
+		t.Errorf("-h: exit %d, stderr %q; want 0 and the flag list", code, stderr.String())
+	}
+	if code := run([]string{"-bogus"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-bogus: exit %d, want 2", code)
 	}
 }

@@ -17,13 +17,21 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+const usage = `usage: mpccfair 'caps=<c1,c2,...>; conn=<l,...>; conn=<l,...>'
+example (the paper's Fig. 1): mpccfair 'caps=100,100,100; conn=0; conn=0,1,2'
+`
+
 // run is the command with its arguments and streams passed in; it returns
-// the exit status: 2 for a usage or parse error, 1 when the solver fails.
+// the exit status: 0 on success and for -h, 2 for a usage or parse error,
+// 1 when the solver fails.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: mpccfair 'caps=<c1,c2,...>; conn=<l,...>; conn=<l,...>'")
-		fmt.Fprintln(stderr, "example (the paper's Fig. 1): mpccfair 'caps=100,100,100; conn=0; conn=0,1,2'")
+		fmt.Fprint(stderr, usage)
 		return 2
+	}
+	if len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+		fmt.Fprint(stdout, usage)
+		return 0
 	}
 	net, err := fairness.Parse(strings.Join(args, " "))
 	if err != nil {

@@ -45,13 +45,29 @@ func TestGolden(t *testing.T) {
 }
 
 // TestBadInput: no arguments and an unparsable spec are usage errors (exit
-// 2) that print to stderr only.
+// 2) that print to stderr only; -h prints the usage to stdout and exits 0.
 func TestBadInput(t *testing.T) {
-	for _, args := range [][]string{nil, {"caps=oops"}} {
+	cases := []struct {
+		args   []string
+		code   int
+		stdout bool // output on stdout, else on stderr only
+	}{
+		{nil, 2, false},
+		{[]string{"caps=oops"}, 2, false},
+		{[]string{"-bogus"}, 2, false},
+		{[]string{"-h"}, 0, true},
+		{[]string{"-help"}, 0, true},
+		{[]string{"--help"}, 0, true},
+	}
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
-			t.Errorf("run(%q) = exit %d, stdout %q, stderr %q; want exit 2 and a message on stderr only",
-				args, code, stdout.String(), stderr.String())
+		code := run(tc.args, &stdout, &stderr)
+		out, quiet := &stderr, &stdout
+		if tc.stdout {
+			out, quiet = &stdout, &stderr
+		}
+		if code != tc.code || out.Len() == 0 || quiet.Len() != 0 {
+			t.Errorf("run(%q) = exit %d, stdout %q, stderr %q; want exit %d", tc.args, code, stdout.String(), stderr.String(), tc.code)
 		}
 	}
 }

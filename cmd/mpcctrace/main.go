@@ -38,6 +38,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,22 +50,56 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
 }
 
-func usage() error {
-	return fmt.Errorf("usage: mpcctrace <summary|filter|csv|timeline> [flags] [trace.jsonl]")
+const usageLine = "usage: mpcctrace <summary|filter|csv|timeline> [flags] [trace.jsonl]"
+
+// usageError marks an error in how the command was invoked — an unknown
+// subcommand, a bad flag or flag value, a missing -kind — as opposed to a
+// trace that cannot be read or holds nothing to show.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// exitCode is the exit status for run's result: 0 on success and for -h,
+// 2 for a usage error, 1 for any other failure.
+func exitCode(err error) int {
+	var u usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &u):
+		return 2
+	}
+	return 1
+}
+
+// parseFlags parses a subcommand's flags; a bad flag is a usage error, -h
+// is flag.ErrHelp.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
 }
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(args) == 0 {
-		return usage()
+		return usagef(usageLine)
 	}
 	cmd, args := args[0], args[1:]
 	switch cmd {
+	case "-h", "-help", "--help":
+		fmt.Fprintln(stdout, usageLine)
+		return nil
 	case "summary":
 		return cmdSummary(args, stdin, stdout)
 	case "filter":
@@ -74,7 +109,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	case "timeline":
 		return cmdTimeline(args, stdin, stdout)
 	default:
-		return usage()
+		return usagef(usageLine)
 	}
 }
 
@@ -90,7 +125,7 @@ func openInput(fs *flag.FlagSet, stdin io.Reader) (io.Reader, func(), error) {
 		}
 		return f, func() { f.Close() }, nil
 	default:
-		return nil, nil, fmt.Errorf("at most one trace file argument, got %d", fs.NArg())
+		return nil, nil, usagef("at most one trace file argument, got %d", fs.NArg())
 	}
 }
 
@@ -135,7 +170,7 @@ type runAgg struct {
 func cmdSummary(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
 	runSel := fs.Int("run", -1, "summarize only this run (0-based; -1 = every run)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	in, done, err := openInput(fs, stdin)
@@ -281,7 +316,7 @@ func cmdFilter(args []string, stdin io.Reader, stdout io.Writer) error {
 	flow := fs.String("flow", "", "keep only this flow")
 	link := fs.String("link", "", "keep only this link")
 	sf := fs.Int("sf", -2, "keep only this subflow index")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var wantKind obs.Kind
@@ -289,7 +324,7 @@ func cmdFilter(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *kind != "" {
 		var ok bool
 		if wantKind, ok = obs.KindFromString(*kind); !ok {
-			return fmt.Errorf("unknown kind %q", *kind)
+			return usagef("unknown kind %q", *kind)
 		}
 		haveKind = true
 	}
@@ -367,11 +402,11 @@ func cmdTimeline(args []string, stdin io.Reader, stdout io.Writer) error {
 	runSel := fs.Int("run", 0, "run to render (0-based)")
 	window := fs.Duration("window", 0, "series window width when replaying an event trace (0 = the registry default)")
 	csv := fs.Bool("csv", false, "emit plain CSV instead of aligned columns")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *runSel < 0 {
-		return fmt.Errorf("timeline: -run must name a single run")
+		return usagef("timeline: -run must name a single run")
 	}
 	in, done, err := openInput(fs, stdin)
 	if err != nil {
@@ -386,7 +421,7 @@ func cmdTimeline(args []string, stdin io.Reader, stdout io.Writer) error {
 	if first := firstLine(data); obs.IsTimelineLine(first) {
 		// Timeline-dump input: one AppendTimeline line per run.
 		if *window != 0 {
-			return fmt.Errorf("timeline: -window only applies to event-trace input; dumps carry their own window")
+			return usagef("timeline: -window only applies to event-trace input; dumps carry their own window")
 		}
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -455,21 +490,21 @@ func cmdCSV(args []string, stdin io.Reader, stdout io.Writer) error {
 	runSel := fs.Int("run", 0, "run to export (0-based)")
 	kind := fs.String("kind", "", "event kind to export (required; e.g. rate-change, queue-depth)")
 	bucket := fs.Duration("bucket", stats.DefaultBucket.Duration(), "time-bucket width")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *kind == "" {
-		return fmt.Errorf("csv: -kind is required")
+		return usagef("csv: -kind is required")
 	}
 	wantKind, ok := obs.KindFromString(*kind)
 	if !ok {
-		return fmt.Errorf("unknown kind %q", *kind)
+		return usagef("unknown kind %q", *kind)
 	}
 	if *runSel < 0 {
-		return fmt.Errorf("csv: -run must name a single run")
+		return usagef("csv: -run must name a single run")
 	}
 	if *bucket <= 0 {
-		return fmt.Errorf("csv: -bucket must be positive")
+		return usagef("csv: -bucket must be positive")
 	}
 	in, done, err := openInput(fs, stdin)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -364,14 +365,40 @@ func TestTimelineWindowFlag(t *testing.T) {
 	}
 }
 
+// TestUsageErrors pins the exit status: 2 for a usage error, 0 for -h, 1
+// for a trace that cannot be read or holds nothing to show — the contract
+// of every command here.
 func TestUsageErrors(t *testing.T) {
-	if _, err := runTool(t, nil, nil); err == nil {
-		t.Fatal("no subcommand accepted")
+	trace, _ := liveTrace(t)
+	cases := []struct {
+		args  []string
+		stdin []byte
+		code  int
+	}{
+		{nil, nil, 2},
+		{[]string{"explode"}, nil, 2},
+		{[]string{"summary", "-bogus"}, trace, 2},
+		{[]string{"summary", "a", "b"}, trace, 2},
+		{[]string{"csv"}, trace, 2},
+		{[]string{"csv", "-kind", "bogus"}, trace, 2},
+		{[]string{"csv", "-kind", "drop", "-bucket", "0s"}, trace, 2},
+		{[]string{"csv", "-kind", "drop", "-run", "-1"}, trace, 2},
+		{[]string{"filter", "-kind", "bogus"}, trace, 2},
+		{[]string{"timeline", "-run", "-1"}, trace, 2},
+		{[]string{"-h"}, nil, 0},
+		{[]string{"--help"}, nil, 0},
+		{[]string{"summary", "-h"}, nil, 0},
+		{[]string{"timeline", "-h"}, nil, 0},
+		{[]string{"summary"}, trace, 0},
+		{[]string{"summary"}, nil, 1},
+		{[]string{"summary", "-run", "9"}, trace, 1},
+		{[]string{"filter", "-flow", "nobody"}, trace, 1},
+		{[]string{"summary", filepath.Join(t.TempDir(), "missing.jsonl")}, nil, 1},
 	}
-	if _, err := runTool(t, []string{"explode"}, nil); err == nil {
-		t.Fatal("unknown subcommand accepted")
-	}
-	if _, err := runTool(t, []string{"summary"}, nil); err == nil {
-		t.Fatal("empty stdin summarized without error")
+	for _, tc := range cases {
+		_, err := runTool(t, tc.args, tc.stdin)
+		if code := exitCode(err); code != tc.code {
+			t.Errorf("%q: exit %d (%v), want %d", tc.args, code, err, tc.code)
+		}
 	}
 }

@@ -22,16 +22,6 @@ func Loss(c, s float64) float64 {
 	return 1 - c/s
 }
 
-// LatencyGradientFluid returns the fluid RTT slope on an overloaded link:
-// the queue grows at (s−c)/c seconds of queueing per second when the buffer
-// absorbs the excess; 0 when underloaded.
-func LatencyGradientFluid(c, s float64) float64 {
-	if s <= c || c <= 0 {
-		return 0
-	}
-	return (s - c) / c
-}
-
 // FieldPoint is one arrow of the Fig. 2 vector field.
 type FieldPoint struct {
 	X, Y   float64 // MPCC subflow rate, PCC rate (Mbps)

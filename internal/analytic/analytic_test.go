@@ -22,15 +22,6 @@ func TestLossFluidModel(t *testing.T) {
 	}
 }
 
-func TestLatencyGradientFluid(t *testing.T) {
-	if LatencyGradientFluid(100, 99) != 0 {
-		t.Fatal("underloaded link should have zero gradient")
-	}
-	if got := LatencyGradientFluid(100, 110); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("gradient = %v, want 0.1", got)
-	}
-}
-
 // Fig. 2's qualitative structure: below the shared-link capacity both
 // derivatives are positive (both push up); above it both are negative; and
 // PCC's derivative exceeds MPCC's everywhere in the underloaded region

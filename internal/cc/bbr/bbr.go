@@ -75,9 +75,6 @@ func New(initialRateBps float64) *Controller {
 	}
 }
 
-// Mode returns the current state machine mode (for tests and tracing).
-func (c *Controller) Mode() string { return c.mode.String() }
-
 // bwEstimate returns the current bottleneck bandwidth estimate in bits/s.
 func (c *Controller) bwEstimate() float64 {
 	return c.maxBw.Get(sim.Time(c.miCount), c.initialRate)

@@ -38,8 +38,8 @@ func drive(c *Controller, capBps float64, rtprop sim.Time, n int) float64 {
 
 func TestStartupRampsExponentially(t *testing.T) {
 	c := New(2e6)
-	if c.Mode() != "startup" {
-		t.Fatalf("initial mode = %s", c.Mode())
+	if c.mode.String() != "startup" {
+		t.Fatalf("initial mode = %s", c.mode.String())
 	}
 	drive(c, 100e6, 30*sim.Millisecond, 3)
 	if got := c.bwEstimate(); got < 4e6 {
@@ -50,7 +50,7 @@ func TestStartupRampsExponentially(t *testing.T) {
 func TestStartupExitsAtPlateau(t *testing.T) {
 	c := New(2e6)
 	drive(c, 100e6, 30*sim.Millisecond, 30)
-	if c.Mode() == "startup" {
+	if c.mode.String() == "startup" {
 		t.Fatal("never exited startup on a saturated link")
 	}
 }
@@ -67,8 +67,8 @@ func TestConvergesToBottleneck(t *testing.T) {
 func TestProbeBWCycleGains(t *testing.T) {
 	c := New(2e6)
 	drive(c, 100e6, 30*sim.Millisecond, 60)
-	if c.Mode() != "probe_bw" {
-		t.Fatalf("mode = %s, want probe_bw", c.Mode())
+	if c.mode.String() != "probe_bw" {
+		t.Fatalf("mode = %s, want probe_bw", c.mode.String())
 	}
 	// Over one 8-MI cycle, rates must include one above and one below bw.
 	var above, below bool
@@ -98,7 +98,7 @@ func TestProbeRTTEntered(t *testing.T) {
 	rtprop := 30 * sim.Millisecond
 	for i := 0; i < 500; i++ {
 		rate := c.NextRate(now, rtprop)
-		if c.Mode() == "probe_rtt" {
+		if c.mode.String() == "probe_rtt" {
 			sawProbeRTT = true
 		}
 		st := cc.MIStats{Index: i, Start: now, End: now + rtprop,
@@ -110,7 +110,7 @@ func TestProbeRTTEntered(t *testing.T) {
 	if !sawProbeRTT {
 		t.Fatal("PROBE_RTT never entered in 15s")
 	}
-	if c.Mode() == "probe_rtt" {
+	if c.mode.String() == "probe_rtt" {
 		t.Fatal("stuck in PROBE_RTT")
 	}
 }

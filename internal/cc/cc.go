@@ -45,9 +45,6 @@ type MIStats struct {
 	Ignore bool
 }
 
-// Duration returns the MI length in seconds.
-func (s MIStats) Duration() float64 { return (s.End - s.Start).Seconds() }
-
 // RateController is a rate-based (paced) congestion controller. The
 // transport calls NextRate at every MI boundary to obtain the pacing rate
 // for the new interval, and delivers completed statistics — in MI order, and

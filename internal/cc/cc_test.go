@@ -34,10 +34,3 @@ func TestCouplerRateSum(t *testing.T) {
 		t.Fatalf("RateSum with unsampled subflow = %v", got)
 	}
 }
-
-func TestMIStatsDuration(t *testing.T) {
-	st := MIStats{Start: sim.Second, End: sim.Second + 30*sim.Millisecond}
-	if got := st.Duration(); got != 0.03 {
-		t.Fatalf("Duration = %v", got)
-	}
-}

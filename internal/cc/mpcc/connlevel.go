@@ -84,9 +84,6 @@ func (cl *ConnLevel) phaseName() string {
 	return "probing"
 }
 
-// Rates returns the current per-subflow rate vector in bits/s.
-func (cl *ConnLevel) Rates() []float64 { return append([]float64(nil), cl.rates...) }
-
 // rateFor returns subflow i's rate for the current trial.
 func (cl *ConnLevel) rateFor(i int) float64 {
 	r := cl.rates[i]
@@ -230,10 +227,6 @@ func (a *connSubflow) NextRate(now, srtt sim.Time) float64 {
 	a.cl.probes.MIDecision(now, a.cl.flow, a.idx, a.cl.phaseName(), r)
 	return r
 }
-
-// SetProbes implements cc.ProbeSetter by delegating to the shared
-// connection-level learner, so attaching any one adapter attaches all.
-func (a *connSubflow) SetProbes(b *obs.Bus, flow string) { a.cl.SetProbes(b, flow) }
 
 // OnMIComplete implements cc.RateController.
 func (a *connSubflow) OnMIComplete(st cc.MIStats) { a.cl.absorb(a.idx, st) }

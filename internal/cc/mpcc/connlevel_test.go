@@ -38,8 +38,11 @@ func driveConnLevel(cl *ConnLevel, caps []float64, n int) {
 
 func TestConnLevelConvergesOnTwoLinks(t *testing.T) {
 	cl := NewConnLevel(DefaultConfig(LossParams()), 2)
+	if len(cl.rates) != 2 || cl.rates[0] != 2e6 || cl.rates[1] != 2e6 {
+		t.Fatalf("initial rates = %v, want the 2 Mbps default on both subflows", cl.rates)
+	}
 	driveConnLevel(cl, []float64{100e6, 100e6}, 3000)
-	rates := cl.Rates()
+	rates := cl.rates
 	total := (rates[0] + rates[1]) / 1e6
 	if total < 140 || total > 230 {
 		t.Fatalf("connection-level total = %.1f Mbps, want ≈200 (rates %v)", total, rates)
@@ -128,16 +131,4 @@ func TestConnLevelInvalidParamsPanic(t *testing.T) {
 		}
 	}()
 	NewConnLevel(DefaultConfig(UtilityParams{Alpha: 2, Beta: 0, Gamma: 0}), 2)
-}
-
-func TestConnLevelRatesAccessor(t *testing.T) {
-	cl := NewConnLevel(DefaultConfig(LossParams()), 3)
-	r := cl.Rates()
-	if len(r) != 3 || r[0] != 2e6 {
-		t.Fatalf("Rates = %v", r)
-	}
-	r[0] = 0 // must be a copy
-	if cl.Rates()[0] != 2e6 {
-		t.Fatal("Rates returned internal slice")
-	}
 }

@@ -224,15 +224,6 @@ func New(cfg Config, grp *Group, rng *rand.Rand) *Controller {
 	return c
 }
 
-// ID returns the subflow's id within its Group.
-func (c *Controller) ID() int { return c.id }
-
-// Rate returns the current base sending rate in bits/s.
-func (c *Controller) Rate() float64 { return c.rate }
-
-// State returns the controller phase name (for tracing and tests).
-func (c *Controller) State() string { return c.state.String() }
-
 // NextRate implements cc.RateController: it is called at each MI boundary
 // and returns the pacing rate for the new interval. It also publishes the
 // chosen rate to the group (the rate-publication point).

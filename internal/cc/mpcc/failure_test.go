@@ -17,7 +17,7 @@ func TestGroupExcludesDeadSubflows(t *testing.T) {
 		t.Fatalf("Total = %v", got)
 	}
 	g.SetAlive(b, false)
-	if g.Alive(b) {
+	if !g.down[b] {
 		t.Fatal("b should be dead")
 	}
 	if got := g.Total(); got != 40e6 {
@@ -27,8 +27,8 @@ func TestGroupExcludesDeadSubflows(t *testing.T) {
 		t.Fatalf("TotalExcept(a) with b dead = %v, want 30e6", got)
 	}
 	// The dead subflow's own published rate is still readable.
-	if g.Rate(b) != 20e6 {
-		t.Fatalf("Rate(b) = %v", g.Rate(b))
+	if g.rates[b] != 20e6 {
+		t.Fatalf("Rate(b) = %v", g.rates[b])
 	}
 	g.SetAlive(b, true)
 	if got := g.Total(); got != 60e6 {
@@ -48,11 +48,11 @@ func TestOnSubflowDownExcludesRateFromSiblings(t *testing.T) {
 	cfg := DefaultConfig(LossParams())
 	c1 := New(cfg, grp, nil)
 	c2 := New(cfg, grp, nil)
-	grp.Publish(c1.ID(), 80e6)
-	grp.Publish(c2.ID(), 20e6)
-	before := grp.TotalExcept(c2.ID())
+	grp.Publish(c1.id, 80e6)
+	grp.Publish(c2.id, 20e6)
+	before := grp.TotalExcept(c2.id)
 	c1.OnSubflowDown()
-	after := grp.TotalExcept(c2.ID())
+	after := grp.TotalExcept(c2.id)
 	if before != 80e6 || after != 0 {
 		t.Fatalf("TotalExcept before/after down = %v/%v, want 80e6/0", before, after)
 	}
@@ -66,29 +66,29 @@ func TestOnSubflowUpResetsLearningState(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		d.step()
 	}
-	if c.State() == "starting" {
+	if c.state.String() == "starting" {
 		t.Fatal("driver failed to leave slow start; test premise broken")
 	}
-	preRate := c.Rate()
+	preRate := c.rate
 	if preRate == c.cfg.InitialRateBps {
 		t.Fatalf("converged rate %v did not move off the initial rate; test premise broken", preRate)
 	}
 	c.OnSubflowDown()
-	if grp.Alive(c.ID()) {
+	if !grp.down[c.id] {
 		t.Fatal("controller did not mark itself dead")
 	}
 	c.OnSubflowUp()
-	if !grp.Alive(c.ID()) {
+	if !!grp.down[c.id] {
 		t.Fatal("controller did not mark itself alive")
 	}
-	if c.State() != "starting" {
-		t.Fatalf("state after revival = %q, want starting", c.State())
+	if c.state.String() != "starting" {
+		t.Fatalf("state after revival = %q, want starting", c.state.String())
 	}
-	if c.Rate() != c.cfg.InitialRateBps {
-		t.Fatalf("rate after revival = %v, want initial %v", c.Rate(), c.cfg.InitialRateBps)
+	if c.rate != c.cfg.InitialRateBps {
+		t.Fatalf("rate after revival = %v, want initial %v", c.rate, c.cfg.InitialRateBps)
 	}
-	if grp.Rate(c.ID()) != c.cfg.InitialRateBps {
-		t.Fatalf("published rate after revival = %v", grp.Rate(c.ID()))
+	if grp.rates[c.id] != c.cfg.InitialRateBps {
+		t.Fatalf("published rate after revival = %v", grp.rates[c.id])
 	}
 	// A stale completion from before the failure must be ignored (planned
 	// queue was discarded)…

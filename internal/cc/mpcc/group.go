@@ -34,16 +34,10 @@ func (g *Group) Join() int {
 	return len(g.rates) - 1
 }
 
-// Size returns the number of registered subflows.
-func (g *Group) Size() int { return len(g.rates) }
-
 // Publish records subflow id's current sending rate in bits/s.
 func (g *Group) Publish(id int, rateBps float64) {
 	g.rates[id] = rateBps
 }
-
-// Rate returns the last rate published by subflow id.
-func (g *Group) Rate(id int) float64 { return g.rates[id] }
 
 // SetAlive marks subflow id as alive or dead. A dead subflow's published
 // rate is excluded from Total and TotalExcept: ω and the moving-phase change
@@ -51,9 +45,6 @@ func (g *Group) Rate(id int) float64 { return g.rates[id] }
 // failed subflow sends nothing — scaling siblings' probes against its
 // phantom rate would both over-probe and over-bound.
 func (g *Group) SetAlive(id int, alive bool) { g.down[id] = !alive }
-
-// Alive reports whether subflow id is currently considered alive.
-func (g *Group) Alive(id int) bool { return !g.down[id] }
 
 // Total returns the sum of published rates of live subflows in bits/s — the
 // "connection's total sending rate" used to scale probe steps and change

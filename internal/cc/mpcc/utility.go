@@ -58,18 +58,6 @@ func (p UtilityParams) SubflowUtility(othersMbps, ownMbps, loss, rttGrad float64
 	return math.Pow(total, p.Alpha) - p.Beta*total*loss - p.Gamma*total*rttGrad
 }
 
-// SubflowUtilityDeriv returns the analytic partial derivative of Eq. 2 with
-// respect to the subflow's own rate, holding the observed loss rate and
-// latency gradient fixed. It is used by the Fig. 2 gradient-field analysis
-// and by tests; the live controller estimates gradients empirically.
-func (p UtilityParams) SubflowUtilityDeriv(othersMbps, ownMbps, loss, rttGrad float64) float64 {
-	total := othersMbps + ownMbps
-	if total <= 0 {
-		total = 1e-9
-	}
-	return p.Alpha*math.Pow(total, p.Alpha-1) - p.Beta*loss - p.Gamma*rttGrad
-}
-
 // ConnUtility evaluates Eq. 1, the connection-level utility of §4: a reward
 // on the total rate and a penalty charging the whole connection for the
 // worst per-subflow combination of loss and latency gradient:

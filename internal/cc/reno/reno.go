@@ -15,7 +15,6 @@ type Controller struct {
 	cwnd     float64 // packets
 	ssthresh float64
 	minCwnd  float64
-	maxCwnd  float64
 
 	// State saved at the last loss reaction, restored by OnSpuriousLoss
 	// (Eifel undo). Zero means nothing to undo.
@@ -23,24 +22,11 @@ type Controller struct {
 	undoSsthresh float64
 }
 
-// Option configures a Controller.
-type Option func(*Controller)
-
-// WithInitialCwnd sets the initial window in packets (default 10, per
-// RFC 6928).
-func WithInitialCwnd(w float64) Option { return func(c *Controller) { c.cwnd = w } }
-
-// WithMaxCwnd caps the window in packets (default 1e9, effectively
-// unbounded — the paper disables flow-control limits with 300 MB buffers).
-func WithMaxCwnd(w float64) Option { return func(c *Controller) { c.maxCwnd = w } }
-
-// New returns a Reno controller.
-func New(opts ...Option) *Controller {
-	c := &Controller{cwnd: 10, ssthresh: 1e9, minCwnd: 2, maxCwnd: 1e9}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// New returns a Reno controller with the RFC 6928 initial window of 10
+// packets and no window cap (the paper disables flow-control limits with
+// 300 MB buffers).
+func New() *Controller {
+	return &Controller{cwnd: 10, ssthresh: 1e9, minCwnd: 2}
 }
 
 // Cwnd implements cc.WindowController.
@@ -56,9 +42,6 @@ func (c *Controller) OnAck(now, rtt sim.Time, ackedPkts float64) {
 		c.cwnd += ackedPkts
 	} else {
 		c.cwnd += ackedPkts / c.cwnd
-	}
-	if c.cwnd > c.maxCwnd {
-		c.cwnd = c.maxCwnd
 	}
 }
 

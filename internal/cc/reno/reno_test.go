@@ -41,7 +41,8 @@ func TestCongestionAvoidanceLinear(t *testing.T) {
 }
 
 func TestLossHalves(t *testing.T) {
-	c := New(WithInitialCwnd(100))
+	c := New()
+	c.cwnd = 100
 	c.OnLossEvent(0)
 	if c.Cwnd() != 50 {
 		t.Fatalf("after loss cwnd = %v, want 50", c.Cwnd())
@@ -49,7 +50,8 @@ func TestLossHalves(t *testing.T) {
 }
 
 func TestRTOCollapses(t *testing.T) {
-	c := New(WithInitialCwnd(100))
+	c := New()
+	c.cwnd = 100
 	c.OnRTO(0)
 	if c.Cwnd() != 1 {
 		t.Fatalf("after RTO cwnd = %v, want 1", c.Cwnd())
@@ -61,22 +63,13 @@ func TestRTOCollapses(t *testing.T) {
 }
 
 func TestMinimumWindow(t *testing.T) {
-	c := New(WithInitialCwnd(2))
+	c := New()
+	c.cwnd = 2
 	for i := 0; i < 10; i++ {
 		c.OnLossEvent(0)
 	}
 	if c.Cwnd() < 2 {
 		t.Fatalf("cwnd fell below floor: %v", c.Cwnd())
-	}
-}
-
-func TestMaxCwndCap(t *testing.T) {
-	c := New(WithInitialCwnd(9), WithMaxCwnd(10))
-	for i := 0; i < 100; i++ {
-		c.OnAck(0, sim.Millisecond, 1)
-	}
-	if c.Cwnd() > 10 {
-		t.Fatalf("cwnd %v exceeded cap", c.Cwnd())
 	}
 }
 

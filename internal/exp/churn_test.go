@@ -212,7 +212,8 @@ func TestChurnAuditSkipsReusedConnection(t *testing.T) {
 			t.Fatal("the small session's connection never went home")
 		}
 	}
-	auditAt := small.ClosedAt() + spec.Churn.DrainCheckAfter
+	// The session started at 0 and closed on completion, at its FCT.
+	auditAt := small.FCT() + spec.Churn.DrainCheckAfter
 	if d.stats.Completed != 1 || d.stats.LeakChecks != 1 || eng.Now() >= auditAt {
 		t.Fatalf("the small session should be done with its audit pending at %v (now %v): %+v", auditAt, eng.Now(), d.stats)
 	}
@@ -220,8 +221,8 @@ func TestChurnAuditSkipsReusedConnection(t *testing.T) {
 		t.Fatal("the large session did not get the small one's connection")
 	}
 	eng.Run(auditAt - 1)
-	if recs, _ := small.PoolInUse(); recs == 0 || small.Closed() {
-		t.Fatalf("the large session has no records out at the audit (closed=%v)", small.Closed())
+	if recs, _ := small.PoolInUse(); recs == 0 || small.FCT() >= 0 {
+		t.Fatalf("the large session has no records out at the audit (fct=%v)", small.FCT())
 	}
 	eng.Run(spec.Duration)
 	if st := d.snapshot(); st.Leaks != 0 {

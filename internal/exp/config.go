@@ -19,11 +19,6 @@ type Config struct {
 	Full bool
 }
 
-// DefaultConfig returns the scaled-down default.
-func DefaultConfig() Config {
-	return Config{Duration: 20 * sim.Second, Warmup: 8 * sim.Second, Reps: 1, Seed: 42}
-}
-
 // spec starts a Spec at the configuration's scale — its seed, duration and
 // warm-up — for protocol p on topology tp with the given (or no) link tweak.
 func (c Config) spec(tp *topo.Topology, p Protocol, tweak func(*topo.Net)) Spec {

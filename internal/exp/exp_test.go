@@ -131,9 +131,8 @@ func TestRunAveraged(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"a", "bb"}, Notes: []string{"n1"}}
 	tab.AddRow("1", "2")
-	tab.AddRowF("x", "%.1f", 3.14159)
-	s := tab.String()
-	for _, want := range []string{"== T ==", "a", "bb", "3.1", "note: n1"} {
+	s := render(tab)
+	for _, want := range []string{"== T ==", "a", "bb", "note: n1"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
@@ -145,12 +144,12 @@ func TestTable1GridHas24Configs(t *testing.T) {
 	if len(g) != 24 {
 		t.Fatalf("Table 1 grid has %d configs, want 24", len(g))
 	}
-	seen := map[string]bool{}
+	seen := map[LinkConfig]bool{}
 	for _, c := range g {
-		if seen[c.String()] {
-			t.Fatalf("duplicate config %s", c)
+		if seen[c] {
+			t.Fatalf("duplicate config %+v", c)
 		}
-		seen[c.String()] = true
+		seen[c] = true
 	}
 }
 
@@ -322,8 +321,8 @@ func TestRunAveragedTracksSpread(t *testing.T) {
 
 func TestExperimentTablesDeterministic(t *testing.T) {
 	cfg := tiny()
-	a := SchedulerValidation(cfg).String()
-	b := SchedulerValidation(cfg).String()
+	a := render(SchedulerValidation(cfg))
+	b := render(SchedulerValidation(cfg))
 	if a != b {
 		t.Fatalf("same config produced different tables:\n%s\nvs\n%s", a, b)
 	}

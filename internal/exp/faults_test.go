@@ -17,7 +17,7 @@ func faultRow(t *testing.T, rows []FaultRow, label string) FaultRow {
 }
 
 func TestFaultRecoveryDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	a, s1, e1 := FaultRecoveryRows(cfg)
 	b, s2, e2 := FaultRecoveryRows(cfg)
 	if s1 != s2 || e1 != e2 {
@@ -29,7 +29,7 @@ func TestFaultRecoveryDeterministic(t *testing.T) {
 }
 
 func TestFaultRecoveryAcceptance(t *testing.T) {
-	rows, _, _ := FaultRecoveryRows(DefaultConfig())
+	rows, _, _ := FaultRecoveryRows(defaultConfig())
 
 	mpcc := faultRow(t, rows, "mpcc-loss")
 	if mpcc.Retention < 0.8 {

@@ -16,10 +16,6 @@ type LinkConfig struct {
 	BufferKB      int
 }
 
-func (c LinkConfig) String() string {
-	return fmt.Sprintf("%gMbps/%gms/%g%%/%dKB", c.BandwidthMbps, c.LatencyMs, c.LossPct, c.BufferKB)
-}
-
 // Table1Grid enumerates the 24 per-link configurations of Table 1.
 func Table1Grid() []LinkConfig {
 	var out []LinkConfig

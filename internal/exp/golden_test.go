@@ -189,7 +189,7 @@ func TestLiveTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 295 default-scale simulations")
 	}
-	checkGolden(t, renderTables(8, DefaultConfig(), func(id string) bool { return liveIDs[id] }), "tables_live.golden")
+	checkGolden(t, renderTables(8, defaultConfig(), func(id string) bool { return liveIDs[id] }), "tables_live.golden")
 }
 
 // renderTables runs the Registry experiments that pick selects, in id order,
@@ -202,7 +202,7 @@ func renderTables(workers int, cfg Config, pick func(id string) bool) []byte {
 				continue
 			}
 			for _, tab := range e.Run(cfg) {
-				buf.WriteString(tab.String())
+				tab.Fprint(&buf)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"sort"
 
 	"mpcc/internal/sim"
@@ -117,25 +116,4 @@ func Registry() []Experiment {
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
-}
-
-// RunByID runs one experiment by id.
-func RunByID(id string, cfg Config) ([]*Table, error) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e.Run(cfg), nil
-		}
-	}
-	return nil, fmt.Errorf("exp: unknown experiment %q (try: %s)", id, ids())
-}
-
-func ids() string {
-	var out string
-	for i, e := range Registry() {
-		if i > 0 {
-			out += ", "
-		}
-		out += e.ID
-	}
-	return out
 }

@@ -20,16 +20,6 @@ type Table struct {
 // AddRow appends a row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowF appends a row of formatted floats (with the given format) after a
-// leading label.
-func (t *Table) AddRowF(label string, format string, vals ...float64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf(format, v))
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", t.Title)
@@ -60,13 +50,6 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
 }
 
 // mbps formats a bits/s value in Mbps.

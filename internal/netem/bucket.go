@@ -72,15 +72,6 @@ func (tb *TokenBucket) Borrow(now sim.Time, size int) sim.Time {
 	return now + sim.FromSeconds(-tb.tokens*8/tb.rateBps)
 }
 
-// Tokens returns the balance in bytes after refilling to now.
-func (tb *TokenBucket) Tokens(now sim.Time) float64 {
-	tb.refill(now)
-	return tb.tokens
-}
-
-// Rate returns the refill rate in bits/s.
-func (tb *TokenBucket) Rate() float64 { return tb.rateBps }
-
 // SetPolicer attaches a token-bucket policer at the link's ingress:
 // packets exceeding the rate/burst contract are dropped with DropPolicer,
 // with zero added delay and no queue occupancy — loss that carries no
@@ -111,12 +102,4 @@ func (l *Link) SetShaper(rateBps float64, burstBytes int) {
 		return
 	}
 	l.shaper = NewTokenBucket(rateBps, burstBytes, l.eng.Now())
-}
-
-// Shaper returns the shaper contract and whether one is attached.
-func (l *Link) Shaper() (rateBps float64, burstBytes int, on bool) {
-	if l.shaper == nil {
-		return 0, 0, false
-	}
-	return l.shaper.rateBps, l.shaper.burst, true
 }

@@ -73,7 +73,7 @@ func TestTokenBucketPolicerTable(t *testing.T) {
 			for i, o := range c.ops {
 				if got := tb.Conforms(o.at, o.size); got != o.conform {
 					t.Fatalf("op %d (at=%v size=%d): conforms=%v, want %v (tokens=%.1f)",
-						i, o.at, o.size, got, o.conform, tb.Tokens(o.at))
+						i, o.at, o.size, got, o.conform, tb.tokens)
 				}
 			}
 		})
@@ -218,11 +218,11 @@ func TestLinkPolicerShaperAccessors(t *testing.T) {
 		t.Fatal("SetPolicer(0, 0) did not detach")
 	}
 	l.SetShaper(16*mbps, 6000)
-	if r, b, on := l.Shaper(); !on || r != 16*mbps || b != 6000 {
-		t.Fatalf("Shaper() = %v %v %v", r, b, on)
+	if sh := l.shaper; sh == nil || sh.rateBps != 16*mbps || sh.burst != 6000 {
+		t.Fatalf("shaper = %+v", sh)
 	}
 	l.SetShaper(0, 0)
-	if _, _, on := l.Shaper(); on {
+	if l.shaper != nil {
 		t.Fatal("SetShaper(0, 0) did not detach")
 	}
 }

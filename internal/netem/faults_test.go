@@ -130,15 +130,15 @@ func TestFaultInjectorOutage(t *testing.T) {
 	l := NewLink(e, "l", 100*mbps, 0, 1<<20)
 	l.Outage(10*sim.Millisecond, 20*sim.Millisecond)
 	e.Run(5 * sim.Millisecond)
-	if l.Down() {
+	if l.down {
 		t.Fatal("down before the scheduled outage")
 	}
 	e.Run(15 * sim.Millisecond)
-	if !l.Down() {
+	if !l.down {
 		t.Fatal("not down during the outage")
 	}
 	e.Run(35 * sim.Millisecond)
-	if l.Down() {
+	if l.down {
 		t.Fatal("still down after the outage")
 	}
 	if l.Stats().Outages != 1 {
@@ -154,11 +154,11 @@ func TestFaultInjectorFlaps(t *testing.T) {
 	upAt := []sim.Time{7 * sim.Millisecond, 17 * sim.Millisecond, 27 * sim.Millisecond}
 	for i := range downAt {
 		e.Run(downAt[i])
-		if !l.Down() {
+		if !l.down {
 			t.Fatalf("cycle %d: not down at %v", i, downAt[i])
 		}
 		e.Run(upAt[i])
-		if l.Down() {
+		if l.down {
 			t.Fatalf("cycle %d: still down at %v", i, upAt[i])
 		}
 	}

@@ -44,8 +44,8 @@ func TestScheduleHandoversStepsOnSchedule(t *testing.T) {
 	if rates[0] != 40*mbps || rates[1] != 80*mbps || rates[2] != 40*mbps {
 		t.Fatalf("handover rates = %v, want cycle 40/80/40 Mbps", rates)
 	}
-	if l.Rate() != 40*mbps || l.Delay() != 30*sim.Millisecond {
-		t.Fatalf("final link state = %v bps / %v, want 40 Mbps / 30 ms", l.Rate(), l.Delay())
+	if l.Rate() != 40*mbps || l.delay != 30*sim.Millisecond {
+		t.Fatalf("final link state = %v bps / %v, want 40 Mbps / 30 ms", l.Rate(), l.delay)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestScheduleHandoversStopAndDefaults(t *testing.T) {
 	if got := l.Stats().Handovers; got != 2 {
 		t.Fatalf("Handovers = %d, want one cycle of 2", got)
 	}
-	if l.Rate() != 80*mbps || l.Delay() != 15*sim.Millisecond {
-		t.Fatalf("final link state = %v bps / %v, want the last step's 80 Mbps / 15 ms", l.Rate(), l.Delay())
+	if l.Rate() != 80*mbps || l.delay != 15*sim.Millisecond {
+		t.Fatalf("final link state = %v bps / %v, want the last step's 80 Mbps / 15 ms", l.Rate(), l.delay)
 	}
 	// Empty schedules are inert.
 	l.ScheduleHandovers(nil, sim.Second, sim.Second, 5)

@@ -215,9 +215,6 @@ func (l *Link) SetDown(down bool) {
 	l.down = down
 }
 
-// Down reports whether the link is currently in an outage.
-func (l *Link) Down() bool { return l.down }
-
 // GilbertElliott parameterizes the classic two-state burst-loss model: the
 // link is in a Good or Bad state; each arriving packet first makes the state
 // transition (Good→Bad with probability PGoodBad, Bad→Good with PBadGood)
@@ -310,10 +307,6 @@ func (l *Link) SetReorder(r *Reorder) {
 	l.reorderOn = true
 }
 
-// ReorderSpec returns the current reorder parameters and whether reordering
-// is enabled.
-func (l *Link) ReorderSpec() (Reorder, bool) { return l.reorder, l.reorderOn }
-
 // reorderDecide makes the per-packet reorder decision: a deterministic
 // every-Gap-th trigger first (consuming no randomness), then the correlated
 // probability draw, matching netem's reorder selection.
@@ -350,9 +343,6 @@ func (l *Link) SetDuplicate(p float64) {
 	l.dupProb = p
 }
 
-// DuplicateProb returns the per-packet duplication probability.
-func (l *Link) DuplicateProb() float64 { return l.dupProb }
-
 // SetLoss changes the i.i.d. random drop probability.
 func (l *Link) SetLoss(p float64) {
 	if p < 0 || p > 1 {
@@ -370,14 +360,8 @@ func (l *Link) Rate() float64 { return l.rateBps }
 // handover and rate schedules, probes — must use the link's own engine.
 func (l *Link) Engine() *sim.Engine { return l.eng }
 
-// Delay returns the current propagation delay.
-func (l *Link) Delay() sim.Time { return l.delay }
-
 // Buffer returns the drop-tail capacity in bytes.
 func (l *Link) Buffer() int { return l.bufBytes }
-
-// Loss returns the random drop probability.
-func (l *Link) Loss() float64 { return l.lossProb }
 
 // QueuedBytes returns bytes currently queued or in serialization.
 func (l *Link) QueuedBytes() int {
@@ -591,14 +575,4 @@ func (l *Link) drop(pkt *Packet, reason DropReason) {
 		r.ReleaseMeta()
 	}
 	pkt.release()
-}
-
-// QueueingDelay returns the time a newly arriving packet would wait before
-// starting serialization.
-func (l *Link) QueueingDelay() sim.Time {
-	now := l.eng.Now()
-	if l.busyUntil <= now {
-		return 0
-	}
-	return l.busyUntil - now
 }

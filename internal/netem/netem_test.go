@@ -169,9 +169,6 @@ func TestMultiLinkPath(t *testing.T) {
 	if p.BaseRTT() != 24*sim.Millisecond {
 		t.Fatalf("BaseRTT = %v", p.BaseRTT())
 	}
-	if p.BottleneckRate() != 8*mbps {
-		t.Fatalf("BottleneckRate = %v", p.BottleneckRate())
-	}
 }
 
 func TestPathExtraAndReverseDelay(t *testing.T) {
@@ -218,7 +215,7 @@ func TestLinkParameterChanges(t *testing.T) {
 	l.SetDelay(5 * sim.Millisecond)
 	l.SetBuffer(5000)
 	l.SetLoss(0.5)
-	if l.Rate() != 16*mbps || l.Delay() != 5*sim.Millisecond || l.Buffer() != 5000 || l.Loss() != 0.5 {
+	if l.Rate() != 16*mbps || l.delay != 5*sim.Millisecond || l.Buffer() != 5000 || l.lossProb != 0.5 {
 		t.Fatal("setters not reflected in getters")
 	}
 	p := NewPath(e, "p", l)
@@ -238,21 +235,6 @@ func TestBDPBytes(t *testing.T) {
 	// 100 Mbps × 30 ms = 3 Mbit = 375000 bytes — the paper's default BDP.
 	if got := l.BDPBytes(); got != 375000 {
 		t.Fatalf("BDP = %d, want 375000", got)
-	}
-}
-
-func TestQueueingDelay(t *testing.T) {
-	e := sim.NewEngine(1)
-	l := NewLink(e, "l", 8*mbps, 0, 1<<20)
-	p := NewPath(e, "p", l)
-	sink, _ := collector()
-	p.Send(1000, nil, sink, nil) // occupies 1ms
-	if got := l.QueueingDelay(); got != sim.Millisecond {
-		t.Fatalf("QueueingDelay = %v, want 1ms", got)
-	}
-	e.Run(0)
-	if got := l.QueueingDelay(); got != 0 {
-		t.Fatalf("idle QueueingDelay = %v, want 0", got)
 	}
 }
 
@@ -639,16 +621,16 @@ func TestImpairmentParamValidation(t *testing.T) {
 	mustPanic("ack compress", func() { p.SetAckCompression(-1) })
 	mustPanic("ack delay", func() { p.SetAckDelay(-1) })
 	l.SetReorder(&Reorder{Prob: 0.5})
-	if r, on := l.ReorderSpec(); !on || r.Prob != 0.5 {
-		t.Fatalf("ReorderSpec = %+v, %v", r, on)
+	if !l.reorderOn || l.reorder.Prob != 0.5 {
+		t.Fatalf("reorder = %+v, %v", l.reorder, l.reorderOn)
 	}
 	l.SetReorder(nil)
-	if _, on := l.ReorderSpec(); on {
+	if l.reorderOn {
 		t.Fatal("SetReorder(nil) did not disable")
 	}
 	l.SetDuplicate(0.25)
-	if l.DuplicateProb() != 0.25 {
-		t.Fatalf("DuplicateProb = %v", l.DuplicateProb())
+	if l.dupProb != 0.25 {
+		t.Fatalf("dupProb = %v", l.dupProb)
 	}
 }
 

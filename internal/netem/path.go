@@ -142,20 +142,6 @@ func (p *Path) PropDelay() sim.Time {
 // feedback channel's one-way delay is the forward propagation delay.
 func (p *Path) BaseRTT() sim.Time { return 2 * p.PropDelay() }
 
-// BottleneckRate returns the minimum link rate along the path in bits/s.
-func (p *Path) BottleneckRate() float64 {
-	if len(p.links) == 0 {
-		return 0
-	}
-	min := p.links[0].rateBps
-	for _, l := range p.links[1:] {
-		if l.rateBps < min {
-			min = l.rateBps
-		}
-	}
-	return min
-}
-
 // Send injects a packet of size bytes carrying meta onto the path. sink
 // receives it if it survives every link; onDrop (optional) is invoked if any
 // link drops it. The path-private extra delay is applied before the first

@@ -42,7 +42,7 @@ func TestLinkSchedulesOnItsOwnEngine(t *testing.T) {
 	for eng.Step() {
 		var why netem.DropReason = -1
 		probe.Send(100, nil, nil, func(_ *netem.Packet, r netem.DropReason) { why = r })
-		got = append(got, fmt.Sprintf("%v %v %gMbps %v", eng.Now(), why, l.Rate()/1e6, l.Delay()))
+		got = append(got, fmt.Sprintf("%v %v %gMbps %v", eng.Now(), why, l.Rate()/1e6, probe.PropDelay()))
 	}
 	want := []string{
 		"1s outage 100Mbps 30ms", "2s queue-full 100Mbps 30ms",

@@ -41,9 +41,6 @@ func (f *FlightRecorder) Emit(e Event) {
 	f.total++
 }
 
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int { return len(f.ring) }
-
 // Total returns how many events were ever recorded (>= Len once wrapped).
 func (f *FlightRecorder) Total() int64 { return f.total }
 
@@ -54,9 +51,6 @@ func (f *FlightRecorder) Len() int {
 	}
 	return len(f.ring)
 }
-
-// Reset empties the ring without releasing its memory.
-func (f *FlightRecorder) Reset() { f.next, f.total = 0, 0 }
 
 // Events returns the retained events, oldest first, as a fresh slice.
 func (f *FlightRecorder) Events() []Event {

@@ -217,20 +217,6 @@ func (h *Sketch) bucketObserve(v float64, n int64) {
 	}
 }
 
-// Count returns the number of samples.
-func (h *Sketch) Count() int { return int(h.count) }
-
-// Spilled reports whether the sketch has left exact mode.
-func (h *Sketch) Spilled() bool { return h.spilled }
-
-// Buckets returns how many buckets the sketch currently holds (0 in exact
-// mode) — the memory bound tests assert on it.
-func (h *Sketch) Buckets() int { return len(h.pos.counts) + len(h.neg.counts) }
-
-// Collapsed reports whether a size-cap collapse has folded low-quantile
-// buckets (quantiles near the collapsed end lose the α guarantee).
-func (h *Sketch) Collapsed() bool { return h.pos.collapsed || h.neg.collapsed }
-
 // Merge folds other into h. Merging is commutative up to the bucket
 // representation: any merge order — including the fully streamed order, when
 // no collapse has triggered — yields identical Stats. other is not modified.

@@ -32,14 +32,14 @@ func TestSketchRelativeError(t *testing.T) {
 	}
 	sort.Float64s(samples)
 
-	if !h.Spilled() {
+	if !h.spilled {
 		t.Fatal("1M samples did not spill to sketch mode")
 	}
-	if b := h.Buckets(); b == 0 || b > 2*sketchMaxBuckets {
+	if b := len(h.pos.counts) + len(h.neg.counts); b == 0 || b > 2*sketchMaxBuckets {
 		t.Fatalf("bucket count %d outside O(buckets) bound", b)
 	}
-	if h.Count() != n {
-		t.Fatalf("count %d, want %d", h.Count(), n)
+	if int(h.count) != n {
+		t.Fatalf("count %d, want %d", int(h.count), n)
 	}
 	for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 0.999, 0.9999} {
 		got := h.Quantile(q)
@@ -73,7 +73,7 @@ func TestSketchExactModeMatchesHistoricalHistogram(t *testing.T) {
 	for i := 100; i >= 1; i-- {
 		h.Observe(float64(i))
 	}
-	if h.Spilled() {
+	if h.spilled {
 		t.Fatal("100 samples should stay exact")
 	}
 	for _, tc := range []struct{ q, want float64 }{
@@ -103,7 +103,7 @@ func TestSketchNegativeAndZero(t *testing.T) {
 			h.Observe(100)
 		}
 	}
-	if !h.Spilled() {
+	if !h.spilled {
 		t.Fatal("300 samples should spill")
 	}
 	if got := h.Quantile(0.10); math.Abs(got+100) > 1 {
@@ -178,7 +178,7 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 	var dst Sketch
 	dst.Merge(src)
 	src.Observe(1000)
-	if dst.Count() != 3 || dst.Stats().Max != 3 {
+	if dst.count != 3 || dst.Stats().Max != 3 {
 		t.Errorf("merge into empty not independent: %+v", dst.Stats())
 	}
 	// Merging an empty or nil sketch is a no-op.
@@ -273,7 +273,7 @@ func TestSketchCollapseBoundsMemory(t *testing.T) {
 	if got := len(h.pos.counts); got > sketchMaxBuckets {
 		t.Fatalf("positive store has %d buckets, cap %d", got, sketchMaxBuckets)
 	}
-	if !h.Collapsed() {
+	if !(h.pos.collapsed || h.neg.collapsed) {
 		t.Fatal("expected a size-cap collapse")
 	}
 	// High quantiles are far from the collapsed low end: still within α.

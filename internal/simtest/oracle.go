@@ -52,10 +52,6 @@ type Violation struct {
 	Detail    string
 }
 
-func (v Violation) String() string {
-	return fmt.Sprintf("%s at %v: %s", v.Invariant, v.At, v.Detail)
-}
-
 // maxViolations caps how many violations an oracle records verbatim; one
 // broken invariant often fires on every subsequent event, and the first few
 // occurrences carry all the signal.
@@ -374,14 +370,14 @@ func (o *Oracle) Finalize(res *exp.Result) []Violation {
 			o.report(InvByteLedger, 0, "flow %s: acked %d / received %d / offered %d out of order",
 				name, acked, received, offered)
 		}
-		for _, sf := range conn.Subflows() {
+		for i, sf := range conn.Subflows() {
 			if sf.DeliveredBytes() > sf.SentBytes() {
 				o.report(InvByteLedger, 0, "flow %s sf%d: delivered %d > sent %d",
-					name, sf.ID(), sf.DeliveredBytes(), sf.SentBytes())
+					name, i, sf.DeliveredBytes(), sf.SentBytes())
 			}
 			if sf.InflightPkts() < 0 {
 				o.report(InvByteLedger, 0, "flow %s sf%d: negative inflight %d",
-					name, sf.ID(), sf.InflightPkts())
+					name, i, sf.InflightPkts())
 			}
 		}
 		if want, ok := o.expectDelivery[name]; ok {
@@ -403,11 +399,11 @@ func (o *Oracle) Finalize(res *exp.Result) []Violation {
 		if drops == 0 {
 			for name, conn := range res.Conns {
 				if o.expectCleanLoss[name] && conn.FCT() >= 0 {
-					for _, sf := range conn.Subflows() {
+					for i, sf := range conn.Subflows() {
 						if c := sf.CorrectedLostPkts(); c != 0 {
 							o.report(InvCleanLoss, 0,
 								"flow %s sf%d: corrected loss %d on a lossless path (lost %d, spurious %d)",
-								name, sf.ID(), c, sf.LostPkts(), sf.SpuriousPkts())
+								name, i, c, sf.LostPkts(), sf.SpuriousPkts())
 						}
 					}
 				}

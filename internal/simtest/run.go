@@ -49,20 +49,6 @@ func (r *Report) Has(inv string) bool {
 	return false
 }
 
-// Invariants returns the distinct violated invariant names, in first-seen
-// order (the shrinker matches on the first).
-func (r *Report) Invariants() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, v := range r.Violations {
-		if !seen[v.Invariant] {
-			seen[v.Invariant] = true
-			out = append(out, v.Invariant)
-		}
-	}
-	return out
-}
-
 // Options tunes one Check run.
 type Options struct {
 	// BufferBound overrides the oracle's per-link queue-depth ceiling

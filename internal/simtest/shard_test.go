@@ -51,7 +51,7 @@ func TestShardCountIdentityRandom(t *testing.T) {
 		r := ShardIdentity(sc, 1, 2, 4)
 		if r.Failed() {
 			t.Fatalf("seed %d violates %v\nscenario: %+v\nrepro: %s\nfirst: %s",
-				seed, r.Invariants(), sc, sc.ReproCommand(), r.Violations[0].Detail)
+				seed, r.Violations[0].Invariant, sc, sc.ReproCommand(), r.Violations[0].Detail)
 		}
 	}
 }
@@ -62,7 +62,7 @@ func TestShardCountIdentityRandom(t *testing.T) {
 func TestShardIdentityMultiComponent(t *testing.T) {
 	r := ShardIdentity(shardScenario(), 1, 2, 4)
 	if r.Failed() {
-		t.Fatalf("two-component scenario failed: %v\nfirst: %s", r.Invariants(), r.Violations[0].Detail)
+		t.Fatalf("two-component scenario failed: %v\nfirst: %s", r.Violations[0].Invariant, r.Violations[0].Detail)
 	}
 	if r.Events == 0 {
 		t.Fatal("no probe events recorded")
@@ -76,14 +76,14 @@ func TestShardedMatchesLegacySingleComponent(t *testing.T) {
 	sc := singleComponentScenario()
 	legacy := Check(sc)
 	if legacy.Failed() {
-		t.Fatalf("legacy run failed: %v", legacy.Invariants())
+		t.Fatalf("legacy run failed: %v", legacy.Violations[0].Invariant)
 	}
 	for _, shards := range []int{1, 2, 4} {
 		s := sc
 		s.Shards = shards
 		r := Check(s)
 		if r.Failed() {
-			t.Fatalf("shards=%d run failed: %v", shards, r.Invariants())
+			t.Fatalf("shards=%d run failed: %v", shards, r.Violations[0].Invariant)
 		}
 		if r.TraceHash != legacy.TraceHash || r.Events != legacy.Events {
 			t.Fatalf("shards=%d trace %s (%d events) diverges from legacy %s (%d events)",

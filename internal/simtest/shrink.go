@@ -26,7 +26,7 @@ type Shrunk struct {
 }
 
 // Shrink minimizes sc, which must violate the target invariant under
-// CheckOpts(sc, opts) — callers pass the first entry of Report.Invariants().
+// CheckOpts(sc, opts) — callers pass the invariant of Report.Violations[0].
 // The options carry through to every candidate run, since an injected
 // buffer-bound override is often what makes the scenario fail at all.
 func Shrink(sc Scenario, target string, opts Options) Shrunk {

@@ -95,7 +95,7 @@ func reportFailures(t *testing.T, failed []*Report) {
 // few events inline.
 func reportFailure(t *testing.T, r *Report, opts Options) {
 	t.Helper()
-	target := r.Invariants()[0]
+	target := r.Violations[0].Invariant
 	sh := Shrink(r.Scenario, target, opts)
 	t.Errorf("scenario seed %d violates %q:\n  %s\noriginal: %s\nshrunk (%d steps, %d checks): %s\nrepro: %s\n%s",
 		r.Scenario.Seed, target, formatViolations(r.Violations),
@@ -124,7 +124,7 @@ func flightSummary(r *Report) string {
 func formatViolations(vs []Violation) string {
 	out := make([]string, len(vs))
 	for i, v := range vs {
-		out[i] = v.String()
+		out[i] = fmt.Sprintf("%s at %v: %s", v.Invariant, v.At, v.Detail)
 	}
 	return strings.Join(out, "\n  ")
 }

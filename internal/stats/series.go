@@ -143,15 +143,6 @@ func (s *Series) Mean(i int) (float64, bool) {
 	return b.Sum / float64(b.Count), true
 }
 
-// Sum returns the total accumulated value.
-func (s *Series) Sum() float64 {
-	t := 0.0
-	for _, b := range s.buckets {
-		t += b.Sum
-	}
-	return t
-}
-
 // SumSince returns the total accumulated at or after time from.
 func (s *Series) SumSince(from sim.Time) float64 {
 	t := 0.0
@@ -171,28 +162,6 @@ func (s *Series) Rates() []float64 {
 		out[s.base+i] = b.Sum / secs
 	}
 	return out
-}
-
-// RatesSince returns per-bucket rates for buckets starting at or after from.
-func (s *Series) RatesSince(from sim.Time) []float64 {
-	var out []float64
-	secs := s.width.Seconds()
-	for i, n := 0, s.Len(); i < n; i++ {
-		if s.start+sim.Time(i)*s.width >= from {
-			out = append(out, s.Bucket(i).Sum/secs)
-		}
-	}
-	return out
-}
-
-// MeanRate returns the average rate (value per second) between the series
-// start and end.
-func (s *Series) MeanRate(end sim.Time) float64 {
-	dur := (end - s.start).Seconds()
-	if dur <= 0 {
-		return 0
-	}
-	return s.Sum() / dur
 }
 
 // MeanRateSince returns the average rate between from and end, counting only
@@ -269,6 +238,3 @@ func (w *WindowedFilter) Get(now sim.Time, def float64) float64 {
 	}
 	return w.samples[0].v
 }
-
-// Empty reports whether the filter holds no samples.
-func (w *WindowedFilter) Empty() bool { return len(w.samples) == 0 }

@@ -21,8 +21,10 @@ func TestCanonicalTopologiesWellFormed(t *testing.T) {
 		for _, f := range tp.Flows {
 			for _, pathNames := range f.Paths {
 				p := n.Path(pathNames...)
-				if p.BottleneckRate() != DefaultRate {
-					t.Fatalf("%s/%s: bottleneck %v", tp.Name, f.Name, p.BottleneckRate())
+				for _, l := range p.Links() {
+					if l.Rate() != DefaultRate {
+						t.Fatalf("%s/%s: %s at %v", tp.Name, f.Name, l.Name, l.Rate())
+					}
 				}
 				if p.BaseRTT() != 2*DefaultDelay*sim.Time(len(pathNames)) {
 					t.Fatalf("%s/%s: base RTT %v", tp.Name, f.Name, p.BaseRTT())
@@ -69,8 +71,8 @@ func TestNetHelpers(t *testing.T) {
 		t.Fatalf("TotalCapacity = %v", n.TotalCapacity())
 	}
 	p := n.Path("a", "b")
-	if p.BottleneckRate() != 50e6 {
-		t.Fatalf("bottleneck = %v", p.BottleneckRate())
+	if a, b := p.Links()[0].Rate(), p.Links()[1].Rate(); a != 50e6 || b != DefaultRate {
+		t.Fatalf("rates = %v, %v", a, b)
 	}
 	defer func() {
 		if recover() == nil {
@@ -162,8 +164,8 @@ func TestClosMatchesImperativeBuilder(t *testing.T) {
 	}
 	for _, name := range want {
 		l := n.Link(name)
-		if l.Rate() != 250e6 || l.Delay() != 20*sim.Microsecond || l.Buffer() != 150_000 || l.Loss() != 0 {
-			t.Fatalf("%s: rate %v delay %v buffer %d loss %v", name, l.Rate(), l.Delay(), l.Buffer(), l.Loss())
+		if d := n.Path(name).PropDelay(); l.Rate() != 250e6 || d != 20*sim.Microsecond || l.Buffer() != 150_000 {
+			t.Fatalf("%s: rate %v delay %v buffer %d", name, l.Rate(), d, l.Buffer())
 		}
 	}
 	// (0, 1) hashes all three subflows onto spine 1; (0, 4) share a ToR.
@@ -182,21 +184,21 @@ func TestClosMatchesImperativeBuilder(t *testing.T) {
 
 // buildWANPair instantiates a pair the way exp.Run does: links at the paper
 // defaults, the pair's Tweak, then one path per subflow through PathTweak.
-func buildWANPair(server, home string, rng *rand.Rand) (n *Net, wifi, cell *netem.Path) {
-	wp := NewWANPair(server, home, rng)
+func buildWANPair(server, home string, rng *rand.Rand) (wp *WANPair, n *Net, wifi, cell *netem.Path) {
+	wp = NewWANPair(server, home, rng)
 	n = wp.Topo.Build(sim.NewEngine(3))
 	wp.Tweak(n)
 	paths := wp.Topo.Flows[0].Paths
 	wifi, cell = n.Path(paths[0]...), n.Path(paths[1]...)
 	wp.PathTweak(wifi)
 	wp.PathTweak(cell)
-	return n, wifi, cell
+	return wp, n, wifi, cell
 }
 
 func TestWANPairAllPairs(t *testing.T) {
 	for _, home := range Homes {
 		for _, server := range Servers {
-			_, wifi, cell := buildWANPair(server, home, rand.New(rand.NewSource(1)))
+			wp, _, wifi, cell := buildWANPair(server, home, rand.New(rand.NewSource(1)))
 			if wifi.BaseRTT() <= 0 || cell.BaseRTT() <= 0 {
 				t.Fatalf("%s→%s: zero RTT", server, home)
 			}
@@ -204,7 +206,7 @@ func TestWANPairAllPairs(t *testing.T) {
 			if cell.BaseRTT() <= wifi.BaseRTT() {
 				t.Fatalf("%s→%s: cell RTT %v ≤ wifi %v", server, home, cell.BaseRTT(), wifi.BaseRTT())
 			}
-			if cell.Links()[0].Loss() <= wifi.Links()[0].Loss() {
+			if wp.acc[1].loss <= wp.acc[0].loss {
 				t.Fatalf("%s→%s: cell loss not higher", server, home)
 			}
 		}
@@ -213,8 +215,9 @@ func TestWANPairAllPairs(t *testing.T) {
 
 // TestWANPairMatchesImperativeBuilder pins all 18 pairs, drawn from
 // rand.NewSource(1), against what the engine-bound builder the value
-// replaced produced: per access link the rate, delay, buffer and loss, per
-// path the forward propagation delay (access delay + WAN extra delay).
+// replaced produced: per access link the rate, delay and buffer, the loss
+// drawn for it, and per path the forward propagation delay (access delay +
+// WAN extra delay).
 func TestWANPairMatchesImperativeBuilder(t *testing.T) {
 	type access struct {
 		rate  float64
@@ -241,7 +244,7 @@ func TestWANPairMatchesImperativeBuilder(t *testing.T) {
 	for _, home := range Homes {
 		for _, server := range Servers {
 			pair := server + "-" + home
-			n, wifi, cell := buildWANPair(server, home, rand.New(rand.NewSource(1)))
+			wp, n, wifi, cell := buildWANPair(server, home, rand.New(rand.NewSource(1)))
 			if got, want := n.LinkNames(), []string{pair + "-wifi", pair + "-cell"}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: links %q, want %q", pair, got, want)
 			}
@@ -252,7 +255,7 @@ func TestWANPairMatchesImperativeBuilder(t *testing.T) {
 			want[1].prop += wifiProp[pair] + 12*sim.Millisecond
 			for i, p := range []*netem.Path{wifi, cell} {
 				l := p.Links()[0]
-				got := access{l.Rate(), l.Delay(), l.Buffer(), l.Loss(), p.PropDelay()}
+				got := access{l.Rate(), n.Path(l.Name).PropDelay(), l.Buffer(), wp.acc[i].loss, p.PropDelay()}
 				if got != want[i] {
 					t.Errorf("%s subflow %d: %+v, want %+v", pair, i, got, want[i])
 				}
@@ -266,8 +269,8 @@ func TestWANPairMatchesImperativeBuilder(t *testing.T) {
 
 func TestWANPairDistanceOrdering(t *testing.T) {
 	// Without jitter, Tokyo must be farther from Boston than Ohio.
-	_, tokyo, _ := buildWANPair("Tokyo", "Boston", nil)
-	_, ohio, _ := buildWANPair("Ohio", "Boston", nil)
+	_, _, tokyo, _ := buildWANPair("Tokyo", "Boston", nil)
+	_, _, ohio, _ := buildWANPair("Ohio", "Boston", nil)
 	if tokyo.BaseRTT() <= ohio.BaseRTT() {
 		t.Fatal("Tokyo should have a longer RTT than Ohio from Boston")
 	}

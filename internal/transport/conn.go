@@ -42,7 +42,6 @@ type Connection struct {
 	rcv        rangeSet // receiver-side reassembly state
 
 	failThreshold int      // consecutive RTO episodes before a subflow fails (≤0 disables)
-	probeInterval sim.Time // revival-probe period for failed subflows
 	orphans       segQueue // segments stranded while every subflow was dead
 
 	// arena is the engine's object arena (see pool.go for the ownership and
@@ -121,13 +120,6 @@ func WithFailThreshold(n int) ConnOption {
 	return func(c *Connection) { c.failThreshold = n }
 }
 
-// WithProbeInterval sets how often a failed subflow probes its path for
-// revival (d ≤ 0 disables probing: a failed subflow never comes back). The
-// default is DefaultProbeInterval.
-func WithProbeInterval(d sim.Time) ConnOption {
-	return func(c *Connection) { c.probeInterval = d }
-}
-
 // WithProbes attaches an observability bus: the connection emits scheduler
 // picks, retransmissions, RTO backoff episodes, pacing-rate changes, and
 // subflow up/down transitions. nil (the default) disables all of it.
@@ -163,7 +155,6 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 		sched:         paperScheduler,
 		fct:           -1,
 		failThreshold: DefaultFailThreshold,
-		probeInterval: DefaultProbeInterval,
 		subflowBuf:    buf,
 		latSeries:     lat,
 		gen:           gen,

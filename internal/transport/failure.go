@@ -18,17 +18,6 @@ const (
 	SubflowFailed
 )
 
-func (st SubflowState) String() string {
-	switch st {
-	case SubflowActive:
-		return "active"
-	case SubflowFailed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
 // Failure-detector defaults: a subflow is declared dead after
 // DefaultFailThreshold consecutive RTO episodes with no intervening ACK, and
 // while dead it probes the path every DefaultProbeInterval.
@@ -40,12 +29,6 @@ const (
 	// mirroring RFC 6298's recommended 60 s upper bound.
 	maxRTO = 60 * sim.Second
 )
-
-// State returns the failure detector's view of the subflow.
-func (s *Subflow) State() SubflowState { return s.state }
-
-// Failed reports whether the subflow is currently declared dead.
-func (s *Subflow) Failed() bool { return s.state == SubflowFailed }
 
 // Fails returns how many times the subflow has been declared dead.
 func (s *Subflow) Fails() uint64 { return s.fails }
@@ -174,11 +157,8 @@ func (pr *probeRec) ReleaseMeta() {
 }
 
 func (s *Subflow) scheduleProbe() {
-	if s.conn.probeInterval <= 0 {
-		return
-	}
 	s.probeTimer.Stop()
-	s.probeTimer = s.conn.eng.ScheduleRef(s.conn.eng.Now()+s.conn.probeInterval, probeEvent, s)
+	s.probeTimer = s.conn.eng.ScheduleRef(s.conn.eng.Now()+DefaultProbeInterval, probeEvent, s)
 }
 
 func probeEvent(a any) { a.(*Subflow).sendProbe() }

@@ -80,7 +80,7 @@ func FuzzFaultTimeline(f *testing.F) {
 		eng := sim.NewEngine(9)
 		link := netem.NewLink(eng, "l", 20e6, 10*sim.Millisecond, 75000)
 		path := netem.NewPath(eng, "p", link)
-		c := NewConnection(eng, "fuzz", WithProbeInterval(100*sim.Millisecond))
+		c := NewConnection(eng, "fuzz")
 		c.AddWindowSubflow(path, reno.New())
 		c.SetApp(NewFile(200_000), nil)
 		c.Start(0)
@@ -109,7 +109,7 @@ func FuzzFaultTimeline(f *testing.F) {
 		}
 		if c.FCT() < 0 {
 			t.Fatalf("transfer never completed after the link was restored (fails=%d state=%v timeline %v)",
-				s.Fails(), s.State(), data)
+				s.Fails(), s.state, data)
 		}
 		if c.AckedBytes() != 200_000 {
 			t.Fatalf("acked %d bytes, want 200000", c.AckedBytes())

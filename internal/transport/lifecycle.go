@@ -67,21 +67,9 @@ func WithHandshakeTimeout(d sim.Time) ConnOption {
 // connection shuts down for any reason.
 func (c *Connection) SetOnClose(fn func(reason CloseReason, at sim.Time)) { c.onClose = fn }
 
-// Closed reports whether the connection has shut down.
-func (c *Connection) Closed() bool { return c.closed }
-
-// CloseCause returns why the connection closed (CloseNone while open).
-func (c *Connection) CloseCause() CloseReason { return c.closeReason }
-
-// ClosedAt returns when the connection closed (0 while open).
-func (c *Connection) ClosedAt() sim.Time { return c.closedAt }
-
 // Close shuts the connection down gracefully. Safe to call from a
 // completion callback; idempotent.
 func (c *Connection) Close() { c.shutdown(CloseDone) }
-
-// Abort shuts the connection down, recording an abnormal termination.
-func (c *Connection) Abort() { c.shutdown(CloseAborted) }
 
 func (c *Connection) shutdown(reason CloseReason) {
 	if c.closed {

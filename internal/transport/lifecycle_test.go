@@ -23,11 +23,11 @@ func TestCloseMidTransferReleasesPools(t *testing.T) {
 	c.Start(0)
 	tn.eng.At(2*sim.Second, c.Close)
 	tn.eng.Run(5 * sim.Second)
-	if !c.Closed() || c.CloseCause() != CloseDone {
-		t.Fatalf("closed=%v cause=%v, want closed done", c.Closed(), c.CloseCause())
+	if !c.closed || c.closeReason != CloseDone {
+		t.Fatalf("closed=%v cause=%v, want closed done", c.closed, c.closeReason)
 	}
-	if c.ClosedAt() != 2*sim.Second {
-		t.Fatalf("ClosedAt = %v, want 2s", c.ClosedAt())
+	if c.closedAt != 2*sim.Second {
+		t.Fatalf("ClosedAt = %v, want 2s", c.closedAt)
 	}
 	drained(t, c, "after in-flight packets drained")
 	if p := tn.eng.Pending(); p != 0 {
@@ -69,11 +69,11 @@ func TestCloseKeepsReceivedBytes(t *testing.T) {
 	c.SetApp(Bulk{}, nil)
 	c.Start(0)
 	var before, islands int64
-	for at := sim.Second; !c.Closed(); at += 10 * sim.Millisecond {
+	for at := sim.Second; !c.closed; at += 10 * sim.Millisecond {
 		tn.eng.Run(at)
 		if islands = c.rcv.buffered(); islands > 0 {
 			before = c.ReceivedBytes()
-			c.Abort()
+			c.shutdown(CloseAborted)
 		}
 	}
 	if got := c.ReceivedBytes(); got != before {
@@ -102,11 +102,11 @@ func TestAbortReleasesPools(t *testing.T) {
 			t.Fatal("engine went idle before the abort condition held")
 		}
 	}
-	c.Abort()
+	c.shutdown(CloseAborted)
 	atAbort := connLedger(c)
 	tn.eng.Run(4 * sim.Second)
-	if c.CloseCause() != CloseAborted {
-		t.Fatalf("cause = %v, want abort", c.CloseCause())
+	if c.closeReason != CloseAborted {
+		t.Fatalf("cause = %v, want abort", c.closeReason)
 	}
 	if got := connLedger(c); got != atAbort {
 		t.Fatalf("packets that arrived after the abort moved the ledger:\nat abort:\n%s\ndrained:\n%s", atAbort, got)
@@ -130,8 +130,8 @@ func TestCloseFromCompletionCallback(t *testing.T) {
 	if c.FCT() < 0 {
 		t.Fatal("file never completed")
 	}
-	if !c.Closed() || closedReason != CloseDone {
-		t.Fatalf("closed=%v reason=%v, want closed done", c.Closed(), closedReason)
+	if !c.closed || closedReason != CloseDone {
+		t.Fatalf("closed=%v reason=%v, want closed done", c.closed, closedReason)
 	}
 	drained(t, c, "after completion-callback close")
 }
@@ -149,14 +149,14 @@ func TestHandshakeTimeout(t *testing.T) {
 	c2.SetApp(Bulk{}, nil)
 	c2.Start(0)
 	tn.eng.Run(2 * sim.Second)
-	if c.Closed() {
+	if c.closed {
 		t.Fatal("connection without timeouts should stay open")
 	}
-	if c2.CloseCause() != CloseHandshake {
-		t.Fatalf("cause = %v, want handshake", c2.CloseCause())
+	if c2.closeReason != CloseHandshake {
+		t.Fatalf("cause = %v, want handshake", c2.closeReason)
 	}
-	if c2.ClosedAt() != 300*sim.Millisecond {
-		t.Fatalf("ClosedAt = %v, want 300ms", c2.ClosedAt())
+	if c2.closedAt != 300*sim.Millisecond {
+		t.Fatalf("ClosedAt = %v, want 300ms", c2.closedAt)
 	}
 	drained(t, c2, "after handshake timeout")
 }
@@ -172,11 +172,11 @@ func TestIdleTimeout(t *testing.T) {
 	c.SetApp(NewFile(40*1500), nil)
 	c.Start(0)
 	tn.eng.Run(5 * sim.Second)
-	if c.CloseCause() != CloseIdle {
-		t.Fatalf("cause = %v, want idle", c.CloseCause())
+	if c.closeReason != CloseIdle {
+		t.Fatalf("cause = %v, want idle", c.closeReason)
 	}
-	if want := c.LastDeliveredAt() + 500*sim.Millisecond; c.ClosedAt() != want {
-		t.Fatalf("ClosedAt = %v, want last delivery + 500ms = %v", c.ClosedAt(), want)
+	if want := c.LastDeliveredAt() + 500*sim.Millisecond; c.closedAt != want {
+		t.Fatalf("ClosedAt = %v, want last delivery + 500ms = %v", c.closedAt, want)
 	}
 	drained(t, c, "after idle timeout")
 }
@@ -216,7 +216,7 @@ func TestChurnLeak10kSessions(t *testing.T) {
 		if i%7 == 3 {
 			// Abort mid-flight with data pending and packets in the air.
 			c.SetApp(NewFile(40*1500), nil)
-			tn.eng.At(start+1*sim.Millisecond, c.Abort)
+			tn.eng.At(start+1*sim.Millisecond, func() { c.shutdown(CloseAborted) })
 		} else {
 			c.SetApp(NewFile(4*1500), func(sim.Time) { c.Close() })
 		}
@@ -225,7 +225,7 @@ func TestChurnLeak10kSessions(t *testing.T) {
 	}
 	tn.eng.Run(sim.Time(sessions)*2*sim.Millisecond + 10*sim.Second)
 	for i, c := range conns {
-		if !c.Closed() {
+		if !c.closed {
 			t.Fatalf("session %d never closed (fct=%v)", i, c.FCT())
 		}
 		if recs, segs := c.PoolInUse(); recs != 0 || segs != 0 {

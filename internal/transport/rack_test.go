@@ -15,7 +15,7 @@ func TestRackReorderWindowAdapts(t *testing.T) {
 	_, s := lossRig(t)
 	s.srtt = 100 * sim.Millisecond
 	s.minRTT = 40 * sim.Millisecond
-	if got := s.ReorderWindow(); got != 0 {
+	if got := reorderWindow(s); got != 0 {
 		t.Fatalf("window before any reordering = %v, want 0", got)
 	}
 	s.reoSeen = true
@@ -146,14 +146,14 @@ func TestSpuriousRTOUndo(t *testing.T) {
 	if got := ctrl.Cwnd(); got != cwndBefore {
 		t.Fatalf("cwnd after undo = %v, want restored %v", got, cwndBefore)
 	}
-	if s.SpuriousPkts() != 1 || s.SpuriousRTOs() != 1 {
-		t.Fatalf("spurious counters = %d/%d, want 1/1", s.SpuriousPkts(), s.SpuriousRTOs())
+	if s.SpuriousPkts() != 1 || s.spuriousRTOs != 1 {
+		t.Fatalf("spurious counters = %d/%d, want 1/1", s.SpuriousPkts(), s.spuriousRTOs)
 	}
 	if got := s.CorrectedLostPkts(); got != s.LostPkts()-1 {
 		t.Fatalf("CorrectedLostPkts = %d, want %d", got, s.LostPkts()-1)
 	}
 	// The window it grew: the spurious RTO is evidence of deep reordering.
-	if s.ReorderWindow() == 0 {
+	if reorderWindow(s) == 0 {
 		t.Fatal("spurious RTO did not open the reordering window")
 	}
 }
@@ -237,4 +237,13 @@ func TestRetransmitRacesLateOriginal(t *testing.T) {
 	if got := c.InOrderBytes(); got != 3800 {
 		t.Fatalf("InOrderBytes = %d, want 3800", got)
 	}
+}
+
+// reorderWindow is the RACK reordering window in effect: 0 while no
+// reordering has been observed and dup-threshold detection applies.
+func reorderWindow(s *Subflow) sim.Time {
+	if !s.reoSeen {
+		return 0
+	}
+	return s.reoWnd(s.conn.eng.Now())
 }

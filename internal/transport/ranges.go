@@ -112,19 +112,3 @@ func (r *rangeSet) handBack(free *arrays[interval]) {
 	free.put(r.intervals)
 	r.intervals = nil
 }
-
-// contains reports whether the byte at off has arrived.
-func (r *rangeSet) contains(off int64) bool {
-	if off < r.next {
-		return true
-	}
-	for _, iv := range r.intervals {
-		if off >= iv.start && off < iv.end {
-			return true
-		}
-		if iv.start > off {
-			break
-		}
-	}
-	return false
-}

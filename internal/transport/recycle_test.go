@@ -67,7 +67,7 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 		name: "revival probe",
 		rig: func(tn *testNet) *Connection {
 			tn.links[0].SetDuplicate(1)
-			c := NewConnection(tn.eng, "probing", WithFailThreshold(1), WithProbeInterval(100*sim.Millisecond))
+			c := NewConnection(tn.eng, "probing", WithFailThreshold(1))
 			c.AddRateSubflow(tn.path(0), fixedRate{20 * mbps})
 			tn.eng.At(sim.Second, func() { tn.links[0].SetDown(true) })
 			tn.eng.At(3*sim.Second, func() { tn.links[0].SetDown(false) })
@@ -124,8 +124,8 @@ func TestRecycleWaitsForTheNetwork(t *testing.T) {
 			if next != c {
 				t.Fatal("the drained connection was not handed out again")
 			}
-			if next.Closed() || next.recycled || len(next.Subflows()) != 0 || next.FCT() != -1 || next.Goodput().Len() != 0 {
-				t.Fatalf("reused connection not reset: closed=%v subflows=%d fct=%v", next.Closed(), len(next.Subflows()), next.FCT())
+			if next.closed || next.recycled || len(next.Subflows()) != 0 || next.FCT() != -1 || next.Goodput().Len() != 0 {
+				t.Fatalf("reused connection not reset: closed=%v subflows=%d fct=%v", next.closed, len(next.Subflows()), next.FCT())
 			}
 			if s := next.AddWindowSubflow(tn.path(0), reno.New()); s != sf || s.SentPkts() != 0 || s.Goodput().Len() != 0 {
 				t.Fatal("the reused connection did not rebuild its subflow in place")
@@ -181,7 +181,7 @@ func TestRecycledConnectionRunsLikeFresh(t *testing.T) {
 			t.Fatalf("dirty life too clean: fails=%d spurious=%d lost=%d", old.Subflows()[1].Fails(),
 				old.Subflows()[0].SpuriousPkts(), old.Subflows()[0].LostPkts())
 		}
-		old.Abort()
+		old.shutdown(CloseAborted)
 		if recycle {
 			old.Recycle()
 			grp.Reset()
@@ -224,12 +224,12 @@ func TestRecycledConnectionRunsLikeFresh(t *testing.T) {
 func connLedger(c *Connection) string {
 	mean, std := c.MeanLatency()
 	ledger := fmt.Sprintf("acked %d received %d offered %d inorder %d fct %v cause %v at %v latency %v %v %v gap %v last %v goodput %v\n",
-		c.AckedBytes(), c.ReceivedBytes(), c.OfferedBytes(), c.InOrderBytes(), c.FCT(), c.CloseCause(), c.ClosedAt(),
+		c.AckedBytes(), c.ReceivedBytes(), c.OfferedBytes(), c.InOrderBytes(), c.FCT(), c.closeReason, c.closedAt,
 		mean, std, c.MeanLatencySince(sim.Second), c.MaxDeliveryGap(), c.LastDeliveredAt(), c.Goodput().Rates())
 	for _, s := range c.Subflows() {
 		ledger += fmt.Sprintf("sf%d sent %d/%d delivered %d lost %d spurious %d/%d fails %d state %v srtt %v rate %v goodput %v\n",
-			s.ID(), s.SentPkts(), s.SentBytes(), s.DeliveredBytes(), s.LostPkts(), s.SpuriousPkts(), s.SpuriousRTOs(),
-			s.Fails(), s.State(), s.SRTT(), s.Rate(), s.Goodput().Rates())
+			s.id, s.SentPkts(), s.SentBytes(), s.DeliveredBytes(), s.LostPkts(), s.SpuriousPkts(), s.spuriousRTOs,
+			s.Fails(), s.state, s.SRTT(), s.curRate, s.Goodput().Rates())
 	}
 	return ledger
 }
@@ -276,7 +276,7 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 				t.Fatal("engine went idle before the close condition held")
 			}
 		}
-		old.Abort()
+		old.shutdown(CloseAborted)
 		old.Recycle()
 		if reuse {
 			grp.Reset()
@@ -293,8 +293,8 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 		c.SetApp(NewFile(4<<20), func(sim.Time) { c.Close() })
 		c.Start(tn.eng.Now() + sim.Millisecond)
 		tn.eng.Run(0)
-		if !c.Closed() || c.FCT() < 0 {
-			t.Fatalf("next connection did not complete: closed=%v fct=%v", c.Closed(), c.FCT())
+		if !c.closed || c.FCT() < 0 {
+			t.Fatalf("next connection did not complete: closed=%v fct=%v", c.closed, c.FCT())
 		}
 		if err := jw.Flush(); err != nil {
 			t.Fatal(err)
@@ -322,8 +322,8 @@ type guard struct {
 
 func (g guard) check(method string) {
 	*g.calls++
-	if c := *g.conn; c != nil && c.Closed() {
-		g.t.Errorf("%s: %s called at %v, after the close at %v", c.Name, method, c.eng.Now(), c.ClosedAt())
+	if c := *g.conn; c != nil && c.closed {
+		g.t.Errorf("%s: %s called at %v, after the close at %v", c.Name, method, c.eng.Now(), c.closedAt)
 	}
 }
 
@@ -392,16 +392,16 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 		}},
 		{"abort", nil, func(tn *testNet, c *Connection) {
 			c.SetApp(Bulk{}, nil)
-			tn.eng.At(3*sim.Second+7*sim.Millisecond, c.Abort)
+			tn.eng.At(3*sim.Second+7*sim.Millisecond, func() { c.shutdown(CloseAborted) })
 		}},
 		{"idle", []ConnOption{WithIdleTimeout(300 * sim.Millisecond)}, func(tn *testNet, c *Connection) {
 			c.SetApp(NewFile(300<<10), nil)
 		}},
-		{"failed", []ConnOption{WithFailThreshold(1), WithProbeInterval(50 * sim.Millisecond)}, func(tn *testNet, c *Connection) {
+		{"failed", []ConnOption{WithFailThreshold(1)}, func(tn *testNet, c *Connection) {
 			c.SetApp(Bulk{}, nil)
 			tn.eng.At(2*sim.Second, func() { tn.links[1].SetDown(true) })
 			tn.eng.At(4*sim.Second, func() { tn.links[1].SetDown(false) })
-			tn.eng.At(4*sim.Second+20*sim.Millisecond, c.Abort)
+			tn.eng.At(4*sim.Second+20*sim.Millisecond, func() { c.shutdown(CloseAborted) })
 		}},
 	}
 	for _, kind := range []string{"mpcc", "reno"} {
@@ -441,8 +441,8 @@ func TestNoControllerCallAfterShutdown(t *testing.T) {
 				cl.setup(tn, c)
 				c.Start(0)
 				tn.eng.Run(0)
-				if !c.Closed() || calls == 0 {
-					t.Fatalf("closed=%v after %d controller calls", c.Closed(), calls)
+				if !c.closed || calls == 0 {
+					t.Fatalf("closed=%v after %d controller calls", c.closed, calls)
 				}
 				if kind == "mpcc" && (next == nil || next.FCT() < 0) {
 					t.Fatal("the connection that took the group did not complete its file")

@@ -216,9 +216,9 @@ func checkPick(t *testing.T, got *Subflow, want int) {
 	case got == nil && want != -1:
 		t.Fatalf("Pick returned nil, want subflow %d", want)
 	case got != nil && want == -1:
-		t.Fatalf("Pick returned subflow %d, want nil", got.ID())
-	case got != nil && got.ID() != want:
-		t.Fatalf("Pick returned subflow %d, want %d", got.ID(), want)
+		t.Fatalf("Pick returned subflow %d, want nil", got.id)
+	case got != nil && got.id != want:
+		t.Fatalf("Pick returned subflow %d, want %d", got.id, want)
 	}
 }
 

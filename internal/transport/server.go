@@ -84,9 +84,6 @@ func (sv *Server) Release(rcvBuf int64) {
 	}
 }
 
-// Active returns the number of currently admitted connections.
-func (sv *Server) Active() int { return sv.active }
-
 // PeakActive returns the high-water concurrent-connection count.
 func (sv *Server) PeakActive() int { return sv.peakActive }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"math"
 
 	"mpcc/internal/cc"
@@ -128,17 +127,11 @@ type (
 func (r *rxSink) Deliver(pkt *netem.Packet)  { (*Subflow)(r).receiverDeliver(pkt) }
 func (a *ackSink) Deliver(pkt *netem.Packet) { (*Subflow)(a).senderAck(pkt) }
 
-// ID returns the subflow's index within its connection.
-func (s *Subflow) ID() int { return s.id }
-
 // Path returns the netem path the subflow sends on.
 func (s *Subflow) Path() *netem.Path { return s.path }
 
 // SRTT returns the smoothed RTT estimate.
 func (s *Subflow) SRTT() sim.Time { return s.srtt }
-
-// Rate returns the current pacing rate (rate-based subflows; 0 otherwise).
-func (s *Subflow) Rate() float64 { return s.curRate }
 
 // CwndPkts returns the effective window in packets: the controller window
 // for window-based subflows, the inflight cap for rate-based ones (huge when
@@ -155,9 +148,6 @@ func (s *Subflow) CwndPkts() float64 {
 
 // InflightPkts returns the number of unresolved packets in flight.
 func (s *Subflow) InflightPkts() int { return s.inflightPkts }
-
-// PendingPkts returns the number of assigned-but-unsent segments.
-func (s *Subflow) PendingPkts() int { return s.pending.len() + s.retx.len() }
 
 // Goodput returns the subflow's first-delivery byte series.
 func (s *Subflow) Goodput() *stats.Series { return &s.goodput }
@@ -178,24 +168,11 @@ func (s *Subflow) LostPkts() uint64 { return s.lostPkts }
 // spurious by the lost packet's own acknowledgement arriving.
 func (s *Subflow) SpuriousPkts() uint64 { return s.spuriousPkts }
 
-// SpuriousRTOs returns the subset of spurious declarations that had fired an
-// RTO episode (and so had their backoff undone).
-func (s *Subflow) SpuriousRTOs() uint64 { return s.spuriousRTOs }
-
 // CorrectedLostPkts returns losses net of spurious declarations — the
 // transport's best estimate of packets the network actually dropped. Under
 // reordering-only impairment it converges to zero once in-flight
 // acknowledgements drain (checked by internal/simtest).
 func (s *Subflow) CorrectedLostPkts() uint64 { return s.lostPkts - s.spuriousPkts }
-
-// ReorderWindow returns the current RACK reordering window, or 0 while no
-// reordering has been observed and dup-threshold detection is in effect.
-func (s *Subflow) ReorderWindow() sim.Time {
-	if !s.reoSeen {
-		return 0
-	}
-	return s.reoWnd(s.conn.eng.Now())
-}
 
 // SentPkts returns the number of packet transmissions (including
 // retransmissions).
@@ -895,8 +872,4 @@ func (s *Subflow) updateRTO() {
 		rto = 60 * sim.Second
 	}
 	s.rto = rto
-}
-
-func (s *Subflow) String() string {
-	return fmt.Sprintf("%s/sf%d", s.conn.Name, s.id)
 }

@@ -339,7 +339,7 @@ func TestSchedulerAvoidsDeadPathSubflow(t *testing.T) {
 	run := func(threshold int) (*Connection, *testNet) {
 		tn := newTestNet(89, 2)
 		c := NewConnection(tn.eng, "pin",
-			WithScheduler(DefaultScheduler{}), WithFailThreshold(threshold), WithProbeInterval(0))
+			WithScheduler(DefaultScheduler{}), WithFailThreshold(threshold))
 		c.AddWindowSubflow(tn.path(0), reno.New())
 		c.AddWindowSubflow(tn.path(1), reno.New())
 		c.SetApp(Bulk{}, nil)
@@ -353,11 +353,11 @@ func TestSchedulerAvoidsDeadPathSubflow(t *testing.T) {
 	// state check keeps schedulers away from it.
 	c, _ := run(DefaultFailThreshold)
 	dead := c.Subflows()[1]
-	if !dead.Failed() {
+	if dead.state != SubflowFailed {
 		t.Fatal("dead-path subflow not declared failed")
 	}
-	if dead.InflightPkts() != 0 || dead.PendingPkts() != 0 {
-		t.Fatalf("failed subflow holds inflight=%d pending=%d", dead.InflightPkts(), dead.PendingPkts())
+	if dead.InflightPkts() != 0 || pendingPkts(dead) != 0 {
+		t.Fatalf("failed subflow holds inflight=%d pending=%d", dead.InflightPkts(), pendingPkts(dead))
 	}
 	if got := c.sched.Pick(c); got == dead {
 		t.Fatal("scheduler picked a failed subflow")
@@ -370,7 +370,7 @@ func TestSchedulerAvoidsDeadPathSubflow(t *testing.T) {
 	// cwnd, so the window test must keep the scheduler away.
 	c2, _ := run(0)
 	dead2 := c2.Subflows()[1]
-	if dead2.Failed() {
+	if dead2.state == SubflowFailed {
 		t.Fatal("detector disabled but subflow failed")
 	}
 	if dead2.InflightPkts() == 0 {

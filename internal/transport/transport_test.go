@@ -173,7 +173,7 @@ func TestLIATwoSubflowsUseBothLinks(t *testing.T) {
 	// Both subflows must carry meaningful traffic.
 	for _, s := range c.Subflows() {
 		if s.DeliveredBytes() < int64(got)/8*1e6/10 {
-			t.Fatalf("subflow %d starved: %d bytes", s.ID(), s.DeliveredBytes())
+			t.Fatalf("subflow %d starved: %d bytes", s.id, s.DeliveredBytes())
 		}
 	}
 }
@@ -336,16 +336,13 @@ func TestSubflowAccessors(t *testing.T) {
 	tn := newTestNet(16, 1)
 	c := newMPCCConn(tn, "mp", ccmpcc.LossParams(), tn.path(0))
 	s := c.Subflows()[0]
-	if s.ID() != 0 || s.Path() == nil {
+	if s.id != 0 || s.Path() == nil {
 		t.Fatal("accessors broken")
 	}
 	c.Start(0)
 	tn.eng.Run(2 * sim.Second)
-	if s.SRTT() <= 0 || s.Rate() <= 0 || s.SentPkts() == 0 {
-		t.Fatalf("runtime accessors: srtt=%v rate=%v sent=%d", s.SRTT(), s.Rate(), s.SentPkts())
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
+	if s.SRTT() <= 0 || s.curRate <= 0 || s.SentPkts() == 0 {
+		t.Fatalf("runtime accessors: srtt=%v rate=%v sent=%d", s.SRTT(), s.curRate, s.SentPkts())
 	}
 }
 

@@ -50,7 +50,7 @@ func (p *Poisson) Next(now sim.Time) sim.Time {
 	t := now
 	for {
 		t += expInterval(p.rng, p.rate)
-		if p.shape == nil || p.rng.Float64() < clamp01(p.shape(t)) {
+		if p.shape == nil || p.rng.Float64() < p.shape(t) { // a uniform draw in [0, 1) needs no clamp
 			return t
 		}
 	}
@@ -187,14 +187,4 @@ func expInterval(rng *rand.Rand, ratePerSec float64) sim.Time {
 		d = 1
 	}
 	return d
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

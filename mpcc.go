@@ -16,8 +16,8 @@
 //	conn.Start(0)
 //	eng.Run(20 * mpcc.Second)
 //
-// Every table and figure of the paper can be regenerated through
-// RunExperiment (or the cmd/mpccbench tool).
+// Every table and figure of the paper can be regenerated with the
+// cmd/mpccbench tool.
 package mpcc
 
 import (
@@ -53,10 +53,6 @@ type (
 	Protocol = exp.Protocol
 	// AttachOptions tune protocol attachment.
 	AttachOptions = exp.AttachOptions
-	// Config scales experiment runs.
-	Config = exp.Config
-	// Table is a printable experiment result.
-	Table = exp.Table
 	// ParallelLinkNetwork is the fairness-theory abstraction of §4.2.
 	ParallelLinkNetwork = fairness.Network
 	// Allocation is an LMMF allocation on a ParallelLinkNetwork.
@@ -81,9 +77,6 @@ type (
 	JSONLWriter = obs.JSONLWriter
 	// QueueProbe exposes one link's queue depth to SampleQueues.
 	QueueProbe = obs.QueueProbe
-	// FlightRecorder is a bounded ring of the most recent probe events — a
-	// ProbeSink whose contents dump as replayable JSONL after a failure.
-	FlightRecorder = obs.FlightRecorder
 	// BWTrace is a recorded bandwidth timeseries for trace-replay links.
 	BWTrace = netem.BWTrace
 	// Server models one accept point's resource limits: a concurrent-
@@ -185,16 +178,6 @@ func SampleQueues(eng *Engine, b *ProbeBus, every Time, probes ...QueueProbe) {
 	obs.SampleQueues(eng, b, every, probes...)
 }
 
-// NewFlightRecorder returns a flight recorder holding the last size probe
-// events (size <= 0 picks the 4096-event default). Add it to a bus as a sink;
-// once warm it records without allocating.
-func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = obs.DefaultFlightRecorderSize
-	}
-	return obs.NewFlightRecorder(size)
-}
-
 // NewFile returns a fixed-size transfer application.
 func NewFile(bytes int64) transport.App { return transport.NewFile(bytes) }
 
@@ -204,25 +187,9 @@ func NewConnection(eng *Engine, name string, p Protocol, paths []*Path, o Attach
 	return exp.Attach(eng, name, p, paths, o)
 }
 
-// DefaultConfig returns the scaled-down experiment configuration.
-func DefaultConfig() Config { return exp.DefaultConfig() }
-
-// RunExperiment regenerates the named table/figure; see Experiments for the
-// catalogue.
-func RunExperiment(id string, cfg Config) ([]*Table, error) { return exp.RunByID(id, cfg) }
-
 // LMMF computes the lexicographic max-min fair allocation on a
 // parallel-link network (the fairness notion of Theorems 4.1/5.1/5.2).
 func LMMF(n *ParallelLinkNetwork) (*Allocation, error) { return fairness.LMMF(n) }
 
 // DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
 func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }
-
-// Experiments lists the available experiment ids with descriptions.
-func Experiments() map[string]string {
-	out := make(map[string]string)
-	for _, e := range exp.Registry() {
-		out[e.ID] = e.Desc
-	}
-	return out
-}

@@ -39,33 +39,6 @@ func TestFacadeFileTransfer(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentsCatalogue(t *testing.T) {
-	exps := mpcc.Experiments()
-	for _, id := range []string{"fig2", "fig5a", "fig6a", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"fig19", "sched", "ablation-connlevel"} {
-		if _, ok := exps[id]; !ok {
-			t.Errorf("experiment %q missing from catalogue", id)
-		}
-	}
-	if len(exps) < 20 {
-		t.Fatalf("catalogue has only %d experiments", len(exps))
-	}
-}
-
-func TestFacadeRunExperiment(t *testing.T) {
-	tabs, err := mpcc.RunExperiment("fig2", mpcc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || len(tabs[0].Rows) == 0 {
-		t.Fatal("fig2 produced no data")
-	}
-	if _, err := mpcc.RunExperiment("nope", mpcc.DefaultConfig()); err == nil {
-		t.Fatal("unknown experiment should error")
-	}
-}
-
 func TestFacadeLMMF(t *testing.T) {
 	alloc, err := mpcc.LMMF(&mpcc.ParallelLinkNetwork{
 		Capacity: []float64{100, 100, 100},
