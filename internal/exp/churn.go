@@ -129,7 +129,7 @@ type churnDriver struct {
 
 	nextID int
 	active int
-	fct    *obs.Histogram
+	fct    *obs.Sketch
 	stats  ChurnStats
 }
 
@@ -194,7 +194,7 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 		horizon: s.Duration,
 		rng:     rand.New(rand.NewSource(s.Seed ^ 0x636875726e)), // "churn"
 		backoff: workload.Backoff{Base: cs.RetryBase, Cap: cs.RetryCap},
-		fct:     &obs.Histogram{},
+		fct:     &obs.Sketch{},
 
 		sessions: sim.Pool[churnSession]{Slab: 16},
 		groups:   sim.Pool[ccmpcc.Group]{Slab: 16},

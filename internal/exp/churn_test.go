@@ -124,11 +124,11 @@ func TestChurnObsMetrics(t *testing.T) {
 	}
 }
 
-// TestChurnQueueTiers is the regression guard for the event core's split:
-// under overload the backed-off RTOs, watchdogs and churn timers beyond the
-// wheel span live in the far heap, and the imminent heap — the one every pop
-// sifts — holds a drained slot's worth. Routing far timers back through the
-// hot heap would push its high-water mark into the hundreds.
+// TestChurnQueueTiers is the regression guard for the event core's two
+// tiers: under overload the standing timer population — pacing and ACK
+// returns, and the backed-off RTOs, watchdogs and churn timers a lap or more
+// out — waits in the wheel (3 306 at the high-water mark), and the imminent
+// heap, the one every pop sifts, holds a drained slot's worth (15).
 func TestChurnQueueTiers(t *testing.T) {
 	cfg := churnTestConfig()
 	cfg.Duration = 2 * sim.Second
@@ -136,14 +136,13 @@ func TestChurnQueueTiers(t *testing.T) {
 	spec.Probes = obs.NewBus()
 	res := Run(spec)
 	q := res.Queue
-	if q.ImminentMax > 64 || q.FarMax < 100 {
-		t.Fatalf("imminent high-water %d (want <= 64), far high-water %d (want >= 100): %+v",
-			q.ImminentMax, q.FarMax, q)
+	if q.ImminentMax > 64 || q.WheelMax < 1000 {
+		t.Fatalf("imminent high-water %d (want <= 64), wheel high-water %d (want >= 1000): %+v",
+			q.ImminentMax, q.WheelMax, q)
 	}
 	for name, want := range map[string]int{
 		"sim.max_pending_imminent": q.ImminentMax,
 		"sim.max_pending_wheel":    q.WheelMax,
-		"sim.max_pending_far":      q.FarMax,
 	} {
 		if got := int(res.Obs.Gauges[name]); got != want {
 			t.Errorf("gauge %s = %d, want %d", name, got, want)

@@ -140,7 +140,6 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 		reg.Gauge("sim.max_pending_timers").Set(float64(maxPending))
 		reg.Gauge("sim.max_pending_imminent").Set(float64(queue.ImminentMax))
 		reg.Gauge("sim.max_pending_wheel").Set(float64(queue.WheelMax))
-		reg.Gauge("sim.max_pending_far").Set(float64(queue.FarMax))
 		snap = reg.Snapshot()
 		if snapshotSink != nil {
 			snapshotSink(w.seed, snap)
@@ -158,11 +157,7 @@ func foldQueue(agg *sim.QueueStats, q sim.QueueStats) {
 	agg.ImminentCancels += q.ImminentCancels
 	agg.WheelInserts += q.WheelInserts
 	agg.WheelCancels += q.WheelCancels
-	agg.FarInserts += q.FarInserts
-	agg.FarCancels += q.FarCancels
 	agg.SlotDrains += q.SlotDrains
-	agg.FarPops += q.FarPops
 	agg.ImminentMax = max(agg.ImminentMax, q.ImminentMax)
 	agg.WheelMax = max(agg.WheelMax, q.WheelMax)
-	agg.FarMax = max(agg.FarMax, q.FarMax)
 }

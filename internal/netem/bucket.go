@@ -73,9 +73,9 @@ func (tb *TokenBucket) Borrow(now sim.Time, size int) sim.Time {
 }
 
 // SetPolicer attaches a token-bucket policer at the link's ingress:
-// packets exceeding the rate/burst contract are dropped with DropPolicer,
-// with zero added delay and no queue occupancy — loss that carries no
-// latency warning. The bucket starts full. rateBps <= 0 detaches.
+// packets exceeding the rate/burst contract are dropped with
+// obs.CausePolicer, with zero added delay and no queue occupancy — loss that
+// carries no latency warning. The bucket starts full. rateBps <= 0 detaches.
 func (l *Link) SetPolicer(rateBps float64, burstBytes int) {
 	if rateBps <= 0 {
 		l.policer = nil

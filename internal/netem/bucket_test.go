@@ -140,8 +140,8 @@ func TestLinkPolicerDropsWithoutQueueing(t *testing.T) {
 	var times []sim.Time
 	sink := SinkFunc(func(*Packet) { times = append(times, e.Now()) })
 	drops := 0
-	var reason DropReason
-	onDrop := func(_ *Packet, r DropReason) { drops++; reason = r }
+	var reason obs.DropCause
+	onDrop := func(_ *Packet, r obs.DropCause) { drops++; reason = r }
 	for i := 0; i < 6; i++ {
 		p.Send(1000, nil, sink, onDrop) // 6000 bytes at t=0 against a 3000-byte burst
 	}
@@ -149,7 +149,7 @@ func TestLinkPolicerDropsWithoutQueueing(t *testing.T) {
 	if len(times) != 3 || drops != 3 {
 		t.Fatalf("delivered %d dropped %d, want 3/3", len(times), drops)
 	}
-	if reason != DropPolicer {
+	if reason != obs.CausePolicer {
 		t.Fatalf("drop reason = %v, want policer", reason)
 	}
 	// Non-queue-building: survivors see pure serialization (8 µs/packet at
@@ -181,7 +181,7 @@ func TestLinkShaperDefersInsteadOfDropping(t *testing.T) {
 	sink := SinkFunc(func(*Packet) { times = append(times, e.Now()) })
 	drops := 0
 	for i := 0; i < 4; i++ {
-		p.Send(1500, nil, sink, func(*Packet, DropReason) { drops++ })
+		p.Send(1500, nil, sink, func(*Packet, obs.DropCause) { drops++ })
 	}
 	e.Run(0)
 	if drops != 0 || len(times) != 4 {

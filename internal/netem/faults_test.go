@@ -3,6 +3,7 @@ package netem
 import (
 	"testing"
 
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 )
 
@@ -50,16 +51,16 @@ func TestZeroRateStalls(t *testing.T) {
 	p := NewPath(e, "p", l)
 	l.SetRate(0)
 	drops := 0
-	var reason DropReason
+	var reason obs.DropCause
 	if got := sendN(e, p, 5); got != 0 {
 		t.Fatalf("zero-rate link delivered %d packets", got)
 	}
-	p.Send(1000, nil, SinkFunc(func(*Packet) {}), func(_ *Packet, r DropReason) {
+	p.Send(1000, nil, SinkFunc(func(*Packet) {}), func(_ *Packet, r obs.DropCause) {
 		drops++
 		reason = r
 	})
 	e.Run(0)
-	if drops != 1 || reason != DropOutage {
+	if drops != 1 || reason != obs.CauseOutage {
 		t.Fatalf("zero-rate drop = %d/%v, want 1/outage", drops, reason)
 	}
 	l.SetRate(100 * mbps)
@@ -97,7 +98,7 @@ func TestGilbertElliottBurstLoss(t *testing.T) {
 	l2.SetGilbertElliott(&GilbertElliott{PGoodBad: 0.02, PBadGood: 0.25, LossBad: 1})
 	outcome := make([]bool, 0, n) // true = dropped
 	sink := SinkFunc(func(*Packet) { outcome = append(outcome, false) })
-	onDrop := func(*Packet, DropReason) { outcome = append(outcome, true) }
+	onDrop := func(*Packet, obs.DropCause) { outcome = append(outcome, true) }
 	for i := 0; i < n; i++ {
 		p2.Send(1000, nil, sink, onDrop)
 	}

@@ -50,7 +50,7 @@ func (r *refNet) enqueue(l *Link, pkt *Packet) {
 	}
 	if l.down || l.rateBps <= 0 {
 		l.stats.DropsOutage++
-		l.drop(pkt, DropOutage)
+		l.drop(pkt, obs.CauseOutage)
 		return
 	}
 	if l.geOn {
@@ -67,20 +67,20 @@ func (r *refNet) enqueue(l *Link, pkt *Packet) {
 		}
 		if p > 0 && r.eng.Rand().Float64() < p {
 			l.stats.DropsBurst++
-			l.drop(pkt, DropBurst)
+			l.drop(pkt, obs.CauseBurst)
 			return
 		}
 	}
 	if l.lossProb > 0 && r.eng.Rand().Float64() < l.lossProb {
 		l.stats.DropsRandom++
-		l.drop(pkt, DropRandom)
+		l.drop(pkt, obs.CauseRandom)
 		return
 	}
 	if l.policer != nil {
 		if !l.policer.Conforms(now, pkt.Size) {
 			l.stats.DropsPolicer++
 			l.stats.PolicerDropBytes += uint64(pkt.Size)
-			l.drop(pkt, DropPolicer)
+			l.drop(pkt, obs.CausePolicer)
 			return
 		}
 		l.stats.PolicerPassedBytes += uint64(pkt.Size)
@@ -91,7 +91,7 @@ func (r *refNet) enqueue(l *Link, pkt *Packet) {
 	}
 	if l.queuedBytes-inService+pkt.Size > l.bufBytes {
 		l.stats.DropsQueueFull++
-		l.drop(pkt, DropQueueFull)
+		l.drop(pkt, obs.CauseQueueFull)
 		return
 	}
 	l.stats.EnqueuedPackets++
@@ -171,7 +171,7 @@ func newLazyTwin(sc lazyScenario, seed int64, ref bool) *lazyTwin {
 		sc.setup(l, i)
 		l.SetProbes(obs.NewBus(obs.SinkFunc(func(ev obs.Event) {
 			if ev.Kind == obs.KindDrop {
-				tw.log = append(tw.log, fmt.Sprintf("%v drop %s %v %d", ev.At, ev.Link, DropReason(ev.Cause), ev.Bytes))
+				tw.log = append(tw.log, fmt.Sprintf("%v drop %s %v %d", ev.At, ev.Link, ev.Cause, ev.Bytes))
 			}
 		})))
 		tw.links = append(tw.links, l)

@@ -15,8 +15,6 @@
 package netem
 
 import (
-	"fmt"
-
 	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 )
@@ -38,7 +36,7 @@ type Packet struct {
 	path   *Path // its links are the hops
 	hop    int
 	sink   Sink
-	onDrop func(*Packet, DropReason)
+	onDrop func(*Packet, obs.DropCause)
 	owner  *arena // pool to return to at the terminal event
 	dup    bool   // link-created duplicate; never duplicated again
 
@@ -69,35 +67,6 @@ func (f SinkFunc) Deliver(pkt *Packet) { f(pkt) }
 type metaRetainer interface{ RetainMeta() }
 
 type metaReleaser interface{ ReleaseMeta() }
-
-// DropReason explains why a link dropped a packet.
-type DropReason int
-
-// Drop reasons.
-const (
-	DropQueueFull DropReason = iota // drop-tail buffer overflow
-	DropRandom                      // i.i.d. non-congestion loss
-	DropOutage                      // link down (outage/flap) or stalled at zero rate
-	DropBurst                       // Gilbert–Elliott bad-state burst loss
-	DropPolicer                     // token-bucket policer deficit (non-queue-building)
-)
-
-func (r DropReason) String() string {
-	switch r {
-	case DropQueueFull:
-		return "queue-full"
-	case DropRandom:
-		return "random"
-	case DropOutage:
-		return "outage"
-	case DropBurst:
-		return "burst"
-	case DropPolicer:
-		return "policer"
-	default:
-		return fmt.Sprintf("DropReason(%d)", int(r))
-	}
-}
 
 // LinkStats counts a link's lifetime activity.
 type LinkStats struct {
@@ -189,8 +158,8 @@ func NewLink(eng *sim.Engine, name string, rateBps float64, delay sim.Time, bufB
 // SetRate changes the serialization rate. Packets already scheduled keep
 // their departure times; new arrivals use the new rate. A zero (or negative,
 // clamped to zero) rate models a stalled link: new arrivals can never
-// serialize, so they are dropped with DropOutage instead of being scheduled
-// with an infinite transmission time.
+// serialize, so they are dropped with obs.CauseOutage instead of being
+// scheduled with an infinite transmission time.
 func (l *Link) SetRate(rateBps float64) {
 	if rateBps < 0 {
 		rateBps = 0
@@ -199,9 +168,9 @@ func (l *Link) SetRate(rateBps float64) {
 }
 
 // SetDown raises or clears a link outage. While down the link blackholes
-// every new arrival (counted as DropOutage); packets already serialized keep
-// their scheduled departures, like SetRate. Each up→down transition counts
-// one outage in Stats.
+// every new arrival (counted as obs.CauseOutage); packets already serialized
+// keep their scheduled departures, like SetRate. Each up→down transition
+// counts one outage in Stats.
 func (l *Link) SetDown(down bool) {
 	if down != l.down {
 		// The in-order delivery guard must not carry across an outage
@@ -426,7 +395,7 @@ func (l *Link) enqueue(pkt *Packet) {
 	if l.down || l.rateBps <= 0 {
 		// Outage (or zero-rate stall): the packet can never serialize.
 		l.stats.DropsOutage++
-		l.drop(pkt, DropOutage)
+		l.drop(pkt, obs.CauseOutage)
 		return
 	}
 	if l.geOn {
@@ -445,13 +414,13 @@ func (l *Link) enqueue(pkt *Packet) {
 		}
 		if p > 0 && l.eng.Rand().Float64() < p {
 			l.stats.DropsBurst++
-			l.drop(pkt, DropBurst)
+			l.drop(pkt, obs.CauseBurst)
 			return
 		}
 	}
 	if l.lossProb > 0 && l.eng.Rand().Float64() < l.lossProb {
 		l.stats.DropsRandom++
-		l.drop(pkt, DropRandom)
+		l.drop(pkt, obs.CauseRandom)
 		return
 	}
 	if l.policer != nil {
@@ -461,7 +430,7 @@ func (l *Link) enqueue(pkt *Packet) {
 		if !l.policer.Conforms(now, pkt.Size) {
 			l.stats.DropsPolicer++
 			l.stats.PolicerDropBytes += uint64(pkt.Size)
-			l.drop(pkt, DropPolicer)
+			l.drop(pkt, obs.CausePolicer)
 			return
 		}
 		l.stats.PolicerPassedBytes += uint64(pkt.Size)
@@ -479,7 +448,7 @@ func (l *Link) enqueue(pkt *Packet) {
 	}
 	if l.queuedBytes-inService+pkt.Size > l.bufBytes {
 		l.stats.DropsQueueFull++
-		l.drop(pkt, DropQueueFull)
+		l.drop(pkt, obs.CauseQueueFull)
 		return
 	}
 	l.stats.EnqueuedPackets++
@@ -564,12 +533,10 @@ func (l *Link) settle() {
 // packetForwardEvent fires when pkt reaches the far end of a link.
 func packetForwardEvent(a any) { a.(*Packet).forward() }
 
-func (l *Link) drop(pkt *Packet, reason DropReason) {
-	// obs.DropCause values mirror DropReason one-to-one (asserted in tests),
-	// so the cause is a cast rather than a translation table.
-	l.probes.Drop(l.eng.Now(), l.Name, obs.DropCause(reason), pkt.Size)
+func (l *Link) drop(pkt *Packet, cause obs.DropCause) {
+	l.probes.Drop(l.eng.Now(), l.Name, cause, pkt.Size)
 	if pkt.onDrop != nil {
-		pkt.onDrop(pkt, reason)
+		pkt.onDrop(pkt, cause)
 	}
 	if r, ok := pkt.Meta.(metaReleaser); ok {
 		r.ReleaseMeta()

@@ -58,8 +58,8 @@ func TestLinkDropTail(t *testing.T) {
 	p := NewPath(e, "p", l)
 	sink, got := collector()
 	drops := 0
-	var reason DropReason
-	onDrop := func(_ *Packet, r DropReason) { drops++; reason = r }
+	var reason obs.DropCause
+	onDrop := func(_ *Packet, r obs.DropCause) { drops++; reason = r }
 	for i := 0; i < 6; i++ {
 		p.Send(1000, nil, sink, onDrop)
 	}
@@ -70,7 +70,7 @@ func TestLinkDropTail(t *testing.T) {
 	if drops != 3 {
 		t.Fatalf("drops = %d, want 3", drops)
 	}
-	if reason != DropQueueFull {
+	if reason != obs.CauseQueueFull {
 		t.Fatalf("reason = %v, want queue-full", reason)
 	}
 	st := l.Stats()
@@ -107,7 +107,7 @@ func TestLinkConservation(t *testing.T) {
 	p := NewPath(e, "p", l)
 	delivered, dropped := 0, 0
 	sink := SinkFunc(func(*Packet) { delivered++ })
-	onDrop := func(*Packet, DropReason) { dropped++ }
+	onDrop := func(*Packet, obs.DropCause) { dropped++ }
 	const n = 5000
 	for i := 0; i < n; i++ {
 		at := sim.Time(e.Rand().Int63n(int64(sim.Second)))
@@ -257,28 +257,6 @@ func TestLinkPanics(t *testing.T) {
 	l.SetRate(-1)
 	if l.Rate() != 0 {
 		t.Fatalf("negative rate should clamp to 0, got %v", l.Rate())
-	}
-}
-
-func TestDropReasonString(t *testing.T) {
-	if DropQueueFull.String() != "queue-full" || DropRandom.String() != "random" {
-		t.Fatal("DropReason strings wrong")
-	}
-	if DropOutage.String() != "outage" || DropBurst.String() != "burst" {
-		t.Fatal("fault DropReason strings wrong")
-	}
-	if DropReason(9).String() == "" {
-		t.Fatal("unknown reason should still format")
-	}
-}
-
-// The link emits obs drop causes by casting DropReason, which is only sound
-// while the two enums stay numerically and nominally aligned.
-func TestDropReasonMatchesObsCause(t *testing.T) {
-	for _, r := range []DropReason{DropQueueFull, DropRandom, DropOutage, DropBurst} {
-		if got := obs.DropCause(r).String(); got != r.String() {
-			t.Errorf("obs.DropCause(%d) = %q, netem reason = %q", r, got, r.String())
-		}
 	}
 }
 
@@ -444,7 +422,7 @@ func TestLinkDuplication(t *testing.T) {
 	counts := map[int]int{}
 	sink := SinkFunc(func(pk *Packet) { counts[pk.Meta.(int)]++ })
 	drops := 0
-	onDrop := func(*Packet, DropReason) { drops++ }
+	onDrop := func(*Packet, obs.DropCause) { drops++ }
 	for i := 0; i < 3; i++ {
 		p.Send(1000, i, sink, onDrop)
 	}
@@ -479,7 +457,7 @@ func TestDuplicateDropInvisibleToSender(t *testing.T) {
 	p := NewPath(e, "p", l)
 	sink, got := collector()
 	drops := 0
-	p.Send(1000, nil, sink, func(*Packet, DropReason) { drops++ })
+	p.Send(1000, nil, sink, func(*Packet, obs.DropCause) { drops++ })
 	e.Run(0)
 	if len(*got) != 0 {
 		t.Fatalf("delivered %d, want 0", len(*got))

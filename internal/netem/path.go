@@ -147,7 +147,7 @@ func (p *Path) BaseRTT() sim.Time { return 2 * p.PropDelay() }
 // link drops it. The path-private extra delay is applied before the first
 // link. The packet is owned by the engine's arena and recycled at its
 // terminal event, so neither sink nor onDrop may retain it past their return.
-func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReason)) {
+func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, obs.DropCause)) {
 	pkt := acquire(p.arena)
 	pkt.Size = size
 	pkt.SentAt = p.eng.Now()

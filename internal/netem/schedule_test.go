@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpcc/internal/netem"
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 )
@@ -40,8 +41,8 @@ func TestLinkSchedulesOnItsOwnEngine(t *testing.T) {
 
 	var got []string
 	for eng.Step() {
-		var why netem.DropReason = -1
-		probe.Send(100, nil, nil, func(_ *netem.Packet, r netem.DropReason) { why = r })
+		why := "not dropped"
+		probe.Send(100, nil, nil, func(_ *netem.Packet, r obs.DropCause) { why = r.String() })
 		got = append(got, fmt.Sprintf("%v %v %gMbps %v", eng.Now(), why, l.Rate()/1e6, probe.PropDelay()))
 	}
 	want := []string{

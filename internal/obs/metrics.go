@@ -18,7 +18,7 @@ import (
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*Sketch
 
 	// Pre-resolved handles for the event-driven builtins, so record never
 	// builds a lookup key on the hot path: each kind's layouts counter, then
@@ -27,9 +27,9 @@ type Registry struct {
 	dropsByCause [numCauses]*Counter
 	retxBytes    *Counter
 	miByPhase    map[string]*Counter
-	queueDepth   *Histogram
-	utility      *Histogram
-	rtt          *Histogram
+	queueDepth   *Sketch
+	utility      *Sketch
+	rtt          *Sketch
 	series       *seriesStore
 
 	// Session-churn handles, resolved lazily on the first session event so
@@ -43,7 +43,7 @@ type Registry struct {
 	sessAborted    *Counter
 	sessActive     *Gauge
 	sessActivePeak *Gauge
-	sessFCT        *Histogram
+	sessFCT        *Sketch
 }
 
 // NewRegistry returns an empty registry with the builtin metrics
@@ -52,7 +52,7 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
+		hists:     make(map[string]*Sketch),
 		miByPhase: make(map[string]*Counter),
 	}
 	for c := DropCause(0); c < numCauses; c++ {
@@ -102,12 +102,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns (creating if needed) the named histogram, a Sketch.
+func (r *Registry) Histogram(name string) *Sketch {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{}
+	h := &Sketch{}
 	r.hists[name] = h
 	return h
 }

@@ -138,8 +138,8 @@ func KindFromString(s string) (Kind, bool) {
 	return 0, false
 }
 
-// DropCause mirrors netem's drop reasons (the numeric values correspond
-// one-to-one; netem asserts the correspondence in its tests).
+// DropCause says why a link dropped a packet: netem hands it to the
+// packet's drop callback and to the probe bus alike.
 type DropCause uint8
 
 // Drop causes.

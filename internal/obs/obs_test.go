@@ -146,7 +146,7 @@ func TestRegistryFoldsEvents(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
+	h := &Sketch{}
 	for i := 100; i >= 1; i-- { // insert descending to exercise lazy sort
 		h.Observe(float64(i))
 	}
@@ -166,7 +166,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if st.Count != 100 || st.Min != 1 || st.Max != 100 || st.Mean != 50.5 {
 		t.Errorf("Stats = %+v", st)
 	}
-	var empty Histogram
+	var empty Sketch
 	if empty.Quantile(0.5) != 0 || empty.Stats().Count != 0 {
 		t.Error("empty histogram should report zeros")
 	}

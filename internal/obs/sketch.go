@@ -34,9 +34,6 @@ import (
 // streamed union produce byte-identical Stats — the property exp.RunParallel
 // relies on for worker-count-independent output. The price is that the mean
 // is bucket-approximate (within α) once spilled; Min/Max stay exact.
-//
-// Histogram is retained as an alias: the registry API and its callers are
-// unchanged.
 type Sketch struct {
 	exact  []float64 // exact-mode samples; nil once spilled
 	sorted bool
@@ -51,10 +48,6 @@ type Sketch struct {
 	stats      HistogramStats
 	statsValid bool
 }
-
-// Histogram is the historical name for the registry's quantile aggregator;
-// it has been a bounded-memory Sketch since the streaming-telemetry rework.
-type Histogram = Sketch
 
 // Sketch geometry. Alpha is the relative-error guarantee (0.5%); the bucket
 // cap bounds each store to ~32 KB of counts even if observations span the

@@ -8,19 +8,19 @@
 // engines share no state, so they may run concurrently (see exp.RunParallel).
 //
 // The event core is allocation-conscious and built for timer churn. The
-// queue has three tiers, split by a timer's 65.5 µs slot relative to the
-// frontier (the slot being fired): an imminent heap for slots at or before
-// it, a single-level hashed timing wheel for the next 8 191 slots (O(1)
-// insert and cancel within ~half a second: pacing, ACK returns,
-// monitor-interval and a subflow's RTO timer while un-backed-off), and a far
-// heap for everything beyond (watchdogs, churn timers, backed-off RTO timers
-// — about a thousand at a time under overload). Both heaps are one inlined
-// monomorphic 4-ary implementation, and the one every pop sifts holds a
-// slot's worth of timers however many wait far out. Each pop takes the global (at, seq)
-// minimum, the exact total order one heap alone would produce
-// (property-tested against a reference heap in wheel_test.go). Every timer
-// recycles through a slab-backed per-engine free list. See DESIGN.md
-// "Performance architecture".
+// queue has two tiers, split by a timer's 65.5 µs slot relative to the
+// frontier (the slot being fired): an imminent 4-ary heap for slots at or
+// before it, and a single-level hashed timing wheel of 8 192 buckets for
+// every later slot (O(1) insert and cancel). A timer more than one ≈537 ms
+// span out — a watchdog, a churn timer, a backed-off RTO — shares its
+// bucket with nearer laps and stays there until its lap comes round
+// (Varghese and Lauck's hashed wheel, scheme 6): a drain moves only the
+// timers of the slot being reached into the heap, so the heap every pop
+// sifts holds a slot's worth however many timers wait far out. Each pop
+// takes the heap's head, the global (at, seq) minimum — the exact total
+// order one heap alone would produce (property-tested against a reference
+// heap in wheel_test.go). Every timer recycles through a slab-backed
+// per-engine Pool. See DESIGN.md "Performance architecture".
 package sim
 
 import (
@@ -58,12 +58,12 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Timing-wheel geometry. Slots are 2^wheelShift nanoseconds (≈65.5 µs) so
-// the slot of a timestamp is a shift, not a division; wheelSlots of them
+// the slot of a timestamp is a shift, not a division; wheelSlots buckets
 // span ≈537 ms, which covers every high-churn timer class the transport
 // arms (pacer ticks, ACK returns, RACK rechecks, monitor intervals, and
-// un-backed-off RTOs). Timers beyond the span go to the far heap, which
-// needs no cascading: the frontier never passes the far head's slot without
-// popping it.
+// un-backed-off RTOs). A timer beyond the span sits in bucket
+// slot&wheelMask with the nearer laps and is skipped by every drain until
+// the frontier reaches its own slot: no cascading, no second structure.
 const (
 	wheelShift = 16
 	wheelSlots = 8192 // power of two
@@ -71,8 +71,8 @@ const (
 )
 
 // Timer is a scheduled callback: afn(arg) at (at, seq). Every timer is
-// pooled — it recycles through the engine free list the moment it fires or
-// is stopped — so callers hold a TimerRef, never a *Timer.
+// pooled — it recycles through the engine's pool the moment it fires or is
+// stopped — so callers hold a TimerRef, never a *Timer.
 type Timer struct {
 	at  Time
 	seq uint64
@@ -80,16 +80,14 @@ type Timer struct {
 	arg any
 	eng *Engine
 
-	// Queue position: index >= 0 is the position in a heap — the far heap
-	// when far is set, else the imminent one; timerIdle (-1) means not
-	// queued; timerInWheel (-2) means linked into the wheel slot derived
-	// from at. Wheel slots are doubly-linked intrusive lists through
-	// next/prev so cancellation unlinks in O(1).
+	// Queue position: index >= 0 is the position in the imminent heap;
+	// timerIdle (-1) means not queued; timerInWheel (-2) means linked into
+	// the wheel bucket derived from at. Buckets are doubly-linked intrusive
+	// lists through next/prev so cancellation unlinks in O(1).
 	index int32
 	next  *Timer
 	prev  *Timer
 	gen   uint64 // incremented every time the timer is recycled
-	far   bool   // in the far heap; written only on the far path
 }
 
 const (
@@ -109,10 +107,10 @@ type TimerRef struct {
 // Stop cancels the referenced timer if this handle's incarnation is still
 // pending, reporting whether it was. Stale handles (fired, already stopped,
 // or recycled) return false and touch nothing. A pending timer is removed
-// from its queue immediately — O(1) in the wheel, O(log n) in the heap that
-// holds it (the imminent heap holds a slot's worth, the far heap the timers
-// beyond the wheel span) — so simulations that cancel many timers (pacing
-// and RACK timers are re-armed all the time) accumulate no dead entries.
+// from its queue immediately — O(1) in the wheel, O(log n) in the imminent
+// heap, which holds a slot's worth — so simulations that cancel many timers
+// (pacing and RACK timers are re-armed all the time) accumulate no dead
+// entries.
 func (r TimerRef) Stop() bool {
 	if !r.Pending() {
 		return false
@@ -136,14 +134,11 @@ type Engine struct {
 
 	// imminent holds the timers whose slot is at or before the frontier:
 	// the slot being drained plus whatever is scheduled into it meanwhile.
-	// far holds the timers that were beyond the wheel span when scheduled;
-	// they stay there until popped or stopped, however close they come.
 	imminent timerHeap
-	far      timerHeap
 
-	// wheel is the single-level hashed timing wheel: slot i holds an
-	// unordered doubly-linked list of timers with at>>wheelShift ≡ i
-	// (mod wheelSlots), strictly after the frontier and within one span.
+	// wheel is the single-level hashed timing wheel: bucket i holds an
+	// unordered doubly-linked list of the timers strictly after the
+	// frontier with at>>wheelShift ≡ i (mod wheelSlots), of whatever lap.
 	// occ is its occupancy bitmap, wheelCount the total resident timers,
 	// and frontier the absolute slot index up to which slots have been
 	// drained into the imminent heap.
@@ -152,7 +147,7 @@ type Engine struct {
 	wheelCount int
 	frontier   int64
 
-	free     []*Timer // recycled timers
+	timers   Pool[Timer]
 	locals   []engineLocal
 	rng      *rand.Rand
 	stopped  bool
@@ -166,9 +161,10 @@ type Engine struct {
 // source is seeded with seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		wheel: make([]*Timer, wheelSlots),
-		occ:   make([]uint64, wheelSlots/64),
+		rng:    rand.New(rand.NewSource(seed)),
+		wheel:  make([]*Timer, wheelSlots),
+		occ:    make([]uint64, wheelSlots/64),
+		timers: Pool[Timer]{Slab: 64},
 	}
 }
 
@@ -191,7 +187,7 @@ type engineLocal struct{ key, val any }
 // with mk on first use. It is the one place layers above sim hang state
 // that must live exactly as long as the engine and never be shared between
 // engines — the object arenas of netem and transport, which outlive any one
-// connection the way the timer free list does. Keys follow the context.Value
+// connection the way the timer pool does. Keys follow the context.Value
 // convention (an unexported type per package). The lookup is a short linear
 // scan, meant for constructors (NewPath, NewConnection), not per-packet code.
 func (e *Engine) Local(key any, mk func() any) any {
@@ -211,17 +207,15 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// ---- imminent heap + timing wheel + far heap, ordered by (at, seq) ----
+// ---- imminent heap + timing wheel, ordered by (at, seq) ----
 //
-// Pop order is the total order (at, seq). The timers in slots at or before
-// the frontier are exactly the imminent heap plus the due far timers (those
-// whose slot the frontier has reached); wheel timers and far timers not yet
-// due all lie in later slots. So the smaller of the imminent head and a due
-// far head is the global minimum, and when there is neither the frontier
-// moves to whichever comes first, the next occupied wheel slot or the far
-// head's slot. The wheel's internal arrangement — and in particular O(1)
-// cancellations — cannot affect execution order, and no timer ever moves
-// from one heap to the other.
+// Pop order is the total order (at, seq). Every timer in the imminent heap
+// lies in a slot at or before the frontier and every wheel timer in a later
+// one, so the heap's head, when there is one, is the global minimum. When
+// the heap is empty the frontier moves to the next occupied bucket's slot,
+// whose timers move into the heap; the bucket's later-lap timers stay
+// behind. The wheel's internal arrangement — and in particular O(1)
+// cancellations — cannot affect execution order.
 
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
@@ -231,57 +225,50 @@ func timerLess(a, b *Timer) bool {
 }
 
 // enqueue routes a freshly scheduled timer by its slot: at or before the
-// frontier to the imminent heap, within one span after it to the wheel,
-// beyond the span to the far heap.
+// frontier to the imminent heap, any later slot to its wheel bucket.
 func (e *Engine) enqueue(t *Timer) {
 	if n := e.Pending() + 1; n > e.maxQueue {
 		e.maxQueue = n
 	}
 	slot := int64(t.at >> wheelShift)
-	switch {
-	case slot <= e.frontier:
+	if slot <= e.frontier {
 		e.imminent.push(t)
 		e.stats.ImminentInserts++
 		e.stats.ImminentMax = max(e.stats.ImminentMax, len(e.imminent))
-	case slot >= e.frontier+wheelSlots:
-		t.far = true
-		e.far.push(t)
-		e.stats.FarInserts++
-		e.stats.FarMax = max(e.stats.FarMax, len(e.far))
-	default:
-		idx := slot & wheelMask
-		head := e.wheel[idx]
-		t.index = timerInWheel
-		t.prev = nil
-		t.next = head
-		if head != nil {
-			head.prev = t
-		}
-		e.wheel[idx] = t
-		e.occ[idx>>6] |= 1 << (uint(idx) & 63)
-		e.wheelCount++
-		e.stats.WheelInserts++
-		e.stats.WheelMax = max(e.stats.WheelMax, e.wheelCount)
+		return
 	}
+	idx := slot & wheelMask
+	e.link(idx, t)
+	e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+	e.wheelCount++
+	e.stats.WheelInserts++
+	e.stats.WheelMax = max(e.stats.WheelMax, e.wheelCount)
 }
 
-// dequeue removes a pending timer from whichever structure holds it.
+// dequeue removes a pending timer from whichever tier holds it.
 func (e *Engine) dequeue(t *Timer) {
-	switch {
-	case t.index == timerInWheel:
+	if t.index == timerInWheel {
 		e.unlink(t)
 		e.stats.WheelCancels++
-	case t.index >= 0 && t.far:
-		t.far = false
-		e.far.removeAt(int(t.index))
-		e.stats.FarCancels++
-	case t.index >= 0:
+	} else {
 		e.imminent.removeAt(int(t.index))
 		e.stats.ImminentCancels++
 	}
 }
 
-// unlink removes t from its wheel slot in O(1).
+// link pushes t onto the front of wheel bucket idx.
+func (e *Engine) link(idx int64, t *Timer) {
+	head := e.wheel[idx]
+	t.index = timerInWheel
+	t.prev = nil
+	t.next = head
+	if head != nil {
+		head.prev = t
+	}
+	e.wheel[idx] = t
+}
+
+// unlink removes t from its wheel bucket in O(1).
 func (e *Engine) unlink(t *Timer) {
 	idx := int64(t.at>>wheelShift) & wheelMask
 	if t.prev != nil {
@@ -300,28 +287,37 @@ func (e *Engine) unlink(t *Timer) {
 	e.wheelCount--
 }
 
-// drain moves the frontier to the occupied wheel slot next and empties that
-// slot into the imminent heap, where (at, seq) ordering is restored.
+// drain moves the frontier to slot next, whose bucket is occupied, and the
+// timers of that slot into the imminent heap, where (at, seq) ordering is
+// restored. The bucket's later-lap timers are linked back in; its occupancy
+// bit stays set while any remain.
 func (e *Engine) drain(next int64) {
 	e.frontier = next
 	idx := next & wheelMask
 	t := e.wheel[idx]
 	e.wheel[idx] = nil
-	e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	for t != nil {
 		n := t.next
-		t.next, t.prev = nil, nil
-		e.wheelCount--
-		e.imminent.push(t)
+		if int64(t.at>>wheelShift) == next {
+			t.next, t.prev = nil, nil
+			e.wheelCount--
+			e.imminent.push(t)
+		} else {
+			e.link(idx, t)
+		}
 		t = n
+	}
+	if e.wheel[idx] == nil {
+		e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	}
 	e.stats.SlotDrains++
 	e.stats.ImminentMax = max(e.stats.ImminentMax, len(e.imminent))
 }
 
-// nextOccupied scans the occupancy bitmap for the first occupied slot
-// strictly after the frontier, skipping empty slots a word at a time. The
-// caller guarantees wheelCount > 0.
+// nextOccupied scans the occupancy bitmap for the first occupied bucket
+// strictly after the frontier, skipping empty ones a word at a time, and
+// returns the absolute slot it stands for in the coming lap. The caller
+// guarantees wheelCount > 0.
 func (e *Engine) nextOccupied() int64 {
 	start := e.frontier + 1
 	for off := int64(0); off < wheelSlots; {
@@ -333,52 +329,21 @@ func (e *Engine) nextOccupied() int64 {
 		}
 		off += int64(64 - bit)
 	}
-	panic(fmt.Sprintf("sim: wheel occupancy bitmap is empty with wheelCount=%d (imminent=%d, far=%d)",
-		e.wheelCount, len(e.imminent), len(e.far)))
-}
-
-// popFar removes and returns the far heap's head.
-func (e *Engine) popFar() *Timer {
-	t := e.far.popMin()
-	t.far = false
-	e.stats.FarPops++
-	return t
+	panic(fmt.Sprintf("sim: wheel occupancy bitmap is empty with wheelCount=%d (imminent=%d)",
+		e.wheelCount, len(e.imminent)))
 }
 
 // nextTimer removes and returns the globally earliest pending timer, or nil
-// when no timers remain.
+// when no timers remain: the imminent head, draining the next occupied slot
+// first while the heap is empty.
 func (e *Engine) nextTimer() *Timer {
-	for {
-		if len(e.imminent) > 0 {
-			// Only a far timer whose slot the frontier has reached can
-			// precede the imminent head; the two compete head to head.
-			if len(e.far) > 0 && int64(e.far[0].at>>wheelShift) <= e.frontier &&
-				timerLess(e.far[0], e.imminent[0]) {
-				return e.popFar()
-			}
-			return e.imminent.popMin()
+	for len(e.imminent) == 0 {
+		if e.wheelCount == 0 {
+			return nil
 		}
-		if len(e.far) == 0 {
-			if e.wheelCount == 0 {
-				return nil
-			}
-			e.drain(e.nextOccupied())
-			continue
-		}
-		// Nothing imminent: the frontier moves to the next occupied wheel
-		// slot or to the far head's slot, whichever is first. On a tie the
-		// slot is drained and the far head competes with it above.
-		if slot := int64(e.far[0].at >> wheelShift); slot > e.frontier {
-			if e.wheelCount > 0 {
-				if next := e.nextOccupied(); next <= slot {
-					e.drain(next)
-					continue
-				}
-			}
-			e.frontier = slot
-		}
-		return e.popFar()
+		e.drain(e.nextOccupied())
 	}
+	return e.imminent.popMin()
 }
 
 // timerHeap is an inlined monomorphic 4-ary min-heap ordered by (at, seq).
@@ -488,36 +453,19 @@ func (e *Engine) At(at Time, fn func()) TimerRef { return e.ScheduleRef(at, call
 
 func callFunc(fn any) { fn.(func())() }
 
-// grabPooled returns a free-list timer (allocating a slab when empty),
-// initialized for (at, afn, arg) at the next sequence number.
+// grabPooled returns a pooled timer initialized for (at, afn, arg) at the
+// next sequence number.
 func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
 	e.seq++
-	var t *Timer
-	if n := len(e.free); n > 0 {
-		t = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		t.at, t.seq, t.afn, t.arg = at, e.seq, afn, arg
-	} else {
-		// Slab growth: one allocation provisions a batch of timers, so
-		// steady state allocates nothing and cold start allocates rarely.
-		slab := make([]Timer, 64)
-		for i := range slab {
-			slab[i].eng = e
-			slab[i].index = timerIdle
-			if i > 0 {
-				e.free = append(e.free, &slab[i])
-			}
-		}
-		t = &slab[0]
-		t.at, t.seq, t.afn, t.arg = at, e.seq, afn, arg
-	}
+	t := e.timers.Get()
+	t.at, t.seq, t.afn, t.arg = at, e.seq, afn, arg
+	t.eng, t.index = e, timerIdle
 	return t
 }
 
 // Schedule posts afn(arg) at absolute virtual time at with no cancellation
 // handle and returns its sequence number, the tie-break Fired compares. The
-// backing Timer comes from (and returns to) the engine free list, so
+// backing Timer comes from (and returns to) the engine's timer pool, so
 // steady-state anonymous events — packet arrivals, feedback — allocate
 // nothing.
 func (e *Engine) Schedule(at Time, afn func(any), arg any) uint64 {
@@ -538,7 +486,7 @@ func (e *Engine) Fired(at Time, seq uint64) bool {
 
 // ScheduleRef schedules afn(arg) at absolute virtual time at and returns a
 // generation-checked cancellable handle. The backing Timer comes from the
-// free list like Schedule's: it recycles the moment it fires or is stopped,
+// pool like Schedule's: it recycles the moment it fires or is stopped,
 // and the TimerRef's generation makes any stale handle a harmless no-op.
 // This is the zero-allocation cancellable timer for hot cancel-heavy paths
 // (retransmission, pacing, RACK-recheck and revival-probe timers).
@@ -549,12 +497,12 @@ func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	return TimerRef{t: t, gen: t.gen}
 }
 
-// release returns a fired or stopped timer to the free list,
-// retiring its generation so stale TimerRefs cannot touch it.
+// release returns a fired or stopped timer to the pool, retiring its
+// generation so stale TimerRefs cannot touch it.
 func (e *Engine) release(t *Timer) {
 	t.afn, t.arg = nil, nil
 	t.gen++
-	e.free = append(e.free, t)
+	e.timers.Put(t)
 }
 
 // Stop halts Run after the currently executing event returns.
@@ -585,8 +533,8 @@ func (e *Engine) Run(horizon Time) {
 		}
 		if horizon > 0 && next.at > horizon {
 			// Not due within the horizon: put it back. Its slot is at or
-			// before the frontier whichever heap it was popped from, so it
-			// lands in the imminent heap, where it is the head.
+			// before the frontier, so it lands in the imminent heap, where
+			// it is the head.
 			e.enqueue(next)
 			e.now, e.firing = horizon, e.seq
 			return
@@ -611,7 +559,7 @@ func (e *Engine) Step() bool {
 
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
-func (e *Engine) Pending() int { return len(e.imminent) + e.wheelCount + len(e.far) }
+func (e *Engine) Pending() int { return len(e.imminent) + e.wheelCount }
 
 // MaxPending returns the high-water mark of queued timers over the engine's
 // lifetime — a proxy for how much simultaneous in-flight state a scenario
@@ -627,11 +575,11 @@ func (e *Engine) MaxPending() int { return e.maxQueue }
 type QueueStats struct {
 	ImminentInserts, ImminentCancels uint64
 	WheelInserts, WheelCancels       uint64
-	FarInserts, FarCancels           uint64
-	ImminentMax, WheelMax, FarMax    int
+	ImminentMax, WheelMax            int
 
-	SlotDrains uint64 // wheel slots emptied into the imminent heap
-	FarPops    uint64 // pops served from the far heap
+	// SlotDrains counts the occupied buckets the frontier reached, those
+	// holding only later-lap timers included.
+	SlotDrains uint64
 }
 
 // QueueStats returns the queue's per-tier counters — the check, without a

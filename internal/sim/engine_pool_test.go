@@ -7,8 +7,9 @@ import (
 )
 
 // TestStopRemovesEagerly: Stop takes a timer out of whichever tier holds it
-// at once — the imminent heap (slot 0 is at the frontier), the wheel, the
-// far heap — and each tier counts its own cancel.
+// at once — the imminent heap (slot 0 is at the frontier), the wheel within
+// its first lap, the wheel a lap or more out — and each tier counts its own
+// cancel.
 func TestStopRemovesEagerly(t *testing.T) {
 	e := NewEngine(1)
 	var timers []TimerRef
@@ -30,9 +31,9 @@ func TestStopRemovesEagerly(t *testing.T) {
 		}
 	}
 	want := QueueStats{
-		ImminentInserts: 3, WheelInserts: 3, FarInserts: 3,
-		ImminentCancels: 1, WheelCancels: 1, FarCancels: 1,
-		ImminentMax: 3, WheelMax: 3, FarMax: 3,
+		ImminentInserts: 3, WheelInserts: 6,
+		ImminentCancels: 1, WheelCancels: 2,
+		ImminentMax: 3, WheelMax: 6,
 	}
 	if got := e.QueueStats(); got != want {
 		t.Fatalf("QueueStats = %+v, want %+v", got, want)
@@ -43,10 +44,11 @@ func TestStopRemovesEagerly(t *testing.T) {
 	}
 }
 
-// TestHeapOrderUnderRandomRemovals stresses removeAt on both heaps: random
-// timers are scheduled, half into the slot at the frontier (the imminent
-// heap) and half a second out (the far heap), a random subset stopped, and
-// the rest must still fire in (time, insertion) order.
+// TestHeapOrderUnderRandomRemovals stresses removeAt on the imminent heap
+// and unlink on a wheel bucket: random timers are scheduled, half into the
+// slot at the frontier (the imminent heap) and half into one slot a second
+// out (a later lap of the wheel), a random subset stopped, and the rest must
+// still fire in (time, insertion) order.
 func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	e := NewEngine(1)
@@ -66,8 +68,8 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 		i := i
 		timers = append(timers, e.At(v.at, func() { fired = append(fired, i) }))
 	}
-	if q := e.QueueStats(); q.ImminentMax != 500 || q.FarMax != 500 {
-		t.Fatalf("timers did not split across the two heaps: %+v", q)
+	if q := e.QueueStats(); q.ImminentMax != 500 || q.WheelMax != 500 {
+		t.Fatalf("timers did not split across the two tiers: %+v", q)
 	}
 	for i, v := range evs {
 		if rng.Intn(3) == 0 {
@@ -95,7 +97,7 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 }
 
 // TestSchedulePoolingReuse checks that Schedule-created timers recycle
-// through the free list and that reuse does not disturb execution order.
+// through the pool and that reuse does not disturb execution order.
 func TestSchedulePoolingReuse(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
@@ -105,15 +107,17 @@ func TestSchedulePoolingReuse(t *testing.T) {
 		e.Schedule(Time(i), note, i)
 	}
 	e.Run(0)
-	if len(e.free) == 0 {
-		t.Fatal("no timers were recycled to the free list")
+	made := e.timers.Made()
+	if made == 0 || e.timers.InUse() != 0 {
+		t.Fatalf("after the first round the pool made %d timers and %d are still out; want all back",
+			made, e.timers.InUse())
 	}
-	freeBefore := len(e.free)
 	for i := 10; i < 20; i++ {
 		e.Schedule(Time(i+100), note, i)
 	}
-	if len(e.free) >= freeBefore && freeBefore >= 10 {
-		t.Fatalf("Schedule did not reuse pooled timers (free %d -> %d)", freeBefore, len(e.free))
+	if e.timers.Made() != made || e.timers.InUse() != 10 {
+		t.Fatalf("Schedule did not reuse pooled timers: made %d -> %d, %d out",
+			made, e.timers.Made(), e.timers.InUse())
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -152,5 +156,46 @@ func TestScheduleDeterminismWithPooling(t *testing.T) {
 		if cold[i] != hot[i] {
 			t.Fatalf("order diverges at %d: cold %d, hot %d", i, cold[i], hot[i])
 		}
+	}
+}
+
+// TestTimerPoolMatchesPending: a timer is out of the engine's pool exactly
+// while it is queued. Under random schedules (imminent, wheel and later-lap
+// slots), stops (fresh and stale) and fires, the pool's InUse equals Pending
+// after every call and inside every callback, where the firing timer is
+// already back.
+func TestTimerPoolMatchesPending(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := NewEngine(1)
+	check := func(where string) {
+		t.Helper()
+		if in, p := e.timers.InUse(), e.Pending(); in != p {
+			t.Fatalf("%s: pool has %d timers out, %d pending", where, in, p)
+		}
+	}
+	var refs []TimerRef
+	var fn func()
+	fn = func() {
+		check("callback")
+		if rng.Intn(4) == 0 {
+			refs = append(refs, e.At(e.Now()+Time(rng.Int63n(int64(Second))), fn))
+		}
+	}
+	for round := 0; round < 200; round++ {
+		for i := rng.Intn(20); i > 0; i-- {
+			refs = append(refs, e.At(e.Now()+Time(rng.Int63n(int64(2*Second))), fn))
+			check("schedule")
+		}
+		for i := rng.Intn(10); i > 0 && len(refs) > 0; i-- {
+			refs[rng.Intn(len(refs))].Stop()
+			check("stop")
+		}
+		e.Run(e.Now() + Time(rng.Int63n(int64(100*Millisecond))))
+		check("run")
+	}
+	e.Run(0)
+	check("drain")
+	if e.Pending() != 0 || e.timers.Made() == 0 {
+		t.Fatalf("drained: %d pending, pool made %d", e.Pending(), e.timers.Made())
 	}
 }

@@ -286,9 +286,9 @@ func chainTick(a any) {
 // BenchmarkEngineQueue times one Step (pop, fire, re-schedule) against the
 // three timer populations a run can hold: near is 1 024 chains hopping 120 µs
 // and 30 ms (packets in flight: wheel and imminent heap only), far is 900
-// chains hopping 600 and 900 ms (every timer beyond the wheel span), mixed
-// is both at once — the overload population, where a resident far tier must
-// not tax the near timers that do nearly all the firing.
+// chains hopping 600 and 900 ms (every timer a lap or more out), mixed is
+// both at once — the overload population, where timers resident in later
+// laps must not tax the near timers that do nearly all the firing.
 func BenchmarkEngineQueue(b *testing.B) {
 	for _, bc := range []struct {
 		name      string

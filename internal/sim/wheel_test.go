@@ -10,7 +10,7 @@ import (
 //
 // refQueue is the obviously-correct timer queue the timing wheel is checked
 // against: a container/heap ordered by (at, seq) with eager removal. It
-// shares no code with the engine's heap/wheel/heap hybrid.
+// shares no code with the engine's heap/wheel hybrid.
 
 type refEntry struct {
 	at  Time
@@ -99,7 +99,8 @@ func (q *refQueue) popOne() (int, bool) {
 // A script is a deterministic sequence of rounds applied identically to a
 // sim.Engine and to the reference queue. Offsets are chosen to straddle
 // every queue regime: the current slot (imminent heap), near slots (wheel),
-// the slot boundary, the full span boundary, and beyond the span (far heap).
+// the slot boundary, the full span boundary, and beyond the span (later laps
+// of the wheel).
 
 type op struct {
 	schedOffsets []Time // schedule one timer per offset (relative to now)
@@ -117,10 +118,11 @@ var interestingOffsets = []Time{
 	(Time(1) << wheelShift) - 1, // just inside the current slot
 	(Time(1) << wheelShift) + 1,
 	Time(wheelSlots/2) << wheelShift, // mid-span
-	Time(wheelSlots-1) << wheelShift, // last wheel slot
-	Time(wheelSlots) << wheelShift,   // first far slot
+	Time(wheelSlots-1) << wheelShift, // last slot of the first lap
+	Time(wheelSlots) << wheelShift,   // first slot of the second lap
 	(Time(wheelSlots) << wheelShift) + 12345,
-	3 * Time(wheelSlots) << wheelShift, // deep in the far heap
+	3 * Time(wheelSlots) << wheelShift, // three laps out
+	10 * wheelSpan, 100 * wheelSpan,
 	Millisecond, 10 * Millisecond, 200 * Millisecond, Second,
 }
 
@@ -133,16 +135,17 @@ func randomOffset(rng *rand.Rand) Time {
 	case 2:
 		return Time(rng.Int63n(int64(600 * Millisecond))) // spans the wheel
 	default:
-		return Time(rng.Int63n(int64(3 * Second))) // mostly far
+		return Time(rng.Int63n(int64(3 * Second))) // mostly later laps
 	}
 }
 
 // runScript drives both implementations in lockstep: every engine fire must
 // match the reference heap's minimum (at, seq) entry, so cancels and spawns
 // issued from inside callbacks see an identical pending set on both sides.
-// Pending and MaxPending must agree with the reference's size and its
-// high-water mark whichever tiers the timers sit in. It returns the engine's
-// queue counters so a script can show it reached the regime it was built for.
+// Every timer must fire exactly at its time, and Pending and MaxPending
+// must agree with the reference's size and its high-water mark whichever
+// tiers the timers sit in. It returns the engine's queue counters so a
+// script can show it reached the regime it was built for.
 func runScript(t *testing.T, ops []op) QueueStats {
 	t.Helper()
 	eng := NewEngine(7)
@@ -165,6 +168,9 @@ func runScript(t *testing.T, ops []op) QueueStats {
 			}
 			if want != i {
 				t.Fatalf("pop order diverges: engine fired id %d, reference expects id %d", i, want)
+			}
+			if eng.Now() != at {
+				t.Fatalf("id %d fired at %d, scheduled for %d", i, eng.Now(), at)
 			}
 			if sp, hit := spawned[i]; hit {
 				if sp[0] >= 0 {
@@ -235,8 +241,8 @@ func runScript(t *testing.T, ops []op) QueueStats {
 // randomized schedule/cancel/reschedule interleavings spanning every wheel
 // regime, the engine must pop the exact (at, seq) sequence a reference heap
 // pops. 60 seeds × 30 rounds ≈ 50k timers per run. Odd seeds start with a
-// few hundred resident far timers, which the rounds then cancel, re-arm and
-// run into while the near ones churn.
+// few hundred resident timers beyond the wheel span, which the rounds then
+// cancel, re-arm and run into while the near ones churn.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -299,81 +305,95 @@ func absOps(rounds ...op) []op {
 	return rounds
 }
 
-// TestFarHeapRegimes scripts the situations the imminent/far split creates.
-// Pop order, Pending and MaxPending are checked against the reference by
-// runScript; the queue counters show each script reached its regime. Ids
-// count schedules in script order from 0.
+// TestFarHeapRegimes scripts the situations timers beyond the wheel span
+// (far timers) create: they share a bucket with nearer laps and wait there,
+// skipped by every drain, until the frontier reaches their own slot. Pop
+// order, fire times, Pending and MaxPending are checked against the
+// reference by runScript; the queue counters show each script reached its
+// regime. Ids count schedules in script order from 0.
 func TestFarHeapRegimes(t *testing.T) {
-	const tie = wheelSpan + 100*slotSpan + 500 // mid-slot, far from t = 0
+	const tie = wheelSpan + 100*slotSpan + 500 // mid-slot, a lap out from t = 0
+	hour := 3600 * Second
 	for _, tc := range []struct {
 		name string
 		ops  []op
 		want QueueStats // Max fields are not compared
 	}{
 		{
-			// The far timer (slot 8202) precedes the next occupied wheel slot
-			// (8240): the frontier moves to its slot and it pops without a
-			// drain. The timer at slot 100 keeps the wheel occupied across
-			// the first horizon so the far one is not reached early.
-			name: "far slot before the next occupied wheel slot",
+			// Slot 8202 shares bucket 10 with slot 10: the drain of slot 10
+			// moves only its own timer and links the far one back in, and
+			// bucket 10 is drained again a lap later, before slot 8240. The
+			// timer at slot 100 keeps the wheel occupied across the first
+			// horizon, popped and put back into the imminent heap.
+			name: "a far timer waits in a bucket a nearer lap drains",
 			ops: absOps(
-				op{schedOffsets: []Time{wheelSpan + 10*slotSpan, 50 * slotSpan, 100 * slotSpan}, runFor: 60 * slotSpan},
+				op{schedOffsets: []Time{wheelSpan + 10*slotSpan, 10 * slotSpan, 100 * slotSpan}, runFor: 60 * slotSpan},
 				op{schedOffsets: []Time{8240 * slotSpan}, runFor: 8300 * slotSpan},
 			),
-			want: QueueStats{FarInserts: 1, FarPops: 1, WheelInserts: 3, SlotDrains: 3, ImminentInserts: 1},
+			want: QueueStats{WheelInserts: 4, SlotDrains: 4, ImminentInserts: 1},
 		},
 		{
-			// Three far timers and four wheel timers share one slot, with
-			// equal at across the two heaps: the drained slot is in the
-			// imminent heap when the far head comes due, and the seq tie is
-			// broken head to head (ids 0, 1 before 6; 2 before 7).
-			name: "same slot, equal at, far head due while imminent is non-empty",
+			// Bucket 100 first holds only timers a lap out: its drain moves
+			// nothing and the frontier goes on to slot 200. Four more land
+			// in the same slot with equal at, and the whole slot is drained
+			// at once: the seq tie is broken in the imminent heap (ids 0, 1
+			// before 6; 2 before 7).
+			name: "a bucket of only far timers, then equal at in one slot",
 			ops: absOps(
 				op{schedOffsets: []Time{tie, tie, tie + 1, 50 * slotSpan, 200 * slotSpan}, runFor: 120 * slotSpan},
 				op{schedOffsets: []Time{tie - 1, tie, tie + 1, tie + 2}, runFor: tie + 10},
 			),
-			want: QueueStats{FarInserts: 3, FarPops: 3, WheelInserts: 6, SlotDrains: 3, ImminentInserts: 1},
+			want: QueueStats{WheelInserts: 9, SlotDrains: 4, ImminentInserts: 1},
 		},
 		{
-			// No wheel timers at all: the frontier jumps from far head to far
-			// head. At the second round it lags the clock by a whole span, so
-			// even a timer 1 ns ahead is beyond the span and takes the far
-			// path.
-			name: "wheel empty, only far timers left",
+			// Only far timers: the frontier visits their buckets lap by lap.
+			// At the second round it lags the clock by a whole span, so a
+			// timer 1 ns ahead lands in the frontier's own bucket, a lap out.
+			name: "only far timers, the frontier walks the laps",
 			ops: absOps(
 				op{schedOffsets: []Time{wheelSpan + 5*slotSpan, 2 * wheelSpan, 2 * wheelSpan, 3*wheelSpan + 7}, runFor: 4 * wheelSpan},
 				op{schedOffsets: []Time{4*wheelSpan + 1, 4*wheelSpan + slotSpan, 4*wheelSpan + 10*slotSpan, 5*wheelSpan + 1}, runFor: 6 * wheelSpan},
 			),
-			want: QueueStats{FarInserts: 8, FarPops: 8},
+			want: QueueStats{WheelInserts: 8, SlotDrains: 11},
 		},
 		{
-			// Run pops the far timer, finds it past the horizon and puts it
-			// back: it lands in the imminent heap (the frontier moved to its
-			// slot), as do the timers scheduled before and just after it.
-			// The second far timer is put back the same way, then stopped.
-			name: "Run puts back a timer popped from far",
+			// Run drains the far timer's slot, finds it past the horizon and
+			// puts it back: it lands in the imminent heap (the frontier
+			// moved to its slot), as do the timers scheduled before and just
+			// after it. The second far timer is put back the same way, then
+			// stopped there.
+			name: "Run puts back a far timer",
 			ops: absOps(
 				op{schedOffsets: []Time{2 * wheelSpan}, runFor: wheelSpan},
 				op{schedOffsets: []Time{wheelSpan + 10*slotSpan, 2*wheelSpan + 5}, runFor: 3 * wheelSpan},
 				op{schedOffsets: []Time{5 * wheelSpan}, runFor: 4 * wheelSpan},
 				op{cancels: []int{3}, runFor: 6 * wheelSpan},
 			),
-			want: QueueStats{FarInserts: 2, FarPops: 2, ImminentInserts: 4, ImminentCancels: 1},
+			want: QueueStats{WheelInserts: 2, SlotDrains: 5, ImminentInserts: 4, ImminentCancels: 1},
 		},
 		{
 			// Id 0 cancels id 1, drained into the imminent heap with it; id 3
-			// cancels the far id 2; the far id 4 fires.
+			// cancels the far id 2 out of bucket 0; the far id 4, in the same
+			// bucket two laps further, fires.
 			name: "callbacks cancel an imminent and a far timer",
 			ops: absOps(op{
 				schedOffsets: []Time{10*slotSpan + 5, 10*slotSpan + 6, 2 * wheelSpan, 20 * slotSpan, 3 * wheelSpan},
 				cancelOnFire: map[int]int{0: 1, 3: 2},
 				runFor:       4 * wheelSpan,
 			}),
-			want: QueueStats{FarInserts: 2, FarCancels: 1, FarPops: 1, WheelInserts: 3, SlotDrains: 2, ImminentCancels: 1},
+			want: QueueStats{WheelInserts: 5, WheelCancels: 1, SlotDrains: 5, ImminentCancels: 1},
+		},
+		{
+			// A lone timer an hour out stays pending past a 10 s horizon —
+			// reached by a drain of every lap of its bucket, then put back —
+			// and fires exactly on time when the drain runs to idle.
+			name: "a lone timer an hour out",
+			ops:  []op{{schedOffsets: []Time{hour}, runFor: 10 * Second}},
+			want: QueueStats{WheelInserts: 1, SlotDrains: uint64(hour>>wheelShift)/wheelSlots + 1, ImminentInserts: 1},
 		},
 	} {
 		got := runScript(t, tc.ops)
-		got.ImminentMax, got.WheelMax, got.FarMax = 0, 0, 0
+		got.ImminentMax, got.WheelMax = 0, 0
 		if got != tc.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
 		}
@@ -383,7 +403,8 @@ func TestFarHeapRegimes(t *testing.T) {
 // TestFarResidentsChurn keeps hundreds of timers resident beyond the wheel
 // span, cancelling and re-arming a batch of them every 25 ms round while
 // near-term timers churn through the wheel, long enough for the oldest to
-// come due. The far heap must carry all of them and the imminent heap none.
+// come due. The wheel must carry all of them and the imminent heap none
+// before its slot.
 func TestFarResidentsChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	far := func() Time { return wheelSpan + Time(rng.Int63n(int64(Second))) }
@@ -402,14 +423,14 @@ func TestFarResidentsChurn(t *testing.T) {
 		ops = append(ops, o)
 	}
 	q := runScript(t, ops)
-	if q.FarMax < 400 || q.FarCancels < 500 || q.FarPops < 300 || q.ImminentMax > 32 {
-		t.Fatalf("the far tier did not carry the resident timers: %+v", q)
+	if q.WheelMax < 400 || q.WheelCancels < 500 || q.ImminentMax > 32 {
+		t.Fatalf("the wheel did not carry the resident timers: %+v", q)
 	}
 }
 
-// TestWheelFrontierFastForward covers the idle-jump path: a single
-// far-future timer with an empty wheel must fast-forward the frontier, and
-// near-term timers scheduled afterwards must still order correctly.
+// TestWheelFrontierFastForward covers the idle walk: a lone timer ten laps
+// out must carry the frontier forward to its slot, and near-term timers
+// scheduled afterwards must still order correctly.
 func TestWheelFrontierFastForward(t *testing.T) {
 	runScript(t, []op{
 		{schedOffsets: []Time{5 * Second}, runFor: 5 * Second},
@@ -421,7 +442,7 @@ func TestWheelFrontierFastForward(t *testing.T) {
 // FuzzTimingWheel feeds arbitrary byte strings as op scripts to the same
 // differential check, so the fuzzer can search for wheel-geometry edge
 // cases the random tests miss. Each byte pair encodes one action. The corpus
-// under testdata/fuzz/FuzzTimingWheel holds the far-heap regimes of
+// under testdata/fuzz/FuzzTimingWheel holds the far-timer regimes of
 // TestFarHeapRegimes in this encoding.
 func FuzzTimingWheel(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0xff, 0x80, 0x40, 0x03, 0x07})
@@ -443,12 +464,12 @@ func FuzzTimingWheel(f *testing.F) {
 			case 0: // schedule: b picks an offset class
 				off := Time(b) << (uint(b%3) * 9) // 0..255, ..130k, ..66M ns
 				if b%7 == 0 {
-					off = Time(b) * 41 * Millisecond // up to ~10s: the far heap
+					off = Time(b) * 41 * Millisecond // up to ~10s: later laps
 				}
 				at := eng.Now() + off
 				if a >= 0x80 && id > 0 && ats[int(b)%id] >= eng.Now() {
 					// Land exactly on an earlier timer, which may sit in
-					// another tier: the tie is broken by seq across tiers.
+					// another tier or lap: the tie is broken by seq.
 					at = ats[int(b)%id]
 				}
 				ats = append(ats, at)
