@@ -10,12 +10,19 @@ import (
 	"mpcc"
 )
 
-func run(proto mpcc.Protocol) (longFCT float64, shortFCTs []float64) {
-	eng := mpcc.NewEngine(11)
-	// The fabric names its links and paths; the network builds them.
-	clos := mpcc.Clos{Cfg: mpcc.DefaultClosConfig()}
+// fabric builds the Clos fabric on eng: the fabric names its links, the
+// network builds them, and the fabric gives each its rate, delay and buffer.
+func fabric(eng *mpcc.Engine) *mpcc.Network {
+	var clos mpcc.Clos
 	net := clos.Topology().Build(eng)
 	clos.Tweak(net)
+	return net
+}
+
+func run(proto mpcc.Protocol) (longFCT float64, shortFCTs []float64) {
+	eng := mpcc.NewEngine(11)
+	var clos mpcc.Clos // names each flow's ECMP paths
+	net := fabric(eng)
 
 	start := func(src, dst int, bytes int64, out *float64) *mpcc.Connection {
 		conn := mpcc.NewConnection(eng, fmt.Sprintf("%s-%d-%d", proto, src, dst), proto,
@@ -38,7 +45,7 @@ func run(proto mpcc.Protocol) (longFCT float64, shortFCTs []float64) {
 
 func main() {
 	fmt.Printf("Clos fabric (2 spines, 4 ToRs, %.0f Mbps links), 3 ECMP subflows per flow\n",
-		mpcc.DefaultClosConfig().LinkRateBps/1e6)
+		fabric(mpcc.NewEngine(11)).Link("h0-up").Rate()/1e6)
 	for _, proto := range []mpcc.Protocol{mpcc.MPCCLatency, mpcc.LIA} {
 		long, shorts := run(proto)
 		sort.Float64s(shorts)

@@ -14,6 +14,9 @@ import (
 	"mpcc/internal/sim"
 )
 
+// minCwnd floors the window and ssthresh, in packets.
+const minCwnd float64 = 2
+
 // base carries the per-subflow state shared by all coupled variants:
 // standard per-subflow slow start, RTT smoothing into the coupler record,
 // and loss bookkeeping for OLIA's best-path estimate.
@@ -23,7 +26,6 @@ type base struct {
 
 	cwnd     float64
 	ssthresh float64
-	minCwnd  float64
 }
 
 func newBase(coupler *cc.Coupler) base {
@@ -32,15 +34,14 @@ func newBase(coupler *cc.Coupler) base {
 		state:    coupler.Register(),
 		cwnd:     10,
 		ssthresh: 1e9,
-		minCwnd:  2,
 	}
 	b.state.CwndPkts = b.cwnd
 	return b
 }
 
 func (b *base) setCwnd(w float64) {
-	if w < b.minCwnd {
-		w = b.minCwnd
+	if w < minCwnd {
+		w = minCwnd
 	}
 	b.cwnd = w
 	b.state.CwndPkts = w
@@ -79,13 +80,13 @@ func (b *base) slowStartAck(ackedPkts float64) bool {
 
 func (b *base) halveOnLoss() {
 	b.onLossShared()
-	b.ssthresh = math.Max(b.cwnd/2, b.minCwnd)
+	b.ssthresh = math.Max(b.cwnd/2, minCwnd)
 	b.setCwnd(b.ssthresh)
 }
 
 func (b *base) collapseOnRTO() {
 	b.onLossShared()
-	b.ssthresh = math.Max(b.cwnd/2, b.minCwnd)
+	b.ssthresh = math.Max(b.cwnd/2, minCwnd)
 	b.cwnd = 1
 	b.state.CwndPkts = 1
 }
@@ -285,7 +286,7 @@ func (c *Balia) OnLossEvent(now sim.Time) {
 		alpha = maxRate / own
 	}
 	dec := c.cwnd / 2 * math.Min(alpha, 1.5)
-	c.ssthresh = math.Max(c.cwnd-dec, c.minCwnd)
+	c.ssthresh = math.Max(c.cwnd-dec, minCwnd)
 	c.setCwnd(c.ssthresh)
 }
 

@@ -79,7 +79,7 @@ func (c *WVegas) OnAck(now, rtt sim.Time, ackedPkts float64) {
 		// Vegas slow start: double per epoch until backlog appears.
 		c.setCwnd(c.cwnd * 2)
 	case c.inSlowStart():
-		c.ssthresh = c.minCwnd // backlog reached: leave slow start for good
+		c.ssthresh = minCwnd // backlog reached: leave slow start for good
 	case diff < target-0.5:
 		c.setCwnd(c.cwnd + 1)
 	case diff > target+0.5:
@@ -95,7 +95,7 @@ func (c *WVegas) OnAck(now, rtt sim.Time, ackedPkts float64) {
 // backlog that normally ends it).
 func (c *WVegas) OnLossEvent(now sim.Time) {
 	c.onLossShared()
-	c.ssthresh = math.Max(c.cwnd/2, c.minCwnd)
+	c.ssthresh = math.Max(c.cwnd/2, minCwnd)
 	c.setCwnd(c.ssthresh)
 }
 

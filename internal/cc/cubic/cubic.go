@@ -21,7 +21,6 @@ const (
 type Controller struct {
 	cwnd     float64 // packets
 	ssthresh float64
-	maxCwnd  float64
 
 	wMax       float64  // window before the last reduction
 	epochStart sim.Time // start of the current growth epoch (-1 = unset)
@@ -35,7 +34,7 @@ type Controller struct {
 
 // New returns a Cubic controller with an initial window of 10 packets.
 func New() *Controller {
-	return &Controller{cwnd: 10, ssthresh: 1e9, maxCwnd: 1e9, epochStart: -1}
+	return &Controller{cwnd: 10, ssthresh: 1e9, epochStart: -1}
 }
 
 // Cwnd implements cc.WindowController.
@@ -48,9 +47,6 @@ func (c *Controller) InSlowStart() bool { return c.cwnd < c.ssthresh }
 func (c *Controller) OnAck(now, rtt sim.Time, ackedPkts float64) {
 	if c.InSlowStart() {
 		c.cwnd += ackedPkts
-		if c.cwnd > c.maxCwnd {
-			c.cwnd = c.maxCwnd
-		}
 		return
 	}
 	if c.epochStart < 0 {
@@ -77,9 +73,6 @@ func (c *Controller) OnAck(now, rtt sim.Time, ackedPkts float64) {
 		c.cwnd += (target - c.cwnd) / c.cwnd * ackedPkts
 	} else {
 		c.cwnd += ackedPkts / (100 * c.cwnd) // minimal growth when at/above target
-	}
-	if c.cwnd > c.maxCwnd {
-		c.cwnd = c.maxCwnd
 	}
 }
 

@@ -94,7 +94,7 @@ func (cl *ConnLevel) rateFor(i int) float64 {
 			r -= cl.probeOmega
 		}
 	}
-	return math.Max(r, cl.cfg.MinRateBps)
+	return math.Max(r, MinRateBps)
 }
 
 func (cl *ConnLevel) observeSRTT(srtt sim.Time) {
@@ -173,7 +173,7 @@ func (cl *ConnLevel) closeTrial(now sim.Time) {
 			cl.prevU = u
 			cl.havePrev = true
 			for i := range cl.rates {
-				cl.rates[i] = math.Min(cl.rates[i]*2, cl.cfg.MaxRateBps)
+				cl.rates[i] = math.Min(cl.rates[i]*2, MaxRateBps)
 			}
 		}
 	case 1:
@@ -186,16 +186,16 @@ func (cl *ConnLevel) closeTrial(now sim.Time) {
 				total += r
 			}
 			g := (cl.uHi - u) / (2 * cl.probeOmega / 1e6)
-			step := math.Min(cl.cfg.StepConv*math.Abs(g), cl.cfg.BoundFrac*total/1e6) * 1e6
-			if step < cl.cfg.MinProbeBps {
-				step = cl.cfg.MinProbeBps
+			step := math.Min(stepConv*math.Abs(g), boundFrac*total/1e6) * 1e6
+			if step < minProbeBps {
+				step = minProbeBps
 			}
 			if g > 0 {
 				cl.rates[cl.probeSub] += step
 			} else if g < 0 {
 				cl.rates[cl.probeSub] -= step
 			}
-			cl.rates[cl.probeSub] = math.Min(math.Max(cl.rates[cl.probeSub], cl.cfg.MinRateBps), cl.cfg.MaxRateBps)
+			cl.rates[cl.probeSub] = math.Min(math.Max(cl.rates[cl.probeSub], MinRateBps), MaxRateBps)
 			// Next coordinate (sequential probing: obstacle I).
 			cl.probeSub = (cl.probeSub + 1) % cl.d
 			cl.enterProbe()
@@ -211,7 +211,7 @@ func (cl *ConnLevel) enterProbe() {
 	for _, r := range cl.rates {
 		total += r
 	}
-	cl.probeOmega = math.Max(cl.cfg.MinProbeBps, cl.cfg.ProbeFrac*total)
+	cl.probeOmega = math.Max(minProbeBps, probeFrac*total)
 }
 
 // connSubflow adapts one subflow of a ConnLevel to cc.RateController.

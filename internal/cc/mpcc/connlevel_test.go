@@ -1,6 +1,7 @@
 package mpcc
 
 import (
+	"math/rand"
 	"testing"
 
 	"mpcc/internal/cc"
@@ -84,8 +85,8 @@ func TestConnLevelSlowerThanPerSubflow(t *testing.T) {
 	}
 
 	grp := NewGroup()
-	sub0 := New(DefaultConfig(LossParams()), grp, nil)
-	sub1 := New(DefaultConfig(LossParams()), grp, nil)
+	sub0 := New(DefaultConfig(LossParams()), grp, rand.New(rand.NewSource(1)))
+	sub1 := New(DefaultConfig(LossParams()), grp, rand.New(rand.NewSource(1)))
 	psMIs := -1
 	{
 		miDur := 30 * sim.Millisecond

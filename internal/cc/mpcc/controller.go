@@ -9,50 +9,59 @@ import (
 	"mpcc/internal/sim"
 )
 
+// The controller's fixed tuning: §7.1's ω and change bound at 5 % of the
+// connection's total rate, the rest from PCC Vivace and the implementation
+// notes in DESIGN.md. Every run uses these values; Config holds only what
+// varies.
+const (
+	// MinRateBps is the rate floor and MaxRateBps the rate ceiling: every
+	// rate the controller chooses lies in [MinRateBps, MaxRateBps].
+	MinRateBps float64 = 0.5e6
+	MaxRateBps float64 = 100e9
+
+	// probeFrac is ω expressed as a fraction of the connection's *total*
+	// published sending rate (§5.2: "ω is not set to be a fraction of r …
+	// but of the connection's total sending rate").
+	probeFrac float64 = 0.05
+	// boundFrac is the moving-phase change bound, likewise a fraction of
+	// the connection's total sending rate.
+	boundFrac float64 = 0.05
+	// minProbeBps floors ω so probing works at tiny rates.
+	minProbeBps float64 = 0.2e6
+	// stepConv converts an empirical utility gradient (utility units per
+	// Mbps) into a rate step in Mbps.
+	stepConv float64 = 2.0
+	// maxAmplifier caps the consecutive-move step amplifier.
+	maxAmplifier float64 = 8
+	// gradEps is the gradient magnitude below which probing concludes the
+	// current rate is locally optimal and re-probes.
+	gradEps float64 = 0.01
+	// latencyDeadband is the floor of the latency-gradient noise filter:
+	// slopes within max(latencyDeadband, latencySE·stderr) of zero are
+	// treated as zero. Without a filter, per-packet queueing jitter on a
+	// shared link reads as a (γ-amplified) latency penalty and latency-mode
+	// flows flee an uncongested link; a wide fixed filter would instead
+	// hide the r−ω drain signal Vivace's queue control relies on.
+	latencyDeadband float64 = 0.005
+	// latencySE is the t-test multiplier on the slope's standard error.
+	latencySE float64 = 3
+	// probePairs is the number of randomized (r+ω, r−ω) MI pairs per
+	// probing cycle; Vivace uses 2 (four MIs) to average out measurement
+	// noise.
+	probePairs int = 2
+	// noisePkts scales the statistical tolerance used when deciding that
+	// utility "decreased": loss counts are Poisson-ish, so a comparison is
+	// only meaningful beyond noisePkts standard deviations (√k lost
+	// packets) of the loss terms involved. Zero-loss intervals compare
+	// exactly.
+	noisePkts float64 = 1.5
+)
+
 // Config parameterizes a per-subflow MPCC controller.
 type Config struct {
 	Params UtilityParams
 
 	InitialRateBps float64 // first-MI sending rate
-	MinRateBps     float64 // rate floor
-	MaxRateBps     float64 // rate ceiling
-
-	// ProbeFrac is ω expressed as a fraction of the connection's *total*
-	// published sending rate (§5.2: "ω is not set to be a fraction of r …
-	// but of the connection's total sending rate").
-	ProbeFrac float64
-	// BoundFrac is the moving-phase change bound, likewise a fraction of
-	// the connection's total sending rate.
-	BoundFrac float64
-	// MinProbeBps floors ω so probing works at tiny rates.
-	MinProbeBps float64
-	// StepConv converts an empirical utility gradient (utility units per
-	// Mbps) into a rate step in Mbps.
-	StepConv float64
-	// MaxAmplifier caps the consecutive-move step amplifier.
-	MaxAmplifier float64
-	// GradEps is the gradient magnitude below which probing concludes the
-	// current rate is locally optimal and re-probes.
-	GradEps float64
-	// LatencyDeadband is the floor of the latency-gradient noise filter:
-	// slopes within max(LatencyDeadband, LatencySE·stderr) of zero are
-	// treated as zero. Without a filter, per-packet queueing jitter on a
-	// shared link reads as a (γ-amplified) latency penalty and latency-mode
-	// flows flee an uncongested link; a wide fixed filter would instead
-	// hide the r−ω drain signal Vivace's queue control relies on.
-	LatencyDeadband float64
-	// LatencySE is the t-test multiplier on the slope's standard error.
-	LatencySE float64
-	// ProbePairs is the number of randomized (r+ω, r−ω) MI pairs per
-	// probing cycle; Vivace uses 2 (four MIs) to average out measurement
-	// noise.
-	ProbePairs int
-	// NoisePkts scales the statistical tolerance used when deciding that
-	// utility "decreased": loss counts are Poisson-ish, so a comparison is
-	// only meaningful beyond NoisePkts standard deviations (√k lost
-	// packets) of the loss terms involved. Zero-loss intervals compare
-	// exactly.
-	NoisePkts float64
 
 	// ScaleByOwnRate is an ablation switch (§5.2): when set, the probe step
 	// ω and the change bound scale with the subflow's OWN rate instead of
@@ -68,22 +77,7 @@ type Config struct {
 // DefaultConfig returns the configuration used throughout the evaluation,
 // with the given utility parameters.
 func DefaultConfig(p UtilityParams) Config {
-	return Config{
-		Params:          p,
-		InitialRateBps:  2e6,
-		MinRateBps:      0.5e6,
-		MaxRateBps:      100e9,
-		ProbeFrac:       0.05,
-		BoundFrac:       0.05,
-		MinProbeBps:     0.2e6,
-		StepConv:        2.0,
-		MaxAmplifier:    8,
-		GradEps:         0.01,
-		LatencyDeadband: 0.005,
-		LatencySE:       3,
-		ProbePairs:      2,
-		NoisePkts:       1.5,
-	}
+	return Config{Params: p, InitialRateBps: 2e6}
 }
 
 // Controller state machine phases (§5.2).
@@ -167,7 +161,7 @@ type Controller struct {
 
 	// probing
 	probeOmega   float64 // bps
-	probeIssued  int     // trial MIs issued this cycle (0..2·ProbePairs)
+	probeIssued  int     // trial MIs issued this cycle (0..2·probePairs)
 	probeFirstHi bool    // whether the first trial of the current pair is r+ω
 	probeHiU     float64 // accumulated utility of the r+ω trials
 	probeLoU     float64 // accumulated utility of the r−ω trials
@@ -258,13 +252,6 @@ func (c *Controller) NextRate(now, srtt sim.Time) float64 {
 	return p.rate
 }
 
-func (c *Controller) probePairs() int {
-	if c.cfg.ProbePairs > 0 {
-		return c.cfg.ProbePairs
-	}
-	return 1
-}
-
 func (c *Controller) nextProbeMI() plannedMI {
 	if len(c.probeRetry) > 0 {
 		role := c.probeRetry[0]
@@ -282,21 +269,21 @@ func (c *Controller) nextProbeMI() plannedMI {
 		if c.cfg.ScaleByOwnRate {
 			base = c.rate
 		}
-		c.probeOmega = math.Max(c.cfg.MinProbeBps, c.cfg.ProbeFrac*base)
+		c.probeOmega = math.Max(minProbeBps, probeFrac*base)
 		hi := c.clamp(c.rate + c.probeOmega)
 		lo := c.clamp(c.rate - c.probeOmega)
 		if hi-lo < 1 { // degenerate at the rate floor/ceiling: nudge apart
-			hi = c.clamp(c.rate + c.cfg.MinProbeBps)
-			lo = c.clamp(hi - 2*c.cfg.MinProbeBps)
+			hi = c.clamp(c.rate + minProbeBps)
+			lo = c.clamp(hi - 2*minProbeBps)
 		}
 		c.probeHiRate, c.probeLoRate = hi, lo
 		c.probeHiU, c.probeLoU, c.probeTol = 0, 0, 0
 	}
-	if c.probeIssued < 2*c.probePairs() {
+	if c.probeIssued < 2*probePairs {
 		// Each pair's order is randomized (hi-lo or lo-hi) so queueing
 		// carry-over between adjacent MIs does not bias the estimate.
 		if c.probeIssued%2 == 0 {
-			c.probeFirstHi = c.rng == nil || c.rng.Intn(2) == 1
+			c.probeFirstHi = c.rng.Intn(2) == 1
 		}
 		hiTurn := c.probeFirstHi == (c.probeIssued%2 == 0)
 		c.probeIssued++
@@ -384,7 +371,7 @@ func (c *Controller) noiseTol(rateBps float64, st cc.MIStats) float64 {
 	if c.state == phaseStarting {
 		totalMbps = (c.grp.TotalExcept(c.id) + rateBps) / 1e6
 	}
-	return c.cfg.Params.Beta * totalMbps * c.cfg.NoisePkts * math.Sqrt(lost) / pkts
+	return c.cfg.Params.Beta * totalMbps * noisePkts * math.Sqrt(lost) / pkts
 }
 
 func (c *Controller) onStartComplete(p plannedMI, st cc.MIStats, u float64) {
@@ -398,17 +385,17 @@ func (c *Controller) onStartComplete(p plannedMI, st cc.MIStats, u float64) {
 	c.prevUtility = u
 	c.prevTol = c.noiseTol(p.rate, st)
 	c.haveBase = true
-	if appLimited || c.rate >= c.cfg.MaxRateBps {
+	if appLimited || c.rate >= MaxRateBps {
 		// No point doubling past what the application offers.
 		c.enterProbing()
 	}
 }
 
 func (c *Controller) maybeDecideProbe() {
-	if c.probeGot < 2*c.probePairs() {
+	if c.probeGot < 2*probePairs {
 		return
 	}
-	n := float64(c.probePairs())
+	n := float64(probePairs)
 	c.probeGot = 0
 	c.probeIssued = 0
 	dMbps := (c.probeHiRate - c.probeLoRate) / 1e6
@@ -416,7 +403,7 @@ func (c *Controller) maybeDecideProbe() {
 		return
 	}
 	grad := (c.probeHiU - c.probeLoU) / n / dMbps
-	if math.Abs(grad) < c.cfg.GradEps {
+	if math.Abs(grad) < gradEps {
 		// Locally flat: stay at the current rate and probe again.
 		return
 	}
@@ -445,7 +432,7 @@ func (c *Controller) onMoveComplete(p plannedMI, st cc.MIStats, u float64) {
 	// become a rate to return to.
 	if u < c.bestU-(c.noiseTol(p.rate, st)+c.bestTol) {
 		lastStepMbps := math.Abs(p.rate-c.lastRate) / 1e6
-		c.swingBound = math.Max(lastStepMbps/2, c.cfg.MinProbeBps/1e6)
+		c.swingBound = math.Max(lastStepMbps/2, minProbeBps/1e6)
 		c.rate = c.lastRate
 		c.enterProbing()
 		return
@@ -470,7 +457,7 @@ func (c *Controller) onMoveComplete(p plannedMI, st cc.MIStats, u float64) {
 	c.lastU = u
 	c.lastRate = p.rate
 	c.rate = p.rate
-	c.amp = math.Min(c.amp*2, c.cfg.MaxAmplifier)
+	c.amp = math.Min(c.amp*2, maxAmplifier)
 	c.consec++
 	if c.swingBound > 0 {
 		c.swingBound *= 2 // gradually release the swing buffer
@@ -479,8 +466,8 @@ func (c *Controller) onMoveComplete(p plannedMI, st cc.MIStats, u float64) {
 }
 
 // applyStep moves the base rate one gradient-ascent step in c.dir. The
-// change bound follows Vivace's dynamic boundary: it starts at BoundFrac of
-// the connection's total rate and grows by another BoundFrac for each
+// change bound follows Vivace's dynamic boundary: it starts at boundFrac of
+// the connection's total rate and grows by another boundFrac for each
 // consecutive same-direction move, so sustained gradients translate into
 // exponential ramps while a single noisy MI stays tightly bounded.
 func (c *Controller) applyStep(gradMag float64) {
@@ -488,7 +475,7 @@ func (c *Controller) applyStep(gradMag float64) {
 	if c.cfg.ScaleByOwnRate {
 		totalMbps = c.rate / 1e6
 	}
-	stepMbps := c.cfg.StepConv * gradMag * c.amp
+	stepMbps := stepConv * gradMag * c.amp
 	// Dynamic change bound, growth capped at 4× the base fraction: enough
 	// for an exponential ramp, small enough that a deep buffer's delayed
 	// loss signal cannot let the rate slam far past capacity first.
@@ -496,8 +483,8 @@ func (c *Controller) applyStep(gradMag float64) {
 	if growth > 4 {
 		growth = 4
 	}
-	bound := c.cfg.BoundFrac * growth * totalMbps
-	minStep := c.cfg.MinProbeBps / 1e6
+	bound := boundFrac * growth * totalMbps
+	minStep := minProbeBps / 1e6
 	if bound < minStep {
 		bound = minStep
 	}
@@ -573,8 +560,8 @@ func (c *Controller) utilityOf(rateBps float64, st cc.MIStats) float64 {
 		x = st.SendRate
 	}
 	grad := st.RTTGradient
-	dead := c.cfg.LatencyDeadband
-	if se := c.cfg.LatencySE * st.RTTGradientSE; se > dead {
+	dead := latencyDeadband
+	if se := latencySE * st.RTTGradientSE; se > dead {
 		dead = se
 	}
 	if grad < dead && grad > -dead {
@@ -584,11 +571,11 @@ func (c *Controller) utilityOf(rateBps float64, st cc.MIStats) float64 {
 }
 
 func (c *Controller) clamp(r float64) float64 {
-	if r < c.cfg.MinRateBps {
-		return c.cfg.MinRateBps
+	if r < MinRateBps {
+		return MinRateBps
 	}
-	if r > c.cfg.MaxRateBps {
-		return c.cfg.MaxRateBps
+	if r > MaxRateBps {
+		return MaxRateBps
 	}
 	return r
 }

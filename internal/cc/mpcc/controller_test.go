@@ -250,8 +250,7 @@ func TestProbeOmegaScalesWithConnectionTotal(t *testing.T) {
 	// subflow's own. With a sibling publishing 200 Mbps, the probe spread of
 	// a 10 Mbps subflow must reflect the total.
 	g := NewGroup()
-	cfg := DefaultConfig(LossParams())
-	c := New(cfg, g, rand.New(rand.NewSource(1)))
+	c := New(DefaultConfig(LossParams()), g, rand.New(rand.NewSource(1)))
 	sibling := g.Join()
 	g.Publish(sibling, 200e6)
 	// Force the controller into probing at a known rate (high enough that
@@ -262,7 +261,7 @@ func TestProbeOmegaScalesWithConnectionTotal(t *testing.T) {
 	r1 := c.NextRate(0, 30*sim.Millisecond)
 	r2 := c.NextRate(0, 30*sim.Millisecond)
 	spread := math.Abs(r1 - r2)
-	wantOmega := cfg.ProbeFrac * 250e6
+	wantOmega := probeFrac * 250e6
 	if math.Abs(spread-2*wantOmega) > 1e3 {
 		t.Fatalf("probe spread = %.2f Mbps, want 2ω = %.2f Mbps", spread/1e6, 2*wantOmega/1e6)
 	}
@@ -287,12 +286,12 @@ func TestIgnoredMIRetriesDecision(t *testing.T) {
 func TestRateClamping(t *testing.T) {
 	g := NewGroup()
 	cfg := DefaultConfig(LossParams())
-	cfg.MaxRateBps = 10e6
+	cfg.InitialRateBps = MaxRateBps / 2
 	c := New(cfg, g, rand.New(rand.NewSource(1)))
-	d := newDriver(c, 1000e6) // capacity far above the cap
+	d := newDriver(c, 4*MaxRateBps) // capacity far above the ceiling
 	for i := 0; i < 100; i++ {
 		d.step()
-		if d.lastRate > cfg.MaxRateBps+1 {
+		if d.lastRate > MaxRateBps {
 			t.Fatalf("rate %v exceeded MaxRateBps", d.lastRate)
 		}
 	}
@@ -338,12 +337,11 @@ func TestQuickControllerRobustToGarbageStats(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGroup()
-		cfg := DefaultConfig(LossParams())
-		c := New(cfg, g, rng)
+		c := New(DefaultConfig(LossParams()), g, rng)
 		now := sim.Time(0)
 		for i := 0; i < int(n)+20; i++ {
 			r := c.NextRate(now, 30*sim.Millisecond)
-			if r < cfg.MinRateBps-1 || r > cfg.MaxRateBps+1 {
+			if r < MinRateBps-1 || r > MaxRateBps+1 {
 				return false
 			}
 			sent := rng.Intn(2_000_000)

@@ -1,6 +1,7 @@
 package mpcc
 
 import (
+	"math/rand"
 	"testing"
 
 	"mpcc/internal/cc"
@@ -46,8 +47,8 @@ func TestControllerImplementsFailureAware(t *testing.T) {
 func TestOnSubflowDownExcludesRateFromSiblings(t *testing.T) {
 	grp := NewGroup()
 	cfg := DefaultConfig(LossParams())
-	c1 := New(cfg, grp, nil)
-	c2 := New(cfg, grp, nil)
+	c1 := New(cfg, grp, rand.New(rand.NewSource(1)))
+	c2 := New(cfg, grp, rand.New(rand.NewSource(1)))
 	grp.Publish(c1.id, 80e6)
 	grp.Publish(c2.id, 20e6)
 	before := grp.TotalExcept(c2.id)

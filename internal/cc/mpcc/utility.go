@@ -16,8 +16,9 @@ import "math"
 
 // UtilityParams are the coefficients of Eqs. 1 and 2. The paper's theory
 // requires 0 ≤ Alpha < 1, Beta > 3, Gamma ≥ 0; the evaluation (§7.1) uses
-// Alpha = 0.9, Beta = 11.35 and Gamma = 0 (MPCC-loss) or 1 (MPCC-latency),
-// matching the PCC Vivace specification for a single subflow.
+// Alpha = 0.9, Beta = 11.35 and Gamma = 0 (MPCC-loss) or 1 (MPCC-latency,
+// 900 in this implementation's units: see LatencyParams), matching the PCC
+// Vivace specification for a single subflow.
 type UtilityParams struct {
 	Alpha float64 // throughput reward exponent
 	Beta  float64 // loss penalty coefficient

@@ -9,12 +9,14 @@ import (
 	"mpcc/internal/sim"
 )
 
+// minCwnd floors ssthresh after a loss reaction, in packets.
+const minCwnd float64 = 2
+
 // Controller implements cc.WindowController with classic Reno dynamics.
 // The zero value is not usable; construct with New.
 type Controller struct {
 	cwnd     float64 // packets
 	ssthresh float64
-	minCwnd  float64
 
 	// State saved at the last loss reaction, restored by OnSpuriousLoss
 	// (Eifel undo). Zero means nothing to undo.
@@ -26,7 +28,7 @@ type Controller struct {
 // packets and no window cap (the paper disables flow-control limits with
 // 300 MB buffers).
 func New() *Controller {
-	return &Controller{cwnd: 10, ssthresh: 1e9, minCwnd: 2}
+	return &Controller{cwnd: 10, ssthresh: 1e9}
 }
 
 // Cwnd implements cc.WindowController.
@@ -49,8 +51,8 @@ func (c *Controller) OnAck(now, rtt sim.Time, ackedPkts float64) {
 func (c *Controller) OnLossEvent(now sim.Time) {
 	c.undoCwnd, c.undoSsthresh = c.cwnd, c.ssthresh
 	c.ssthresh = c.cwnd / 2
-	if c.ssthresh < c.minCwnd {
-		c.ssthresh = c.minCwnd
+	if c.ssthresh < minCwnd {
+		c.ssthresh = minCwnd
 	}
 	c.cwnd = c.ssthresh
 }
@@ -59,8 +61,8 @@ func (c *Controller) OnLossEvent(now sim.Time) {
 func (c *Controller) OnRTO(now sim.Time) {
 	c.undoCwnd, c.undoSsthresh = c.cwnd, c.ssthresh
 	c.ssthresh = c.cwnd / 2
-	if c.ssthresh < c.minCwnd {
-		c.ssthresh = c.minCwnd
+	if c.ssthresh < minCwnd {
+		c.ssthresh = minCwnd
 	}
 	c.cwnd = 1
 }

@@ -85,8 +85,7 @@ func DataCenterFCT(cfg Config, dc DCConfig) []*Table {
 // seeded like the engine's. Flows are named "<class>-<n>", n counting every
 // flow of the run.
 func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
-	clos := topo.Clos{Cfg: topo.DefaultClosConfig()}
-	nHosts := clos.Cfg.NumHosts
+	var clos topo.Clos
 	rng := rand.New(rand.NewSource(seed))
 	attach := AttachOptions{
 		// DC stacks use a much lower minimum RTO than the WAN default.
@@ -96,7 +95,7 @@ func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
 	}
 	var flows []FlowSpec
 	start := func(src int, bytes int64, class string, at sim.Time) {
-		dst := rng.Intn(nHosts - 1)
+		dst := rng.Intn(topo.ClosHosts - 1)
 		if dst >= src {
 			dst++
 		}
@@ -106,7 +105,7 @@ func dcSpec(seed int64, p Protocol, dc DCConfig) Spec {
 			StartAt: at, FileBytes: bytes, Attach: attach,
 		})
 	}
-	for h := 0; h < nHosts; h++ {
+	for h := 0; h < topo.ClosHosts; h++ {
 		for i := 0; i < dc.LongFlows; i++ {
 			start(h, dc.LongBytes, "long", 0)
 		}

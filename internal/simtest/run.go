@@ -72,14 +72,13 @@ func CheckOpts(sc Scenario, opts Options) *Report {
 	for link, b := range opts.BufferBound {
 		o.OverrideBufferBound(link, b)
 	}
-	cfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
 	reorderOnly := sc.ReorderOnly()
 	for i, f := range sc.Flows {
 		switch exp.Protocol(f.Proto) {
 		case exp.MPCCLoss, exp.MPCCLatency, exp.Vivace:
 			// Rate-based flows: every MI decision and applied pacing rate
-			// must stay inside the controller's configured envelope.
-			o.ExpectRateBounds(FlowName(i), cfg.MinRateBps, cfg.MaxRateBps)
+			// must stay inside the controller's rate envelope.
+			o.ExpectRateBounds(FlowName(i), ccmpcc.MinRateBps, ccmpcc.MaxRateBps)
 		}
 		if f.Expect {
 			o.ExpectDelivery(FlowName(i), int64(f.FileKB)*1024)

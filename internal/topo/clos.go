@@ -6,49 +6,38 @@ import (
 	"mpcc/internal/sim"
 )
 
-// ClosConfig sizes the Fig. 18 data-center testbed. The defaults scale the
-// paper's 25 Gbps fabric down 100× (see DESIGN.md) so packet-level
-// simulation of the FCT experiment sustains multi-second congestion epochs
-// while staying tractable; flow sizes scale with it, preserving the
-// flow-lifetime-to-RTT ratios that determine the Fig. 19 shape.
-type ClosConfig struct {
-	LinkRateBps float64
-	LinkDelay   sim.Time
-	BufferBytes int
-	NumHosts    int
-	NumToRs     int
-	NumSpines   int
-}
+// The Fig. 18 data-center testbed, scaled: its 25 Gbps fabric runs 100×
+// slower (see DESIGN.md) so packet-level simulation of the FCT experiment
+// sustains multi-second congestion epochs while staying tractable; flow
+// sizes scale with it, preserving the flow-lifetime-to-RTT ratios that
+// determine the Fig. 19 shape.
+const (
+	// ClosHosts is the number of hosts, numbered 0 … ClosHosts−1; host h
+	// attaches to ToR h mod 4.
+	ClosHosts int = 6
 
-// DefaultClosConfig returns the scaled testbed configuration.
-func DefaultClosConfig() ClosConfig {
-	return ClosConfig{
-		LinkRateBps: 250e6,
-		LinkDelay:   20 * sim.Microsecond,
-		BufferBytes: 150_000,
-		NumHosts:    6,
-		NumToRs:     4,
-		NumSpines:   2,
-	}
-}
+	closToRs        int      = 4
+	closSpines      int      = 2
+	closLinkRateBps float64  = 250e6
+	closLinkDelay   sim.Time = 20 * sim.Microsecond
+	closBufferBytes int      = 150_000
+)
 
 // Clos is a 2-layer Clos fabric as a value: hosts at ToRs, ToRs fully meshed
 // to spines. Subflows are placed on distinct spine paths via ECMP hashing,
 // as the testbed's hardcoded shortest paths were.
-type Clos struct {
-	Cfg ClosConfig
-}
+type Clos struct{}
 
 // Topology returns the fabric's links — host up- and downlinks, then each
 // ToR's up- and downlink per spine — and no flows: the experiment declares
 // them over SubflowPaths.
-func (c Clos) Topology() *Topology {
+func (Clos) Topology() *Topology {
 	t := &Topology{Name: "clos"}
-	for h := 0; h < c.Cfg.NumHosts; h++ {
+	for h := 0; h < ClosHosts; h++ {
 		t.Links = append(t.Links, hostUp(h), hostDown(h))
 	}
-	for tor := 0; tor < c.Cfg.NumToRs; tor++ {
-		for s := 0; s < c.Cfg.NumSpines; s++ {
+	for tor := 0; tor < closToRs; tor++ {
+		for s := 0; s < closSpines; s++ {
 			t.Links = append(t.Links, torUp(tor, s), torDown(s, tor))
 		}
 	}
@@ -61,27 +50,26 @@ func torUp(tor, s int) string   { return fmt.Sprintf("tor%d-spine%d", tor, s) }
 func torDown(s, tor int) string { return fmt.Sprintf("spine%d-tor%d", s, tor) }
 
 // Tweak gives every built link the fabric's parameters (an exp.Spec.Tweak).
-func (c Clos) Tweak(net *Net) {
+func (Clos) Tweak(net *Net) {
 	for _, name := range net.LinkNames() {
 		l := net.Link(name)
-		l.SetRate(c.Cfg.LinkRateBps)
-		l.SetDelay(c.Cfg.LinkDelay)
-		l.SetBuffer(c.Cfg.BufferBytes)
+		l.SetRate(closLinkRateBps)
+		l.SetDelay(closLinkDelay)
+		l.SetBuffer(closBufferBytes)
 	}
 }
 
 // ECMPSpine hashes (src, dst, subflow) onto a spine, emulating the
 // testbed's ECMP path choice per subflow.
-func (c Clos) ECMPSpine(src, dst, subflow int) int {
+func (Clos) ECMPSpine(src, dst, subflow int) int {
 	h := uint32(src)*2654435761 ^ uint32(dst)*40503 ^ uint32(subflow)*9176
-	return int(h % uint32(c.Cfg.NumSpines))
+	return int(h % uint32(closSpines))
 }
 
 // Path returns the links of the path from src to dst through the given
-// spine (ignored when both hosts share a ToR: host h attaches to ToR
-// h mod NumToRs).
-func (c Clos) Path(src, dst, spine int) []string {
-	st, dt := src%c.Cfg.NumToRs, dst%c.Cfg.NumToRs
+// spine (ignored when both hosts share a ToR).
+func (Clos) Path(src, dst, spine int) []string {
+	st, dt := src%closToRs, dst%closToRs
 	if st == dt {
 		return []string{hostUp(src), hostDown(dst)}
 	}

@@ -96,7 +96,7 @@ func TestNetUnknownLinkPanics(t *testing.T) {
 // buildClos instantiates the default fabric the way exp.Run does: links at
 // the paper defaults, then the fabric's Tweak.
 func buildClos() (Clos, *Net) {
-	c := Clos{Cfg: DefaultClosConfig()}
+	var c Clos
 	n := c.Topology().Build(sim.NewEngine(1))
 	c.Tweak(n)
 	return c, n
@@ -138,8 +138,8 @@ func TestClosECMPSpreadsSubflows(t *testing.T) {
 }
 
 func TestClosCapacity(t *testing.T) {
-	c, n := buildClos()
-	wantLinks := float64(6+6+4*2*2) * c.Cfg.LinkRateBps
+	_, n := buildClos()
+	wantLinks := float64(6+6+4*2*2) * n.Link("h0-up").Rate()
 	if n.TotalCapacity() != wantLinks {
 		t.Fatalf("TotalCapacity = %v, want %v", n.TotalCapacity(), wantLinks)
 	}

@@ -60,8 +60,6 @@ type (
 	// Clos is the Fig. 18 data-center fabric as a value: it names its links
 	// (Topology, Tweak) and each host pair's ECMP paths (SubflowPaths).
 	Clos = topo.Clos
-	// ClosConfig sizes a Clos fabric.
-	ClosConfig = topo.ClosConfig
 	// ProbeBus is the cross-layer observability bus (see internal/obs).
 	ProbeBus = obs.Bus
 	// ProbeEvent is one typed probe record delivered to sinks.
@@ -190,6 +188,3 @@ func NewConnection(eng *Engine, name string, p Protocol, paths []*Path, o Attach
 // LMMF computes the lexicographic max-min fair allocation on a
 // parallel-link network (the fairness notion of Theorems 4.1/5.1/5.2).
 func LMMF(n *ParallelLinkNetwork) (*Allocation, error) { return fairness.LMMF(n) }
-
-// DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
-func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }

@@ -54,7 +54,7 @@ func TestFacadeLMMF(t *testing.T) {
 
 func TestFacadeClos(t *testing.T) {
 	eng := mpcc.NewEngine(1)
-	clos := mpcc.Clos{Cfg: mpcc.DefaultClosConfig()}
+	var clos mpcc.Clos
 	net := clos.Topology().Build(eng)
 	clos.Tweak(net)
 	paths := net.Paths(clos.SubflowPaths(0, 1, 3))
