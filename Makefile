@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-compare figs-compare examples fuzz simtest soak fmt loc reach
+.PHONY: build test check bench-compare figs-compare examples examples-compare fuzz simtest soak fmt loc reach
 
 build:
 	$(GO) build ./...
@@ -28,16 +28,41 @@ check:
 # horizons via their -dur flags; each of the others takes under a second),
 # so the examples and the facade they exercise stay runnable under tier-1.
 # The tracing example writes trace.jsonl into the working directory.
+# EXAMPLES lists each example as name[:flag=value], the form both targets
+# read.
+EXAMPLES = cellular_trace:-dur=12s churn:-dur=4s datacenter failover fairness quickstart tracing wifi_cellular
 examples:
 	$(GO) build ./examples/...
-	$(GO) run ./examples/cellular_trace -dur 12s
-	$(GO) run ./examples/churn -dur 4s
-	$(GO) run ./examples/datacenter
-	$(GO) run ./examples/failover
-	$(GO) run ./examples/fairness
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/tracing
-	$(GO) run ./examples/wifi_cellular
+	@for r in $(EXAMPLES); do n=$${r%%:*}; a=; case $$r in *:*) a=$${r#*:};; esac; \
+		echo "$(GO) run ./examples/$$n $$a"; $(GO) run ./examples/$$n $$a || exit 1; done
+
+# Before/after of every example's output: check BASE out into a temporary
+# directory, build each example there and here (each tree from its own
+# module root), run both builds at `make examples`' flags, each in a fresh
+# temporary working directory, and diff what they leave: stdout, exit
+# status and every file written (the tracing example's trace.jsonl) — the
+# target fails on any difference. `make examples-compare BASE=HEAD~1`;
+# about 20 s.
+examples-compare:
+	@test -n "$(BASE)" || { echo "usage: make examples-compare BASE=<rev>"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+		here=$$(pwd) && differ=0 && \
+		for r in $(EXAMPLES); do \
+			n=$${r%%:*}; a=; case $$r in *:*) a=$${r#*:};; esac; \
+			for side in base change; do \
+				src=$$here; [ $$side = base ] && src=$$tmp/base; \
+				(cd "$$src" && $(GO) build -o "$$tmp/bin/$$side/$$n" ./examples/$$n) || exit 1; \
+				mkdir -p "$$tmp/run/$$side/$$n"; \
+				(cd "$$tmp/run/$$side/$$n" && "$$tmp/bin/$$side/$$n" $$a > .stdout; echo $$? > .status); \
+			done; \
+			if diff -r "$$tmp/run/base/$$n" "$$tmp/run/change/$$n" > "$$tmp/$$n.diff"; then \
+				echo "examples-compare: $$n identical"; \
+			else \
+				echo "examples-compare: $$n differs from $(BASE):"; head -n 20 "$$tmp/$$n.diff"; differ=1; \
+			fi; \
+		done; \
+		[ $$differ = 0 ] && echo "examples-compare: every example identical to $(BASE)"
 
 # Before/after of the repository benchmark (see benchmark/README.md):
 # check BASE out into a temporary directory, run `go run ./benchmark -out`

@@ -122,6 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	var timelineErr error
+	var writeTimeline func(r *obs.Registry) // set by -timeline
 	if *timelf != "" {
 		f, err := os.Create(*timelf)
 		if err != nil {
@@ -130,17 +131,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		runIdx := 0
 		var buf []byte
-		exp.SetSnapshotSink(func(_ int64, s *obs.Snapshot) {
-			buf = obs.AppendTimeline(buf[:0], runIdx, s.Series)
+		writeTimeline = func(r *obs.Registry) {
+			buf = obs.AppendTimeline(buf[:0], runIdx, r.Snapshot().Series)
 			runIdx++
 			if timelineErr == nil {
 				_, timelineErr = f.Write(buf)
 			}
-		})
-		defer exp.SetSnapshotSink(nil)
+		}
 	}
-	if len(sharedSinks) > 0 || *timelf != "" {
-		exp.SetProbeFactory(func() *obs.Bus { return obs.NewBus(sharedSinks...) })
+	if len(sharedSinks) > 0 || writeTimeline != nil {
+		exp.SetProbeFactory(func() *obs.Bus {
+			// A copy, so AddSink never appends into sharedSinks.
+			b := obs.NewBus(append([]obs.Sink(nil), sharedSinks...)...)
+			if writeTimeline != nil {
+				// The run's windowed series, as one line, at its run-end
+				// marker.
+				reg := obs.NewRegistry()
+				b.SetRegistry(reg)
+				b.AddSink(obs.SinkFunc(func(e obs.Event) {
+					if e.Kind == obs.KindRunEnd {
+						writeTimeline(reg)
+					}
+				}))
+			}
+			return b
+		})
 		defer exp.SetProbeFactory(nil)
 		exp.SetWorkers(1)
 	}

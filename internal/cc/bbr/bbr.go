@@ -90,8 +90,8 @@ func (c *Controller) rtEstimate(now sim.Time, fallback sim.Time) sim.Time {
 }
 
 // SetProbes attaches the observability bus; each MI's rate decision is
-// emitted with the state-machine mode as its phase. BBR controllers are
-// uncoupled and do not know their subflow index, so the caller supplies it.
+// emitted with the state-machine mode as its phase, tagged with flow and sf.
+// Implements cc.ProbeSetter.
 func (c *Controller) SetProbes(b *obs.Bus, flow string, sf int) {
 	c.probes, c.flow, c.sf = b, flow, sf
 }

@@ -90,11 +90,12 @@ type SpuriousRepairer interface {
 
 // ProbeSetter is implemented by controllers that emit observability events
 // (MI decisions, utility samples) into a probe bus. flow names the
-// connection the controller belongs to, so events from concurrent
+// connection the controller belongs to and sf the subflow it drives (-1 for
+// a controller that drives all of them), so events from concurrent
 // connections sharing a bus stay distinguishable. The experiment harness
-// attaches its per-run bus through this interface.
+// attaches its per-run bus to every controller through this interface.
 type ProbeSetter interface {
-	SetProbes(b *obs.Bus, flow string)
+	SetProbes(b *obs.Bus, flow string, sf int)
 }
 
 // FailureAware is implemented by controllers that want to be told when the

@@ -71,11 +71,12 @@ func NewConnLevel(cfg Config, d int) *ConnLevel {
 // Subflow returns the cc.RateController adapter for subflow i.
 func (cl *ConnLevel) Subflow(i int) cc.RateController { return cl.adapts[i] }
 
-// SetProbes attaches the observability bus. Implements cc.ProbeSetter.
+// SetProbes attaches the observability bus. Implements cc.ProbeSetter; the
+// subflow argument (-1: the learner drives every subflow) is unused.
 // Per-subflow MI decisions carry the subflow index; the connection-level
 // trial utility is emitted with Subflow = -1 (it is not attributable to one
 // subflow — that is the point of the ablation).
-func (cl *ConnLevel) SetProbes(b *obs.Bus, flow string) { cl.probes, cl.flow = b, flow }
+func (cl *ConnLevel) SetProbes(b *obs.Bus, flow string, _ int) { cl.probes, cl.flow = b, flow }
 
 func (cl *ConnLevel) phaseName() string {
 	if cl.phase == 0 {

@@ -134,10 +134,11 @@ type Controller struct {
 	rate  float64 // current base rate, bps
 
 	// Observability: the bus SetProbes handed over, and the connection name
-	// its events are tagged with. nil keeps emission on the nil-receiver
-	// fast path.
+	// and subflow index its events are tagged with. nil keeps emission on
+	// the nil-receiver fast path.
 	probes *obs.Bus
 	flow   string
+	sf     int
 
 	// planned mirrors, in order, the MIs the transport has started; the
 	// n-th OnMIComplete corresponds to planned[n] (completions arrive in
@@ -248,7 +249,7 @@ func (c *Controller) NextRate(now, srtt sim.Time) float64 {
 	}
 	c.planned = append(c.planned, p)
 	c.grp.Publish(c.id, p.rate)
-	c.probes.MIDecision(now, c.flow, c.id, c.state.String(), p.rate)
+	c.probes.MIDecision(now, c.flow, c.sf, c.state.String(), p.rate)
 	return p.rate
 }
 
@@ -318,7 +319,7 @@ func (c *Controller) OnMIComplete(st cc.MIStats) {
 		return
 	}
 	u := c.utilityOf(p.rate, st)
-	c.probes.UtilitySample(st.End, c.flow, c.id, c.state.String(), p.rate, u)
+	c.probes.UtilitySample(st.End, c.flow, c.sf, c.state.String(), p.rate, u)
 	switch p.role {
 	case roleStart:
 		c.onStartComplete(p, st, u)
@@ -582,5 +583,8 @@ func (c *Controller) clamp(r float64) float64 {
 
 // SetProbes attaches the observability bus the controller emits MI decisions
 // and utility samples into, tagging each event with flow (the connection
-// name). Implements cc.ProbeSetter. nil detaches.
-func (c *Controller) SetProbes(b *obs.Bus, flow string) { c.probes, c.flow = b, flow }
+// name) and sf (the subflow it drives, which is not its Group id when each
+// subflow has a Group of its own). Implements cc.ProbeSetter. nil detaches.
+func (c *Controller) SetProbes(b *obs.Bus, flow string, sf int) {
+	c.probes, c.flow, c.sf = b, flow, sf
+}

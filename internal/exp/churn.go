@@ -207,9 +207,9 @@ func startChurn(w *world, s *Spec, net *topo.Net) *churnDriver {
 	}
 	for k := range cs.Servers {
 		sv := &cs.Servers[k]
-		// Two spare slots: Attach appends its scheduler and probe options in
-		// place instead of copying the slice for every session.
-		opts := make([]transport.ConnOption, 0, 5)
+		// One spare slot: Attach appends its probe option in place instead
+		// of copying the slice for every session.
+		opts := make([]transport.ConnOption, 0, 4)
 		opts = append(opts, transport.WithRcvBuf(sv.PerConnRcvBuf))
 		if cs.HandshakeTimeout > 0 {
 			opts = append(opts, transport.WithHandshakeTimeout(cs.HandshakeTimeout))

@@ -21,17 +21,6 @@ var probeFactory func() *obs.Bus
 // run order in a shared trace is scheduling-dependent otherwise).
 func SetProbeFactory(f func() *obs.Bus) { probeFactory = f }
 
-// snapshotSink, when set, receives every probed Run's registry snapshot right
-// after it is taken (before Result post-processing). cmd/mpccbench -timeline
-// installs one to stream per-run windowed series without holding every Result.
-// Like the probe factory, the sink is invoked from the goroutine executing
-// the run; combine with a single RunParallel worker unless it is
-// concurrency-safe.
-var snapshotSink func(runSeed int64, s *obs.Snapshot)
-
-// SetSnapshotSink installs (or, with nil, removes) the per-run snapshot sink.
-func SetSnapshotSink(f func(runSeed int64, s *obs.Snapshot)) { snapshotSink = f }
-
 // queueSampleEvery is the virtual-time period of the link queue-depth
 // sampler Run installs when probes are live.
 const queueSampleEvery = 10 * sim.Millisecond

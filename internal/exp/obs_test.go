@@ -202,16 +202,22 @@ func TestProbeFactory(t *testing.T) {
 	// transport, snapshots the registry, and counts itself.
 	for _, r := range everyRunner {
 		kinds := map[obs.Kind]int{}
+		var snaps []*obs.Snapshot
 		calls = 0
 		SetProbeFactory(func() *obs.Bus {
 			calls++
-			return obs.NewBus(obs.SinkFunc(func(e obs.Event) { kinds[e.Kind]++ }))
+			b := obs.NewBus()
+			b.SetRegistry(obs.NewRegistry())
+			b.AddSink(obs.SinkFunc(func(e obs.Event) {
+				kinds[e.Kind]++
+				if e.Kind == obs.KindRunEnd {
+					snaps = append(snaps, b.Registry().Snapshot())
+				}
+			}))
+			return b
 		})
-		var snaps []*obs.Snapshot
-		SetSnapshotSink(func(_ int64, s *obs.Snapshot) { snaps = append(snaps, s) })
 		sims := SimsRun()
 		r.run()
-		SetSnapshotSink(nil)
 		if got := SimsRun() - sims; got != 1 {
 			t.Errorf("%s: SimsRun advanced by %d, want 1", r.name, got)
 		}
@@ -225,6 +231,35 @@ func TestProbeFactory(t *testing.T) {
 		}
 		if len(snaps) != 1 || snaps[0].Counters["sched_picks"] == 0 || snaps[0].Gauges["sim.events_processed"] <= 0 {
 			t.Errorf("%s: %d registry snapshots (want 1 with transport counters and engine gauges)", r.name, len(snaps))
+		}
+	}
+}
+
+// TestVivaceEventsCarryTheirSubflow: a multipath Vivace connection runs one
+// controller per subflow, each alone in a rate-publication Group of its own,
+// so a controller's Group id is 0 on every subflow. Its MI decisions and
+// utility samples must still name the subflow it drives, as the transport's
+// rate changes do.
+func TestVivaceEventsCarryTheirSubflow(t *testing.T) {
+	seen := map[obs.Kind]map[int32]int{}
+	bus := obs.NewBus(obs.SinkFunc(func(e obs.Event) {
+		switch e.Kind {
+		case obs.KindMIDecision, obs.KindUtility, obs.KindRateChange:
+			if e.Flow != "mp" {
+				return
+			}
+			if seen[e.Kind] == nil {
+				seen[e.Kind] = map[int32]int{}
+			}
+			seen[e.Kind][e.Subflow]++
+		}
+	}))
+	s := probeSpec(bus)
+	s.Proto = Vivace
+	Run(s)
+	for _, k := range []obs.Kind{obs.KindRateChange, obs.KindMIDecision, obs.KindUtility} {
+		if len(seen[k]) != 2 || seen[k][0] == 0 || seen[k][1] == 0 {
+			t.Errorf("%v events of the 2-subflow Vivace flow by subflow: %v, want both 0 and 1", k, seen[k])
 		}
 	}
 }

@@ -46,8 +46,9 @@ const (
 // MultipathSet is the protocol lineup of Figs. 5 and 6.
 var MultipathSet = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, Reno, BBR}
 
-// RateBased reports whether the protocol paces by explicit rate (and hence
-// uses the paper's rate-based scheduler, §7.1).
+// RateBased reports whether the protocol paces by explicit rate: its
+// subflows are rate subflows, for which the connection picks the paper's
+// rate-based scheduler (§7.1).
 func (p Protocol) RateBased() bool {
 	switch p {
 	case MPCCLatency, MPCCLoss, BBR, MPCCConnLevel, Vivace:
@@ -74,114 +75,79 @@ func (p Protocol) SinglePathPeer() Protocol {
 	}
 }
 
-// AttachOptions tune protocol attachment.
+// AttachOptions tune protocol attachment. The scheduler is the connection's
+// own choice (transport picks §7.1's for its subflows; pass
+// transport.WithScheduler in ConnOptions to override it), and the MPCC
+// controller's utility parameters are the protocol's.
 type AttachOptions struct {
-	// Scheduler overrides the protocol's default scheduler.
-	Scheduler transport.Scheduler
-	// MPCCConfig overrides the MPCC controller configuration (zero value =
-	// DefaultConfig of the variant's utility parameters).
-	MPCCConfig *ccmpcc.Config
 	// ConnOptions are passed through to the transport connection.
 	ConnOptions []transport.ConnOption
-	// InitialRateBps overrides rate-based controllers' initial rate.
+	// InitialRateBps overrides rate-based controllers' initial rate (MPCC,
+	// Vivace, the connection-level learner and BBR; 0 keeps 2 Mbps).
 	InitialRateBps float64
+	// ScaleByOwnRate and LivePublication are the MPCC controller's two §5.2
+	// ablation switches (see ccmpcc.Config).
+	ScaleByOwnRate, LivePublication bool
 	// Probes, if set, is the observability bus the connection and its
 	// controllers emit into (see internal/obs). Run wires its per-run bus
 	// here automatically; set it only when calling Attach directly.
 	Probes *obs.Bus
 }
 
-// kernelScheduler installs the default MPTCP scheduler. Stateless, so built
-// once: the choice costs a connection no allocation.
-var kernelScheduler = transport.WithScheduler(transport.DefaultScheduler{})
-
 // Attach builds a connection named name running protocol p over the given
-// paths (one subflow per path) and installs the appropriate scheduler:
-// the paper's 10%-threshold rate scheduler for rate-based protocols (the
-// connection default), the default MPTCP scheduler for window-based ones
-// (§7.1).
+// paths (one subflow per path); the connection installs §7.1's scheduler
+// for the protocol's family when it starts.
 func Attach(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o AttachOptions) *transport.Connection {
 	return attachGroup(eng, name, p, paths, o, nil)
 }
 
 // attachGroup is Attach with the rate-publication board the subflows of an
-// MPCC-latency or MPCC-loss connection join: grp's controllers are rebuilt
-// in place (the churn driver recycles its sessions' boards); nil builds a
-// new one.
+// MPCC-latency or MPCC-loss connection join (a Vivace connection's first
+// subflow; each further one gets a board of its own): grp's controllers are
+// rebuilt in place (the churn driver recycles its sessions' boards); nil
+// builds a new one.
 func attachGroup(eng *sim.Engine, name string, p Protocol, paths []*netem.Path, o AttachOptions, grp *ccmpcc.Group) *transport.Connection {
 	opts := o.ConnOptions
-	if o.Scheduler != nil {
-		opts = append(opts, transport.WithScheduler(o.Scheduler))
-	} else if !p.RateBased() {
-		opts = append(opts, kernelScheduler)
-	}
 	if o.Probes != nil {
 		opts = append(opts, transport.WithProbes(o.Probes))
 	}
-	// probe attaches the observability bus to controllers that emit events.
-	probe := func(ctl any) {
-		if o.Probes == nil {
-			return
-		}
-		if ps, ok := ctl.(cc.ProbeSetter); ok {
-			ps.SetProbes(o.Probes, name)
-		}
-	}
 	conn := transport.NewConnection(eng, name, opts...)
+	// probe hands a controller the bus, tagged with the connection and the
+	// subflow it drives.
+	probe := func(ctl cc.ProbeSetter, sf int) { ctl.SetProbes(o.Probes, name, sf) }
+	params := ccmpcc.LossParams()
+	if p == MPCCLatency {
+		params = ccmpcc.LatencyParams()
+	}
+	cfg := ccmpcc.DefaultConfig(params)
+	cfg.ScaleByOwnRate, cfg.LivePublication = o.ScaleByOwnRate, o.LivePublication
+	if o.InitialRateBps > 0 {
+		cfg.InitialRateBps = o.InitialRateBps
+	}
 
 	switch p {
-	case MPCCLatency, MPCCLoss:
-		params := ccmpcc.LatencyParams()
-		if p == MPCCLoss {
-			params = ccmpcc.LossParams()
-		}
-		cfg := ccmpcc.DefaultConfig(params)
-		if o.MPCCConfig != nil {
-			cfg = *o.MPCCConfig
-			cfg.Params = params
-		}
-		if o.InitialRateBps > 0 {
-			cfg.InitialRateBps = o.InitialRateBps
-		}
+	case MPCCLatency, MPCCLoss, Vivace:
 		if grp == nil {
 			grp = ccmpcc.NewGroup()
 		}
-		for _, path := range paths {
+		for i, path := range paths {
+			if p == Vivace && i > 0 {
+				grp = ccmpcc.NewGroup() // one Group per subflow: fully uncoupled
+			}
 			ctl := ccmpcc.New(cfg, grp, eng.Rand())
-			probe(ctl)
-			conn.AddRateSubflow(path, ctl)
-		}
-	case Vivace:
-		// One single-member Group per subflow: fully uncoupled Vivace.
-		cfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
-		if o.InitialRateBps > 0 {
-			cfg.InitialRateBps = o.InitialRateBps
-		}
-		for _, path := range paths {
-			ctl := ccmpcc.New(cfg, ccmpcc.NewGroup(), eng.Rand())
-			probe(ctl)
+			probe(ctl, i)
 			conn.AddRateSubflow(path, ctl)
 		}
 	case MPCCConnLevel:
-		cfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
-		if o.InitialRateBps > 0 {
-			cfg.InitialRateBps = o.InitialRateBps
-		}
 		cl := ccmpcc.NewConnLevel(cfg, len(paths))
-		probe(cl)
+		probe(cl, -1)
 		for i, path := range paths {
 			conn.AddRateSubflow(path, cl.Subflow(i))
 		}
 	case BBR:
-		initial := 2e6
-		if o.InitialRateBps > 0 {
-			initial = o.InitialRateBps
-		}
 		for i, path := range paths {
-			ctl := bbr.New(initial)
-			if o.Probes != nil {
-				ctl.SetProbes(o.Probes, name, i)
-			}
+			ctl := bbr.New(cfg.InitialRateBps)
+			probe(ctl, i)
 			conn.AddRateSubflow(path, ctl)
 		}
 	case LIA, OLIA, Balia, WVegas:

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	ccmpcc "mpcc/internal/cc/mpcc"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 	"mpcc/internal/transport"
@@ -33,7 +32,7 @@ func SchedulerValidation(cfg Config) *Table {
 		s.Flows = []FlowSpec{{
 			Name: "mp", Proto: BBR,
 			Paths:  [][]string{{"link1"}, {"link2"}},
-			Attach: AttachOptions{Scheduler: tc.sched},
+			Attach: AttachOptions{ConnOptions: []transport.ConnOption{transport.WithScheduler(tc.sched)}},
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
@@ -61,8 +60,9 @@ func AblationSchedulerThreshold(cfg Config) *Table {
 			s := cfg.spec(topo.Fig3b(), MPCCLatency, func(n *topo.Net) { n.Link("link2").SetDelay(60 * sim.Millisecond) })
 			s.Flows = []FlowSpec{{
 				Name: "mp", Proto: MPCCLatency,
-				Paths:     [][]string{{"link1"}, {"link2"}},
-				Attach:    AttachOptions{Scheduler: transport.NewRateScheduler(thr)},
+				Paths: [][]string{{"link1"}, {"link2"}},
+				Attach: AttachOptions{ConnOptions: []transport.ConnOption{
+					transport.WithScheduler(transport.NewRateScheduler(thr))}},
 				FileBytes: fileBytes,
 			}}
 			specs = append(specs, s)
@@ -121,8 +121,6 @@ func AblationOmegaBase(cfg Config) *Table {
 		name string
 		own  bool
 	}{{"connection total", false}, {"own rate", true}} {
-		mcfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
-		mcfg.ScaleByOwnRate = tc.own
 		s := cfg.spec(topo.Fig3b(), MPCCLoss, func(n *topo.Net) {
 			n.Link("link1").SetRate(500e6)
 			n.Link("link1").SetBuffer(4 * 375000)
@@ -131,7 +129,7 @@ func AblationOmegaBase(cfg Config) *Table {
 		s.Flows = []FlowSpec{{
 			Name: "mp", Proto: MPCCLoss,
 			Paths:  [][]string{{"link1"}, {"link2"}},
-			Attach: AttachOptions{MPCCConfig: &mcfg},
+			Attach: AttachOptions{ScaleByOwnRate: tc.own},
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
@@ -163,14 +161,11 @@ func AblationNoPublication(cfg Config) *Table {
 		name string
 		live bool
 	}{{"frozen snapshot", false}, {"live rates", true}} {
-		mcfg := ccmpcc.DefaultConfig(ccmpcc.LossParams())
-		mcfg.LivePublication = tc.live
+		live := AttachOptions{LivePublication: tc.live}
 		s := cfg.spec(topo.Fig3e(), MPCCLoss, nil)
 		s.Flows = []FlowSpec{
-			{Name: "mp1", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
-				Attach: AttachOptions{MPCCConfig: &mcfg}},
-			{Name: "mp2", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}},
-				Attach: AttachOptions{MPCCConfig: &mcfg}},
+			{Name: "mp1", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}}, Attach: live},
+			{Name: "mp2", Proto: MPCCLoss, Paths: [][]string{{"link1"}, {"link2"}}, Attach: live},
 		}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}

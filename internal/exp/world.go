@@ -119,9 +119,11 @@ func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOpt
 // closes the run. Engines share nothing, so each is still a strictly
 // sequential engine and the worker count can never change an event order.
 // Closing means: recorded streams replay into the run bus, the engine
-// gauges are published, the registry is snapshotted (and handed to the
-// snapshot sink), the trace gets its run-end marker — at the latest engine
-// clock, so never before a merged event — and the simulation is counted. events sums over engines; queue folds their queue counters.
+// gauges are published, the registry is snapshotted, the trace gets its
+// run-end marker — at the latest engine clock, so never before a merged
+// event; a sink that wants the run's metrics reads the bus's registry when
+// it sees the marker — and the simulation is counted. events sums over
+// engines; queue folds their queue counters.
 func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue sim.QueueStats) {
 	runPool(len(w.engines), w.workers, func(c int) { w.engines[c].Run(horizon) })
 	maxPending, end := 0, sim.Time(0)
@@ -141,9 +143,6 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 		reg.Gauge("sim.max_pending_imminent").Set(float64(queue.ImminentMax))
 		reg.Gauge("sim.max_pending_wheel").Set(float64(queue.WheelMax))
 		snap = reg.Snapshot()
-		if snapshotSink != nil {
-			snapshotSink(w.seed, snap)
-		}
 		w.bus.RunEnd(end)
 	}
 	countSim()

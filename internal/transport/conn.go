@@ -35,7 +35,7 @@ type Connection struct {
 	eng        *sim.Engine
 	subflows   []*Subflow
 	subflowBuf [2]*Subflow // inline storage for the common 1–2 subflow case
-	sched      Scheduler
+	sched      Scheduler   // WithScheduler's; else picked by Start
 	app        App
 	minRTO     sim.Time
 	rcvBuf     int64    // receive-buffer bytes (default DefaultRcvBufBytes; 0 = unlimited)
@@ -125,14 +125,14 @@ func WithFailThreshold(n int) ConnOption {
 // subflow up/down transitions. nil (the default) disables all of it.
 func WithProbes(b *obs.Bus) ConnOption { return func(c *Connection) { c.probes = b } }
 
-// WithScheduler sets the multipath scheduler (default: RateScheduler with
-// the paper's 10% threshold for rate-based subflows, which also behaves
-// sensibly for window-based ones; use DefaultScheduler to reproduce the
-// kernel default).
+// WithScheduler sets the multipath scheduler. Without it, Start picks the
+// one §7.1 attaches to the connection's subflows: DefaultScheduler (the
+// kernel's) when every subflow is window-based, the paper's 10%-threshold
+// RateScheduler otherwise.
 func WithScheduler(s Scheduler) ConnOption { return func(c *Connection) { c.sched = s } }
 
-// paperScheduler is the default scheduler. A RateScheduler is stateless, so
-// every connection shares this one.
+// paperScheduler is the rate-based subflows' default. A RateScheduler is
+// stateless, so every connection shares this one.
 var paperScheduler Scheduler = NewRateScheduler(0.10)
 
 // NewConnection creates an idle connection; add subflows, set an app, then
@@ -152,7 +152,6 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 		orphans:       segQueue{arena: a},
 		minRTO:        DefaultMinRTO,
 		rcvBuf:        DefaultRcvBufBytes,
-		sched:         paperScheduler,
 		fct:           -1,
 		failThreshold: DefaultFailThreshold,
 		subflowBuf:    buf,
@@ -239,6 +238,15 @@ func (c *Connection) Start(at sim.Time) {
 	}
 	if c.app == nil {
 		c.app = Bulk{}
+	}
+	if c.sched == nil {
+		c.sched = DefaultScheduler{}
+		for _, s := range c.subflows {
+			if s.rc != nil {
+				c.sched = paperScheduler
+				break
+			}
+		}
 	}
 	c.startAt = at
 	c.startPending = true

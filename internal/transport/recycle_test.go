@@ -158,9 +158,9 @@ func TestRecycledConnectionRunsLikeFresh(t *testing.T) {
 		}
 		attach := func(name string, grp *ccmpcc.Group, opts ...ConnOption) *Connection {
 			c := NewConnection(tn.eng, name, append(opts, WithProbes(bus))...)
-			for _, p := range paths() {
+			for i, p := range paths() {
 				ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
-				ctl.SetProbes(bus, name)
+				ctl.SetProbes(bus, name, i)
 				c.AddRateSubflow(p, ctl)
 			}
 			return c
@@ -259,7 +259,7 @@ func TestGroupReusedAtCloseRunsLikeFresh(t *testing.T) {
 				p.SetProbes(bus)
 				p.SetAckDelay(200 * sim.Millisecond)
 				ctl := ccmpcc.New(ccmpcc.DefaultConfig(ccmpcc.LossParams()), grp, tn.eng.Rand())
-				ctl.SetProbes(bus, name)
+				ctl.SetProbes(bus, name, i)
 				c.AddRateSubflow(p, ctl)
 				ctls = append(ctls, ctl)
 			}

@@ -21,23 +21,7 @@ type DefaultScheduler struct{}
 // assigned but still queued for pacing does not count, which is exactly why
 // the default scheduler funnels everything to the lowest-RTT subflow under
 // rate-based congestion control (§6).
-func (DefaultScheduler) Pick(c *Connection) *Subflow {
-	var best *Subflow
-	var bestRTT sim.Time
-	for _, s := range c.subflows {
-		if s.state == SubflowFailed {
-			continue
-		}
-		if float64(s.inflightPkts) >= s.CwndPkts() {
-			continue
-		}
-		if best == nil || s.srtt < bestRTT {
-			best = s
-			bestRTT = s.srtt
-		}
-	}
-	return best
-}
+func (DefaultScheduler) Pick(c *Connection) *Subflow { return lowestRTT(c, nil) }
 
 // RateScheduler is the paper's scheduler for pacing-based multipath
 // transport (§6): a subflow is unavailable while it already has at least
@@ -56,7 +40,12 @@ func NewRateScheduler(threshold float64) *RateScheduler {
 }
 
 // Pick implements Scheduler.
-func (r *RateScheduler) Pick(c *Connection) *Subflow {
+func (r *RateScheduler) Pick(c *Connection) *Subflow { return lowestRTT(c, r) }
+
+// lowestRTT is both schedulers' walk: the lowest-RTT subflow that is not
+// failed and whose packets in flight are below its window, and — when r is
+// the rate scheduler — whose queue is below r's cap. nil when none is.
+func lowestRTT(c *Connection, r *RateScheduler) *Subflow {
 	var best *Subflow
 	var bestRTT sim.Time
 	for _, s := range c.subflows {
@@ -66,7 +55,7 @@ func (r *RateScheduler) Pick(c *Connection) *Subflow {
 		if float64(s.inflightPkts) >= s.CwndPkts() {
 			continue
 		}
-		if s.pending.len() >= r.queueCap(s) {
+		if r != nil && s.pending.len() >= r.queueCap(s) {
 			continue
 		}
 		if best == nil || s.srtt < bestRTT {

@@ -262,3 +262,39 @@ func TestPktsPerRTTTracksPace(t *testing.T) {
 	s.updateRTT(45 * sim.Millisecond)
 	check("an RTT sample")
 }
+
+// TestSchedulerDefaultsByFamily: without WithScheduler, Start gives a
+// connection §7.1's scheduler for its subflows — the kernel's
+// DefaultScheduler when they are window-based, the paper's 10%-threshold
+// RateScheduler when they are paced — and WithScheduler wins for both.
+func TestSchedulerDefaultsByFamily(t *testing.T) {
+	custom := NewRateScheduler(0.5)
+	for _, tc := range []struct {
+		name   string
+		window bool
+		opts   []ConnOption
+		want   Scheduler
+	}{
+		{"window", true, nil, DefaultScheduler{}},
+		{"rate", false, nil, paperScheduler},
+		{"window with rate scheduler", true, []ConnOption{WithScheduler(custom)}, custom},
+		{"rate with default scheduler", false, []ConnOption{WithScheduler(DefaultScheduler{})}, DefaultScheduler{}},
+	} {
+		tn := newTestNet(1, 2)
+		c := NewConnection(tn.eng, tc.name, tc.opts...)
+		for i := range 2 {
+			if tc.window {
+				c.AddWindowSubflow(tn.path(i), fixedWin{10})
+			} else {
+				c.AddRateSubflow(tn.path(i), fixedRate{1e6})
+			}
+		}
+		c.Start(0)
+		if c.sched != tc.want {
+			t.Errorf("%s: scheduler %#v, want %#v", tc.name, c.sched, tc.want)
+		}
+	}
+	if rs, ok := paperScheduler.(*RateScheduler); !ok || rs.Threshold != 0.10 {
+		t.Errorf("rate-based default %#v, want the paper's 10%% RateScheduler", paperScheduler)
+	}
+}

@@ -51,7 +51,10 @@ type (
 	ConnOption = transport.ConnOption
 	// Protocol names a congestion-control scheme.
 	Protocol = exp.Protocol
-	// AttachOptions tune protocol attachment.
+	// AttachOptions tune protocol attachment: connection options, the
+	// initial rate of rate-based controllers, MPCC's two §5.2 ablation
+	// switches and the probe bus. The scheduler is not among them: the
+	// connection picks the paper's for its subflows' family.
 	AttachOptions = exp.AttachOptions
 	// ParallelLinkNetwork is the fairness-theory abstraction of §4.2.
 	ParallelLinkNetwork = fairness.Network
