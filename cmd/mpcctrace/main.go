@@ -14,9 +14,10 @@
 // first run for csv (concatenated runs overlap in virtual time, so a
 // time-series export of more than one is rarely meaningful).
 //
-// summary replays events through the same metrics registry the live run
-// used (exp.Result.Obs), so its counters and histogram percentiles match
-// the in-run snapshot exactly; runs that saw path impairments or loss-
+// summary replays each run's events through the same metrics registry the
+// live run used, so its counters and histogram percentiles match that run's
+// snapshot (exp.Result.Obs, one per simulation: each replicate of a
+// -reps sweep is its own run in the trace) exactly; runs that saw path impairments or loss-
 // detection activity additionally get a "hostile path" breakdown of drops
 // vs reorders vs duplicates vs spurious retransmits.
 // filter re-emits matching events as JSONL,

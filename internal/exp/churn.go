@@ -459,7 +459,7 @@ func Churn(cfg Config) []*Table {
 	for i, rho := range ChurnLoads {
 		specs[i] = ChurnSpecAt(cfg, rho)
 	}
-	stats := runSpecs(specs, 1, func(r *Result) *ChurnStats { return r.Churn })
+	stats := runSpecs(specs, func(r *Result) *ChurnStats { return r.Churn })
 	dur := cfg.Duration.Seconds()
 	var knee, at2x float64
 	for i, rho := range ChurnLoads {

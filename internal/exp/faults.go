@@ -90,7 +90,7 @@ func FaultRecoveryRows(cfg Config) ([]FaultRow, sim.Time, sim.Time) {
 			},
 		}
 	}
-	rows := runSpecs(specs, 1, func(res *Result) (row FaultRow) {
+	rows := runSpecs(specs, func(res *Result) (row FaultRow) {
 		mp, sp := res.Flows["mp"], res.Flows["sp"]
 		b := stats.DefaultBucket // FlowResult.Series' bucket width
 		sb, eb, db := int(outStart/b), int(outEnd/b), int(d/b)

@@ -74,12 +74,13 @@ func ObservationSinglePath(cfg Config) *Table {
 		labels = append(labels, string(p))
 		specs = append(specs, cfg.spec(topo.Fig4a(), p, nil))
 	}
-	t.rowPerSpec(labels, specs, cfg.Reps, func(res *Result) []string {
+	// A cell is the mean over cfg.Reps replicates.
+	rows := runReps(specs, cfg.Reps, func(res *Result) []float64 {
 		sp, mp := res.Flows["sp"], res.Flows["mp"]
-		return []string{
-			mbps(sp.GoodputBps + mp.GoodputBps),
-			mbps(sp.GoodputBps), mbps(mp.GoodputBps),
-			mbps(mp.SubflowGoodputBps[0])}
-	})
+		return []float64{sp.GoodputBps + mp.GoodputBps, sp.GoodputBps, mp.GoodputBps, mp.SubflowGoodputBps[0]}
+	}, meanEach)
+	for i, row := range rows {
+		t.AddRow(labels[i], mbps(row[0]), mbps(row[1]), mbps(row[2]), mbps(row[3]))
+	}
 	return t
 }

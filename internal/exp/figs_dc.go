@@ -59,7 +59,7 @@ func DataCenterFCT(cfg Config, dc DCConfig) []*Table {
 	for i, p := range DCProtocols {
 		specs[i] = dcSpec(cfg.Seed, p, dc)
 	}
-	classes := runSpecs(specs, 1, func(r *Result) map[string]FCTClass { return dcClasses(specs[0].Flows, r) })
+	classes := runSpecs(specs, func(r *Result) map[string]FCTClass { return dcClasses(specs[0].Flows, r) })
 	var tabs []*Table
 	for _, class := range []string{"short", "medium", "long"} {
 		t := &Table{

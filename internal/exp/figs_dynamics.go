@@ -97,7 +97,7 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 		mp, sp            []float64
 		trackErr, fairErr float64
 	}
-	for i, tr := range runSpecs(specs, 1, func(res *Result) (tr tracking) {
+	for i, tr := range runSpecs(specs, func(res *Result) (tr tracking) {
 		mpSeries := res.Flows["mp"].SubflowSeries[0] // subflow on link1
 		spSeries := res.Flows["sp"].Series
 		bucketsPerEpoch := int(epochDur / stats.DefaultBucket)
@@ -163,7 +163,7 @@ func ConvergenceTrace(cfg Config) *Table {
 	}
 	specs := []Spec{cfg.spec(topo.Fig3c(), MPCCLatency, nil), cfg.spec(topo.Fig3c(), Balia, nil)}
 	warmBuckets := int(cfg.Warmup / stats.DefaultBucket)
-	for i, rows := range runSpecs(specs, 1, func(res *Result) (rows [][]string) {
+	for i, rows := range runSpecs(specs, func(res *Result) (rows [][]string) {
 		stat := func(flow string, series []float64) {
 			post := tailMbps(series, warmBuckets)
 			rows = append(rows, []string{flow,

@@ -55,8 +55,8 @@ var GridBaselines = []Protocol{LIA, OLIA}
 // With cfg.Full it runs all 24² = 576 pairs; otherwise a deterministic
 // 1-in-stride subsample. Every (link pair, protocol) simulation is
 // enumerated up front — pair by pair in grid order, MPCC-latency then the
-// GridBaselines — and the ratios are formed from the reduced
-// (utilization, Jain) points in that order.
+// GridBaselines — and the ratios are formed from the (utilization, Jain)
+// points, each the mean over cfg.Reps replicates, in that order.
 func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridResult {
 	if cfg.Full {
 		stride = 1
@@ -81,8 +81,8 @@ func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridRes
 			}
 		}
 	}
-	type point struct{ util, jain float64 }
-	points := runSpecs(specs, cfg.Reps, func(r *Result) point { return point{r.Utilization, r.Jain} })
+	// A point is the mean of the replicates' (utilization, Jain) pairs.
+	points := runReps(specs, cfg.Reps, func(r *Result) []float64 { return []float64{r.Utilization, r.Jain} }, meanEach)
 	res := &GridResult{
 		Configs:   len(specs) / len(protos),
 		UtilRatio: make(map[Protocol][]float64),
@@ -92,8 +92,8 @@ func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridRes
 		mpcc := points[i]
 		for bi, base := range GridBaselines {
 			b := points[i+1+bi]
-			res.UtilRatio[base] = append(res.UtilRatio[base], ratio(mpcc.util, b.util))
-			res.JainRatio[base] = append(res.JainRatio[base], ratio(mpcc.jain, b.jain))
+			res.UtilRatio[base] = append(res.UtilRatio[base], ratio(mpcc[0], b[0]))
+			res.JainRatio[base] = append(res.JainRatio[base], ratio(mpcc[1], b[1]))
 		}
 	}
 	return res

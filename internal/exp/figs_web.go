@@ -28,7 +28,7 @@ func WebWorkload(cfg Config) *Table {
 	for _, p := range []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia} {
 		labels, specs = append(labels, string(p)), append(specs, webSpec(cfg, p))
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		bulkMbps, done, med, p95 := webStats(res)
 		return []string{fmt.Sprintf("%.1f", bulkMbps),
 			fmt.Sprint(done), fmt.Sprintf("%.0f", med*1e3), fmt.Sprintf("%.0f", p95*1e3)}

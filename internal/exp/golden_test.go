@@ -176,6 +176,20 @@ func TestRegistryTablesGolden(t *testing.T) {
 	}
 }
 
+// TestSweepRepsGolden pins the cell format of a replicated sweep, byte for
+// byte: Fig. 9 subsampled to two buffers and two protocols at three
+// replicates, so each cell shows the mean latency, the mean in-run spread
+// and the replicates' range.
+func TestSweepRepsGolden(t *testing.T) {
+	sw := selfInducedLatency(Config{Duration: sim.Second, Warmup: 500 * sim.Millisecond, Reps: 3, Seed: 42})
+	sw.rows, sw.protos = sw.rows[:2], []Protocol{MPCCLatency, Reno}
+	var buf bytes.Buffer
+	for _, tab := range sw.tables() {
+		tab.Fprint(&buf)
+	}
+	checkGolden(t, buf.Bytes(), "sweep_reps3.golden")
+}
+
 // liveIDs are the experiments whose workload is fixed by the paper's set-up
 // (file size, flow mix), not by Config's duration.
 var liveIDs = map[string]bool{"fig16": true, "fig17": true, "fig19": true}

@@ -2,13 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"strings"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
-	"mpcc/internal/obs"
 	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 	"mpcc/internal/topo"
 )
 
@@ -43,7 +45,7 @@ var pools = []struct {
 			specs[i] = Spec{Duration: sim.Millisecond, Topo: topo.Fig3c(), Proto: Reno,
 				Tweak: func(*topo.Net) { job(i) }}
 		}
-		withWorkers(workers, func() { runSpecs(specs, 1, func(r *Result) float64 { return r.Jain }) })
+		withWorkers(workers, func() { runSpecs(specs, func(r *Result) float64 { return r.Jain }) })
 	}},
 }
 
@@ -107,99 +109,157 @@ func quickSpec(seed int64) Spec {
 }
 
 // TestRunAveragedParallelIdentical is the determinism regression test for
-// the sweep runner: what reduce sees — every spec's replicates folded in
-// replicate order — must be bit-identical between sequential (workers=1)
-// and concurrent execution, a replicate count below 1 must mean one run,
-// and a one-spec sweep must fold as the same spec inside a larger one. It
-// runs under -race in make check, which also shakes out data races in the
-// runner itself.
+// the sweep runner: what reduce sees of each spec must be bit-identical
+// between sequential (workers=1) and concurrent execution, reduce must run
+// once per spec and, with one worker, in enumeration order, and a one-spec
+// sweep must reduce as the same spec inside a larger one. It runs under
+// -race in make check, which also shakes out data races in the runner
+// itself.
 func TestRunAveragedParallelIdentical(t *testing.T) {
 	specs := []Spec{quickSpec(7), quickSpec(8), quickSpec(9)}
-	// fold is what reduce saw for one spec, stamped with reduce's call order.
-	type fold struct {
+	// seen is what reduce saw of one spec, stamped with reduce's call order.
+	type seen struct {
 		flows      map[string]*FlowResult
 		util, jain float64
-		notes      []string
 		nth        int32
 	}
-	sweep := func(workers, reps int) (out []fold) {
+	sweep := func(workers int, specs []Spec) (out []seen) {
 		var calls atomic.Int32
 		withWorkers(workers, func() {
-			out = runSpecs(specs, reps, func(r *Result) fold {
-				return fold{r.Flows, r.Utilization, r.Jain, r.Notes, calls.Add(1)}
+			out = runSpecs(specs, func(r *Result) seen {
+				return seen{r.Flows, r.Utilization, r.Jain, calls.Add(1)}
 			})
 		})
 		if int(calls.Load()) != len(specs) {
-			t.Errorf("workers=%d reps=%d: reduce ran %d times, want once per spec", workers, reps, calls.Load())
+			t.Errorf("workers=%d: reduce ran %d times, want once per spec", workers, calls.Load())
 		}
 		return out
 	}
-	seq, par := sweep(1, 3), sweep(8, 3)
+	seq, par := sweep(1, specs), sweep(8, specs)
 	for i := range specs {
 		if seq[i].nth != int32(i+1) {
 			t.Errorf("workers=1: spec %d reduced %dth, want enumeration order", i, seq[i].nth)
 		}
-		if fr := seq[i].flows["mp"]; fr.MinGoodputBps == fr.MaxGoodputBps {
-			t.Errorf("spec %d: three seeds, one goodput — replicates not folded", i)
-		}
 		par[i].nth = seq[i].nth // concurrent specs may finish in any order
 		if !reflect.DeepEqual(seq[i], par[i]) {
-			t.Errorf("spec %d: fold differs between workers=1 and workers=8", i)
+			t.Errorf("spec %d: reduced values differ between workers=1 and workers=8", i)
 		}
 	}
-	var avg *Result
-	withWorkers(8, func() { avg = averaged(specs[1], 3) })
-	if !reflect.DeepEqual(avg.Flows, seq[1].flows) || avg.Jain != seq[1].jain {
+	one := sweep(8, specs[1:2])[0]
+	if !reflect.DeepEqual(one.flows, seq[1].flows) || one.jain != seq[1].jain {
 		t.Errorf("a one-spec sweep differs from the same spec inside a larger one")
-	}
-	// A replicate count below 1 is a single run at the spec's own seed.
-	one := Run(specs[0])
-	for _, reps := range []int{-2, 0, 1} {
-		if got := sweep(2, reps)[0]; !reflect.DeepEqual(got.flows, one.Flows) || got.util != one.Utilization {
-			t.Errorf("reps=%d: not the single run", reps)
-		}
 	}
 }
 
-// TestRunAveragedSnapshotWorkerIdentity is the acceptance test for mergeable
-// telemetry: with a per-run probe factory installed, the merged snapshot of
-// an averaged spec must be identical for any worker count — counters,
-// gauges, sketch-backed histogram stats, and the serialized windowed series.
-func TestRunAveragedSnapshotWorkerIdentity(t *testing.T) {
-	runMerged := func(workers int) *Result {
-		SetProbeFactory(func() *obs.Bus { return obs.NewBus() })
-		defer SetProbeFactory(nil)
-		var res *Result
-		withWorkers(workers, func() { res = averaged(quickSpec(11), 4) })
-		return res
+// TestRunRepsFold is the table test of the replicate fold, through a
+// one-row sweep: each replicate is the spec run on its own at Seed + 1000·r
+// and reduced once — in replicate order on one worker — and a cell is the
+// mean of its replicates plus, at reps > 1, their range, rendered the same
+// for any worker count. reps ≤ 1 is the single run at the spec's own seed,
+// and a download that does not finish in a replicate counts as the
+// deadline, as Fig. 16 reads it.
+func TestRunRepsFold(t *testing.T) {
+	goodput := metric{title: "goodput", format: "%.3f",
+		value: func(r *Result) float64 { return r.Flows["mp"].GoodputBps / 1e6 }}
+	quick := func(seed int64, p Protocol) Spec { s := quickSpec(seed); s.Proto = p; return s }
+
+	// Fig. 16's metric on a small download, cut between its MPCC replicates'
+	// completion times so that one finishes and one does not.
+	download := func(seed int64, p Protocol) Spec { return DownloadSpec(seed, "Ohio", "Israel", p, 2_000_000) }
+	var fcts []sim.Time
+	for r := range int64(3) {
+		fcts = append(fcts, Run(download(42+1000*r, MPCCLatency)).Flows["dl"].FCT)
 	}
-	seq := runMerged(1)
-	if seq.Obs == nil {
-		t.Fatal("probed averaged run produced no snapshot")
+	if slices.Min(fcts) == slices.Max(fcts) || slices.Min(fcts) < 0 {
+		t.Fatalf("download replicates %v: no completion time to cut between", fcts)
 	}
-	// Counters summed over 4 replicates, not the first replicate alone.
-	one := Run(func() Spec { s := quickSpec(11); s.Probes = obs.NewBus(); return s }())
-	if seq.Obs.Counters["sched_picks"] <= one.Obs.Counters["sched_picks"] {
-		t.Errorf("merged counters look like a single replicate: %v vs %v",
-			seq.Obs.Counters["sched_picks"], one.Obs.Counters["sched_picks"])
+	cut := func(seed int64, p Protocol) Spec {
+		s := download(seed, p)
+		s.Duration = (slices.Min(fcts) + slices.Max(fcts)) / 2
+		return s
 	}
-	for _, w := range []int{2, 8} {
-		par := runMerged(w)
-		if !reflect.DeepEqual(seq.Obs.Counters, par.Obs.Counters) {
-			t.Errorf("workers=%d: merged counters differ", w)
+	fig16 := liveDownloads(Config{}, "Israel").metrics[0]
+
+	cases := []struct {
+		name          string
+		workers, reps int
+		spec          func(seed int64, p Protocol) Spec
+		metric        metric
+		direct        func(*Result) float64 // the metric, restated
+	}{
+		{"reps 3, one worker", 1, 3, quick, goodput, goodput.value},
+		{"reps 3, eight workers", 8, 3, quick, goodput, goodput.value},
+		{"reps 1", 2, 1, quick, goodput, goodput.value},
+		{"reps 0", 2, 0, quick, goodput, goodput.value},
+		{"reps -2", 2, -2, quick, goodput, goodput.value},
+		{"fig16 did-not-finish", 2, 3, cut, fig16, func(r *Result) float64 {
+			if fct := r.Flows["dl"].FCT; fct >= 0 {
+				return fct.Seconds()
+			}
+			return downloadDeadline.Seconds()
+		}},
+	}
+	rendered := map[string]string{} // metric and reps → the table, for any worker count
+	for _, tc := range cases {
+		var mu sync.Mutex
+		var reduced []float64 // every replicate's value, in reduce-call order
+		m := tc.metric
+		m.value = func(r *Result) float64 {
+			v := tc.metric.value(r)
+			mu.Lock()
+			reduced = append(reduced, v)
+			mu.Unlock()
+			return v
 		}
-		if !reflect.DeepEqual(seq.Obs.Gauges, par.Obs.Gauges) {
-			t.Errorf("workers=%d: merged gauges differ", w)
+		sw := sweep[int64]{head: []string{"seed"}, rows: []int64{42},
+			label:  func(seed int64) []string { return []string{fmt.Sprint(seed)} },
+			protos: []Protocol{MPCCLatency, LIA}, spec: tc.spec, reps: tc.reps, metrics: []metric{m}}
+		var tabs []*Table
+		var vals [][][]float64
+		withWorkers(tc.workers, func() { tabs, vals = sw.run() })
+
+		n := max(tc.reps, 1)
+		var want []float64 // each replicate run on its own, in enumeration order
+		for _, p := range sw.protos {
+			for r := range int64(n) {
+				want = append(want, tc.direct(Run(tc.spec(42+1000*r, p))))
+			}
 		}
-		if !reflect.DeepEqual(seq.Obs.Histograms, par.Obs.Histograms) {
-			t.Errorf("workers=%d: merged histogram stats differ:\nseq %+v\npar %+v",
-				w, seq.Obs.Histograms, par.Obs.Histograms)
+		if len(reduced) != len(want) {
+			t.Errorf("%s: reduce ran %d times, want once per replicate (%d)", tc.name, len(reduced), len(want))
 		}
-		a := obs.AppendTimeline(nil, 0, seq.Obs.Series)
-		b := obs.AppendTimeline(nil, 0, par.Obs.Series)
-		if !bytes.Equal(a, b) {
-			t.Errorf("workers=%d: merged series not byte-identical", w)
+		if tc.workers == 1 && !slices.Equal(reduced, want) {
+			t.Errorf("%s: reduced %v, want %v in replicate order", tc.name, reduced, want)
 		}
+		for c := range sw.protos {
+			reps, cell := want[c*n:(c+1)*n], tabs[0].Rows[0][1+c]
+			if got := vals[0][0][c]; got != stats.Mean(reps) {
+				t.Errorf("%s: %s value %v, want the mean of %v", tc.name, sw.protos[c], got, reps)
+			}
+			if n == 1 {
+				if cell != fmt.Sprintf(m.format, reps[0]) {
+					t.Errorf("%s: %s cell %q, want the single run %v", tc.name, sw.protos[c], cell, reps[0])
+				}
+				continue
+			}
+			lo, hi := slices.Min(reps), slices.Max(reps)
+			if want := fmt.Sprintf(m.format+" ["+m.format+".."+m.format+"]", stats.Mean(reps), lo, hi); cell != want {
+				t.Errorf("%s: %s cell %q, want %q: the mean, then the replicates' range", tc.name, sw.protos[c], cell, want)
+			}
+			if sw.protos[c] == MPCCLatency && lo == hi {
+				t.Errorf("%s: MPCC replicates %v: no spread to show", tc.name, reps)
+			}
+		}
+		if m.title == fig16.title && !(slices.Contains(want[:n], downloadDeadline.Seconds()) && slices.Min(want[:n]) < downloadDeadline.Seconds()) {
+			t.Errorf("%s: MPCC replicates %v: want one finished and one at the deadline", tc.name, want[:n])
+		}
+		var buf bytes.Buffer
+		tabs[0].Fprint(&buf)
+		key := fmt.Sprint(m.title, n)
+		if prev, ok := rendered[key]; ok && prev != buf.String() {
+			t.Errorf("%s: table differs from an earlier worker count:\n%s\nvs\n%s", tc.name, buf.String(), prev)
+		}
+		rendered[key] = buf.String()
 	}
 }
 
@@ -221,39 +281,5 @@ func TestParameterGridParallelIdentical(t *testing.T) {
 	withWorkers(8, func() { par = render() })
 	if !bytes.Equal(seq, par) {
 		t.Errorf("grid tables differ between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-}
-
-// TestMergeIntoSubflowMismatch checks the fold runSpecs applies to a spec's
-// replicates: sums divided by the replicate count, the goodput spread
-// tracked, a completion time averaged with a did-not-finish counted as the
-// horizon, and replicates that disagree on a flow's subflow count averaged
-// over the common prefix with a note rather than a panic.
-func TestMergeIntoSubflowMismatch(t *testing.T) {
-	agg := average([]*Result{
-		{Jain: 0.5, Flows: map[string]*FlowResult{
-			"f":    {GoodputBps: 10, MinGoodputBps: 10, MaxGoodputBps: 10, SubflowGoodputBps: []float64{4, 6}, FCT: 4 * sim.Second},
-			"bulk": {FCT: -1},
-		}},
-		{Jain: 1, Flows: map[string]*FlowResult{
-			"f":    {GoodputBps: 20, MinGoodputBps: 20, MaxGoodputBps: 20, SubflowGoodputBps: []float64{20}, FCT: -1},
-			"bulk": {FCT: -1},
-		}},
-	}, 10*sim.Second)
-	if got := agg.Flows["f"].FCT; got != 7*sim.Second {
-		t.Errorf("FCT average = %v, want 7s (4 s and a did-not-finish at the 10 s horizon)", got)
-	}
-	if got := agg.Flows["bulk"].FCT; got != -1 {
-		t.Errorf("FCT of a flow that never finishes = %v, want -1", got)
-	}
-	a := agg.Flows["f"]
-	if got := a.SubflowGoodputBps; got[0] != 12 || got[1] != 3 {
-		t.Errorf("subflow average = %v, want [12 3]", got)
-	}
-	if agg.Jain != 0.75 || a.GoodputBps != 15 || a.MinGoodputBps != 10 || a.MaxGoodputBps != 20 {
-		t.Errorf("flow average wrong: jain %v, %+v", agg.Jain, a)
-	}
-	if len(agg.Notes) != 1 || !strings.Contains(agg.Notes[0], "subflow count") {
-		t.Errorf("expected a subflow-count note, got %v", agg.Notes)
 	}
 }

@@ -80,7 +80,7 @@ func PolicerLossSignal(cfg Config) *Table {
 		labels = append(labels, fmt.Sprintf("%g", float64(depth)/1e3))
 		specs = append(specs, cfg.spec(topo.SharedBottleneck(), MPCCLatency, policerTweak(PolicerRates[0], depth)))
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		var declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			declared += sf.LostPkts()

@@ -74,7 +74,7 @@ func ReorderLossSignal(cfg Config) *Table {
 		labels = append(labels, pctLabel(prob)[0])
 		specs = append(specs, cfg.spec(topo.Fig3b(), MPCCLoss, reorderTweak(prob)))
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		var sent, declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			sent += sf.SentPkts()

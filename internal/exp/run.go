@@ -72,16 +72,11 @@ type Spec struct {
 
 // FlowResult summarizes one connection after a run.
 type FlowResult struct {
-	GoodputBps float64 // post-warmup mean
-	// MinGoodputBps/MaxGoodputBps span the replicates of an averaged spec
-	// (runSpecs; the paper's error bars); they equal GoodputBps for a
-	// single run.
-	MinGoodputBps     float64
-	MaxGoodputBps     float64
+	GoodputBps        float64 // post-warmup mean
 	SubflowGoodputBps []float64
 	LatencyMean       float64 // seconds
 	LatencyStd        float64
-	FCT               sim.Time // -1 unless a File flow completed; replicates: see average
+	FCT               sim.Time // -1 unless a File flow completed
 	// Series is the per-bucket goodput in bits/s (100 ms buckets from t=0).
 	Series []float64
 	// SubflowSeries is the same per subflow.
@@ -100,32 +95,21 @@ type Result struct {
 	// Conns gives post-run access to the transport connections, keyed by
 	// flow name, so correctness oracles (internal/simtest) can audit
 	// end-of-run transport state (per-subflow byte ledgers, failure-detector
-	// state) against the network's link counters. Averaging keeps the
-	// first replicate's connections.
+	// state) against the network's link counters.
 	Conns map[string]*transport.Connection
-	// Notes records aggregation anomalies (e.g. replicates disagreeing on
-	// subflow counts).
-	Notes []string
 	// Obs is the run's metrics-registry snapshot (drops by cause,
 	// retransmits, queue-depth percentiles, MI counts per phase, engine
 	// gauges, windowed series). nil when the run had no probe bus.
-	// Averaging folds the replicates' snapshots in replicate order:
-	// counters sum, gauges keep the high-water mark, histograms merge at
-	// the sketch level, series add element-wise — so the merged snapshot
-	// is identical for any worker count.
 	Obs *obs.Snapshot
 	// Events is the number of simulation events the run processed, summed
-	// over shard engines; averaging sums it over replicates. Throughput
-	// benchmarks report it as events/op.
+	// over shard engines. Throughput benchmarks report it as events/op.
 	Events uint64
 	// Queue is what each tier of the engines' event queue did (inserts,
-	// cancels, occupancy high-water marks), folded over shard engines and,
-	// by averaging, over replicates: counts sum, high-water marks keep
-	// the maximum.
+	// cancels, occupancy high-water marks), folded over shard engines:
+	// counts sum, high-water marks keep the maximum.
 	Queue sim.QueueStats
 	// Churn holds the session ledger and FCT distribution of the run's
-	// churn workload; nil when Spec.Churn was nil. Averaging keeps the
-	// first replicate's.
+	// churn workload; nil when Spec.Churn was nil.
 	Churn *ChurnStats
 }
 
@@ -210,7 +194,6 @@ func Run(s Spec) *Result {
 	for name, conn := range conns {
 		fr := &FlowResult{FCT: conn.FCT()}
 		fr.GoodputBps = conn.MeanGoodputBps(s.Warmup, s.Duration)
-		fr.MinGoodputBps, fr.MaxGoodputBps = fr.GoodputBps, fr.GoodputBps
 		_, fr.LatencyStd = conn.MeanLatency()
 		fr.LatencyMean = conn.MeanLatencySince(s.Warmup)
 		fr.Series = scale(conn.Goodput().Rates(), 8)

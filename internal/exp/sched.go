@@ -36,7 +36,7 @@ func SchedulerValidation(cfg Config) *Table {
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		fr := res.Flows["mp"]
 		return []string{mbps(fr.GoodputBps), mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1])}
 	})
@@ -68,7 +68,7 @@ func AblationSchedulerThreshold(cfg Config) *Table {
 			specs = append(specs, s)
 		}
 	}
-	flows := runSpecs(specs, 1, func(res *Result) *FlowResult { return res.Flows["mp"] })
+	flows := runSpecs(specs, func(res *Result) *FlowResult { return res.Flows["mp"] })
 	for i, thr := range thresholds {
 		bulk, file := flows[2*i], flows[2*i+1]
 		fct := "-"
@@ -96,7 +96,7 @@ func AblationConnLevel(cfg Config) *Table {
 		s.SPProto = MPCCLoss
 		labels, specs = append(labels, string(p)), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		return []string{mbps(res.Flows["mp"].GoodputBps),
 			mbps(res.Flows["sp"].GoodputBps), fmt.Sprintf("%.3f", res.Utilization)}
 	})
@@ -133,7 +133,7 @@ func AblationOmegaBase(cfg Config) *Table {
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		fr := res.Flows["mp"]
 		thin := res.Net.Link("link2").Stats()
 		dropPct := 0.0
@@ -169,7 +169,7 @@ func AblationNoPublication(cfg Config) *Table {
 		}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, 1, func(res *Result) []string {
+	t.rowPerSpec(labels, specs, func(res *Result) []string {
 		return []string{fmt.Sprintf("%.3f", res.Utilization), fmt.Sprintf("%.3f", res.Jain)}
 	})
 	return t

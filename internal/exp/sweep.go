@@ -2,121 +2,63 @@ package exp
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"mpcc/internal/sim"
+	"mpcc/internal/stats"
 )
 
 // runSpecs is the one way an experiment runs its simulations. The caller
 // enumerates every Spec up front, in the order its sequential loops would
-// run them. Each spec runs reps times (at least once) at seeds
-// Seed + 1000·rep, all (spec, replicate) pairs flat on the RunParallel pool
-// and spec-major, so with one worker — which every trace tap forces — the
-// run order is the enumeration order. The job that finishes a spec last
-// folds its replicates in replicate order and reduces the fold into out[i],
-// the same bits for any worker count. Only that value outlives the job: the
-// Results, with their networks, connections and engine arenas, are dropped
-// as their spec is reduced. reduce runs on a pool worker; it may read the
-// Result freely but must touch nothing shared and start no simulations.
-func runSpecs[T any](specs []Spec, reps int, reduce func(*Result) T) []T {
-	reps = max(reps, 1)
+// run them; the specs run flat on the RunParallel pool, so with one worker —
+// which every trace tap forces — the run order is the enumeration order.
+// Each Result is reduced on the worker that ran it and dropped at once, with
+// its network, connections and engine arenas: only out[i] = reduce(Run(
+// specs[i])) outlives the job, the same bits for any worker count. reduce
+// may read the Result freely but must touch nothing shared and start no
+// simulations.
+func runSpecs[T any](specs []Spec, reduce func(*Result) T) []T {
 	out := make([]T, len(specs))
-	parts := make([]*Result, len(specs)*reps)
-	done := make([]atomic.Int32, len(specs))
-	RunParallel(len(parts), func(j int) {
-		i := j / reps
-		s := specs[i]
-		s.Seed += int64(j%reps) * 1000
-		parts[j] = Run(s)
-		if int(done[i].Add(1)) == reps {
-			mine := parts[i*reps : (i+1)*reps]
-			out[i] = reduce(average(mine, s.Duration))
-			clear(mine)
-		}
-	})
+	RunParallel(len(specs), func(i int) { out[i] = reduce(Run(specs[i])) })
 	return out
 }
 
-// average folds one spec's replicates, in replicate order, into the first
-// and divides the summed means by their count. A finite flow's FCT becomes
-// the mean over the replicates, one in which it did not finish by the horizon
-// counting as the horizon; it stays -1 if it finished in none.
-func average(results []*Result, horizon sim.Time) *Result {
-	agg := results[0]
-	for _, res := range results[1:] {
-		mergeInto(agg, res)
-	}
-	n := float64(len(results))
-	agg.Utilization /= n
-	agg.Jain /= n
-	for name, fr := range agg.Flows {
-		fr.GoodputBps /= n
-		fr.LatencyMean /= n
-		fr.LatencyStd /= n
-		for i := range fr.SubflowGoodputBps {
-			fr.SubflowGoodputBps[i] /= n
-		}
-		sum, done := sim.Time(0), 0
-		for _, res := range results {
-			if f := res.Flows[name]; f != nil && f.FCT >= 0 {
-				sum, done = sum+f.FCT, done+1
-			}
-		}
-		if done > 0 {
-			fr.FCT = (sum + sim.Time(len(results)-done)*horizon) / sim.Time(len(results))
+// runReps runs each spec reps times (at least once) at seeds Seed + 1000·r,
+// spec-major through runSpecs, and folds each spec's reduced replicates, in
+// replicate order, into out[i].
+func runReps[T, F any](specs []Spec, reps int, reduce func(*Result) T, fold func([]T) F) []F {
+	reps = max(reps, 1)
+	flat := make([]Spec, 0, len(specs)*reps)
+	for _, s := range specs {
+		for r := range reps {
+			flat = append(flat, s)
+			flat[len(flat)-1].Seed += int64(r) * 1000
 		}
 	}
-	return agg
+	vals := runSpecs(flat, reduce)
+	out := make([]F, len(specs))
+	for i := range out {
+		out[i] = fold(vals[i*reps : (i+1)*reps])
+	}
+	return out
 }
 
-// mergeInto accumulates res into agg (one replicate of average). If the
-// replicates disagree on a flow's subflow count — possible when a fault
-// timeline permanently removes a subflow in some seeds — subflow goodputs
-// aggregate over the common prefix and the discrepancy is recorded in
-// agg.Notes instead of panicking on an index out of range.
-func mergeInto(agg, res *Result) {
-	agg.Utilization += res.Utilization
-	agg.Jain += res.Jain
-	agg.Events += res.Events
-	foldQueue(&agg.Queue, res.Queue)
-	if agg.Obs != nil && res.Obs != nil {
-		agg.Obs.Merge(res.Obs)
+// meanEach folds replicates of equal-length vectors into their
+// element-wise mean, summed in replicate order.
+func meanEach(reps [][]float64) []float64 {
+	out := make([]float64, len(reps[0]))
+	col := make([]float64, len(reps))
+	for k := range out {
+		for r, v := range reps {
+			col[r] = v[k]
+		}
+		out[k] = stats.Mean(col)
 	}
-	for name, fr := range res.Flows {
-		a := agg.Flows[name]
-		if a == nil {
-			agg.Notes = append(agg.Notes,
-				fmt.Sprintf("flow %s: present in a later replicate only; skipped", name))
-			continue
-		}
-		a.GoodputBps += fr.GoodputBps
-		if fr.GoodputBps < a.MinGoodputBps {
-			a.MinGoodputBps = fr.GoodputBps
-		}
-		if fr.GoodputBps > a.MaxGoodputBps {
-			a.MaxGoodputBps = fr.GoodputBps
-		}
-		a.LatencyMean += fr.LatencyMean
-		a.LatencyStd += fr.LatencyStd
-		n := len(a.SubflowGoodputBps)
-		if len(fr.SubflowGoodputBps) != n {
-			if len(fr.SubflowGoodputBps) < n {
-				n = len(fr.SubflowGoodputBps)
-			}
-			agg.Notes = append(agg.Notes,
-				fmt.Sprintf("flow %s: replicates disagree on subflow count (%d vs %d); averaging the first %d",
-					name, len(a.SubflowGoodputBps), len(fr.SubflowGoodputBps), n))
-		}
-		for i := 0; i < n; i++ {
-			a.SubflowGoodputBps[i] += fr.SubflowGoodputBps[i]
-		}
-	}
+	return out
 }
 
-// rowPerSpec runs the specs and appends one row per spec to t: its label,
-// then the cells reduced from its result.
-func (t *Table) rowPerSpec(labels []string, specs []Spec, reps int, cells func(*Result) []string) {
-	for i, row := range runSpecs(specs, reps, cells) {
+// rowPerSpec runs the specs once each and appends one row per spec to t:
+// its label, then the cells reduced from its result.
+func (t *Table) rowPerSpec(labels []string, specs []Spec, cells func(*Result) []string) {
+	for i, row := range runSpecs(specs, cells) {
 		t.AddRow(append([]string{labels[i]}, row...)...)
 	}
 }
@@ -124,9 +66,9 @@ func (t *Table) rowPerSpec(labels []string, specs []Spec, reps int, cells func(*
 // metric is one number read off every cell of a sweep; it fills one table.
 type metric struct {
 	title  string
-	format string // of value, and of spread when there is one
+	format string // of value, of spread when there is one, and of the replicate range
 	value  func(*Result) float64
-	spread func(*Result) float64 // optional: cells read value±spread
+	spread func(*Result) float64 // optional in-run spread: cells read value±spread
 }
 
 // goodputMbps is a flow's mean post-warmup goodput in Mbps.
@@ -137,8 +79,10 @@ func goodputMbps(title, flow string) metric {
 
 // sweep declares a figure of the usual shape: a swept parameter down the
 // rows, a protocol lineup across the columns, one simulation (× reps) per
-// cell, one table per metric. The fields are the figure's whole definition,
-// so a test subsamples a figure by trimming rows or protos on its own copy.
+// cell, one table per metric. A cell is the mean of its replicates' values
+// and, at reps > 1, their range: "mean [min..max]". The fields are the
+// figure's whole definition, so a test subsamples a figure by trimming rows
+// or protos on its own copy.
 type sweep[R any] struct {
 	head    []string         // header of the label column(s)
 	rows    []R              // swept values
@@ -152,7 +96,7 @@ type sweep[R any] struct {
 }
 
 // run executes the sweep, enumerating its cells table row by table row, and
-// returns one table per metric with the numbers behind the cells,
+// returns one table per metric with the means behind the cells,
 // vals[metric][table row][column].
 func (s sweep[R]) run() (tabs []*Table, vals [][][]float64) {
 	lines, cols := make([][]string, len(s.rows)), make([][]string, len(s.protos))
@@ -177,18 +121,40 @@ func (s sweep[R]) run() (tabs []*Table, vals [][][]float64) {
 			specs = append(specs, s.spec(pick(l, c)))
 		}
 	}
+	// A replicate reduces to each metric's value and in-run spread; a cell
+	// folds them into their means and, over more than one replicate, the
+	// range of the value.
 	type cell struct {
 		val  float64
 		text string
 	}
-	cells := runSpecs(specs, s.reps, func(r *Result) []cell {
+	cells := runReps(specs, s.reps, func(r *Result) []float64 {
+		out := make([]float64, 0, 2*len(s.metrics))
+		for _, mt := range s.metrics {
+			spread := 0.0
+			if mt.spread != nil {
+				spread = mt.spread(r)
+			}
+			out = append(out, mt.value(r), spread)
+		}
+		return out
+	}, func(reps [][]float64) []cell {
+		means := meanEach(reps)
 		out := make([]cell, len(s.metrics))
 		for m, mt := range s.metrics {
-			v := mt.value(r)
-			out[m] = cell{v, fmt.Sprintf(mt.format, v)}
+			v := means[2*m]
+			text := fmt.Sprintf(mt.format, v)
 			if mt.spread != nil {
-				out[m].text += "±" + fmt.Sprintf(mt.format, mt.spread(r))
+				text += "±" + fmt.Sprintf(mt.format, means[2*m+1])
 			}
+			if len(reps) > 1 {
+				lo, hi := reps[0][2*m], reps[0][2*m]
+				for _, r := range reps[1:] {
+					lo, hi = min(lo, r[2*m]), max(hi, r[2*m])
+				}
+				text += " [" + fmt.Sprintf(mt.format, lo) + ".." + fmt.Sprintf(mt.format, hi) + "]"
+			}
+			out[m] = cell{v, text}
 		}
 		return out
 	})

@@ -149,8 +149,8 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 	return snap, events, queue
 }
 
-// foldQueue accumulates one engine's (or one replicate's) queue counters
-// into agg: counts sum, high-water marks keep the maximum.
+// foldQueue accumulates one engine's queue counters into agg: counts sum,
+// high-water marks keep the maximum.
 func foldQueue(agg *sim.QueueStats, q sim.QueueStats) {
 	agg.ImminentInserts += q.ImminentInserts
 	agg.ImminentCancels += q.ImminentCancels

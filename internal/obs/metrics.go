@@ -187,8 +187,7 @@ func (r *Registry) ensureSessionMetrics() {
 }
 
 // setActiveConns tracks both the live active-connection gauge and its
-// high-water mark (snapshot gauges merge by max, so the peak survives
-// parallel folds while the last value reflects end-of-run state).
+// high-water mark (the last value reflects end-of-run state).
 func (r *Registry) setActiveConns(active float64) {
 	r.sessActive.Set(active)
 	if active > r.sessActivePeak.Value() {
@@ -230,18 +229,12 @@ type HistogramStats struct {
 // exp.Result. Maps are keyed by metric name; iterate SortedCounterNames and
 // friends for deterministic output. Series holds the windowed rate/RTT/queue
 // time series, keyed "rate_bps flow/sfN", "rtt_s flow/sfN" or "queue_bytes
-// link". Snapshots merge: the sketch clones retained internally make Merge
-// exact, so a parallel sweep folds per-run snapshots into one
-// population-scale view.
+// link".
 type Snapshot struct {
 	Counters   map[string]float64
 	Gauges     map[string]float64
 	Histograms map[string]HistogramStats
 	Series     map[string]*stats.Series
-
-	// sketches are clones of the live registry's histograms, kept so Merge
-	// can fold bucket state rather than approximating from HistogramStats.
-	sketches map[string]*Sketch
 }
 
 // Snapshot freezes the registry's current state.
@@ -250,7 +243,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   make(map[string]float64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramStats, len(r.hists)),
-		sketches:   make(map[string]*Sketch, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -260,45 +252,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Stats()
-		s.sketches[name] = h.Clone()
 	}
 	s.Series = r.series.snapshot()
 	return s
-}
-
-// Merge folds other into s: counters add, gauges keep the high-water mark,
-// histograms merge at the sketch level (then restate their stats), and
-// series add per window. Merging per-run snapshots in a fixed order yields
-// byte-identical results for any execution interleaving — the property the
-// parallel sweep runner's identity tests pin down. other is not modified.
-func (s *Snapshot) Merge(other *Snapshot) {
-	if other == nil {
-		return
-	}
-	for name, v := range other.Counters {
-		s.Counters[name] += v
-	}
-	for name, v := range other.Gauges {
-		if cur, ok := s.Gauges[name]; !ok || v > cur {
-			s.Gauges[name] = v
-		}
-	}
-	for name, osk := range other.sketches {
-		sk, ok := s.sketches[name]
-		if !ok {
-			sk = &Sketch{}
-			s.sketches[name] = sk
-		}
-		sk.Merge(osk)
-		s.Histograms[name] = sk.Stats()
-	}
-	for key, osr := range other.Series {
-		if sr, ok := s.Series[key]; ok {
-			sr.Merge(osr)
-		} else {
-			s.Series[key] = osr.Clone()
-		}
-	}
 }
 
 // SortedCounterNames returns the counter names in lexical order.

@@ -159,52 +159,6 @@ func TestSeriesObserveAllocFree(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	mk := func(seed int) *Snapshot {
-		b, reg := seriesBus()
-		b.Drop(sim.Millisecond, "link1", CauseQueueFull, 1500)
-		for i := 0; i < 200; i++ {
-			b.QueueDepth(sim.Time(i)*10*sim.Millisecond, "link1", 1000*(i%7+seed))
-		}
-		b.RateChange(50*sim.Millisecond, "mp", 0, float64(seed)*1e6)
-		reg.Gauge("sim.events_processed").Set(float64(seed * 100))
-		return reg.Snapshot()
-	}
-	a, bsnap := mk(1), mk(5)
-	a.Merge(bsnap)
-	if got := a.Counters["drops.total"]; got != 2 {
-		t.Errorf("merged drops.total = %v, want 2", got)
-	}
-	if got := a.Gauges["sim.events_processed"]; got != 500 {
-		t.Errorf("merged gauge = %v, want high-water 500", got)
-	}
-	qd := a.Histograms["queue_depth_bytes"]
-	if qd.Count != 400 {
-		t.Errorf("merged histogram count = %d, want 400", qd.Count)
-	}
-	rate := a.Series["rate_bps mp/sf0"]
-	if rate == nil {
-		t.Fatal("merged snapshot lost the rate series")
-	}
-	if got, ok := rate.Mean(0); !ok || got != 3e6 {
-		t.Errorf("merged rate window 0 = %v (ok=%v), want mean 3e6", got, ok)
-	}
-
-	// Merge-order invariance at the snapshot level: fold A,B vs B,A.
-	x, y := mk(1), mk(5)
-	y.Merge(x)
-	for name, st := range a.Histograms {
-		if y.Histograms[name] != st {
-			t.Errorf("histogram %s differs across merge orders: %+v vs %+v", name, y.Histograms[name], st)
-		}
-	}
-	for name, v := range a.Counters {
-		if y.Counters[name] != v {
-			t.Errorf("counter %s differs across merge orders", name)
-		}
-	}
-}
-
 func TestSetSeriesWindow(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetSeriesWindow(sim.Second)

@@ -11,8 +11,7 @@ import (
 // relative-error guarantee, behind the same Observe/Quantile/Stats API the
 // keep-everything Histogram exposed. It is the aggregation primitive that
 // makes population-scale runs possible: memory is O(buckets) regardless of
-// how many samples are observed, and two sketches merge commutatively, so
-// per-worker registries fold into one deterministic snapshot.
+// how many samples are observed.
 //
 // Two modes:
 //
@@ -29,11 +28,9 @@ import (
 //
 // Determinism contract: every statistic is a pure function of the canonical
 // sketch state (integer bucket counts, min/max, or the sorted exact
-// samples). Bucket counts are order-independent integers and the mean is
-// summed in canonical bucket order, so merged A∪B, merged B∪A, and the
-// streamed union produce byte-identical Stats — the property exp.RunParallel
-// relies on for worker-count-independent output. The price is that the mean
-// is bucket-approximate (within α) once spilled; Min/Max stay exact.
+// samples), and the mean is summed in canonical bucket order. The price is
+// that the mean is bucket-approximate (within α) once spilled; Min/Max stay
+// exact.
 type Sketch struct {
 	exact  []float64 // exact-mode samples; nil once spilled
 	sorted bool
@@ -89,7 +86,8 @@ type sketchStore struct {
 	collapsed bool
 }
 
-func (st *sketchStore) addN(idx int, n int64) {
+// add counts one sample in bucket idx.
+func (st *sketchStore) add(idx int) {
 	if st.counts == nil {
 		st.counts = make([]int64, 1, 64)
 		st.base = idx
@@ -109,8 +107,8 @@ func (st *sketchStore) addN(idx int, n int64) {
 			st.counts = append(st.counts, 0)
 		}
 	}
-	st.counts[idx-st.base] += n
-	st.total += n
+	st.counts[idx-st.base]++
+	st.total++
 }
 
 // clampIdx folds an out-of-range index into the collapsed end of the store,
@@ -185,88 +183,29 @@ func (h *Sketch) Observe(v float64) {
 		}
 		return
 	}
-	h.bucketObserve(v, 1)
+	h.bucketObserve(v)
 }
 
 // spill migrates the exact samples into buckets and switches modes.
 func (h *Sketch) spill() {
 	h.spilled = true
 	for _, v := range h.exact {
-		h.bucketObserve(v, 1)
+		h.bucketObserve(v)
 	}
 	h.exact, h.sorted = nil, false
 }
 
-func (h *Sketch) bucketObserve(v float64, n int64) {
+func (h *Sketch) bucketObserve(v float64) {
 	switch {
 	case v > sketchMinObservable:
-		h.pos.addN(h.pos.clampIdx(sketchBucketIndex(v), true), n)
+		h.pos.add(h.pos.clampIdx(sketchBucketIndex(v), true))
 		h.pos.collapseLowest(sketchMaxBuckets)
 	case v < -sketchMinObservable:
-		h.neg.addN(h.neg.clampIdx(sketchBucketIndex(-v), false), n)
+		h.neg.add(h.neg.clampIdx(sketchBucketIndex(-v), false))
 		h.neg.collapseHighest(sketchMaxBuckets)
 	default:
-		h.zero += n
+		h.zero++
 	}
-}
-
-// Merge folds other into h. Merging is commutative up to the bucket
-// representation: any merge order — including the fully streamed order, when
-// no collapse has triggered — yields identical Stats. other is not modified.
-func (h *Sketch) Merge(other *Sketch) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	h.statsValid = false
-	if h.count == 0 {
-		h.min, h.max = other.min, other.max
-	} else {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	h.count += other.count
-	if !h.spilled && !other.spilled && len(h.exact)+len(other.exact) <= sketchExactThreshold {
-		h.exact = append(h.exact, other.exact...)
-		h.sorted = false
-		return
-	}
-	if !h.spilled {
-		h.spill()
-	}
-	if !other.spilled {
-		for _, v := range other.exact {
-			h.bucketObserve(v, 1)
-		}
-		return
-	}
-	for j, n := range other.pos.counts {
-		if n != 0 {
-			h.pos.addN(h.pos.clampIdx(other.pos.base+j, true), n)
-		}
-	}
-	h.pos.collapseLowest(sketchMaxBuckets)
-	h.pos.collapsed = h.pos.collapsed || other.pos.collapsed
-	for j, n := range other.neg.counts {
-		if n != 0 {
-			h.neg.addN(h.neg.clampIdx(other.neg.base+j, false), n)
-		}
-	}
-	h.neg.collapseHighest(sketchMaxBuckets)
-	h.neg.collapsed = h.neg.collapsed || other.neg.collapsed
-	h.zero += other.zero
-}
-
-// Clone returns an independent deep copy.
-func (h *Sketch) Clone() *Sketch {
-	c := *h
-	c.exact = append([]float64(nil), h.exact...)
-	c.pos.counts = append([]int64(nil), h.pos.counts...)
-	c.neg.counts = append([]int64(nil), h.neg.counts...)
-	return &c
 }
 
 func (h *Sketch) sortExact() {
@@ -330,8 +269,8 @@ func (h *Sketch) bucketQuantile(q float64) float64 {
 	return v
 }
 
-// Stats summarizes the sketch. The result is cached until the next Observe
-// or Merge, so repeated snapshotting neither re-sorts nor re-walks buckets.
+// Stats summarizes the sketch. The result is cached until the next Observe,
+// so repeated snapshotting neither re-sorts nor re-walks buckets.
 func (h *Sketch) Stats() HistogramStats {
 	if h.statsValid {
 		return h.stats
@@ -350,7 +289,7 @@ func (h *Sketch) Stats() HistogramStats {
 		}
 		st.Mean = sum / float64(len(h.exact))
 	} else {
-		// Canonical bucket-order sum: merge-order invariant by construction.
+		// Canonical bucket-order sum.
 		sum := 0.0
 		for j := len(h.neg.counts) - 1; j >= 0; j-- {
 			if n := h.neg.counts[j]; n != 0 {

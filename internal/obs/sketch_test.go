@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -127,69 +126,6 @@ func TestSketchNegativeAndZero(t *testing.T) {
 // TestSketchMergeOrderInvariance is the determinism keystone: merged A∪B,
 // merged B∪A, and the streamed union must produce byte-identical stats, in
 // exact mode, sketch mode, and across the exact/sketch boundary.
-func TestSketchMergeOrderInvariance(t *testing.T) {
-	build := func(vals []float64) *Sketch {
-		h := &Sketch{}
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h
-	}
-	rng := rand.New(rand.NewSource(7))
-	cases := map[string]struct{ na, nb int }{
-		"exact+exact small": {20, 30},         // stays exact after merge
-		"exact boundary":    {100, 100},       // merge crosses the threshold
-		"sketch+exact":      {5000, 50},       //
-		"sketch+sketch":     {20000, 30000},   //
-		"large":             {200000, 100000}, //
-	}
-	for name, tc := range cases {
-		va := make([]float64, tc.na)
-		vb := make([]float64, tc.nb)
-		for i := range va {
-			va[i] = math.Exp(rng.NormFloat64() * 3)
-		}
-		for i := range vb {
-			vb[i] = math.Exp(rng.NormFloat64()*3 + 1)
-		}
-
-		ab := build(va)
-		ab.Merge(build(vb))
-		ba := build(vb)
-		ba.Merge(build(va))
-		streamed := build(append(append([]float64(nil), va...), vb...))
-
-		sab, sba, sst := ab.Stats(), ba.Stats(), streamed.Stats()
-		if sab != sba {
-			t.Errorf("%s: A∪B %+v != B∪A %+v", name, sab, sba)
-		}
-		if sab != sst {
-			t.Errorf("%s: merged %+v != streamed %+v", name, sab, sst)
-		}
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-			if ab.Quantile(q) != ba.Quantile(q) || ab.Quantile(q) != streamed.Quantile(q) {
-				t.Errorf("%s: Quantile(%v) differs across merge orders", name, q)
-			}
-		}
-	}
-
-	// Merging into an empty sketch is a deep copy.
-	src := build([]float64{1, 2, 3})
-	var dst Sketch
-	dst.Merge(src)
-	src.Observe(1000)
-	if dst.count != 3 || dst.Stats().Max != 3 {
-		t.Errorf("merge into empty not independent: %+v", dst.Stats())
-	}
-	// Merging an empty or nil sketch is a no-op.
-	before := dst.Stats()
-	dst.Merge(&Sketch{})
-	dst.Merge(nil)
-	if dst.Stats() != before {
-		t.Error("merging empty changed stats")
-	}
-}
-
 // TestSketchStatsCached is the regression test for the stats/sort cache:
 // repeated Stats and Quantile calls after a snapshot must not re-sort or
 // re-walk buckets, and must not allocate.
@@ -212,20 +148,13 @@ func TestSketchStatsCached(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = h.Stats() }); allocs != 0 {
 		t.Errorf("cached Stats allocated %.1f allocs/op, want 0", allocs)
 	}
-	// Observation invalidates the cache...
+	// Observation invalidates the cache.
 	h.Observe(200)
 	if st := h.Stats(); st.Count != 101 || st.Max != 200 {
 		t.Errorf("stats stale after Observe: %+v", st)
 	}
 	if h.sorts != 2 {
 		t.Errorf("Observe should force one re-sort, got %d total", h.sorts)
-	}
-	// ...and so does Merge.
-	other := &Sketch{}
-	other.Observe(500)
-	h.Merge(other)
-	if st := h.Stats(); st.Count != 102 || st.Max != 500 {
-		t.Errorf("stats stale after Merge: %+v", st)
 	}
 
 	// Spilled sketches cache too.
@@ -281,21 +210,5 @@ func TestSketchCollapseBoundsMemory(t *testing.T) {
 	want := math.Exp(0.98*56 - 28) // approximate true q99 of the uniform exponent
 	if math.Abs(math.Log(got)-math.Log(want)) > 1 {
 		t.Errorf("post-collapse q99 off: %g vs ~%g", got, want)
-	}
-}
-
-// TestSketchClone checks deep independence.
-func TestSketchClone(t *testing.T) {
-	h := &Sketch{}
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i))
-	}
-	c := h.Clone()
-	if !reflect.DeepEqual(c.Stats(), h.Stats()) {
-		t.Fatal("clone stats differ")
-	}
-	h.Observe(1e9)
-	if c.Stats().Max == h.Stats().Max {
-		t.Fatal("clone shares state with original")
 	}
 }

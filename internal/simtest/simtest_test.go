@@ -100,18 +100,20 @@ func reportFailure(t *testing.T, r *Report, opts Options) {
 	t.Errorf("scenario seed %d violates %q:\n  %s\noriginal: %s\nshrunk (%d steps, %d checks): %s\nrepro: %s\n%s",
 		r.Scenario.Seed, target, formatViolations(r.Violations),
 		r.Scenario, sh.Steps, sh.Checks, sh.Scenario, sh.Scenario.ReproCommand(),
-		flightSummary(r))
+		flightSummary(r, ""))
 }
 
-// flightSummary dumps the report's flight recorder: the whole ring to a temp
-// file (replayable with mpcctrace), the last 16 events inline.
-func flightSummary(r *Report) string {
+// flightSummary dumps the report's flight recorder: the whole ring to a new
+// file in dir (replayable with mpcctrace), the last 16 events inline. A
+// failure report passes "", the OS temp directory, so its dump outlives the
+// test.
+func flightSummary(r *Report, dir string) string {
 	full := r.FlightDump(0)
 	if len(full) == 0 {
 		return "flight recorder: empty"
 	}
 	loc := "(temp file write failed; tail only)"
-	if f, err := os.CreateTemp("", "mpcc-flightrec-*.jsonl"); err == nil {
+	if f, err := os.CreateTemp(dir, "mpcc-flightrec-*.jsonl"); err == nil {
 		if _, err := f.Write(full); err == nil {
 			loc = f.Name()
 		}
@@ -337,8 +339,10 @@ func TestCheckAttachesFlightRecorder(t *testing.T) {
 	if n != r1.Flight.Len() {
 		t.Fatalf("dump has %d events, recorder holds %d", n, r1.Flight.Len())
 	}
-	// The failure report embeds the dump.
-	if s := flightSummary(r1); !strings.Contains(s, "flight recorder: last") {
+	// The failure report embeds the dump; a passing test keeps it in its own
+	// temporary directory, which the test removes.
+	dir := t.TempDir()
+	if s := flightSummary(r1, dir); !strings.Contains(s, "flight recorder: last") || !strings.Contains(s, dir) {
 		t.Errorf("flight summary malformed: %s", s)
 	}
 }
