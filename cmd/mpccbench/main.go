@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		id      = fs.String("exp", "", "experiment id (or \"all\")")
 		dur     = fs.Duration("dur", 20*time.Second, "virtual run duration")
 		warmup  = fs.Duration("warmup", 8*time.Second, "warmup omitted from averages")
-		reps    = fs.Int("reps", 1, "replicates per cell, at seeds seed+1000·r; above 1 a sweep cell reads their mean [min..max]")
+		reps    = fs.Int("reps", 1, "replicates per cell, at seeds seed+1000·r; above 1 every cell reads their mean [min..max]")
 		seed    = fs.Int64("seed", 42, "base random seed")
 		full    = fs.Bool("full", false, "paper-scale sweeps (576-config grids, 75 MB downloads)")
 		csvdir  = fs.String("csvdir", "", "also write each table as CSV into this directory")

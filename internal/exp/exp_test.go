@@ -1,12 +1,12 @@
 package exp
 
 import (
-	"strconv"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"mpcc/internal/sim"
-	"mpcc/internal/stats"
 	"mpcc/internal/topo"
 )
 
@@ -115,20 +115,30 @@ func TestRunAveraged(t *testing.T) {
 	cfg := tiny()
 	spec := Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
 		Topo: topo.Fig3b(), Proto: Reno}
-	avg := runReps([]Spec{spec}, 2, func(r *Result) float64 { return r.Flows["mp"].GoodputBps }, stats.Mean)[0]
-	if avg <= 0 {
-		t.Fatal("averaged goodput zero")
+	f := runSpecs([]Spec{spec}, 2, func(r *Result) []float64 { return []float64{r.Flows["mp"].GoodputBps} })[0]
+	if f.reps != 2 || !(f.mean[0] > 0) || f.lo[0] > f.mean[0] || f.mean[0] > f.hi[0] {
+		t.Fatalf("averaged goodput %v over %d replicates, range [%v..%v]", f.mean[0], f.reps, f.lo[0], f.hi[0])
 	}
 }
 
+// TestTableRendering pins Fprint's layout: columns padded to their widest
+// cell counted in runes, so a cell holding ± lines up with the rest, an
+// underline as long as the header, then the notes.
 func TestTableRendering(t *testing.T) {
-	tab := &Table{Title: "T", Header: []string{"a", "bb"}, Notes: []string{"n1"}}
-	tab.AddRow("1", "2")
-	s := render(tab)
-	for _, want := range []string{"== T ==", "a", "bb", "note: n1"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("rendered table missing %q:\n%s", want, s)
-		}
+	tab := &Table{Title: "T", Header: []string{"a", "bb", "c"}, Notes: []string{"n1"}}
+	tab.addRow([]string{"1"}, cell{"70±12", 70}, numCell("%.0f", 3))
+	tab.addRow([]string{"22"}, cell{"-", math.NaN()}, numCell("%.0f", 4))
+	want := "== T ==\n" +
+		"a   bb     c\n" +
+		"------------\n" +
+		"1   70±12  3\n" +
+		"22  -      4\n" +
+		"note: n1\n"
+	if got := render(tab); got != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", got, want)
+	}
+	if got := fmt.Sprint(tab.Vals); got != "[[NaN 70 3] [NaN NaN 4]]" {
+		t.Fatalf("Vals = %s, want NaN for each label and each missing value", got)
 	}
 }
 
@@ -251,23 +261,13 @@ func TestSchedulerValidationShape(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	def := parseMbps(t, tab.Rows[0][1])
-	rate := parseMbps(t, tab.Rows[1][1])
+	def, rate := tab.Vals[0][1], tab.Vals[1][1]
 	if rate <= def {
 		t.Fatalf("rate scheduler (%v) should beat default (%v)", rate, def)
 	}
 	if def > 140 {
 		t.Fatalf("default scheduler too good (%v Mbps); starvation not reproduced", def)
 	}
-}
-
-func parseMbps(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("bad number %q: %v", s, err)
-	}
-	return v
 }
 
 // smallDC shrinks the Fig. 19 workload to a two-second smoke.
@@ -282,17 +282,21 @@ func smallDC() DCConfig {
 
 func TestDataCenterSmoke(t *testing.T) {
 	spec := dcSpec(3, MPCCLoss, smallDC())
-	res := dcClasses(spec.Flows, Run(spec))
-	for _, class := range []string{"short", "medium", "long"} {
-		c := res[class]
-		if c.Started == 0 {
+	started := map[string]int{}
+	for _, f := range spec.Flows {
+		started[dcClass(f)]++
+	}
+	// Per class: the completed count, then the mean FCT.
+	fcts := dcFCTs(spec.Flows)(Run(spec))
+	for c, class := range dcClasses {
+		if started[class] == 0 {
 			t.Fatalf("%s: no flows started", class)
 		}
-		if c.Done == 0 {
-			t.Fatalf("%s: no flows completed (started %d)", class, c.Started)
+		if fcts[7*c] == 0 {
+			t.Fatalf("%s: no flows completed (started %d)", class, started[class])
 		}
 	}
-	if res["short"].Stats.Mean >= res["long"].Stats.Mean {
+	if short, long := fcts[1], fcts[7*2+1]; short >= long {
 		t.Fatal("short flows should finish faster than long ones")
 	}
 }

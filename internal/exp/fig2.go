@@ -18,8 +18,8 @@ func Fig2GradientField() *Table {
 		Header: []string{"x_Mbps", "y_Mbps", "dU_MPCC/dx", "dU_PCC/dy"},
 	}
 	for _, p := range pts {
-		t.AddRow(fmt.Sprintf("%.0f", p.X), fmt.Sprintf("%.0f", p.Y),
-			fmt.Sprintf("%+.3f", p.DX), fmt.Sprintf("%+.3f", p.DY))
+		t.addRow([]string{fmt.Sprintf("%.0f", p.X), fmt.Sprintf("%.0f", p.Y)},
+			numCell("%+.3f", p.DX), numCell("%+.3f", p.DY))
 	}
 	t.Notes = append(t.Notes,
 		"equilibrium (red dot in the paper): PCC at ≈100 Mbps, MPCC's shared subflow at ≈0")

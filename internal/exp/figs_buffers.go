@@ -21,7 +21,7 @@ func pctLabel(frac float64) []string { return []string{fmt.Sprintf("%g", frac*10
 func bufferSweep(cfg Config, tp func() *topo.Topology, protos []Protocol, sp Protocol, metrics ...metric) sweep[int] {
 	return sweep[int]{
 		head: []string{"buffer_KB"}, rows: Fig5aBuffers, label: kbLabel,
-		protos: protos, reps: cfg.Reps, metrics: metrics,
+		protos: protos, metrics: metrics,
 		spec: func(buf int, p Protocol) Spec {
 			s := cfg.spec(tp(), p, bufTweak("link1", buf*1000))
 			s.SPProto = sp
@@ -56,7 +56,7 @@ var Fig6LossRates = []float64{0.00001, 0.0001, 0.001, 0.01, 0.05, 0.1}
 func lossSweep(cfg Config, tp func() *topo.Topology, protos []Protocol, sp Protocol, metrics ...metric) sweep[float64] {
 	return sweep[float64]{
 		head: []string{"loss_pct"}, rows: Fig6LossRates, label: pctLabel,
-		protos: protos, reps: cfg.Reps, metrics: metrics,
+		protos: protos, metrics: metrics,
 		spec: func(loss float64, p Protocol) Spec {
 			s := cfg.spec(tp(), p, lossTweak("link1", loss))
 			s.SPProto = sp

@@ -14,7 +14,7 @@ var Fig9Protocols = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, 
 func selfInducedLatency(cfg Config) sweep[int] {
 	return sweep[int]{
 		head: []string{"buffer_KB"}, rows: Fig9Buffers, label: kbLabel,
-		protos: Fig9Protocols, reps: cfg.Reps,
+		protos: Fig9Protocols,
 		spec: func(buf int, p Protocol) Spec {
 			return cfg.spec(topo.Fig3e(), p, func(n *topo.Net) {
 				n.Link("link1").SetBuffer(buf * 1000)
@@ -45,8 +45,8 @@ func convergenceSuite(cfg Config) sweep[*topo.Topology] {
 		head: []string{"protocol"}, byProto: true,
 		rows:   topo.ConvergenceSuite(),
 		label:  func(tp *topo.Topology) []string { return []string{tp.Name} },
-		protos: Fig10Protocols, reps: cfg.Reps,
-		spec: func(tp *topo.Topology, p Protocol) Spec { return cfg.spec(tp, p, nil) },
+		protos: Fig10Protocols,
+		spec:   func(tp *topo.Topology, p Protocol) Spec { return cfg.spec(tp, p, nil) },
 		metrics: []metric{
 			{title: "Fig 10a — Jain fairness index per topology", format: "%.3f",
 				value: func(r *Result) float64 { return r.Jain }},
@@ -74,13 +74,9 @@ func ObservationSinglePath(cfg Config) *Table {
 		labels = append(labels, string(p))
 		specs = append(specs, cfg.spec(topo.Fig4a(), p, nil))
 	}
-	// A cell is the mean over cfg.Reps replicates.
-	rows := runReps(specs, cfg.Reps, func(res *Result) []float64 {
+	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
 		sp, mp := res.Flows["sp"], res.Flows["mp"]
-		return []float64{sp.GoodputBps + mp.GoodputBps, sp.GoodputBps, mp.GoodputBps, mp.SubflowGoodputBps[0]}
-	}, meanEach)
-	for i, row := range rows {
-		t.AddRow(labels[i], mbps(row[0]), mbps(row[1]), mbps(row[2]), mbps(row[3]))
-	}
+		return []float64{(sp.GoodputBps + mp.GoodputBps) / 1e6, sp.GoodputBps / 1e6, mp.GoodputBps / 1e6, mp.SubflowGoodputBps[0] / 1e6}
+	})
 	return t
 }

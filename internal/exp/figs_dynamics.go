@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mpcc/internal/fairness"
 	"mpcc/internal/sim"
@@ -10,43 +11,23 @@ import (
 	"mpcc/internal/topo"
 )
 
-// ChangingResult carries the Fig. 7/8 timeseries.
-type ChangingResult struct {
-	// Per epoch: the optimal (link-1 bandwidth) line and each protocol's
-	// multipath-subflow-on-link-1 goodput (Fig. 7), plus the single-path
-	// flow's goodput and LMMF fair share (Fig. 8).
-	Epochs     []int
-	OptMbps    []float64
-	FairMbps   []float64
-	MPSubflow  map[Protocol][]float64
-	SPGoodput  map[Protocol][]float64
-	TrackError map[Protocol]float64 // mean |subflow − opt| in Mbps
-	FairError  map[Protocol]float64 // mean |sp − fair share| in Mbps
-
-	protos []Protocol // the lineup that ran, in table-column order
-}
-
 // Fig7Protocols is the protocol lineup of Figs. 7–8.
 var Fig7Protocols = []Protocol{MPCCLatency, Reno, LIA, OLIA, Balia, WVegas}
 
 // ChangingConditions reproduces Figs. 7 and 8: on topology 3c, link 1's
 // bandwidth, latency and loss are re-randomized every epoch (the paper uses
 // 30 s epochs over 1400 s; epochDur scales that down) and each protocol's
-// tracking of the optimum is measured.
-func ChangingConditions(cfg Config, epochs int, epochDur sim.Time) *ChangingResult {
+// tracking of the optimum is measured. It returns the Fig. 7 table (the
+// multipath subflow on link 1 against the optimal line, its bandwidth) and
+// the Fig. 8 table (the single-path flow against its LMMF fair share): one
+// row per epoch, then the mean absolute error in Mbps.
+func ChangingConditions(cfg Config, epochs int, epochDur sim.Time) []*Table {
 	return changingConditions(cfg, epochs, epochDur, Fig7Protocols)
 }
 
-func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Protocol) *ChangingResult {
-	r := &ChangingResult{
-		protos:     protos,
-		MPSubflow:  make(map[Protocol][]float64),
-		SPGoodput:  make(map[Protocol][]float64),
-		TrackError: make(map[Protocol]float64),
-		FairError:  make(map[Protocol]float64),
-	}
-	// Pre-draw the epoch conditions once so every protocol faces the same
-	// trace (as in the paper's figure).
+func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Protocol) []*Table {
+	// Pre-draw the epoch conditions once so every protocol, and every
+	// replicate, faces the same trace (as in the paper's figure).
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	type cond struct {
 		bw   float64
@@ -61,9 +42,9 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 			loss: 0.0001 + 0.0009*rng.Float64(),
 		}
 	}
+	opt, fair := make([]float64, epochs), make([]float64, epochs)
 	for i, c := range conds {
-		r.Epochs = append(r.Epochs, i)
-		r.OptMbps = append(r.OptMbps, c.bw/1e6)
+		opt[i] = c.bw / 1e6
 		// LMMF fair share for the SP flow given link-1 bandwidth c.bw.
 		alloc, err := fairness.LMMF(&fairness.Network{
 			Capacity: []float64{c.bw / 1e6, 100},
@@ -72,7 +53,7 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 		if err != nil {
 			panic(err)
 		}
-		r.FairMbps = append(r.FairMbps, alloc.Totals[1])
+		fair[i] = alloc.Totals[1]
 	}
 
 	specs := make([]Spec, len(protos))
@@ -93,64 +74,49 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 			},
 		}
 	}
-	type tracking struct {
-		mp, sp            []float64
-		trackErr, fairErr float64
-	}
-	for i, tr := range runSpecs(specs, func(res *Result) (tr tracking) {
+	// A run reduces to the subflow's per-epoch goodput and its mean absolute
+	// error, then the same for the single-path flow.
+	runs := runSpecs(specs, cfg.Reps, func(res *Result) []float64 {
 		mpSeries := res.Flows["mp"].SubflowSeries[0] // subflow on link1
 		spSeries := res.Flows["sp"].Series
 		bucketsPerEpoch := int(epochDur / stats.DefaultBucket)
+		out := make([]float64, 2*(epochs+1))
+		mp, sp := out[:epochs], out[epochs+1:2*epochs+1]
 		for i := 0; i < epochs; i++ {
 			// Skip the first half of each epoch (adaptation transient).
 			lo := i*bucketsPerEpoch + bucketsPerEpoch/2
 			hi := (i + 1) * bucketsPerEpoch
-			tr.mp = append(tr.mp, stats.Mean(window(mpSeries, lo, hi))/1e6)
-			tr.sp = append(tr.sp, stats.Mean(window(spSeries, lo, hi))/1e6)
-			tr.trackErr += abs(tr.mp[i] - r.OptMbps[i])
-			tr.fairErr += abs(tr.sp[i] - r.FairMbps[i])
+			mp[i] = stats.Mean(window(mpSeries, lo, hi)) / 1e6
+			sp[i] = stats.Mean(window(spSeries, lo, hi)) / 1e6
+			out[epochs] += abs(mp[i] - opt[i])
+			out[2*epochs+1] += abs(sp[i] - fair[i])
 		}
-		return tr
-	}) {
-		p := protos[i]
-		r.MPSubflow[p] = tr.mp
-		r.SPGoodput[p] = tr.sp
-		r.TrackError[p] = tr.trackErr / float64(epochs)
-		r.FairError[p] = tr.fairErr / float64(epochs)
-	}
-	return r
-}
-
-// Fig7Table renders the Fig. 7 tracking comparison.
-func (r *ChangingResult) Fig7Table() *Table {
-	return r.table("Fig 7 — multipath subflow on changing link 1 vs optimum, Mbps",
-		"OPT", r.OptMbps, r.MPSubflow, r.TrackError)
-}
-
-// Fig8Table renders the Fig. 8 fair-share comparison.
-func (r *ChangingResult) Fig8Table() *Table {
-	return r.table("Fig 8 — single-path flow vs LMMF fair share under changing conditions, Mbps",
-		"FAIR", r.FairMbps, r.SPGoodput, r.FairError)
-}
-
-// table renders one per-epoch comparison: the reference line, then each
-// protocol's series, and a closing row of mean absolute errors.
-func (r *ChangingResult) table(title, refName string, ref []float64,
-	series map[Protocol][]float64, errs map[Protocol]float64) *Table {
-	t := &Table{Title: title, Header: append([]string{"epoch", refName}, protoNames(r.protos)...)}
-	for i := range r.Epochs {
-		row := []string{fmt.Sprint(i), fmt.Sprintf("%.1f", ref[i])}
-		for _, p := range r.protos {
-			row = append(row, fmt.Sprintf("%.1f", series[p][i]))
+		out[epochs] /= float64(epochs)
+		out[2*epochs+1] /= float64(epochs)
+		return out
+	})
+	// table renders one per-epoch comparison: the reference line, then each
+	// protocol's series (values off on), and a closing row of the mean
+	// absolute errors.
+	table := func(title, refName string, ref []float64, off int) *Table {
+		t := &Table{Title: title, Header: append([]string{"epoch", refName}, protoNames(protos)...)}
+		mbpsRow := func(label string, ref float64, k int) {
+			row := []cell{numCell("%.1f", ref)}
+			for _, f := range runs {
+				row = append(row, f.cell(k, mbpsCol))
+			}
+			t.addRow([]string{label}, row...)
 		}
-		t.AddRow(row...)
+		for i := range ref {
+			mbpsRow(fmt.Sprint(i), ref[i], off+i)
+		}
+		mbpsRow("mean |err|", 0, off+epochs)
+		return t
 	}
-	tr := []string{"mean |err|", "0.0"}
-	for _, p := range r.protos {
-		tr = append(tr, fmt.Sprintf("%.1f", errs[p]))
+	return []*Table{
+		table("Fig 7 — multipath subflow on changing link 1 vs optimum, Mbps", "OPT", opt, 0),
+		table("Fig 8 — single-path flow vs LMMF fair share under changing conditions, Mbps", "FAIR", fair, epochs+1),
 	}
-	t.AddRow(tr...)
-	return t
 }
 
 // ConvergenceTrace reproduces Fig. 11: per-subflow rate timeseries of
@@ -162,21 +128,19 @@ func ConvergenceTrace(cfg Config) *Table {
 		Header: []string{"protocol", "flow", "mean", "jitter"},
 	}
 	specs := []Spec{cfg.spec(topo.Fig3c(), MPCCLatency, nil), cfg.spec(topo.Fig3c(), Balia, nil)}
+	// Topology 3c's flows: each subflow of the multipath one, then the
+	// single-path one; a run reduces to the mean and stddev of each.
+	flows := []string{"mp-sf1", "mp-sf2", "sp"}
 	warmBuckets := int(cfg.Warmup / stats.DefaultBucket)
-	for i, rows := range runSpecs(specs, func(res *Result) (rows [][]string) {
-		stat := func(flow string, series []float64) {
+	for i, f := range runSpecs(specs, cfg.Reps, func(res *Result) (out []float64) {
+		for _, series := range append(slices.Clip(res.Flows["mp"].SubflowSeries), res.Flows["sp"].Series) {
 			post := tailMbps(series, warmBuckets)
-			rows = append(rows, []string{flow,
-				fmt.Sprintf("%.1f", stats.Mean(post)), fmt.Sprintf("%.1f", stats.Stddev(post))})
+			out = append(out, stats.Mean(post), stats.Stddev(post))
 		}
-		for si, series := range res.Flows["mp"].SubflowSeries {
-			stat(fmt.Sprintf("mp-sf%d", si+1), series)
-		}
-		stat("sp", res.Flows["sp"].Series)
-		return rows
+		return out
 	}) {
-		for _, row := range rows {
-			t.AddRow(append([]string{string(specs[i].Proto)}, row...)...)
+		for j, flow := range flows {
+			t.addRow([]string{string(specs[i].Proto), flow}, f.cells(2*j, mbpsCol, mbpsCol)...)
 		}
 	}
 	return t

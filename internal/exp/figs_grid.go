@@ -82,16 +82,16 @@ func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridRes
 		}
 	}
 	// A point is the mean of the replicates' (utilization, Jain) pairs.
-	points := runReps(specs, cfg.Reps, func(r *Result) []float64 { return []float64{r.Utilization, r.Jain} }, meanEach)
+	points := runSpecs(specs, cfg.Reps, func(r *Result) []float64 { return []float64{r.Utilization, r.Jain} })
 	res := &GridResult{
 		Configs:   len(specs) / len(protos),
 		UtilRatio: make(map[Protocol][]float64),
 		JainRatio: make(map[Protocol][]float64),
 	}
 	for i := 0; i < len(points); i += len(protos) {
-		mpcc := points[i]
+		mpcc := points[i].mean
 		for bi, base := range GridBaselines {
-			b := points[i+1+bi]
+			b := points[i+1+bi].mean
 			res.UtilRatio[base] = append(res.UtilRatio[base], ratio(mpcc[0], b[0]))
 			res.JainRatio[base] = append(res.JainRatio[base], ratio(mpcc[1], b[1]))
 		}
@@ -130,9 +130,8 @@ func (g *GridResult) Table(title string) *Table {
 		}
 		for _, row := range rows {
 			s := stats.Summarize(row.vals)
-			t.AddRow(row.name,
-				fmt.Sprintf("%.2f", s.Mean), fmt.Sprintf("%.2f", s.Median),
-				fmt.Sprintf("%.2f", s.P5), fmt.Sprintf("%.2f", s.P95))
+			t.addRow([]string{row.name}, numCell("%.2f", s.Mean), numCell("%.2f", s.Median),
+				numCell("%.2f", s.P5), numCell("%.2f", s.P95))
 		}
 	}
 	return t

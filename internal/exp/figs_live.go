@@ -14,7 +14,7 @@ var LiveProtocols = []Protocol{MPCCLatency, MPCCLoss, LIA, OLIA, Balia, WVegas, 
 
 // liveDownloads declares Fig. 16 for one home of §7.3: timed file downloads
 // from the six AWS regions over synthetic WiFi+cellular paths (see
-// topo.NewWANPair for the substitution), one simulation (× cfg.Reps) per
+// topo.NewWANPair for the substitution), one simulation (× replicates) per
 // (server, protocol), the download time in seconds in each cell. The default
 // downloads 25 MB; with cfg.Full the paper's 75 MB.
 func liveDownloads(cfg Config, home string) sweep[string] {
@@ -25,7 +25,7 @@ func liveDownloads(cfg Config, home string) sweep[string] {
 	return sweep[string]{
 		head: []string{"server"}, rows: topo.Servers,
 		label:  func(server string) []string { return []string{server} },
-		protos: LiveProtocols, reps: cfg.Reps,
+		protos: LiveProtocols,
 		spec: func(server string, p Protocol) Spec {
 			return DownloadSpec(cfg.Seed, server, home, p, fileBytes)
 		},
@@ -82,8 +82,8 @@ func Fig17Table(cfg Config) *Table {
 	}
 	sums, n := make([]float64, len(LiveProtocols)), 0
 	for _, home := range topo.Homes {
-		_, vals := liveDownloads(cfg, home).run()
-		for _, secs := range vals[0] { // one row per server, one column per protocol
+		for _, row := range liveDownloads(cfg, home).tables(cfg.Reps)[0].Vals {
+			secs := row[1:] // the server, then one column per protocol
 			n++
 			for p, v := range secs {
 				sums[p] += v / secs[0] // LiveProtocols[0] is MPCC-latency; >1 means slower than it
@@ -91,7 +91,7 @@ func Fig17Table(cfg Config) *Table {
 		}
 	}
 	for p, proto := range LiveProtocols {
-		t.AddRow(string(proto), fmt.Sprintf("%.2f", sums[p]/float64(n)))
+		t.addRow([]string{string(proto)}, numCell("%.2f", sums[p]/float64(n)))
 	}
 	return t
 }

@@ -3,7 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"testing"
 
@@ -31,18 +31,18 @@ func render(t *Table) string {
 
 // The shape tests subsample a figure by trimming rows and protocols on their
 // own copy of its declaration, and read the numbers behind the cells —
-// vals[metric][table row][column] — rather than parsing them back out.
+// Table.Vals[row][column] — rather than parsing them back out.
 
 func TestShallowBufferShape(t *testing.T) {
 	// Only the smallest and the BDP buffer and two protocols: MPCC must beat
 	// LIA at 3 KB (the Fig. 5a separation).
 	s := shallowBufferMP(micro())
 	s.rows, s.protos = []int{3, 375}, []Protocol{MPCCLoss, LIA}
-	tabs, vals := s.run()
+	tabs := s.tables(1)
 	if len(tabs) != 1 || len(tabs[0].Rows) != 2 || len(tabs[0].Rows[0]) != 3 {
 		t.Fatalf("trimmed sweep rendered %d tables, rows %v", len(tabs), tabs[0].Rows)
 	}
-	mpcc3, lia3 := vals[0][0][0], vals[0][0][1]
+	mpcc3, lia3 := tabs[0].Vals[0][1], tabs[0].Vals[0][2]
 	if mpcc3 < 140 {
 		t.Fatalf("MPCC at 3KB = %.1f Mbps, want near full 2-link utilization", mpcc3)
 	}
@@ -54,8 +54,8 @@ func TestShallowBufferShape(t *testing.T) {
 func TestRandomLossShape(t *testing.T) {
 	s := randomLossMP(micro())
 	s.rows, s.protos = []float64{0.01}, []Protocol{MPCCLoss, LIA}
-	_, vals := s.run()
-	mpccG, liaG := vals[0][0][0], vals[0][0][1]
+	vals := s.tables(1)[0].Vals
+	mpccG, liaG := vals[0][1], vals[0][2]
 	// Fig. 6a headline: at 1% loss MPCC retains most capacity, LIA collapses.
 	if mpccG < 120 {
 		t.Fatalf("MPCC at 1%% loss = %.1f Mbps", mpccG)
@@ -68,8 +68,8 @@ func TestRandomLossShape(t *testing.T) {
 func TestSelfInducedLatencyShape(t *testing.T) {
 	s := selfInducedLatency(micro())
 	s.rows, s.protos = []int{1000}, []Protocol{MPCCLatency, LIA}
-	tabs, vals := s.run()
-	mpccLat, liaLat := vals[0][0][0], vals[0][0][1]
+	tabs := s.tables(1)
+	mpccLat, liaLat := tabs[0].Vals[0][1], tabs[0].Vals[0][2]
 	// Fig. 9: with deep (1000 KB) buffers the loss-based LIA bloats the
 	// queue; MPCC-latency stays near the 60 ms base RTT.
 	if mpccLat >= liaLat {
@@ -87,7 +87,7 @@ func TestSelfInducedLatencyShape(t *testing.T) {
 func TestConvergenceSuiteShape(t *testing.T) {
 	s := convergenceSuite(micro())
 	s.protos = []Protocol{MPCCLoss, LIA}
-	tabs, vals := s.run()
+	tabs := s.tables(1)
 	fair, util := tabs[0], tabs[1]
 	// Fig. 10 is the transposed sweep: protocols label the rows, the five
 	// topologies the columns.
@@ -95,14 +95,14 @@ func TestConvergenceSuiteShape(t *testing.T) {
 		len(fair.Header) != 1+len(s.rows) || fair.Header[1] != s.rows[0].Name {
 		t.Fatalf("wrong table shape: header %v, rows %v", fair.Header, fair.Rows)
 	}
-	for ri := range vals[0] {
-		for ci, jain := range vals[0][ri] {
-			if jain < 0.3 || jain > 1.0+1e-9 {
-				t.Fatalf("jain %s/%s = %v out of range", fair.Rows[ri][0], fair.Header[ci+1], jain)
+	for ri, row := range fair.Vals {
+		for ci := 1; ci < len(row); ci++ {
+			if jain := row[ci]; jain < 0.3 || jain > 1.0+1e-9 {
+				t.Fatalf("jain %s/%s = %v out of range", fair.Rows[ri][0], fair.Header[ci], jain)
 			}
 			// In BDP-buffer conditions both achieve decent utilization everywhere.
-			if u := vals[1][ri][ci]; u < 0.4 || u > 1.05 {
-				t.Fatalf("utilization %s/%s = %v implausible", util.Rows[ri][0], util.Header[ci+1], u)
+			if u := util.Vals[ri][ci]; u < 0.4 || u > 1.05 {
+				t.Fatalf("utilization %s/%s = %v implausible", util.Rows[ri][0], util.Header[ci], u)
 			}
 		}
 	}
@@ -124,8 +124,8 @@ func TestConvergenceTraceJitter(t *testing.T) {
 func TestCubicFriendlinessShapes(t *testing.T) {
 	s := cubicFriendlinessBuffer(micro())
 	s.rows, s.protos = []int{375}, []Protocol{MPCCLatency}
-	_, vals := s.run()
-	mp, sp := vals[0][0][0], vals[1][0][0]
+	tabs := s.tables(1)
+	mp, sp := tabs[0].Vals[0][1], tabs[1].Vals[0][1]
 	// §7.2.6: competing against MPCC-latency, Cubic keeps well over 50% of
 	// its link.
 	if sp < 50 {
@@ -137,20 +137,22 @@ func TestCubicFriendlinessShapes(t *testing.T) {
 }
 
 func TestChangingConditionsTracking(t *testing.T) {
-	r := changingConditions(micro(), 4, 4*sim.Second, []Protocol{MPCCLatency, LIA})
-	if len(r.Epochs) != 4 || len(r.OptMbps) != 4 || len(r.FairMbps) != 4 {
-		t.Fatal("epoch bookkeeping broken")
-	}
-	if len(r.MPSubflow[MPCCLatency]) != 4 || len(r.SPGoodput[LIA]) != 4 {
-		t.Fatal("per-protocol series missing")
+	tabs := changingConditions(micro(), 4, 4*sim.Second, []Protocol{MPCCLatency, LIA})
+	// Each table: one row per epoch, then the mean absolute errors; the
+	// epoch, the reference line, then one column per protocol.
+	for _, tab := range tabs {
+		if len(tab.Rows) != 5 || len(tab.Header) != 4 {
+			t.Fatalf("%s: rows %v", tab.Title, tab.Rows)
+		}
+		for _, row := range tab.Vals {
+			if math.IsNaN(row[2]) || math.IsNaN(row[3]) {
+				t.Fatalf("%s: per-protocol series missing: %v", tab.Title, tab.Vals)
+			}
+		}
 	}
 	// MPCC should track the optimum at least as well as LIA (Fig. 7).
-	if r.TrackError[MPCCLatency] > r.TrackError[LIA]*1.5 {
-		t.Fatalf("MPCC tracking error %.1f far worse than LIA's %.1f",
-			r.TrackError[MPCCLatency], r.TrackError[LIA])
-	}
-	if len(r.Fig7Table().Rows) != 5 || len(r.Fig8Table().Rows) != 5 {
-		t.Fatal("table rendering broken")
+	if errs := tabs[0].Vals[4]; errs[2] > errs[3]*1.5 {
+		t.Fatalf("MPCC tracking error %.1f far worse than LIA's %.1f", errs[2], errs[3])
 	}
 }
 
@@ -190,9 +192,8 @@ func TestWebWorkload(t *testing.T) {
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	for _, row := range tab.Rows {
-		done, err := strconv.Atoi(row[2])
-		if err != nil || done == 0 {
+	for i, row := range tab.Rows {
+		if done := tab.Vals[i][2]; !(done > 0) {
 			t.Fatalf("%s completed %s short flows", row[0], row[2])
 		}
 	}
@@ -213,9 +214,9 @@ func TestObservationSinglePath(t *testing.T) {
 	}
 	sp := map[string]float64{}
 	shared := map[string]float64{}
-	for _, row := range tab.Rows {
-		sp[row[0]] = parseFloat(t, row[2])
-		shared[row[0]] = parseFloat(t, row[4])
+	for i, row := range tab.Rows {
+		sp[row[0]] = tab.Vals[i][2]
+		shared[row[0]] = tab.Vals[i][4]
 	}
 	// The uncoupled per-subflow protocols squeeze the single-path flow by
 	// refusing to vacate the shared link (§7.2.5).
@@ -225,15 +226,6 @@ func TestObservationSinglePath(t *testing.T) {
 	if shared["reno"] <= shared["mpcc-loss"] {
 		t.Fatalf("reno shared-link share %.1f not above MPCC's %.1f", shared["reno"], shared["mpcc-loss"])
 	}
-}
-
-func parseFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("bad float %q", s)
-	}
-	return v
 }
 
 // The paper's §1 motivation: uncoupled per-subflow Vivace behaves like two

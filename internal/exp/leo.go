@@ -55,14 +55,14 @@ func LEOGoodput(cfg Config) *Table {
 	return sweep[sim.Time]{
 		head: []string{"period_s"}, rows: LEOPeriods,
 		label:  func(period sim.Time) []string { return []string{fmt.Sprintf("%g", period.Seconds())} },
-		protos: LEOSet, reps: cfg.Reps,
+		protos: LEOSet,
 		spec: func(period sim.Time, p Protocol) Spec {
 			return cfg.spec(topo.Fig3b(), p, leoTweak(period, cfg.Duration))
 		},
 		metrics: []metric{goodputMbps(
 			"LEO — multipath goodput vs handover period (LEO link1 + terrestrial link2), Mbps", "mp")},
 		notes: []string{"Each handover atomically steps link1 between 150 Mbps/60 ms and 60 Mbps/75 ms (≈0.5–1.4 MB BDP). period_s = 0 is the no-handover baseline; the gap to it is the pure cost of re-learning the path after each discontinuity."},
-	}.tables()[0]
+	}.tables(cfg.Reps)[0]
 }
 
 // LEOHandoverDetail runs the fastest cadence for the latency-flavor
@@ -70,24 +70,32 @@ func LEOGoodput(cfg Config) *Table {
 // and loss probes, showing how the controller re-converges after each step.
 func LEOHandoverDetail(cfg Config) *Table {
 	period := 2 * sim.Second
-	res := Run(cfg.spec(topo.Fig3b(), MPCCLatency, leoTweak(period, cfg.Duration)))
 	t := &Table{
 		Title:  fmt.Sprintf("LEO — MPCC-latency per-interval goodput across %gs handovers", period.Seconds()),
 		Header: []string{"interval_s", "goodput_mbps"},
 	}
-	// Result.Series buckets goodput from t=0; fold it to one row per
-	// handover interval so each row spans exactly one satellite dwell.
-	series := res.Flows["mp"].Series
-	bucketsPerPeriod := int(period / stats.DefaultBucket)
-	for start := 0; start < len(series); start += bucketsPerPeriod {
-		dwell := window(series, start, start+bucketsPerPeriod)
-		end := start + len(dwell)
-		t.AddRow(fmt.Sprintf("%g–%g",
-			(sim.Time(start)*stats.DefaultBucket).Seconds(), (sim.Time(end)*stats.DefaultBucket).Seconds()),
-			mbps(stats.Mean(dwell)))
+	// One row per satellite dwell, the last cut at the end of the run.
+	var dwells []string
+	for start := sim.Time(0); start < cfg.Duration; start += period {
+		dwells = append(dwells, fmt.Sprintf("%g–%g", start.Seconds(), min(start+period, cfg.Duration).Seconds()))
 	}
-	if st := res.Net.Link("link1").Stats(); st.Handovers > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("link1 executed %d handovers on the %gs cadence; each row is one dwell interval, so the dip-and-recover shape of each re-learning episode is visible directly.", st.Handovers, period.Seconds()))
+	// A run reduces to its mean goodput in each dwell (Result.Series buckets
+	// goodput from t=0), then link1's handover count.
+	bucketsPerPeriod := int(period / stats.DefaultBucket)
+	spec := cfg.spec(topo.Fig3b(), MPCCLatency, leoTweak(period, cfg.Duration))
+	f := runSpecs([]Spec{spec}, cfg.Reps, func(res *Result) []float64 {
+		out := make([]float64, len(dwells)+1)
+		for k := range dwells {
+			out[k] = stats.Mean(window(res.Flows["mp"].Series, k*bucketsPerPeriod, (k+1)*bucketsPerPeriod)) / 1e6
+		}
+		out[len(dwells)] = float64(res.Net.Link("link1").Stats().Handovers)
+		return out
+	})[0]
+	for k, dwell := range dwells {
+		t.addRow([]string{dwell}, f.cell(k, mbpsCol))
+	}
+	if handovers := f.mean[len(dwells)]; handovers > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("link1 executed %.0f handovers on the %gs cadence; each row is one dwell interval, so the dip-and-recover shape of each re-learning episode is visible directly.", handovers, period.Seconds()))
 	}
 	return t
 }

@@ -82,18 +82,11 @@ var everyRunner = []struct {
 		return []float64{Run(DownloadSpec(1, "Ohio", "Boston", MPCCLoss, 1_000_000)).Flows["dl"].FCT.Seconds()}
 	}},
 	{"dcSpec", func() []float64 {
-		var out []float64
 		spec := dcSpec(3, MPCCLoss, smallDC())
-		res := dcClasses(spec.Flows, Run(spec))
-		for _, class := range []string{"short", "medium", "long"} {
-			c := res[class]
-			out = append(out, float64(c.Done), c.Stats.Mean, c.Stats.Median, c.Stats.P99)
-		}
-		return out
+		return dcFCTs(spec.Flows)(Run(spec))
 	}},
 	{"webSpec", func() []float64 {
-		bulk, done, med, p95 := webStats(Run(webSpec(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)))
-		return []float64{bulk, float64(done), med, p95}
+		return webStats(Run(webSpec(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)))
 	}},
 }
 

@@ -52,14 +52,14 @@ func PolicerGoodput(cfg Config) *Table {
 		label: func(c contract) []string {
 			return []string{fmt.Sprintf("%g", c.rate/1e6), fmt.Sprintf("%g", float64(c.depth)/1e3)}
 		},
-		protos: PolicerSet, reps: cfg.Reps,
+		protos: PolicerSet,
 		spec: func(c contract, p Protocol) Spec {
 			return cfg.spec(topo.SharedBottleneck(), p, policerTweak(c.rate, c.depth))
 		},
 		metrics: []metric{goodputMbps(
 			"Policer — multipath goodput vs token-bucket contract (shared bottleneck), Mbps", "mp")},
 		notes: []string{"The policer admits exactly rate_mbps (plus one burst_kb bucket), dropping the excess with zero added delay: goodput at the contract rate means the controller survived loss that carried no latency warning."},
-	}.tables()[0]
+	}.tables(cfg.Reps)[0]
 }
 
 // PolicerLossSignal sweeps bucket depth at a fixed contract rate for the
@@ -80,7 +80,8 @@ func PolicerLossSignal(cfg Config) *Table {
 		labels = append(labels, fmt.Sprintf("%g", float64(depth)/1e3))
 		specs = append(specs, cfg.spec(topo.SharedBottleneck(), MPCCLatency, policerTweak(PolicerRates[0], depth)))
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
+	cols := []column{mbpsCol, countCol, countCol, countCol, countCol, countCol, {format: "%.2f"}}
+	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
 		var declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			declared += sf.LostPkts()
@@ -93,10 +94,10 @@ func PolicerLossSignal(cfg Config) *Table {
 			policerDrops += st.DropsPolicer
 			queueDrops += st.DropsQueueFull
 		}
-		return []string{mbps(res.Flows["mp"].GoodputBps),
-			fmt.Sprint(policerDrops), fmt.Sprint(queueDrops),
-			fmt.Sprint(declared), fmt.Sprint(spurious), fmt.Sprint(corrected),
-			fmt.Sprintf("%.2f", res.Flows["mp"].LatencyMean*1e3)}
+		return []float64{res.Flows["mp"].GoodputBps / 1e6,
+			float64(policerDrops), float64(queueDrops),
+			float64(declared), float64(spurious), float64(corrected),
+			res.Flows["mp"].LatencyMean * 1e3}
 	})
 	t.Notes = append(t.Notes,
 		"policer_drops land with the queue empty, so latency_ms holds at the 120 ms base RTT at every depth: the whole congestion signal is in corrected (= declared − spurious) losses, none of it in the latency gradient.")

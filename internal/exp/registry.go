@@ -22,39 +22,37 @@ func Registry() []Experiment {
 			return []*Table{Fig2GradientField()}
 		}},
 		{"fig5a", "multipath goodput vs shallow buffers (Fig. 5a)", func(cfg Config) []*Table {
-			return shallowBufferMP(cfg).tables()
+			return shallowBufferMP(cfg).tables(cfg.Reps)
 		}},
 		{"fig5b", "single-path goodput vs shallow buffers (Fig. 5b)", func(cfg Config) []*Table {
-			return shallowBufferSP(cfg).tables()
+			return shallowBufferSP(cfg).tables(cfg.Reps)
 		}},
 		{"fig6a", "multipath goodput vs random loss (Fig. 6a)", func(cfg Config) []*Table {
-			return randomLossMP(cfg).tables()
+			return randomLossMP(cfg).tables(cfg.Reps)
 		}},
 		{"fig6b", "single-path goodput vs random loss (Fig. 6b)", func(cfg Config) []*Table {
-			return randomLossSP(cfg).tables()
+			return randomLossSP(cfg).tables(cfg.Reps)
 		}},
 		{"fig7", "tracking the optimum under changing conditions (Fig. 7)", func(cfg Config) []*Table {
-			r := ChangingConditions(cfg, 8, 5*sim.Second)
-			return []*Table{r.Fig7Table()}
+			return ChangingConditions(cfg, 8, 5*sim.Second)[:1]
 		}},
 		{"fig8", "single-path fair share under changing conditions (Fig. 8)", func(cfg Config) []*Table {
-			r := ChangingConditions(cfg, 8, 5*sim.Second)
-			return []*Table{r.Fig8Table()}
+			return ChangingConditions(cfg, 8, 5*sim.Second)[1:]
 		}},
 		{"fig9", "self-induced latency vs buffer size (Fig. 9)", func(cfg Config) []*Table {
-			return selfInducedLatency(cfg).tables()
+			return selfInducedLatency(cfg).tables(cfg.Reps)
 		}},
 		{"fig10", "fairness and utilization across topologies (Fig. 10)", func(cfg Config) []*Table {
-			return convergenceSuite(cfg).tables()
+			return convergenceSuite(cfg).tables(cfg.Reps)
 		}},
 		{"fig11", "convergence and rate-jitter, MPCC vs Balia (Fig. 11)", func(cfg Config) []*Table {
 			return []*Table{ConvergenceTrace(cfg)}
 		}},
 		{"fig12", "TCP-Cubic friendliness vs buffers (Fig. 12)", func(cfg Config) []*Table {
-			return cubicFriendlinessBuffer(cfg).tables()
+			return cubicFriendlinessBuffer(cfg).tables(cfg.Reps)
 		}},
 		{"fig13", "TCP-Cubic friendliness vs random loss (Fig. 13)", func(cfg Config) []*Table {
-			return cubicFriendlinessLoss(cfg).tables()
+			return cubicFriendlinessLoss(cfg).tables(cfg.Reps)
 		}},
 		{"fig14", "Table-1 parameter grid on topology 3c (Fig. 14)", func(cfg Config) []*Table {
 			g := ParameterGrid(cfg, topo.Fig3c, 16)
@@ -67,7 +65,7 @@ func Registry() []Experiment {
 		{"fig16", "AWS→residential download times (Fig. 16)", func(cfg Config) []*Table {
 			var out []*Table
 			for _, home := range topo.Homes {
-				out = append(out, liveDownloads(cfg, home).tables()...)
+				out = append(out, liveDownloads(cfg, home).tables(cfg.Reps)...)
 			}
 			return out
 		}},

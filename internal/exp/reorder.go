@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"mpcc/internal/netem"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
@@ -47,14 +45,14 @@ func reorderTweak(prob float64) func(*topo.Net) {
 func ReorderGoodput(cfg Config) *Table {
 	return sweep[float64]{
 		head: []string{"reorder_pct"}, rows: ReorderIntensities, label: pctLabel,
-		protos: ReorderSet, reps: cfg.Reps,
+		protos: ReorderSet,
 		spec: func(prob float64, p Protocol) Spec {
 			return cfg.spec(topo.Fig3b(), p, reorderTweak(prob))
 		},
 		metrics: []metric{goodputMbps(
 			"Reorder — multipath goodput vs reordering intensity on both links (topology 3b), Mbps", "mp")},
 		notes: []string{"Reordering is pure arrival inversion (no packets destroyed): RACK-style time-based detection plus spurious-retransmit repair should keep goodput near the 0% column at every intensity."},
-	}.tables()[0]
+	}.tables(cfg.Reps)[0]
 }
 
 // ReorderLossSignal sweeps the same intensities for the MPCC-loss protagonist
@@ -74,7 +72,8 @@ func ReorderLossSignal(cfg Config) *Table {
 		labels = append(labels, pctLabel(prob)[0])
 		specs = append(specs, cfg.spec(topo.Fig3b(), MPCCLoss, reorderTweak(prob)))
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
+	cols := []column{countCol, countCol, countCol, countCol, countCol, countCol}
+	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
 		var sent, declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			sent += sf.SentPkts()
@@ -88,8 +87,8 @@ func ReorderLossSignal(cfg Config) *Table {
 			reordered += st.Reordered
 			drops += st.DropsQueueFull + st.DropsRandom + st.DropsOutage + st.DropsBurst
 		}
-		return []string{fmt.Sprint(reordered), fmt.Sprint(sent), fmt.Sprint(declared),
-			fmt.Sprint(spurious), fmt.Sprint(corrected), fmt.Sprint(drops)}
+		return []float64{float64(reordered), float64(sent), float64(declared),
+			float64(spurious), float64(corrected), float64(drops)}
 	})
 	t.Notes = append(t.Notes,
 		"\"declared\" are loss declarations (dupack/RACK/RTO), \"spurious\" the subset repaired by a late acknowledgement (Eifel), \"corrected\" = declared − spurious is what reaches the controller's monitor-interval statistics. corrected tracks link_drops: the declarations induced by reordering alone are all repaired.")

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
@@ -36,9 +37,9 @@ func SchedulerValidation(cfg Config) *Table {
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
+	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
 		fr := res.Flows["mp"]
-		return []string{mbps(fr.GoodputBps), mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1])}
+		return []float64{fr.GoodputBps / 1e6, fr.SubflowGoodputBps[0] / 1e6, fr.SubflowGoodputBps[1] / 1e6}
 	})
 	return t
 }
@@ -68,14 +69,19 @@ func AblationSchedulerThreshold(cfg Config) *Table {
 			specs = append(specs, s)
 		}
 	}
-	flows := runSpecs(specs, func(res *Result) *FlowResult { return res.Flows["mp"] })
-	for i, thr := range thresholds {
-		bulk, file := flows[2*i], flows[2*i+1]
-		fct := "-"
-		if file.FCT >= 0 {
-			fct = fmt.Sprintf("%.0f", file.FCT.Seconds()*1e3)
+	// Each run reduces to its goodput and its file's FCT (NaN: unfinished);
+	// a row reads the bulk run's goodput and the file run's FCT.
+	runs := runSpecs(specs, cfg.Reps, func(res *Result) []float64 {
+		fr := res.Flows["mp"]
+		fct := math.NaN()
+		if fr.FCT >= 0 {
+			fct = fr.FCT.Seconds() * 1e3
 		}
-		t.AddRow(fmt.Sprintf("%.0f%%", thr*100), mbps(bulk.GoodputBps), fct)
+		return []float64{fr.GoodputBps / 1e6, fct}
+	})
+	for i, thr := range thresholds {
+		t.addRow([]string{fmt.Sprintf("%.0f%%", thr*100)},
+			runs[2*i].cell(0, mbpsCol), runs[2*i+1].cell(1, column{format: "%.0f", missing: "-"}))
 	}
 	return t
 }
@@ -96,9 +102,8 @@ func AblationConnLevel(cfg Config) *Table {
 		s.SPProto = MPCCLoss
 		labels, specs = append(labels, string(p)), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
-		return []string{mbps(res.Flows["mp"].GoodputBps),
-			mbps(res.Flows["sp"].GoodputBps), fmt.Sprintf("%.3f", res.Utilization)}
+	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, {format: "%.3f"}}, func(res *Result) []float64 {
+		return []float64{res.Flows["mp"].GoodputBps / 1e6, res.Flows["sp"].GoodputBps / 1e6, res.Utilization}
 	})
 	return t
 }
@@ -133,16 +138,15 @@ func AblationOmegaBase(cfg Config) *Table {
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
+	cols := []column{mbpsCol, mbpsCol, mbpsCol, {format: "%.2f"}}
+	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
 		fr := res.Flows["mp"]
 		thin := res.Net.Link("link2").Stats()
 		dropPct := 0.0
 		if total := thin.EnqueuedPackets + thin.DropsQueueFull; total > 0 {
 			dropPct = 100 * float64(thin.DropsQueueFull) / float64(total)
 		}
-		return []string{mbps(fr.GoodputBps),
-			mbps(fr.SubflowGoodputBps[0]), mbps(fr.SubflowGoodputBps[1]),
-			fmt.Sprintf("%.2f", dropPct)}
+		return []float64{fr.GoodputBps / 1e6, fr.SubflowGoodputBps[0] / 1e6, fr.SubflowGoodputBps[1] / 1e6, dropPct}
 	})
 	return t
 }
@@ -169,8 +173,9 @@ func AblationNoPublication(cfg Config) *Table {
 		}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.rowPerSpec(labels, specs, func(res *Result) []string {
-		return []string{fmt.Sprintf("%.3f", res.Utilization), fmt.Sprintf("%.3f", res.Jain)}
+	ratio := column{format: "%.3f"}
+	t.runRows(cfg.Reps, labels, specs, []column{ratio, ratio}, func(res *Result) []float64 {
+		return []float64{res.Utilization, res.Jain}
 	})
 	return t
 }
