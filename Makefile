@@ -9,7 +9,9 @@ test:
 	$(GO) test ./...
 
 # Tier-1 gate: formatting cleanliness, vet, the full test suite under the
-# race detector (which also exercises the parallel sweep runner), the
+# race detector (which also exercises the parallel sweep runner) with a
+# 30-minute per-package timeout — internal/exp alone takes 6–9 minutes under
+# -race on two cores, too close to go test's 10-minute default — the
 # allocation guards again without it (the race detector shifts their exact
 # counts), and a 1-iteration smoke of the go-test benchmarks in bench_test.go and of the
 # event-queue driver in internal/sim so they keep compiling and running.
@@ -18,7 +20,7 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 	$(GO) test -run 'SteadyStateAllocs|RunAllocs' -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEmulatorThroughput(Probed)?$$' -benchtime 1x -benchmem .
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchtime 1x

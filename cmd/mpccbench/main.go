@@ -75,7 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, bad)
 		return 2
 	}
-	exp.SetWorkers(*workers)
+	cfg := exp.Config{
+		Duration: sim.FromDuration(*dur),
+		Warmup:   sim.FromDuration(*warmup),
+		Reps:     *reps,
+		Seed:     *seed,
+		Full:     *full,
+		Workers:  *workers,
+	}
 
 	// fail reports a file that could not be created or written; the caller
 	// returns 1.
@@ -140,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(sharedSinks) > 0 || writeTimeline != nil {
-		exp.SetProbeFactory(func() *obs.Bus {
+		cfg.Probes = func() *obs.Bus {
 			// A copy, so AddSink never appends into sharedSinks.
 			b := obs.NewBus(append([]obs.Sink(nil), sharedSinks...)...)
 			if writeTimeline != nil {
@@ -155,9 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}))
 			}
 			return b
-		})
-		defer exp.SetProbeFactory(nil)
-		exp.SetWorkers(1)
+		}
+		cfg.Workers = 1
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -198,14 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := exp.Config{
-		Duration: sim.FromDuration(*dur),
-		Warmup:   sim.FromDuration(*warmup),
-		Reps:     *reps,
-		Seed:     *seed,
-		Full:     *full,
-	}
-
 	ran := false
 	for _, e := range exp.Registry() {
 		if *id != "all" && *id != e.ID {
@@ -234,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rate = float64(sims) / wall
 		}
 		fmt.Fprintf(stdout, "[%s: %.1fs wall, %d sims, %.1f sims/s, %d workers]\n\n",
-			e.ID, wall, sims, rate, exp.Workers())
+			e.ID, wall, sims, rate, cfg.Workers)
 	}
 	if !ran {
 		fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", *id)

@@ -462,7 +462,7 @@ func Churn(cfg Config) []*Table {
 	dur := cfg.Duration.Seconds()
 	// A run reduces to its goodput, its session ledger and its FCT
 	// percentiles (NaN when no session completed), in column order.
-	runs := runSpecs(specs, cfg.Reps, func(r *Result) []float64 {
+	runs := runSpecs(cfg, specs, func(r *Result) []float64 {
 		st := r.Churn
 		return append([]float64{8 * float64(st.CompletedBytes) / dur / 1e6,
 			float64(st.Arrivals), float64(st.Accepted), float64(st.Rejected),

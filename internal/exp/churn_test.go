@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"mpcc/internal/obs"
@@ -67,12 +68,22 @@ func TestChurnDeterminism(t *testing.T) {
 	cfg := churnTestConfig()
 	base := Run(ChurnSpecAt(cfg, 1.3)).Churn
 
-	prev := Workers()
-	SetWorkers(1)
-	seq := Run(ChurnSpecAt(cfg, 1.3)).Churn
-	SetWorkers(prev)
-	if churnScalar(seq) != churnScalar(base) {
-		t.Fatalf("worker count changed churn stats:\n%+v\nvs\n%+v", seq, base)
+	// Two of it at once on the pool read as the one run alone.
+	var mu sync.Mutex
+	var par []string
+	runSpecs(Config{Workers: 2}, []Spec{ChurnSpecAt(cfg, 1.3), ChurnSpecAt(cfg, 1.3)}, func(r *Result) []float64 {
+		mu.Lock()
+		par = append(par, churnScalar(r.Churn))
+		mu.Unlock()
+		return nil
+	})
+	if len(par) != 2 {
+		t.Fatalf("reduced %d runs, want 2", len(par))
+	}
+	for _, st := range par {
+		if st != churnScalar(base) {
+			t.Fatalf("worker count changed churn stats:\n%s\nvs\n%+v", st, *base)
+		}
 	}
 
 	sharded := ChurnSpecAt(cfg, 1.3)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/topo"
 )
@@ -17,6 +18,17 @@ type Config struct {
 	// Full selects paper-scale sweeps where the default subsamples (the
 	// 576-configuration grids of Figs. 14–15, the 75 MB live downloads).
 	Full bool
+	// Workers is how many simulations run concurrently; ≤ 0 means
+	// runtime.GOMAXPROCS(0) at the call, 1 runs them inline in enumeration
+	// order. Tables are byte-identical for any value.
+	Workers int
+	// Probes, if set, builds the observability bus of every simulation: it
+	// is called once per run, on the worker that runs it, and its bus
+	// becomes the run's Spec.Probes. A fresh bus per call gives each run its
+	// own registry; sinks shared between the buses take no locks, so a
+	// factory that shares one needs Workers 1 (which a byte-reproducible
+	// trace of several runs needs anyway).
+	Probes func() *obs.Bus
 }
 
 // spec starts a Spec at the configuration's scale — its seed, duration and

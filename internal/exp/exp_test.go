@@ -115,7 +115,7 @@ func TestRunAveraged(t *testing.T) {
 	cfg := tiny()
 	spec := Spec{Seed: cfg.Seed, Duration: cfg.Duration, Warmup: cfg.Warmup,
 		Topo: topo.Fig3b(), Proto: Reno}
-	f := runSpecs([]Spec{spec}, 2, func(r *Result) []float64 { return []float64{r.Flows["mp"].GoodputBps} })[0]
+	f := runSpecs(Config{Reps: 2}, []Spec{spec}, func(r *Result) []float64 { return []float64{r.Flows["mp"].GoodputBps} })[0]
 	if f.reps != 2 || !(f.mean[0] > 0) || f.lo[0] > f.mean[0] || f.mean[0] > f.hi[0] {
 		t.Fatalf("averaged goodput %v over %d replicates, range [%v..%v]", f.mean[0], f.reps, f.lo[0], f.hi[0])
 	}

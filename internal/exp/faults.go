@@ -80,7 +80,7 @@ func FaultRecovery(cfg Config) *Table {
 	}
 	sec := column{format: "%.1f", missing: "never"}
 	cols := []column{mbpsCol, mbpsCol, {format: "%.0f%%"}, sec, mbpsCol, mbpsCol, mbpsCol, sec}
-	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, cols, func(res *Result) []float64 {
 		mp, sp := res.Flows["mp"], res.Flows["sp"]
 		b := stats.DefaultBucket // FlowResult.Series' bucket width
 		sb, eb, db := int(outStart/b), int(outEnd/b), int(d/b)

@@ -74,7 +74,7 @@ func ObservationSinglePath(cfg Config) *Table {
 		labels = append(labels, string(p))
 		specs = append(specs, cfg.spec(topo.Fig4a(), p, nil))
 	}
-	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
 		sp, mp := res.Flows["sp"], res.Flows["mp"]
 		return []float64{(sp.GoodputBps + mp.GoodputBps) / 1e6, sp.GoodputBps / 1e6, mp.GoodputBps / 1e6, mp.SubflowGoodputBps[0] / 1e6}
 	})

@@ -57,7 +57,7 @@ func DataCenterFCT(cfg Config, dc DCConfig) []*Table {
 	for _, f := range specs[0].Flows {
 		started[dcClass(f)]++
 	}
-	runs := runSpecs(specs, cfg.Reps, dcFCTs(specs[0].Flows))
+	runs := runSpecs(cfg, specs, dcFCTs(specs[0].Flows))
 	// A class that completed no flow in some replicate prints 0.0000, as a
 	// one-run table of it always has.
 	sec := column{format: "%.4f", missing: "0.0000"}

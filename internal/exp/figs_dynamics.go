@@ -76,7 +76,7 @@ func changingConditions(cfg Config, epochs int, epochDur sim.Time, protos []Prot
 	}
 	// A run reduces to the subflow's per-epoch goodput and its mean absolute
 	// error, then the same for the single-path flow.
-	runs := runSpecs(specs, cfg.Reps, func(res *Result) []float64 {
+	runs := runSpecs(cfg, specs, func(res *Result) []float64 {
 		mpSeries := res.Flows["mp"].SubflowSeries[0] // subflow on link1
 		spSeries := res.Flows["sp"].Series
 		bucketsPerEpoch := int(epochDur / stats.DefaultBucket)
@@ -132,7 +132,7 @@ func ConvergenceTrace(cfg Config) *Table {
 	// single-path one; a run reduces to the mean and stddev of each.
 	flows := []string{"mp-sf1", "mp-sf2", "sp"}
 	warmBuckets := int(cfg.Warmup / stats.DefaultBucket)
-	for i, f := range runSpecs(specs, cfg.Reps, func(res *Result) (out []float64) {
+	for i, f := range runSpecs(cfg, specs, func(res *Result) (out []float64) {
 		for _, series := range append(slices.Clip(res.Flows["mp"].SubflowSeries), res.Flows["sp"].Series) {
 			post := tailMbps(series, warmBuckets)
 			out = append(out, stats.Mean(post), stats.Stddev(post))

@@ -82,7 +82,7 @@ func ParameterGrid(cfg Config, build func() *topo.Topology, stride int) *GridRes
 		}
 	}
 	// A point is the mean of the replicates' (utilization, Jain) pairs.
-	points := runSpecs(specs, cfg.Reps, func(r *Result) []float64 { return []float64{r.Utilization, r.Jain} })
+	points := runSpecs(cfg, specs, func(r *Result) []float64 { return []float64{r.Utilization, r.Jain} })
 	res := &GridResult{
 		Configs:   len(specs) / len(protos),
 		UtilRatio: make(map[Protocol][]float64),

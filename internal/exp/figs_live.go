@@ -82,7 +82,7 @@ func Fig17Table(cfg Config) *Table {
 	}
 	sums, n := make([]float64, len(LiveProtocols)), 0
 	for _, home := range topo.Homes {
-		for _, row := range liveDownloads(cfg, home).tables(cfg.Reps)[0].Vals {
+		for _, row := range liveDownloads(cfg, home).tables(cfg)[0].Vals {
 			secs := row[1:] // the server, then one column per protocol
 			n++
 			for p, v := range secs {

@@ -38,7 +38,7 @@ func TestShallowBufferShape(t *testing.T) {
 	// LIA at 3 KB (the Fig. 5a separation).
 	s := shallowBufferMP(micro())
 	s.rows, s.protos = []int{3, 375}, []Protocol{MPCCLoss, LIA}
-	tabs := s.tables(1)
+	tabs := s.tables(micro())
 	if len(tabs) != 1 || len(tabs[0].Rows) != 2 || len(tabs[0].Rows[0]) != 3 {
 		t.Fatalf("trimmed sweep rendered %d tables, rows %v", len(tabs), tabs[0].Rows)
 	}
@@ -54,7 +54,7 @@ func TestShallowBufferShape(t *testing.T) {
 func TestRandomLossShape(t *testing.T) {
 	s := randomLossMP(micro())
 	s.rows, s.protos = []float64{0.01}, []Protocol{MPCCLoss, LIA}
-	vals := s.tables(1)[0].Vals
+	vals := s.tables(micro())[0].Vals
 	mpccG, liaG := vals[0][1], vals[0][2]
 	// Fig. 6a headline: at 1% loss MPCC retains most capacity, LIA collapses.
 	if mpccG < 120 {
@@ -68,7 +68,7 @@ func TestRandomLossShape(t *testing.T) {
 func TestSelfInducedLatencyShape(t *testing.T) {
 	s := selfInducedLatency(micro())
 	s.rows, s.protos = []int{1000}, []Protocol{MPCCLatency, LIA}
-	tabs := s.tables(1)
+	tabs := s.tables(micro())
 	mpccLat, liaLat := tabs[0].Vals[0][1], tabs[0].Vals[0][2]
 	// Fig. 9: with deep (1000 KB) buffers the loss-based LIA bloats the
 	// queue; MPCC-latency stays near the 60 ms base RTT.
@@ -87,7 +87,7 @@ func TestSelfInducedLatencyShape(t *testing.T) {
 func TestConvergenceSuiteShape(t *testing.T) {
 	s := convergenceSuite(micro())
 	s.protos = []Protocol{MPCCLoss, LIA}
-	tabs := s.tables(1)
+	tabs := s.tables(micro())
 	fair, util := tabs[0], tabs[1]
 	// Fig. 10 is the transposed sweep: protocols label the rows, the five
 	// topologies the columns.
@@ -124,7 +124,7 @@ func TestConvergenceTraceJitter(t *testing.T) {
 func TestCubicFriendlinessShapes(t *testing.T) {
 	s := cubicFriendlinessBuffer(micro())
 	s.rows, s.protos = []int{375}, []Protocol{MPCCLatency}
-	tabs := s.tables(1)
+	tabs := s.tables(micro())
 	mp, sp := tabs[0].Vals[0][1], tabs[1].Vals[0][1]
 	// §7.2.6: competing against MPCC-latency, Cubic keeps well over 50% of
 	// its link.

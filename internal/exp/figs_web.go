@@ -32,7 +32,7 @@ func WebWorkload(cfg Config) *Table {
 	// table of it always has.
 	ms := column{format: "%.0f", missing: "0"}
 	cols := []column{mbpsCol, countCol, ms, ms}
-	t.runRows(cfg.Reps, labels, specs, cols, webStats)
+	t.runRows(cfg, labels, specs, cols, webStats)
 	return t
 }
 

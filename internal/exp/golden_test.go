@@ -180,14 +180,15 @@ func TestRegistryTablesGolden(t *testing.T) {
 	var one map[string]uint64
 	for _, workers := range []int{1, 8} {
 		var out []byte
-		out, one = renderTables(workers, cfg, scaled)
+		cfg.Workers = workers
+		out, one = renderTables(cfg, scaled)
 		checkGolden(t, out, "tables_micro.golden")
 	}
 	if raceEnabled {
 		return
 	}
 	cfg.Reps = 2
-	_, two := renderTables(8, cfg, scaled)
+	_, two := renderTables(cfg, scaled)
 	for _, e := range Registry() {
 		if scaled(e.ID) && two[e.ID] != 2*one[e.ID] {
 			t.Errorf("%s: %d simulations at -reps 1, %d at -reps 2", e.ID, one[e.ID], two[e.ID])
@@ -211,7 +212,7 @@ func TestSweepRepsGolden(t *testing.T) {
 	sw.rows, sw.protos = sw.rows[:2], []Protocol{MPCCLatency, Reno}
 	cut := cfg
 	cut.Duration = 760 * sim.Millisecond
-	tabs := append(sw.tables(cfg.Reps), AblationSchedulerThreshold(cut), FaultRecovery(cfg))
+	tabs := append(sw.tables(cfg), AblationSchedulerThreshold(cut), FaultRecovery(cfg))
 	var buf bytes.Buffer
 	for _, tab := range append(tabs, Churn(cfg)...) {
 		tab.Fprint(&buf)
@@ -232,27 +233,27 @@ func TestLiveTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 295 default-scale simulations")
 	}
-	out, _ := renderTables(8, defaultConfig(), func(id string) bool { return liveIDs[id] })
+	cfg := defaultConfig()
+	cfg.Workers = 8
+	out, _ := renderTables(cfg, func(id string) bool { return liveIDs[id] })
 	checkGolden(t, out, "tables_live.golden")
 }
 
 // renderTables runs the Registry experiments that pick selects, in id order,
-// on a pool of the given size, concatenates their rendered tables and counts
-// the simulations each ran.
-func renderTables(workers int, cfg Config, pick func(id string) bool) ([]byte, map[string]uint64) {
+// as cfg says, concatenates their rendered tables and counts the simulations
+// each ran.
+func renderTables(cfg Config, pick func(id string) bool) ([]byte, map[string]uint64) {
 	var buf bytes.Buffer
 	sims := map[string]uint64{}
-	withWorkers(workers, func() {
-		for _, e := range Registry() {
-			if !pick(e.ID) {
-				continue
-			}
-			before := SimsRun()
-			for _, tab := range e.Run(cfg) {
-				tab.Fprint(&buf)
-			}
-			sims[e.ID] = SimsRun() - before
+	for _, e := range Registry() {
+		if !pick(e.ID) {
+			continue
 		}
-	})
+		before := SimsRun()
+		for _, tab := range e.Run(cfg) {
+			tab.Fprint(&buf)
+		}
+		sims[e.ID] = SimsRun() - before
+	}
 	return buf.Bytes(), sims
 }

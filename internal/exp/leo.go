@@ -62,7 +62,7 @@ func LEOGoodput(cfg Config) *Table {
 		metrics: []metric{goodputMbps(
 			"LEO — multipath goodput vs handover period (LEO link1 + terrestrial link2), Mbps", "mp")},
 		notes: []string{"Each handover atomically steps link1 between 150 Mbps/60 ms and 60 Mbps/75 ms (≈0.5–1.4 MB BDP). period_s = 0 is the no-handover baseline; the gap to it is the pure cost of re-learning the path after each discontinuity."},
-	}.tables(cfg.Reps)[0]
+	}.tables(cfg)[0]
 }
 
 // LEOHandoverDetail runs the fastest cadence for the latency-flavor
@@ -83,7 +83,7 @@ func LEOHandoverDetail(cfg Config) *Table {
 	// goodput from t=0), then link1's handover count.
 	bucketsPerPeriod := int(period / stats.DefaultBucket)
 	spec := cfg.spec(topo.Fig3b(), MPCCLatency, leoTweak(period, cfg.Duration))
-	f := runSpecs([]Spec{spec}, cfg.Reps, func(res *Result) []float64 {
+	f := runSpecs(cfg, []Spec{spec}, func(res *Result) []float64 {
 		out := make([]float64, len(dwells)+1)
 		for k := range dwells {
 			out[k] = stats.Mean(window(res.Flows["mp"].Series, k*bucketsPerPeriod, (k+1)*bucketsPerPeriod)) / 1e6

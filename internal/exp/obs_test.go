@@ -67,27 +67,35 @@ func TestRunSnapshotsRegistry(t *testing.T) {
 
 // everyRunner is one small instance of each kind of spec the package runs:
 // bulk flows on a canonical topology, a WAN download that ends at its FCT,
-// the Clos flow mix, and web's finite flows over a bulk one. Each returns
-// the numbers its experiment reports, so equal slices mean bit-equal
-// results.
+// the Clos flow mix, and web's finite flows over a bulk one. Each runs its
+// one spec as cfg says and returns the numbers its experiment reports, so
+// equal slices mean bit-equal results.
 var everyRunner = []struct {
 	name string
-	run  func() []float64
+	run  func(cfg Config) []float64
 }{
-	{"Run", func() []float64 {
-		res := Run(probeSpec(nil))
-		return []float64{res.Flows["mp"].GoodputBps, res.Flows["sp"].GoodputBps}
+	{"Run", func(cfg Config) []float64 {
+		return runOne(cfg, probeSpec(nil), func(res *Result) []float64 {
+			return []float64{res.Flows["mp"].GoodputBps, res.Flows["sp"].GoodputBps}
+		})
 	}},
-	{"DownloadSpec", func() []float64 {
-		return []float64{Run(DownloadSpec(1, "Ohio", "Boston", MPCCLoss, 1_000_000)).Flows["dl"].FCT.Seconds()}
+	{"DownloadSpec", func(cfg Config) []float64 {
+		return runOne(cfg, DownloadSpec(1, "Ohio", "Boston", MPCCLoss, 1_000_000), func(res *Result) []float64 {
+			return []float64{res.Flows["dl"].FCT.Seconds()}
+		})
 	}},
-	{"dcSpec", func() []float64 {
+	{"dcSpec", func(cfg Config) []float64 {
 		spec := dcSpec(3, MPCCLoss, smallDC())
-		return dcFCTs(spec.Flows)(Run(spec))
+		return runOne(cfg, spec, dcFCTs(spec.Flows))
 	}},
-	{"webSpec", func() []float64 {
-		return webStats(Run(webSpec(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss)))
+	{"webSpec", func(cfg Config) []float64 {
+		return runOne(cfg, webSpec(Config{Seed: 5, Duration: 4 * sim.Second, Warmup: sim.Second}, MPCCLoss), webStats)
 	}},
+}
+
+// runOne runs one spec as cfg says and returns its reduced values.
+func runOne(cfg Config, s Spec, reduce func(*Result) []float64) []float64 {
+	return runSpecs(cfg, []Spec{s}, reduce)[0].mean
 }
 
 func TestProbedRunDoesNotPerturbResults(t *testing.T) {
@@ -99,12 +107,10 @@ func TestProbedRunDoesNotPerturbResults(t *testing.T) {
 				name, probed.Flows[name].GoodputBps, fr.GoodputBps)
 		}
 	}
-	// The same through the probe factory, for every runner.
+	// The same through Config.Probes, for every runner.
 	for _, r := range everyRunner {
-		plain := r.run()
-		SetProbeFactory(func() *obs.Bus { return obs.NewBus() })
-		probed := r.run()
-		SetProbeFactory(nil)
+		plain := r.run(Config{})
+		probed := r.run(Config{Probes: func() *obs.Bus { return obs.NewBus() }})
 		if !reflect.DeepEqual(plain, probed) {
 			t.Errorf("%s: results %v probed vs %v plain — probes changed the simulation", r.name, probed, plain)
 		}
@@ -170,34 +176,18 @@ func TestTraceReplayMatchesSnapshot(t *testing.T) {
 	}
 }
 
-func TestProbeFactory(t *testing.T) {
-	calls := 0
-	SetProbeFactory(func() *obs.Bus {
-		calls++
-		return obs.NewBus()
-	})
-	defer SetProbeFactory(nil)
-	res := Run(probeSpec(nil))
-	if calls != 1 {
-		t.Fatalf("factory called %d times, want 1", calls)
-	}
-	if res.Obs == nil {
-		t.Fatal("factory-built bus produced no snapshot")
-	}
-	// A Spec-level bus takes precedence.
-	Run(probeSpec(obs.NewBus()))
-	if calls != 1 {
-		t.Fatal("factory consulted despite Spec.Probes")
-	}
-
-	// Every runner consults the factory once per simulation, brackets its
+// TestConfigProbes: Config.Probes builds the bus of every run — once per
+// simulation, on the worker that runs it, replicates included, in place of
+// any bus the spec carried.
+func TestConfigProbes(t *testing.T) {
+	// Every runner calls the factory once per simulation, brackets its
 	// events in one run-start/run-end pair, probes both its links and its
 	// transport, snapshots the registry, and counts itself.
 	for _, r := range everyRunner {
 		kinds := map[obs.Kind]int{}
 		var snaps []*obs.Snapshot
-		calls = 0
-		SetProbeFactory(func() *obs.Bus {
+		calls := 0
+		cfg := Config{Probes: func() *obs.Bus {
 			calls++
 			b := obs.NewBus()
 			b.SetRegistry(obs.NewRegistry())
@@ -208,9 +198,9 @@ func TestProbeFactory(t *testing.T) {
 				}
 			}))
 			return b
-		})
+		}}
 		sims := SimsRun()
-		r.run()
+		r.run(cfg)
 		if got := SimsRun() - sims; got != 1 {
 			t.Errorf("%s: SimsRun advanced by %d, want 1", r.name, got)
 		}
@@ -225,6 +215,24 @@ func TestProbeFactory(t *testing.T) {
 		if len(snaps) != 1 || snaps[0].Counters["sched_picks"] == 0 || snaps[0].Gauges["sim.events_processed"] <= 0 {
 			t.Errorf("%s: %d registry snapshots (want 1 with transport counters and engine gauges)", r.name, len(snaps))
 		}
+	}
+
+	// Each replicate gets a bus of its own, which snapshots into its
+	// Result; the spec's own bus hears nothing.
+	calls, snapped, own := 0, 0, 0
+	cfg := Config{Reps: 2, Workers: 1, Probes: func() *obs.Bus {
+		calls++
+		return obs.NewBus()
+	}}
+	runSpecs(cfg, []Spec{probeSpec(obs.NewBus(obs.SinkFunc(func(obs.Event) { own++ })))}, func(r *Result) []float64 {
+		if r.Obs != nil {
+			snapped++
+		}
+		return nil
+	})
+	if calls != 2 || snapped != 2 || own != 0 {
+		t.Errorf("two replicates: %d factory calls, %d snapshots, %d events on the spec's bus; want 2, 2, 0",
+			calls, snapped, own)
 	}
 }
 

@@ -12,24 +12,6 @@ import (
 // the worker pool; runSpecs (sweep.go) is how experiments use it. See
 // DESIGN.md "Deterministic parallelism".
 
-// workerCount is the process-wide worker pool size for RunParallel.
-var workerCount atomic.Int32
-
-func init() { workerCount.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetWorkers sets how many simulations RunParallel may run concurrently.
-// n ≤ 1 restores fully sequential execution (jobs run inline on the
-// caller's goroutine, in job order).
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	workerCount.Store(int32(n))
-}
-
-// Workers returns the current worker pool size.
-func Workers() int { return int(workerCount.Load()) }
-
 // simsRun counts completed simulations process-wide, for throughput
 // reporting (effective simulations/sec in cmd/mpccbench).
 var simsRun atomic.Uint64
@@ -40,9 +22,15 @@ func SimsRun() uint64 { return simsRun.Load() }
 // countSim records one completed simulation.
 func countSim() { simsRun.Add(1) }
 
-// RunParallel executes job(0) … job(n-1), each exactly once, on the
-// process-wide pool of Workers() workers; see runPool for the contract.
-func RunParallel(n int, job func(i int)) { runPool(n, Workers(), job) }
+// RunParallel executes job(0) … job(n-1), each exactly once, on a pool of
+// the given number of workers — runtime.GOMAXPROCS(0) when workers ≤ 0; see
+// runPool for the contract.
+func RunParallel(n, workers int, job func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runPool(n, workers, job)
+}
 
 // runPool executes job(0) … job(n-1), each exactly once, on at most workers
 // goroutines — the one worker pool of the package: sweeps run simulations

@@ -9,43 +9,31 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mpcc/internal/obs"
 	"mpcc/internal/sim"
 	"mpcc/internal/stats"
 	"mpcc/internal/topo"
 )
 
-// withWorkers runs f with the process-wide worker count set to n, restoring
-// the previous value afterwards.
-func withWorkers(n int, f func()) {
-	prev := Workers()
-	SetWorkers(n)
-	defer SetWorkers(prev)
-	f()
-}
-
 // pools are the entrances to the package's one worker pool: RunParallel
-// takes its worker count from the process-wide setting, runPool (which a
-// sharded world calls with the shard count) takes it as an argument and
-// must ignore the setting, and runSpecs runs one simulation per job on
+// and runSpecs (with Config.Workers) read a worker count ≤ 0 as
+// GOMAXPROCS(0), runPool (which a sharded world calls with the shard count)
+// runs inline below two, and runSpecs runs one simulation per job on
 // RunParallel — here a near-empty one whose Tweak is the job, so a job that
 // panics is a cell that panics.
 var pools = []struct {
 	name string
 	run  func(workers, n int, job func(i int))
 }{
-	{"RunParallel", func(workers, n int, job func(i int)) {
-		withWorkers(workers, func() { RunParallel(n, job) })
-	}},
-	{"runPool", func(workers, n int, job func(i int)) {
-		withWorkers(3, func() { runPool(n, workers, job) })
-	}},
+	{"RunParallel", func(workers, n int, job func(i int)) { RunParallel(n, workers, job) }},
+	{"runPool", func(workers, n int, job func(i int)) { runPool(n, workers, job) }},
 	{"runSpecs", func(workers, n int, job func(i int)) {
 		specs := make([]Spec, n)
 		for i := range specs {
 			specs[i] = Spec{Duration: sim.Millisecond, Topo: topo.Fig3c(), Proto: Reno,
 				Tweak: func(*topo.Net) { job(i) }}
 		}
-		withWorkers(workers, func() { runSpecs(specs, 1, func(r *Result) []float64 { return []float64{r.Jain} }) })
+		runSpecs(Config{Workers: workers}, specs, func(r *Result) []float64 { return []float64{r.Jain} })
 	}},
 }
 
@@ -70,8 +58,9 @@ func TestRunParallelCoversAllJobs(t *testing.T) {
 					t.Fatalf("%s workers=%d: slot %d = %d, want %d", pool.name, w, i, got[i], i*i)
 				}
 			}
-			// At most one worker means inline on the caller, in index order.
-			if w <= 1 && outOfOrder.Load() {
+			// One worker means inline on the caller, in index order; so do
+			// fewer for runPool, while the others read them as GOMAXPROCS(0).
+			if (w == 1 || w < 1 && pool.name == "runPool") && outOfOrder.Load() {
 				t.Fatalf("%s workers=%d: jobs did not run in index order", pool.name, w)
 			}
 		}
@@ -121,30 +110,28 @@ func TestRunAveragedParallelIdentical(t *testing.T) {
 	// every field of its FlowResult, each slice led by its length.
 	run := func(workers int, specs []Spec) (out [][]float64) {
 		var calls atomic.Int32
-		withWorkers(workers, func() {
-			for _, f := range runSpecs(specs, 1, func(r *Result) []float64 {
-				out := []float64{float64(calls.Add(1)), r.Utilization, r.Jain, float64(len(r.Flows))}
-				series := func(xs []float64) { out = append(append(out, float64(len(xs))), xs...) }
-				var names []string
-				for name := range r.Flows {
-					names = append(names, name)
-				}
-				slices.Sort(names)
-				for _, name := range names {
-					fr := r.Flows[name]
-					out = append(out, fr.GoodputBps, fr.LatencyMean, fr.LatencyStd, float64(fr.FCT))
-					series(fr.SubflowGoodputBps)
-					series(fr.Series)
-					out = append(out, float64(len(fr.SubflowSeries)))
-					for _, sub := range fr.SubflowSeries {
-						series(sub)
-					}
-				}
-				return out
-			}) {
-				out = append(out, f.mean)
+		for _, f := range runSpecs(Config{Workers: workers}, specs, func(r *Result) []float64 {
+			out := []float64{float64(calls.Add(1)), r.Utilization, r.Jain, float64(len(r.Flows))}
+			series := func(xs []float64) { out = append(append(out, float64(len(xs))), xs...) }
+			var names []string
+			for name := range r.Flows {
+				names = append(names, name)
 			}
-		})
+			slices.Sort(names)
+			for _, name := range names {
+				fr := r.Flows[name]
+				out = append(out, fr.GoodputBps, fr.LatencyMean, fr.LatencyStd, float64(fr.FCT))
+				series(fr.SubflowGoodputBps)
+				series(fr.Series)
+				out = append(out, float64(len(fr.SubflowSeries)))
+				for _, sub := range fr.SubflowSeries {
+					series(sub)
+				}
+			}
+			return out
+		}) {
+			out = append(out, f.mean)
+		}
 		if int(calls.Load()) != len(specs) {
 			t.Errorf("workers=%d: reduce ran %d times, want once per spec", workers, calls.Load())
 		}
@@ -162,6 +149,69 @@ func TestRunAveragedParallelIdentical(t *testing.T) {
 	}
 	if one := run(8, specs[1:2])[0]; !slices.Equal(one[1:], seq[1][1:]) {
 		t.Errorf("a one-spec run differs from the same spec inside a larger one")
+	}
+}
+
+// TestTwoConfigsOneProcess: a Config is all of a pass's settings, so two
+// passes over the same entries at once — one on one worker with tap A, one
+// on three with tap B — print the same tables, numbers and text, and each
+// tap sees one run-start/run-end pair per simulation of its own pass and
+// nothing of the other's.
+func TestTwoConfigsOneProcess(t *testing.T) {
+	ids := map[string]bool{"sched": true, "fig5a": true}
+	cfg := Config{Duration: sim.Second, Warmup: 500 * sim.Millisecond, Reps: 1, Seed: 42}
+	_, sims := renderTables(cfg, func(id string) bool { return ids[id] })
+	want := int64(sims["sched"] + sims["fig5a"])
+	if want == 0 {
+		t.Fatal("the entries ran no simulation")
+	}
+
+	type tap struct{ calls, starts, ends atomic.Int64 }
+	var (
+		taps [2]tap
+		text [2]bytes.Buffer
+		vals [2]string
+		wg   sync.WaitGroup
+	)
+	for i, workers := range []int{1, 3} {
+		c := cfg
+		c.Workers = workers
+		c.Probes = func() *obs.Bus {
+			taps[i].calls.Add(1)
+			return obs.NewBus(obs.SinkFunc(func(e obs.Event) {
+				switch e.Kind {
+				case obs.KindRunStart:
+					taps[i].starts.Add(1)
+				case obs.KindRunEnd:
+					taps[i].ends.Add(1)
+				}
+			}))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range Registry() {
+				if !ids[e.ID] {
+					continue
+				}
+				for _, tab := range e.Run(c) {
+					tab.Fprint(&text[i])
+					vals[i] += fmt.Sprint(tab.Vals)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(text[0].Bytes(), text[1].Bytes()) || vals[0] != vals[1] {
+		t.Errorf("tables differ between the passes:\n--- workers 1 ---\n%s%s\n--- workers 3 ---\n%s%s",
+			text[0].Bytes(), vals[0], text[1].Bytes(), vals[1])
+	}
+	for i := range taps {
+		tp := &taps[i]
+		if tp.calls.Load() != want || tp.starts.Load() != want || tp.ends.Load() != want {
+			t.Errorf("tap %d: %d buses, %d run-start, %d run-end events; want %d each",
+				i, tp.calls.Load(), tp.starts.Load(), tp.ends.Load(), want)
+		}
 	}
 }
 
@@ -241,15 +291,12 @@ func TestRunRepsFold(t *testing.T) {
 		var mu sync.Mutex
 		var reduced []float64 // every replicate's value, in reduce-call order
 		specs := []Spec{tc.spec(42, protos[0]), tc.spec(42, protos[1])}
-		var runs []folded
-		withWorkers(tc.workers, func() {
-			runs = runSpecs(specs, tc.reps, func(r *Result) []float64 {
-				v := tc.value(r)
-				mu.Lock()
-				reduced = append(reduced, v)
-				mu.Unlock()
-				return []float64{v}
-			})
+		runs := runSpecs(Config{Reps: tc.reps, Workers: tc.workers}, specs, func(r *Result) []float64 {
+			v := tc.value(r)
+			mu.Lock()
+			reduced = append(reduced, v)
+			mu.Unlock()
+			return []float64{v}
 		})
 
 		n := max(tc.reps, 1)
@@ -318,15 +365,14 @@ func TestParameterGridParallelIdentical(t *testing.T) {
 		t.Skip("grid subsample is slow")
 	}
 	cfg := Config{Seed: 42, Duration: 2 * sim.Second, Warmup: 500 * sim.Millisecond, Reps: 1}
-	render := func() []byte {
+	render := func(workers int) []byte {
+		cfg.Workers = workers
 		g := ParameterGrid(cfg, topo.Fig3c, 96)
 		var buf bytes.Buffer
 		g.Table("grid").Fprint(&buf)
 		return buf.Bytes()
 	}
-	var seq, par []byte
-	withWorkers(1, func() { seq = render() })
-	withWorkers(8, func() { par = render() })
+	seq, par := render(1), render(8)
 	if !bytes.Equal(seq, par) {
 		t.Errorf("grid tables differ between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}

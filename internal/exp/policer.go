@@ -59,7 +59,7 @@ func PolicerGoodput(cfg Config) *Table {
 		metrics: []metric{goodputMbps(
 			"Policer — multipath goodput vs token-bucket contract (shared bottleneck), Mbps", "mp")},
 		notes: []string{"The policer admits exactly rate_mbps (plus one burst_kb bucket), dropping the excess with zero added delay: goodput at the contract rate means the controller survived loss that carried no latency warning."},
-	}.tables(cfg.Reps)[0]
+	}.tables(cfg)[0]
 }
 
 // PolicerLossSignal sweeps bucket depth at a fixed contract rate for the
@@ -81,7 +81,7 @@ func PolicerLossSignal(cfg Config) *Table {
 		specs = append(specs, cfg.spec(topo.SharedBottleneck(), MPCCLatency, policerTweak(PolicerRates[0], depth)))
 	}
 	cols := []column{mbpsCol, countCol, countCol, countCol, countCol, countCol, {format: "%.2f"}}
-	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, cols, func(res *Result) []float64 {
 		var declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			declared += sf.LostPkts()

@@ -22,16 +22,16 @@ func Registry() []Experiment {
 			return []*Table{Fig2GradientField()}
 		}},
 		{"fig5a", "multipath goodput vs shallow buffers (Fig. 5a)", func(cfg Config) []*Table {
-			return shallowBufferMP(cfg).tables(cfg.Reps)
+			return shallowBufferMP(cfg).tables(cfg)
 		}},
 		{"fig5b", "single-path goodput vs shallow buffers (Fig. 5b)", func(cfg Config) []*Table {
-			return shallowBufferSP(cfg).tables(cfg.Reps)
+			return shallowBufferSP(cfg).tables(cfg)
 		}},
 		{"fig6a", "multipath goodput vs random loss (Fig. 6a)", func(cfg Config) []*Table {
-			return randomLossMP(cfg).tables(cfg.Reps)
+			return randomLossMP(cfg).tables(cfg)
 		}},
 		{"fig6b", "single-path goodput vs random loss (Fig. 6b)", func(cfg Config) []*Table {
-			return randomLossSP(cfg).tables(cfg.Reps)
+			return randomLossSP(cfg).tables(cfg)
 		}},
 		{"fig7", "tracking the optimum under changing conditions (Fig. 7)", func(cfg Config) []*Table {
 			return ChangingConditions(cfg, 8, 5*sim.Second)[:1]
@@ -40,19 +40,19 @@ func Registry() []Experiment {
 			return ChangingConditions(cfg, 8, 5*sim.Second)[1:]
 		}},
 		{"fig9", "self-induced latency vs buffer size (Fig. 9)", func(cfg Config) []*Table {
-			return selfInducedLatency(cfg).tables(cfg.Reps)
+			return selfInducedLatency(cfg).tables(cfg)
 		}},
 		{"fig10", "fairness and utilization across topologies (Fig. 10)", func(cfg Config) []*Table {
-			return convergenceSuite(cfg).tables(cfg.Reps)
+			return convergenceSuite(cfg).tables(cfg)
 		}},
 		{"fig11", "convergence and rate-jitter, MPCC vs Balia (Fig. 11)", func(cfg Config) []*Table {
 			return []*Table{ConvergenceTrace(cfg)}
 		}},
 		{"fig12", "TCP-Cubic friendliness vs buffers (Fig. 12)", func(cfg Config) []*Table {
-			return cubicFriendlinessBuffer(cfg).tables(cfg.Reps)
+			return cubicFriendlinessBuffer(cfg).tables(cfg)
 		}},
 		{"fig13", "TCP-Cubic friendliness vs random loss (Fig. 13)", func(cfg Config) []*Table {
-			return cubicFriendlinessLoss(cfg).tables(cfg.Reps)
+			return cubicFriendlinessLoss(cfg).tables(cfg)
 		}},
 		{"fig14", "Table-1 parameter grid on topology 3c (Fig. 14)", func(cfg Config) []*Table {
 			g := ParameterGrid(cfg, topo.Fig3c, 16)
@@ -65,7 +65,7 @@ func Registry() []Experiment {
 		{"fig16", "AWS→residential download times (Fig. 16)", func(cfg Config) []*Table {
 			var out []*Table
 			for _, home := range topo.Homes {
-				out = append(out, liveDownloads(cfg, home).tables(cfg.Reps)...)
+				out = append(out, liveDownloads(cfg, home).tables(cfg)...)
 			}
 			return out
 		}},

@@ -52,7 +52,7 @@ func ReorderGoodput(cfg Config) *Table {
 		metrics: []metric{goodputMbps(
 			"Reorder — multipath goodput vs reordering intensity on both links (topology 3b), Mbps", "mp")},
 		notes: []string{"Reordering is pure arrival inversion (no packets destroyed): RACK-style time-based detection plus spurious-retransmit repair should keep goodput near the 0% column at every intensity."},
-	}.tables(cfg.Reps)[0]
+	}.tables(cfg)[0]
 }
 
 // ReorderLossSignal sweeps the same intensities for the MPCC-loss protagonist
@@ -73,7 +73,7 @@ func ReorderLossSignal(cfg Config) *Table {
 		specs = append(specs, cfg.spec(topo.Fig3b(), MPCCLoss, reorderTweak(prob)))
 	}
 	cols := []column{countCol, countCol, countCol, countCol, countCol, countCol}
-	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, cols, func(res *Result) []float64 {
 		var sent, declared, spurious, corrected uint64
 		for _, sf := range res.Conns["mp"].Subflows() {
 			sent += sf.SentPkts()

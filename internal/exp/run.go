@@ -33,12 +33,13 @@ type Spec struct {
 	Topo     *topo.Topology
 	// Probes, if set, is the observability bus for this run: every link,
 	// transport connection, and controller emits into it, a queue-depth
-	// sampler runs, and the registry snapshot lands in Result.Obs. When nil,
-	// the package probe factory (SetProbeFactory) is consulted; when that is
-	// nil too, observability is fully disabled — the run is byte- and
-	// event-count-identical to one built before the obs layer existed. A
-	// Spec-level bus is per run: sharing one across replicates
-	// accumulates their metrics into a single registry.
+	// sampler runs, and the registry snapshot lands in Result.Obs. It is the
+	// one route to a run's bus: an experiment's runs get theirs from
+	// Config.Probes, which runSpecs sets here per run. When nil,
+	// observability is fully disabled — the run is byte- and
+	// event-count-identical to one built before the obs layer existed. A bus
+	// is per run: sharing one across runs accumulates their metrics into a
+	// single registry.
 	Probes *obs.Bus
 	// Tweak adjusts link parameters (buffer, loss, bandwidth) after the
 	// topology is built and may schedule mid-run changes on net.Eng.
@@ -134,9 +135,8 @@ func (s *Spec) flowsFor() []FlowSpec {
 }
 
 // Run executes the spec and summarizes it: the declarative front of the
-// world (world.go). When the spec (or the package default) selects
-// sharding, each topology component gets its own engine; see Spec.Shards
-// for the determinism contract.
+// world (world.go). When the spec selects sharding, each topology component
+// gets its own engine; see Spec.Shards for the determinism contract.
 func Run(s Spec) *Result {
 	flows := s.flowsFor()
 	// Unsharded, the whole topology is one component on one engine; sharded,

@@ -37,7 +37,7 @@ func SchedulerValidation(cfg Config) *Table {
 		}}
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
-	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, []column{mbpsCol, mbpsCol, mbpsCol}, func(res *Result) []float64 {
 		fr := res.Flows["mp"]
 		return []float64{fr.GoodputBps / 1e6, fr.SubflowGoodputBps[0] / 1e6, fr.SubflowGoodputBps[1] / 1e6}
 	})
@@ -71,7 +71,7 @@ func AblationSchedulerThreshold(cfg Config) *Table {
 	}
 	// Each run reduces to its goodput and its file's FCT (NaN: unfinished);
 	// a row reads the bulk run's goodput and the file run's FCT.
-	runs := runSpecs(specs, cfg.Reps, func(res *Result) []float64 {
+	runs := runSpecs(cfg, specs, func(res *Result) []float64 {
 		fr := res.Flows["mp"]
 		fct := math.NaN()
 		if fr.FCT >= 0 {
@@ -102,7 +102,7 @@ func AblationConnLevel(cfg Config) *Table {
 		s.SPProto = MPCCLoss
 		labels, specs = append(labels, string(p)), append(specs, s)
 	}
-	t.runRows(cfg.Reps, labels, specs, []column{mbpsCol, mbpsCol, {format: "%.3f"}}, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, []column{mbpsCol, mbpsCol, {format: "%.3f"}}, func(res *Result) []float64 {
 		return []float64{res.Flows["mp"].GoodputBps / 1e6, res.Flows["sp"].GoodputBps / 1e6, res.Utilization}
 	})
 	return t
@@ -139,7 +139,7 @@ func AblationOmegaBase(cfg Config) *Table {
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
 	cols := []column{mbpsCol, mbpsCol, mbpsCol, {format: "%.2f"}}
-	t.runRows(cfg.Reps, labels, specs, cols, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, cols, func(res *Result) []float64 {
 		fr := res.Flows["mp"]
 		thin := res.Net.Link("link2").Stats()
 		dropPct := 0.0
@@ -174,7 +174,7 @@ func AblationNoPublication(cfg Config) *Table {
 		labels, specs = append(labels, tc.name), append(specs, s)
 	}
 	ratio := column{format: "%.3f"}
-	t.runRows(cfg.Reps, labels, specs, []column{ratio, ratio}, func(res *Result) []float64 {
+	t.runRows(cfg, labels, specs, []column{ratio, ratio}, func(res *Result) []float64 {
 		return []float64{res.Utilization, res.Jain}
 	})
 	return t

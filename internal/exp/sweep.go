@@ -10,23 +10,28 @@ import (
 
 // runSpecs is the one way an experiment runs its simulations. The caller
 // enumerates every Spec up front, in the order its sequential loops would
-// run them; runSpecs runs each one reps times (at least once) at seeds
-// Seed + 1000·r, spec-major, flat on the RunParallel pool, so with one
-// worker — which every trace tap forces — the run order is the enumeration
-// order, replicate by replicate. Only Spec.Seed varies between replicates:
-// whatever the caller drew while declaring a spec is shared by all of them.
+// run them; runSpecs runs each one cfg.Reps times (at least once) at seeds
+// Seed + 1000·r, spec-major, flat on a RunParallel pool of cfg.Workers, so
+// with one worker — which every trace tap forces — the run order is the
+// enumeration order, replicate by replicate. With cfg.Probes set, each run
+// gets its bus from it, on the worker that runs it. Only Spec.Seed varies
+// between replicates: whatever the caller drew while declaring a spec is
+// shared by all of them.
 // Each Result is reduced on the worker that ran it and dropped at once, with
 // its network, connections and engine arenas: only reduce's numbers outlive
 // the job, the same bits for any worker count. reduce may read the Result
 // freely but must touch nothing shared and start no simulations; it returns
 // NaN for a value that did not happen in its run. out[i] folds spec i's
 // replicates.
-func runSpecs(specs []Spec, reps int, reduce func(*Result) []float64) []folded {
-	reps = max(reps, 1)
+func runSpecs(cfg Config, specs []Spec, reduce func(*Result) []float64) []folded {
+	reps := max(cfg.Reps, 1)
 	runs := make([][]float64, len(specs)*reps)
-	RunParallel(len(runs), func(j int) {
+	RunParallel(len(runs), cfg.Workers, func(j int) {
 		s := specs[j/reps]
 		s.Seed += int64(j%reps) * 1000
+		if cfg.Probes != nil {
+			s.Probes = cfg.Probes()
+		}
 		runs[j] = reduce(Run(s))
 	})
 	out := make([]folded, len(specs))
@@ -115,10 +120,10 @@ func ifAny(n int, vals ...float64) []float64 {
 	return vals
 }
 
-// runRows runs one spec per row, at reps replicates each, and appends its
-// row: its label, then one cell per column of reduce's values.
-func (t *Table) runRows(reps int, labels []string, specs []Spec, cols []column, reduce func(*Result) []float64) {
-	for i, f := range runSpecs(specs, reps, reduce) {
+// runRows runs one spec per row, as cfg says, and appends its row: its
+// label, then one cell per column of reduce's values.
+func (t *Table) runRows(cfg Config, labels []string, specs []Spec, cols []column, reduce func(*Result) []float64) {
+	for i, f := range runSpecs(cfg, specs, reduce) {
 		t.addRow(labels[i:i+1], f.cells(0, cols...)...)
 	}
 }
@@ -153,9 +158,9 @@ type sweep[R any] struct {
 	notes   []string
 }
 
-// tables runs the sweep at reps replicates a cell, enumerating its cells
-// table row by table row, and returns one table per metric.
-func (s sweep[R]) tables(reps int) []*Table {
+// tables runs the sweep as cfg says, enumerating its cells table row by
+// table row, and returns one table per metric.
+func (s sweep[R]) tables(cfg Config) []*Table {
 	lines, cols := make([][]string, len(s.rows)), make([][]string, len(s.protos))
 	for i, r := range s.rows {
 		lines[i] = s.label(r)
@@ -179,7 +184,7 @@ func (s sweep[R]) tables(reps int) []*Table {
 		}
 	}
 	// A run reduces to each metric's value and in-run spread (0 without one).
-	cells := runSpecs(specs, reps, func(r *Result) []float64 {
+	cells := runSpecs(cfg, specs, func(r *Result) []float64 {
 		out := make([]float64, 0, 2*len(s.metrics))
 		for _, mt := range s.metrics {
 			spread := 0.0

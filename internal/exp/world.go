@@ -35,14 +35,11 @@ type world struct {
 	recs    []*eventRecorder // one per engine, when there are several and a bus
 }
 
-// newWorld resolves the run's bus — probes, else the package probe factory,
-// else none — gives it a registry, and adopts the engines. workers bounds how
-// many of them advance concurrently (≤ 1 = inline).
+// newWorld takes the run's bus (nil = observability off), gives it a
+// registry, and adopts the engines. workers bounds how many of them advance
+// concurrently (≤ 1 = inline).
 func newWorld(seed int64, probes *obs.Bus, workers int, engines []*sim.Engine) *world {
 	w := &world{seed: seed, bus: probes, engines: engines, workers: workers}
-	if w.bus == nil && probeFactory != nil {
-		w.bus = probeFactory()
-	}
 	if w.bus == nil {
 		return w
 	}
@@ -69,6 +66,10 @@ func (w *world) busOn(eng *sim.Engine) *obs.Bus {
 	}
 	return w.bus
 }
+
+// queueSampleEvery is the virtual-time period of the link queue-depth
+// sampler a probed run installs.
+const queueSampleEvery = 10 * sim.Millisecond
 
 // start opens the run in the trace and wires the probes of net's links, in
 // creation order (never map order), plus one queue-depth sampler per engine

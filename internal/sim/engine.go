@@ -5,7 +5,8 @@
 // topology, see exp.Spec.Shards). The engine is intentionally
 // single-threaded: events execute one at a time in (time, insertion-order)
 // order, which makes every run bit-reproducible for a given seed. Distinct
-// engines share no state, so they may run concurrently (see exp.RunParallel).
+// engines share no state, so they may run concurrently: a sweep runs
+// exp.Config.Workers simulations at once, each on its own engines.
 //
 // The event core is allocation-conscious and built for timer churn. The
 // queue has two tiers, split by a timer's 65.5 µs slot relative to the

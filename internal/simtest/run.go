@@ -248,10 +248,7 @@ func ParallelIdentity(scs []Scenario, workers int) []Violation {
 		seq[i] = Check(sc).TraceHash
 	}
 	par := make([]string, len(scs))
-	prev := exp.Workers()
-	exp.SetWorkers(workers)
-	exp.RunParallel(len(scs), func(i int) { par[i] = Check(scs[i]).TraceHash })
-	exp.SetWorkers(prev)
+	exp.RunParallel(len(scs), workers, func(i int) { par[i] = Check(scs[i]).TraceHash })
 
 	var out []Violation
 	for i := range scs {

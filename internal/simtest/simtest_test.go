@@ -59,14 +59,15 @@ func TestRandomScenarios(t *testing.T) {
 	}
 }
 
-// sweep audits the generated scenario of every seed on the worker pool and
-// returns the failing reports in seed order. A passing report — flight ring
-// and all — is dropped as soon as its scenario is done, so a sweep's memory
-// does not grow with its length; visit, if set, reads every report first
-// (on the worker that produced it, so it must only write per-index state).
+// sweep audits the generated scenario of every seed on a pool of GOMAXPROCS
+// workers and returns the failing reports in seed order. A passing report —
+// flight ring and all — is dropped as soon as its scenario is done, so a
+// sweep's memory does not grow with its length; visit, if set, reads every
+// report first (on the worker that produced it, so it must only write
+// per-index state).
 func sweep(seeds []int64, visit func(i int, r *Report)) []*Report {
 	failed := make([]*Report, len(seeds))
-	exp.RunParallel(len(seeds), func(i int) {
+	exp.RunParallel(len(seeds), 0, func(i int) {
 		r := Check(FromSeed(seeds[i]))
 		if visit != nil {
 			visit(i, r)

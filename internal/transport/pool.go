@@ -11,12 +11,12 @@ import (
 // (sim.Engine.Local): the slabs and free lists for every pooled object of
 // every connection on one engine, looked up once at NewConnection. An
 // engine is single-threaded, so plain slices need no locking, and distinct
-// engines (shard workers, RunParallel jobs) never share one. Because the
-// arena outlives any connection, a session opened late in a run draws the
-// objects and backing arrays that sessions long closed have released —
-// down to the Connection, its Subflows and their series buckets once its
-// owner has called Recycle — and steady state allocates nothing per packet
-// under churn, as for one long-lived connection (guarded by the alloc
+// engines (shard workers, the concurrent simulations of a sweep) never share
+// one. Because the arena outlives any connection, a session opened late in a
+// run draws the objects and backing arrays that sessions long closed have
+// released — down to the Connection, its Subflows and their series buckets
+// once its owner has called Recycle — and steady state allocates nothing per
+// packet under churn, as for one long-lived connection (guarded by the alloc
 // regression tests).
 //
 // Every object is zeroed on release (a recycled Connection and its Subflows

@@ -5,7 +5,8 @@
 // Every generator owns its own rand.Rand seeded explicitly by the caller,
 // never the simulation engine's RNG: arrival sequences must not shift when
 // unrelated transport code consumes engine randomness, and must be
-// byte-identical under exp.RunParallel worker counts and engine sharding.
+// byte-identical for any sweep worker count (exp.Config.Workers) and any
+// engine sharding.
 // Generators are single-goroutine objects; times passed to Next must be
 // non-decreasing.
 package workload
