@@ -189,3 +189,36 @@ func TestFig3cRunAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestProbedShardedRunAllocs: a probed run of several engines emits into
+// its bus live, so it holds no state per event. Two disjoint clusters, each
+// on its own engine, are run to two horizons with a counting sink; the
+// longer run replays the shorter and continues, so the difference in bytes
+// over the difference in probe events is what one more event costs: the
+// per-bucket series alone, 1.5 B at this seed. A world that buffered each
+// engine's events for a merge at run end allocated 423 B per event.
+func TestProbedShardedRunAllocs(t *testing.T) {
+	run := func(dur sim.Time) (bytes, events uint64) {
+		var n uint64
+		spec := exp.Spec{Seed: 1, Duration: dur, Topo: topo.Clusters(2), Proto: exp.MPCCLoss, Shards: 2,
+			Probes: obs.NewBus(obs.SinkFunc(func(obs.Event) { n++ }))}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := exp.Run(spec)
+		runtime.ReadMemStats(&after)
+		if len(res.Flows) != 4 {
+			t.Fatalf("%d flows, want the 4 of two clusters", len(res.Flows))
+		}
+		return after.TotalAlloc - before.TotalAlloc, n
+	}
+	b1, n1 := run(2 * sim.Second)
+	b2, n2 := run(4 * sim.Second)
+	if n1 < 100_000 || n2-n1 < 100_000 {
+		t.Fatalf("run too light to measure: %d then %d probe events", n1, n2)
+	}
+	perEvent := float64(b2-b1) / float64(n2-n1)
+	t.Logf("%d more bytes for %d more probe events: %.1f B per event", b2-b1, n2-n1, perEvent)
+	if perEvent > 20 {
+		t.Fatalf("a probed two-engine run allocates %.1f B per probe event, want ≤ 20", perEvent)
+	}
+}

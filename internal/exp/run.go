@@ -52,16 +52,18 @@ type Spec struct {
 	// SPProto overrides the single-path peer protocol (Figs. 12–13 use Cubic).
 	SPProto Protocol
 	// Shards selects space-parallel execution: the topology is partitioned
-	// into interaction components (topo.PartitionLinks), each component runs
-	// on its own engine, and up to Shards workers of the pool advance them
-	// concurrently. Components share nothing, so the shard count only
-	// sets worker parallelism — the partition, per-shard seeds, and event
-	// orders are fixed by the topology — so any Shards >= 1 produces
-	// byte-identical traces and snapshots, and on single-component
-	// topologies (every flow interacting, e.g. the golden-trace figures)
-	// the output is additionally byte-identical to the unsharded engine.
-	// Shards <= 0 runs the whole topology on one engine. Sharded execution
-	// requires Duration > 0.
+	// into interaction components (topo.PartitionLinks) and each component
+	// runs on its own engine. Unprobed, up to Shards workers of the pool
+	// advance the engines concurrently; probed, they are stepped in time
+	// order on one goroutine, every event going to Probes as it fires, in
+	// (engine time, component) order (DESIGN.md "Determinism guarantees").
+	// Components share nothing, so the shard count only sets worker
+	// parallelism — the partition, per-shard seeds, and event orders are
+	// fixed by the topology — so any Shards >= 1 produces byte-identical
+	// traces and snapshots, and on single-component topologies (every flow
+	// interacting, e.g. the golden-trace figures) the output is additionally
+	// byte-identical to the unsharded engine. Shards <= 0 runs the whole
+	// topology on one engine. Sharded execution requires Duration > 0.
 	Shards int
 	// Churn, if set, overlays an open-loop session workload on the run:
 	// connections arrive, transfer, and close under admission control (see

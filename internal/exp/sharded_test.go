@@ -3,6 +3,9 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpcc/internal/obs"
@@ -98,6 +101,111 @@ func TestShardedClustersIdentity(t *testing.T) {
 		// engines per component (different seeds); sanity-check they did work.
 		if base.res.Events == 0 {
 			t.Fatalf("%s: no events processed", tc.name)
+		}
+	}
+}
+
+// TestUnprobedShardCountsAgree: an unprobed multi-component run advances its
+// engines on the worker pool, concurrently from two shard workers up — the
+// race detector's view of the pool. Every shard count must give the same
+// results, for bulk flows and for finite ones whose engines stop one by one.
+func TestUnprobedShardCountsAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec func(shards int) Spec
+	}{
+		{"bulk", func(shards int) Spec { return clustersSpec(3, shards, nil) }},
+		{"finite", func(shards int) Spec { return finiteClustersSpec(2, shards, nil) }},
+	} {
+		base := Run(tc.spec(1))
+		for _, shards := range []int{2, 3, 4, 8} {
+			got := Run(tc.spec(shards))
+			if got.Events != base.Events {
+				t.Fatalf("%s: shards=%d processed %d events, shards=1 processed %d", tc.name, shards, got.Events, base.Events)
+			}
+			for name, fr := range base.Flows {
+				g := got.Flows[name]
+				if g == nil || math.Float64bits(g.GoodputBps) != math.Float64bits(fr.GoodputBps) || g.FCT != fr.FCT ||
+					!slices.Equal(g.SubflowGoodputBps, fr.SubflowGoodputBps) {
+					t.Fatalf("%s: shards=%d flow %s differs from shards=1", tc.name, shards, name)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedStreamIsPerClusterLive pins what the multi-engine stream is:
+// the engines' firings in (engine time, component) order, each event
+// emitted as it happens. So adding a cluster
+// to a run moves no line of the others — each component keeps its name and
+// its sim.ShardSeed — and every event but utility, which an MI stamps with
+// its own end, comes in (time, cluster) order.
+func TestShardedStreamIsPerClusterLive(t *testing.T) {
+	const k = 2
+	for _, tc := range []struct {
+		name string
+		spec func(k int, bus *obs.Bus) Spec
+	}{
+		{"bulk", func(k int, bus *obs.Bus) Spec { return clustersSpec(k, 2, bus) }},
+		{"finite", func(k int, bus *obs.Bus) Spec { return finiteClustersSpec(k, 2, bus) }},
+	} {
+		// perCluster runs Clusters(n) and splits its trace into each
+		// cluster's lines: topo.Clusters gives cluster c links 2c and 2c+1
+		// and flows 2c and 2c+1.
+		perCluster := func(n int) [][]string {
+			var buf bytes.Buffer
+			jw := obs.NewJSONLWriter(&buf)
+			s := tc.spec(n, obs.NewBus(jw))
+			Run(s)
+			if err := jw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			cluster := map[string]int{}
+			for i, l := range s.Topo.Links {
+				cluster[l] = i / 2
+			}
+			for i, f := range s.Topo.Flows {
+				cluster[f.Name] = i / 2
+			}
+			lines := make([][]string, n)
+			var lastAt sim.Time
+			lastC := 0
+			for _, line := range strings.SplitAfter(buf.String(), "\n") {
+				if line == "" {
+					continue
+				}
+				e, err := obs.ParseEvent([]byte(line))
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := e.Flow
+				if name == "" {
+					name = e.Link
+				}
+				c, ok := cluster[name]
+				if !ok {
+					continue
+				}
+				lines[c] = append(lines[c], line)
+				if e.Kind == obs.KindUtility {
+					continue
+				}
+				if e.At < lastAt || e.At == lastAt && c < lastC {
+					t.Fatalf("%s: Clusters(%d): %q comes after cluster %d's event at %v", tc.name, n, line, lastC, lastAt)
+				}
+				lastAt, lastC = e.At, c
+			}
+			return lines
+		}
+		small, large := perCluster(k), perCluster(k+1)
+		for c := range small {
+			if len(small[c]) == 0 {
+				t.Fatalf("%s: cluster %d emitted nothing", tc.name, c)
+			}
+			if !slices.Equal(small[c], large[c]) {
+				a, b := strings.Join(small[c], ""), strings.Join(large[c], "")
+				t.Fatalf("%s: cluster %d's lines change when cluster %d joins: %s", tc.name, c, k, firstDiff([]byte(b), []byte(a)))
+			}
 		}
 	}
 }

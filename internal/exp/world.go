@@ -21,18 +21,16 @@ import (
 // order — fixes timer sequence numbers and is part of the determinism
 // contract (DESIGN.md "One world").
 //
-// A world has one engine, or one per topology component (sharded.go). With
-// one it emits straight into the run bus and runs inline. With several,
-// probe events cannot go to the run bus live (sinks and the registry are
-// unsynchronized): each engine records into a private buffer while the
-// worker pool advances them, and run ends by merging the buffers into the
-// run bus.
+// A world has one engine, or one per topology component (sharded.go).
+// Everything on any engine emits straight into the run bus. Sinks and the
+// registry are unsynchronized, so a probed world with several engines steps
+// them in time order on the caller's goroutine; an unprobed one advances
+// them on the worker pool.
 type world struct {
 	seed    int64
 	bus     *obs.Bus // the run's bus; nil = observability off
 	engines []*sim.Engine
 	workers int
-	recs    []*eventRecorder // one per engine, when there are several and a bus
 }
 
 // newWorld takes the run's bus (nil = observability off), gives it a
@@ -40,31 +38,10 @@ type world struct {
 // concurrently (≤ 1 = inline).
 func newWorld(seed int64, probes *obs.Bus, workers int, engines []*sim.Engine) *world {
 	w := &world{seed: seed, bus: probes, engines: engines, workers: workers}
-	if w.bus == nil {
-		return w
-	}
-	if w.bus.Registry() == nil {
+	if w.bus != nil && w.bus.Registry() == nil {
 		w.bus.SetRegistry(obs.NewRegistry())
 	}
-	if len(engines) > 1 {
-		w.recs = make([]*eventRecorder, len(engines))
-		for c := range w.recs {
-			w.recs[c] = &eventRecorder{}
-			w.recs[c].bus = obs.NewBus(w.recs[c])
-		}
-	}
 	return w
-}
-
-// busOn returns the bus that whatever lives on eng emits into: the run bus,
-// or eng's recording bus when the world has several engines.
-func (w *world) busOn(eng *sim.Engine) *obs.Bus {
-	for c, r := range w.recs {
-		if w.engines[c] == eng {
-			return r.bus
-		}
-	}
-	return w.bus
 }
 
 // queueSampleEvery is the virtual-time period of the link queue-depth
@@ -82,7 +59,7 @@ func (w *world) start(horizon sim.Time, net *topo.Net) {
 	links := make([]*netem.Link, len(net.LinkNames()))
 	for i, name := range net.LinkNames() {
 		links[i] = net.Link(name)
-		links[i].SetProbes(w.busOn(links[i].Engine()))
+		links[i].SetProbes(w.bus)
 	}
 	if horizon <= 0 {
 		return
@@ -94,24 +71,23 @@ func (w *world) start(horizon sim.Time, net *topo.Net) {
 				qps = append(qps, l.QueueProbe())
 			}
 		}
-		obs.SampleQueues(eng, w.busOn(eng), queueSampleEvery, qps...)
+		obs.SampleQueues(eng, w.bus, queueSampleEvery, qps...)
 	}
 }
 
 // attach builds a connection on the engine its paths live on, with the
-// paths, the connection and its controllers probed by that engine's bus
-// (unless o names a bus of its own); grp is attachGroup's.
+// paths, the connection and its controllers probed by the run bus (unless o
+// names a bus of its own); grp is attachGroup's.
 func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOptions, grp *ccmpcc.Group) *transport.Connection {
 	eng := w.engines[0]
 	if len(paths) > 0 {
 		eng = paths[0].Engine()
 	}
-	bus := w.busOn(eng)
 	for _, path := range paths {
-		path.SetProbes(bus)
+		path.SetProbes(w.bus)
 	}
 	if o.Probes == nil {
-		o.Probes = bus
+		o.Probes = w.bus
 	}
 	return attachGroup(eng, name, p, paths, o, grp)
 }
@@ -119,14 +95,18 @@ func (w *world) attach(name string, p Protocol, paths []*netem.Path, o AttachOpt
 // run advances every engine to the horizon (0 = until idle or stopped) and
 // closes the run. Engines share nothing, so each is still a strictly
 // sequential engine and the worker count can never change an event order.
-// Closing means: recorded streams replay into the run bus, the engine
-// gauges are published, the registry is snapshotted, the trace gets its
-// run-end marker — at the latest engine clock, so never before a merged
-// event; a sink that wants the run's metrics reads the bus's registry when
-// it sees the marker — and the simulation is counted. events sums over
-// engines; queue folds their queue counters.
+// Closing means: the engine gauges are published, the registry is
+// snapshotted, the trace gets its run-end marker — at the latest engine
+// clock, so never before an emitted event; a sink that wants the run's
+// metrics reads the bus's registry when it sees the marker — and the
+// simulation is counted. events sums over engines; queue folds their queue
+// counters.
 func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue sim.QueueStats) {
-	runPool(len(w.engines), w.workers, func(c int) { w.engines[c].Run(horizon) })
+	if w.bus != nil && len(w.engines) > 1 {
+		w.step(horizon)
+	} else {
+		runPool(len(w.engines), w.workers, func(c int) { w.engines[c].Run(horizon) })
+	}
 	maxPending, end := 0, sim.Time(0)
 	for _, e := range w.engines {
 		end = max(end, e.Now()) // an engine of finite flows stops at its last FCT
@@ -137,7 +117,6 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 		foldQueue(&queue, e.QueueStats())
 	}
 	if w.bus != nil {
-		replayMerged(w.bus, w.recs)
 		reg := w.bus.Registry() // newWorld made sure there is one
 		reg.Gauge("sim.events_processed").Set(float64(events))
 		reg.Gauge("sim.max_pending_timers").Set(float64(maxPending))
@@ -148,6 +127,36 @@ func (w *world) run(horizon sim.Time) (snap *obs.Snapshot, events uint64, queue 
 	}
 	countSim()
 	return snap, events, queue
+}
+
+// step advances the engines on the caller's goroutine, the probed
+// multi-engine world's run: it fires the earliest due event of any engine —
+// on a tie the lower component's, the partition's canonical order — until
+// no engine has one due by the horizon, so the run bus sees one stream in
+// (engine time, component) order whatever the shard count. Each engine
+// then ends as Run would leave it: at the horizon, or where Stop left it.
+func (w *world) step(horizon sim.Time) {
+	for {
+		var first *sim.Engine
+		var due sim.Time
+		for _, e := range w.engines {
+			if at, ok := e.NextAt(); ok && (first == nil || at < due) && (horizon <= 0 || at <= horizon) {
+				first, due = e, at
+			}
+		}
+		if first == nil {
+			break
+		}
+		first.Step()
+	}
+	for _, e := range w.engines {
+		// Run fires nothing here; it moves the clock to the horizon. A
+		// stopped engine with timers left keeps its clock: Run would
+		// restart it.
+		if _, ok := e.NextAt(); ok || e.Pending() == 0 {
+			e.Run(horizon)
+		}
+	}
 }
 
 // foldQueue accumulates one engine's queue counters into agg: counts sum,

@@ -24,8 +24,8 @@ import (
 // One writer per goroutine: a writer may be shared by the sequential runs of
 // a sweep, but Emit, Flush and Close take no lock. Every tap that shares one
 // runs its simulations on one goroutine (mpccbench -trace forces -workers 1,
-// and a sharded run replays its engines' events from the goroutine that
-// closes it), which a byte-reproducible trace needs anyway.
+// and a probed sharded run steps its engines on the goroutine that runs
+// it), which a byte-reproducible trace needs anyway.
 type JSONLWriter struct {
 	w      io.Writer
 	closer io.Closer

@@ -558,6 +558,21 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// NextAt returns the time of the event Run would fire next, or false once
+// the engine is idle or Stop has been called since Run last began. Peeking
+// reorders nothing (a slot drain it may do is the one Run or Step does
+// before that firing), so a Step right after it fires exactly that event —
+// how one goroutine steps several engines in time order.
+func (e *Engine) NextAt() (Time, bool) {
+	for !e.stopped && len(e.imminent) == 0 && e.wheelCount > 0 {
+		e.drain(e.nextOccupied())
+	}
+	if e.stopped || len(e.imminent) == 0 {
+		return 0, false
+	}
+	return e.imminent[0].at, true
+}
+
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
 func (e *Engine) Pending() int { return len(e.imminent) + e.wheelCount }

@@ -159,6 +159,45 @@ func TestEngineStep(t *testing.T) {
 	}
 }
 
+// TestEngineNextAt: NextAt names the event Run would fire next — none for
+// an idle engine or once Stop was called — and a Step after it fires
+// exactly that event, even one the peek had to drain out of the wheel.
+func TestEngineNextAt(t *testing.T) {
+	e := NewEngine(1)
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("idle engine reports an event due")
+	}
+	far := 2 * Second // beyond the wheel's span: resident in a later lap
+	fired := Time(-1)
+	e.At(far, func() { fired = e.Now() })
+	if e.QueueStats().WheelInserts != 1 {
+		t.Fatalf("timer at %v not in the wheel: %+v", far, e.QueueStats())
+	}
+	if at, ok := e.NextAt(); !ok || at != far {
+		t.Fatalf("NextAt = %v, %v; want %v, true", at, ok, far)
+	}
+	if at, ok := e.NextAt(); !ok || at != far {
+		t.Fatalf("second NextAt = %v, %v; want %v, true", at, ok, far)
+	}
+	if !e.Step() || fired != far || e.Processed != 1 {
+		t.Fatalf("Step after the peek fired at %v (%d events), want the timer at %v", fired, e.Processed, far)
+	}
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("engine idle after its one timer reports an event due")
+	}
+
+	e.At(far+1, func() { e.Stop() })
+	e.At(far+2, func() {})
+	e.Run(0)
+	if _, ok := e.NextAt(); ok || e.Pending() != 1 || e.Now() != far+1 {
+		t.Fatalf("stopped engine: NextAt due=%v, %d pending, clock %v; want none, 1, %v", ok, e.Pending(), e.Now(), far+1)
+	}
+	e.Run(0)
+	if _, ok := e.NextAt(); ok || e.Now() != far+2 {
+		t.Fatalf("Run after Stop: due=%v at %v, want idle at %v", ok, e.Now(), far+2)
+	}
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.At(100, func() {
